@@ -143,16 +143,11 @@ def _log_integrand(params: ModelParams, r, z, mode: str):
 
 @dataclass(frozen=True)
 class CspaEvaluation:
-    """ln Z_CSPA (or ln Z_SPA), with the breakdown diagnostic and error budget."""
+    """ln Z_CSPA (or ln Z_SPA) with its relative quadrature error estimate."""
 
     logZ: float
-    breakdown_T: float
     mode: str
     quadrature_error: float
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.quadrature_error < 1e-8 else "quadrature"
 
 
 def _scan_validity(params: ModelParams):
@@ -306,7 +301,6 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
         raise DomainError(f"unknown mode {mode!r}")
     if params.T <= 0:
         raise DomainError("cspa_logZ requires T > 0")
-    t_star = 0.0
     if mode == "cspa":
         worst, where = _scan_validity(params)
         if worst >= (2.0 * pi * params.T) ** 2:
@@ -315,14 +309,12 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
                 f"CSPA breakdown: beta|omega|/2 >= pi at (r, z) = {where} "
                 f"(T = {params.T:.6g} <= T* ~ {t_star:.6g})",
                 where=where, t_star=t_star)
-        t_star = breakdown_temperature(params)
 
     n, v, beta = params.n, params.v, params.beta
     if params.gamma == 1.0:
         lv, rel, _ = _radial_log_integral(params, 0.0, mode, epsrel)
         logZ = log(n * beta / (2.0 * v)) + lv
-        return CspaEvaluation(logZ=logZ, breakdown_T=t_star, mode=mode,
-                              quadrature_error=rel)
+        return CspaEvaluation(logZ=logZ, mode=mode, quadrature_error=rel)
 
     # gamma < 1: outer adaptive integral over z of the inner radial integral
     sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
@@ -353,8 +345,7 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     pref = 0.25 * sqrt(n ** 3 * beta ** 3 / (pi * v ** 3 * (1.0 - params.gamma)))
     logZ = log(pref) + shift + log(res.value)
     rel = res.error / res.value + (max(errs) if errs else 0.0)
-    return CspaEvaluation(logZ=logZ, breakdown_T=t_star, mode=mode,
-                          quadrature_error=rel)
+    return CspaEvaluation(logZ=logZ, mode=mode, quadrature_error=rel)
 
 
 def _z_marginal_proxy(params: ModelParams, z: float, mode: str) -> float:

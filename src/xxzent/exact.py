@@ -200,26 +200,16 @@ def exact_pair_state(params: ModelParams) -> PairState:
 def _ground_levels(params: ModelParams, tol: float = 1e-12):
     """Degenerate set of minimal-energy levels [(two_S, two_M, Y weight)].
 
-    A crossing field lands exactly on two degenerate levels; the T -> 0 limit
-    of the thermal state is the Y(S)-weighted equal mixture over all states in
-    the degenerate set.
+    At fixed M the energy falls with S (v > 0), so every minimal level lies in
+    the top sector S = n/2, where Y = 1: O(n) work at any n. A crossing field
+    lands exactly on two degenerate levels; the T -> 0 limit of the thermal
+    state is the equal mixture over the degenerate set.
     """
     n = params.n
-    best = np.inf
-    levels = []
+    two_M = np.arange(-n, n + 1, 2)
+    E = _level_energy_2(params, n, two_M)
     scale = max(params.v, abs(params.b), 1.0)
-    for two_S in two_s_range(n):
-        two_M = np.arange(-two_S, two_S + 1, 2)
-        E = np.atleast_1d(_level_energy_2(params, two_S, two_M))
-        emin = E.min()
-        if emin < best - tol * scale:
-            best = emin
-            levels = []
-        if emin < best + tol * scale:
-            Y = exp(log_multiplicity(n, two_S))
-            for tm in two_M[E <= best + tol * scale]:
-                levels.append((two_S, int(tm), Y))
-    return levels
+    return [(n, int(tm), 1) for tm in two_M[E <= E.min() + tol * scale]]
 
 
 def _mixture_observables(params: ModelParams, levels):
@@ -398,10 +388,7 @@ def _build_dense(params: ModelParams):
 
 def brute_force_pair_density(params: ModelParams) -> np.ndarray:
     """Exact rho_2 of sites (0, 1) by partial trace of the thermal state."""
-    w, U, _ = _brute_force_eig(params)
-    p, _ = _boltzmann(w, params.beta)
-    rho = (U * p[None, :]) @ U.T
-    return _pair_density_from_rho(rho, params.n)
+    return brute_force_observables(params)[1]
 
 
 def _pair_density_from_rho(rho: np.ndarray, n: int) -> np.ndarray:

@@ -1,6 +1,15 @@
-"""Reference-figure data generation: sweeps, limit curves, gnuplot scripts.
+"""Reference-figure data generation: each figure is a table of curve files.
 
-Each figure writes one CSV per curve family plus a plain-text gnuplot script
+A figure is a short table, built when the figure is requested, of three
+kinds of CSV file:
+
+- a point file: each tier evaluated over one swept axis of fixed model
+  parameters through the sweep evaluation loop, tier-major;
+- a limit file: limit_temperature for each tier at each field value of one
+  or more (tiers, n, gamma, b values, probes, epsrel) groups;
+- the mean-field T_c(b) guide rows.
+
+One loop writes every file of a figure plus a plain-text gnuplot script
 with relative data paths; nothing is plotted in-process. Grid parameters are
 fixed here so runs are reproducible; tier failures show up as status fields
 in the CSVs, never as aborted files.
@@ -16,18 +25,24 @@ field value rather than a point sweep.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cmfa import critical_temperature
+from .errors import DomainError
 from .model import ModelParams, crossing_fields
-from .sweep import LimitResult, limit_temperature, points_to_csv
+from .sweep import (LimitResult, evaluate_points, limit_temperature,
+                    points_to_csv)
 
 __all__ = ["reproduce_figure", "FIGURE_IDS", "b_grid_with_crossings"]
 
 FIGURE_IDS = (1, 2, 3, 4, 5)
 
 LIMIT_COLUMNS = ("tier", "n", "v", "gamma", "b", "T_L", "status")
+
+POINT_EPSREL = 1e-9     # quadrature budget of the cspa points
 
 
 def b_grid_with_crossings(n, lo, hi, count):
@@ -37,16 +52,6 @@ def b_grid_with_crossings(n, lo, hi, count):
     return sorted({round(float(x), 12)
                    for x in list(np.linspace(lo, hi, count)) + list(cf.fields)
                    if lo <= x <= hi})
-
-
-def _sweep_points(tier, n, gamma, T, b_values, epsrel=1e-10, workers=1):
-    """Evaluate a tier on an explicit list of b values (single T)."""
-    from .sweep import evaluate_point
-    pts = []
-    for b in b_values:
-        p = ModelParams(n=n, v=1.0, gamma=gamma, b=float(b), T=T)
-        pts.append(evaluate_point(tier, p, epsrel))
-    return pts
 
 
 def _write(path, text):
@@ -86,167 +91,156 @@ def _gnuplot(name, title, plots, extra="") -> str:
     return "\n".join(line for line in lines if line) + "\n"
 
 
-def _figure_1(out_dir, workers):
-    files = []
-    plots = []
-    for T in (0.005, 0.025):
-        grid = b_grid_with_crossings(20, 0.0, 1.05, 85)
+@dataclass(frozen=True)
+class _PointFile:
+    """Each tier over one swept axis of ``fixed``, tier-major."""
+
+    name: str
+    tiers: tuple
+    fixed: ModelParams
+    axis: str              # "b" or "T"
+    values: Sequence[float]
+    plots: tuple           # gnuplot "using ..." clauses for this file
+
+    def text(self) -> str:
+        params = [self.fixed.replace(**{self.axis: float(x)})
+                  for x in self.values]
         pts = []
-        for tier in ("exact", "cmfa"):
-            pts += _sweep_points(tier, 20, 1.0, T, grid)
-        fname = f"fig1_T{T}.csv"
-        files.append(_write(os.path.join(out_dir, fname), points_to_csv(pts)))
-        for tier in ("exact", "cmfa"):
-            plots.append(
-                f"'{fname}' using 5:(strcol(1) eq '{tier}' ? $12 : 1/0) "
-                f"title '{tier} T={T}' with lines")
-    script = _gnuplot("fig1", "n C vs b, n=20, gamma=1 (low T)", plots,
-                      extra="set xlabel 'b/v'\nset ylabel 'n C'")
-    files.append(_write(os.path.join(out_dir, "fig1.gp"), script))
-    return files
+        for tier in self.tiers:
+            pts += evaluate_points(tier, params, POINT_EPSREL)
+        return points_to_csv(pts)
 
 
-def _figure_2(out_dir, workers):
-    files = []
-    plots = []
-    for T in (0.1, 0.25, 0.5):
-        grid = np.linspace(0.0, 1.3, 40)
-        pts = []
-        for tier in ("exact", "cmfa", "cspa"):
-            pts += _sweep_points(tier, 20, 1.0, T, grid, epsrel=1e-9)
-        fname = f"fig2_top_T{T}.csv"
-        files.append(_write(os.path.join(out_dir, fname), points_to_csv(pts)))
-        plots.append(f"'{fname}' using 5:11 title 'T={T}' with points")
-    for b in (0.5, 0.9, 1.1):
-        tgrid = np.geomspace(0.02, 0.8, 30)
-        pts = []
-        for tier in ("exact", "cmfa", "cspa"):
-            for T in tgrid:
-                pts += _sweep_points(tier, 20, 1.0, float(T), [b], epsrel=1e-9)
-        fname = f"fig2_bottom_b{b}.csv"
-        files.append(_write(os.path.join(out_dir, fname), points_to_csv(pts)))
-        plots.append(f"'{fname}' using 6:11 title 'b={b}' with points")
-    script = _gnuplot("fig2", "C vs b (top rows) and vs T (bottom rows), n=20",
-                      plots, extra="set xlabel 'b/v or T/v'\nset ylabel 'C'")
-    files.append(_write(os.path.join(out_dir, "fig2.gp"), script))
-    return files
+@dataclass(frozen=True)
+class _LimitFile:
+    """Limit temperatures of (tiers, n, gamma, b values, probes, epsrel)
+    groups, each scanned tier-major from T = 0.1 v."""
+
+    name: str
+    groups: tuple
+    plots: tuple
+
+    def text(self) -> str:
+        rows = []
+        for tiers, n, gamma, b_values, probes, epsrel in self.groups:
+            for tier in tiers:
+                for b in b_values:
+                    p = ModelParams(n=n, v=1.0, gamma=gamma, b=float(b), T=0.1)
+                    res = limit_temperature(tier, p, probes=probes,
+                                            epsrel=epsrel)
+                    rows.append(_tl_row(tier, n, gamma, float(b), res))
+        return _limit_curve_csv(rows)
 
 
-def _figure_3(out_dir, workers):
-    files = []
-    plots = []
-    for n in (20, 100, 1000, 8810):
-        grid = np.linspace(0.0, 1.05, 36)
-        pts = []
-        tiers = ("exact", "cmfa", "cspa")
-        for tier in tiers:
-            pts += _sweep_points(tier, n, 1.0, 0.1, grid, epsrel=1e-9)
-        fname = f"fig3_top_n{n}.csv"
-        files.append(_write(os.path.join(out_dir, fname), points_to_csv(pts)))
-        plots.append(f"'{fname}' using 5:11 title 'n={n}' with points")
-    for n in (20, 100, 1000):
-        tgrid = np.geomspace(0.02, 0.6, 30)
-        pts = []
-        for tier in ("exact", "cmfa"):
-            for T in tgrid:
-                pts += _sweep_points(tier, n, 1.0, float(T), [0.5])
-        fname = f"fig3_bottom_n{n}.csv"
-        files.append(_write(os.path.join(out_dir, fname), points_to_csv(pts)))
-        plots.append(f"'{fname}' using 6:11 title 'n={n} b=0.5' with points")
-    script = _gnuplot("fig3", "C vs b at T=0.1v (top) and vs T at b=0.5v "
-                      "(bottom), gamma=1", plots,
-                      extra="set xlabel 'b/v or T/v'\nset ylabel 'C'")
-    files.append(_write(os.path.join(out_dir, "fig3.gp"), script))
-    return files
+@dataclass(frozen=True)
+class _TcGuide:
+    """The mean-field critical temperature T_c(b) at gamma = 1."""
+
+    name: str
+    b_values: Sequence[float]
+    plots: tuple
+
+    def text(self) -> str:
+        return _limit_curve_csv(
+            {"tier": "tc", "n": 20, "v": 1.0, "gamma": 1.0, "b": float(b),
+             "T_L": critical_temperature(ModelParams(n=20, b=float(b))),
+             "status": "ok"}
+            for b in self.b_values)
 
 
-def _figure_4(out_dir, workers):
-    files = []
-    plots = []
-    rows = []
-    bgrid = np.linspace(0.02, 1.35, 20)
-    for n in (20, 100, 1000):
-        for tier in ("exact", "cmfa"):
-            for b in bgrid:
-                p = ModelParams(n=n, v=1.0, gamma=1.0, b=float(b), T=0.1)
-                res = limit_temperature(tier, p, probes=40)
-                rows.append(_tl_row(tier, n, 1.0, float(b), res))
-    cspa_grid = np.linspace(0.05, 1.3, 12)
-    for n in (20, 100):
-        for b in cspa_grid:
-            p = ModelParams(n=n, v=1.0, gamma=1.0, b=float(b), T=0.1)
-            res = limit_temperature("cspa", p, probes=28, epsrel=1e-8)
-            rows.append(_tl_row("cspa", n, 1.0, float(b), res))
-    fname = "fig4_limit_temperature.csv"
-    files.append(_write(os.path.join(out_dir, fname), _limit_curve_csv(rows)))
-    plots.append(f"'{fname}' using 5:6 title 'T_L(b)' with points")
-    # mean-field critical temperature as a dashed guide line
-    tc_rows = []
-    for b in np.linspace(0.0, 0.999, 60):
-        p = ModelParams(n=20, v=1.0, gamma=1.0, b=float(b), T=0.1)
-        tc_rows.append({"tier": "tc", "n": 20, "v": 1.0, "gamma": 1.0,
-                        "b": float(b), "T_L": critical_temperature(p),
-                        "status": "ok"})
-    fname_tc = "fig4_tc.csv"
-    files.append(_write(os.path.join(out_dir, fname_tc),
-                        _limit_curve_csv(tc_rows)))
-    plots.append(f"'{fname_tc}' using 5:6 title 'T_c(b)' with lines dt 2")
-    script = _gnuplot("fig4", "limit temperature vs field, gamma=1", plots,
-                      extra="set xlabel 'b/v'\nset ylabel 'T_L/v'")
-    files.append(_write(os.path.join(out_dir, "fig4.gp"), script))
-    return files
+# Each figure: (gnuplot title, axis labels, curve files in writing order).
+
+def _figure_1():
+    grid = b_grid_with_crossings(20, 0.0, 1.05, 85)
+    tiers = ("exact", "cmfa")
+    return ("n C vs b, n=20, gamma=1 (low T)",
+            "set xlabel 'b/v'\nset ylabel 'n C'",
+            [_PointFile(f"fig1_T{T}.csv", tiers, ModelParams(n=20, T=T), "b",
+                        grid, tuple(f"5:(strcol(1) eq '{tier}' ? $12 : 1/0) "
+                                    f"title '{tier} T={T}' with lines"
+                                    for tier in tiers))
+             for T in (0.005, 0.025)])
 
 
-def _figure_5(out_dir, workers):
-    files = []
-    plots = []
-    rows = []
+def _figure_2():
+    tiers = ("exact", "cmfa", "cspa")
+    top = [_PointFile(f"fig2_top_T{T}.csv", tiers, ModelParams(n=20, T=T), "b",
+                      np.linspace(0.0, 1.3, 40),
+                      (f"5:11 title 'T={T}' with points",))
+           for T in (0.1, 0.25, 0.5)]
+    bottom = [_PointFile(f"fig2_bottom_b{b}.csv", tiers, ModelParams(n=20, b=b),
+                         "T", np.geomspace(0.02, 0.8, 30),
+                         (f"6:11 title 'b={b}' with points",))
+              for b in (0.5, 0.9, 1.1)]
+    return ("C vs b (top rows) and vs T (bottom rows), n=20",
+            "set xlabel 'b/v or T/v'\nset ylabel 'C'", top + bottom)
+
+
+def _figure_3():
+    top = [_PointFile(f"fig3_top_n{n}.csv", ("exact", "cmfa", "cspa"),
+                      ModelParams(n=n, T=0.1), "b", np.linspace(0.0, 1.05, 36),
+                      (f"5:11 title 'n={n}' with points",))
+           for n in (20, 100, 1000, 8810)]
+    bottom = [_PointFile(f"fig3_bottom_n{n}.csv", ("exact", "cmfa"),
+                         ModelParams(n=n, b=0.5), "T",
+                         np.geomspace(0.02, 0.6, 30),
+                         (f"6:11 title 'n={n} b=0.5' with points",))
+              for n in (20, 100, 1000)]
+    return ("C vs b at T=0.1v (top) and vs T at b=0.5v (bottom), gamma=1",
+            "set xlabel 'b/v or T/v'\nset ylabel 'C'", top + bottom)
+
+
+def _figure_4():
+    groups = [(("exact", "cmfa"), n, 1.0, np.linspace(0.02, 1.35, 20), 40,
+               1e-10) for n in (20, 100, 1000)]
+    groups += [(("cspa",), n, 1.0, np.linspace(0.05, 1.3, 12), 28, 1e-8)
+               for n in (20, 100)]
+    return ("limit temperature vs field, gamma=1",
+            "set xlabel 'b/v'\nset ylabel 'T_L/v'",
+            [_LimitFile("fig4_limit_temperature.csv", tuple(groups),
+                        ("5:6 title 'T_L(b)' with points",)),
+             _TcGuide("fig4_tc.csv", np.linspace(0.0, 0.999, 60),
+                      ("5:6 title 'T_c(b)' with lines dt 2",))])
+
+
+def _figure_5():
+    groups = []
     for gamma in (0.25, 0.5, 0.75, 1.0):
-        bgrid = np.linspace(0.02, 1.05 * gamma, 12)
-        for tier in ("exact", "cmfa"):
-            for b in bgrid:
-                p = ModelParams(n=100, v=1.0, gamma=gamma, b=float(b), T=0.1)
-                res = limit_temperature(tier, p, probes=36)
-                rows.append(_tl_row(tier, 100, gamma, float(b), res))
         # CSPA on a coarse grid: the gamma < 1 integrals are 2D
-        for b in np.linspace(0.05, gamma, 7):
-            p = ModelParams(n=100, v=1.0, gamma=gamma, b=float(b), T=0.1)
-            res = limit_temperature("cspa", p, probes=22, epsrel=1e-8)
-            rows.append(_tl_row("cspa", 100, gamma, float(b), res))
-    fname = "fig5_top_limit_temperature.csv"
-    files.append(_write(os.path.join(out_dir, fname), _limit_curve_csv(rows)))
-    plots.append(f"'{fname}' using 5:6 title 'T_L(b), n=100' with points")
-    for gamma in (1.0, 0.5):
-        for n in (20, 100, 1000):
-            tgrid = np.geomspace(0.01, 0.5, 26)
-            pts = []
-            for tier in ("exact", "cmfa"):
-                for T in tgrid:
-                    pts += _sweep_points(tier, n, gamma, float(T), [0.0])
-            fname = f"fig5_bottom_g{gamma}_n{n}.csv"
-            files.append(_write(os.path.join(out_dir, fname),
-                                points_to_csv(pts)))
-            plots.append(f"'{fname}' using 6:11 title 'g={gamma} n={n}' "
-                         "with points")
-    script = _gnuplot("fig5", "T_L(b) per gamma (top) and C(T) at b=0 "
-                      "(bottom)", plots,
-                      extra="set xlabel 'b/v or T/v'\nset ylabel 'T_L or C'")
-    files.append(_write(os.path.join(out_dir, "fig5.gp"), script))
-    return files
+        groups += [(("exact", "cmfa"), 100, gamma,
+                    np.linspace(0.02, 1.05 * gamma, 12), 36, 1e-10),
+                   (("cspa",), 100, gamma, np.linspace(0.05, gamma, 7), 22,
+                    1e-8)]
+    files = [_LimitFile("fig5_top_limit_temperature.csv", tuple(groups),
+                        ("5:6 title 'T_L(b), n=100' with points",))]
+    files += [_PointFile(f"fig5_bottom_g{gamma}_n{n}.csv", ("exact", "cmfa"),
+                         ModelParams(n=n, gamma=gamma), "T",
+                         np.geomspace(0.01, 0.5, 26),
+                         (f"6:11 title 'g={gamma} n={n}' with points",))
+              for gamma in (1.0, 0.5) for n in (20, 100, 1000)]
+    return ("T_L(b) per gamma (top) and C(T) at b=0 (bottom)",
+            "set xlabel 'b/v or T/v'\nset ylabel 'T_L or C'", files)
 
 
-_BUILDERS = {1: _figure_1, 2: _figure_2, 3: _figure_3, 4: _figure_4,
-             5: _figure_5}
+_FIGURES = {1: _figure_1, 2: _figure_2, 3: _figure_3, 4: _figure_4,
+            5: _figure_5}
 
 
-def reproduce_figure(fig_id: int, out_dir: str, workers: int = 1):
+def reproduce_figure(fig_id: int, out_dir: str):
     """Write the CSV data and gnuplot script for one reference figure.
 
     Returns the list of files written. Figures 3-5 sweep up to n ~ 8810 and
     run limit-temperature root finds per point: minutes, not seconds.
     """
-    if fig_id not in _BUILDERS:
-        from .errors import DomainError
+    if fig_id not in _FIGURES:
         raise DomainError(f"figure id must be one of {FIGURE_IDS}")
     os.makedirs(out_dir, exist_ok=True)
-    return _BUILDERS[fig_id](out_dir, workers)
+    title, labels, curves = _FIGURES[fig_id]()
+    files, plots = [], []
+    for curve in curves:
+        files.append(_write(os.path.join(out_dir, curve.name), curve.text()))
+        plots += [f"'{curve.name}' using {u}" for u in curve.plots]
+    name = f"fig{fig_id}"
+    script = _gnuplot(name, title, plots, extra=labels)
+    files.append(_write(os.path.join(out_dir, name + ".gp"), script))
+    return files

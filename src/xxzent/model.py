@@ -23,7 +23,7 @@ removes any floating-point parity ambiguity for odd n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lgamma, log1p
+from math import comb, isfinite, lgamma, log1p
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class ModelParams:
 
     Energies (v, b, T) share one unit; v > 0 is the attractive coupling
     strength, gamma <= 1 the anisotropy, b the transverse field and T the
-    temperature (T = 0 selects the ground-state code paths).
+    temperature (T = 0 selects the ground-state code paths). All four must
+    be finite.
     """
 
     n: int
@@ -67,6 +68,10 @@ class ModelParams:
             raise DomainError(f"gamma must be <= 1, got {self.gamma}")
         if self.T < 0:
             raise DomainError(f"T must be >= 0, got {self.T}")
+        for name in ("v", "gamma", "b", "T"):
+            x = getattr(self, name)
+            if not isfinite(x):
+                raise DomainError(f"{name} must be finite, got {x}")
 
     @property
     def V(self) -> float:

@@ -1,9 +1,12 @@
-"""Tier dispatch, parameter sweeps, limit temperatures/fields, and file output.
+"""Tier table, parameter sweeps, limit temperatures/fields, and file output.
 
-One CurvePoint per grid point; per-point failures land in the point's status
-and never abort a sweep. Output ordering follows the grid index whatever the
-worker count, so CSV/JSON files are byte-identical across runs and across
-parallelism levels.
+Each tier is one entry of a ``tier -> evaluator`` table; evaluate_point is
+the one place that runs an evaluator, times it and turns what it raised into
+the point's status, so no exception of any type aborts a sweep.
+evaluate_points is the evaluation loop over a list of parameter points, used
+by run_sweep and by the reference figures. Output ordering follows the input
+order whatever the worker count, so CSV/JSON files are byte-identical across
+runs and across parallelism levels.
 
 CSV schema (fixed column order):
 
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmfa, cspa, exact
-from .errors import (BreakdownError, ConvergenceError, DomainError,
-                     InconsistentMomentsError, NotApplicableError, PhaseError,
-                     QuadratureError, XxzentError)
+from .errors import (BreakdownError, DomainError, NotApplicableError,
+                     PhaseError, XxzentError)
 from .model import ModelParams
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "SweepSpec",
     "CurvePoint",
     "evaluate_point",
+    "evaluate_points",
     "run_sweep",
     "limit_temperature",
     "limit_field",
@@ -41,8 +44,6 @@ __all__ = [
     "points_to_json",
     "CSV_COLUMNS",
 ]
-
-TIERS = ("bruteforce", "exact", "cspa", "spa", "cmfa", "mfa")
 
 CSV_COLUMNS = ("tier", "n", "v", "gamma", "b", "T", "logZ", "Sz", "Sz2", "S2",
                "C", "nC", "EoF", "status")
@@ -143,130 +144,123 @@ class CurvePoint:
         return r
 
 
-def _moments_and_pair(tier: str, params: ModelParams, epsrel: float):
-    """Per-tier moments plus the pair state used for the concurrence."""
-    n = params.n
-    if tier == "exact":
-        if params.T == 0:
-            return (exact.ground_state_moments(params),
-                    exact.ground_state_pair_state(params))
-        return exact.thermal_observables(params)
-    if tier == "bruteforce":
-        moments = exact.brute_force_moments(params)
-        return moments, exact.pair_state(moments, n, tol=1e-8, clamp=True)
-    if tier == "cspa":
-        moments = cspa.cspa_moments(params, mode="cspa", epsrel=epsrel)
-        return moments, exact.pair_state(moments, n, tol=1e-6, clamp=True)
-    if tier == "cmfa":
-        moments = cmfa.cmfa_moments(params)
-        return moments, exact.pair_state(moments, n, tol=1e-8, clamp=True)
-    raise DomainError(f"unknown tier {tier!r}")
+def _pair_C(pair: exact.PairState, n: int) -> float:
+    return exact.concurrence(pair, n).concurrence
+
+
+def _bruteforce(params, epsrel):
+    # C from the partial trace of the dense thermal state, the route that is
+    # independent of the collective spectrum
+    moments, rho2 = exact.brute_force_observables(params)
+    return moments, exact.wootters_concurrence(rho2), None
+
+
+def _exact(params, epsrel):
+    if params.T == 0:
+        moments = exact.ground_state_moments(params)
+        pair = exact.ground_state_pair_state(params)
+    else:
+        moments, pair = exact.thermal_observables(params)
+    return moments, _pair_C(pair, params.n), None
+
+
+def _cspa(params, epsrel):
+    moments = cspa.cspa_moments(params, mode="cspa", epsrel=epsrel)
+    pair = exact.pair_state(moments, params.n, tol=1e-6, clamp=True)
+    return moments, _pair_C(pair, params.n), None
+
+
+def _spa(params, epsrel):
+    return cspa.cspa_moments(params, mode="spa", epsrel=epsrel), 0.0, None
+
+
+def _cmfa(params, epsrel):
+    """Analytic moments in the deformed window, C = 0 in the normal phase.
+
+    In the normal phase (|b| >= gamma v or T >= T_c) the CMFA cannot sustain
+    pair entanglement (its far-field bracket is strictly negative), so C is
+    exactly zero with the normal-phase ln Z; in the complex window
+    (T <= Ttilde, b > b*) the tier is not applicable.
+    """
+    sol = cmfa.gap_solve(params)
+    if params.gamma <= 0:
+        raise NotApplicableError("CMFA closed forms require gamma > 0")
+    if sol.phase != "deformed":
+        return None, 0.0, cmfa.cmfa_logZ(params)
+    if not sol.applicable:
+        raise NotApplicableError(f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
+    moments = cmfa.cmfa_moments(params)
+    pair = exact.pair_state(moments, params.n, tol=1e-8, clamp=True)
+    return moments, _pair_C(pair, params.n), None
+
+
+def _mfa(params, epsrel):
+    return cmfa.mfa_product_moments(params), 0.0, None
+
+
+# tier -> evaluator(params, epsrel) -> (moments or None, C, logZ or None).
+# The SPA thermal state is a positive mixture of product states and the MFA
+# state a single product state: neither carries pair entanglement, so both
+# report C = 0 and compute the moments for the output columns only (the
+# concurrence formula on them would read out finite-difference noise).
+_EVALUATORS = {"bruteforce": _bruteforce, "exact": _exact, "cspa": _cspa,
+               "spa": _spa, "cmfa": _cmfa, "mfa": _mfa}
+TIERS = tuple(_EVALUATORS)
+
+# exception -> point status; any other exception is an error
+_STATUSES = ((BreakdownError, "breakdown"),
+             ((NotApplicableError, PhaseError), "not-applicable"),
+             (XxzentError, "error"))
+
+
+def _failure(err: Exception):
+    """(status, message) of a point whose evaluation raised ``err``."""
+    for types, status in _STATUSES:
+        if isinstance(err, types):
+            return status, str(err)
+    return "error", f"{type(err).__name__}: {err}"
 
 
 def evaluate_point(tier: str, params: ModelParams,
                    epsrel: float = 1e-10) -> CurvePoint:
-    """Evaluate one tier at one parameter point, capturing failures as status."""
+    """Evaluate one tier at one parameter point, capturing failures as status.
+
+    No exception escapes: package errors map to breakdown, not-applicable
+    or error, and any other exception to error with its type in the message.
+    """
     t0 = time.perf_counter()
+    status, message, moments, result, logZ = "ok", "", None, None, None
     try:
-        if tier == "cmfa":
-            return _evaluate_cmfa(params, t0)
-        if tier in ("spa", "mfa"):
-            return _evaluate_separable(tier, params, epsrel, t0)
-        moments, pair = _moments_and_pair(tier, params, epsrel)
-        res = exact.concurrence(pair, params.n, tier=tier)
-        if tier == "bruteforce":
-            # the partial-trace route is the fully independent one; prefer it
-            rho2 = exact.brute_force_pair_density(params)
-            C = exact.wootters_concurrence(rho2)
-            res = exact.ConcurrenceResult(
-                concurrence=C, eof=exact.eof_from_concurrence(C),
-                entangled=C > exact.ENTANGLED_EPS, tier=tier)
-        return CurvePoint(tier=tier, params=params, status="ok",
-                          moments=moments, result=res,
-                          wall_time=time.perf_counter() - t0)
-    except BreakdownError as err:
-        return CurvePoint(tier=tier, params=params, status="breakdown",
-                          wall_time=time.perf_counter() - t0, message=str(err))
-    except (NotApplicableError, PhaseError) as err:
-        return CurvePoint(tier=tier, params=params, status="not-applicable",
-                          wall_time=time.perf_counter() - t0, message=str(err))
-    except (DomainError, QuadratureError, ConvergenceError,
-            InconsistentMomentsError) as err:
-        return CurvePoint(tier=tier, params=params, status="error",
-                          wall_time=time.perf_counter() - t0, message=str(err))
-
-
-def _evaluate_separable(tier: str, params: ModelParams, epsrel: float,
-                        t0: float) -> CurvePoint:
-    """SPA and MFA tiers: separable by construction, so C is exactly zero.
-
-    The SPA thermal state is a positive mixture of product thermal states and
-    the MFA state is a single product state; neither can carry pair
-    entanglement, so the tier reports C = 0 identically. The moments are
-    still computed (finite differences of the SPA ln Z, or the product-state
-    values) for the output columns; running the concurrence formula on them
-    would only readout finite-difference noise around zero, or approximation
-    artifacts where the estimated pair state drifts slightly off the physical
-    cone (far field at low T).
-    """
-    if tier == "spa":
-        moments = cspa.cspa_moments(params, mode="spa", epsrel=epsrel)
-    else:
-        moments = cmfa.mfa_product_moments(params)
-    res = exact.ConcurrenceResult(concurrence=0.0, eof=0.0, entangled=False,
-                                  tier=tier)
-    return CurvePoint(tier=tier, params=params, status="ok", moments=moments,
-                      result=res, wall_time=time.perf_counter() - t0)
-
-
-def _evaluate_cmfa(params: ModelParams, t0: float) -> CurvePoint:
-    """CMFA tier: analytic moments in the deformed window, C = 0 outside.
-
-    In the normal phase (|b| >= gamma v or T >= T_c) the CMFA cannot sustain
-    pair entanglement (its far-field bracket is strictly negative), so the
-    concurrence is reported as exactly zero with the normal-phase ln Z; in
-    the complex window (T <= Ttilde, b > b*) the status is not-applicable.
-    """
-    n = params.n
-    try:
-        sol = cmfa.gap_solve(params)
-    except (DomainError, XxzentError) as err:
-        return CurvePoint(tier="cmfa", params=params, status="error",
-                          wall_time=time.perf_counter() - t0, message=str(err))
-    if params.gamma <= 0:
-        return CurvePoint(tier="cmfa", params=params, status="not-applicable",
-                          wall_time=time.perf_counter() - t0,
-                          message="CMFA closed forms require gamma > 0")
-    if sol.phase == "deformed" and not sol.applicable:
-        return CurvePoint(tier="cmfa", params=params, status="not-applicable",
-                          wall_time=time.perf_counter() - t0,
-                          message=f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
-    if sol.phase == "deformed":
-        moments = cmfa.cmfa_moments(params)
-        pair = exact.pair_state(moments, n, tol=1e-8, clamp=True)
-        res = exact.concurrence(pair, n, tier="cmfa")
-        return CurvePoint(tier="cmfa", params=params, status="ok",
-                          moments=moments, result=res,
-                          wall_time=time.perf_counter() - t0)
-    res = exact.ConcurrenceResult(concurrence=0.0, eof=0.0, entangled=False,
-                                  tier="cmfa")
-    return CurvePoint(tier="cmfa", params=params, status="ok", result=res,
-                      logZ=cmfa.cmfa_logZ(params),
-                      wall_time=time.perf_counter() - t0)
+        if tier not in _EVALUATORS:
+            raise DomainError(f"unknown tier {tier!r}")
+        moments, C, logZ = _EVALUATORS[tier](params, epsrel)
+        result = exact.ConcurrenceResult(
+            concurrence=C, eof=exact.eof_from_concurrence(C),
+            entangled=C > exact.ENTANGLED_EPS, tier=tier)
+    except Exception as err:     # a sweep outlives any one point
+        status, message = _failure(err)
+    return CurvePoint(tier=tier, params=params, status=status,
+                      moments=moments, result=result, logZ=logZ,
+                      wall_time=time.perf_counter() - t0, message=message)
 
 
 def _eval_star(args):
     return evaluate_point(*args)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1):
-    """Evaluate the tier on every grid point; output ordered by grid index."""
-    pts = spec.points()
-    jobs = [(spec.tier, p, spec.mode_epsrel) for p in pts]
+def evaluate_points(tier: str, params, epsrel: float = 1e-10,
+                    workers: int = 1):
+    """Evaluate the tier at every ModelParams in ``params``, in order."""
+    jobs = [(tier, p, epsrel) for p in params]
     if workers <= 1:
         return [_eval_star(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_eval_star, jobs, chunksize=4))
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1):
+    """Evaluate the tier on every grid point; output ordered by grid index."""
+    return evaluate_points(spec.tier, spec.points(), spec.mode_epsrel, workers)
 
 
 # ----------------------------------------------------------------------------

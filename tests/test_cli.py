@@ -52,6 +52,8 @@ def test_exit_code_invalid_args(capsys):
     # model-level domain errors map to 2 as well
     rc = run_cli("concurrence", "--n", "1", "--T", "0.1")
     assert rc == 2
+    rc = run_cli("concurrence", "--n", "20", "--T", "inf")
+    assert rc == 2
 
 
 def test_exit_code_numerical_failure():

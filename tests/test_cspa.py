@@ -111,6 +111,18 @@ def test_cspa_valid_above_t_star():
     assert ev.quadrature_error < 1e-8
 
 
+def test_successful_logZ_never_estimates_t_star(monkeypatch):
+    # T* is only computed for the BreakdownError of a failing point
+    import xxzent.cspa as cspa
+
+    def fail(*args, **kwargs):
+        raise AssertionError("breakdown_temperature called on success")
+
+    monkeypatch.setattr(cspa, "breakdown_temperature", fail)
+    ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.3))
+    assert np.isfinite(ev.logZ)
+
+
 def test_spa_never_breaks_down():
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.0, T=0.02)
     ev = cspa_logZ(p, mode="spa")

@@ -177,6 +177,27 @@ def test_crossing_field_fluctuation_and_dip():
         assert 20 * res.concurrence == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ground_levels_match_full_spectrum_scan():
+    # reference: every (S, M) level of the collective spectrum within the
+    # degeneracy tolerance of the global minimum, crossing fields included
+    from xxzent.exact import _ground_levels
+    from xxzent.model import spectrum_table
+    rng = np.random.default_rng(5)
+    for n in list(range(2, 17)) + [31]:
+        for gamma in (1.0, 0.5, 0.0, -0.7):
+            p0 = ModelParams(n=n, v=1.0, gamma=gamma)
+            fields = list(rng.uniform(-1.5, 1.5, 3)) + \
+                list(crossing_fields(p0).fields[-3:])
+            for b in fields:
+                p = p0.replace(b=float(b))
+                rows = spectrum_table(p)
+                emin = min(r.energy for r in rows)
+                cut = emin + 1e-12 * max(1.0, abs(p.b))
+                ref = sorted((round(2 * r.S), round(2 * r.M), r.multiplicity)
+                             for r in rows if r.energy <= cut)
+                assert sorted(_ground_levels(p)) == ref, p
+
+
 def test_gamma_nonpositive_no_entanglement_at_t0():
     for gamma in (-0.5, 0.0):
         for b in (0.3, 1.0, 2.5):

@@ -129,6 +129,13 @@ def test_params_validation():
         ModelParams(n=4, gamma=1.2)
     with pytest.raises(DomainError):
         ModelParams(n=4, T=-0.1)
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(b=nan), dict(b=-inf), dict(T=nan), dict(T=inf),
+                dict(gamma=nan), dict(gamma=-inf), dict(v=inf)):
+        with pytest.raises(DomainError):
+            ModelParams(n=4, **bad)
+        with pytest.raises(DomainError):
+            ModelParams(n=4, T=0.1).replace(**bad)
 
 
 def test_spectrum_table_rows():

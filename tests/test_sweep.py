@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from xxzent.errors import DomainError
@@ -184,6 +185,52 @@ def test_ground_state_path_odd_n():
     assert pt.moments.sz == pytest.approx(0.0)
     assert pt.moments.sz2 - pt.moments.sz ** 2 == pytest.approx(0.25)
     assert 7 * pt.result.concurrence == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_t0_large_n_matches_low_T_limit():
+    # the T = 0 path scans only S = n/2, so n = 8810 works; b = 0.5 + 1/n
+    # lies between crossings (one level), b = 0.5 is a crossing field
+    # (two-level equal mixture with <S_z^2> - <S_z>^2 = 1/4)
+    from xxzent.exact import concurrence, thermal_observables
+    n = 8810
+    for b, sz_var in ((0.5 + 1.0 / n, 0.0), (0.5, 0.25)):
+        p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.0)
+        pt = evaluate_point("exact", p)
+        assert pt.status == "ok", pt.message
+        assert pt.moments.sz2 - pt.moments.sz ** 2 == pytest.approx(sz_var,
+                                                                   abs=1e-9)
+        _, pair = thermal_observables(p.replace(T=1e-6))
+        assert pt.result.concurrence == pytest.approx(
+            concurrence(pair, n).concurrence, abs=1e-12)
+
+
+def test_any_exception_becomes_error_status(monkeypatch):
+    from xxzent import exact
+
+    def boom(params):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(exact, "thermal_observables", boom)
+    pts = run_sweep(SweepSpec(tier="exact", fixed=ModelParams(n=8, T=0.2),
+                              axes=(GridAxis("b", 0.0, 1.0, 3),)))
+    assert [pt.status for pt in pts] == ["error"] * 3
+    assert all(pt.message == "ZeroDivisionError: injected" for pt in pts)
+    assert all(pt.moments is None and pt.result is None for pt in pts)
+
+
+def test_bruteforce_point_diagonalizes_once(monkeypatch):
+    # moments and the partial-trace rho_2 come from the same eigh
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    pt = evaluate_point("bruteforce", ModelParams(n=6, v=1.0, b=0.3, T=0.2))
+    assert pt.status == "ok"
+    assert calls == [(64, 64)]
 
 
 def test_ok_points_respect_symmetric_state_bound():
