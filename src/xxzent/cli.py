@@ -238,7 +238,7 @@ def _cmd_limit(args, which):
         res = limit_temperature(tier, params, t_min=args.t_min,
                                 t_max=args.t_max, probes=args.probes)
     else:
-        params = _params_from(args, t_default=getattr(args, "T", 0.1))
+        params = _params_from(args)
         res = limit_field(tier, params, b_min=args.b_min, b_max=args.b_max,
                           probes=args.probes)
     if args.out_format == "json":

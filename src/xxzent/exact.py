@@ -4,7 +4,16 @@ Everything here comes from the collective spectrum sum
 
     Z = sum_S Y(S) sum_M exp(-beta E_SM),
 
-evaluated with log-sum-exp stabilization, so n up to 10^4 at low T is safe.
+summed over a certified window. At fixed S the log-weight ln Y(S) - beta E_SM
+is a quadratic in M, so every sector's maximum has a closed form; sectors
+whose maximum lies more than 60 + 2 ln(n+1) below the global peak are
+skipped, and in the others only the M range above that cut (the roots of
+the quadratic, widened by one lattice step) is summed, with the peak as the
+one log-sum-exp shift. The skipped mass is at most e^-60 Z, which moves the
+concurrence by less than 3e-13 (see :func:`thermal_observables`). The work
+is O(n) for the sector scan plus the levels that carry weight -- about 10^4
+at n = 8810, T = 0.1 v, against n^2/4 for the full sum -- so n ~ 10^5 is
+routine.
 
 The symmetric two-qubit reduced state is
 
@@ -37,7 +46,7 @@ and the stepwise T = 0 estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import ceil, copysign, exp, inf, log, sqrt
 
 import numpy as np
 
@@ -132,55 +141,161 @@ class ConcurrenceResult:
 # Spectral sums
 # ----------------------------------------------------------------------------
 
-def _sector_arrays(params: ModelParams, two_S: int):
-    """(S, M arrays, lnY - beta*E) for one spin sector."""
-    two_M = np.arange(-two_S, two_S + 1, 2)
-    E = _level_energy_2(params, two_S, two_M)
-    w = log_multiplicity(params.n, two_S) - params.beta * E
-    return two_M / 2.0, w
+CUT_NATS = 60.0   # levels below peak - CUT_NATS - 2 ln(n+1) are skipped
+
+
+def _level_weights(n: int, two_S, two_M) -> np.ndarray:
+    """Per-level values of the seven spectral sums, one row each.
+
+    Rows: 1, M, M^2, S(S+1) (count and the three moments) and
+    (M + n/2)(M + n/2 - 1), (n/2 - M)(n/2 - M - 1), S(S+1) - M^2 - n/2
+    (the direct p+, p-, alpha sums). ``two_S`` is a scalar or broadcasts
+    against ``two_M``.
+    """
+    M = np.asarray(two_M, dtype=float) / 2.0
+    S = np.asarray(two_S, dtype=float) / 2.0
+    half = n / 2.0
+    ssp1 = np.broadcast_to(S * (S + 1.0), M.shape)
+    return np.stack([np.ones_like(M), M, M * M, ssp1,
+                     (M + half) * (M + half - 1.0),
+                     (half - M) * (half - M - 1.0),
+                     ssp1 - M * M - half])
+
+
+def _observables(n: int, acc, logZ: float = float("nan")):
+    """(CollectiveMoments, PairState) from the seven sums of _level_weights."""
+    Z = acc[0]
+    moments = CollectiveMoments(sz=acc[1] / Z, sz2=acc[2] / Z, s2=acc[3] / Z,
+                                logZ=logZ)
+    den = n * (n - 1.0) * Z
+    p_plus, p_minus, alpha = acc[4] / den, acc[5] / den, acc[6] / den
+    return moments, PairState(p_plus=p_plus, p=0.5 * (1.0 - p_plus - p_minus),
+                              p_minus=p_minus, alpha=alpha)
+
+
+def _lattice_down(x: float, two_S: int) -> int:
+    """Largest doubled M <= x with the parity of 2S.
+
+    x is first clipped to two lattice steps beyond the sector, so infinite
+    or huge roots are safe.
+    """
+    x = min(max(x, -two_S - 4.0), two_S + 4.0)
+    return two_S - 2 * ceil((two_S - x) / 2.0)
+
+
+def _lattice_up(x: float, two_S: int) -> int:
+    """Smallest doubled M >= x with the parity of 2S (clipped as above)."""
+    return -_lattice_down(-x, two_S)
+
+
+def _roots(a: float, b: float, R: float):
+    """Real roots r1 <= r2 of a M^2 + b M = R (a != 0), cancellation-free.
+
+    A discriminant that rounds below zero is taken as zero (double root at
+    the vertex); callers widen around the roots by a lattice step anyway.
+    """
+    s = sqrt(max(b * b + 4.0 * a * R, 0.0))
+    q = -0.5 * (b + copysign(s, b))
+    if q == 0.0:
+        return 0.0, 0.0
+    r1, r2 = q / a, -R / q
+    return min(r1, r2), max(r1, r2)
+
+
+def _sector_segments(a: float, b: float, R: float, two_S: int):
+    """Doubled-M ranges (lo, hi) of one sector where a M^2 + b M <= R.
+
+    Each range is widened by one lattice step beyond the roots, so rounding
+    in the roots never drops a level that belongs to the window.
+    """
+    if a > 0:
+        r1, r2 = _roots(a, b, R)
+        lo = max(_lattice_up(2.0 * r1, two_S) - 2, -two_S)
+        hi = min(_lattice_down(2.0 * r2, two_S) + 2, two_S)
+        return [(lo, hi)] if lo <= hi else []
+    # a <= 0: the left side is concave or linear in M, so the window is the
+    # sector minus one open interval (x1, x2) -- up to two end segments
+    if a < 0 and b * b + 4.0 * a * R > 0.0:
+        x1, x2 = _roots(a, b, R)
+    elif a == 0 and b != 0:
+        x1, x2 = (R / b, inf) if b > 0 else (-inf, R / b)
+    else:
+        return [(-two_S, two_S)]
+    left_hi = min(_lattice_down(2.0 * x1, two_S) + 2, two_S)
+    right_lo = max(_lattice_up(2.0 * x2, two_S) - 2, -two_S)
+    if left_hi + 2 >= right_lo:
+        return [(-two_S, two_S)]
+    return [(lo, hi) for lo, hi in ((-two_S, left_hi), (right_lo, two_S))
+            if lo <= hi]
+
+
+def _summation_window(params: ModelParams):
+    """Certified window of the T > 0 spectral sum: (peak, segments).
+
+    ``peak`` is the largest level log-weight ln Y(S) - beta E_SM and
+    ``segments`` lists (two_S, ln Y(S), lo, hi): the doubled-M ranges lo..hi
+    (step 2) holding every level whose log-weight is at least
+    cut = peak - CUT_NATS - 2 ln(n+1). At fixed S the log-weight is
+    const(S) - beta (b M + a M^2) with a = V gamma, so each sector's maximum
+    over the lattice M = -S..S has a closed form (the lattice points around
+    the vertex for a > 0, the ends otherwise), evaluated for all S at once;
+    sectors whose maximum is below the cut are skipped whole. The number of
+    levels summed is sum((hi - lo) // 2 + 1).
+    """
+    n, beta = params.n, params.beta
+    a, b = params.V * params.gamma, params.b
+    two_S = np.array(two_s_range(n))
+    lnY = np.fromiter((log_multiplicity(n, int(t)) for t in two_S), float,
+                      len(two_S))
+    S = two_S / 2.0
+    const = lnY + beta * (params.V * S * (S + 1.0) - params.E0)
+    cands = [-two_S, two_S]
+    if a > 0:
+        vertex = np.clip(-b / a, -two_S, two_S)        # 2 M* = -b / (V gamma)
+        below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
+        cands += [below, np.minimum(below + 2.0, two_S)]
+    best = np.max([-beta * (b * (c / 2.0) + a * (c / 2.0) ** 2) for c in cands],
+                  axis=0)
+    sector_max = const + best
+    peak = float(sector_max.max())
+    cut = peak - CUT_NATS - 2.0 * log(n + 1.0)
+    segments = []
+    for k in np.flatnonzero(sector_max >= cut):
+        ts = int(two_S[k])
+        R = (const[k] - cut) / beta
+        segments += [(ts, float(lnY[k]), lo, hi)
+                     for lo, hi in _sector_segments(a, b, R, ts)]
+    return peak, segments
 
 
 def thermal_observables(params: ModelParams):
     """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0.
 
     Accumulates Z, <S_z>, <S_z^2>, <S^2> and the three direct pair-state sums
-    with a streaming log-sum-exp shift, sector by sector, so memory stays
-    O(n) and no exponential ever overflows.
+    over the certified window of :func:`_summation_window`, one sector at a
+    time, shifted by the window's peak so no exponential overflows.
+
+    Certificate: there are at most (n+1)^2 levels (S, M), each skipped one
+    weighs less than e^cut = e^peak e^-CUT_NATS / (n+1)^2, and Z >= e^peak,
+    so the skipped mass is delta <= e^-60 Z ~ 9e-27 Z. Every per-level value
+    of p+, p-, alpha lies in [-1, 1], so each pair-state entry moves by at
+    most 2 delta; ln Z by at most delta; the moments by at most 2 delta times
+    their largest per-level value (n/2, n^2/4, n(n+2)/4). Since
+    |sqrt x - sqrt y| <= sqrt|x - y| and p+ + p- <= 1, the concurrence
+    moves by |dC| <= 4 delta + 2 sqrt(2 delta) ~ 3e-13. (A cut of e^-40
+    would not do: with p+ ~ 1e-26 in the far field, sqrt(delta) ~ 2e-9.)
     """
     if params.T <= 0:
         raise DomainError("thermal_observables requires T > 0; "
                           "use the ground-state path at T = 0")
-    n = params.n
-    half = n / 2.0
-    shift = -np.inf
-    acc = np.zeros(7)  # Z, M, M^2, S(S+1), wplus, wminus, walpha
-    for two_S in two_s_range(n):
-        M, w = _sector_arrays(params, two_S)
-        m = w.max()
-        if m > shift:
-            if np.isfinite(shift):
-                acc *= exp(shift - m)
-            shift = m
-        e = np.exp(w - shift)
-        S = two_S / 2.0
-        ssp1 = S * (S + 1.0)
-        acc[0] += e.sum()
-        acc[1] += (M * e).sum()
-        acc[2] += (M * M * e).sum()
-        acc[3] += ssp1 * e.sum()
-        acc[4] += ((M + half) * (M + half - 1.0) * e).sum()
-        acc[5] += ((half - M) * (half - M - 1.0) * e).sum()
-        acc[6] += ((ssp1 - M * M - half) * e).sum()
-    Z = acc[0]
-    logZ = shift + log(Z)
-    moments = CollectiveMoments(sz=acc[1] / Z, sz2=acc[2] / Z, s2=acc[3] / Z,
-                                logZ=logZ)
-    den = n * (n - 1.0) * Z
-    p_plus = acc[4] / den
-    p_minus = acc[5] / den
-    alpha = acc[6] / den
-    p = 0.5 * (1.0 - p_plus - p_minus)
-    return moments, PairState(p_plus=p_plus, p=p, p_minus=p_minus, alpha=alpha)
+    n, beta = params.n, params.beta
+    peak, segments = _summation_window(params)
+    acc = np.zeros(7)
+    for two_S, lnY, lo, hi in segments:
+        two_M = np.arange(lo, hi + 1, 2)
+        w = lnY - beta * _level_energy_2(params, two_S, two_M)
+        acc += (_level_weights(n, two_S, two_M) * np.exp(w - peak)).sum(axis=1)
+    return _observables(n, acc, logZ=peak + log(acc[0]))
 
 
 def exact_moments(params: ModelParams) -> CollectiveMoments:
@@ -213,24 +328,11 @@ def _ground_levels(params: ModelParams, tol: float = 1e-12):
 
 
 def _mixture_observables(params: ModelParams, levels):
-    n = params.n
-    half = n / 2.0
-    wtot = sz = sz2 = s2 = wp = wm = wa = 0.0
-    for two_S, two_M, Y in levels:
-        S, M = two_S / 2.0, two_M / 2.0
-        d = Y  # Y(S) degenerate copies of each (S, M) level, equally weighted
-        wtot += d
-        sz += d * M
-        sz2 += d * M * M
-        s2 += d * S * (S + 1.0)
-        wp += d * (M + half) * (M + half - 1.0)
-        wm += d * (half - M) * (half - M - 1.0)
-        wa += d * (S * (S + 1.0) - M * M - half)
-    moments = CollectiveMoments(sz=sz / wtot, sz2=sz2 / wtot, s2=s2 / wtot)
-    den = n * (n - 1.0) * wtot
-    p_plus, p_minus, alpha = wp / den, wm / den, wa / den
-    return moments, PairState(p_plus=p_plus, p=0.5 * (1 - p_plus - p_minus),
-                              p_minus=p_minus, alpha=alpha)
+    """Equal-weight mixture of the levels, each (S, M) counted Y(S) times."""
+    two_S, two_M, Y = np.array(levels, dtype=float).T
+    # Python floats: sweep._scan_limit tests `entangled is False`
+    sums = (_level_weights(params.n, two_S, two_M) @ Y).tolist()
+    return _observables(params.n, sums)
 
 
 def ground_state_moments(params: ModelParams) -> CollectiveMoments:

@@ -85,6 +85,18 @@ def test_limit_field_json(capsys):
     assert doc["limit"] == pytest.approx(0.894, abs=0.02)
 
 
+def test_limit_field_defaults_to_ground_state(capsys):
+    # without --T the field scan runs at the CLI's default T = 0
+    rc = run_cli("limit-field", "--n", "20", "--tier", "exact")
+    out = capsys.readouterr().out
+    assert rc == 0
+    band = [ln for ln in out.splitlines() if ln.startswith("band:")]
+    assert len(band) == 1
+    lo, hi = band[0].split()[1::2]
+    assert float(lo) == 0.0
+    assert float(hi) == pytest.approx(0.95, abs=1e-5)   # b_c = 1 - 1/n
+
+
 def test_compare_output(capsys):
     rc = run_cli("compare", "--n", "20", "--T", "0.1", "--tier", "exact",
                  "--tier-b", "cmfa", "--grid", "b:0:0.8:5")

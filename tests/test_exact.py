@@ -1,3 +1,5 @@
+from math import exp, fsum, log
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from xxzent.exact import (CollectiveMoments, brute_force_moments,
                           large_field_expansion, pair_state,
                           thermal_observables, wootters_concurrence,
                           zero_T_concurrence_approx)
-from xxzent.model import ModelParams, crossing_fields
+from xxzent.model import (ModelParams, crossing_fields, log_multiplicity,
+                          spectrum_table)
 
 
 def random_params(rng, n_max=8):
@@ -76,6 +79,90 @@ def test_derivative_identities_against_finite_differences():
             abs=1e-5 * p.n)
         assert m.sz2 == pytest.approx(
             p.n / 4 - (p.n * p.T / p.v) * dz_dg, abs=1e-5 * p.n)
+
+
+def _reference_sums(n, rows):
+    """Seven spectral sums from (S, M, weight) rows, in the order
+    Z, M, M^2, S(S+1), p+ n(n-1), p- n(n-1), alpha n(n-1)."""
+    half = n / 2
+    cols = ([], [], [], [], [], [], [])
+    for S, M, w in rows:
+        for col, x in zip(cols, (1.0, M, M * M, S * (S + 1), (M + half) * (M + half - 1),
+                                 (half - M) * (half - M - 1), S * (S + 1) - M * M - half)):
+            col.append(w * x)
+    return [fsum(c) for c in cols]
+
+
+def _assert_matches_reference(p, logZ, sums):
+    moments, pair = thermal_observables(p)
+    Z = sums[0]
+    den = p.n * (p.n - 1) * Z
+    ref = {"logZ": logZ + log(Z), "sz": sums[1] / Z, "sz2": sums[2] / Z,
+           "s2": sums[3] / Z, "p_plus": sums[4] / den, "p_minus": sums[5] / den,
+           "alpha": sums[6] / den}
+    got = {"logZ": moments.logZ, "sz": moments.sz, "sz2": moments.sz2,
+           "s2": moments.s2, "p_plus": pair.p_plus, "p_minus": pair.p_minus,
+           "alpha": pair.alpha}
+    for k, y in ref.items():
+        assert abs(got[k] - y) <= 1e-13 * abs(y) + 1e-12, (p, k, got[k], y)
+    c_ref = 2 * max(abs(ref["alpha"]) - np.sqrt(ref["p_plus"] * ref["p_minus"]), 0)
+    assert abs(concurrence(pair, p.n).concurrence - c_ref) <= 1e-12, p
+
+
+def test_windowed_sum_matches_spectrum_table():
+    # reference: every level of the spectrum with its exact integer Y(S);
+    # b = 3 puts p+ near 1e-26 (far field), T = 5 prunes nothing
+    for n in (2, 3, 4, 7, 12, 25, 40):
+        for gamma in (1.0, 0.5, 0.0, -0.5):
+            p0 = ModelParams(n=n, v=1.0, gamma=gamma)
+            for b in (0.0, 0.5, -0.5, p0.b_c, 3.0):
+                table = spectrum_table(p0.replace(b=b))
+                emin = min(r.energy for r in table)
+                for T in (0.005, 0.03, 0.1, 0.6, 5.0):
+                    p = p0.replace(b=b, T=T)
+                    rows = [(r.S, r.M, r.multiplicity * exp(-(r.energy - emin) / T))
+                            for r in table]
+                    _assert_matches_reference(p, -emin / T, _reference_sums(n, rows))
+
+
+@pytest.mark.parametrize("T", [0.01, 0.1, 0.6])
+def test_windowed_sum_matches_full_sum_large_n(T):
+    # reference: the plain sum over all ~n^2/4 levels, sector by sector
+    p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.5, T=T)
+    half, V = p.n / 2, p.V
+    sectors = []
+    for two_S in range(0, p.n + 1, 2):
+        S = two_S / 2
+        M = np.arange(-two_S, two_S + 1, 2) / 2
+        E = p.b * M - V * (S * (S + 1) - p.gamma * M * M) + p.E0
+        sectors.append((S, M, log_multiplicity(p.n, two_S) - E / T))
+    shift = max(w.max() for _, _, w in sectors)
+    sums = np.zeros(7)
+    for S, M, w in sectors:
+        e = np.exp(w - shift)
+        ssp1 = S * (S + 1)
+        sums += [e.sum(), (M * e).sum(), (M * M * e).sum(), ssp1 * e.sum(),
+                 ((M + half) * (M + half - 1) * e).sum(),
+                 ((half - M) * (half - M - 1) * e).sum(),
+                 ((ssp1 - M * M - half) * e).sum()]
+    _assert_matches_reference(p, shift, sums)
+
+
+def test_windowed_sum_work_is_a_few_sectors():
+    # the full sum visits all 19.4M levels; the weight sits in 25 of 4406 sectors
+    from xxzent.exact import _summation_window
+    p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
+    _, segments = _summation_window(p)
+    levels = sum((hi - lo) // 2 + 1 for _, _, lo, hi in segments)
+    assert 0 < levels <= 2e4
+
+
+def test_exact_tier_reaches_n_1e5():
+    p = ModelParams(n=100_000, v=1.0, gamma=1.0, b=0.5, T=0.1)
+    m = exact_moments(p)
+    m.check(p.n)
+    assert np.isfinite(m.logZ)
+    assert m.sz == pytest.approx(-p.b * p.n / (2 * p.gamma * p.v), rel=1e-3)
 
 
 # ------------------------------------------------------------- pair state
