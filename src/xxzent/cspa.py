@@ -25,9 +25,12 @@ integrand diverges, the temperature is below the breakdown temperature T*,
 and the evaluation refuses with a BreakdownError. The validity scan runs on a
 fixed grid before any integration (fail fast with a diagnostic).
 
-Everything is evaluated in log space; the integrals are shifted by the peak
-of the log-integrand, with panel seeds placed across the peak so the adaptive
-quadrature cannot miss a sharp large-n saddle.
+Everything is evaluated in log space around one radial peak scan, the
+maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
+z. Each radial integral is shifted by its l_peak, with panels placed across
+r_peak so the quadrature cannot miss a sharp large-n saddle. For gamma < 1
+the z with the highest l_peak seeds the outer z panels and shifts the outer
+integral; z nodes more than 200 log-units below it are skipped.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -43,14 +46,14 @@ Moments follow by Richardson-extrapolated central differences of ln Z in b
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log, pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
 
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
-from .quadrature import quad_gk
+from .quadrature import _NODES, _WGFULL, _WK, quad_gk
 
 __all__ = [
     "CspaEvaluation",
@@ -77,10 +80,14 @@ def omega_squared(params: ModelParams, r, z=0.0):
     lam = np.hypot(params.b - z, r)
     if np.any(lam == 0.0):
         raise DomainError("degenerate gap: omega undefined at r = 0, z = b")
-    t = np.tanh(0.5 * params.beta * lam)
-    v = params.v
-    w2 = (lam - v * t) * (lam - v * (1.0 - params.gamma * r * r / (lam * lam)) * t)
+    w2 = _omega_sq(params, r, lam, np.tanh(0.5 * params.beta * lam))
     return w2 if w2.ndim else float(w2)
+
+
+def _omega_sq(params: ModelParams, r, lam, t):
+    """omega^2 from r, lam = |(r, b - z)| and t = tanh(beta lam / 2)."""
+    v = params.v
+    return (lam - v * t) * (lam - v * (1.0 - params.gamma * r * r / (lam * lam)) * t)
 
 
 def rpa_frequency(params: ModelParams, r: float, z: float = 0.0) -> complex:
@@ -133,10 +140,8 @@ def _log_integrand(params: ModelParams, r, z, mode: str):
     ln_cosh = np.where(u > 20.0, u - log(2.0), np.log(np.cosh(np.minimum(u, 25.0))))
     out = gauss + n * (log(2.0) + ln_cosh) - beta * params.E0
     if mode == "cspa":
-        t = np.tanh(u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w2 = (lam - v * t) * (lam - v * (1.0 - params.gamma * r * r
-                                             / (lam * lam)) * t)
+            w2 = _omega_sq(params, r, lam, np.tanh(u))
         out = out + _log_crpa_terms(params, lam, w2)
     return out
 
@@ -195,30 +200,49 @@ def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def _peak_and_cut(params: ModelParams, z: float, mode: str):
-    """Locate the peak of ln[r * integrand] in r and the truncation radius."""
-    n, v, beta = params.n, params.v, params.beta
-    r_hi = 1.5 * v + abs(params.b - z)
-    grid = np.linspace(r_hi / 512.0, r_hi, 512)
-    L = _log_integrand(params, grid, z, mode) + np.log(grid)
-    k = int(np.nanargmax(L))
-    r_peak = grid[k]
-    width = sqrt(4.0 * v * (_TAIL_LOG_UNITS + log(n)) / (n * beta))
-    r_max = r_peak + width
-    # make sure the tail really is negligible at the cut; extend if not
+def _radial_peaks(params: ModelParams, zs, mode: str):
+    """(r_peak, l_peak), the maximum of ln[r e^{L(r, z)}] over r, per z of
+    ``zs`` (any shape): a 512-point grid on (0, 1.5 v + |b - z|] per z, all
+    in one array call."""
+    zs = np.asarray(zs, dtype=float)
+    r_hi = 1.5 * params.v + np.abs(params.b - zs)
+    grid = np.linspace(r_hi / 512.0, r_hi, 512, axis=-1)
+    L = _log_integrand(params, grid, zs[..., None], mode) + np.log(grid)
+    k = np.nanargmax(L, axis=-1)[..., None]
+    return (np.take_along_axis(grid, k, -1)[..., 0],
+            np.take_along_axis(L, k, -1)[..., 0])
+
+
+def _radial_width(params: ModelParams):
+    """(width, sigma): the kept radial half-window past the peak and the
+    Gaussian width it spans, _TAIL_LOG_UNITS + ln n log-units."""
+    units = _TAIL_LOG_UNITS + log(params.n)
+    width = sqrt(4.0 * params.v * units / (params.n * params.beta))
+    return width, width / sqrt(2.0 * units)
+
+
+def _radial_cut(params: ModelParams, zs, peaks, mode: str):
+    """Truncation radius per z: r_peak + width, moved out by factors of 1.5
+    (at most 8 times) while ln[r e^L] there is within _TAIL_LOG_UNITS of the
+    peak, since the radial profile can be wider than the bare Gaussian."""
+    r_peak, l_peak = peaks
+    r_max = r_peak + _radial_width(params)[0]
     for _ in range(8):
-        tail = _log_integrand(params, np.array([r_max]), z, mode)[0] \
-            + log(max(r_max, 1e-300))
-        if not isfinite(tail) or tail < L[k] - _TAIL_LOG_UNITS:
+        tail = _log_integrand(params, r_max, zs, mode) + np.log(r_max)
+        wide = np.isfinite(tail) & (tail >= l_peak - _TAIL_LOG_UNITS)
+        if not np.any(wide):
             break
-        r_max *= 1.5
-    return r_peak, width, r_max, L[k]
+        r_max = np.where(wide, 1.5 * r_max, r_max)
+    return r_max
 
 
-def _radial_log_integral(params: ModelParams, z: float, mode: str, epsrel: float):
-    """ln Int_0^{rmax} r e^{L(r, z)} dr, with the peak seeded into the panels."""
-    r_peak, width, r_max, l_peak = _peak_and_cut(params, z, mode)
-    sigma = width / sqrt(2.0 * (_TAIL_LOG_UNITS + log(params.n)))
+def _radial_log_integral(params: ModelParams, z: float, peak, mode: str,
+                         epsrel: float):
+    """ln Int_0^{rmax} r e^{L(r, z)} dr, with ``peak`` = (r_peak, l_peak) of
+    _radial_peaks at this z seeded into the panels."""
+    r_peak, l_peak = peak
+    sigma = _radial_width(params)[1]
+    r_max = float(_radial_cut(params, z, peak, mode))
 
     def f(r):
         out = np.exp(_log_integrand(params, r, z, mode) - l_peak
@@ -234,38 +258,31 @@ def _radial_log_integral(params: ModelParams, z: float, mode: str, epsrel: float
     return l_peak + log(res.value), res.error / res.value, res.neval
 
 
-# fixed panel edges (units of the Gaussian width) used by the batched inner
-# integral; the integrand is smooth, so these resolve it to ~1e-10 relative
+# fixed panel edges (units of sigma, stretched with the cut) of the batched
+# inner integral; the integrand is smooth, so they resolve it to ~1e-10
 _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
                          -0.5, -0.2, 0.0, 0.2, 0.5, 0.9, 1.4, 2.0, 3.0, 5.0,
                          8.0, 16.0, 40.0])
 
 
-def _radial_log_integral_batch(params: ModelParams, zs, mode: str,
+def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
                                epsrel: float):
     """Vectorized ln inner integrals for a whole batch of z values.
 
-    One fixed, peak-centred Gauss-Kronrod panel layout per z, evaluated in a
-    single array call; rows whose K15-G7 error estimate misses the budget
-    fall back to the adaptive path.
+    One fixed Gauss-Kronrod panel layout per z, centred on its r_peak (from
+    ``peaks``, as in _radial_peaks) and cut where the adaptive path cuts, in
+    a single array call; rows whose K15-G7 error estimate misses the budget
+    fall back to the adaptive path with the same peak.
     """
-    from .quadrature import _NODES, _WGFULL, _WK
-
-    zs = np.asarray(zs, dtype=float)
     nz = zs.size
-    n, v, beta = params.n, params.v, params.beta
-    # vectorized peak scan
-    r_hi = 1.5 * v + np.abs(params.b - zs)
-    rel = np.linspace(1.0 / 512.0, 1.0, 512)
-    rgrid = r_hi[:, None] * rel[None, :]
-    L = _log_integrand(params, rgrid, zs[:, None], mode) + np.log(rgrid)
-    l_peak = np.nanmax(L, axis=1)
-    r_peak = rgrid[np.arange(nz), np.nanargmax(L, axis=1)]
-    width = sqrt(4.0 * v * (_TAIL_LOG_UNITS + log(n)) / (n * beta))
-    sigma = width / sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
-    r_max = r_peak + width
-    edges = np.clip(r_peak[:, None] + sigma * _BATCH_EDGES[None, :], 0.0,
-                    r_max[:, None])
+    r_peak, l_peak = peaks
+    width, sigma = _radial_width(params)
+    r_max = _radial_cut(params, zs, peaks, mode)
+    # a cut moved out means a profile wider than the bare Gaussian
+    sigma = sigma * np.where(r_max > r_peak + width, (r_max - r_peak) / width,
+                             1.0)
+    edges = np.clip(r_peak[:, None] + sigma[:, None] * _BATCH_EDGES[None, :],
+                    0.0, r_max[:, None])
     edges = np.concatenate([np.zeros((nz, 1)), edges, r_max[:, None]], axis=1)
     lo, hi = edges[:, :-1], edges[:, 1:]
     half = 0.5 * (hi - lo)                              # (nz, npan)
@@ -286,7 +303,7 @@ def _radial_log_integral_batch(params: ModelParams, zs, mode: str,
             rel_err[i] = err[i] / val[i]
         else:
             out[i], rel_err[i], _ = _radial_log_integral(
-                params, float(zs[i]), mode, epsrel)
+                params, float(zs[i]), (r_peak[i], l_peak[i]), mode, epsrel)
     return out, rel_err
 
 
@@ -312,7 +329,8 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
 
     n, v, beta = params.n, params.v, params.beta
     if params.gamma == 1.0:
-        lv, rel, _ = _radial_log_integral(params, 0.0, mode, epsrel)
+        lv, rel, _ = _radial_log_integral(
+            params, 0.0, _radial_peaks(params, 0.0, mode), mode, epsrel)
         logZ = log(n * beta / (2.0 * v)) + lv
         return CspaEvaluation(logZ=logZ, mode=mode, quadrature_error=rel)
 
@@ -321,18 +339,18 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
     z_lo = -abs(params.b) - width_z - 1.5 * v
     z_hi = abs(params.b) + width_z + 1.5 * v
-    z_peak = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
-    shift = _radial_log_integral(params, z_peak, mode, epsrel)[0]
+    z_peak, shift = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
     errs = []
 
     def g(zs):
         out = np.zeros_like(zs)
+        r_peak, l_peak = _radial_peaks(params, zs, mode)
         # z deep in the Gaussian tail contributes nothing, and the log
         # integrand there sits below float resolution anyway
-        live = np.array([_z_marginal_proxy(params, z, mode) - shift > -200.0
-                         for z in zs])
+        live = l_peak - shift > -200.0
         if np.any(live):
-            lv, rel = _radial_log_integral_batch(params, zs[live], mode, epsrel)
+            lv, rel = _radial_log_integral_batch(
+                params, zs[live], (r_peak[live], l_peak[live]), mode, epsrel)
             errs.extend(rel)
             out[live] = np.exp(np.minimum(lv - shift, 700.0))
         return out
@@ -348,40 +366,22 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     return CspaEvaluation(logZ=logZ, mode=mode, quadrature_error=rel)
 
 
-def _z_marginal_proxy(params: ModelParams, z: float, mode: str) -> float:
-    """Cheap upper-bound proxy for the log of the inner radial integral."""
-    v = params.v
-    r_hi = 1.5 * v + abs(params.b - z)
-    rs = np.linspace(r_hi / 256.0, r_hi, 256)
-    L = _log_integrand(params, rs, z, mode) + np.log(rs)
-    return float(np.nanmax(L)) + log(r_hi)
-
-
 def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
-                   sigma_z: float, mode: str) -> float:
-    """Peak of the z marginal located by iteratively shrinking grid scans.
-
-    Uses max over an r grid of the log integrand as a cheap vectorized proxy
-    for the inner radial integral; the z Gaussian can be arbitrarily narrow
-    (gamma -> 1), so a single coarse scan is not enough.
-    """
-    v = params.v
+                   sigma_z: float, mode: str):
+    """(z_peak, l_peak there): the z of the highest radial peak l_peak, a
+    cheap proxy for the inner integral, found by shrinking grid scans (the z
+    Gaussian can be arbitrarily narrow as gamma -> 1)."""
     lo, hi = z_lo, z_hi
-    best = 0.5 * (lo + hi)
     for _ in range(48):
         zs = np.linspace(lo, hi, 48)
-        r_hi = 1.5 * v + np.abs(params.b - zs).max()
-        rs = np.linspace(r_hi / 256.0, r_hi, 256)
-        rr, zz = np.meshgrid(rs, zs, indexing="ij")
-        L = _log_integrand(params, rr, zz, mode) + np.log(rr)
-        score = np.nanmax(L, axis=0)
-        best = zs[int(np.nanargmax(score))]
+        l_peak = _radial_peaks(params, zs, mode)[1]
+        k = int(np.argmax(l_peak))
         span = hi - lo
         if span < 0.25 * sigma_z:
             break
-        lo = max(z_lo, best - 2.0 * span / 47.0)
-        hi = min(z_hi, best + 2.0 * span / 47.0)
-    return float(best)
+        lo = max(z_lo, zs[k] - 2.0 * span / 47.0)
+        hi = min(z_hi, zs[k] + 2.0 * span / 47.0)
+    return float(zs[k]), float(l_peak[k])
 
 
 def _richardson_first(f, x0, h):

@@ -330,8 +330,7 @@ def _ground_levels(params: ModelParams, tol: float = 1e-12):
 def _mixture_observables(params: ModelParams, levels):
     """Equal-weight mixture of the levels, each (S, M) counted Y(S) times."""
     two_S, two_M, Y = np.array(levels, dtype=float).T
-    # Python floats: sweep._scan_limit tests `entangled is False`
-    sums = (_level_weights(params.n, two_S, two_M) @ Y).tolist()
+    sums = _level_weights(params.n, two_S, two_M) @ Y
     return _observables(params.n, sums)
 
 
@@ -401,7 +400,7 @@ def concurrence(pair: PairState, n: int, tier: str = "exact",
     u = abs(pair.alpha) - sqrt(max(pair.p_plus * pair.p_minus, 0.0))
     C = max(2.0 * u, 0.0)
     return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
-                             entangled=C > ENTANGLED_EPS, tier=tier, status=status)
+                             entangled=bool(C > ENTANGLED_EPS), tier=tier, status=status)
 
 
 # ----------------------------------------------------------------------------
@@ -542,7 +541,7 @@ def large_field_expansion(params: ModelParams) -> ConcurrenceResult:
     bracket = 1.0 - ebv - sqrt(max(2.0 * n * eta / (n - 1.0), 0.0)) * exp(-beta * params.gamma * v / n)
     C = (2.0 / n) * exp(-beta * (b - b_c)) * max(bracket, 0.0)
     return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
-                             entangled=C > ENTANGLED_EPS, tier="large-field")
+                             entangled=bool(C > ENTANGLED_EPS), tier="large-field")
 
 
 def far_field_limit_temperature(n: int, gamma: float, v: float) -> float:

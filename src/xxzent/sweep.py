@@ -236,7 +236,7 @@ def evaluate_point(tier: str, params: ModelParams,
         moments, C, logZ = _EVALUATORS[tier](params, epsrel)
         result = exact.ConcurrenceResult(
             concurrence=C, eof=exact.eof_from_concurrence(C),
-            entangled=C > exact.ENTANGLED_EPS, tier=tier)
+            entangled=bool(C > exact.ENTANGLED_EPS), tier=tier)
     except Exception as err:     # a sweep outlives any one point
         status, message = _failure(err)
     return CurvePoint(tier=tier, params=params, status=status,

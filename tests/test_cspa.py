@@ -1,4 +1,4 @@
-from math import log, pi, sqrt, tanh
+from math import exp, log, pi, sqrt, tanh
 
 import numpy as np
 import pytest
@@ -157,6 +157,124 @@ def test_cspa_radial_vs_cartesian_2d():
     lnz_2d = log(val * n * beta / (4 * pi * v))
     lnz_1d = cspa_logZ(p).logZ
     assert lnz_2d == pytest.approx(lnz_1d, abs=1e-8)
+
+
+def _log_static_path_integrand(p, r, z, mode="cspa"):
+    """ln of Z(lam) C_RPA e^{-(n beta/4v)(r^2 + z^2/(1-gamma))}, vectorized,
+    written out from the formulas of the module docstring (C_RPA = 1 for
+    the SPA)."""
+    n, v, g, beta = p.n, p.v, p.gamma, 1.0 / p.T
+    lam = np.hypot(p.b - z, r)
+    u = 0.5 * beta * lam
+    out = (-beta * p.E0 + n * np.logaddexp(u, -u)
+           - (n * beta / (4.0 * v)) * (r * r + z * z / (1.0 - g)))
+    if mode == "spa":
+        return out
+    t = np.tanh(u)
+    w2 = (lam - v * t) * (lam - v * (1.0 - g * r * r / (lam * lam)) * t)
+    x = 0.5 * beta * np.sqrt(np.abs(w2))
+    xs = np.where(x > 0, x, 1.0)
+    # sinh(x)/x for a real mode, sin(x)/x for an imaginary one (x < pi here)
+    shape = np.where(x > 0, np.where(w2 > 0, np.sinh(xs), np.sin(xs)) / xs, 1.0)
+    return out + np.log(np.sinh(u) / u) - np.log(shape)
+
+
+def _log_prefactor_2d(p):
+    n, v, beta = p.n, p.v, 1.0 / p.T
+    return log(0.25 * sqrt(n ** 3 * beta ** 3 / (pi * v ** 3 * (1.0 - p.gamma))))
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.5])
+def test_cspa_2d_against_dblquad(gamma):
+    # the peak scans, batched inner panels and outer z integral of the
+    # gamma < 1 path against a plain 2D adaptive quadrature of the formula
+    from scipy.integrate import dblquad
+    p = ModelParams(n=6, v=1.0, gamma=gamma, b=0.4, T=0.4)
+
+    def f(r, z):
+        return r * exp(float(_log_static_path_integrand(p, r, z)))
+
+    val, _ = dblquad(f, -6.0, 6.0, 0.0, 6.0, epsabs=0.0, epsrel=1e-12)
+    ref = _log_prefactor_2d(p) + log(val)
+    assert cspa_logZ(p).logZ == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["cspa", "spa"])
+def test_cspa_2d_n100_against_tensor_grid(mode):
+    # n = 100: the radial profile is wider than the bare Gaussian at the
+    # dominant z, so a cut at r_peak + width alone loses ~2e-8 of ln Z.
+    # Reference: composite 16-point Gauss-Legendre in r and z.
+    p = ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)
+    x, w = np.polynomial.legendre.leggauss(16)
+
+    def nodes(a, b, panels):
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        return ((edges[:-1, None] + half + half * x).ravel(),
+                (half * w).ravel())
+
+    r, wr = nodes(0.0, 3.0, 160)
+    z, wz = nodes(p.b - 2.5, p.b + 2.5, 160)
+    L = (_log_static_path_integrand(p, r[None, :], z[:, None], mode)
+         + np.log(r * wr)[None, :] + np.log(wz)[:, None])
+    top = L.max()
+    ref = _log_prefactor_2d(p) + top + log(np.exp(L - top).sum())
+    assert cspa_logZ(p, mode).logZ == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["cspa", "spa"])
+def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
+    # the fixed-panel batch and the adaptive radial integral agree to the
+    # quadrature budget, given the same peaks; at n = 100 the radial profile
+    # is wider than the bare Gaussian at some z, so the cut moves out
+    import xxzent.cspa as cspa
+    adaptive_integral = cspa._radial_log_integral
+    fallbacks = []
+
+    def counted(p, z, *args):
+        fallbacks.append(z)
+        return adaptive_integral(p, z, *args)
+
+    monkeypatch.setattr(cspa, "_radial_log_integral", counted)
+    epsrel = 1e-10
+    zs = np.linspace(-0.4, 1.0, 8)      # z = b would put lam = 0 on a node
+    for p in (ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3),
+              ModelParams(n=100, v=1.0, gamma=-0.5, b=0.5, T=0.25),
+              ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)):
+        peaks = cspa._radial_peaks(p, zs, mode)
+        fallbacks.clear()
+        batch, rel = cspa._radial_log_integral_batch(p, zs, peaks, mode,
+                                                     epsrel)
+        assert fallbacks == []       # the fixed panels alone meet the budget
+        adaptive = [adaptive_integral(p, z, (r0, l0), mode, epsrel)[0]
+                    for z, r0, l0 in zip(zs, *peaks)]
+        assert np.all(rel <= epsrel)
+        np.testing.assert_allclose(batch, adaptive, rtol=0, atol=4 * epsrel)
+
+
+def test_radial_peaks_match_a_per_z_scan():
+    # the vectorized scan returns, bit for bit, what a plain 512-point scan
+    # of each z on its own grid (0, 1.5 v + |b - z|] finds
+    import xxzent.cspa as cspa
+    p = ModelParams(n=50, v=1.0, gamma=0.5, b=0.3, T=0.3)
+    zs = np.array([[-1.0, 0.0], [0.31, 2.5]])
+    r_peak, l_peak = cspa._radial_peaks(p, zs, "cspa")
+    assert r_peak.shape == l_peak.shape == zs.shape
+    for idx in np.ndindex(zs.shape):
+        r_hi = 1.5 * p.v + abs(p.b - zs[idx])
+        grid = np.linspace(r_hi / 512.0, r_hi, 512)
+        L = cspa._log_integrand(p, grid, zs[idx], "cspa") + np.log(grid)
+        k = int(np.nanargmax(L))
+        assert (r_peak[idx], l_peak[idx]) == (grid[k], L[k])
+
+
+def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
+    # the outer shift comes from the peak scan, not from an extra adaptive
+    # radial integral at the z peak
+    import xxzent.cspa as cspa
+    monkeypatch.setattr(cspa, "_radial_log_integral", None)
+    ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3))
+    assert np.isfinite(ev.logZ)
 
 
 def test_cspa_gamma_collapse_to_xx():

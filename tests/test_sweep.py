@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from xxzent import exact
 from xxzent.errors import DomainError
 from xxzent.model import ModelParams
-from xxzent.sweep import (CSV_COLUMNS, GridAxis, SweepSpec, evaluate_point,
-                          limit_field, limit_temperature, points_to_csv,
-                          points_to_json, run_sweep)
+from xxzent.sweep import (CSV_COLUMNS, TIERS, GridAxis, SweepSpec,
+                          evaluate_point, limit_field, limit_temperature,
+                          points_to_csv, points_to_json, run_sweep)
 
 
 def small_spec(tier="exact", **fixed):
@@ -141,6 +142,28 @@ def test_limit_field_t0_equals_bc():
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.0, T=0.0)
     res = limit_field("exact", p, b_max=1.5)
     assert res.limit == pytest.approx(0.95, abs=1e-5)
+
+
+def test_limit_field_bisects_an_edge_with_numpy_float_concurrence():
+    # the exact tier's T > 0 C is a numpy float; a probe with
+    # 0 < C <= ENTANGLED_EPS must still count as "not entangled", so the
+    # edge after the last entangled probe (b ~ 3.661) is bisected
+    res = limit_field("exact", ModelParams(n=20, T=0.1), b_max=6.0)
+    assert res.limit == pytest.approx(3.7309, abs=1e-4)
+
+
+def test_entangled_flag_is_a_python_bool_for_every_tier():
+    p = ModelParams(n=8, v=1.0, gamma=0.5, b=0.2, T=0.1)
+    for tier in TIERS:
+        pt = evaluate_point(tier, p)
+        assert pt.status == "ok", (tier, pt.message)
+        assert type(pt.result.entangled) is bool, tier
+    pt = evaluate_point("exact", p.replace(T=0.0))
+    assert type(pt.result.entangled) is bool
+    pair = exact.exact_pair_state(p)
+    assert type(exact.concurrence(pair, p.n).entangled) is bool
+    far = exact.large_field_expansion(p.replace(b=2.0, T=0.02))
+    assert far.status == "ok" and type(far.entangled) is bool
 
 
 def test_limit_field_small_T_tightens_to_bc():
