@@ -285,16 +285,19 @@ def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
                     0.0, r_max[:, None])
     edges = np.concatenate([np.zeros((nz, 1)), edges, r_max[:, None]], axis=1)
     lo, hi = edges[:, :-1], edges[:, 1:]
-    half = 0.5 * (hi - lo)                              # (nz, npan)
-    mid = 0.5 * (hi + lo)
-    x = mid[:, :, None] + half[:, :, None] * _NODES     # (nz, npan, 15)
-    y = np.exp(_log_integrand(params, x, zs[:, None, None], mode)
-               - l_peak[:, None, None] + np.log(np.maximum(x, 1e-300)))
+    # clipping collapses the panels beyond [0, r_max]: evaluate only the
+    # live ones, flattened, and sum them back per row
+    row, pan = np.nonzero(hi > lo)
+    lo, hi = lo[row, pan], hi[row, pan]
+    half = 0.5 * (hi - lo)                              # (npanels,)
+    x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES   # (npanels, 15)
+    y = np.exp(_log_integrand(params, x, zs[row, None], mode)
+               - l_peak[row, None] + np.log(np.maximum(x, 1e-300)))
     y[x <= 0] = 0.0
     k15 = (y @ _WK) * half
     g7 = (y @ _WGFULL) * half
-    val = k15.sum(axis=1)
-    err = np.abs(k15 - g7).sum(axis=1)
+    val = np.bincount(row, k15, minlength=nz)
+    err = np.bincount(row, np.abs(k15 - g7), minlength=nz)
     out = np.empty(nz)
     rel_err = np.empty(nz)
     for i in range(nz):

@@ -149,8 +149,8 @@ def _pair_C(pair: exact.PairState, n: int) -> float:
 
 
 def _bruteforce(params, epsrel):
-    # C from the partial trace of the dense thermal state, the route that is
-    # independent of the collective spectrum
+    # C from the partial trace of the S_z-block thermal state, the route that
+    # is independent of the collective spectrum
     moments, rho2 = exact.brute_force_observables(params)
     return moments, exact.wootters_concurrence(rho2), None
 

@@ -226,7 +226,10 @@ def test_cspa_2d_n100_against_tensor_grid(mode):
 def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
     # the fixed-panel batch and the adaptive radial integral agree to the
     # quadrature budget, given the same peaks; at n = 100 the radial profile
-    # is wider than the bare Gaussian at some z, so the cut moves out
+    # is wider than the bare Gaussian at some z, so the cut moves out. At
+    # z == b, lam = 0 at r = 0: the batch evaluates only panels of nonzero
+    # width, whose nodes all lie at r > 0, so it takes no log(0)
+    # (RuntimeWarnings are errors under pytest)
     import xxzent.cspa as cspa
     adaptive_integral = cspa._radial_log_integral
     fallbacks = []
@@ -237,10 +240,10 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
 
     monkeypatch.setattr(cspa, "_radial_log_integral", counted)
     epsrel = 1e-10
-    zs = np.linspace(-0.4, 1.0, 8)      # z = b would put lam = 0 on a node
     for p in (ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3),
               ModelParams(n=100, v=1.0, gamma=-0.5, b=0.5, T=0.25),
               ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)):
+        zs = np.append(np.linspace(-0.4, 1.0, 8), p.b)
         peaks = cspa._radial_peaks(p, zs, mode)
         fallbacks.clear()
         batch, rel = cspa._radial_log_integral_batch(p, zs, peaks, mode,

@@ -5,6 +5,7 @@ import pytest
 
 from xxzent.errors import DomainError, InconsistentMomentsError
 from xxzent.exact import (CollectiveMoments, brute_force_moments,
+                          brute_force_observables,
                           brute_force_pair_density, concurrence,
                           eof_from_concurrence, exact_moments,
                           exact_pair_state, far_field_limit_temperature,
@@ -323,6 +324,68 @@ def test_brute_force_concurrence_routes_agree():
         c_wootters = wootters_concurrence(brute_force_pair_density(p))
         c_formula = concurrence(exact_pair_state(p), p.n).concurrence
         assert c_wootters == pytest.approx(c_formula, abs=1e-10)
+
+
+def _kron_thermal_reference(p):
+    """ln Z, (<S_z>, <S_z^2>, <S^2>) and rho_2 of sites (0, 1) from the dense
+    2^n collective Hamiltonian b S_z - V [S^2 - gamma S_z^2] + E0, built with
+    np.kron from the 2x2 spin matrices (site 0 the leading factor, |0> = up)."""
+    n = p.n
+    spin = [np.array([[0, 0.5], [0.5, 0]]),
+            np.array([[0, -0.5j], [0.5j, 0]]),
+            np.array([[0.5, 0], [0, -0.5]])]
+
+    def total(s):
+        out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for k in range(n):
+            out += np.kron(np.kron(np.eye(2 ** k), s), np.eye(2 ** (n - k - 1)))
+        return out
+
+    Sx, Sy, Sz = (total(s) for s in spin)
+    S2 = Sx @ Sx + Sy @ Sy + Sz @ Sz
+    H = p.b * Sz - p.V * (S2 - p.gamma * Sz @ Sz) + p.E0 * np.eye(2 ** n)
+    w, U = np.linalg.eigh(H)
+    lw = -w / p.T
+    weights = np.exp(lw - lw.max())
+    logZ = lw.max() + log(weights.sum())
+    rho = (U * (weights / weights.sum())) @ U.conj().T
+    moments = [np.trace(rho @ A).real for A in (Sz, Sz @ Sz, S2)]
+    rest = 2 ** (n - 2)
+    rho2 = np.einsum("arbr->ab", rho.reshape(4, rest, 4, rest))
+    assert np.abs(rho2.imag).max() < 1e-14
+    return logZ, moments, rho2.real
+
+
+def test_brute_force_matches_a_kron_reference():
+    # an oracle-independent dense reference: every entry of rho_2, the zeros
+    # outside the symmetric-pair pattern included, shows that assembling the
+    # partial trace from the S_z blocks drops nothing
+    rng = np.random.default_rng(5)
+    for n in range(2, 7):
+        for _ in range(3):
+            p = ModelParams(n=n, v=1.0, gamma=float(rng.uniform(-1.0, 1.0)),
+                            b=float(rng.uniform(-1.5, 1.5)),
+                            T=float(rng.uniform(0.05, 2.0)))
+            logZ, moments, rho2 = _kron_thermal_reference(p)
+            bf, bf_rho2 = brute_force_observables(p)
+            np.testing.assert_allclose([bf.logZ, bf.sz, bf.sz2, bf.s2],
+                                       [logZ, *moments], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bf_rho2, rho2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, gamma, b, T", [(12, 1.0, 0.5, 0.1),
+                                            (13, 0.6, -0.3, 0.15)])
+def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
+    # criterion 1's tolerances past its n = 2..10 range, at entangled points
+    p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
+    ex, pair = thermal_observables(p)
+    bf, rho2 = brute_force_observables(p)
+    for a, b_ in ((ex.logZ, bf.logZ), (ex.sz, bf.sz), (ex.sz2, bf.sz2),
+                  (ex.s2, bf.s2)):
+        assert abs(a - b_) <= 1e-10 * max(abs(a), abs(b_)) + 1e-12
+    c_exact = concurrence(pair, n).concurrence
+    assert c_exact > 1e-3
+    assert abs(c_exact - wootters_concurrence(rho2)) < 1e-10
 
 
 def test_direct_pair_state_matches_moment_route():
