@@ -28,19 +28,39 @@ fixed grid before any integration (fail fast with a diagnostic).
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
 z. Each radial integral is shifted by its l_peak, with panels placed across
-r_peak so the quadrature cannot miss a sharp large-n saddle. For gamma < 1
-the z with the highest l_peak seeds the outer z panels and shifts the outer
-integral; z nodes more than 200 log-units below it are skipped.
+r_peak so the quadrature cannot miss a sharp large-n saddle: one fixed
+panel layout per radial integral, batched over z (a single row at
+gamma = 1), with the adaptive quadrature as the fallback for rows that miss
+the error budget. For gamma < 1 the z with the highest l_peak seeds the
+outer z panels and shifts the outer integral; z nodes more than 200
+log-units below it are skipped.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
 
-Moments follow by Richardson-extrapolated central differences of ln Z in b
-(first and second derivatives) and in v, through the thermodynamic relations
+Moments come from the same single pass. Writing Z = pref Int w, with w the
+integrand and L = ln w, the pass also integrates w times the derivatives of
+L at every node, so that with <.> the w-weighted mean
+
+    d lnZ / d b     = <d_b L>
+    d^2 lnZ / d b^2 = <d_b^2 L> + Var(d_b L)
+    d lnZ / d v     = <d_v L> + d_v ln(pref),
+
+and the thermodynamic relations
 
     <S_z>   = -T d lnZ / d b
     <S_z^2> = T^2 d^2 lnZ / d b^2 + <S_z>^2
-    <S^2>   = n T d lnZ / d v + gamma <S_z^2> + n (3-gamma)/4.
+    <S^2>   = n T d lnZ / d v + gamma <S_z^2> + n (3-gamma)/4
+
+give the moments, with no finite-difference step anywhere. At gamma = 1, b
+enters only through lam = hypot(b, r), so the b derivatives are d/dlam
+derivatives at fixed r; Var(d_b L) is accumulated around d_b L at the
+radial peak to avoid cancellation. For gamma < 1 and fixed u = b - z only
+the z Gaussian depends on b, so d_b L = -2 kappa z with
+kappa = n beta / (4v(1-gamma)) and d_b^2 L = -2 kappa; the outer z integral
+carries the moments of z and the inner radial integrals only the d_v L
+mean. d^2 lnZ / d b^2 = 2 kappa (2 kappa Var(z) - 1) then cancels by about
+2 kappa / |d^2 lnZ / d b^2|, which grows without bound as gamma -> 1^-.
 """
 
 from __future__ import annotations
@@ -127,8 +147,63 @@ def _log_crpa_terms(params: ModelParams, lam, w2):
     return ln_g_lam + out
 
 
-def _log_integrand(params: ModelParams, r, z, mode: str):
-    """ln[ Z(lam) C_RPA ] - beta E0 + Gaussian exponent, without the r Jacobian."""
+# Taylor coefficients of G'(X), G(X) = ln[sinh(sqrt X)/sqrt X]: the j-th is
+# (-1)^j zeta(2j+2) / pi^(2j+2); the series converges for |X| < pi^2
+_G1_SERIES = np.array([
+    0.16666666666666666, -0.011111111111111112, 0.0010582010582010583,
+    -0.00010582010582010582, 1.0688899577788467e-05, -1.0822021404031986e-06,
+    1.0962973925936889e-07, -1.1107304394989839e-08, 1.1253923258404497e-09,
+    -1.1402575602296092e-10, 1.1553216299501312e-11, -1.1705853409912441e-12,
+    1.1860508700116827e-13, -1.2017207666653852e-14])
+_G_SERIES_MAX = 0.5        # |X| below which the series beats the closed forms
+
+
+def _g_series(x):
+    g1 = np.full_like(x, _G1_SERIES[-1])
+    g2 = np.zeros_like(x)
+    for c in _G1_SERIES[-2::-1]:           # Horner, with the derivative
+        g2 = g2 * x + g1
+        g1 = g1 * x + c
+    return g1, g2
+
+
+def _g_sinh(x):
+    s = np.sqrt(x)
+    e = np.exp(-2.0 * s)                   # underflows to 0, never overflows
+    coth = (1.0 + e) / -np.expm1(-2.0 * s)
+    s_csch2 = 4.0 * s * e / np.expm1(-2.0 * s) ** 2
+    return ((coth - 1.0 / s) / (2.0 * s),
+            (2.0 / s - s_csch2 - coth) / (4.0 * s ** 3))
+
+
+def _g_sin(x):
+    y = np.sqrt(-x)
+    cot = 1.0 / np.tan(y)
+    return ((1.0 / y - cot) / (2.0 * y),
+            (2.0 / y - y / np.sin(y) ** 2 - cot) / (4.0 * y ** 3))
+
+
+def _g_derivatives(x):
+    """(G'(X), G''(X)) of the entire function G(X) = ln[sinh(s)/s], s^2 = X,
+    continued to X < 0 as ln[sin(y)/y], y^2 = -X; NaN for X <= -pi^2."""
+    x = np.asarray(x, dtype=float)
+    g1 = np.full(x.shape, np.nan)
+    g2 = np.full(x.shape, np.nan)
+    small = np.abs(x) < _G_SERIES_MAX
+    for mask, branch in ((small, _g_series), (x >= _G_SERIES_MAX, _g_sinh),
+                         (~small & (x < 0) & (x > -pi * pi), _g_sin)):
+        if mask.any():
+            g1[mask], g2[mask] = branch(x[mask])
+    return g1, g2
+
+
+def _log_integrand(params: ModelParams, r, z, mode: str, derivs: bool = False):
+    """ln[ Z(lam) C_RPA ] - beta E0 + Gaussian exponent, without the r Jacobian.
+
+    With ``derivs`` also returns the stacked node derivatives of it that the
+    moments need: [d_v L] for gamma < 1, [d_b L, d_b^2 L, d_v L] at
+    gamma = 1 (see the module docstring).
+    """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     n, v, beta = params.n, params.v, params.beta
@@ -139,20 +214,74 @@ def _log_integrand(params: ModelParams, r, z, mode: str):
     u = 0.5 * beta * lam
     ln_cosh = np.where(u > 20.0, u - log(2.0), np.log(np.cosh(np.minimum(u, 25.0))))
     out = gauss + n * (log(2.0) + ln_cosh) - beta * params.E0
+    t = np.tanh(u)
+    w2 = None
     if mode == "cspa":
         with np.errstate(divide="ignore", invalid="ignore"):
-            w2 = _omega_sq(params, r, lam, np.tanh(u))
+            w2 = _omega_sq(params, r, lam, t)
         out = out + _log_crpa_terms(params, lam, w2)
-    return out
+    if not derivs:
+        return out
+    return out, _node_derivatives(params, r, lam, u, t, w2, gauss)
+
+
+def _omega_sq_derivatives(params: ModelParams, r, lam, t, sech2):
+    """(d_v, d_lam, d_lam^2) of omega^2 = a c, a = lam - v t,
+    c = lam - v q t, q = 1 - gamma r^2/lam^2, at fixed r (and at fixed t
+    for d_v); t = tanh(beta lam / 2) and sech2 = 1 - t^2."""
+    v, beta, gamma = params.v, params.beta, params.gamma
+    q = 1.0 - gamma * r * r / (lam * lam)
+    a, c = lam - v * t, lam - v * q * t
+    t1 = 0.5 * beta * sech2
+    t2 = -beta * t * t1
+    q1 = 2.0 * gamma * r * r / lam ** 3
+    q2 = -3.0 * q1 / lam
+    a1, a2 = 1.0 - v * t1, -v * t2
+    c1 = 1.0 - v * (q1 * t + q * t1)
+    c2 = -v * (q2 * t + 2.0 * q1 * t1 + q * t2)
+    return -t * (c + q * a), a1 * c + a * c1, a2 * c + 2.0 * a1 * c1 + a * c2
+
+
+def _node_derivatives(params: ModelParams, r, lam, u, t, w2, gauss):
+    """The derivatives of L listed in _log_integrand, from its intermediates
+    (w2 is None in spa mode). L depends on v through the Gaussian, E0 and
+    omega^2 at fixed t; at gamma = 1 on b through lam alone, and dw, d2w are
+    the first and second lam derivatives of L at fixed r."""
+    n, v, beta, gamma = params.n, params.v, params.beta, params.gamma
+    k = 0.25 * beta * beta                 # X = k omega^2 in -G(X)
+    e = np.exp(-2.0 * u)
+    sech2 = 4.0 * e / (1.0 + e) ** 2
+    dv = -gauss / v - 0.25 * beta * (3.0 - gamma)
+    if w2 is not None:
+        w2_v, w2_1, w2_2 = _omega_sq_derivatives(params, r, lam, t, sech2)
+        g1, g2 = _g_derivatives(k * w2)
+        dv = dv - g1 * k * w2_v
+    if gamma < 1.0:
+        return dv[None]
+    dw = 0.5 * n * beta * t                # n ln cosh(u)
+    d2w = 0.25 * n * beta * beta * sech2
+    if w2 is not None:
+        s1, s2 = _g_derivatives(u * u)     # ln[sinh(u)/u] = G(u^2)
+        dw = dw + beta * u * s1 - g1 * k * w2_1
+        d2w = (d2w + k * (2.0 * s1 + 4.0 * u * u * s2)
+               - g2 * (k * w2_1) ** 2 - g1 * k * w2_2)
+    cos = params.b / lam                   # d lam / d b
+    db = dw * cos
+    db2 = d2w * cos * cos + dw * r * r / lam ** 3
+    return np.stack(np.broadcast_arrays(db, db2, dv))
 
 
 @dataclass(frozen=True)
 class CspaEvaluation:
-    """ln Z_CSPA (or ln Z_SPA) with its relative quadrature error estimate."""
+    """ln Z_CSPA (or ln Z_SPA) with its relative quadrature error estimate
+    and its first b and v derivatives and second b derivative."""
 
     logZ: float
     mode: str
     quadrature_error: float
+    dlnZ_db: float
+    d2lnZ_db2: float
+    dlnZ_dv: float
 
 
 def _scan_validity(params: ModelParams):
@@ -236,26 +365,44 @@ def _radial_cut(params: ModelParams, zs, peaks, mode: str):
     return r_max
 
 
+def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
+    """r e^{L - l_peak} times the node factors whose w-weighted integrals
+    give ln Z and its derivatives, stacked on axis 0: [1, d_v L] for
+    gamma < 1, [1, d, d^2, d_b^2 L, d_v L] with d = d_b L - ``center`` at
+    gamma = 1."""
+    L, terms = _log_integrand(params, r, z, mode, derivs=True)
+    w = np.exp(L - l_peak + np.log(np.maximum(r, 1e-300)))
+    if params.gamma < 1.0:
+        factors = [np.ones_like(w), terms[0]]
+    else:
+        d = terms[0] - center
+        factors = [np.ones_like(w), d, d * d, terms[1], terms[2]]
+    return w * np.stack(factors)
+
+
 def _radial_log_integral(params: ModelParams, z: float, peak, mode: str,
-                         epsrel: float):
-    """ln Int_0^{rmax} r e^{L(r, z)} dr, with ``peak`` = (r_peak, l_peak) of
-    _radial_peaks at this z seeded into the panels."""
+                         epsrel: float, center: float = 0.0):
+    """(ln I_0, rel. error, [I_k / I_0 for k >= 1], evaluations), I_k the
+    integrals over (0, r_max) of the rows of _weighted_factors at this z,
+    with ``peak`` = (r_peak, l_peak) of _radial_peaks seeded into the panels.
+    Refinement follows I_0."""
     r_peak, l_peak = peak
     sigma = _radial_width(params)[1]
     r_max = float(_radial_cut(params, z, peak, mode))
 
     def f(r):
-        out = np.exp(_log_integrand(params, r, z, mode) - l_peak
-                     + np.log(np.maximum(r, 1e-300)))
-        return np.where(r <= 0, 0.0, out)
+        y = _weighted_factors(params, r, z, mode, l_peak, center)
+        return np.where(r <= 0, 0.0, y)
 
     seeds = sorted({r_peak + k * sigma for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)}
                    | {0.25 * r_max, 0.5 * r_max, 0.75 * r_max})
     res = quad_gk(f, 0.0, r_max, epsabs=1e-300, epsrel=epsrel,
                   initial_points=seeds, max_panels=4000)
-    if res.value <= 0:
+    total = res.value[0]
+    if total <= 0:
         raise QuadratureError("radial CSPA integral collapsed to zero")
-    return l_peak + log(res.value), res.error / res.value, res.neval
+    return (l_peak + log(total), res.error / total, res.value[1:] / total,
+            res.neval)
 
 
 # fixed panel edges (units of sigma, stretched with the cut) of the batched
@@ -266,13 +413,14 @@ _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
 
 
 def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
-                               epsrel: float):
-    """Vectorized ln inner integrals for a whole batch of z values.
+                               epsrel: float, center: float = 0.0):
+    """_radial_log_integral for a whole batch of z values, vectorized:
+    (ln I_0, rel. error, I_k / I_0 with one column per z).
 
     One fixed Gauss-Kronrod panel layout per z, centred on its r_peak (from
     ``peaks``, as in _radial_peaks) and cut where the adaptive path cuts, in
-    a single array call; rows whose K15-G7 error estimate misses the budget
-    fall back to the adaptive path with the same peak.
+    a single array call; rows whose K15-G7 error estimate of I_0 misses the
+    budget fall back to the adaptive path with the same peak.
     """
     nz = zs.size
     r_peak, l_peak = peaks
@@ -291,28 +439,31 @@ def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
     lo, hi = lo[row, pan], hi[row, pan]
     half = 0.5 * (hi - lo)                              # (npanels,)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES   # (npanels, 15)
-    y = np.exp(_log_integrand(params, x, zs[row, None], mode)
-               - l_peak[row, None] + np.log(np.maximum(x, 1e-300)))
-    y[x <= 0] = 0.0
-    k15 = (y @ _WK) * half
-    g7 = (y @ _WGFULL) * half
-    val = np.bincount(row, k15, minlength=nz)
-    err = np.bincount(row, np.abs(k15 - g7), minlength=nz)
+    y = _weighted_factors(params, x, zs[row, None], mode, l_peak[row, None],
+                          center)
+    k15 = (y @ _WK) * half                              # (m, npanels)
+    err = np.bincount(row, np.abs(k15[0] - (y[0] @ _WGFULL) * half),
+                      minlength=nz)
+    val = np.stack([np.bincount(row, k, minlength=nz) for k in k15])
     out = np.empty(nz)
     rel_err = np.empty(nz)
+    means = np.empty((val.shape[0] - 1, nz))
     for i in range(nz):
-        if val[i] > 0 and err[i] <= epsrel * val[i]:
-            out[i] = l_peak[i] + log(val[i])
-            rel_err[i] = err[i] / val[i]
+        if val[0, i] > 0 and err[i] <= epsrel * val[0, i]:
+            out[i] = l_peak[i] + log(val[0, i])
+            rel_err[i] = err[i] / val[0, i]
+            means[:, i] = val[1:, i] / val[0, i]
         else:
-            out[i], rel_err[i], _ = _radial_log_integral(
-                params, float(zs[i]), (r_peak[i], l_peak[i]), mode, epsrel)
-    return out, rel_err
+            out[i], rel_err[i], means[:, i], _ = _radial_log_integral(
+                params, float(zs[i]), (r_peak[i], l_peak[i]), mode, epsrel,
+                center)
+    return out, rel_err, means
 
 
 def cspa_logZ(params: ModelParams, mode: str = "cspa",
               epsrel: float = 1e-10) -> CspaEvaluation:
-    """ln Z of the static-path integral; mode "spa" drops the RPA factor.
+    """ln Z of the static-path integral and its derivatives in b and v, from
+    one quadrature pass; mode "spa" drops the RPA factor.
 
     In cspa mode the validity scan runs first and a BreakdownError (with the
     offending static point and the estimated T*) is raised for T <= T*.
@@ -327,17 +478,26 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
             t_star = breakdown_temperature(params)
             raise BreakdownError(
                 f"CSPA breakdown: beta|omega|/2 >= pi at (r, z) = {where} "
-                f"(T = {params.T:.6g} <= T* ~ {t_star:.6g})",
+                f"(T = {params.T:.6g} <= T* ~ {t_star:.6g}); mode='spa' "
+                f"drops the RPA factor and never breaks down",
                 where=where, t_star=t_star)
 
     n, v, beta = params.n, params.v, params.beta
     if params.gamma == 1.0:
-        lv, rel, _ = _radial_log_integral(
-            params, 0.0, _radial_peaks(params, 0.0, mode), mode, epsrel)
-        logZ = log(n * beta / (2.0 * v)) + lv
-        return CspaEvaluation(logZ=logZ, mode=mode, quadrature_error=rel)
+        zs = np.zeros(1)
+        peaks = _radial_peaks(params, zs, mode)
+        center = float(_log_integrand(params, peaks[0], zs, mode,
+                                      derivs=True)[1][0, 0])
+        lv, rel, means = _radial_log_integral_batch(params, zs, peaks, mode,
+                                                    epsrel, center)
+        d, d2, db2, dv = means[:, 0]
+        return CspaEvaluation(
+            logZ=log(n * beta / (2.0 * v)) + float(lv[0]), mode=mode,
+            quadrature_error=float(rel[0]), dlnZ_db=center + float(d),
+            d2lnZ_db2=float(db2 + (d2 - d * d)), dlnZ_dv=float(dv) - 1.0 / v)
 
-    # gamma < 1: outer adaptive integral over z of the inner radial integral
+    # gamma < 1: outer adaptive integral over z of the inner radial
+    # integral, stacked with its z moments and d_v L mean
     sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
     z_lo = -abs(params.b) - width_z - 1.5 * v
@@ -346,27 +506,35 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     errs = []
 
     def g(zs):
-        out = np.zeros_like(zs)
+        out = np.zeros((4, zs.size))
         r_peak, l_peak = _radial_peaks(params, zs, mode)
         # z deep in the Gaussian tail contributes nothing, and the log
         # integrand there sits below float resolution anyway
         live = l_peak - shift > -200.0
         if np.any(live):
-            lv, rel = _radial_log_integral_batch(
+            lv, rel, means = _radial_log_integral_batch(
                 params, zs[live], (r_peak[live], l_peak[live]), mode, epsrel)
             errs.extend(rel)
-            out[live] = np.exp(np.minimum(lv - shift, 700.0))
+            dz = zs[live] - z_peak
+            out[:, live] = np.exp(np.minimum(lv - shift, 700.0)) * np.stack(
+                [np.ones_like(dz), dz, dz * dz, means[0]])
         return out
 
     seeds = sorted({z_peak + k * sigma_z for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
     res = quad_gk(g, z_lo, z_hi, epsabs=1e-300, epsrel=epsrel,
                   initial_points=seeds, max_panels=800)
-    if res.value <= 0:
+    total, mz, mz2, dv = res.value.tolist()
+    if total <= 0:
         raise QuadratureError("z integral collapsed to zero")
+    mz, mz2, dv = mz / total, mz2 / total, dv / total
     pref = 0.25 * sqrt(n ** 3 * beta ** 3 / (pi * v ** 3 * (1.0 - params.gamma)))
-    logZ = log(pref) + shift + log(res.value)
-    rel = res.error / res.value + (max(errs) if errs else 0.0)
-    return CspaEvaluation(logZ=logZ, mode=mode, quadrature_error=rel)
+    kappa2 = n * beta / (2.0 * v * (1.0 - params.gamma))    # -d_b^2 L
+    return CspaEvaluation(
+        logZ=log(pref) + shift + log(total), mode=mode,
+        quadrature_error=res.error / total + (max(errs) if errs else 0.0),
+        dlnZ_db=-kappa2 * (z_peak + mz),
+        d2lnZ_db2=kappa2 * (kappa2 * (mz2 - mz * mz) - 1.0),
+        dlnZ_dv=dv - 1.5 / v)
 
 
 def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
@@ -387,50 +555,15 @@ def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
     return float(zs[k]), float(l_peak[k])
 
 
-def _richardson_first(f, x0, h):
-    d1 = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    d2 = (f(x0 + 0.5 * h) - f(x0 - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _richardson_second(f, f0, x0, h):
-    d1 = (f(x0 + h) - 2.0 * f0 + f(x0 - h)) / (h * h)
-    d2 = (f(x0 + 0.5 * h) - 2.0 * f0 + f(x0 - 0.5 * h)) / (0.25 * h * h)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def cspa_moments(params: ModelParams, mode: str = "cspa",
                  epsrel: float = 1e-11) -> CollectiveMoments:
-    """Collective moments by finite differences of the CSPA/SPA ln Z.
-
-    Central stencils with one Richardson level; steps 1e-4 max(v, |b|) for
-    first derivatives and 1e-3 for the second. Any stencil point crossing the
-    breakdown boundary aborts with a hint to shrink the step or fall back to
-    the SPA mode.
-    """
-    cache = {}
-
-    def lz(b=None, v=None):
-        key = (params.b if b is None else b, params.v if v is None else v)
-        if key not in cache:
-            p = params.replace(b=key[0], v=key[1])
-            try:
-                cache[key] = cspa_logZ(p, mode, epsrel=epsrel).logZ
-            except BreakdownError as err:
-                raise BreakdownError(
-                    f"breakdown inside the finite-difference stencil at "
-                    f"(b, v) = {key}: shrink the step or use mode='spa' "
-                    f"({err})", where=err.where, t_star=err.t_star) from err
-        return cache[key]
-
+    """Collective moments of the CSPA/SPA from the derivatives of ln Z that
+    one cspa_logZ pass returns, through the thermodynamic relations of the
+    module docstring. Below T* it raises the BreakdownError of cspa_logZ,
+    which names mode="spa" as the fallback."""
+    ev = cspa_logZ(params, mode, epsrel=epsrel)
     T = params.T
-    f0 = lz()
-    hb1 = 1e-4 * max(params.v, abs(params.b))
-    hb2 = 1e-3 * max(params.v, abs(params.b))
-    hv = 1e-4 * params.v
-    sz = -T * _richardson_first(lambda b: lz(b=b), params.b, hb1)
-    d2 = _richardson_second(lambda b: lz(b=b), f0, params.b, hb2)
-    sz2 = T * T * d2 + sz * sz
-    dv = _richardson_first(lambda v: lz(v=v), params.v, hv)
-    s2 = params.n * T * dv + params.gamma * sz2 + params.n * (3.0 - params.gamma) / 4.0
-    return CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=f0)
+    sz = -T * ev.dlnZ_db
+    sz2 = T * T * ev.d2lnZ_db2 + sz * sz
+    s2 = params.n * T * ev.dlnZ_dv + params.gamma * sz2 + params.n * (3.0 - params.gamma) / 4.0
+    return CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=ev.logZ)

@@ -366,7 +366,7 @@ def pair_state(moments: CollectiveMoments, n: int, tol: float = 1e-12,
 
     Raises InconsistentMomentsError when rho_2 fails positivity by more than
     ``tol`` (this guards the approximate tiers, whose moments carry quadrature
-    and finite-difference noise).  With ``clamp`` the tiny negative diagonal
+    noise).  With ``clamp`` the tiny negative diagonal
     populations inside the tolerance band are clipped to zero, which keeps
     sqrt(p+ p-) real for downstream use.
     """

@@ -4,7 +4,9 @@ A (7, 15)-point Gauss-Kronrod pair on each panel, worst-panel-first interval
 bisection, and an error estimate per panel from |K15 - G7|. The integrand is
 called with a numpy array of abscissae and must return an array of values, so
 panels cost one vectorized call each; this is what keeps the CSPA integrals
-cheap enough for root finding on top of them.
+cheap enough for root finding on top of them. A stacked integrand returns
+shape (m, len(x)): all m components share the panels, and refinement follows
+the error of component 0 alone.
 
 Node and weight constants are the standard QUADPACK dqk15 values.
 """
@@ -73,14 +75,19 @@ def _panel(f, a, b):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _NODES
     y = np.asarray(f(x), dtype=float)
-    k = half * float(_WK @ y)
-    g = half * float(_WGFULL @ y)
-    return k, abs(k - g)
+    k = half * (y @ _WK)
+    g = half * (y @ _WGFULL)
+    if y.ndim == 1:
+        return float(k), abs(float(k) - float(g))
+    return k, abs(float(k[0]) - float(g[0]))
 
 
 def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
             max_panels=2000, strict=True):
     """Integrate a vectorized callable f over [a, b].
+
+    A stacked f (see the module docstring) gives an array value; its error
+    and the error budget refer to component 0.
 
     ``initial_points`` seeds the panel boundaries (pass the known location of
     a sharp peak so the first pass cannot step over it). Refinement always
@@ -100,19 +107,23 @@ def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
         toterr += err
         heapq.heappush(heap, (-err, lo, hi, val))
     npanels = len(heap)
-    while toterr > max(epsabs, epsrel * abs(total)) and heap:
+
+    def budget():
+        return max(epsabs, epsrel * abs(float(np.ravel(total)[0])))
+
+    while toterr > budget() and heap:
         if npanels >= max_panels:
             if strict:
                 raise QuadratureError(
                     f"no convergence after {npanels} panels: error {toterr:.2e} "
-                    f"vs target {max(epsabs, epsrel * abs(total)):.2e}")
+                    f"vs target {budget():.2e}")
             break
         negerr, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # interval at float resolution: stop splitting it, keep its error
             done_err += -negerr
-            if strict and done_err > max(epsabs, epsrel * abs(total)):
+            if strict and done_err > budget():
                 raise QuadratureError(
                     "panel at float resolution still above the error budget")
             continue
@@ -124,5 +135,5 @@ def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         npanels += 1
-    converged = toterr <= max(epsabs, epsrel * abs(total))
+    converged = toterr <= budget()
     return QuadResult(total, toterr, neval, converged)

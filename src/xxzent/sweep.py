@@ -202,7 +202,7 @@ def _mfa(params, epsrel):
 # The SPA thermal state is a positive mixture of product states and the MFA
 # state a single product state: neither carries pair entanglement, so both
 # report C = 0 and compute the moments for the output columns only (the
-# concurrence formula on them would read out finite-difference noise).
+# concurrence formula on them would read out quadrature noise).
 _EVALUATORS = {"bruteforce": _bruteforce, "exact": _exact, "cspa": _cspa,
                "spa": _spa, "cmfa": _cmfa, "mfa": _mfa}
 TIERS = tuple(_EVALUATORS)

@@ -5,7 +5,8 @@ import pytest
 
 from xxzent.cspa import (breakdown_temperature, cspa_logZ, cspa_moments,
                          omega_squared, rpa_frequency)
-from xxzent.errors import BreakdownError, DomainError
+from xxzent.errors import (BreakdownError, DomainError,
+                           InconsistentMomentsError)
 from xxzent.exact import (concurrence, exact_moments, exact_pair_state,
                           pair_state)
 from xxzent.model import ModelParams
@@ -246,13 +247,17 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
         zs = np.append(np.linspace(-0.4, 1.0, 8), p.b)
         peaks = cspa._radial_peaks(p, zs, mode)
         fallbacks.clear()
-        batch, rel = cspa._radial_log_integral_batch(p, zs, peaks, mode,
-                                                     epsrel)
+        batch, rel, means = cspa._radial_log_integral_batch(p, zs, peaks,
+                                                            mode, epsrel)
         assert fallbacks == []       # the fixed panels alone meet the budget
-        adaptive = [adaptive_integral(p, z, (r0, l0), mode, epsrel)[0]
+        adaptive = [adaptive_integral(p, z, (r0, l0), mode, epsrel)
                     for z, r0, l0 in zip(zs, *peaks)]
         assert np.all(rel <= epsrel)
-        np.testing.assert_allclose(batch, adaptive, rtol=0, atol=4 * epsrel)
+        np.testing.assert_allclose(batch, [a[0] for a in adaptive], rtol=0,
+                                   atol=4 * epsrel)
+        # the d_v L mean that rides along on the same nodes
+        np.testing.assert_allclose(means, np.array([a[2] for a in adaptive]).T,
+                                   rtol=1e-10)
 
 
 def test_radial_peaks_match_a_per_z_scan():
@@ -366,3 +371,250 @@ def test_cspa_beats_cmfa_near_critical_field():
         if ce > 1e-4:
             assert err_cspa <= err_cmfa + 1e-12
     assert max(errs_cspa) < max(errs_cmfa)
+
+
+# ------------------------------------------------- one-pass ln Z derivatives
+
+def _richardson_moments(p, mode, epsrel=1e-11):
+    """Reference: the moments by Richardson-extrapolated central differences
+    of ln Z in b and v (steps 1e-4 max(v, |b|) for first derivatives and
+    1e-3 max(v, |b|) for the second)."""
+    def lz(b=p.b, v=p.v):
+        return cspa_logZ(p.replace(b=b, v=v), mode, epsrel=epsrel).logZ
+
+    def first(f, x0, h):
+        return (4.0 * (f(x0 + 0.5 * h) - f(x0 - 0.5 * h)) / h
+                - (f(x0 + h) - f(x0 - h)) / (2.0 * h)) / 3.0
+
+    def second(f, f0, x0, h):
+        d1 = (f(x0 + h) - 2.0 * f0 + f(x0 - h)) / (h * h)
+        d2 = (f(x0 + 0.5 * h) - 2.0 * f0 + f(x0 - 0.5 * h)) / (0.25 * h * h)
+        return (4.0 * d2 - d1) / 3.0
+
+    T, f0, hb = p.T, lz(), max(p.v, abs(p.b))
+    sz = -T * first(lambda b: lz(b=b), p.b, 1e-4 * hb)
+    sz2 = T * T * second(lambda b: lz(b=b), f0, p.b, 1e-3 * hb) + sz * sz
+    dv = first(lambda v: lz(v=v), p.v, 1e-4 * p.v)
+    s2 = p.n * T * dv + p.gamma * sz2 + p.n * (3.0 - p.gamma) / 4.0
+    return np.array([sz, sz2, s2])
+
+
+@pytest.mark.parametrize("mode", ["cspa", "spa"])
+@pytest.mark.parametrize("n, gamma, b, T", [
+    (20, 1.0, 0.9, 0.15), (20, 1.0, 0.3, 0.3), (100, 1.0, 0.5, 0.2),
+    (100, 1.0, 1.2, 0.1), (20, 0.5, 0.3, 0.3), (20, -0.5, 0.8, 0.2),
+    (100, 0.5, 0.3, 0.25)])
+def test_moments_match_richardson_differences(n, gamma, b, T, mode):
+    # the one-pass moments against finite differences of ln Z; on these
+    # points the reference with all steps tripled moves by up to 6.6e-11
+    # relative (Sz2) and the one-pass moments sit within 7.2e-11 of it
+    p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
+    m = cspa_moments(p, mode)
+    ref = _richardson_moments(p, mode)
+    np.testing.assert_allclose([m.sz, m.sz2, m.s2], ref, rtol=5e-10)
+    if mode == "cspa":
+        try:
+            c = concurrence(pair_state(m, n, tol=1e-6, clamp=True), n)
+        except InconsistentMomentsError:
+            # moments outside the physical domain: so are the reference's
+            with pytest.raises(InconsistentMomentsError):
+                pair_state(type(m)(*ref, m.logZ), n, tol=1e-6, clamp=True)
+            return
+        c_ref = concurrence(pair_state(type(m)(*ref, m.logZ), n, tol=1e-6,
+                                       clamp=True), n)
+        assert c.concurrence == pytest.approx(c_ref.concurrence, abs=1e-9)
+
+
+def test_quad_gk_stacked_components_match_scalar():
+    # a stacked integrand shares the panels of component 0, which alone
+    # drives refinement
+    def f(x):
+        return np.exp(-3.0 * x * x) * np.cos(2.0 * x)
+
+    comps = (f, lambda x: x * x * f(x), lambda x: np.exp(x) * f(x))
+
+    def stacked(x):
+        return np.stack([c(x) for c in comps])
+
+    seeds = [0.3, 1.1]
+    res = quad_gk(stacked, -2.0, 3.0, epsrel=1e-11, initial_points=seeds)
+    ref = quad_gk(f, -2.0, 3.0, epsrel=1e-11, initial_points=seeds)
+    assert res.value.shape == (3,)
+    assert res.neval == ref.neval
+    assert res.value[0] == pytest.approx(ref.value, rel=1e-15)
+    # (K15 - G7 differences: the last bits of the rule sums matter)
+    assert res.error == pytest.approx(ref.error, rel=1e-3)
+    # on the seeded panels alone, every component is its own scalar rule
+    coarse = quad_gk(stacked, -2.0, 3.0, epsrel=1.0, initial_points=seeds)
+    for k, c in enumerate(comps):
+        one = quad_gk(c, -2.0, 3.0, epsrel=1.0, initial_points=seeds)
+        assert coarse.value[k] == pytest.approx(one.value, rel=1e-14)
+    # and refined, every component converges with component 0's panels
+    from scipy.integrate import quad as scipy_quad
+    for k, c in enumerate(comps):
+        exact, _ = scipy_quad(lambda t: float(c(np.array([t]))[0]), -2.0, 3.0,
+                              epsabs=1e-14, epsrel=1e-13)
+        assert res.value[k] == pytest.approx(exact, rel=1e-10)
+
+
+def test_g_derivatives_against_mpmath():
+    # G(X) = ln[sinh(sqrt X)/sqrt X] across the series / sinh / sin branches
+    import xxzent.cspa as cspa
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def G(X):
+        s = mpmath.sqrt(X)
+        return mpmath.log(mpmath.sinh(s) / s)
+
+    xs = [-9.8, -9.0, -5.0, -1.9, -1.0, -0.50001, -0.49999, -0.1, -1e-3, 1e-8,
+          0.2, 0.49999, 0.50001, 0.7, 1.9, 3.0, 40.0, 1e3, 1e6]
+    g1, g2 = cspa._g_derivatives(np.array(xs))
+    for x, a, b in zip(xs, g1, g2):
+        with mpmath.workdps(40):
+            ref1 = float(mpmath.re(mpmath.diff(G, mpmath.mpf(x), 1)))
+            ref2 = float(mpmath.re(mpmath.diff(G, mpmath.mpf(x), 2)))
+        assert a == pytest.approx(ref1, rel=1e-12), x
+        assert b == pytest.approx(ref2, rel=1e-12), x
+    g1, g2 = cspa._g_derivatives(np.zeros(1))
+    assert (g1[0], g2[0]) == pytest.approx((1.0 / 6.0, -1.0 / 90.0), rel=1e-15)
+
+
+def test_derivative_helpers_finite_in_extreme_regimes():
+    # no overflow, 0/0 or log(0) anywhere the integrand is defined
+    # (RuntimeWarnings are errors under pytest)
+    import xxzent.cspa as cspa
+    x = np.concatenate([-pi * pi + np.geomspace(1e-12, 1.0, 30),
+                        np.linspace(-1.0, 1.0, 41), np.geomspace(1.0, 1e9, 30)[1:]])
+    g1, g2 = cspa._g_derivatives(x)
+    # G' = sum_k 1/(k^2 pi^2 + X) > 0 decreasing, G'' = -sum_k (...)^-2 < 0
+    assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
+    assert np.all(g1 > 0) and np.all(g2 < 0) and np.all(np.diff(g1) < 0)
+    assert np.all(np.isnan(cspa._g_derivatives(np.array([-pi * pi, -20.0]))))
+    # beta lam / 2 up to 1e4, and lam -> 0 at b = 0 (and at z = b)
+    cases = [(ModelParams(n=8810, v=1.0, gamma=1.0, b=2.0, T=0.02),
+              np.geomspace(1e-9, 400.0, 200), 0.0),
+             (ModelParams(n=20, v=1.0, gamma=1.0, b=0.0, T=0.3),
+              np.geomspace(1e-12, 3.0, 200), 0.0),
+             (ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3),
+              np.geomspace(1e-12, 3.0, 200), 0.3)]
+    for p, r, z in cases:
+        for mode in ("cspa", "spa"):
+            L, terms = cspa._log_integrand(p, r, z, mode, derivs=True)
+            assert np.all(np.isfinite(L)) and np.all(np.isfinite(terms))
+
+
+def _generic_rpa_route(p, r, z):
+    """(ln C_RPA, omega^2 of the collective mode) from the generic RPA
+    engine at the static field x = (r, 0[, z])."""
+    from xxzent.rpa import linearize, log_c_rpa, rpa_energies, xxz_sites
+    sites, couplings = xxz_sites(p)
+    x = np.array([r, 0.0] + ([z] if p.gamma < 1.0 else []))
+    spectrum = rpa_energies(linearize(sites, x, p.T), couplings,
+                            check_roots=False)
+    w = spectrum.omegas
+    w2 = np.where(np.abs(w.imag) > np.abs(w.real), -w.imag ** 2, w.real ** 2)
+    lam2 = spectrum.lambdas.max() ** 2
+    return np.array([log_c_rpa(spectrum), w2[np.argmax(np.abs(w2 - lam2))]])
+
+
+def _deformed_r(b, T):
+    # r at which omega^2 = 0 for gamma = 1: lam = v tanh(lam / 2T)
+    lo, hi = 1e-12, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid - tanh(mid / (2 * T)) < 0 else (lo, mid)
+    return sqrt((0.5 * (lo + hi)) ** 2 - b * b)
+
+
+@pytest.mark.parametrize("gamma, b, T, r, z", [
+    (1.0, 0.6, 0.3, 1.5, 0.0),                          # real mode
+    (1.0, 0.2, 0.1, 0.5, 0.0),                          # imaginary mode
+    (1.0, 0.4, 0.3, _deformed_r(0.4, 0.3) + 1e-4, 0.0),  # omega^2 ~ +5e-5
+    (1.0, 0.4, 0.3, _deformed_r(0.4, 0.3) - 1e-4, 0.0),  # omega^2 ~ -5e-5
+    (0.5, 0.3, 0.3, 1.4, -0.2),
+    (0.5, 0.3, 0.3, 0.4, 0.2)])
+def test_node_derivatives_against_generic_rpa_engine(gamma, b, T, r, z):
+    # d_b, d_b^2 and d_v of ln C_RPA and of omega^2 at fixed (r, z) against
+    # central differences of the rpa.py frequencies, which share no code
+    # with cspa.py (cspa minus spa isolates the ln C_RPA part of L)
+    import xxzent.cspa as cspa
+    p = ModelParams(n=6, v=1.0, gamma=gamma, b=b, T=T)
+
+    def first(f, x0, h):
+        return (4.0 * (f(x0 + 0.5 * h) - f(x0 - 0.5 * h)) / h
+                - (f(x0 + h) - f(x0 - h)) / (2.0 * h)) / 3.0
+
+    def second(f, x0, h):
+        f0 = f(x0)
+        return (16.0 * (f(x0 + 0.5 * h) - 2.0 * f0 + f(x0 - 0.5 * h))
+                - (f(x0 + h) - 2.0 * f0 + f(x0 - h))) / (3.0 * h * h)
+
+    crpa = (cspa._log_integrand(p, r, z, "cspa", derivs=True)[1]
+            - cspa._log_integrand(p, r, z, "spa", derivs=True)[1])
+    lam = np.hypot(b - z, r)
+    t = np.tanh(0.5 * lam / T)
+    w2_v, w2_1, w2_2 = cspa._omega_sq_derivatives(p, r, lam, t, 1.0 - t * t)
+    ref0 = _generic_rpa_route(p, r, z)
+    assert ref0[1] == pytest.approx(float(cspa.omega_squared(p, r, z)),
+                                    rel=1e-9, abs=1e-14)
+    dv = first(lambda v: _generic_rpa_route(p.replace(v=v), r, z), 1.0, 1e-4)
+    np.testing.assert_allclose([crpa[-1], w2_v], dv, rtol=1e-7, atol=1e-10)
+    if gamma == 1.0:
+        db = first(lambda x: _generic_rpa_route(p.replace(b=x), r, z), b, 1e-4)
+        db2 = second(lambda x: _generic_rpa_route(p.replace(b=x), r, z), b,
+                     1e-3)
+        cos = b / lam
+        np.testing.assert_allclose([crpa[0], w2_1 * cos], db, rtol=1e-7)
+        np.testing.assert_allclose(
+            [crpa[1], w2_2 * cos * cos + w2_1 * r * r / lam ** 3], db2,
+            rtol=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["cspa", "spa"])
+def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
+    # at epsrel = 1e-11 the fixed panel layout misses the budget on these
+    # gamma = 1 rows, so the adaptive path integrates the same
+    # accumulators; at 1e-8 the fixed layout is accepted
+    import xxzent.cspa as cspa
+    adaptive_integral = cspa._radial_log_integral
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args[1])
+        return adaptive_integral(*args)
+
+    monkeypatch.setattr(cspa, "_radial_log_integral", counted)
+    for b in (0.8, 0.9333):
+        p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.1)
+        fallbacks.clear()
+        fixed = cspa_logZ(p, mode, epsrel=1e-8)
+        assert fallbacks == []
+        adaptive = cspa_logZ(p, mode, epsrel=1e-11)
+        assert fallbacks == [0.0]
+        for name in ("logZ", "dlnZ_db", "d2lnZ_db2", "dlnZ_dv"):
+            assert getattr(adaptive, name) == pytest.approx(
+                getattr(fixed, name), rel=1e-9), name
+    # one gamma < 1 inner row: the batch against the forced adaptive path
+    p = ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)
+    zs = np.array([0.2])
+    peaks = cspa._radial_peaks(p, zs, mode)
+    fallbacks.clear()
+    lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8)
+    assert fallbacks == []
+    ln_i0, _, ad_means, _ = adaptive_integral(p, 0.2, (peaks[0][0], peaks[1][0]),
+                                              mode, 1e-11)
+    assert ln_i0 == pytest.approx(lv[0], rel=1e-9)
+    np.testing.assert_allclose(ad_means, means[:, 0], rtol=1e-9)
+
+
+def test_no_breakdown_from_a_neighbouring_stencil_point():
+    # a point just above its own T* is evaluated; finite differences in v
+    # used to step across T* ~ v and report it as a breakdown
+    p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.0, T=0.1)
+    t_star = breakdown_temperature(p, tol=1e-12)
+    p = p.replace(T=t_star * (1.0 + 3e-5))
+    with pytest.raises(BreakdownError):
+        cspa_logZ(p.replace(v=1.0 + 1e-4))
+    m = cspa_moments(p)
+    assert np.isfinite(m.sz2) and m.sz == pytest.approx(0.0, abs=1e-8)
