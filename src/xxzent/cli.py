@@ -282,28 +282,24 @@ def _cmd_compare(args):
     return EXIT_OK
 
 
+_COMMANDS = {
+    "moments": lambda args: _cmd_point(args, with_c=False),
+    "concurrence": lambda args: _cmd_point(args, with_c=True),
+    "sweep": _cmd_sweep,
+    "limit-temp": lambda args: _cmd_limit(args, "T"),
+    "limit-field": lambda args: _cmd_limit(args, "b"),
+    "figure": _cmd_figure,
+    "compare": _cmd_compare,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         args = _apply_config(args, argv)
-        if args.command == "moments":
-            return _cmd_point(args, with_c=False)
-        if args.command == "concurrence":
-            return _cmd_point(args, with_c=True)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "limit-temp":
-            return _cmd_limit(args, "T")
-        if args.command == "limit-field":
-            return _cmd_limit(args, "b")
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (BreakdownError, QuadratureError, ConvergenceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -313,7 +309,6 @@ def main(argv=None) -> int:
     except XxzentError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

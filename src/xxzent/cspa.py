@@ -52,15 +52,12 @@ and the thermodynamic relations
     <S_z^2> = T^2 d^2 lnZ / d b^2 + <S_z>^2
     <S^2>   = n T d lnZ / d v + gamma <S_z^2> + n (3-gamma)/4
 
-give the moments, with no finite-difference step anywhere. At gamma = 1, b
-enters only through lam = hypot(b, r), so the b derivatives are d/dlam
-derivatives at fixed r; Var(d_b L) is accumulated around d_b L at the
-radial peak to avoid cancellation. For gamma < 1 and fixed u = b - z only
-the z Gaussian depends on b, so d_b L = -2 kappa z with
-kappa = n beta / (4v(1-gamma)) and d_b^2 L = -2 kappa; the outer z integral
-carries the moments of z and the inner radial integrals only the d_v L
-mean. d^2 lnZ / d b^2 = 2 kappa (2 kappa Var(z) - 1) then cancels by about
-2 kappa / |d^2 lnZ / d b^2|, which grows without bound as gamma -> 1^-.
+give the moments, with no finite-difference step anywhere. At every gamma
+the b derivatives are taken at fixed (r, z), where b enters only through
+lam = hypot(b - z, r): they are d/dlam derivatives times d lam/d b =
+(b - z)/lam. Var(d_b L) is accumulated around d_b L at the radial peak of
+the z peak (z = 0 at gamma = 1), so it never cancels, however narrow the z
+Gaussian.
 """
 
 from __future__ import annotations
@@ -201,8 +198,7 @@ def _log_integrand(params: ModelParams, r, z, mode: str, derivs: bool = False):
     """ln[ Z(lam) C_RPA ] - beta E0 + Gaussian exponent, without the r Jacobian.
 
     With ``derivs`` also returns the stacked node derivatives of it that the
-    moments need: [d_v L] for gamma < 1, [d_b L, d_b^2 L, d_v L] at
-    gamma = 1 (see the module docstring).
+    moments need, [d_b L, d_b^2 L, d_v L] (see the module docstring).
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -222,7 +218,7 @@ def _log_integrand(params: ModelParams, r, z, mode: str, derivs: bool = False):
         out = out + _log_crpa_terms(params, lam, w2)
     if not derivs:
         return out
-    return out, _node_derivatives(params, r, lam, u, t, w2, gauss)
+    return out, _node_derivatives(params, r, z, lam, u, t, w2, gauss)
 
 
 def _omega_sq_derivatives(params: ModelParams, r, lam, t, sech2):
@@ -242,11 +238,11 @@ def _omega_sq_derivatives(params: ModelParams, r, lam, t, sech2):
     return -t * (c + q * a), a1 * c + a * c1, a2 * c + 2.0 * a1 * c1 + a * c2
 
 
-def _node_derivatives(params: ModelParams, r, lam, u, t, w2, gauss):
+def _node_derivatives(params: ModelParams, r, z, lam, u, t, w2, gauss):
     """The derivatives of L listed in _log_integrand, from its intermediates
     (w2 is None in spa mode). L depends on v through the Gaussian, E0 and
-    omega^2 at fixed t; at gamma = 1 on b through lam alone, and dw, d2w are
-    the first and second lam derivatives of L at fixed r."""
+    omega^2 at fixed t, and at fixed (r, z) on b through lam alone; dw, d2w
+    are the first and second lam derivatives of L."""
     n, v, beta, gamma = params.n, params.v, params.beta, params.gamma
     k = 0.25 * beta * beta                 # X = k omega^2 in -G(X)
     e = np.exp(-2.0 * u)
@@ -256,8 +252,6 @@ def _node_derivatives(params: ModelParams, r, lam, u, t, w2, gauss):
         w2_v, w2_1, w2_2 = _omega_sq_derivatives(params, r, lam, t, sech2)
         g1, g2 = _g_derivatives(k * w2)
         dv = dv - g1 * k * w2_v
-    if gamma < 1.0:
-        return dv[None]
     dw = 0.5 * n * beta * t                # n ln cosh(u)
     d2w = 0.25 * n * beta * beta * sech2
     if w2 is not None:
@@ -265,7 +259,7 @@ def _node_derivatives(params: ModelParams, r, lam, u, t, w2, gauss):
         dw = dw + beta * u * s1 - g1 * k * w2_1
         d2w = (d2w + k * (2.0 * s1 + 4.0 * u * u * s2)
                - g2 * (k * w2_1) ** 2 - g1 * k * w2_2)
-    cos = params.b / lam                   # d lam / d b
+    cos = (params.b - z) / lam             # d lam / d b
     db = dw * cos
     db2 = d2w * cos * cos + dw * r * r / lam ** 3
     return np.stack(np.broadcast_arrays(db, db2, dv))
@@ -367,17 +361,12 @@ def _radial_cut(params: ModelParams, zs, peaks, mode: str):
 
 def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
     """r e^{L - l_peak} times the node factors whose w-weighted integrals
-    give ln Z and its derivatives, stacked on axis 0: [1, d_v L] for
-    gamma < 1, [1, d, d^2, d_b^2 L, d_v L] with d = d_b L - ``center`` at
-    gamma = 1."""
+    give ln Z and its derivatives, stacked on axis 0:
+    [1, d, d^2, d_b^2 L, d_v L] with d = d_b L - ``center``."""
     L, terms = _log_integrand(params, r, z, mode, derivs=True)
     w = np.exp(L - l_peak + np.log(np.maximum(r, 1e-300)))
-    if params.gamma < 1.0:
-        factors = [np.ones_like(w), terms[0]]
-    else:
-        d = terms[0] - center
-        factors = [np.ones_like(w), d, d * d, terms[1], terms[2]]
-    return w * np.stack(factors)
+    d = terms[0] - center
+    return w * np.stack([np.ones_like(w), d, d * d, terms[1], terms[2]])
 
 
 def _radial_log_integral(params: ModelParams, z: float, peak, mode: str,
@@ -486,73 +475,82 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     if params.gamma == 1.0:
         zs = np.zeros(1)
         peaks = _radial_peaks(params, zs, mode)
-        center = float(_log_integrand(params, peaks[0], zs, mode,
-                                      derivs=True)[1][0, 0])
+        center = _peak_slope(params, zs, peaks, mode)
         lv, rel, means = _radial_log_integral_batch(params, zs, peaks, mode,
                                                     epsrel, center)
-        d, d2, db2, dv = means[:, 0]
-        return CspaEvaluation(
-            logZ=log(n * beta / (2.0 * v)) + float(lv[0]), mode=mode,
-            quadrature_error=float(rel[0]), dlnZ_db=center + float(d),
-            d2lnZ_db2=float(db2 + (d2 - d * d)), dlnZ_dv=float(dv) - 1.0 / v)
+        logZ = log(n * beta / (2.0 * v)) + float(lv[0])
+        error, means, c = float(rel[0]), means[:, 0], 1.0
+    else:
+        # outer adaptive integral over z of the inner radial integral,
+        # stacked with its means
+        sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
+        width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
+        z_lo = -abs(params.b) - width_z - 1.5 * v
+        z_hi = abs(params.b) + width_z + 1.5 * v
+        z_peak, peak = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
+        shift = float(peak[1][0])
+        center = _peak_slope(params, z_peak, peak, mode)
+        errs = []
 
-    # gamma < 1: outer adaptive integral over z of the inner radial
-    # integral, stacked with its z moments and d_v L mean
-    sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
-    width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
-    z_lo = -abs(params.b) - width_z - 1.5 * v
-    z_hi = abs(params.b) + width_z + 1.5 * v
-    z_peak, shift = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
-    errs = []
+        def g(zs):
+            out = np.zeros((5, zs.size))
+            r_peak, l_peak = _radial_peaks(params, zs, mode)
+            # z deep in the Gaussian tail contributes nothing, and the log
+            # integrand there sits below float resolution anyway
+            live = l_peak - shift > -200.0
+            if np.any(live):
+                lv, rel, means = _radial_log_integral_batch(
+                    params, zs[live], (r_peak[live], l_peak[live]), mode,
+                    epsrel, center)
+                errs.extend(rel)
+                w = np.exp(np.minimum(lv - shift, 700.0))
+                out[:, live] = w * np.vstack([np.ones_like(lv), means])
+            return out
 
-    def g(zs):
-        out = np.zeros((4, zs.size))
-        r_peak, l_peak = _radial_peaks(params, zs, mode)
-        # z deep in the Gaussian tail contributes nothing, and the log
-        # integrand there sits below float resolution anyway
-        live = l_peak - shift > -200.0
-        if np.any(live):
-            lv, rel, means = _radial_log_integral_batch(
-                params, zs[live], (r_peak[live], l_peak[live]), mode, epsrel)
-            errs.extend(rel)
-            dz = zs[live] - z_peak
-            out[:, live] = np.exp(np.minimum(lv - shift, 700.0)) * np.stack(
-                [np.ones_like(dz), dz, dz * dz, means[0]])
-        return out
-
-    seeds = sorted({z_peak + k * sigma_z for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
-    res = quad_gk(g, z_lo, z_hi, epsabs=1e-300, epsrel=epsrel,
-                  initial_points=seeds, max_panels=800)
-    total, mz, mz2, dv = res.value.tolist()
-    if total <= 0:
-        raise QuadratureError("z integral collapsed to zero")
-    mz, mz2, dv = mz / total, mz2 / total, dv / total
-    pref = 0.25 * sqrt(n ** 3 * beta ** 3 / (pi * v ** 3 * (1.0 - params.gamma)))
-    kappa2 = n * beta / (2.0 * v * (1.0 - params.gamma))    # -d_b^2 L
+        seeds = sorted({z_peak[0] + k * sigma_z
+                        for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
+        res = quad_gk(g, z_lo, z_hi, epsabs=1e-300, epsrel=epsrel,
+                      initial_points=seeds, max_panels=800)
+        total = res.value[0]
+        if total <= 0:
+            raise QuadratureError("z integral collapsed to zero")
+        pref = 0.25 * sqrt(n ** 3 * beta ** 3
+                           / (pi * v ** 3 * (1.0 - params.gamma)))
+        logZ = log(pref) + shift + log(total)
+        error = res.error / total + (max(errs) if errs else 0.0)
+        means, c = res.value[1:] / total, 1.5
+    d, d2, db2, dv = means
     return CspaEvaluation(
-        logZ=log(pref) + shift + log(total), mode=mode,
-        quadrature_error=res.error / total + (max(errs) if errs else 0.0),
-        dlnZ_db=-kappa2 * (z_peak + mz),
-        d2lnZ_db2=kappa2 * (kappa2 * (mz2 - mz * mz) - 1.0),
-        dlnZ_dv=dv - 1.5 / v)
+        logZ=logZ, mode=mode, quadrature_error=error,
+        dlnZ_db=center + float(d), d2lnZ_db2=float(db2 + (d2 - d * d)),
+        dlnZ_dv=float(dv) - c / v)
+
+
+def _peak_slope(params: ModelParams, zs, peaks, mode: str) -> float:
+    """d_b L at the radial peak of the one z in ``zs``: the centre of the
+    accumulated deviations d = d_b L - centre, so that
+    Var(d_b L) = <d^2> - <d>^2 does not cancel."""
+    return float(_log_integrand(params, peaks[0], zs, mode,
+                                derivs=True)[1][0, 0])
 
 
 def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
                    sigma_z: float, mode: str):
-    """(z_peak, l_peak there): the z of the highest radial peak l_peak, a
-    cheap proxy for the inner integral, found by shrinking grid scans (the z
-    Gaussian can be arbitrarily narrow as gamma -> 1)."""
+    """(z_peak, (r_peak, l_peak) there), each as a one-element array: the z
+    of the highest radial peak l_peak, a cheap proxy for the inner integral,
+    found by shrinking grid scans (the z Gaussian can be arbitrarily narrow
+    as gamma -> 1)."""
     lo, hi = z_lo, z_hi
     for _ in range(48):
         zs = np.linspace(lo, hi, 48)
-        l_peak = _radial_peaks(params, zs, mode)[1]
+        r_peak, l_peak = _radial_peaks(params, zs, mode)
         k = int(np.argmax(l_peak))
         span = hi - lo
         if span < 0.25 * sigma_z:
             break
         lo = max(z_lo, zs[k] - 2.0 * span / 47.0)
         hi = min(z_hi, zs[k] + 2.0 * span / 47.0)
-    return float(zs[k]), float(l_peak[k])
+    return zs[k:k + 1], (r_peak[k:k + 1], l_peak[k:k + 1])
 
 
 def cspa_moments(params: ModelParams, mode: str = "cspa",

@@ -399,13 +399,12 @@ def eof_from_concurrence(C: float) -> float:
     return float(out)
 
 
-def concurrence(pair: PairState, n: int, tier: str = "exact",
-                status: str = "ok") -> ConcurrenceResult:
+def concurrence(pair: PairState, n: int) -> ConcurrenceResult:
     """Concurrence C = 2 [ |alpha| - sqrt(p+ p-) ]_+ of the symmetric pair."""
     u = abs(pair.alpha) - sqrt(max(pair.p_plus * pair.p_minus, 0.0))
     C = max(2.0 * u, 0.0)
     return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
-                             entangled=bool(C > ENTANGLED_EPS), tier=tier, status=status)
+                             entangled=bool(C > ENTANGLED_EPS))
 
 
 # ----------------------------------------------------------------------------

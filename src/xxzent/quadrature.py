@@ -59,16 +59,12 @@ _WGFULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])    # Gauss nodes sit at o
 class QuadResult:
     """Integral value, error estimate and evaluation count."""
 
-    __slots__ = ("value", "error", "neval", "converged")
+    __slots__ = ("value", "error", "neval")
 
-    def __init__(self, value, error, neval, converged):
+    def __init__(self, value, error, neval):
         self.value = value
         self.error = error
         self.neval = neval
-        self.converged = converged
-
-    def __iter__(self):
-        return iter((self.value, self.error))
 
 
 def _panel(f, a, b):
@@ -83,7 +79,7 @@ def _panel(f, a, b):
 
 
 def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
-            max_panels=2000, strict=True):
+            max_panels=2000):
     """Integrate a vectorized callable f over [a, b].
 
     A stacked f (see the module docstring) gives an array value; its error
@@ -91,7 +87,8 @@ def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
 
     ``initial_points`` seeds the panel boundaries (pass the known location of
     a sharp peak so the first pass cannot step over it). Refinement always
-    splits the panel with the largest error estimate.
+    splits the panel with the largest error estimate; a QuadratureError is
+    raised when the budget is still missed after ``max_panels`` panels.
     """
     pts = [a, b] if not initial_points else sorted({a, b, *(
         p for p in initial_points if a < p < b)})
@@ -113,17 +110,15 @@ def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
 
     while toterr > budget() and heap:
         if npanels >= max_panels:
-            if strict:
-                raise QuadratureError(
-                    f"no convergence after {npanels} panels: error {toterr:.2e} "
-                    f"vs target {budget():.2e}")
-            break
+            raise QuadratureError(
+                f"no convergence after {npanels} panels: error {toterr:.2e} "
+                f"vs target {budget():.2e}")
         negerr, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # interval at float resolution: stop splitting it, keep its error
             done_err += -negerr
-            if strict and done_err > budget():
+            if done_err > budget():
                 raise QuadratureError(
                     "panel at float resolution still above the error budget")
             continue
@@ -135,5 +130,4 @@ def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         npanels += 1
-    converged = toterr <= budget()
-    return QuadResult(total, toterr, neval, converged)
+    return QuadResult(total, toterr, neval)

@@ -283,10 +283,6 @@ class LimitResult:
     n_probes: int
     statuses: tuple
 
-    @property
-    def entangled_anywhere(self) -> bool:
-        return bool(self.intervals)
-
 
 def _positive(tier, params, epsrel) -> bool | None:
     pt = evaluate_point(tier, params, epsrel)

@@ -255,7 +255,7 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
         assert np.all(rel <= epsrel)
         np.testing.assert_allclose(batch, [a[0] for a in adaptive], rtol=0,
                                    atol=4 * epsrel)
-        # the d_v L mean that rides along on the same nodes
+        # the derivative means that ride along on the same nodes
         np.testing.assert_allclose(means, np.array([a[2] for a in adaptive]).T,
                                    rtol=1e-10)
 
@@ -425,6 +425,23 @@ def test_moments_match_richardson_differences(n, gamma, b, T, mode):
         assert c.concurrence == pytest.approx(c_ref.concurrence, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["cspa", "spa"])
+def test_moments_continuous_as_gamma_approaches_one(mode):
+    # the gamma < 1 moments join the gamma = 1 radial route: just below
+    # gamma = 1 they lie on the straight line through gamma = 1 and
+    # 1 - 1e-5 (the quadratic term contributes ~1e-11 at 1 - gamma = 1e-6)
+    def moments(gamma):
+        p = ModelParams(n=20, v=1.0, gamma=gamma, b=0.5, T=0.3)
+        m = cspa_moments(p, mode)
+        return np.array([m.sz, m.sz2, m.s2])
+
+    at_one, at_5 = moments(1.0), moments(1.0 - 1e-5)
+    for eps in (1e-6, 1e-7, 1e-8):
+        line = at_one + (at_5 - at_one) * (eps / 1e-5)
+        np.testing.assert_allclose(moments(1.0 - eps), line, rtol=1e-9,
+                                   atol=0)
+
+
 def test_quad_gk_stacked_components_match_scalar():
     # a stacked integrand shares the panels of component 0, which alone
     # drives refinement
@@ -560,15 +577,12 @@ def test_node_derivatives_against_generic_rpa_engine(gamma, b, T, r, z):
                                     rel=1e-9, abs=1e-14)
     dv = first(lambda v: _generic_rpa_route(p.replace(v=v), r, z), 1.0, 1e-4)
     np.testing.assert_allclose([crpa[-1], w2_v], dv, rtol=1e-7, atol=1e-10)
-    if gamma == 1.0:
-        db = first(lambda x: _generic_rpa_route(p.replace(b=x), r, z), b, 1e-4)
-        db2 = second(lambda x: _generic_rpa_route(p.replace(b=x), r, z), b,
-                     1e-3)
-        cos = b / lam
-        np.testing.assert_allclose([crpa[0], w2_1 * cos], db, rtol=1e-7)
-        np.testing.assert_allclose(
-            [crpa[1], w2_2 * cos * cos + w2_1 * r * r / lam ** 3], db2,
-            rtol=1e-6)
+    db = first(lambda x: _generic_rpa_route(p.replace(b=x), r, z), b, 1e-4)
+    db2 = second(lambda x: _generic_rpa_route(p.replace(b=x), r, z), b, 1e-3)
+    cos = (b - z) / lam
+    np.testing.assert_allclose([crpa[0], w2_1 * cos], db, rtol=1e-7)
+    np.testing.assert_allclose(
+        [crpa[1], w2_2 * cos * cos + w2_1 * r * r / lam ** 3], db2, rtol=1e-6)
 
 
 @pytest.mark.parametrize("mode", ["cspa", "spa"])
