@@ -36,6 +36,7 @@ __all__ = [
     "level_energy",
     "multiplicity",
     "log_multiplicity",
+    "log_multiplicities",
     "two_s_range",
     "spectrum_table",
     "crossing_fields",
@@ -185,6 +186,20 @@ def log_multiplicity(n: int, two_S: int) -> float:
         return lc
     # C(n,k-1)/C(n,k) = k/(n-k+1) < 1 for k <= n/2
     return lc + log1p(-k / (n - k + 1.0))
+
+
+def log_multiplicities(n: int) -> np.ndarray:
+    """ln Y(S) for every 2S of :func:`two_s_range` at once.
+
+    Bit-identical to :func:`log_multiplicity` element by element: the same
+    terms, combined in the same order, with lgamma and log1p from ``math``.
+    """
+    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)  # lgamma(j+1)
+    h = n // 2
+    k = np.arange(h, -1, -1.0)             # k = (n - 2S) / 2, 2S ascending
+    lc = lg[n] - lg[h::-1] - lg[n - h:]    # lgamma(k+1), lgamma(n-k+1)
+    x = -k / (n - k + 1.0)
+    return lc + np.fromiter(map(log1p, x.tolist()), float, k.size)
 
 
 def two_s_range(n: int):

@@ -144,10 +144,6 @@ class CurvePoint:
         return r
 
 
-def _pair_C(pair: exact.PairState, n: int) -> float:
-    return exact.concurrence(pair, n).concurrence
-
-
 def _bruteforce(params, epsrel):
     # C from the partial trace of the S_z-block thermal state, the route that
     # is independent of the collective spectrum
@@ -161,13 +157,13 @@ def _exact(params, epsrel):
         pair = exact.ground_state_pair_state(params)
     else:
         moments, pair = exact.thermal_observables(params)
-    return moments, _pair_C(pair, params.n), None
+    return moments, exact.concurrence(pair).concurrence, None
 
 
 def _cspa(params, epsrel):
     moments = cspa.cspa_moments(params, mode="cspa", epsrel=epsrel)
     pair = exact.pair_state(moments, params.n, tol=1e-6, clamp=True)
-    return moments, _pair_C(pair, params.n), None
+    return moments, exact.concurrence(pair).concurrence, None
 
 
 def _spa(params, epsrel):
@@ -191,7 +187,7 @@ def _cmfa(params, epsrel):
         raise NotApplicableError(f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
     moments = cmfa.cmfa_moments(params)
     pair = exact.pair_state(moments, params.n, tol=1e-8, clamp=True)
-    return moments, _pair_C(pair, params.n), None
+    return moments, exact.concurrence(pair).concurrence, None
 
 
 def _mfa(params, epsrel):

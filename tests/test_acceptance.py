@@ -56,7 +56,7 @@ def test_criterion_1_oracle_equivalence():
             denom = max(abs(a), abs(b_), 1e-2)
             worst_m = max(worst_m, abs(a - b_) / denom)
             assert abs(a - b_) <= 1e-10 * max(abs(a), abs(b_)) + 1e-12
-        c_exact = concurrence(pair, n).concurrence
+        c_exact = concurrence(pair).concurrence
         c_bf = wootters_concurrence(rho2)
         worst_c = max(worst_c, abs(c_exact - c_bf))
         assert abs(c_exact - c_bf) < 1e-10
@@ -73,7 +73,7 @@ def test_criterion_2_fig1_reproduction():
     nc = {}
     for b in grid:
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.005)
-        nc[b] = 20 * concurrence(exact_pair_state(p), 20).concurrence
+        nc[b] = 20 * concurrence(exact_pair_state(p)).concurrence
     peak_region = [v for b, v in nc.items() if 0.85 < b < 0.95]
     assert max(peak_region) == pytest.approx(2.00, abs=0.01)
     assert max(nc.values()) == pytest.approx(2.00, abs=0.01)
@@ -84,7 +84,7 @@ def test_criterion_2_fig1_reproduction():
     for b in np.linspace(0.0, 0.94, 20):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=float(b), T=1.0 / 40.0)
         m = cmfa_moments(p)
-        c = concurrence(pair_state(m, 20), 20).concurrence
+        c = concurrence(pair_state(m, 20)).concurrence
         assert 20 * c == pytest.approx(1.000, abs=0.001)
     dt = time.time() - t0
     report(2, f"exact nC peak {max(nc.values()):.4f} (2.00+-0.01), dips at all "
@@ -110,7 +110,7 @@ def test_criterion_3_fig3_threshold():
     n_star = hi
     assert abs(n_star - 8810) <= 1
     p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
-    c_exact = concurrence(exact_pair_state(p), 8810).concurrence
+    c_exact = concurrence(exact_pair_state(p)).concurrence
     assert abs(c_exact) < 0.1 / 8810
     dt = time.time() - t0
     assert dt < 60.0
@@ -144,9 +144,9 @@ def test_criterion_5_cspa_accuracy_and_breakdown():
     for T in CRIT5_T_GRID:
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.9, T=float(T))
         m = cspa_moments(p)
-        c_cspa = concurrence(pair_state(m, 20, tol=1e-6, clamp=True),
-                             20).concurrence
-        c_ex = concurrence(exact_pair_state(p), 20).concurrence
+        c_cspa = concurrence(
+            pair_state(m, 20, tol=1e-6, clamp=True)).concurrence
+        c_ex = concurrence(exact_pair_state(p)).concurrence
         worst = max(worst, abs(c_cspa - c_ex))
         assert abs(c_cspa - c_ex) <= 0.05 * (2.0 / 20.0)
     # breakdown detection at b = 0: T* within 10% of v / 4 pi
@@ -229,9 +229,9 @@ def test_criterion_8_cmfa_large_n_convergence():
     for b in CRIT8_B_GRID:
         p = ModelParams(n=100, v=1.0, gamma=1.0, b=float(b), T=0.1)
         m = cmfa_moments(p)
-        c_cmfa = concurrence(pair_state(m, 100, tol=1e-8, clamp=True),
-                             100).concurrence
-        c_ex = concurrence(exact_pair_state(p), 100).concurrence
+        c_cmfa = concurrence(
+            pair_state(m, 100, tol=1e-8, clamp=True)).concurrence
+        c_ex = concurrence(exact_pair_state(p)).concurrence
         worst = max(worst, abs(c_cmfa - c_ex))
         assert abs(c_cmfa - c_ex) < 0.02 / 100.0
     dt = time.time() - t0

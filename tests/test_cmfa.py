@@ -152,7 +152,7 @@ def test_constant_concurrence_at_t_tilde():
     p0 = ModelParams(n=n, v=1.0, gamma=1.0, b=0.0, T=1.0 / (2 * n))
     for b in np.linspace(0.0, 0.94, 12):
         m = cmfa_moments(p0.replace(b=float(b)))
-        c = concurrence(pair_state(m, n), n).concurrence
+        c = concurrence(pair_state(m, n)).concurrence
         assert n * c == pytest.approx(1.0, abs=1e-9)
 
 
@@ -164,7 +164,7 @@ def test_b_star_boundary_and_maximum():
     assert sol.b_star is not None
     # at b = b*: C = (1 + sqrt(1 - T/Ttilde))/n
     m = cmfa_moments(ModelParams(n=n, v=1.0, gamma=1.0, b=sol.b_star, T=T))
-    c = concurrence(pair_state(m, n, tol=1e-6, clamp=True), n).concurrence
+    c = concurrence(pair_state(m, n, tol=1e-6, clamp=True)).concurrence
     assert c == pytest.approx((1 + sqrt(1 - T / t_tilde)) / n, rel=1e-3)
     with pytest.raises(NotApplicableError):
         cmfa_moments(ModelParams(n=n, v=1.0, gamma=1.0,
@@ -183,7 +183,7 @@ def test_cmfa_t0_limit_matches_stepwise_expansion():
     n = 1000
     p = ModelParams(n=n, v=1.0, gamma=1.0, b=0.5, T=1e-6)
     m = cmfa_moments(p)
-    c = concurrence(pair_state(m, n, tol=1e-6, clamp=True), n).concurrence
+    c = concurrence(pair_state(m, n, tol=1e-6, clamp=True)).concurrence
     assert c == pytest.approx(zero_T_concurrence_approx(n, 0.25), abs=1e-4)
 
 
@@ -194,8 +194,8 @@ def test_cmfa_close_to_exact_mid_regime():
                          (200, 0.5, 0.25, 0.06), (100, 0.7, -0.4, 0.12)):
         p = ModelParams(n=n, v=1.0, gamma=g, b=b, T=T)
         m = cmfa_moments(p)
-        c = concurrence(pair_state(m, n, tol=1e-8, clamp=True), n).concurrence
-        ce = concurrence(exact_pair_state(p), n).concurrence
+        c = concurrence(pair_state(m, n, tol=1e-8, clamp=True)).concurrence
+        ce = concurrence(exact_pair_state(p)).concurrence
         assert abs(c - ce) <= 0.02 / n
 
 
@@ -207,7 +207,7 @@ def test_mfa_separable_product_moments():
         p = ModelParams(n=20, v=1.0, gamma=g, b=b, T=T)
         m = mfa_product_moments(p)
         ps = pair_state(m, 20, tol=1e-9, clamp=True)
-        assert concurrence(ps, 20).concurrence == 0.0
+        assert concurrence(ps).concurrence == 0.0
 
 
 # --------------------------------------------------------------- asymptotics

@@ -315,8 +315,8 @@ def test_cspa_moments_sz_zero_at_b0():
 def test_cspa_concurrence_close_to_exact_n100():
     p = ModelParams(n=100, v=1.0, gamma=1.0, b=0.5, T=0.2)
     m = cspa_moments(p)
-    c = concurrence(pair_state(m, 100, tol=1e-6, clamp=True), 100).concurrence
-    ce = concurrence(exact_pair_state(p), 100).concurrence
+    c = concurrence(pair_state(m, 100, tol=1e-6, clamp=True)).concurrence
+    ce = concurrence(exact_pair_state(p)).concurrence
     assert c == pytest.approx(ce, rel=0.02)
 
 
@@ -346,7 +346,7 @@ def test_spa_moment_route_separable_where_physical():
                       (50, 0.3, 0.4)):
         p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=T)
         m = cspa_moments(p, mode="spa")
-        c = concurrence(pair_state(m, n, tol=1e-6, clamp=True), n).concurrence
+        c = concurrence(pair_state(m, n, tol=1e-6, clamp=True)).concurrence
         assert c < 1e-10
 
 
@@ -359,7 +359,7 @@ def test_cspa_beats_cmfa_near_critical_field():
     errs_cspa, errs_cmfa = [], []
     for b in (0.85, 0.9, 0.95, 1.0, 1.05, 1.1):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.15)
-        ce = concurrence(exact_pair_state(p), 20).concurrence
+        ce = concurrence(exact_pair_state(p)).concurrence
         cs = evaluate_point("cspa", p)
         cm = evaluate_point("cmfa", p)
         assert cs.status == "ok"
@@ -414,14 +414,14 @@ def test_moments_match_richardson_differences(n, gamma, b, T, mode):
     np.testing.assert_allclose([m.sz, m.sz2, m.s2], ref, rtol=5e-10)
     if mode == "cspa":
         try:
-            c = concurrence(pair_state(m, n, tol=1e-6, clamp=True), n)
+            c = concurrence(pair_state(m, n, tol=1e-6, clamp=True))
         except InconsistentMomentsError:
             # moments outside the physical domain: so are the reference's
             with pytest.raises(InconsistentMomentsError):
                 pair_state(type(m)(*ref, m.logZ), n, tol=1e-6, clamp=True)
             return
         c_ref = concurrence(pair_state(type(m)(*ref, m.logZ), n, tol=1e-6,
-                                       clamp=True), n)
+                                       clamp=True))
         assert c.concurrence == pytest.approx(c_ref.concurrence, abs=1e-9)
 
 

@@ -1,8 +1,10 @@
-from math import exp, fsum, log
+from dataclasses import fields
+from math import ceil, copysign, exp, fsum, inf, log, sqrt
 
 import numpy as np
 import pytest
 
+from xxzent import exact
 from xxzent.errors import DomainError, InconsistentMomentsError
 from xxzent.exact import (CollectiveMoments, brute_force_moments,
                           brute_force_observables,
@@ -14,7 +16,7 @@ from xxzent.exact import (CollectiveMoments, brute_force_moments,
                           thermal_observables, wootters_concurrence,
                           zero_T_concurrence_approx)
 from xxzent.model import (ModelParams, crossing_fields, log_multiplicity,
-                          spectrum_table)
+                          spectrum_table, two_s_range)
 
 
 def random_params(rng, n_max=8):
@@ -107,7 +109,7 @@ def _assert_matches_reference(p, logZ, sums):
     for k, y in ref.items():
         assert abs(got[k] - y) <= 1e-13 * abs(y) + 1e-12, (p, k, got[k], y)
     c_ref = 2 * max(abs(ref["alpha"]) - np.sqrt(ref["p_plus"] * ref["p_minus"]), 0)
-    assert abs(concurrence(pair, p.n).concurrence - c_ref) <= 1e-12, p
+    assert abs(concurrence(pair).concurrence - c_ref) <= 1e-12, p
 
 
 def test_windowed_sum_matches_spectrum_table():
@@ -151,11 +153,147 @@ def test_windowed_sum_matches_full_sum_large_n(T):
 
 def test_windowed_sum_work_is_a_few_sectors():
     # the full sum visits all 19.4M levels; the weight sits in 25 of 4406 sectors
-    from xxzent.exact import _summation_window
     p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
-    _, segments = _summation_window(p)
-    levels = sum((hi - lo) // 2 + 1 for _, _, lo, hi in segments)
+    _, (_, _, lo, hi) = exact._summation_window(p)
+    levels = int(((hi - lo) // 2 + 1).sum())
     assert 0 < levels <= 2e4
+
+
+# Reference for the window: the per-sector scalar rule, one sector at a time.
+# ``branches`` records which cases of the rule a run has exercised.
+
+def _scalar_lattice_down(x, two_S):
+    x = min(max(x, -two_S - 4.0), two_S + 4.0)
+    return two_S - 2 * ceil((two_S - x) / 2.0)
+
+
+def _scalar_lattice_up(x, two_S):
+    return -_scalar_lattice_down(-x, two_S)
+
+
+def _scalar_roots(a, b, R):
+    s = sqrt(max(b * b + 4.0 * a * R, 0.0))
+    q = -0.5 * (b + copysign(s, b))
+    if q == 0.0:
+        return 0.0, 0.0
+    r1, r2 = q / a, -R / q
+    return min(r1, r2), max(r1, r2)
+
+
+def _scalar_sector_segments(a, b, R, two_S, branches):
+    if a > 0:
+        branches.add("a > 0")
+        r1, r2 = _scalar_roots(a, b, R)
+        lo = max(_scalar_lattice_up(2.0 * r1, two_S) - 2, -two_S)
+        hi = min(_scalar_lattice_down(2.0 * r2, two_S) + 2, two_S)
+        return [(lo, hi)] if lo <= hi else []
+    if a < 0 and b * b + 4.0 * a * R > 0.0:
+        x1, x2 = _scalar_roots(a, b, R)
+    elif a == 0 and b != 0:
+        branches.add("a = 0, infinite root")
+        x1, x2 = (R / b, inf) if b > 0 else (-inf, R / b)
+    else:
+        branches.add("a < 0, negative discriminant" if a < 0 else "a = 0 = b")
+        return [(-two_S, two_S)]
+    left_hi = min(_scalar_lattice_down(2.0 * x1, two_S) + 2, two_S)
+    right_lo = max(_scalar_lattice_up(2.0 * x2, two_S) - 2, -two_S)
+    if left_hi + 2 >= right_lo:
+        branches.add("a <= 0, gap narrower than a step")
+        return [(-two_S, two_S)]
+    branches.add("a <= 0, two end segments")
+    return [(lo, hi) for lo, hi in ((-two_S, left_hi), (right_lo, two_S))
+            if lo <= hi]
+
+
+def _scalar_window(p, branches):
+    n, beta = p.n, p.beta
+    a, b = p.V * p.gamma, p.b
+    two_S = np.array(two_s_range(n))
+    lnY = np.array([log_multiplicity(n, int(t)) for t in two_S])
+    S = two_S / 2.0
+    const = lnY + beta * (p.V * S * (S + 1.0) - p.E0)
+    cands = [-two_S, two_S]
+    if a > 0:
+        vertex = np.clip(-b / a, -two_S, two_S)
+        below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
+        cands += [below, np.minimum(below + 2.0, two_S)]
+    best = np.max([-beta * (b * (c / 2.0) + a * (c / 2.0) ** 2) for c in cands],
+                  axis=0)
+    sector_max = const + best
+    peak = float(sector_max.max())
+    cut = peak - exact.CUT_NATS - 2.0 * log(n + 1.0)
+    segments = []
+    for k in np.flatnonzero(sector_max >= cut):
+        ts = int(two_S[k])
+        R = (const[k] - cut) / beta
+        segments += [(ts, float(lnY[k]), lo, hi)
+                     for lo, hi in _scalar_sector_segments(a, b, R, ts, branches)]
+    return peak, sorted(segments)
+
+
+def _window_cases():
+    rng = np.random.default_rng(8)
+    # edge cases first: a = 0 with b = 0, a < 0 with a negative discriminant
+    # (whole sectors), a = 0 with b != 0 (one infinite root), odd and even n
+    yield from [(20, 0.0, 0.0, 0.1), (21, 0.0, 0.0, 2.0), (300, -1.0, 0.0, 0.5),
+                (301, -0.5, 0.0, 0.001), (40, 0.0, 0.5, 0.1),
+                (41, 0.0, -3.0, 1.0), (1000, 0.0, 0.5, 5.0),
+                (999, -1.0, 3.0, 0.01), (2, 1.0, 0.0, 0.001), (3, -1.0, 0.5, 5.0)]
+    for _ in range(300):
+        gamma = rng.choice([1.0, 0.5, 0.0, -0.5, -1.0, rng.uniform(-2.0, 1.0)])
+        b = rng.choice([0.0, 0.5, -0.5, 3.0, -3.0, rng.uniform(-4.0, 4.0)])
+        T = np.exp(rng.uniform(log(0.001), log(5.0)))
+        yield int(rng.integers(2, 1001)), float(gamma), float(b), float(T)
+
+
+def test_vectorized_window_matches_scalar_rule():
+    # RuntimeWarnings are errors under the test settings, so a guarded
+    # division that warned (e.g. -R/q at q = 0) would fail here
+    branches = set()
+    for n, gamma, b, T in _window_cases():
+        p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
+        peak, (two_S, lnY, lo, hi) = exact._summation_window(p)
+        ref_peak, ref = _scalar_window(p, branches)
+        assert peak == ref_peak, p
+        got = sorted(zip(two_S.tolist(), lnY.tolist(), lo.tolist(), hi.tolist()))
+        assert got == ref, p
+    assert branches == {"a > 0", "a = 0 = b", "a = 0, infinite root",
+                        "a < 0, negative discriminant",
+                        "a <= 0, gap narrower than a step",
+                        "a <= 0, two end segments"}
+
+
+@pytest.mark.parametrize("gamma, b, T", [(1.0, 0.3, 0.1), (-0.5, 0.5, 0.2),
+                                         (0.0, 0.5, 0.05)])
+def test_chunked_sum_matches_default(monkeypatch, gamma, b, T):
+    p = ModelParams(n=1000, v=1.0, gamma=gamma, b=b, T=T)
+    _, (_, _, lo, hi) = exact._summation_window(p)
+    end = np.cumsum((hi - lo) // 2 + 1)
+    assert np.any(end % 5 != 0)          # some segment ends inside a chunk
+    ref = thermal_observables(p)
+    monkeypatch.setattr(exact, "CHUNK_LEVELS", 5)
+    got = thermal_observables(p)
+    for r, g in zip(ref, got):
+        for f in fields(r):
+            x, y = getattr(r, f.name), getattr(g, f.name)
+            # p = (1 - p+ - p-)/2 is a difference of sums, so it is held to
+            # 1e-14 of the trace; everything else is a sum held to 1e-14 of
+            # itself
+            tol = dict(abs=1e-14) if f.name == "p" else dict(rel=1e-14, abs=0.0)
+            assert y == pytest.approx(x, **tol), (p, f.name)
+
+
+@pytest.mark.parametrize("n, b", [(1000, 0.3), (8810, 0.0)])
+def test_level_weights_called_once_per_chunk(monkeypatch, n, b):
+    p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.1)
+    _, (_, _, lo, hi) = exact._summation_window(p)
+    levels = int(((hi - lo) // 2 + 1).sum())
+    calls = []
+    level_weights = exact._level_weights
+    monkeypatch.setattr(exact, "_level_weights",
+                        lambda *a: calls.append(1) or level_weights(*a))
+    thermal_observables(p)
+    assert len(calls) == ceil(levels / exact.CHUNK_LEVELS) < lo.size
 
 
 def test_exact_tier_reaches_n_1e5():
@@ -177,7 +315,7 @@ def test_pair_state_aligned():
     assert ps.p_plus == pytest.approx(0.0, abs=1e-12)
     assert ps.p == pytest.approx(0.0, abs=1e-12)
     assert ps.alpha == pytest.approx(0.0, abs=1e-12)
-    assert concurrence(ps, n).concurrence == 0.0
+    assert concurrence(ps).concurrence == 0.0
 
 
 def test_pair_state_singlet():
@@ -209,7 +347,7 @@ def test_concurrence_bounds_and_eof():
     rng = np.random.default_rng(2)
     for _ in range(100):
         p = random_params(rng)
-        res = concurrence(exact_pair_state(p), p.n)
+        res = concurrence(exact_pair_state(p))
         assert 0.0 <= res.concurrence <= 2.0 / p.n + 1e-12
         assert res.eof >= 0.0
         assert (res.eof == 0.0) == (res.concurrence == 0.0)
@@ -224,7 +362,7 @@ def test_w_state_concurrence_is_two_over_n():
         half = n / 2
         m = CollectiveMoments(sz=half - 1, sz2=(half - 1) ** 2,
                               s2=half * (half + 1))
-        res = concurrence(pair_state(m, n), n)
+        res = concurrence(pair_state(m, n))
         assert res.concurrence == pytest.approx(2.0 / n, rel=1e-12)
 
 
@@ -233,7 +371,7 @@ def test_ground_sector_concurrence_near_inverse_n():
     for n in (10, 40, 200):
         half = n / 2
         m = CollectiveMoments(sz=0.0, sz2=0.0, s2=half * (half + 1))
-        res = concurrence(pair_state(m, n), n)
+        res = concurrence(pair_state(m, n))
         assert res.concurrence == pytest.approx(1.0 / (n - 1),
                                                 abs=2.0 / (n - 1) ** 2)
 
@@ -251,7 +389,7 @@ def test_ground_state_aligned_beyond_bc():
     m = ground_state_moments(p)
     assert m.sz == pytest.approx(-10.0)
     assert m.sz2 == pytest.approx(100.0)
-    res = concurrence(ground_state_pair_state(p), 20)
+    res = concurrence(ground_state_pair_state(p))
     assert res.concurrence == 0.0
 
 
@@ -261,7 +399,7 @@ def test_crossing_field_fluctuation_and_dip():
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b)
         m = ground_state_moments(p)
         assert m.sz2 - m.sz ** 2 == pytest.approx(0.25, abs=1e-10)
-        res = concurrence(ground_state_pair_state(p), 20)
+        res = concurrence(ground_state_pair_state(p))
         assert 20 * res.concurrence == pytest.approx(1.0, abs=1e-12)
 
 
@@ -290,7 +428,7 @@ def test_gamma_nonpositive_no_entanglement_at_t0():
     for gamma in (-0.5, 0.0):
         for b in (0.3, 1.0, 2.5):
             p = ModelParams(n=10, v=1.0, gamma=gamma, b=b)
-            res = concurrence(ground_state_pair_state(p), 10)
+            res = concurrence(ground_state_pair_state(p))
             assert res.concurrence == 0.0
 
 
@@ -322,7 +460,7 @@ def test_brute_force_concurrence_routes_agree():
     for _ in range(15):
         p = random_params(rng, n_max=7)
         c_wootters = wootters_concurrence(brute_force_pair_density(p))
-        c_formula = concurrence(exact_pair_state(p), p.n).concurrence
+        c_formula = concurrence(exact_pair_state(p)).concurrence
         assert c_wootters == pytest.approx(c_formula, abs=1e-10)
 
 
@@ -383,7 +521,7 @@ def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
     for a, b_ in ((ex.logZ, bf.logZ), (ex.sz, bf.sz), (ex.sz2, bf.sz2),
                   (ex.s2, bf.s2)):
         assert abs(a - b_) <= 1e-10 * max(abs(a), abs(b_)) + 1e-12
-    c_exact = concurrence(pair, n).concurrence
+    c_exact = concurrence(pair).concurrence
     assert c_exact > 1e-3
     assert abs(c_exact - wootters_concurrence(rho2)) < 1e-10
 
@@ -426,7 +564,7 @@ def test_large_field_expansion_tracks_exact():
     for T in (0.05, 0.1):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=2.0, T=T)
         approx = large_field_expansion(p).concurrence
-        ex = concurrence(exact_pair_state(p), 20).concurrence
+        ex = concurrence(exact_pair_state(p)).concurrence
         assert approx == pytest.approx(ex, rel=0.1)
 
 
@@ -447,7 +585,7 @@ def test_zero_T_approx_matches_ground_state_chain():
     half = n / 2
     M = -n // 4
     m = CollectiveMoments(sz=float(M), sz2=float(M * M), s2=half * (half + 1))
-    chain = concurrence(pair_state(m, n), n).concurrence
+    chain = concurrence(pair_state(m, n)).concurrence
     approx = zero_T_concurrence_approx(n, M / n)
     assert chain == pytest.approx(approx, abs=5.0 / (n - 1) ** 2)
 
@@ -456,6 +594,6 @@ def test_field_symmetry_of_concurrence():
     rng = np.random.default_rng(4)
     for _ in range(10):
         p = random_params(rng, n_max=12)
-        cp = concurrence(exact_pair_state(p), p.n).concurrence
-        cm = concurrence(exact_pair_state(p.replace(b=-p.b)), p.n).concurrence
+        cp = concurrence(exact_pair_state(p)).concurrence
+        cm = concurrence(exact_pair_state(p.replace(b=-p.b))).concurrence
         assert cp == pytest.approx(cm, abs=1e-12)

@@ -3,8 +3,8 @@ import pytest
 
 from xxzent.errors import DomainError
 from xxzent.model import (ModelParams, crossing_fields, level_energy,
-                          log_multiplicity, multiplicity, spectrum_table,
-                          two_s_range)
+                          log_multiplicities, log_multiplicity, multiplicity,
+                          spectrum_table, two_s_range)
 
 
 def test_level_energy_n2():
@@ -67,6 +67,16 @@ def test_log_multiplicity_matches_exact_integers():
 def test_log_multiplicity_large_n_no_overflow():
     val = log_multiplicity(10000, 10000 % 2)
     assert np.isfinite(val) and val > 6000   # ~ n ln 2 at S ~ 0
+
+
+def test_log_multiplicities_bit_identical():
+    # the array route must reproduce the scalar one exactly, not just closely:
+    # the exact tier's certified window is built from these values
+    for n in (2, 3, 20, 21, 8810, 100_001):
+        got = log_multiplicities(n)
+        ref = [log_multiplicity(n, two_S) for two_S in two_s_range(n)]
+        assert got.shape == (len(ref),)
+        assert all(x == y for x, y in zip(got.tolist(), ref)), n
 
 
 def test_crossing_fields_n20():

@@ -162,7 +162,7 @@ def test_entangled_flag_is_a_python_bool_for_every_tier():
     pt = evaluate_point("exact", p.replace(T=0.0))
     assert type(pt.result.entangled) is bool
     pair = exact.exact_pair_state(p)
-    assert type(exact.concurrence(pair, p.n).entangled) is bool
+    assert type(exact.concurrence(pair).entangled) is bool
     far = exact.large_field_expansion(p.replace(b=2.0, T=0.02))
     assert far.status == "ok" and type(far.entangled) is bool
 
@@ -225,7 +225,7 @@ def test_exact_t0_large_n_matches_low_T_limit():
                                                                    abs=1e-9)
         _, pair = thermal_observables(p.replace(T=1e-6))
         assert pt.result.concurrence == pytest.approx(
-            concurrence(pair, n).concurrence, abs=1e-12)
+            concurrence(pair).concurrence, abs=1e-12)
 
 
 def test_any_exception_becomes_error_status(monkeypatch):
