@@ -38,8 +38,9 @@ which are the Hartree values and match the exact tier for large n at every
 gamma; see the docstring of cmfa_moments for why the two prescriptions
 differ at gamma < 1.
 
-mode="mfa" keeps only the separable product-state content (no fluctuation
-factors): its two-qubit reduced state is a product state, so the MFA
+The plain MFA (no fluctuation factors), the mfa tier, is
+mfa_product_moments: the gamma-direct moments and ln Z of the Hartree
+product state. Its two-qubit reduced state is a product state, so the MFA
 concurrence vanishes identically.
 """
 
@@ -169,7 +170,7 @@ def _logZ_free(n: int, beta: float, lam: float, E0: float) -> float:
     return n * (log(2.0) + _log_cosh(0.5 * beta * lam)) - beta * E0
 
 
-def _cmfa_logZ_xx(params: ModelParams, mode: str) -> float:
+def _cmfa_logZ_xx(params: ModelParams) -> float:
     """gamma = 1 branch: closed forms for both phases."""
     n, v, b, T = params.n, params.v, abs(params.b), params.T
     beta = 1.0 / T
@@ -181,21 +182,19 @@ def _cmfa_logZ_xx(params: ModelParams, mode: str) -> float:
             raise PhaseError(f"chi = {chi} >= 1 inside the deformed branch")
         out = -(0.25 * n * beta / v) * (lam * lam - b * b) \
             + _logZ_free(n, beta, lam, E0)
-        if mode == "cmfa":
-            out += _log_sinh(0.5 * beta * lam) \
-                + 0.5 * log(4.0 * pi * n / (beta * v * (1.0 - chi)))
+        out += _log_sinh(0.5 * beta * lam) \
+            + 0.5 * log(4.0 * pi * n / (beta * v * (1.0 - chi)))
         return out
     # normal phase: single RPA mode w = b - v tanh(beta b / 2) > 0
     out = _logZ_free(n, beta, b, E0)
-    if mode == "cmfa":
-        # sinh(beta b/2)/sinh(beta w/2) written via g(u) = sinh(beta u/2)/(beta u/2)
-        # to stay finite for b -> 0 and w -> 0
-        tr = tanh(0.5 * beta * b) / (0.5 * beta * b) if b > 0 else 1.0
-        ratio = 1.0 - 0.5 * beta * v * tr          # w/b, continued through b = 0
-        if ratio <= 0.0:
-            raise PhaseError("normal-phase RPA mode not positive (at T_c?)")
-        w = b * ratio
-        out += _log_g(0.5 * beta * b) - _log_g(0.5 * beta * w) - log(ratio)
+    # sinh(beta b/2)/sinh(beta w/2) written via g(u) = sinh(beta u/2)/(beta u/2)
+    # to stay finite for b -> 0 and w -> 0
+    tr = tanh(0.5 * beta * b) / (0.5 * beta * b) if b > 0 else 1.0
+    ratio = 1.0 - 0.5 * beta * v * tr          # w/b, continued through b = 0
+    if ratio <= 0.0:
+        raise PhaseError("normal-phase RPA mode not positive (at T_c?)")
+    w = b * ratio
+    out += _log_g(0.5 * beta * b) - _log_g(0.5 * beta * w) - log(ratio)
     return out
 
 
@@ -208,8 +207,8 @@ def _log_g(x: float) -> float:
     return log(sinh(x) / x)
 
 
-def cmfa_logZ(params: ModelParams, mode: str = "cmfa") -> float:
-    """ln Z_CMFA (or ln Z_MFA for mode="mfa") at any gamma in (0, 1].
+def cmfa_logZ(params: ModelParams) -> float:
+    """ln Z_CMFA at any gamma in (0, 1].
 
     gamma < 1 is produced by the exact rescaling identity
     logZ(gamma, b) = logZ(1, b/gamma) - ln(gamma)/2, applied literally; this
@@ -218,18 +217,16 @@ def cmfa_logZ(params: ModelParams, mode: str = "cmfa") -> float:
     (e.g. E0(1) = v/2), so cross-tier comparisons of ln Z should be done at
     gamma = 1 (the moment formulas are unaffected; see cmfa_moments).
     """
-    if mode not in ("cmfa", "mfa"):
-        raise DomainError(f"unknown mode {mode!r}")
     if params.T <= 0:
         raise DomainError("cmfa_logZ requires T > 0")
     if params.gamma <= 0:
         raise DomainError("CMFA closed forms require gamma > 0")
     g = params.gamma
     rescaled = params.replace(gamma=1.0, b=params.b / g)
-    return _cmfa_logZ_xx(rescaled, mode) - 0.5 * log(g)
+    return _cmfa_logZ_xx(rescaled) - 0.5 * log(g)
 
 
-def cmfa_moments(params: ModelParams, mode: str = "cmfa") -> CollectiveMoments:
+def cmfa_moments(params: ModelParams) -> CollectiveMoments:
     """Analytic deformed-phase moments (gamma-direct forms).
 
     These are the Hartree values plus the RPA-corrected <S^2>: the transverse
@@ -247,8 +244,6 @@ def cmfa_moments(params: ModelParams, mode: str = "cmfa") -> CollectiveMoments:
     NotApplicableError for T <= Ttilde, |b| > b*, where the concurrence
     formula turns complex.
     """
-    if mode == "mfa":
-        return mfa_product_moments(params)
     sol = gap_solve(params)
     if sol.phase != "deformed":
         raise PhaseError(
@@ -264,7 +259,7 @@ def cmfa_moments(params: ModelParams, mode: str = "cmfa") -> CollectiveMoments:
     sz2 = sz * sz + n * T / (2.0 * g * v)
     s2 = (0.5 * n * lam / v) ** 2 \
         + 0.5 * n * (1.0 - chi * (2.0 - (1.0 + chi) * T / v)) / (1.0 - chi) ** 2
-    return CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=cmfa_logZ(params, mode))
+    return CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=cmfa_logZ(params))
 
 
 def _normal_z_shift(params: ModelParams) -> float:

@@ -30,10 +30,10 @@ maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
 z. Each radial integral is shifted by its l_peak, with panels placed across
 r_peak so the quadrature cannot miss a sharp large-n saddle: one fixed
 panel layout per radial integral, batched over z (a single row at
-gamma = 1), with the adaptive quadrature as the fallback for rows that miss
-the error budget. For gamma < 1 the z with the highest l_peak seeds the
-outer z panels and shifts the outer integral; z nodes more than 200
-log-units below it are skipped.
+gamma = 1); a row that misses the error budget is refined adaptively over
+the same cut, in the same function. For gamma < 1 the z with the highest
+l_peak seeds the outer z panels and shifts the outer integral; z nodes more
+than 200 log-units below it are skipped.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -369,31 +369,6 @@ def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
     return w * np.stack([np.ones_like(w), d, d * d, terms[1], terms[2]])
 
 
-def _radial_log_integral(params: ModelParams, z: float, peak, mode: str,
-                         epsrel: float, center: float = 0.0):
-    """(ln I_0, rel. error, [I_k / I_0 for k >= 1], evaluations), I_k the
-    integrals over (0, r_max) of the rows of _weighted_factors at this z,
-    with ``peak`` = (r_peak, l_peak) of _radial_peaks seeded into the panels.
-    Refinement follows I_0."""
-    r_peak, l_peak = peak
-    sigma = _radial_width(params)[1]
-    r_max = float(_radial_cut(params, z, peak, mode))
-
-    def f(r):
-        y = _weighted_factors(params, r, z, mode, l_peak, center)
-        return np.where(r <= 0, 0.0, y)
-
-    seeds = sorted({r_peak + k * sigma for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)}
-                   | {0.25 * r_max, 0.5 * r_max, 0.75 * r_max})
-    res = quad_gk(f, 0.0, r_max, epsabs=1e-300, epsrel=epsrel,
-                  initial_points=seeds, max_panels=4000)
-    total = res.value[0]
-    if total <= 0:
-        raise QuadratureError("radial CSPA integral collapsed to zero")
-    return (l_peak + log(total), res.error / total, res.value[1:] / total,
-            res.neval)
-
-
 # fixed panel edges (units of sigma, stretched with the cut) of the batched
 # inner integral; the integrand is smooth, so they resolve it to ~1e-10
 _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
@@ -403,18 +378,22 @@ _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
 
 def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
                                epsrel: float, center: float = 0.0):
-    """_radial_log_integral for a whole batch of z values, vectorized:
-    (ln I_0, rel. error, I_k / I_0 with one column per z).
+    """(ln I_0, rel. error, I_k / I_0 with one column per z), I_k the
+    integrals over (0, r_max) of the rows of _weighted_factors, for a whole
+    batch of z values, vectorized.
 
     One fixed Gauss-Kronrod panel layout per z, centred on its r_peak (from
-    ``peaks``, as in _radial_peaks) and cut where the adaptive path cuts, in
-    a single array call; rows whose K15-G7 error estimate of I_0 misses the
-    budget fall back to the adaptive path with the same peak.
+    ``peaks``, as in _radial_peaks) and cut at _radial_cut, in a single array
+    call; a row whose K15-G7 error estimate of I_0 misses the budget is
+    refined adaptively over the same cut, with panels seeded across its peak.
+    Refinement follows I_0.
     """
     nz = zs.size
     r_peak, l_peak = peaks
     width, sigma = _radial_width(params)
     r_max = _radial_cut(params, zs, peaks, mode)
+    # the adaptive refinement seeds its panels at r_peak + k bare sigmas
+    offsets = np.array([-8, -4, -2, -1, 0, 1, 2, 4, 8]) * sigma
     # a cut moved out means a profile wider than the bare Gaussian
     sigma = sigma * np.where(r_max > r_peak + width, (r_max - r_peak) / width,
                              1.0)
@@ -434,19 +413,23 @@ def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
     err = np.bincount(row, np.abs(k15[0] - (y[0] @ _WGFULL) * half),
                       minlength=nz)
     val = np.stack([np.bincount(row, k, minlength=nz) for k in k15])
-    out = np.empty(nz)
-    rel_err = np.empty(nz)
-    means = np.empty((val.shape[0] - 1, nz))
-    for i in range(nz):
-        if val[0, i] > 0 and err[i] <= epsrel * val[0, i]:
-            out[i] = l_peak[i] + log(val[0, i])
-            rel_err[i] = err[i] / val[0, i]
-            means[:, i] = val[1:, i] / val[0, i]
-        else:
-            out[i], rel_err[i], means[:, i], _ = _radial_log_integral(
-                params, float(zs[i]), (r_peak[i], l_peak[i]), mode, epsrel,
-                center)
-    return out, rel_err, means
+    for i in np.flatnonzero(~((val[0] > 0) & (err <= epsrel * val[0]))):
+        def f(r):
+            y = _weighted_factors(params, r, zs[i], mode, l_peak[i], center)
+            return np.where(r <= 0, 0.0, y)
+
+        cut = r_max[i]
+        res = quad_gk(f, 0.0, cut, epsabs=1e-300, epsrel=epsrel,
+                      initial_points=[*(r_peak[i] + offsets), 0.25 * cut,
+                                      0.5 * cut, 0.75 * cut],
+                      max_panels=4000)
+        if res.value[0] <= 0:
+            raise QuadratureError("radial CSPA integral collapsed to zero")
+        val[:, i], err[i] = res.value, res.error
+    # math.log, not np.log: numpy's SIMD log differs from it in the last bit
+    # on some inputs, and ln I_0 feeds every output of cspa_logZ
+    return (l_peak + np.fromiter(map(log, val[0]), float, nz), err / val[0],
+            val[1:] / val[0])
 
 
 def cspa_logZ(params: ModelParams, mode: str = "cspa",

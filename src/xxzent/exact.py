@@ -68,6 +68,7 @@ __all__ = [
     "exact_moments",
     "exact_pair_state",
     "thermal_observables",
+    "ground_state_observables",
     "ground_state_moments",
     "ground_state_pair_state",
     "pair_state",
@@ -373,26 +374,32 @@ def _mixture_observables(params: ModelParams, levels):
     return _observables(params.n, sums)
 
 
-def ground_state_moments(params: ModelParams) -> CollectiveMoments:
-    """T = 0 moments: sharp (S, M) values, or the equal mixture at a crossing.
+def ground_state_observables(params: ModelParams):
+    """One pass over the ground levels: (CollectiveMoments, PairState) at T = 0.
 
-    At a crossing field the two-level mixture reproduces the fluctuation
-    <S_z^2> - <S_z>^2 = 1/4 responsible for the C = 1/n dips.
+    Sharp (S, M) values, or the equal mixture at a crossing field, where the
+    two-level mixture reproduces the fluctuation <S_z^2> - <S_z>^2 = 1/4
+    responsible for the C = 1/n dips.
     """
-    return _mixture_observables(params, _ground_levels(params))[0]
+    return _mixture_observables(params, _ground_levels(params))
+
+
+def ground_state_moments(params: ModelParams) -> CollectiveMoments:
+    """T = 0 moments of :func:`ground_state_observables`."""
+    return ground_state_observables(params)[0]
 
 
 def ground_state_pair_state(params: ModelParams) -> PairState:
-    """T = 0 two-qubit reduced state (same mixture as ground_state_moments)."""
-    return _mixture_observables(params, _ground_levels(params))[1]
+    """T = 0 two-qubit reduced state of :func:`ground_state_observables`."""
+    return ground_state_observables(params)[1]
 
 
 # ----------------------------------------------------------------------------
 # Reduced state and concurrence
 # ----------------------------------------------------------------------------
 
-def pair_state(moments: CollectiveMoments, n: int, tol: float = 1e-12,
-               clamp: bool = False) -> PairState:
+def pair_state(moments: CollectiveMoments, n: int,
+               tol: float = 1e-12) -> PairState:
     """Two-qubit reduced state from the collective moments.
 
         p+-   = (<S_z^2> - n/4)/(n(n-1)) + 1/4 +- <S_z>/n
@@ -400,9 +407,8 @@ def pair_state(moments: CollectiveMoments, n: int, tol: float = 1e-12,
 
     Raises InconsistentMomentsError when rho_2 fails positivity by more than
     ``tol`` (this guards the approximate tiers, whose moments carry quadrature
-    noise).  With ``clamp`` the tiny negative diagonal
-    populations inside the tolerance band are clipped to zero, which keeps
-    sqrt(p+ p-) real for downstream use.
+    noise).  Negative diagonal populations inside the tolerance band are
+    clipped to zero, which keeps sqrt(p+ p-) real for downstream use.
     """
     common = (moments.sz2 - n / 4.0) / (n * (n - 1.0)) + 0.25
     p_plus = common + moments.sz / n
@@ -414,10 +420,8 @@ def pair_state(moments: CollectiveMoments, n: int, tol: float = 1e-12,
         raise InconsistentMomentsError(
             f"rho_2 not PSD: min eigenvalue {worst:.3e} < -{tol:.0e} "
             "(moments inconsistent with a physical symmetric pair state)")
-    if clamp:
-        p_plus = max(p_plus, 0.0)
-        p_minus = max(p_minus, 0.0)
-    return PairState(p_plus=p_plus, p=p, p_minus=p_minus, alpha=alpha)
+    return PairState(p_plus=max(p_plus, 0.0), p=p, p_minus=max(p_minus, 0.0),
+                     alpha=alpha)
 
 
 def eof_from_concurrence(C: float) -> float:

@@ -85,7 +85,6 @@ class SweepSpec:
     fixed: ModelParams
     axes: tuple
     outputs: tuple = CSV_COLUMNS
-    mode_epsrel: float = 1e-10   # quadrature budget for the cspa/spa tiers
 
     def __post_init__(self):
         if self.tier not in TIERS:
@@ -152,17 +151,15 @@ def _bruteforce(params, epsrel):
 
 
 def _exact(params, epsrel):
-    if params.T == 0:
-        moments = exact.ground_state_moments(params)
-        pair = exact.ground_state_pair_state(params)
-    else:
-        moments, pair = exact.thermal_observables(params)
+    observables = (exact.ground_state_observables if params.T == 0
+                   else exact.thermal_observables)
+    moments, pair = observables(params)
     return moments, exact.concurrence(pair).concurrence, None
 
 
 def _cspa(params, epsrel):
     moments = cspa.cspa_moments(params, mode="cspa", epsrel=epsrel)
-    pair = exact.pair_state(moments, params.n, tol=1e-6, clamp=True)
+    pair = exact.pair_state(moments, params.n, tol=1e-6)
     return moments, exact.concurrence(pair).concurrence, None
 
 
@@ -186,7 +183,7 @@ def _cmfa(params, epsrel):
     if not sol.applicable:
         raise NotApplicableError(f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
     moments = cmfa.cmfa_moments(params)
-    pair = exact.pair_state(moments, params.n, tol=1e-8, clamp=True)
+    pair = exact.pair_state(moments, params.n, tol=1e-8)
     return moments, exact.concurrence(pair).concurrence, None
 
 
@@ -256,7 +253,7 @@ def evaluate_points(tier: str, params, epsrel: float = 1e-10,
 
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Evaluate the tier on every grid point; output ordered by grid index."""
-    return evaluate_points(spec.tier, spec.points(), spec.mode_epsrel, workers)
+    return evaluate_points(spec.tier, spec.points(), workers=workers)
 
 
 # ----------------------------------------------------------------------------

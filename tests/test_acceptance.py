@@ -145,7 +145,7 @@ def test_criterion_5_cspa_accuracy_and_breakdown():
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.9, T=float(T))
         m = cspa_moments(p)
         c_cspa = concurrence(
-            pair_state(m, 20, tol=1e-6, clamp=True)).concurrence
+            pair_state(m, 20, tol=1e-6)).concurrence
         c_ex = concurrence(exact_pair_state(p)).concurrence
         worst = max(worst, abs(c_cspa - c_ex))
         assert abs(c_cspa - c_ex) <= 0.05 * (2.0 / 20.0)
@@ -230,7 +230,7 @@ def test_criterion_8_cmfa_large_n_convergence():
         p = ModelParams(n=100, v=1.0, gamma=1.0, b=float(b), T=0.1)
         m = cmfa_moments(p)
         c_cmfa = concurrence(
-            pair_state(m, 100, tol=1e-8, clamp=True)).concurrence
+            pair_state(m, 100, tol=1e-8)).concurrence
         c_ex = concurrence(exact_pair_state(p)).concurrence
         worst = max(worst, abs(c_cmfa - c_ex))
         assert abs(c_cmfa - c_ex) < 0.02 / 100.0

@@ -94,13 +94,12 @@ def test_logZ_low_T_against_exact_additive_log_n():
     assert abs(diff) < 3 * log(1000)
 
 
-def test_logZ_rejects_bad_modes_and_gamma():
+def test_logZ_rejects_nonpositive_gamma_and_T():
     p = ModelParams(n=10, v=1.0, gamma=0.0, b=0.1, T=0.2)
     with pytest.raises(DomainError):
         cmfa_logZ(p)
     with pytest.raises(DomainError):
-        cmfa_logZ(ModelParams(n=10, v=1.0, gamma=1.0, b=0.1, T=0.2),
-                  mode="bogus")
+        cmfa_logZ(p.replace(gamma=1.0, T=0.0))
 
 
 def test_tc_discontinuity_is_measured():
@@ -164,7 +163,7 @@ def test_b_star_boundary_and_maximum():
     assert sol.b_star is not None
     # at b = b*: C = (1 + sqrt(1 - T/Ttilde))/n
     m = cmfa_moments(ModelParams(n=n, v=1.0, gamma=1.0, b=sol.b_star, T=T))
-    c = concurrence(pair_state(m, n, tol=1e-6, clamp=True)).concurrence
+    c = concurrence(pair_state(m, n, tol=1e-6)).concurrence
     assert c == pytest.approx((1 + sqrt(1 - T / t_tilde)) / n, rel=1e-3)
     with pytest.raises(NotApplicableError):
         cmfa_moments(ModelParams(n=n, v=1.0, gamma=1.0,
@@ -183,7 +182,7 @@ def test_cmfa_t0_limit_matches_stepwise_expansion():
     n = 1000
     p = ModelParams(n=n, v=1.0, gamma=1.0, b=0.5, T=1e-6)
     m = cmfa_moments(p)
-    c = concurrence(pair_state(m, n, tol=1e-6, clamp=True)).concurrence
+    c = concurrence(pair_state(m, n, tol=1e-6)).concurrence
     assert c == pytest.approx(zero_T_concurrence_approx(n, 0.25), abs=1e-4)
 
 
@@ -194,7 +193,7 @@ def test_cmfa_close_to_exact_mid_regime():
                          (200, 0.5, 0.25, 0.06), (100, 0.7, -0.4, 0.12)):
         p = ModelParams(n=n, v=1.0, gamma=g, b=b, T=T)
         m = cmfa_moments(p)
-        c = concurrence(pair_state(m, n, tol=1e-8, clamp=True)).concurrence
+        c = concurrence(pair_state(m, n, tol=1e-8)).concurrence
         ce = concurrence(exact_pair_state(p)).concurrence
         assert abs(c - ce) <= 0.02 / n
 
@@ -206,7 +205,7 @@ def test_mfa_separable_product_moments():
                       (-0.5, 0.3, 0.2)):
         p = ModelParams(n=20, v=1.0, gamma=g, b=b, T=T)
         m = mfa_product_moments(p)
-        ps = pair_state(m, 20, tol=1e-9, clamp=True)
+        ps = pair_state(m, 20, tol=1e-9)
         assert concurrence(ps).concurrence == 0.0
 
 

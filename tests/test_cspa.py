@@ -223,23 +223,50 @@ def test_cspa_2d_n100_against_tensor_grid(mode):
     assert cspa_logZ(p, mode).logZ == pytest.approx(ref, abs=1e-10)
 
 
+def _radial_reference(cspa, p, z, peak, mode):
+    """(ln I_0, [I_k / I_0 for k >= 1]) of the rows of _weighted_factors over
+    (0, _radial_cut), each row integrated on its own by scipy's adaptive
+    quadrature, which shares nothing with quad_gk."""
+    from scipy.integrate import quad as scipy_quad
+    r_peak, l_peak = peak
+    cut = float(cspa._radial_cut(p, z, peak, mode))
+    rows = {}
+
+    def row(k):
+        def f(r):
+            if r not in rows:
+                rows[r] = cspa._weighted_factors(p, np.array([r]), z, mode,
+                                                 l_peak, 0.0)[:, 0]
+            return rows[r][k]
+        return scipy_quad(f, 0.0, cut, points=[r_peak], epsabs=0.0,
+                          epsrel=1e-13, limit=400)[0]
+
+    integrals = np.array([row(k) for k in range(5)])
+    return l_peak + log(integrals[0]), integrals[1:] / integrals[0]
+
+
+def _count_quad_gk(monkeypatch, cspa):
+    """Record the interval of every quad_gk call made by cspa."""
+    calls = []
+
+    def counted(f, a, b, **kwargs):
+        calls.append((a, b))
+        return quad_gk(f, a, b, **kwargs)
+
+    monkeypatch.setattr(cspa, "quad_gk", counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode", ["cspa", "spa"])
 def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
-    # the fixed-panel batch and the adaptive radial integral agree to the
+    # the fixed-panel batch and an adaptive radial integral agree to the
     # quadrature budget, given the same peaks; at n = 100 the radial profile
     # is wider than the bare Gaussian at some z, so the cut moves out. At
     # z == b, lam = 0 at r = 0: the batch evaluates only panels of nonzero
     # width, whose nodes all lie at r > 0, so it takes no log(0)
     # (RuntimeWarnings are errors under pytest)
     import xxzent.cspa as cspa
-    adaptive_integral = cspa._radial_log_integral
-    fallbacks = []
-
-    def counted(p, z, *args):
-        fallbacks.append(z)
-        return adaptive_integral(p, z, *args)
-
-    monkeypatch.setattr(cspa, "_radial_log_integral", counted)
+    fallbacks = _count_quad_gk(monkeypatch, cspa)
     epsrel = 1e-10
     for p in (ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3),
               ModelParams(n=100, v=1.0, gamma=-0.5, b=0.5, T=0.25),
@@ -250,13 +277,13 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
         batch, rel, means = cspa._radial_log_integral_batch(p, zs, peaks,
                                                             mode, epsrel)
         assert fallbacks == []       # the fixed panels alone meet the budget
-        adaptive = [adaptive_integral(p, z, (r0, l0), mode, epsrel)
+        adaptive = [_radial_reference(cspa, p, z, (r0, l0), mode)
                     for z, r0, l0 in zip(zs, *peaks)]
         assert np.all(rel <= epsrel)
         np.testing.assert_allclose(batch, [a[0] for a in adaptive], rtol=0,
                                    atol=4 * epsrel)
         # the derivative means that ride along on the same nodes
-        np.testing.assert_allclose(means, np.array([a[2] for a in adaptive]).T,
+        np.testing.assert_allclose(means, np.array([a[1] for a in adaptive]).T,
                                    rtol=1e-10)
 
 
@@ -278,11 +305,13 @@ def test_radial_peaks_match_a_per_z_scan():
 
 def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
     # the outer shift comes from the peak scan, not from an extra adaptive
-    # radial integral at the z peak
+    # radial integral at the z peak: the one quad_gk call is the outer z
+    # integral, since every inner row meets the budget on its fixed panels
     import xxzent.cspa as cspa
-    monkeypatch.setattr(cspa, "_radial_log_integral", None)
+    calls = _count_quad_gk(monkeypatch, cspa)
     ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3))
     assert np.isfinite(ev.logZ)
+    assert len(calls) == 1 and calls[0][0] < 0.0 < calls[0][1]
 
 
 def test_cspa_gamma_collapse_to_xx():
@@ -315,7 +344,7 @@ def test_cspa_moments_sz_zero_at_b0():
 def test_cspa_concurrence_close_to_exact_n100():
     p = ModelParams(n=100, v=1.0, gamma=1.0, b=0.5, T=0.2)
     m = cspa_moments(p)
-    c = concurrence(pair_state(m, 100, tol=1e-6, clamp=True)).concurrence
+    c = concurrence(pair_state(m, 100, tol=1e-6)).concurrence
     ce = concurrence(exact_pair_state(p)).concurrence
     assert c == pytest.approx(ce, rel=0.02)
 
@@ -346,7 +375,7 @@ def test_spa_moment_route_separable_where_physical():
                       (50, 0.3, 0.4)):
         p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=T)
         m = cspa_moments(p, mode="spa")
-        c = concurrence(pair_state(m, n, tol=1e-6, clamp=True)).concurrence
+        c = concurrence(pair_state(m, n, tol=1e-6)).concurrence
         assert c < 1e-10
 
 
@@ -414,14 +443,13 @@ def test_moments_match_richardson_differences(n, gamma, b, T, mode):
     np.testing.assert_allclose([m.sz, m.sz2, m.s2], ref, rtol=5e-10)
     if mode == "cspa":
         try:
-            c = concurrence(pair_state(m, n, tol=1e-6, clamp=True))
+            c = concurrence(pair_state(m, n, tol=1e-6))
         except InconsistentMomentsError:
             # moments outside the physical domain: so are the reference's
             with pytest.raises(InconsistentMomentsError):
-                pair_state(type(m)(*ref, m.logZ), n, tol=1e-6, clamp=True)
+                pair_state(type(m)(*ref, m.logZ), n, tol=1e-6)
             return
-        c_ref = concurrence(pair_state(type(m)(*ref, m.logZ), n, tol=1e-6,
-                                       clamp=True))
+        c_ref = concurrence(pair_state(type(m)(*ref, m.logZ), n, tol=1e-6))
         assert c.concurrence == pytest.approx(c_ref.concurrence, abs=1e-9)
 
 
@@ -588,36 +616,31 @@ def test_node_derivatives_against_generic_rpa_engine(gamma, b, T, r, z):
 @pytest.mark.parametrize("mode", ["cspa", "spa"])
 def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
     # at epsrel = 1e-11 the fixed panel layout misses the budget on these
-    # gamma = 1 rows, so the adaptive path integrates the same
-    # accumulators; at 1e-8 the fixed layout is accepted
+    # gamma = 1 rows, so one adaptive quad_gk call over the same cut
+    # integrates the same accumulators; at 1e-8 the fixed layout is accepted
     import xxzent.cspa as cspa
-    adaptive_integral = cspa._radial_log_integral
-    fallbacks = []
-
-    def counted(*args):
-        fallbacks.append(args[1])
-        return adaptive_integral(*args)
-
-    monkeypatch.setattr(cspa, "_radial_log_integral", counted)
+    fallbacks = _count_quad_gk(monkeypatch, cspa)
     for b in (0.8, 0.9333):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.1)
         fallbacks.clear()
         fixed = cspa_logZ(p, mode, epsrel=1e-8)
         assert fallbacks == []
         adaptive = cspa_logZ(p, mode, epsrel=1e-11)
-        assert fallbacks == [0.0]
+        zs = np.zeros(1)
+        r_max = cspa._radial_cut(p, zs, cspa._radial_peaks(p, zs, mode), mode)
+        assert fallbacks == [(0.0, r_max[0])]
         for name in ("logZ", "dlnZ_db", "d2lnZ_db2", "dlnZ_dv"):
             assert getattr(adaptive, name) == pytest.approx(
                 getattr(fixed, name), rel=1e-9), name
-    # one gamma < 1 inner row: the batch against the forced adaptive path
+    # one gamma < 1 inner row: the batch against an adaptive reference
     p = ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)
     zs = np.array([0.2])
     peaks = cspa._radial_peaks(p, zs, mode)
     fallbacks.clear()
     lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8)
     assert fallbacks == []
-    ln_i0, _, ad_means, _ = adaptive_integral(p, 0.2, (peaks[0][0], peaks[1][0]),
-                                              mode, 1e-11)
+    ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
+                                        (peaks[0][0], peaks[1][0]), mode)
     assert ln_i0 == pytest.approx(lv[0], rel=1e-9)
     np.testing.assert_allclose(ad_means, means[:, 0], rtol=1e-9)
 

@@ -343,6 +343,17 @@ def test_pair_state_psd_guard():
         pair_state(bad, 4)
 
 
+def test_pair_state_clips_populations_inside_the_tolerance():
+    # aligned M = -n/2 with <S_z^2> low by 6e-12: p+ ~ -5e-13 passes the
+    # PSD check at the default tol and is clipped to zero
+    m = CollectiveMoments(sz=-2.0, sz2=4.0 - 6e-12, s2=6.0)
+    common = (m.sz2 - 1.0) / 12.0 + 0.25
+    assert -1e-12 < common + m.sz / 4.0 < 0.0
+    ps = pair_state(m, 4)
+    assert ps.p_plus == 0.0
+    assert ps.p_minus == pytest.approx(1.0, abs=1e-12)
+
+
 def test_concurrence_bounds_and_eof():
     rng = np.random.default_rng(2)
     for _ in range(100):

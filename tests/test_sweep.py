@@ -211,6 +211,24 @@ def test_ground_state_path_odd_n():
     assert 7 * pt.result.concurrence == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ground_state_point_scans_the_levels_once(monkeypatch):
+    # moments and pair state of a T = 0 exact point come from one pass over
+    # the ground levels, at a crossing field and between crossings
+    levels = exact._ground_levels
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return levels(params)
+
+    monkeypatch.setattr(exact, "_ground_levels", counted)
+    for b in (0.5, 0.5 + 1.0 / 20):
+        calls.clear()
+        pt = evaluate_point("exact", ModelParams(n=20, v=1.0, b=b, T=0.0))
+        assert pt.status == "ok", pt.message
+        assert len(calls) == 1
+
+
 def test_exact_t0_large_n_matches_low_T_limit():
     # the T = 0 path scans only S = n/2, so n = 8810 works; b = 0.5 + 1/n
     # lies between crossings (one level), b = 0.5 is a crossing field
@@ -268,7 +286,7 @@ def test_ok_points_respect_symmetric_state_bound():
             if pt.status == "ok":
                 assert 0.0 <= pt.result.concurrence <= 2.0 / 10 + 1e-12
     spec = SweepSpec(tier="cspa", fixed=ModelParams(n=20, v=1.0, T=0.2),
-                     axes=(GridAxis("b", 0.0, 1.2, 5),), mode_epsrel=1e-9)
+                     axes=(GridAxis("b", 0.0, 1.2, 5),))
     for pt in run_sweep(spec):
         if pt.status == "ok":
             assert 0.0 <= pt.result.concurrence <= 2.0 / 20 + 1e-12
