@@ -195,12 +195,9 @@ def _status_exit(points):
 def _cmd_point(args, with_c):
     tier = _tier_from(args)
     pt = evaluate_point(tier, _params_from(args))
-    if pt.status == "not-applicable":
+    if pt.status != "ok":
         print(f"status: {pt.status} ({pt.message})", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    if pt.status in ("breakdown", "error"):
-        print(f"status: {pt.status} ({pt.message})", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _status_exit([pt])
     cols = CSV_COLUMNS if with_c else tuple(
         c for c in CSV_COLUMNS if c not in ("C", "nC", "EoF"))
     if args.out_format == "json":

@@ -54,6 +54,7 @@ import numpy as np
 from .errors import DomainError, NotApplicableError, PhaseError
 from .exact import CollectiveMoments
 from .model import ModelParams
+from .quadrature import bisect
 
 __all__ = [
     "MeanFieldSolution",
@@ -93,8 +94,9 @@ def _sech2(x: float) -> float:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def _gap_root(v: float, T: float, tol: float = 1e-14) -> float:
-    """Bisection for lam = v tanh(beta lam / 2) on [tol*v, v]; 0 if T >= v/2."""
+def _gap_root(v: float, T: float) -> float:
+    """Root of lam = v tanh(beta lam / 2) in [1e-12 v, v] to 1e-14 v; 0 if
+    T >= v/2."""
     if T >= 0.5 * v:
         return 0.0
     beta = 1.0 / T
@@ -102,18 +104,10 @@ def _gap_root(v: float, T: float, tol: float = 1e-14) -> float:
     def f(lam):
         return lam - v * tanh(0.5 * beta * lam)
 
-    lo, hi = 1e-12 * v, v
+    lo = 1e-12 * v
     if f(lo) >= 0.0:
         return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * v:
-            break
-    return 0.5 * (lo + hi)
+    return bisect(lambda lam: f(lam) < 0.0, lo, v, 1e-14 * v)
 
 
 def critical_temperature(params: ModelParams) -> float:

@@ -70,7 +70,7 @@ import numpy as np
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
-from .quadrature import _NODES, _WGFULL, _WK, quad_gk
+from .quadrature import _NODES, _WGFULL, _WK, bisect, quad_gk
 
 __all__ = [
     "CspaEvaluation",
@@ -312,15 +312,7 @@ def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     t_lo = 1e-6 * params.v
     if excess(t_lo) <= 0:
         return 0.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if excess(mid) > 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo < tol * params.v:
-            break
-    return 0.5 * (t_lo + t_hi)
+    return bisect(lambda T: excess(T) > 0, t_lo, t_hi, tol * params.v)
 
 
 def _radial_peaks(params: ModelParams, zs, mode: str):
@@ -500,7 +492,7 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
         pref = 0.25 * sqrt(n ** 3 * beta ** 3
                            / (pi * v ** 3 * (1.0 - params.gamma)))
         logZ = log(pref) + shift + log(total)
-        error = res.error / total + (max(errs) if errs else 0.0)
+        error = float(res.error / total + (max(errs) if errs else 0.0))
         means, c = res.value[1:] / total, 1.5
     d, d2, db2, dv = means
     return CspaEvaluation(

@@ -142,7 +142,6 @@ class ConcurrenceResult:
     concurrence: float
     eof: float
     entangled: bool
-    tier: str = "exact"
     status: str = "ok"
 
 
@@ -578,14 +577,13 @@ def large_field_expansion(params: ModelParams) -> ConcurrenceResult:
     b_c = params.b_c
     if b - b_c <= 5.0 * params.T:
         return ConcurrenceResult(concurrence=float("nan"), eof=float("nan"),
-                                 entangled=False, tier="large-field",
-                                 status="not-applicable")
+                                 entangled=False, status="not-applicable")
     ebv = exp(-beta * v)
     eta = 1.0 - (n - 1.0) * ebv + 0.5 * n * (n - 3.0) * exp(-2.0 * beta * v * (1.0 - 1.0 / n))
     bracket = 1.0 - ebv - sqrt(max(2.0 * n * eta / (n - 1.0), 0.0)) * exp(-beta * params.gamma * v / n)
     C = (2.0 / n) * exp(-beta * (b - b_c)) * max(bracket, 0.0)
     return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
-                             entangled=bool(C > ENTANGLED_EPS), tier="large-field")
+                             entangled=bool(C > ENTANGLED_EPS))
 
 
 def far_field_limit_temperature(n: int, gamma: float, v: float) -> float:

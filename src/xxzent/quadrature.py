@@ -8,6 +8,10 @@ cheap enough for root finding on top of them. A stacked integrand returns
 shape (m, len(x)): all m components share the panels, and refinement follows
 the error of component 0 alone.
 
+bisect is the bracketing root finder shared by the CMFA gap, the CSPA
+breakdown temperature and the limit-scan band edges; the rpa engine keeps
+its own so that it stays an independent check.
+
 Node and weight constants are the standard QUADPACK dqk15 values.
 """
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["quad_gk", "QuadResult"]
+__all__ = ["quad_gk", "QuadResult", "bisect"]
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights below.
 _XGK = np.array([
@@ -131,3 +135,21 @@ def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
         heapq.heappush(heap, (-e2, mid, hi, v2))
         npanels += 1
     return QuadResult(total, toterr, neval)
+
+
+def bisect(moves_lo, lo, hi, tol):
+    """Halve [lo, hi] while hi - lo >= tol, at most 200 times; return the
+    final midpoint.
+
+    A midpoint replaces lo where ``moves_lo(mid)`` is true and hi otherwise,
+    so ``moves_lo`` is true on the lo side of the root sought.
+    """
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if moves_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

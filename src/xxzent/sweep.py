@@ -21,6 +21,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from . import cmfa, cspa, exact
 from .errors import (BreakdownError, DomainError, NotApplicableError,
                      PhaseError, XxzentError)
 from .model import ModelParams
+from .quadrature import bisect
 
 __all__ = [
     "TIERS",
@@ -84,7 +86,6 @@ class SweepSpec:
     tier: str
     fixed: ModelParams
     axes: tuple
-    outputs: tuple = CSV_COLUMNS
 
     def __post_init__(self):
         if self.tier not in TIERS:
@@ -97,9 +98,6 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise DomainError("duplicate sweep axes")
-        unknown = [c for c in self.outputs if c not in CSV_COLUMNS]
-        if unknown:
-            raise DomainError(f"unknown output columns {unknown}")
 
     def points(self):
         """Deterministic row-major enumeration of the grid."""
@@ -229,7 +227,7 @@ def evaluate_point(tier: str, params: ModelParams,
         moments, C, logZ = _EVALUATORS[tier](params, epsrel)
         result = exact.ConcurrenceResult(
             concurrence=C, eof=exact.eof_from_concurrence(C),
-            entangled=bool(C > exact.ENTANGLED_EPS), tier=tier)
+            entangled=bool(C > exact.ENTANGLED_EPS))
     except Exception as err:     # a sweep outlives any one point
         status, message = _failure(err)
     return CurvePoint(tier=tier, params=params, status=status,
@@ -277,86 +275,71 @@ class LimitResult:
     statuses: tuple
 
 
-def _positive(tier, params, epsrel) -> bool | None:
-    pt = evaluate_point(tier, params, epsrel)
-    if pt.status != "ok":
-        return None
-    return pt.result.entangled
+def _entangled(point) -> bool:
+    """C > 0 at an ok point; an undefined point counts as not entangled."""
+    return point.status == "ok" and point.result.entangled
 
 
-def _bisect_edge(tier, params, axis, lo, hi, lo_pos, tol, epsrel):
-    """Refine a C>0 <-> C=0 edge between two probe values of b or T."""
-    for _ in range(200):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        pos = _positive(tier, params.replace(**{axis: mid}), epsrel)
-        if pos is None:            # undefined mid-point: shrink toward defined side
-            if lo_pos:
-                hi = mid
-            else:
-                lo = mid
-            continue
-        if pos == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _scan_limit(tier, params, axis, grid, epsrel):
+    """Bands of C > 0 over one probe sweep along ``axis``.
 
+    A band is a run of entangled probes. Each edge is bisected to 1e-6 v
+    between the band's outer probe and its defined neighbour, and stays on
+    the outer probe when the neighbour is undefined. An undefined bisection
+    midpoint counts as not entangled, which moves the bracket toward its
+    defined, entangled side.
+    """
+    probes = evaluate_points(
+        tier, [params.replace(**{axis: float(x)}) for x in grid], epsrel)
+    defined = [pt.status == "ok" for pt in probes]
 
-def _scan_limit(tier, params, axis, grid, tol, epsrel):
-    flags = [_positive(tier, params.replace(**{axis: float(x)}), epsrel)
-             for x in grid]
-    statuses = tuple("ok" if f is not None else "undefined" for f in flags)
+    def edge(i, k):
+        """The edge between a band's outer probe i and its neighbour k."""
+        if not defined[k]:
+            return float(grid[i])
+        band_below = i < k
+
+        def moves_lo(x):
+            pt = evaluate_point(tier, params.replace(**{axis: x}), epsrel)
+            return _entangled(pt) == band_below
+        lo, hi = sorted((float(grid[i]), float(grid[k])))
+        return bisect(moves_lo, lo, hi, 1e-6 * params.v)
+
     intervals = []
-    limit = None
-    start = None
-    for i, f in enumerate(flags):
-        prev = flags[i - 1] if i else None
-        if f and start is None:
-            if i > 0 and prev is False:
-                onset = _bisect_edge(tier, params, axis, float(grid[i - 1]),
-                                     float(grid[i]), False, tol, epsrel)
-            else:
-                onset = float(grid[i])
-            start = onset
-        elif not f and start is not None:
-            if f is False:
-                end = _bisect_edge(tier, params, axis, float(grid[i - 1]),
-                                   float(grid[i]), True, tol, epsrel)
-            else:
-                end = float(grid[i - 1])
-            intervals.append((start, end))
-            limit = end
-            start = None
-    if start is not None:
-        intervals.append((start, None))   # band open at the top of the probe grid
-    return LimitResult(intervals=tuple(intervals), limit=limit,
-                       n_probes=len(grid), statuses=statuses)
+    for entangled, run in groupby(range(len(grid)),
+                                  key=lambda i: _entangled(probes[i])):
+        if entangled:
+            run = list(run)
+            i, j = run[0], run[-1]
+            # a band still entangled at the last probe stays open (end None)
+            intervals.append((edge(i, i - 1) if i > 0 else float(grid[i]),
+                              edge(j, j + 1) if j < len(grid) - 1 else None))
+    ends = [end for _, end in intervals if end is not None]
+    return LimitResult(intervals=tuple(intervals),
+                       limit=ends[-1] if ends else None, n_probes=len(grid),
+                       statuses=tuple("ok" if d else "undefined"
+                                      for d in defined))
 
 
 def limit_temperature(tier: str, params: ModelParams, t_min: float | None = None,
                       t_max: float | None = None, probes: int = 60,
-                      tol: float | None = None,
                       epsrel: float = 1e-10) -> LimitResult:
     """Largest root of C(T) = 0 for the given tier, plus all onset intervals.
 
     Probes a log-spaced T grid in [1e-3 v, v] by default, brackets every
-    C > 0 <-> C = 0 transition and refines each by bisection to tol
-    (default 1e-6 v). Reentrant bands (CSPA just above the critical field)
-    come out as separate intervals with their onset temperatures.
+    C > 0 <-> C = 0 transition and refines each by bisection to 1e-6 v.
+    Reentrant bands (CSPA just above the critical field) come out as
+    separate intervals with their onset temperatures.
     """
     v = params.v
     t_min = 1e-3 * v if t_min is None else t_min
     t_max = v if t_max is None else t_max
-    tol = 1e-6 * v if tol is None else tol
     grid = np.geomspace(t_min, t_max, probes)
-    return _scan_limit(tier, params, "T", grid, tol, epsrel)
+    return _scan_limit(tier, params, "T", grid, epsrel)
 
 
 def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
                 b_max: float | None = None, probes: int = 60,
-                tol: float | None = None,
                 epsrel: float = 1e-10) -> LimitResult:
     """Largest root of C(b) = 0 at fixed T, plus any far-field bands.
 
@@ -366,9 +349,8 @@ def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
     """
     v = params.v
     b_max = 3.0 * v if b_max is None else b_max
-    tol = 1e-6 * v if tol is None else tol
     grid = np.linspace(b_min, b_max, probes)
-    return _scan_limit(tier, params, "b", grid, tol, epsrel)
+    return _scan_limit(tier, params, "b", grid, epsrel)
 
 
 # ----------------------------------------------------------------------------
@@ -414,6 +396,6 @@ def points_to_json(points, spec: SweepSpec | None = None) -> str:
                 "axes": [{"name": a.name, "lo": a.lo, "hi": a.hi,
                           "count": a.count, "scale": a.scale}
                          for a in spec.axes],
-                "outputs": list(spec.outputs)}
+                "outputs": list(CSV_COLUMNS)}
     doc = {"spec": head, "points": [clean(pt.row()) for pt in points]}
     return json.dumps(doc, indent=1, sort_keys=False) + "\n"

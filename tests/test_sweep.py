@@ -290,3 +290,42 @@ def test_ok_points_respect_symmetric_state_bound():
     for pt in run_sweep(spec):
         if pt.status == "ok":
             assert 0.0 <= pt.result.concurrence <= 2.0 / 20 + 1e-12
+
+
+def test_limit_scan_bands_around_undefined_probes(monkeypatch):
+    # a synthetic C(b) on the probe grid b = 0, 1, ..., 10: undefined on
+    # [3.5, 5.5) (probes 4 and 5) and on [7.4, 7.6), which holds the first
+    # mid-point of the edge between probes 7 and 8; entangled on
+    # [1.3, 3.5), [5.5, 7.4) and [9.25, 10]
+    from xxzent import sweep
+    calls = []
+
+    def fake(tier, params, epsrel=1e-10):
+        b = params.b
+        calls.append(b)
+        if 3.5 <= b < 5.5 or 7.4 <= b < 7.6:
+            return sweep.CurvePoint(tier=tier, params=params,
+                                    status="breakdown")
+        C = 0.1 if 1.3 <= b < 3.5 or 5.5 <= b < 7.4 or b >= 9.25 else 0.0
+        result = exact.ConcurrenceResult(concurrence=C, eof=0.0,
+                                         entangled=C > 0)
+        return sweep.CurvePoint(tier=tier, params=params, status="ok",
+                                result=result)
+
+    monkeypatch.setattr(sweep, "evaluate_point", fake)
+    res = limit_field("exact", ModelParams(n=8, T=0.1), b_max=10.0,
+                      probes=11)
+    assert res.statuses == ("ok",) * 4 + ("undefined",) * 2 + ("ok",) * 5
+    assert res.n_probes == 11
+    (on1, end1), (on2, end2), (on3, end3) = res.intervals
+    assert on1 == pytest.approx(1.3, abs=1e-6)   # bisected from a False probe
+    assert end1 == 3.0                  # next probe undefined: no bisection
+    assert on2 == 6.0                   # previous probe undefined
+    assert end2 == pytest.approx(7.4, abs=1e-6)  # through an undefined mid
+    assert on3 == pytest.approx(9.25, abs=1e-6)
+    assert end3 is None                 # open at the top of the probe grid
+    assert res.limit == end2
+    # 11 probes, then 20 halvings of a unit bracket for each of three edges
+    assert len(calls) == 11 + 3 * 20
+    assert calls[:11] == [float(b) for b in range(11)]
+    assert calls[11] == 1.5 and calls[31] == 7.5 and calls[51] == 9.5
