@@ -47,14 +47,14 @@ concurrence vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, exp, log, pi, sinh, sqrt, tanh
+from math import cosh, exp, inf, log, pi, sinh, sqrt, tanh
 
 import numpy as np
 
 from .errors import DomainError, NotApplicableError, PhaseError
 from .exact import CollectiveMoments
 from .model import ModelParams
-from .quadrature import bisect
+from .quadrature import bracket_root
 
 __all__ = [
     "MeanFieldSolution",
@@ -107,7 +107,10 @@ def _gap_root(v: float, T: float) -> float:
     lo = 1e-12 * v
     if f(lo) >= 0.0:
         return 0.0
-    return bisect(lambda lam: f(lam) < 0.0, lo, v, 1e-14 * v)
+    # the side of the root only: plain bisection steps, so that the CMFA
+    # outputs do not depend on the root finder's interpolation
+    return bracket_root(lambda lam: -inf if f(lam) < 0.0 else inf,
+                        lo, -inf, v, inf, 1e-14 * v)
 
 
 def critical_temperature(params: ModelParams) -> float:

@@ -63,14 +63,15 @@ Gaussian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi, sqrt
+from functools import lru_cache
+from math import inf, log, pi, sqrt
 
 import numpy as np
 
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
-from .quadrature import _NODES, _WGFULL, _WK, bisect, quad_gk
+from .quadrature import _NODES, _WGFULL, _WK, bracket_root, quad_gk
 
 __all__ = [
     "CspaEvaluation",
@@ -299,20 +300,30 @@ def _scan_validity(params: ModelParams):
 
 def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     """Estimated T*: the largest T at which some static point violates
-    beta|omega|/2 < pi. Returns 0 when the CSPA is valid at every T > 0."""
+    beta|omega|/2 < pi. Returns 0 when the CSPA is valid at every T > 0.
 
+    The validity scan reads v, gamma and b only, so T* is computed once per
+    field and shared by every n and T."""
+    return _t_star(params.v, params.gamma, params.b, tol)
+
+
+@lru_cache(maxsize=256)
+def _t_star(v: float, gamma: float, b: float, tol: float) -> float:
     def excess(T):
-        p = params.replace(T=T)
-        worst, _ = _scan_validity(p)
+        # n = 2 is a placeholder: _scan_validity does not read n
+        worst, _ = _scan_validity(ModelParams(n=2, v=v, gamma=gamma, b=b, T=T))
         return worst - (2.0 * pi * T) ** 2
 
-    t_hi = 0.5 * params.v
+    t_hi = 0.5 * v
     if excess(t_hi) >= 0:      # should not happen for the attractive XXZ
         return t_hi
-    t_lo = 1e-6 * params.v
+    t_lo = 1e-6 * v
     if excess(t_lo) <= 0:
         return 0.0
-    return bisect(lambda T: excess(T) > 0, t_lo, t_hi, tol * params.v)
+    # the side of the root only: plain bisection steps, so that T* does not
+    # depend on the root finder's interpolation
+    return bracket_root(lambda T: inf if excess(T) > 0 else -inf,
+                        t_lo, inf, t_hi, -inf, tol * v)
 
 
 def _radial_peaks(params: ModelParams, zs, mode: str):

@@ -73,9 +73,12 @@ __all__ = [
     "ground_state_pair_state",
     "pair_state",
     "concurrence",
+    "concurrence_margin",
+    "concurrence_from_margin",
     "eof_from_concurrence",
     "brute_force_moments",
     "brute_force_pair_density",
+    "wootters_margin",
     "wootters_concurrence",
     "large_field_expansion",
     "far_field_limit_temperature",
@@ -137,12 +140,17 @@ class PairState:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence plus entanglement of formation for one parameter point."""
+    """Concurrence plus entanglement of formation for one parameter point.
+
+    ``margin`` is the signed quantity whose positive part is C, or None
+    where C is 0 by construction; it stays smooth where C switches on.
+    """
 
     concurrence: float
     eof: float
     entangled: bool
     status: str = "ok"
+    margin: float | None = None
 
 
 # ----------------------------------------------------------------------------
@@ -436,12 +444,21 @@ def eof_from_concurrence(C: float) -> float:
     return float(out)
 
 
+def concurrence_margin(pair: PairState) -> float:
+    """The signed margin 2 (|alpha| - sqrt(p+ p-)) of the symmetric pair."""
+    return 2.0 * (abs(pair.alpha) - sqrt(max(pair.p_plus * pair.p_minus, 0.0)))
+
+
+def concurrence_from_margin(margin: float | None) -> ConcurrenceResult:
+    """C = [margin]_+ with its EoF and flag; a margin of None means C = 0."""
+    C = 0.0 if margin is None else max(margin, 0.0)
+    return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
+                             entangled=bool(C > ENTANGLED_EPS), margin=margin)
+
+
 def concurrence(pair: PairState) -> ConcurrenceResult:
     """Concurrence C = 2 [ |alpha| - sqrt(p+ p-) ]_+ of the symmetric pair."""
-    u = abs(pair.alpha) - sqrt(max(pair.p_plus * pair.p_minus, 0.0))
-    C = max(2.0 * u, 0.0)
-    return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
-                             entangled=bool(C > ENTANGLED_EPS))
+    return concurrence_from_margin(concurrence_margin(pair))
 
 
 # ----------------------------------------------------------------------------
@@ -546,15 +563,22 @@ def brute_force_pair_density(params: ModelParams) -> np.ndarray:
     return brute_force_observables(params)[1]
 
 
-def wootters_concurrence(rho2: np.ndarray) -> float:
-    """Wootters concurrence of an arbitrary two-qubit density matrix."""
+def wootters_margin(rho2: np.ndarray) -> float:
+    """Wootters' l1 - l2 - l3 - l4 of a two-qubit density matrix, the l
+    being the square roots of the spectrum of rho (y x y) rho* (y x y) in
+    decreasing order; the concurrence is its positive part."""
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     yy = np.kron(sy, sy)
     R = rho2 @ yy @ rho2.conj() @ yy
     ev = np.linalg.eigvals(R)
     ev = np.sqrt(np.clip(ev.real, 0.0, None))
     ev.sort()
-    return float(max(0.0, ev[-1] - ev[-2] - ev[-3] - ev[-4]))
+    return float(ev[-1] - ev[-2] - ev[-3] - ev[-4])
+
+
+def wootters_concurrence(rho2: np.ndarray) -> float:
+    """Wootters concurrence of an arbitrary two-qubit density matrix."""
+    return max(wootters_margin(rho2), 0.0)
 
 
 # ----------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
+from math import inf, isfinite
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import cmfa, cspa, exact
 from .errors import (BreakdownError, DomainError, NotApplicableError,
                      PhaseError, XxzentError)
 from .model import ModelParams
-from .quadrature import bisect
+from .quadrature import bracket_root
 
 __all__ = [
     "TIERS",
@@ -64,6 +65,8 @@ class GridAxis:
     def __post_init__(self):
         if self.name not in ("b", "T"):
             raise DomainError(f"sweep axis must be 'b' or 'T', got {self.name!r}")
+        if not (isfinite(self.lo) and isfinite(self.hi)):
+            raise DomainError(f"grid ends must be finite, got {self.lo}, {self.hi}")
         if self.count < 2:
             raise DomainError("grid counts must be >= 2")
         if not self.lo < self.hi:
@@ -145,24 +148,24 @@ def _bruteforce(params, epsrel):
     # C from the partial trace of the S_z-block thermal state, the route that
     # is independent of the collective spectrum
     moments, rho2 = exact.brute_force_observables(params)
-    return moments, exact.wootters_concurrence(rho2), None
+    return moments, exact.wootters_margin(rho2), None
 
 
 def _exact(params, epsrel):
     observables = (exact.ground_state_observables if params.T == 0
                    else exact.thermal_observables)
     moments, pair = observables(params)
-    return moments, exact.concurrence(pair).concurrence, None
+    return moments, exact.concurrence_margin(pair), None
 
 
 def _cspa(params, epsrel):
     moments = cspa.cspa_moments(params, mode="cspa", epsrel=epsrel)
     pair = exact.pair_state(moments, params.n, tol=1e-6)
-    return moments, exact.concurrence(pair).concurrence, None
+    return moments, exact.concurrence_margin(pair), None
 
 
 def _spa(params, epsrel):
-    return cspa.cspa_moments(params, mode="spa", epsrel=epsrel), 0.0, None
+    return cspa.cspa_moments(params, mode="spa", epsrel=epsrel), None, None
 
 
 def _cmfa(params, epsrel):
@@ -177,23 +180,26 @@ def _cmfa(params, epsrel):
     if params.gamma <= 0:
         raise NotApplicableError("CMFA closed forms require gamma > 0")
     if sol.phase != "deformed":
-        return None, 0.0, cmfa.cmfa_logZ(params)
+        return None, None, cmfa.cmfa_logZ(params)
     if not sol.applicable:
         raise NotApplicableError(f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
     moments = cmfa.cmfa_moments(params)
     pair = exact.pair_state(moments, params.n, tol=1e-8)
-    return moments, exact.concurrence(pair).concurrence, None
+    return moments, exact.concurrence_margin(pair), None
 
 
 def _mfa(params, epsrel):
-    return cmfa.mfa_product_moments(params), 0.0, None
+    return cmfa.mfa_product_moments(params), None, None
 
 
-# tier -> evaluator(params, epsrel) -> (moments or None, C, logZ or None).
-# The SPA thermal state is a positive mixture of product states and the MFA
-# state a single product state: neither carries pair entanglement, so both
-# report C = 0 and compute the moments for the output columns only (the
-# concurrence formula on them would read out quadrature noise).
+# tier -> evaluator(params, epsrel) -> (moments or None, margin or None,
+# logZ or None). The margin is the signed quantity whose positive part is C:
+# 2(|alpha| - sqrt(p+ p-)) of the pair state, or Wootters' l1 - l2 - l3 - l4
+# for bruteforce. None means C = 0 by construction: the SPA thermal state is
+# a positive mixture of product states and the MFA state a single product
+# state, so neither carries pair entanglement, and both compute the moments
+# for the output columns only (the concurrence formula on them would read
+# out quadrature noise).
 _EVALUATORS = {"bruteforce": _bruteforce, "exact": _exact, "cspa": _cspa,
                "spa": _spa, "cmfa": _cmfa, "mfa": _mfa}
 TIERS = tuple(_EVALUATORS)
@@ -224,10 +230,8 @@ def evaluate_point(tier: str, params: ModelParams,
     try:
         if tier not in _EVALUATORS:
             raise DomainError(f"unknown tier {tier!r}")
-        moments, C, logZ = _EVALUATORS[tier](params, epsrel)
-        result = exact.ConcurrenceResult(
-            concurrence=C, eof=exact.eof_from_concurrence(C),
-            entangled=bool(C > exact.ENTANGLED_EPS))
+        moments, margin, logZ = _EVALUATORS[tier](params, epsrel)
+        result = exact.concurrence_from_margin(margin)
     except Exception as err:     # a sweep outlives any one point
         status, message = _failure(err)
     return CurvePoint(tier=tier, params=params, status=status,
@@ -280,30 +284,41 @@ def _entangled(point) -> bool:
     return point.status == "ok" and point.result.entangled
 
 
-def _scan_limit(tier, params, axis, grid, epsrel):
+def _flag_margin(point) -> float:
+    """Signed distance above the entangled flag, margin - ENTANGLED_EPS, so
+    > 0 exactly where the point is entangled; +-inf gives the side only, for
+    an undefined point or one without a margin."""
+    if point.status == "ok" and point.result.margin is not None:
+        return float(point.result.margin) - exact.ENTANGLED_EPS
+    return inf if _entangled(point) else -inf
+
+
+def _scan_limit(tier, params, axis: GridAxis, epsrel):
     """Bands of C > 0 over one probe sweep along ``axis``.
 
-    A band is a run of entangled probes. Each edge is bisected to 1e-6 v
-    between the band's outer probe and its defined neighbour, and stays on
-    the outer probe when the neighbour is undefined. An undefined bisection
-    midpoint counts as not entangled, which moves the bracket toward its
-    defined, entangled side.
+    A band is a run of entangled probes. Each edge is refined to 1e-6 v
+    between the band's outer probe and its defined neighbour by
+    bracket_root on the signed margin above the entangled flag, and stays
+    on the outer probe when the neighbour is undefined. An undefined
+    refinement point counts as not entangled, which moves the bracket
+    toward its defined, entangled side.
     """
+    grid = axis.values()
     probes = evaluate_points(
-        tier, [params.replace(**{axis: float(x)}) for x in grid], epsrel)
+        tier, [params.replace(**{axis.name: float(x)}) for x in grid], epsrel)
     defined = [pt.status == "ok" for pt in probes]
+
+    def g(x):
+        return _flag_margin(evaluate_point(
+            tier, params.replace(**{axis.name: x}), epsrel))
 
     def edge(i, k):
         """The edge between a band's outer probe i and its neighbour k."""
         if not defined[k]:
             return float(grid[i])
-        band_below = i < k
-
-        def moves_lo(x):
-            pt = evaluate_point(tier, params.replace(**{axis: x}), epsrel)
-            return _entangled(pt) == band_below
-        lo, hi = sorted((float(grid[i]), float(grid[k])))
-        return bisect(moves_lo, lo, hi, 1e-6 * params.v)
+        (lo, g_lo), (hi, g_hi) = sorted(
+            (float(grid[j]), _flag_margin(probes[j])) for j in (i, k))
+        return bracket_root(g, lo, g_lo, hi, g_hi, 1e-6 * params.v)
 
     intervals = []
     for entangled, run in groupby(range(len(grid)),
@@ -327,15 +342,16 @@ def limit_temperature(tier: str, params: ModelParams, t_min: float | None = None
     """Largest root of C(T) = 0 for the given tier, plus all onset intervals.
 
     Probes a log-spaced T grid in [1e-3 v, v] by default, brackets every
-    C > 0 <-> C = 0 transition and refines each by bisection to 1e-6 v.
-    Reentrant bands (CSPA just above the critical field) come out as
-    separate intervals with their onset temperatures.
+    C > 0 <-> C = 0 transition and refines each to 1e-6 v by an ITP root
+    find on the signed concurrence margin. Reentrant bands (CSPA just above
+    the critical field) come out as separate intervals with their onset
+    temperatures. A grid that GridAxis rejects raises DomainError.
     """
     v = params.v
     t_min = 1e-3 * v if t_min is None else t_min
     t_max = v if t_max is None else t_max
-    grid = np.geomspace(t_min, t_max, probes)
-    return _scan_limit(tier, params, "T", grid, epsrel)
+    return _scan_limit(tier, params, GridAxis("T", t_min, t_max, probes, "log"),
+                       epsrel)
 
 
 def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
@@ -346,11 +362,12 @@ def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
     The exact tier's far-field entanglement decays like e^{-beta(b - b_c)}
     and is positive until it falls below the entangled-flag floor, so the
     reported far edge is detection-limited (it tightens to b_c as T -> 0).
+    A grid that GridAxis rejects raises DomainError.
     """
     v = params.v
     b_max = 3.0 * v if b_max is None else b_max
-    grid = np.linspace(b_min, b_max, probes)
-    return _scan_limit(tier, params, "b", grid, epsrel)
+    return _scan_limit(tier, params, GridAxis("b", b_min, b_max, probes),
+                       epsrel)
 
 
 # ----------------------------------------------------------------------------

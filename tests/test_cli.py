@@ -1,5 +1,7 @@
 import json
 import os
+import runpy
+import sys
 
 import pytest
 
@@ -132,3 +134,31 @@ def test_figure_command(tmp_path, capsys):
     assert any(n.startswith("fig1_T0.005") for n in names)
     gp = (tmp_path / "fig1.gp").read_text()
     assert "plot" in gp and str(tmp_path) not in gp   # relative paths only
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit-temp", "--b", "0.3", "--t-min", "0"),
+    ("limit-temp", "--b", "0.3", "--t-min", "0.5", "--t-max", "0.1"),
+    ("limit-field", "--T", "0.1", "--b-min", "2", "--b-max", "0"),
+    ("limit-temp", "--b", "0.3", "--probes", "0"),
+    ("limit-field", "--T", "0.1", "--probes", "1"),
+])
+def test_limit_scans_reject_bad_grids(argv, capsys):
+    assert run_cli(*argv, "--n", "20") == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_sweep_grid_rejects_infinite_ends(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--n", "8", "--grid", "b:0:inf:3")
+    assert exc.value.code == 2
+    assert "grid ends must be finite" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["xxzent", "concurrence", "--n", "4",
+                                      "--T", "0.5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("xxzent", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("tier,n,v,gamma,b,T")

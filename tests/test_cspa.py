@@ -1,4 +1,4 @@
-from math import atan, exp, log, pi, sqrt, tanh
+from math import atan, ceil, exp, inf, log, log2, pi, sin, sqrt, tanh
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from xxzent.errors import (BreakdownError, DomainError,
 from xxzent.exact import (concurrence, exact_moments, exact_pair_state,
                           pair_state)
 from xxzent.model import ModelParams
-from xxzent.quadrature import quad_gk
+from xxzent.quadrature import bracket_root, quad_gk
 
 
 # ----------------------------------------------------------------- quadrature
@@ -35,6 +35,86 @@ def test_quad_gk_narrow_spike_with_seeds():
     f = lambda x: np.exp(-1e6 * (x - 0.3123) ** 2)
     res = quad_gk(f, 0.0, 1.0, epsrel=1e-11, initial_points=[0.3123, 0.3135])
     assert res.value == pytest.approx(sqrt(pi / 1e6), rel=1e-10)
+
+
+def _bisect(moves_lo, lo, hi, tol):
+    """The halving loop that bracket_root replaced, as the reference."""
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if moves_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _counted(g):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+    return wrapped, calls
+
+
+def test_bracket_root_side_only_is_bisection():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        lo = float(rng.uniform(-10.0, 10.0))
+        hi = lo + float(10.0 ** rng.uniform(-8.0, 2.0))
+        root = float(rng.uniform(lo, hi))
+        tol = (hi - lo) * float(10.0 ** rng.uniform(-18.0, 0.5))
+        up = bool(rng.integers(2))        # g > 0 on the lo side, or the hi
+        g = (lambda x: (inf if x < root else -inf) if up
+             else (-inf if x < root else inf))
+        mine = bracket_root(g, lo, g(lo), hi, g(hi), tol)
+        ref = _bisect(lambda x: x < root, lo, hi, tol)
+        assert type(mine) is float
+        assert mine.hex() == ref.hex(), (lo, hi, root, tol)
+
+
+SMOOTH = [
+    (lambda x: tanh(3.0 * (x - 0.37)), 0.0, 1.0, 0.37),
+    (lambda x: exp(x) - 2.0, 0.0, 2.0, log(2.0)),
+    (lambda x: x ** 3 - 0.3, 0.0, 1.0, 0.3 ** (1.0 / 3.0)),
+    (lambda x: 0.2 - sqrt(x), 0.01, 0.5, 0.04),
+    # the flag edge of a margin that is noisy at the 1e-14 level
+    (lambda x: 1e-3 * (0.4 - x) + 1e-14 * sin(1e7 * x) - 1e-14,
+     0.3, 0.5, 0.4),
+]
+
+
+@pytest.mark.parametrize("g, lo, hi, root", SMOOTH)
+def test_bracket_root_smooth_within_tol_and_few_steps(g, lo, hi, root):
+    for ratio in (2.0 ** 15, 1e3, 123456.7):
+        tol = (hi - lo) / ratio
+        f, calls = _counted(g)
+        x = bracket_root(f, lo, g(lo), hi, g(hi), tol)
+        assert abs(x - root) <= 0.5 * tol + 1e-11
+        assert len(calls) <= ceil(log2(ratio)) + 1
+        if ratio == 2.0 ** 15:
+            assert len(calls) <= 8, len(calls)
+
+
+def test_bracket_root_infinite_values_still_converge():
+    root, tol = 0.55, 1e-9
+
+    def g(x):
+        # side only below 0.2 and on a patch holding the first midpoint
+        if x < 0.2:
+            return inf
+        if 0.45 <= x < 0.52:
+            return inf
+        return root - x
+    for lo, g_lo, hi, g_hi in ((0.0, inf, 1.0, g(1.0)),
+                               (0.3, g(0.3), 1.0, -inf),
+                               (0.0, inf, 1.0, -inf)):
+        f, calls = _counted(g)
+        x = bracket_root(f, lo, g_lo, hi, g_hi, tol)
+        assert abs(x - root) <= 0.5 * tol
+        assert len(calls) <= ceil(log2((hi - lo) / tol)) + 1
 
 
 # -------------------------------------------------------------- rpa_frequency
@@ -124,6 +204,27 @@ def test_successful_logZ_never_estimates_t_star(monkeypatch):
     monkeypatch.setattr(cspa, "breakdown_temperature", fail)
     ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.3))
     assert np.isfinite(ev.logZ)
+
+
+def test_t_star_once_per_field(monkeypatch):
+    # the validity scan reads v, gamma and b only: one T* per field, shared
+    # by every n and T
+    import xxzent.cspa as cspa
+    scan, calls = _counted(cspa._scan_validity)
+    monkeypatch.setattr(cspa, "_scan_validity", scan)
+    try:
+        hexes = set()
+        for n in (5, 20, 1000):
+            cspa._t_star.cache_clear()
+            p = ModelParams(n=n, v=1.0, gamma=0.5, b=0.3, T=0.05)
+            hexes.add(breakdown_temperature(p).hex())
+        assert len(hexes) == 1
+        before = len(calls)
+        p = ModelParams(n=7, v=1.0, gamma=0.5, b=0.3, T=0.2)
+        assert breakdown_temperature(p).hex() in hexes
+        assert len(calls) == before
+    finally:
+        cspa._t_star.cache_clear()
 
 
 def test_spa_never_breaks_down():

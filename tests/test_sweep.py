@@ -329,3 +329,42 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
     assert len(calls) == 11 + 3 * 20
     assert calls[:11] == [float(b) for b in range(11)]
     assert calls[11] == 1.5 and calls[31] == 7.5 and calls[51] == 9.5
+
+
+def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
+    # each refined edge against a 1e-12 bisection of the entangled flag
+    # between the same two probes; exact and cmfa edges in few evaluations
+    from xxzent import sweep
+    calls = []
+    evaluate = sweep.evaluate_point
+
+    def counted(tier, params, epsrel=1e-10):
+        calls.append(params.T)
+        return evaluate(tier, params, epsrel)
+
+    monkeypatch.setattr(sweep, "evaluate_point", counted)
+    for tier, n, b, probes, epsrel in (("exact", 1000, 0.3, 40, 1e-10),
+                                       ("exact", 1000, 0.9, 40, 1e-10),
+                                       ("cmfa", 1000, 0.3, 40, 1e-10),
+                                       ("cmfa", 1000, 0.9, 40, 1e-10),
+                                       ("cspa", 20, 1.15, 28, 1e-8)):
+        p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.1)
+        calls.clear()
+        res = limit_temperature(tier, p, probes=probes, epsrel=epsrel)
+        grid, refined = calls[:probes], len(calls) - probes
+        assert type(res.limit) is float
+        edges = [x for iv in res.intervals for x in iv if x not in grid]
+        assert edges and all(type(x) is float for x in edges)
+        if tier != "cspa":
+            assert len(edges) == 1 and refined <= 8, (tier, b, refined)
+
+        def entangled(T):
+            return sweep._entangled(evaluate(tier, p.replace(T=T), epsrel))
+        for x in edges:
+            i = int(np.searchsorted(grid, x))
+            lo, hi = grid[i - 1], grid[i]
+            side = entangled(lo)
+            while hi - lo >= 1e-12:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if entangled(mid) == side else (lo, mid)
+            assert abs(x - 0.5 * (lo + hi)) <= 5e-7, (tier, b, x, lo)
