@@ -137,21 +137,31 @@ def _build_parser():
     return ap
 
 
-def _apply_config(args, argv):
+def _apply_config(args, argv, parser):
+    """Fill the options not given on the command line from --config, each
+    value parsed by the parser's own action for that option."""
     if getattr(args, "config", None):
         cfg = _read_config(args.config)
         given = set(argv)
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subparsers.choices[args.command]._actions
+                   if a.default is not argparse.SUPPRESS}
         for key, raw in cfg.items():
-            if not hasattr(args, key):
+            if key not in actions:
                 raise DomainError(f"unknown config key {key!r}")
-            cur = getattr(args, key)
             if f"--{key.replace('_', '-')}" in given or f"--{key}" in given:
                 continue  # explicit flags win over the config file
-            if key == "grid":
-                setattr(args, key, [_parse_grid(g) for g in raw.split()])
-                continue
-            typ = type(cur) if cur is not None else str
-            setattr(args, key, typ(raw) if cur is not None else raw)
+            action = actions[key]
+            parse = action.type or str
+            try:
+                value = ([parse(g) for g in raw.split()] if key == "grid"
+                         else parse(raw))
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"not one of {list(action.choices)}")
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise DomainError(f"config key {key!r}: {err}") from None
+            setattr(args, key, value)
     return args
 
 
@@ -293,9 +303,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(args, argv, parser)
         return _COMMANDS[args.command](args)
     except (BreakdownError, QuadratureError, ConvergenceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

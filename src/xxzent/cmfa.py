@@ -167,12 +167,16 @@ def _logZ_free(n: int, beta: float, lam: float, E0: float) -> float:
     return n * (log(2.0) + _log_cosh(0.5 * beta * lam)) - beta * E0
 
 
-def _cmfa_logZ_xx(params: ModelParams) -> float:
-    """gamma = 1 branch: closed forms for both phases."""
-    n, v, b, T = params.n, params.v, abs(params.b), params.T
+def _cmfa_logZ(params: ModelParams, sol=None) -> float:
+    """cmfa_logZ without its checks: the gamma = 1 closed forms for both
+    phases at b' = |b|/gamma, minus ln(gamma)/2. ``sol`` is gap_solve(params)
+    when the caller has it; the gamma = 1 point at b' has the same phase,
+    gap and chi."""
+    n, v, b, T = params.n, params.v, abs(params.b) / params.gamma, params.T
     beta = 1.0 / T
     E0 = 0.5 * v  # gamma = 1
-    sol = gap_solve(params.replace(gamma=1.0, b=b))
+    if sol is None:
+        sol = gap_solve(params.replace(gamma=1.0, b=b))
     if sol.phase == "deformed":
         lam, chi = sol.lam, sol.chi
         if chi >= 1.0:
@@ -181,7 +185,7 @@ def _cmfa_logZ_xx(params: ModelParams) -> float:
             + _logZ_free(n, beta, lam, E0)
         out += _log_sinh(0.5 * beta * lam) \
             + 0.5 * log(4.0 * pi * n / (beta * v * (1.0 - chi)))
-        return out
+        return out - 0.5 * log(params.gamma)
     # normal phase: single RPA mode w = b - v tanh(beta b / 2) > 0
     out = _logZ_free(n, beta, b, E0)
     # sinh(beta b/2)/sinh(beta w/2) written via g(u) = sinh(beta u/2)/(beta u/2)
@@ -192,7 +196,7 @@ def _cmfa_logZ_xx(params: ModelParams) -> float:
         raise PhaseError("normal-phase RPA mode not positive (at T_c?)")
     w = b * ratio
     out += _log_g(0.5 * beta * b) - _log_g(0.5 * beta * w) - log(ratio)
-    return out
+    return out - 0.5 * log(params.gamma)
 
 
 def _log_g(x: float) -> float:
@@ -218,9 +222,7 @@ def cmfa_logZ(params: ModelParams) -> float:
         raise DomainError("cmfa_logZ requires T > 0")
     if params.gamma <= 0:
         raise DomainError("CMFA closed forms require gamma > 0")
-    g = params.gamma
-    rescaled = params.replace(gamma=1.0, b=params.b / g)
-    return _cmfa_logZ_xx(rescaled) - 0.5 * log(g)
+    return _cmfa_logZ(params)
 
 
 def cmfa_moments(params: ModelParams) -> CollectiveMoments:
@@ -256,7 +258,8 @@ def cmfa_moments(params: ModelParams) -> CollectiveMoments:
     sz2 = sz * sz + n * T / (2.0 * g * v)
     s2 = (0.5 * n * lam / v) ** 2 \
         + 0.5 * n * (1.0 - chi * (2.0 - (1.0 + chi) * T / v)) / (1.0 - chi) ** 2
-    return CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=cmfa_logZ(params))
+    return CollectiveMoments(sz=sz, sz2=sz2, s2=s2,
+                             logZ=_cmfa_logZ(params, sol))
 
 
 def _normal_z_shift(params: ModelParams) -> float:

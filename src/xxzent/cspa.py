@@ -15,15 +15,18 @@ with
     lam           = sqrt((b - z)^2 + r^2)
     Z(lam)        = e^{-beta E0} (2 cosh(beta lam / 2))^n
     C_RPA         = [omega / sinh(beta omega/2)] * [sinh(beta lam/2) / lam]
+                  = exp[G(u^2) - G(beta^2 omega^2 / 4)],   u = beta lam / 2,
+    G(X)          = ln[sinh(sqrt X) / sqrt X],
     omega^2(r, z) = (lam - v t)(lam - v (1 - gamma r^2/lam^2) t),
                     t = tanh(beta lam / 2).
 
-omega^2 < 0 (imaginary collective mode) is fine as long as
-beta|omega|/2 < pi, where the analytic continuation
-omega/sinh(beta omega/2) = |omega|/sin(beta|omega|/2) applies; past that the
-integrand diverges, the temperature is below the breakdown temperature T*,
-and the evaluation refuses with a BreakdownError. The validity scan runs on a
-fixed grid before any integration (fail fast with a diagnostic).
+sinh(sqrt X)/sqrt X is entire in X, so omega^2 < 0 (imaginary collective
+mode) is fine as long as beta|omega|/2 < pi, where G(-y^2) = ln[sin(y)/y] is
+finite; past that C_RPA is not positive, the integrand diverges, the
+temperature is below the breakdown temperature T*, and the evaluation
+refuses with a BreakdownError. The validity scan runs on a fixed grid before
+any integration (fail fast with a diagnostic). One function, _g, evaluates G
+and, for the moments, G' and G''.
 
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, log, pi, sqrt
+from math import factorial, inf, log, pi, sqrt
 
 import numpy as np
 
@@ -98,14 +101,18 @@ def omega_squared(params: ModelParams, r, z=0.0):
     lam = np.hypot(params.b - z, r)
     if np.any(lam == 0.0):
         raise DomainError("degenerate gap: omega undefined at r = 0, z = b")
-    w2 = _omega_sq(params, r, lam, np.tanh(0.5 * params.beta * lam))
+    _, a, c = _omega_factors(params, r, lam, np.tanh(0.5 * params.beta * lam))
+    w2 = a * c
     return w2 if w2.ndim else float(w2)
 
 
-def _omega_sq(params: ModelParams, r, lam, t):
-    """omega^2 from r, lam = |(r, b - z)| and t = tanh(beta lam / 2)."""
+def _omega_factors(params: ModelParams, r, lam, t):
+    """(q, a, c) with omega^2 = a c, a = lam - v t, c = lam - v q t and
+    q = 1 - gamma r^2/lam^2, from r, lam = |(r, b - z)| and
+    t = tanh(beta lam / 2)."""
     v = params.v
-    return (lam - v * t) * (lam - v * (1.0 - params.gamma * r * r / (lam * lam)) * t)
+    q = 1.0 - params.gamma * r * r / (lam * lam)
+    return q, lam - v * t, lam - v * q * t
 
 
 def rpa_frequency(params: ModelParams, r: float, z: float = 0.0) -> complex:
@@ -114,85 +121,83 @@ def rpa_frequency(params: ModelParams, r: float, z: float = 0.0) -> complex:
     return complex(sqrt(w2)) if w2 >= 0 else complex(0.0, sqrt(-w2))
 
 
-def _log_crpa_terms(params: ModelParams, lam, w2):
-    """ln C_RPA(lam, omega) continued through omega^2 <= 0, vectorized.
-
-    Returns NaN where beta|omega|/2 >= pi (outside the validity window).
-    """
-    beta = params.beta
-    u = 0.5 * beta * lam
-    # ln[sinh(u)/u], stable for large u
-    ln_g_lam = np.where(u > 20.0, u - np.log(2.0 * u) + np.log1p(-np.exp(-2.0 * u)),
-                        np.log(np.sinh(np.minimum(u, 25.0)) / u))
-    x2 = 0.25 * beta * beta * w2
-    out = np.empty_like(np.asarray(x2, dtype=float))
-    small = np.abs(x2) < 1e-10
-    pos = (x2 > 0) & ~small
-    neg = (x2 < 0) & ~small
-    out[small] = -(x2[small] / 6.0 - x2[small] ** 2 / 180.0)
-    xs = np.sqrt(x2[pos])
-    out[pos] = -np.where(xs > 20.0,
-                         xs - np.log(2.0 * xs) + np.log1p(-np.exp(-2.0 * xs)),
-                         np.log(np.sinh(np.minimum(xs, 25.0)) / xs))
-    ys = np.sqrt(-x2[neg])
-    bad = ys >= pi
-    ratio = np.empty_like(ys)
-    ratio[~bad] = np.sin(ys[~bad]) / ys[~bad]
-    ok = ~bad & (ratio > 0)
-    vals = np.full_like(ys, np.nan)
-    vals[ok] = -np.log(ratio[ok])
-    out[neg] = vals
-    return ln_g_lam + out
-
-
-# Taylor coefficients of G'(X), G(X) = ln[sinh(sqrt X)/sqrt X]: the j-th is
-# (-1)^j zeta(2j+2) / pi^(2j+2); the series converges for |X| < pi^2
-_G1_SERIES = np.array([
-    0.16666666666666666, -0.011111111111111112, 0.0010582010582010583,
-    -0.00010582010582010582, 1.0688899577788467e-05, -1.0822021404031986e-06,
-    1.0962973925936889e-07, -1.1107304394989839e-08, 1.1253923258404497e-09,
-    -1.1402575602296092e-10, 1.1553216299501312e-11, -1.1705853409912441e-12,
-    1.1860508700116827e-13, -1.2017207666653852e-14])
+# sinh(s)/s = 1 + X sum_j X^(j-1) / (2j+1)!, s^2 = X: row k of the Horner
+# table holds the coefficients of X^k in that sum and in the first two X
+# derivatives of sinh(s)/s (the last rows are below 1e-18 for |X| < 0.5)
+_F = np.array([1.0 / factorial(2 * j + 1) for j in range(1, 12)])
+_J = np.arange(1, 11)
+_S_SERIES = np.stack([_F[:10], _J * _F[:10], _J * (_J + 1) * _F[1:]],
+                     axis=1)[:, :, None]
 _G_SERIES_MAX = 0.5        # |X| below which the series beats the closed forms
+_PI2_LO = 6.265295508739711e-16    # pi^2 - (pi * pi), the rounding of pi^2
 
 
-def _g_series(x):
-    g1 = np.full_like(x, _G1_SERIES[-1])
-    g2 = np.zeros_like(x)
-    for c in _G1_SERIES[-2::-1]:           # Horner, with the derivative
-        g2 = g2 * x + g1
-        g1 = g1 * x + c
-    return g1, g2
+def _g_series(x, derivs):
+    # Horner on every row at once; the value alone runs row 0 only, with the
+    # same operations, so G has the same bits either way
+    coefs = _S_SERIES if derivs else _S_SERIES[:, 0, 0]
+    p = coefs[-1] * np.ones_like(x)
+    for c in coefs[-2::-1]:
+        p *= x
+        p += c
+    y = x * (p[0] if derivs else p)            # sinh(s)/s - 1
+    g = np.log1p(y)
+    if not derivs:
+        return g
+    g1 = p[1] / (1.0 + y)
+    return np.stack([g, g1, p[2] / (1.0 + y) - g1 * g1])
 
 
-def _g_sinh(x):
-    s = np.sqrt(x)
-    e = np.exp(-2.0 * s)                   # underflows to 0, never overflows
-    coth = (1.0 + e) / -np.expm1(-2.0 * s)
-    s_csch2 = 4.0 * s * e / np.expm1(-2.0 * s) ** 2
-    return ((coth - 1.0 / s) / (2.0 * s),
-            (2.0 / s - s_csch2 - coth) / (4.0 * s ** 3))
+def _g_sinh(x, derivs):
+    # in place where it can be, as in _log_integrand
+    s = np.maximum(x, _G_SERIES_MAX)       # X clipped into the domain
+    np.sqrt(s, out=s)
+    sc = np.minimum(s, 20.0)
+    sh = np.sinh(sc)
+    if derivs:
+        # past s = 20, coth(s) = 1 to double precision and s csch^2(s) <
+        # 4e-16: both are read at s = 20
+        coth = np.cosh(sc) / sh
+        g1 = (coth - 1.0 / s) / (2.0 * s)
+        g2 = (2.0 / s - sc / (sh * sh) - coth) / (4.0 * s ** 3)
+    g = np.divide(sh, s, out=sh)
+    np.log(g, out=g)
+    sc -= s
+    g -= sc                    # sinh(s) = e^(s - 20) sinh(20) past s = 20
+    return np.stack([g, g1, g2]) if derivs else g
 
 
-def _g_sin(x):
+def _g_sin(x, derivs):
     y = np.sqrt(-x)
-    cot = 1.0 / np.tan(y)
-    return ((1.0 / y - cot) / (2.0 * y),
-            (2.0 / y - y / np.sin(y) ** 2 - cot) / (4.0 * y ** 3))
+    # sin(y) = sin(d), d = pi - y = (pi^2 - y^2)/(pi + y) from x itself: the
+    # rounding of y would cost digits of sin(y) near y = pi
+    d = np.where(x > -pi * pi, (x + pi * pi + _PI2_LO) / (pi + y), np.nan)
+    sin_d = np.sin(d)
+    g = np.log(sin_d / y)
+    if not derivs:
+        return g
+    cot_d = 1.0 / np.tan(d)                # -cot(y)
+    return np.stack([g, (1.0 / y + cot_d) / (2.0 * y),
+                     (2.0 / y - y / sin_d ** 2 + cot_d) / (4.0 * y ** 3)])
 
 
-def _g_derivatives(x):
-    """(G'(X), G''(X)) of the entire function G(X) = ln[sinh(s)/s], s^2 = X,
-    continued to X < 0 as ln[sin(y)/y], y^2 = -X; NaN for X <= -pi^2."""
+def _g(x, derivs: bool = False):
+    """G(X) = ln[sinh(s)/s], s^2 = X, continued to X < 0 as ln[sin(y)/y],
+    y^2 = -X; NaN for X <= -pi^2, where sin(y)/y <= 0. Vectorized, 0-d
+    included; with ``derivs``, [G, G', G''] stacked on a new axis 0.
+
+    One branch per X: the series for |X| < 0.5, the sinh form above and the
+    sin form below it."""
     x = np.asarray(x, dtype=float)
-    g1 = np.full(x.shape, np.nan)
-    g2 = np.full(x.shape, np.nan)
-    small = np.abs(x) < _G_SERIES_MAX
-    for mask, branch in ((small, _g_series), (x >= _G_SERIES_MAX, _g_sinh),
-                         (~small & (x < 0) & (x > -pi * pi), _g_sin)):
+    flat = x.reshape(-1)
+    # the sinh form everywhere, on X clipped into its domain (most X are
+    # there: no gather), then the series and the sin form over their X
+    out = _g_sinh(flat, derivs)
+    for mask, branch in (((flat < _G_SERIES_MAX) & (flat > -_G_SERIES_MAX),
+                          _g_series), (flat <= -_G_SERIES_MAX, _g_sin)):
         if mask.any():
-            g1[mask], g2[mask] = branch(x[mask])
-    return g1, g2
+            out[..., mask] = branch(flat[mask], derivs)
+    return out.reshape(out.shape[:-1] + x.shape)
 
 
 def _log_integrand(params: ModelParams, r, z, mode: str, derivs: bool = False):
@@ -209,26 +214,33 @@ def _log_integrand(params: ModelParams, r, z, mode: str, derivs: bool = False):
     if params.gamma < 1.0:
         gauss = gauss - (n * beta / (4.0 * v)) * z * z / (1.0 - params.gamma)
     u = 0.5 * beta * lam
-    ln_cosh = np.where(u > 20.0, u - log(2.0), np.log(np.cosh(np.minimum(u, 25.0))))
-    out = gauss + n * (log(2.0) + ln_cosh) - beta * params.E0
+    # n ln[2 cosh(u)] + gauss - beta E0, in place: on a peak-scan grid a
+    # fresh array costs more in page faults than the arithmetic on it
+    out = np.where(u > 20.0, u - log(2.0), np.log(np.cosh(np.minimum(u, 25.0))))
+    out += log(2.0)
+    out *= n
+    out += gauss
+    out -= beta * params.E0
     t = np.tanh(u)
-    w2 = None
+    rpa = None
     if mode == "cspa":
         with np.errstate(divide="ignore", invalid="ignore"):
-            w2 = _omega_sq(params, r, lam, t)
-        out = out + _log_crpa_terms(params, lam, w2)
+            q, a, c = _omega_factors(params, r, lam, t)
+        # ln C_RPA = G(u^2) - G(beta^2 omega^2 / 4)
+        g_lam = _g(u * u, derivs)
+        g_w = _g(0.25 * beta * beta * (a * c), derivs)
+        out += g_lam[0] - g_w[0] if derivs else g_lam - g_w
+        rpa = (q, a, c, g_lam, g_w)
     if not derivs:
         return out
-    return out, _node_derivatives(params, r, z, lam, u, t, w2, gauss)
+    return out, _node_derivatives(params, r, z, lam, u, t, gauss, rpa)
 
 
-def _omega_sq_derivatives(params: ModelParams, r, lam, t, sech2):
-    """(d_v, d_lam, d_lam^2) of omega^2 = a c, a = lam - v t,
-    c = lam - v q t, q = 1 - gamma r^2/lam^2, at fixed r (and at fixed t
-    for d_v); t = tanh(beta lam / 2) and sech2 = 1 - t^2."""
+def _omega_sq_derivatives(params: ModelParams, r, lam, t, sech2, q, a, c):
+    """(d_v, d_lam, d_lam^2) of omega^2 = a c at fixed r (and at fixed t for
+    d_v), from the factors (q, a, c) of _omega_factors, t = tanh(beta lam / 2)
+    and sech2 = 1 - t^2."""
     v, beta, gamma = params.v, params.beta, params.gamma
-    q = 1.0 - gamma * r * r / (lam * lam)
-    a, c = lam - v * t, lam - v * q * t
     t1 = 0.5 * beta * sech2
     t2 = -beta * t * t1
     q1 = 2.0 * gamma * r * r / lam ** 3
@@ -239,24 +251,24 @@ def _omega_sq_derivatives(params: ModelParams, r, lam, t, sech2):
     return -t * (c + q * a), a1 * c + a * c1, a2 * c + 2.0 * a1 * c1 + a * c2
 
 
-def _node_derivatives(params: ModelParams, r, z, lam, u, t, w2, gauss):
-    """The derivatives of L listed in _log_integrand, from its intermediates
-    (w2 is None in spa mode). L depends on v through the Gaussian, E0 and
+def _node_derivatives(params: ModelParams, r, z, lam, u, t, gauss, rpa):
+    """The derivatives of L listed in _log_integrand, from its intermediates;
+    ``rpa`` is None in spa mode, else (q, a, c, G(u^2), G(k omega^2)), each G
+    stacked with G' and G''. L depends on v through the Gaussian, E0 and
     omega^2 at fixed t, and at fixed (r, z) on b through lam alone; dw, d2w
     are the first and second lam derivatives of L."""
     n, v, beta, gamma = params.n, params.v, params.beta, params.gamma
-    k = 0.25 * beta * beta                 # X = k omega^2 in -G(X)
     e = np.exp(-2.0 * u)
     sech2 = 4.0 * e / (1.0 + e) ** 2
     dv = -gauss / v - 0.25 * beta * (3.0 - gamma)
-    if w2 is not None:
-        w2_v, w2_1, w2_2 = _omega_sq_derivatives(params, r, lam, t, sech2)
-        g1, g2 = _g_derivatives(k * w2)
-        dv = dv - g1 * k * w2_v
     dw = 0.5 * n * beta * t                # n ln cosh(u)
     d2w = 0.25 * n * beta * beta * sech2
-    if w2 is not None:
-        s1, s2 = _g_derivatives(u * u)     # ln[sinh(u)/u] = G(u^2)
+    if rpa is not None:
+        q, a, c, (_, s1, s2), (_, g1, g2) = rpa
+        k = 0.25 * beta * beta             # X = k omega^2 in -G(X)
+        w2_v, w2_1, w2_2 = _omega_sq_derivatives(params, r, lam, t, sech2,
+                                                 q, a, c)
+        dv = dv - g1 * k * w2_v
         dw = dw + beta * u * s1 - g1 * k * w2_1
         d2w = (d2w + k * (2.0 * s1 + 4.0 * u * u * s2)
                - g2 * (k * w2_1) ** 2 - g1 * k * w2_2)

@@ -33,7 +33,7 @@ import numpy as np
 from .cmfa import critical_temperature
 from .errors import DomainError
 from .model import ModelParams, crossing_fields
-from .sweep import (LimitResult, evaluate_points, limit_temperature,
+from .sweep import (LimitResult, _csv, evaluate_points, limit_temperature,
                     points_to_csv)
 
 __all__ = ["reproduce_figure", "FIGURE_IDS", "b_grid_with_crossings"]
@@ -58,15 +58,6 @@ def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
-
-
-def _limit_curve_csv(rows) -> str:
-    lines = [",".join(LIMIT_COLUMNS)]
-    for r in rows:
-        lines.append(",".join("" if r[c] is None else repr(r[c])
-                              if isinstance(r[c], float) else str(r[c])
-                              for c in LIMIT_COLUMNS))
-    return "\n".join(lines) + "\n"
 
 
 def _tl_row(tier, n, gamma, b, res: LimitResult):
@@ -129,7 +120,7 @@ class _LimitFile:
                     res = limit_temperature(tier, p, probes=probes,
                                             epsrel=epsrel)
                     rows.append(_tl_row(tier, n, gamma, float(b), res))
-        return _limit_curve_csv(rows)
+        return _csv(rows, LIMIT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -141,11 +132,10 @@ class _TcGuide:
     plots: tuple
 
     def text(self) -> str:
-        return _limit_curve_csv(
-            {"tier": "tc", "n": 20, "v": 1.0, "gamma": 1.0, "b": float(b),
-             "T_L": critical_temperature(ModelParams(n=20, b=float(b))),
-             "status": "ok"}
-            for b in self.b_values)
+        return _csv(
+            ({"tier": "tc", "n": 20, "v": 1.0, "gamma": 1.0, "b": float(b),
+              "T_L": critical_temperature(ModelParams(n=20, b=float(b))),
+              "status": "ok"} for b in self.b_values), LIMIT_COLUMNS)
 
 
 # Each figure: (gnuplot title, axis labels, curve files in writing order).

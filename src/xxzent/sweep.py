@@ -385,12 +385,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def points_to_csv(points, columns=CSV_COLUMNS) -> str:
+def _csv(rows, columns) -> str:
+    """CSV text of dict rows, one cell rule for every file (_fmt)."""
     lines = [",".join(columns)]
-    for pt in points:
-        row = pt.row()
+    for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
+
+
+def points_to_csv(points, columns=CSV_COLUMNS) -> str:
+    return _csv((pt.row() for pt in points), columns)
 
 
 def points_to_json(points, spec: SweepSpec | None = None) -> str:

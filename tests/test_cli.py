@@ -126,6 +126,31 @@ def test_config_flag_precedence(tmp_path, capsys):
     assert out.splitlines()[1].startswith("exact,10")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("limit-temp", "--b", "0.3"), "probes = 2.5"),
+    (("concurrence",), "T = abc"),
+    (("concurrence",), "tier = foo"),
+])
+def test_config_bad_values_are_invalid_arguments(tmp_path, capsys, argv,
+                                                 line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(*argv, "--n", "20", "--config", str(cfg)) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_config_value_of_an_option_without_default(tmp_path, capsys):
+    # t_min defaults to None: the config value is parsed as the flag's is
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_min = 0.01\n")
+    argv = ("limit-temp", "--n", "20", "--b", "0.3", "--probes", "12")
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(*argv, "--t-min", "0.01") == 0
+    assert from_config == capsys.readouterr().out
+    assert from_config.startswith("band: 0.01 ..")
+
+
 def test_figure_command(tmp_path, capsys):
     rc = run_cli("figure", "--id", "1", "--out-dir", str(tmp_path))
     assert rc == 0

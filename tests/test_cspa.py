@@ -622,15 +622,100 @@ def test_g_derivatives_against_mpmath():
 
     xs = [-9.8, -9.0, -5.0, -1.9, -1.0, -0.50001, -0.49999, -0.1, -1e-3, 1e-8,
           0.2, 0.49999, 0.50001, 0.7, 1.9, 3.0, 40.0, 1e3, 1e6]
-    g1, g2 = cspa._g_derivatives(np.array(xs))
+    _, g1, g2 = cspa._g(np.array(xs), True)
     for x, a, b in zip(xs, g1, g2):
         with mpmath.workdps(40):
             ref1 = float(mpmath.re(mpmath.diff(G, mpmath.mpf(x), 1)))
             ref2 = float(mpmath.re(mpmath.diff(G, mpmath.mpf(x), 2)))
         assert a == pytest.approx(ref1, rel=1e-12), x
         assert b == pytest.approx(ref2, rel=1e-12), x
-    g1, g2 = cspa._g_derivatives(np.zeros(1))
+    _, g1, g2 = cspa._g(np.zeros(1), True)
     assert (g1[0], g2[0]) == pytest.approx((1.0 / 6.0, -1.0 / 90.0), rel=1e-15)
+
+
+def test_g_against_mpmath():
+    # G itself on both sides of every branch switch, up to the breakdown
+    # edge X -> -pi^2 and out to X = 1e6, and 0-d input as _radial_cut
+    # passes it; an absolute 1e-15 is below one ulp of G past |G| ~ 4, so
+    # the bound there is 1e-15 relative
+    import xxzent.cspa as cspa
+    mpmath = pytest.importorskip("mpmath")
+
+    def G(X):
+        s = mpmath.sqrt(X)
+        return mpmath.log(mpmath.sinh(s) / s)
+
+    xs = [-pi * pi + 1e-9, -9.8696, -9.869, -9.8, -9.0, -5.0, -1.0, -0.50001,
+          -0.5, -0.49999, -1e-3, 0.0, 1e-8, 0.49999, 0.5, 0.50001, 3.0,
+          399.9, 400.1, 1e3, 1e6]
+    with mpmath.workdps(40):
+        refs = [[float(mpmath.re(mpmath.diff(G, mpmath.mpf(x), k)))
+                 for k in range(3)] if x else [0.0, 1.0 / 6.0, -1.0 / 90.0]
+                for x in xs]
+    stacked = cspa._g(np.array(xs), True)
+    np.testing.assert_array_equal(stacked[0], cspa._g(np.array(xs)))
+    for x, ref in zip(xs, refs):
+        for got in (stacked[:, xs.index(x)], cspa._g(np.float64(x), True)):
+            assert got[0] == pytest.approx(ref[0], rel=1e-15, abs=1e-15), x
+            np.testing.assert_allclose(got[1:], ref[1:], rtol=1e-12,
+                                       err_msg=str(x))
+        zero_d = cspa._g(np.array(x))
+        assert zero_d.shape == () and zero_d == stacked[0, xs.index(x)]
+    assert cspa._g(np.array(-pi * pi)).shape == ()
+    assert np.isnan(cspa._g(np.array(-pi * pi)))
+
+
+def test_log_integrand_value_path_is_the_derivs_path():
+    # ln[Z(lam) C_RPA] is the same number whether or not the node
+    # derivatives ride along; the grids reach every branch of _g
+    import xxzent.cspa as cspa
+    reached = np.zeros(3, dtype=bool)
+    for p, r, z in [
+            (ModelParams(n=20, v=1.0, gamma=1.0, b=0.2, T=0.1),
+             np.linspace(1e-6, 2.0, 400), 0.0),
+            (ModelParams(n=20, v=1.0, gamma=1.0, b=1.1, T=0.9),
+             np.linspace(1e-6, 3.0, 400), 0.0),
+            (ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.12),
+             np.linspace(1e-6, 2.0, 60)[:, None],
+             np.linspace(-1.5, 1.5, 41)[None, :])]:
+        # the arguments of _g on the grid: beta^2 omega^2 / 4 and u^2
+        for x in (0.25 * p.beta ** 2 * omega_squared(p, r + 0 * z, z + 0 * r),
+                  (0.5 * p.beta * np.hypot(p.b - z, r)) ** 2):
+            reached |= [np.any(np.abs(x) < 0.5), np.any(x >= 0.5),
+                        np.any((x <= -0.5) & (x > -pi * pi))]
+        for mode in ("cspa", "spa"):
+            L, _ = cspa._log_integrand(p, r, z, mode, derivs=True)
+            np.testing.assert_array_equal(
+                cspa._log_integrand(p, r, z, mode), L)
+    assert reached.all()        # series, sinh and sin branches
+
+
+@pytest.mark.parametrize("mode, per_call", [("cspa", 2), ("spa", 0)])
+def test_g_runs_twice_per_log_integrand(monkeypatch, mode, per_call):
+    # once at u^2 and once at beta^2 omega^2 / 4, value and derivatives
+    # together; never without the RPA factor
+    import xxzent.cspa as cspa
+    calls = []
+    g = cspa._g
+    monkeypatch.setattr(cspa, "_g",
+                        lambda x, derivs=False: calls.append(derivs) or
+                        g(x, derivs))
+    p = ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)
+    for derivs in (False, True):
+        calls.clear()
+        cspa._log_integrand(p, np.linspace(0.1, 2.0, 7), 0.2, mode, derivs)
+        assert calls == [derivs] * per_call
+    n_calls = []
+    real = cspa._log_integrand
+
+    def counted(*args, **kwargs):
+        n_calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cspa, "_log_integrand", counted)
+    calls.clear()
+    cspa_logZ(ModelParams(n=20, v=1.0, gamma=1.0, b=0.5, T=0.3), mode)
+    assert len(calls) == per_call * len(n_calls) and n_calls
 
 
 def test_derivative_helpers_finite_in_extreme_regimes():
@@ -639,11 +724,11 @@ def test_derivative_helpers_finite_in_extreme_regimes():
     import xxzent.cspa as cspa
     x = np.concatenate([-pi * pi + np.geomspace(1e-12, 1.0, 30),
                         np.linspace(-1.0, 1.0, 41), np.geomspace(1.0, 1e9, 30)[1:]])
-    g1, g2 = cspa._g_derivatives(x)
+    _, g1, g2 = cspa._g(x, True)
     # G' = sum_k 1/(k^2 pi^2 + X) > 0 decreasing, G'' = -sum_k (...)^-2 < 0
     assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
     assert np.all(g1 > 0) and np.all(g2 < 0) and np.all(np.diff(g1) < 0)
-    assert np.all(np.isnan(cspa._g_derivatives(np.array([-pi * pi, -20.0]))))
+    assert np.all(np.isnan(cspa._g(np.array([-pi * pi, -20.0]), True)[1:]))
     # beta lam / 2 up to 1e4, and lam -> 0 at b = 0 (and at z = b)
     cases = [(ModelParams(n=8810, v=1.0, gamma=1.0, b=2.0, T=0.02),
               np.geomspace(1e-9, 400.0, 200), 0.0),
@@ -707,7 +792,8 @@ def test_node_derivatives_against_generic_rpa_engine(gamma, b, T, r, z):
             - cspa._log_integrand(p, r, z, "spa", derivs=True)[1])
     lam = np.hypot(b - z, r)
     t = np.tanh(0.5 * lam / T)
-    w2_v, w2_1, w2_2 = cspa._omega_sq_derivatives(p, r, lam, t, 1.0 - t * t)
+    w2_v, w2_1, w2_2 = cspa._omega_sq_derivatives(
+        p, r, lam, t, 1.0 - t * t, *cspa._omega_factors(p, r, lam, t))
     ref0 = _generic_rpa_route(p, r, z)
     assert ref0[1] == pytest.approx(float(cspa.omega_squared(p, r, z)),
                                     rel=1e-9, abs=1e-14)
