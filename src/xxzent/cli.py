@@ -137,32 +137,44 @@ def _build_parser():
     return ap
 
 
-def _apply_config(args, argv, parser):
-    """Fill the options not given on the command line from --config, each
-    value parsed by the parser's own action for that option."""
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-        given = set(argv)
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in subparsers.choices[args.command]._actions
-                   if a.default is not argparse.SUPPRESS}
-        for key, raw in cfg.items():
-            if key not in actions:
-                raise DomainError(f"unknown config key {key!r}")
-            if f"--{key.replace('_', '-')}" in given or f"--{key}" in given:
-                continue  # explicit flags win over the config file
-            action = actions[key]
-            parse = action.type or str
-            try:
-                value = ([parse(g) for g in raw.split()] if key == "grid"
-                         else parse(raw))
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(f"not one of {list(action.choices)}")
-            except (ValueError, argparse.ArgumentTypeError) as err:
-                raise DomainError(f"config key {key!r}: {err}") from None
-            setattr(args, key, value)
-    return args
+def _read_config_options(parser, argv):
+    """The options that the --config file of ``argv`` sets, read before the
+    command line is parsed: {dest: value}, each value parsed by the
+    subcommand's own action for that option. Each such option loses its
+    default and its required mark, so that the file can supply it; the
+    caller fills in the ones that no flag gave (explicit flags win)."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return {}
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if not path:
+        return {}
+    try:
+        cfg = _read_config(path)
+    except OSError as err:
+        raise DomainError(f"cannot read config file: {err}") from None
+    actions = {a.dest: a for a in sub._actions
+               if a.default is not argparse.SUPPRESS}
+    values = {}
+    for key, raw in cfg.items():
+        if key not in actions:
+            raise DomainError(f"unknown config key {key!r}")
+        action = actions[key]
+        parse = action.type or str
+        try:
+            value = ([parse(g) for g in raw.split()] if key == "grid"
+                     else parse(raw))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"not one of {list(action.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise DomainError(f"config key {key!r}: {err}") from None
+        values[key] = value
+        action.default, action.required = None, False
+    return values
 
 
 def _params_from(args, t_default=0.0):
@@ -304,9 +316,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv, parser)
+        config = _read_config_options(parser, argv)
+        args = parser.parse_args(argv)
+        for key, value in config.items():
+            if getattr(args, key) is None:      # no flag gave it
+                setattr(args, key, value)
         return _COMMANDS[args.command](args)
     except (BreakdownError, QuadratureError, ConvergenceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

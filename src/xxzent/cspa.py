@@ -32,11 +32,14 @@ Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
 z. Each radial integral is shifted by its l_peak, with panels placed across
 r_peak so the quadrature cannot miss a sharp large-n saddle: one fixed
-panel layout per radial integral, batched over z (a single row at
-gamma = 1); a row that misses the error budget is refined adaptively over
-the same cut, in the same function. For gamma < 1 the z with the highest
-l_peak seeds the outer z panels and shifts the outer integral; z nodes more
-than 200 log-units below it are skipped.
+panel layout per radial integral, batched over rows; a row that misses the
+error budget is refined adaptively over the same cut, in the same function.
+At gamma = 1 a point is one row (z = 0), and a batch of points at one
+(n, v, gamma) is one array pass, one row per point, its validity scan
+included; a row's bits do not depend on the other rows of its pass. For
+gamma < 1 each point has its own outer z integral, whose z nodes are the
+rows: the z with the highest l_peak seeds the outer z panels and shifts the
+outer integral; z nodes more than 200 log-units below it are skipped.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -71,7 +74,8 @@ from math import factorial, inf, log, pi, sqrt
 
 import numpy as np
 
-from .errors import BreakdownError, DomainError, QuadratureError
+from .errors import (BreakdownError, DomainError, QuadratureError,
+                     XxzentError)
 from .exact import CollectiveMoments
 from .model import ModelParams
 from .quadrature import _NODES, _WGFULL, _WK, bracket_root, quad_gk
@@ -82,12 +86,46 @@ __all__ = [
     "omega_squared",
     "cspa_logZ",
     "cspa_moments",
+    "cspa_moments_batch",
     "breakdown_temperature",
 ]
 
 _SCAN_R = 256
 _SCAN_Z = 64
 _TAIL_LOG_UNITS = 40.0     # log-units of Gaussian tail kept beyond the peak
+
+
+class _Rows:
+    """Points at one (n, v, gamma) as the radial rows of one array pass,
+    read through the attribute names of ModelParams: n, v, gamma and E0
+    shared, b and beta one per row as column arrays, so that they broadcast
+    over the nodes of a (rows, nodes) array."""
+
+    def __init__(self, n, v, gamma, b, beta):
+        self.n, self.v, self.gamma, self.b, self.beta = n, v, gamma, b, beta
+        self.E0 = v * (3.0 - gamma) / 4.0          # as ModelParams.E0
+
+    @staticmethod
+    def of(points):
+        """The points as rows; a single point is its own ModelParams, whose
+        float b and beta are cheaper than arrays and round the same."""
+        if len(points) == 1:
+            return points[0]
+        p = points[0]
+        return _Rows(p.n, p.v, p.gamma, np.array([[q.b] for q in points]),
+                     np.array([[q.beta] for q in points]))
+
+    def __getitem__(self, rows):
+        return _Rows(self.n, self.v, self.gamma, self.b[rows], self.beta[rows])
+
+
+def _at(x, rows):
+    """``x`` on the given rows (an index or an index array): a _Rows or an
+    array of one value per row is indexed, while a ModelParams or a scalar
+    is the same on every row."""
+    if isinstance(x, _Rows) or (isinstance(x, np.ndarray) and x.ndim):
+        return x[rows]
+    return x
 
 
 def omega_squared(params: ModelParams, r, z=0.0):
@@ -291,8 +329,10 @@ class CspaEvaluation:
     dlnZ_dv: float
 
 
-def _scan_validity(params: ModelParams):
-    """Worst -omega^2 over the static domain (validity needs it < 4 pi^2 T^2).
+def _scan_validity(params):
+    """(worst, (r, z)): the worst -omega^2 over the static domain and where
+    it is (validity needs worst < 4 pi^2 T^2); at gamma = 1 one per row of a
+    _Rows, from one array call.
 
     omega^2 < 0 can only happen for lam < v, so the scan box r in (0, 1.1 v],
     |b - z| <= 1.1 v covers every possible violation regardless of n.
@@ -306,8 +346,21 @@ def _scan_validity(params: ModelParams):
         i = np.unravel_index(np.argmin(w2), w2.shape)
         return float(-w2[i]), (float(rr[i]), float(zz[i]))
     w2 = omega_squared(params, r, 0.0)
-    i = int(np.argmin(w2))
-    return float(-w2[i]), (float(r[i]), 0.0)
+    return -w2.min(axis=-1), (r[np.argmin(w2, axis=-1)], 0.0)
+
+
+def _breakdown(params: ModelParams, worst, where):
+    """The BreakdownError of a point whose validity scan found ``worst`` at
+    ``where``, or None when the point is valid."""
+    if worst < (2.0 * pi * params.T) ** 2:
+        return None
+    where = (float(where[0]), float(where[1]))
+    t_star = breakdown_temperature(params)
+    return BreakdownError(
+        f"CSPA breakdown: beta|omega|/2 >= pi at (r, z) = {where} "
+        f"(T = {params.T:.6g} <= T* ~ {t_star:.6g}); mode='spa' "
+        f"drops the RPA factor and never breaks down",
+        where=where, t_star=t_star)
 
 
 def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
@@ -338,12 +391,12 @@ def _t_star(v: float, gamma: float, b: float, tol: float) -> float:
                         t_lo, inf, t_hi, -inf, tol * v)
 
 
-def _radial_peaks(params: ModelParams, zs, mode: str):
+def _radial_peaks(params, zs, mode: str):
     """(r_peak, l_peak), the maximum of ln[r e^{L(r, z)}] over r, per z of
-    ``zs`` (any shape): a 512-point grid on (0, 1.5 v + |b - z|] per z, all
-    in one array call."""
+    ``zs`` (any shape; one per row of a _Rows): a 512-point grid on
+    (0, 1.5 v + |b - z|] per z, all in one array call."""
     zs = np.asarray(zs, dtype=float)
-    r_hi = 1.5 * params.v + np.abs(params.b - zs)
+    r_hi = 1.5 * params.v + np.abs(params.b - zs[..., None])[..., 0]
     grid = np.linspace(r_hi / 512.0, r_hi, 512, axis=-1)
     L = _log_integrand(params, grid, zs[..., None], mode) + np.log(grid)
     k = np.nanargmax(L, axis=-1)[..., None]
@@ -351,19 +404,21 @@ def _radial_peaks(params: ModelParams, zs, mode: str):
             np.take_along_axis(L, k, -1)[..., 0])
 
 
-def _radial_width(params: ModelParams):
+def _radial_width(params):
     """(width, sigma): the kept radial half-window past the peak and the
-    Gaussian width it spans, _TAIL_LOG_UNITS + ln n log-units."""
+    Gaussian width it spans, _TAIL_LOG_UNITS + ln n log-units (a column,
+    one per row, for a _Rows)."""
     units = _TAIL_LOG_UNITS + log(params.n)
-    width = sqrt(4.0 * params.v * units / (params.n * params.beta))
+    width = np.sqrt(4.0 * params.v * units / (params.n * params.beta))
     return width, width / sqrt(2.0 * units)
 
 
-def _radial_cut(params: ModelParams, zs, peaks, mode: str):
+def _radial_cut(params, zs, peaks, mode: str):
     """Truncation radius per z: r_peak + width, moved out by factors of 1.5
     (at most 8 times) while ln[r e^L] there is within _TAIL_LOG_UNITS of the
     peak, since the radial profile can be wider than the bare Gaussian."""
-    r_peak, l_peak = peaks
+    # one column per z, which a _Rows' b and beta line up with
+    r_peak, l_peak, zs = (np.asarray(a)[..., None] for a in (*peaks, zs))
     r_max = r_peak + _radial_width(params)[0]
     for _ in range(8):
         tail = _log_integrand(params, r_max, zs, mode) + np.log(r_max)
@@ -371,7 +426,7 @@ def _radial_cut(params: ModelParams, zs, peaks, mode: str):
         if not np.any(wide):
             break
         r_max = np.where(wide, 1.5 * r_max, r_max)
-    return r_max
+    return r_max[..., 0]
 
 
 def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
@@ -391,24 +446,35 @@ _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
                          8.0, 16.0, 40.0])
 
 
-def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
-                               epsrel: float, center: float = 0.0):
-    """(ln I_0, rel. error, I_k / I_0 with one column per z), I_k the
-    integrals over (0, r_max) of the rows of _weighted_factors, for a whole
-    batch of z values, vectorized.
+# panel seeds of the adaptive refinement, in bare sigmas from r_peak
+_SEED_SIGMAS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 
-    One fixed Gauss-Kronrod panel layout per z, centred on its r_peak (from
-    ``peaks``, as in _radial_peaks) and cut at _radial_cut, in a single array
-    call; a row whose K15-G7 error estimate of I_0 misses the budget is
+
+def _node_sum(y, w):
+    """sum_k y[..., k] w[k], row by row: a BLAS matrix-vector product would
+    round a row differently depending on how many rows it is given."""
+    return np.einsum("...k,k->...", y, w)
+
+
+def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
+                               center=0.0, failed=None):
+    """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
+    integrals over (0, r_max) of the rows of _weighted_factors, for a whole
+    batch of rows, vectorized: the z values of one ModelParams, or the
+    points of a _Rows (zs = 0). ``center`` is one value or one per row.
+
+    One fixed Gauss-Kronrod panel layout per row, centred on its r_peak
+    (from ``peaks``, as in _radial_peaks) and cut at _radial_cut, in a single
+    array call; a row whose K15-G7 error estimate of I_0 misses the budget is
     refined adaptively over the same cut, with panels seeded across its peak.
-    Refinement follows I_0.
+    Refinement follows I_0. A refinement that fails raises its
+    QuadratureError, or, given a dict ``failed``, records it there under its
+    row and leaves the row's outputs NaN.
     """
     nz = zs.size
     r_peak, l_peak = peaks
-    width, sigma = _radial_width(params)
+    width, sigma = (np.ravel(a) for a in _radial_width(params))
     r_max = _radial_cut(params, zs, peaks, mode)
-    # the adaptive refinement seeds its panels at r_peak + k bare sigmas
-    offsets = np.array([-8, -4, -2, -1, 0, 1, 2, 4, 8]) * sigma
     # a cut moved out means a profile wider than the bare Gaussian
     sigma = sigma * np.where(r_max > r_peak + width, (r_max - r_peak) / width,
                              1.0)
@@ -422,24 +488,35 @@ def _radial_log_integral_batch(params: ModelParams, zs, peaks, mode: str,
     lo, hi = lo[row, pan], hi[row, pan]
     half = 0.5 * (hi - lo)                              # (npanels,)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES   # (npanels, 15)
-    y = _weighted_factors(params, x, zs[row, None], mode, l_peak[row, None],
-                          center)
-    k15 = (y @ _WK) * half                              # (m, npanels)
-    err = np.bincount(row, np.abs(k15[0] - (y[0] @ _WGFULL) * half),
+    y = _weighted_factors(_at(params, row), x, zs[row, None], mode,
+                          l_peak[row, None],
+                          np.reshape(_at(center, row), (-1, 1)))
+    k15 = _node_sum(y, _WK) * half                      # (m, npanels)
+    err = np.bincount(row, np.abs(k15[0] - _node_sum(y[0], _WGFULL) * half),
                       minlength=nz)
     val = np.stack([np.bincount(row, k, minlength=nz) for k in k15])
     for i in np.flatnonzero(~((val[0] > 0) & (err <= epsrel * val[0]))):
+        at_i, center_i = _at(params, i), _at(center, i)
+
         def f(r):
-            y = _weighted_factors(params, r, zs[i], mode, l_peak[i], center)
+            y = _weighted_factors(at_i, r, zs[i], mode, l_peak[i], center_i)
             return np.where(r <= 0, 0.0, y)
 
         cut = r_max[i]
-        res = quad_gk(f, 0.0, cut, epsabs=1e-300, epsrel=epsrel,
-                      initial_points=[*(r_peak[i] + offsets), 0.25 * cut,
-                                      0.5 * cut, 0.75 * cut],
-                      max_panels=4000)
-        if res.value[0] <= 0:
-            raise QuadratureError("radial CSPA integral collapsed to zero")
+        seeds = r_peak[i] + _SEED_SIGMAS * _radial_width(at_i)[1]
+        try:
+            res = quad_gk(f, 0.0, cut, epsabs=1e-300, epsrel=epsrel,
+                          initial_points=[*seeds, 0.25 * cut, 0.5 * cut,
+                                          0.75 * cut],
+                          max_panels=4000)
+            if res.value[0] <= 0:
+                raise QuadratureError("radial CSPA integral collapsed to zero")
+        except QuadratureError as exc:
+            if failed is None:
+                raise
+            failed[i] = exc
+            val[:, i], err[i] = np.nan, np.nan
+            continue
         val[:, i], err[i] = res.value, res.error
     # math.log, not np.log: numpy's SIMD log differs from it in the last bit
     # on some inputs, and ln I_0 feeds every output of cspa_logZ
@@ -455,81 +532,131 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     In cspa mode the validity scan runs first and a BreakdownError (with the
     offending static point and the estimated T*) is raised for T <= T*.
     """
+    return _one(_logZ_batch([params], mode, epsrel))
+
+
+def _one(outcomes):
+    """The outcome of a batch of one: its value, or the exception raised."""
+    (out,) = outcomes
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _logZ_batch(points, mode: str, epsrel: float) -> list:
+    """cspa_logZ at each of ``points``, which share n, v and gamma: one
+    outcome per point, its CspaEvaluation or the exception that refuses it.
+
+    At gamma = 1 the points are the rows of one radial pass (validity scan,
+    peaks, cut and panels), and a row that fails its refinement fails its
+    point only; at gamma < 1 each point has its own z integral, and a
+    package error there fails its point only. Anything else raises.
+    """
     if mode not in ("cspa", "spa"):
         raise DomainError(f"unknown mode {mode!r}")
-    if params.T <= 0:
-        raise DomainError("cspa_logZ requires T > 0")
+    out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0 else None
+           for p in points]
+    live = [k for k, o in enumerate(out) if o is None]
+    if not live:
+        return out
+    if points[0].gamma < 1.0:
+        for k in live:
+            try:
+                out[k] = _logZ_z(points[k], mode, epsrel)
+            except XxzentError as err:   # that point's failure alone
+                out[k] = err
+        return out
     if mode == "cspa":
-        worst, where = _scan_validity(params)
-        if worst >= (2.0 * pi * params.T) ** 2:
-            t_star = breakdown_temperature(params)
-            raise BreakdownError(
-                f"CSPA breakdown: beta|omega|/2 >= pi at (r, z) = {where} "
-                f"(T = {params.T:.6g} <= T* ~ {t_star:.6g}); mode='spa' "
-                f"drops the RPA factor and never breaks down",
-                where=where, t_star=t_star)
+        worst, (r, _) = _scan_validity(_Rows.of([points[k] for k in live]))
+        for k, w, rk in zip(live, np.ravel(worst), np.ravel(r)):
+            out[k] = _breakdown(points[k], w, (rk, 0.0))
+        live = [k for k in live if out[k] is None]
+    if live:
+        for k, ev in zip(live, _logZ_rows([points[k] for k in live], mode,
+                                          epsrel)):
+            out[k] = ev
+    return out
 
+
+def _logZ_rows(points, mode: str, epsrel: float) -> list:
+    """The gamma = 1 integrals of valid points, one radial row per point."""
+    rows = _Rows.of(points)
+    zs = np.zeros(len(points))
+    peaks = _radial_peaks(rows, zs, mode)
+    center = _peak_slope(rows, zs, peaks, mode)
+    failed = {}
+    lv, rel, means = _radial_log_integral_batch(rows, zs, peaks, mode, epsrel,
+                                                center, failed)
+    return [failed[i] if i in failed else _evaluation(
+                p, mode, log(p.n * p.beta / (2.0 * p.v)) + float(lv[i]),
+                float(rel[i]), center[i], means[:, i], 1.0)
+            for i, p in enumerate(points)]
+
+
+def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
+    """ln Z at gamma < 1: the outer adaptive integral over z of the inner
+    radial integral, stacked with its means."""
+    if mode == "cspa":
+        err = _breakdown(params, *_scan_validity(params))
+        if err is not None:
+            raise err
     n, v, beta = params.n, params.v, params.beta
-    if params.gamma == 1.0:
-        zs = np.zeros(1)
-        peaks = _radial_peaks(params, zs, mode)
-        center = _peak_slope(params, zs, peaks, mode)
-        lv, rel, means = _radial_log_integral_batch(params, zs, peaks, mode,
-                                                    epsrel, center)
-        logZ = log(n * beta / (2.0 * v)) + float(lv[0])
-        error, means, c = float(rel[0]), means[:, 0], 1.0
-    else:
-        # outer adaptive integral over z of the inner radial integral,
-        # stacked with its means
-        sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
-        width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
-        z_lo = -abs(params.b) - width_z - 1.5 * v
-        z_hi = abs(params.b) + width_z + 1.5 * v
-        z_peak, peak = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
-        shift = float(peak[1][0])
-        center = _peak_slope(params, z_peak, peak, mode)
-        errs = []
+    sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
+    width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
+    z_lo = -abs(params.b) - width_z - 1.5 * v
+    z_hi = abs(params.b) + width_z + 1.5 * v
+    z_peak, peak = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
+    shift = float(peak[1][0])
+    center = _peak_slope(params, z_peak, peak, mode)[0]
+    errs = []
 
-        def g(zs):
-            out = np.zeros((5, zs.size))
-            r_peak, l_peak = _radial_peaks(params, zs, mode)
-            # z deep in the Gaussian tail contributes nothing, and the log
-            # integrand there sits below float resolution anyway
-            live = l_peak - shift > -200.0
-            if np.any(live):
-                lv, rel, means = _radial_log_integral_batch(
-                    params, zs[live], (r_peak[live], l_peak[live]), mode,
-                    epsrel, center)
-                errs.extend(rel)
-                w = np.exp(np.minimum(lv - shift, 700.0))
-                out[:, live] = w * np.vstack([np.ones_like(lv), means])
-            return out
+    def g(zs):
+        out = np.zeros((5, zs.size))
+        r_peak, l_peak = _radial_peaks(params, zs, mode)
+        # z deep in the Gaussian tail contributes nothing, and the log
+        # integrand there sits below float resolution anyway
+        live = l_peak - shift > -200.0
+        if np.any(live):
+            lv, rel, means = _radial_log_integral_batch(
+                params, zs[live], (r_peak[live], l_peak[live]), mode,
+                epsrel, center)
+            errs.extend(rel)
+            w = np.exp(np.minimum(lv - shift, 700.0))
+            out[:, live] = w * np.vstack([np.ones_like(lv), means])
+        return out
 
-        seeds = sorted({z_peak[0] + k * sigma_z
-                        for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
-        res = quad_gk(g, z_lo, z_hi, epsabs=1e-300, epsrel=epsrel,
-                      initial_points=seeds, max_panels=800)
-        total = res.value[0]
-        if total <= 0:
-            raise QuadratureError("z integral collapsed to zero")
-        pref = 0.25 * sqrt(n ** 3 * beta ** 3
-                           / (pi * v ** 3 * (1.0 - params.gamma)))
-        logZ = log(pref) + shift + log(total)
-        error = float(res.error / total + (max(errs) if errs else 0.0))
-        means, c = res.value[1:] / total, 1.5
+    seeds = sorted({z_peak[0] + k * sigma_z
+                    for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
+    res = quad_gk(g, z_lo, z_hi, epsabs=1e-300, epsrel=epsrel,
+                  initial_points=seeds, max_panels=800)
+    total = res.value[0]
+    if total <= 0:
+        raise QuadratureError("z integral collapsed to zero")
+    pref = 0.25 * sqrt(n ** 3 * beta ** 3
+                       / (pi * v ** 3 * (1.0 - params.gamma)))
+    logZ = log(pref) + shift + log(total)
+    error = float(res.error / total + (max(errs) if errs else 0.0))
+    return _evaluation(params, mode, logZ, error, center,
+                       res.value[1:] / total, 1.5)
+
+
+def _evaluation(params: ModelParams, mode: str, logZ: float, error: float,
+                center, means, c: float) -> CspaEvaluation:
+    """The CspaEvaluation of one point from the means of its pass, around
+    ``center``, and the v-derivative ``c`` / v of ln(1 / pref)."""
     d, d2, db2, dv = means
     return CspaEvaluation(
         logZ=logZ, mode=mode, quadrature_error=error,
-        dlnZ_db=center + float(d), d2lnZ_db2=float(db2 + (d2 - d * d)),
-        dlnZ_dv=float(dv) - c / v)
+        dlnZ_db=float(center) + float(d), d2lnZ_db2=float(db2 + (d2 - d * d)),
+        dlnZ_dv=float(dv) - c / params.v)
 
 
-def _peak_slope(params: ModelParams, zs, peaks, mode: str) -> float:
-    """d_b L at the radial peak of the one z in ``zs``: the centre of the
-    accumulated deviations d = d_b L - centre, so that
+def _peak_slope(params, zs, peaks, mode: str):
+    """d_b L at the radial peak of each z in ``zs`` (each row of a _Rows):
+    the centre of the accumulated deviations d = d_b L - centre, so that
     Var(d_b L) = <d^2> - <d>^2 does not cancel."""
-    return float(_log_integrand(params, peaks[0], zs, mode,
-                                derivs=True)[1][0, 0])
+    r_peak, zs = np.asarray(peaks[0])[..., None], np.asarray(zs)[..., None]
+    return _log_integrand(params, r_peak, zs, mode, derivs=True)[1][0, ..., 0]
 
 
 def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
@@ -541,7 +668,11 @@ def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
     lo, hi = z_lo, z_hi
     for _ in range(48):
         zs = np.linspace(lo, hi, 48)
-        r_peak, l_peak = _radial_peaks(params, zs, mode)
+        # two array calls of 24 z: the temporaries of one 48 x 512 grid are
+        # large enough that malloc maps each from the system and faults it
+        # in afresh; the halves reuse freed heap memory
+        r_peak, l_peak = map(np.concatenate, zip(
+            *(_radial_peaks(params, half, mode) for half in np.split(zs, 2))))
         k = int(np.argmax(l_peak))
         span = hi - lo
         if span < 0.25 * sigma_z:
@@ -557,7 +688,19 @@ def cspa_moments(params: ModelParams, mode: str = "cspa",
     one cspa_logZ pass returns, through the thermodynamic relations of the
     module docstring. Below T* it raises the BreakdownError of cspa_logZ,
     which names mode="spa" as the fallback."""
-    ev = cspa_logZ(params, mode, epsrel=epsrel)
+    return _one(cspa_moments_batch([params], mode, epsrel))
+
+
+def cspa_moments_batch(points, mode: str = "cspa",
+                       epsrel: float = 1e-11) -> list:
+    """cspa_moments at each of ``points``, which share n, v and gamma, from
+    one pass at gamma = 1: one outcome per point, its CollectiveMoments or
+    the exception that cspa_moments would raise there."""
+    return [ev if isinstance(ev, Exception) else _moments(p, ev)
+            for p, ev in zip(points, _logZ_batch(points, mode, epsrel))]
+
+
+def _moments(params: ModelParams, ev: CspaEvaluation) -> CollectiveMoments:
     T = params.T
     sz = -T * ev.dlnZ_db
     sz2 = T * T * ev.d2lnZ_db2 + sz * sz

@@ -151,6 +151,28 @@ def test_config_value_of_an_option_without_default(tmp_path, capsys):
     assert from_config.startswith("band: 0.01 ..")
 
 
+def test_config_supplies_a_required_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 20\n")
+    argv = ("concurrence", "--b", "0.5", "--T", "0.1")
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(*argv, "--n", "20") == 0
+    assert from_config == capsys.readouterr().out
+    # a flag still wins over the file
+    assert run_cli(*argv, "--n", "12", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("exact,12,")
+
+
+def test_required_option_missing_from_flags_and_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = 0.1\n")
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("concurrence", "--b", "0.5", "--config", str(cfg))
+    assert exit_.value.code == 2
+    assert "required: --n" in capsys.readouterr().err
+
+
 def test_figure_command(tmp_path, capsys):
     rc = run_cli("figure", "--id", "1", "--out-dir", str(tmp_path))
     assert rc == 0

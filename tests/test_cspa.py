@@ -849,3 +849,34 @@ def test_no_breakdown_from_a_neighbouring_stencil_point():
         cspa_logZ(p.replace(v=1.0 + 1e-4))
     m = cspa_moments(p)
     assert np.isfinite(m.sz2) and m.sz == pytest.approx(0.0, abs=1e-8)
+
+
+def test_log_integrand_calls_grow_with_runs_not_points(monkeypatch):
+    # a run of points at gamma = 1 is one radial pass: a validity scan, then
+    # _log_integrand for the peaks, the peak slopes, each step of the cut
+    # and the panels, whatever the number of points in the run
+    import xxzent.cspa as cspa
+    from xxzent import figures, sweep
+    calls = []
+    real = cspa._log_integrand
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cspa, "_log_integrand", counted)
+    for curve in figures._figure_2()[2]:
+        sweep.evaluate_points("cspa", [curve.fixed.replace(**{curve.axis: x})
+                                       for x in curve.values],
+                              figures.POINT_EPSREL)
+    # 994 one point at a time: 4.9 calls a point over 203 valid points
+    assert len(calls) == 134
+    points = [ModelParams(n=20, v=1.0, b=b, T=0.25)
+              for b in np.linspace(0.0, 1.3, 16)]
+    for k in (1, 5, 8, 9, 16):
+        for mode in ("cspa", "spa"):
+            calls.clear()
+            sweep.evaluate_points(mode, points[:k], figures.POINT_EPSREL)
+            # at most one more step of the cut per run
+            runs = ceil(k / sweep.RUN_POINTS)
+            assert 4 * runs <= len(calls) <= 5 * runs, (k, mode)

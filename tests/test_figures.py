@@ -30,15 +30,16 @@ EXPECTED = {
 def calls(monkeypatch):
     count = {"point": 0, "limit": 0}
 
-    def fake_point(tier, params, epsrel=1e-10):
-        count["point"] += 1
-        return CurvePoint(tier=tier, params=params, status="error")
+    def fake_run(tier, points, epsrel=1e-10):
+        count["point"] += len(points)
+        return [CurvePoint(tier=tier, params=p, status="error")
+                for p in points]
 
     def fake_limit(tier, params, **kwargs):
         count["limit"] += 1
         return LimitResult(intervals=(), limit=None, n_probes=0, statuses=())
 
-    monkeypatch.setattr(sweep, "evaluate_point", fake_point)
+    monkeypatch.setattr(sweep, "evaluate_run", fake_run)
     monkeypatch.setattr(figures, "limit_temperature", fake_limit)
     return count
 

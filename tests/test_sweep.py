@@ -300,7 +300,7 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
     from xxzent import sweep
     calls = []
 
-    def fake(tier, params, epsrel=1e-10):
+    def fake_point(tier, params):
         b = params.b
         calls.append(b)
         if 3.5 <= b < 5.5 or 7.4 <= b < 7.6:
@@ -312,7 +312,10 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
         return sweep.CurvePoint(tier=tier, params=params, status="ok",
                                 result=result)
 
-    monkeypatch.setattr(sweep, "evaluate_point", fake)
+    def fake(tier, points, epsrel=1e-10):
+        return [fake_point(tier, p) for p in points]
+
+    monkeypatch.setattr(sweep, "evaluate_run", fake)
     res = limit_field("exact", ModelParams(n=8, T=0.1), b_max=10.0,
                       probes=11)
     assert res.statuses == ("ok",) * 4 + ("undefined",) * 2 + ("ok",) * 5
@@ -336,13 +339,13 @@ def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
     # between the same two probes; exact and cmfa edges in few evaluations
     from xxzent import sweep
     calls = []
-    evaluate = sweep.evaluate_point
+    evaluate_run = sweep.evaluate_run
 
-    def counted(tier, params, epsrel=1e-10):
-        calls.append(params.T)
-        return evaluate(tier, params, epsrel)
+    def counted(tier, points, epsrel=1e-10):
+        calls.extend(p.T for p in points)
+        return evaluate_run(tier, points, epsrel)
 
-    monkeypatch.setattr(sweep, "evaluate_point", counted)
+    monkeypatch.setattr(sweep, "evaluate_run", counted)
     for tier, n, b, probes, epsrel in (("exact", 1000, 0.3, 40, 1e-10),
                                        ("exact", 1000, 0.9, 40, 1e-10),
                                        ("cmfa", 1000, 0.3, 40, 1e-10),
@@ -359,7 +362,8 @@ def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
             assert len(edges) == 1 and refined <= 8, (tier, b, refined)
 
         def entangled(T):
-            return sweep._entangled(evaluate(tier, p.replace(T=T), epsrel))
+            return sweep._entangled(
+                evaluate_run(tier, [p.replace(T=T)], epsrel)[0])
         for x in edges:
             i = int(np.searchsorted(grid, x))
             lo, hi = grid[i - 1], grid[i]
@@ -368,3 +372,83 @@ def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if entangled(mid) == side else (lo, mid)
             assert abs(x - 0.5 * (lo + hi)) <= 5e-7, (tier, b, x, lo)
+
+
+# figure 2's b = 0.5 T-row (19 ok, 7 breakdown, 4 error in the cspa tier)
+# and its T = 0.1 b-row
+FIG2_ROWS = ((ModelParams(n=20, v=1.0, b=0.5), GridAxis("T", 0.02, 0.8, 30,
+                                                        "log")),
+             (ModelParams(n=20, v=1.0, T=0.1), GridAxis("b", 0.0, 1.3, 40)))
+
+
+@pytest.mark.parametrize("tier", ["cspa", "spa"])
+def test_runs_change_nothing_per_point(tier):
+    # a point's bytes are the same alone, in a run and under two workers
+    from xxzent.figures import POINT_EPSREL
+    from xxzent.sweep import evaluate_points
+    for fixed, axis in FIG2_ROWS:
+        spec = SweepSpec(tier=tier, fixed=fixed, axes=(axis,))
+        points = spec.points()
+        for epsrel in (POINT_EPSREL, 1e-10):
+            text = points_to_csv(evaluate_points(tier, points, epsrel))
+            assert text == points_to_csv(
+                [evaluate_point(tier, p, epsrel) for p in points])
+        assert text == points_to_csv(run_sweep(spec, workers=2))
+    fixed, axis = FIG2_ROWS[0]
+    points = SweepSpec("cspa", fixed, (axis,)).points()
+    statuses = [pt.status for pt in evaluate_points("cspa", points,
+                                                    POINT_EPSREL)]
+    assert [statuses.count(s) for s in ("ok", "breakdown", "error")] == \
+        [19, 7, 4]
+
+
+def test_mixed_list_gives_the_rows_of_separate_calls():
+    # runs never mix n or gamma: one list gives the rows of one call per part
+    from xxzent.sweep import evaluate_points
+    parts = [[ModelParams(n=20, v=1.0, b=b, T=0.25) for b in (0.1, 0.6, 1.2)],
+             [ModelParams(n=30, v=1.0, b=b, T=0.25) for b in (0.2, 0.9)],
+             [ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)],
+             [ModelParams(n=20, v=1.0, b=b, T=0.1) for b in (0.0, 0.4, 1.1)]]
+    for tier in ("cspa", "spa", "exact"):
+        whole = evaluate_points(tier, [p for part in parts for p in part])
+        assert points_to_csv(whole) == points_to_csv(
+            [pt for part in parts for pt in evaluate_points(tier, part)])
+
+
+@pytest.mark.parametrize("where, exc", [("fallback", ValueError),
+                                        ("fallback", None),
+                                        ("shared", ZeroDivisionError)])
+def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
+    # at epsrel = 1e-11 the b = 0.8 row is refined adaptively: a failure
+    # there (a QuadratureError, or any other exception), or in the array
+    # pass that the run shares, fails b = 0.8 alone
+    from xxzent import cspa
+    from xxzent.errors import QuadratureError
+    from xxzent.sweep import evaluate_points
+    points = [ModelParams(n=20, v=1.0, b=b, T=0.1)
+              for b in (0.5, 0.7, 0.8, 0.9, 0.9333)]
+    clean = evaluate_points("cspa", points, 1e-11)
+    assert all(pt.status == "ok" for pt in clean)
+    exc = exc or QuadratureError
+    if where == "fallback":
+        real = cspa._weighted_factors
+
+        def patched(params, r, *args):
+            # a fallback row gets 1-D nodes, the array pass a 2-D block
+            if np.ndim(r) == 1 and np.all(params.b == 0.8):
+                raise exc("injected")
+            return real(params, r, *args)
+        monkeypatch.setattr(cspa, "_weighted_factors", patched)
+    else:
+        real = cspa._radial_peaks
+
+        def patched(params, zs, mode):
+            if np.any(params.b == 0.8):
+                raise exc("injected")
+            return real(params, zs, mode)
+        monkeypatch.setattr(cspa, "_radial_peaks", patched)
+    hurt = evaluate_points("cspa", points, 1e-11)
+    assert [pt.status for pt in hurt] == ["ok", "ok", "error", "ok", "ok"]
+    assert hurt[2].message.endswith("injected")
+    assert points_to_csv(hurt[:2] + hurt[3:]) == points_to_csv(
+        clean[:2] + clean[3:])
