@@ -76,8 +76,6 @@ def _add_model_args(p, with_t=True, with_b=True):
 
 def _add_common(p):
     p.add_argument("--tier", choices=TIERS, default="exact")
-    p.add_argument("--mode", choices=["cspa", "spa", "cmfa", "mfa"],
-                   help="alias for --tier for the approximation tiers")
     p.add_argument("--config", help="key=value file with default options")
     p.add_argument("--out-format", choices=["csv", "json"], default="csv")
     p.add_argument("--out-dir", help="write output files here instead of stdout")
@@ -183,10 +181,6 @@ def _params_from(args, t_default=0.0):
                        T=getattr(args, "T", t_default))
 
 
-def _tier_from(args):
-    return args.mode if getattr(args, "mode", None) else args.tier
-
-
 def _emit(args, text, name):
     if getattr(args, "out_dir", None):
         os.makedirs(args.out_dir, exist_ok=True)
@@ -215,8 +209,7 @@ def _status_exit(points):
 
 
 def _cmd_point(args, with_c):
-    tier = _tier_from(args)
-    pt = evaluate_point(tier, _params_from(args))
+    pt = evaluate_point(args.tier, _params_from(args))
     if pt.status != "ok":
         print(f"status: {pt.status} ({pt.message})", file=sys.stderr)
         return _status_exit([pt])
@@ -230,7 +223,7 @@ def _cmd_point(args, with_c):
 
 
 def _cmd_sweep(args):
-    spec = SweepSpec(tier=_tier_from(args), fixed=_params_from(args),
+    spec = SweepSpec(tier=args.tier, fixed=_params_from(args),
                      axes=tuple(args.grid))
     points = run_sweep(spec, workers=args.workers)
     _points_out(args, points, spec, name="sweep")
@@ -239,7 +232,10 @@ def _cmd_sweep(args):
 
 def _limit_text(res, axis):
     lines = []
-    if res.limit is None and not res.intervals:
+    if all(s == "undefined" for s in res.statuses):
+        lines.append(f"no {axis} probe was defined (every probe's status "
+                     "was breakdown, not-applicable or error)")
+    elif res.limit is None and not res.intervals:
         lines.append(f"no entanglement found on the {axis} probe grid "
                      "(zero-entanglement marker)")
     for lo, hi in res.intervals:
@@ -251,7 +247,7 @@ def _limit_text(res, axis):
 
 
 def _cmd_limit(args, which):
-    tier = _tier_from(args)
+    tier = args.tier
     if which == "T":
         params = _params_from(args, t_default=1.0)
         res = limit_temperature(tier, params, t_min=args.t_min,
@@ -282,7 +278,7 @@ def _cmd_figure(args):
 
 
 def _cmd_compare(args):
-    spec_a = SweepSpec(tier=_tier_from(args), fixed=_params_from(args),
+    spec_a = SweepSpec(tier=args.tier, fixed=_params_from(args),
                        axes=tuple(args.grid))
     spec_b = SweepSpec(tier=args.tier_b, fixed=_params_from(args),
                        axes=tuple(args.grid))

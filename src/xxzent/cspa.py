@@ -28,6 +28,12 @@ refuses with a BreakdownError. The validity scan runs on a fixed grid before
 any integration (fail fast with a diagnostic). One function, _g, evaluates G
 and, for the moments, G' and G''.
 
+A batch of points has two stages. First each point is refused or kept,
+before any integral: T <= 0, then in cspa mode the validity scan (a
+BreakdownError). A refusal is that point's outcome. Then the kept points
+share one quadrature pass, and an exception inside that pass raises for the
+whole batch; the sweep layer re-evaluates such a batch point by point.
+
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
 z. Each radial integral is shifted by its l_peak, with panels placed across
@@ -35,8 +41,8 @@ r_peak so the quadrature cannot miss a sharp large-n saddle: one fixed
 panel layout per radial integral, batched over rows; a row that misses the
 error budget is refined adaptively over the same cut, in the same function.
 At gamma = 1 a point is one row (z = 0), and a batch of points at one
-(n, v, gamma) is one array pass, one row per point, its validity scan
-included; a row's bits do not depend on the other rows of its pass. For
+(n, v, gamma) is one array pass, one row per point, and one validity scan;
+a row's bits do not depend on the other rows of its pass. For
 gamma < 1 each point has its own outer z integral, whose z nodes are the
 rows: the z with the highest l_peak seeds the outer z panels and shifts the
 outer integral; z nodes more than 200 log-units below it are skipped.
@@ -74,8 +80,7 @@ from math import factorial, inf, log, pi, sqrt
 
 import numpy as np
 
-from .errors import (BreakdownError, DomainError, QuadratureError,
-                     XxzentError)
+from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
 from .quadrature import _NODES, _WGFULL, _WK, bracket_root, quad_gk
@@ -457,7 +462,7 @@ def _node_sum(y, w):
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
-                               center=0.0, failed=None):
+                               center=0.0):
     """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
     integrals over (0, r_max) of the rows of _weighted_factors, for a whole
     batch of rows, vectorized: the z values of one ModelParams, or the
@@ -468,8 +473,7 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
     array call; a row whose K15-G7 error estimate of I_0 misses the budget is
     refined adaptively over the same cut, with panels seeded across its peak.
     Refinement follows I_0. A refinement that fails raises its
-    QuadratureError, or, given a dict ``failed``, records it there under its
-    row and leaves the row's outputs NaN.
+    QuadratureError for the whole batch.
     """
     nz = zs.size
     r_peak, l_peak = peaks
@@ -504,19 +508,12 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
 
         cut = r_max[i]
         seeds = r_peak[i] + _SEED_SIGMAS * _radial_width(at_i)[1]
-        try:
-            res = quad_gk(f, 0.0, cut, epsabs=1e-300, epsrel=epsrel,
-                          initial_points=[*seeds, 0.25 * cut, 0.5 * cut,
-                                          0.75 * cut],
-                          max_panels=4000)
-            if res.value[0] <= 0:
-                raise QuadratureError("radial CSPA integral collapsed to zero")
-        except QuadratureError as exc:
-            if failed is None:
-                raise
-            failed[i] = exc
-            val[:, i], err[i] = np.nan, np.nan
-            continue
+        res = quad_gk(f, 0.0, cut, epsabs=1e-300, epsrel=epsrel,
+                      initial_points=[*seeds, 0.25 * cut, 0.5 * cut,
+                                      0.75 * cut],
+                      max_panels=4000)
+        if res.value[0] <= 0:
+            raise QuadratureError("radial CSPA integral collapsed to zero")
         val[:, i], err[i] = res.value, res.error
     # math.log, not np.log: numpy's SIMD log differs from it in the last bit
     # on some inputs, and ln I_0 feeds every output of cspa_logZ
@@ -547,33 +544,33 @@ def _logZ_batch(points, mode: str, epsrel: float) -> list:
     """cspa_logZ at each of ``points``, which share n, v and gamma: one
     outcome per point, its CspaEvaluation or the exception that refuses it.
 
-    At gamma = 1 the points are the rows of one radial pass (validity scan,
-    peaks, cut and panels), and a row that fails its refinement fails its
-    point only; at gamma < 1 each point has its own z integral, and a
-    package error there fails its point only. Anything else raises.
+    Every refusal (T <= 0, then in cspa mode the validity scan) is decided
+    before any integral: at gamma = 1 in one array call, at gamma < 1 one
+    scan per point. The valid points then share one pass, one radial row
+    per point at gamma = 1 and one z integral per point at gamma < 1, and
+    whatever that pass raises, it raises for the whole batch.
     """
     if mode not in ("cspa", "spa"):
         raise DomainError(f"unknown mode {mode!r}")
     out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0 else None
            for p in points]
     live = [k for k, o in enumerate(out) if o is None]
-    if not live:
-        return out
-    if points[0].gamma < 1.0:
-        for k in live:
-            try:
-                out[k] = _logZ_z(points[k], mode, epsrel)
-            except XxzentError as err:   # that point's failure alone
-                out[k] = err
-        return out
-    if mode == "cspa":
-        worst, (r, _) = _scan_validity(_Rows.of([points[k] for k in live]))
-        for k, w, rk in zip(live, np.ravel(worst), np.ravel(r)):
-            out[k] = _breakdown(points[k], w, (rk, 0.0))
+    z_integral = points[0].gamma < 1.0
+    if mode == "cspa" and live:
+        if z_integral:
+            scans = [_scan_validity(points[k]) for k in live]
+        else:
+            worst, (r, _) = _scan_validity(_Rows.of([points[k] for k in live]))
+            scans = [(w, (rk, 0.0)) for w, rk in zip(np.ravel(worst),
+                                                      np.ravel(r))]
+        for k, (worst, where) in zip(live, scans):
+            out[k] = _breakdown(points[k], worst, where)
         live = [k for k in live if out[k] is None]
     if live:
-        for k, ev in zip(live, _logZ_rows([points[k] for k in live], mode,
-                                          epsrel)):
+        valid = [points[k] for k in live]
+        evs = ([_logZ_z(p, mode, epsrel) for p in valid] if z_integral
+               else _logZ_rows(valid, mode, epsrel))
+        for k, ev in zip(live, evs):
             out[k] = ev
     return out
 
@@ -584,22 +581,17 @@ def _logZ_rows(points, mode: str, epsrel: float) -> list:
     zs = np.zeros(len(points))
     peaks = _radial_peaks(rows, zs, mode)
     center = _peak_slope(rows, zs, peaks, mode)
-    failed = {}
     lv, rel, means = _radial_log_integral_batch(rows, zs, peaks, mode, epsrel,
-                                                center, failed)
-    return [failed[i] if i in failed else _evaluation(
-                p, mode, log(p.n * p.beta / (2.0 * p.v)) + float(lv[i]),
-                float(rel[i]), center[i], means[:, i], 1.0)
+                                                center)
+    return [_evaluation(p, mode, log(p.n * p.beta / (2.0 * p.v))
+                        + float(lv[i]), float(rel[i]), center[i], means[:, i],
+                        1.0)
             for i, p in enumerate(points)]
 
 
 def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     """ln Z at gamma < 1: the outer adaptive integral over z of the inner
-    radial integral, stacked with its means."""
-    if mode == "cspa":
-        err = _breakdown(params, *_scan_validity(params))
-        if err is not None:
-            raise err
+    radial integral, stacked with its means, at a valid point."""
     n, v, beta = params.n, params.v, params.beta
     sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
@@ -694,8 +686,9 @@ def cspa_moments(params: ModelParams, mode: str = "cspa",
 def cspa_moments_batch(points, mode: str = "cspa",
                        epsrel: float = 1e-11) -> list:
     """cspa_moments at each of ``points``, which share n, v and gamma, from
-    one pass at gamma = 1: one outcome per point, its CollectiveMoments or
-    the exception that cspa_moments would raise there."""
+    one pass (see _logZ_batch): one outcome per point, its CollectiveMoments
+    or its refusal (T <= 0, or a BreakdownError below T*). An exception
+    inside the shared pass raises for the whole batch."""
     return [ev if isinstance(ev, Exception) else _moments(p, ev)
             for p, ev in zip(points, _logZ_batch(points, mode, epsrel))]
 

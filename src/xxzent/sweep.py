@@ -1,11 +1,13 @@
 """Tier table, parameter sweeps, limit temperatures/fields, and file output.
 
 Each tier is one entry of a ``tier -> evaluator`` table; an evaluator takes
-a run of points and returns one outcome per point, its result or what it
-raised. evaluate_run is the one place that runs an evaluator, times it and
-turns each outcome into a point and its status, so no exception of any type
-aborts a sweep; when the evaluator itself raises, the run is evaluated again
-one point at a time, so that the failure stays with its point.
+a run of points and returns one outcome per point, its result or what
+refused it. evaluate_run is the one place that runs an evaluator, times it
+and turns each outcome into a point and its status, so no exception of any
+type aborts a sweep. When the evaluator itself raises (the cspa and spa
+tiers raise whatever fails inside the pass a run shares), the run is
+evaluated again one point at a time: this retry is the one place that pins
+a failure of a shared pass to its point.
 evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS consecutive points at one (n, v, gamma),
@@ -323,8 +325,10 @@ def _run_star(args):
 def evaluate_points(tier: str, params, epsrel: float = 1e-10,
                     workers: int = 1):
     """Evaluate the tier at every ModelParams in ``params``, in order, run
-    by run; a pool of ``workers`` processes maps the same runs."""
+    by run; a pool of ``workers`` processes, never more than there are
+    runs, maps the same runs."""
     jobs = [(tier, run, epsrel) for run in _runs(params)]
+    workers = min(workers, len(jobs))
     if workers <= 1:
         done = [_run_star(j) for j in jobs]
     else:

@@ -209,3 +209,29 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
         runpy.run_module("xxzent", run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("tier,n,v,gamma,b,T")
+
+
+def test_tier_is_chosen_by_tier_alone(tmp_path, capsys):
+    # there is no --mode alias: the flag and the config key are rejected
+    argv = ("concurrence", "--n", "20", "--T", "0.1", "--b", "0.5",
+            "--tier", "exact")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--mode", "spa")
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = spa\n")
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_limit_scan_without_a_defined_probe_says_so(capsys):
+    # the bruteforce tier caps at n = 14, so every probe is an error
+    argv = ("limit-temp", "--n", "20", "--b", "0.3", "--tier", "bruteforce",
+            "--probes", "3")
+    assert run_cli(*argv) == 4
+    assert capsys.readouterr().out == (
+        "no T probe was defined (every probe's status was breakdown, "
+        "not-applicable or error)\n")
+    assert run_cli(*argv, "--out-format", "json") == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "tier": "bruteforce", "axis": "T", "intervals": [], "limit": None}

@@ -417,15 +417,18 @@ def test_mixed_list_gives_the_rows_of_separate_calls():
 
 @pytest.mark.parametrize("where, exc", [("fallback", ValueError),
                                         ("fallback", None),
-                                        ("shared", ZeroDivisionError)])
+                                        ("shared", ZeroDivisionError),
+                                        ("z-peak", None)])
 def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
     # at epsrel = 1e-11 the b = 0.8 row is refined adaptively: a failure
     # there (a QuadratureError, or any other exception), or in the array
-    # pass that the run shares, fails b = 0.8 alone
+    # pass that the run shares, fails b = 0.8 alone; so does a failure in
+    # b = 0.8's own z integral at gamma = 0.5
     from xxzent import cspa
     from xxzent.errors import QuadratureError
     from xxzent.sweep import evaluate_points
-    points = [ModelParams(n=20, v=1.0, b=b, T=0.1)
+    gamma, T = (0.5, 0.3) if where == "z-peak" else (1.0, 0.1)
+    points = [ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
               for b in (0.5, 0.7, 0.8, 0.9, 0.9333)]
     clean = evaluate_points("cspa", points, 1e-11)
     assert all(pt.status == "ok" for pt in clean)
@@ -439,6 +442,14 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
                 raise exc("injected")
             return real(params, r, *args)
         monkeypatch.setattr(cspa, "_weighted_factors", patched)
+    elif where == "z-peak":
+        real = cspa._refine_z_peak
+
+        def patched(params, *args):
+            if params.b == 0.8:
+                raise exc("injected")
+            return real(params, *args)
+        monkeypatch.setattr(cspa, "_refine_z_peak", patched)
     else:
         real = cspa._radial_peaks
 
@@ -452,3 +463,65 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
     assert hurt[2].message.endswith("injected")
     assert points_to_csv(hurt[:2] + hurt[3:]) == points_to_csv(
         clean[:2] + clean[3:])
+
+
+def test_refusals_never_cause_a_retry(monkeypatch):
+    # a refusal (T <= 0 or a breakdown) is the outcome of its point, decided
+    # before the pass; only a failure inside the pass re-runs a run point
+    # by point, so these rows enter the evaluator once per run
+    from xxzent import cspa, sweep
+    from xxzent.figures import POINT_EPSREL
+    calls = {"evaluator": 0, "_logZ_rows": 0, "_logZ_z": 0}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+    monkeypatch.setitem(sweep._EVALUATORS, "cspa",
+                        counted("evaluator", sweep._EVALUATORS["cspa"]))
+    for name in ("_logZ_rows", "_logZ_z"):
+        monkeypatch.setattr(cspa, name, counted(name, getattr(cspa, name)))
+
+    def statuses(points, epsrel):
+        pts = sweep.evaluate_points("cspa", points, epsrel)
+        return [[pt.status for pt in pts].count(s)
+                for s in ("ok", "breakdown", "error")]
+    fixed, axis = FIG2_ROWS[0]
+    points = SweepSpec("cspa", fixed, (axis,)).points()
+    assert statuses(points, POINT_EPSREL) == [19, 7, 4]
+    assert calls == {"evaluator": 4, "_logZ_rows": 4, "_logZ_z": 0}
+    # at gamma < 1 a breakdown point never enters its z integral
+    points = [ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=float(T))
+              for T in np.geomspace(0.02, 0.5, 8)]
+    assert statuses(points, 1e-8) == [6, 2, 0]
+    assert calls == {"evaluator": 5, "_logZ_rows": 4, "_logZ_z": 6}
+
+
+def test_pool_never_outnumbers_the_runs(monkeypatch):
+    # a pool forks all its workers at once: never more than there are runs,
+    # and one run is evaluated in-process
+    from xxzent import sweep
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, f, jobs):
+            return map(f, jobs)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    fixed = ModelParams(n=20, v=1.0, T=0.1)
+    for count, workers, pooled in ((3, 64, []), (20, 64, [3]), (20, 2, [2]),
+                                   (20, 1, [])):
+        pools.clear()
+        spec = SweepSpec("exact", fixed, (GridAxis("b", 0.0, 1.0, count),))
+        assert points_to_csv(run_sweep(spec, workers=workers)) == \
+            points_to_csv(run_sweep(spec))
+        assert pools == pooled
