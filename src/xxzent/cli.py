@@ -16,9 +16,9 @@ import sys
 from .errors import (BreakdownError, ConvergenceError, DomainError,
                      QuadratureError, XxzentError)
 from .model import ModelParams
-from .sweep import (CSV_COLUMNS, GridAxis, SweepSpec, evaluate_point,
-                    limit_field, limit_temperature, points_to_csv,
-                    points_to_json, run_sweep, TIERS)
+from .sweep import (CSV_COLUMNS, GridAxis, SweepSpec, check_tier,
+                    evaluate_point, limit_field, limit_temperature,
+                    points_to_csv, points_to_json, run_sweep, TIERS)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -199,8 +199,9 @@ def _points_out(args, points, spec=None, name="points"):
         _emit(args, points_to_csv(points), f"{name}.csv")
 
 
-def _status_exit(points):
-    statuses = {pt.status for pt in points}
+def _status_exit(statuses):
+    """The exit code of a command whose points or probes had ``statuses``."""
+    statuses = set(statuses)
     if statuses and statuses <= {"not-applicable"}:
         return EXIT_NOT_APPLICABLE
     if statuses and statuses <= {"breakdown", "error", "not-applicable"}:
@@ -209,10 +210,11 @@ def _status_exit(points):
 
 
 def _cmd_point(args, with_c):
+    check_tier(args.tier, args.n)
     pt = evaluate_point(args.tier, _params_from(args))
     if pt.status != "ok":
         print(f"status: {pt.status} ({pt.message})", file=sys.stderr)
-        return _status_exit([pt])
+        return _status_exit([pt.status])
     cols = CSV_COLUMNS if with_c else tuple(
         c for c in CSV_COLUMNS if c not in ("C", "nC", "EoF"))
     if args.out_format == "json":
@@ -227,12 +229,12 @@ def _cmd_sweep(args):
                      axes=tuple(args.grid))
     points = run_sweep(spec, workers=args.workers)
     _points_out(args, points, spec, name="sweep")
-    return _status_exit(points)
+    return _status_exit(pt.status for pt in points)
 
 
 def _limit_text(res, axis):
     lines = []
-    if all(s == "undefined" for s in res.statuses):
+    if "ok" not in res.statuses:
         lines.append(f"no {axis} probe was defined (every probe's status "
                      "was breakdown, not-applicable or error)")
     elif res.limit is None and not res.intervals:
@@ -264,9 +266,7 @@ def _cmd_limit(args, which):
         _emit(args, json.dumps(doc, indent=1) + "\n", "limit.json")
     else:
         _emit(args, _limit_text(res, which), "limit.txt")
-    if all(s == "undefined" for s in res.statuses):
-        return EXIT_NOT_APPLICABLE
-    return EXIT_OK
+    return _status_exit(res.statuses)
 
 
 def _cmd_figure(args):

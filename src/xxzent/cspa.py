@@ -37,15 +37,16 @@ whole batch; the sweep layer re-evaluates such a batch point by point.
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
 z. Each radial integral is shifted by its l_peak, with panels placed across
-r_peak so the quadrature cannot miss a sharp large-n saddle: one fixed
-panel layout per radial integral, batched over rows; a row that misses the
-error budget is refined adaptively over the same cut, in the same function.
-At gamma = 1 a point is one row (z = 0), and a batch of points at one
-(n, v, gamma) is one array pass, one row per point, and one validity scan;
-a row's bits do not depend on the other rows of its pass. For
-gamma < 1 each point has its own outer z integral, whose z nodes are the
-rows: the z with the highest l_peak seeds the outer z panels and shifts the
-outer integral; z nodes more than 200 log-units below it are skipped.
+r_peak so the quadrature cannot miss a sharp large-n saddle. A batch of
+radial integrals is one quad_gk call, one row each: every row starts on the
+same layout in units of its own width, and a row that misses the error
+budget is refined on those panels in the same call. At gamma = 1 a point is
+one row (z = 0), and a batch of points at one (n, v, gamma) is one array
+pass, one row per point, and one validity scan; a row's bits do not depend
+on the other rows of its pass. For gamma < 1 each point has its own outer z
+integral, a quad_gk call of one row whose z nodes are the radial rows: the
+z with the highest l_peak seeds the outer z panels and shifts the outer
+integral; z nodes more than 200 log-units below it are skipped.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -83,7 +84,7 @@ import numpy as np
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
-from .quadrature import _NODES, _WGFULL, _WK, bracket_root, quad_gk
+from .quadrature import bracket_root, quad_gk
 
 __all__ = [
     "CspaEvaluation",
@@ -444,36 +445,25 @@ def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
     return w * np.stack([np.ones_like(w), d, d * d, terms[1], terms[2]])
 
 
-# fixed panel edges (units of sigma, stretched with the cut) of the batched
-# inner integral; the integrand is smooth, so they resolve it to ~1e-10
+# initial panel edges of every radial row (units of sigma, stretched with
+# the cut); the integrand is smooth, so they resolve it to ~1e-10, and
+# quad_gk refines the rows that need more
 _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
                          -0.5, -0.2, 0.0, 0.2, 0.5, 0.9, 1.4, 2.0, 3.0, 5.0,
                          8.0, 16.0, 40.0])
-
-
-# panel seeds of the adaptive refinement, in bare sigmas from r_peak
-_SEED_SIGMAS = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
-
-
-def _node_sum(y, w):
-    """sum_k y[..., k] w[k], row by row: a BLAS matrix-vector product would
-    round a row differently depending on how many rows it is given."""
-    return np.einsum("...k,k->...", y, w)
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
                                center=0.0):
     """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
     integrals over (0, r_max) of the rows of _weighted_factors, for a whole
-    batch of rows, vectorized: the z values of one ModelParams, or the
-    points of a _Rows (zs = 0). ``center`` is one value or one per row.
+    batch of rows: the z values of one ModelParams, or the points of a
+    _Rows (zs = 0). ``center`` is one value or one per row.
 
-    One fixed Gauss-Kronrod panel layout per row, centred on its r_peak
-    (from ``peaks``, as in _radial_peaks) and cut at _radial_cut, in a single
-    array call; a row whose K15-G7 error estimate of I_0 misses the budget is
-    refined adaptively over the same cut, with panels seeded across its peak.
-    Refinement follows I_0. A refinement that fails raises its
-    QuadratureError for the whole batch.
+    One quad_gk call: each row starts on the panels _BATCH_EDGES around its
+    r_peak (from ``peaks``, as in _radial_peaks), cut at _radial_cut, and a
+    row whose error estimate of I_0 misses the budget is refined on those
+    panels in the same call. A QuadratureError raises for the whole batch.
     """
     nz = zs.size
     r_peak, l_peak = peaks
@@ -482,43 +472,24 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
     # a cut moved out means a profile wider than the bare Gaussian
     sigma = sigma * np.where(r_max > r_peak + width, (r_max - r_peak) / width,
                              1.0)
+    # clipping collapses the panels beyond [0, r_max], which quad_gk skips
     edges = np.clip(r_peak[:, None] + sigma[:, None] * _BATCH_EDGES[None, :],
                     0.0, r_max[:, None])
     edges = np.concatenate([np.zeros((nz, 1)), edges, r_max[:, None]], axis=1)
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    # clipping collapses the panels beyond [0, r_max]: evaluate only the
-    # live ones, flattened, and sum them back per row
-    row, pan = np.nonzero(hi > lo)
-    lo, hi = lo[row, pan], hi[row, pan]
-    half = 0.5 * (hi - lo)                              # (npanels,)
-    x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES   # (npanels, 15)
-    y = _weighted_factors(_at(params, row), x, zs[row, None], mode,
-                          l_peak[row, None],
-                          np.reshape(_at(center, row), (-1, 1)))
-    k15 = _node_sum(y, _WK) * half                      # (m, npanels)
-    err = np.bincount(row, np.abs(k15[0] - _node_sum(y[0], _WGFULL) * half),
-                      minlength=nz)
-    val = np.stack([np.bincount(row, k, minlength=nz) for k in k15])
-    for i in np.flatnonzero(~((val[0] > 0) & (err <= epsrel * val[0]))):
-        at_i, center_i = _at(params, i), _at(center, i)
 
-        def f(r):
-            y = _weighted_factors(at_i, r, zs[i], mode, l_peak[i], center_i)
-            return np.where(r <= 0, 0.0, y)
+    def f(row, x):
+        return _weighted_factors(_at(params, row), x, zs[row, None], mode,
+                                 l_peak[row, None],
+                                 np.reshape(_at(center, row), (-1, 1)))
 
-        cut = r_max[i]
-        seeds = r_peak[i] + _SEED_SIGMAS * _radial_width(at_i)[1]
-        res = quad_gk(f, 0.0, cut, epsabs=1e-300, epsrel=epsrel,
-                      initial_points=[*seeds, 0.25 * cut, 0.5 * cut,
-                                      0.75 * cut],
-                      max_panels=4000)
-        if res.value[0] <= 0:
-            raise QuadratureError("radial CSPA integral collapsed to zero")
-        val[:, i], err[i] = res.value, res.error
+    res = quad_gk(f, edges, epsabs=0.0, epsrel=epsrel, max_panels=4000)
+    val = res.value
+    if np.any(val[0] <= 0):
+        raise QuadratureError("radial CSPA integral collapsed to zero")
     # math.log, not np.log: numpy's SIMD log differs from it in the last bit
     # on some inputs, and ln I_0 feeds every output of cspa_logZ
-    return (l_peak + np.fromiter(map(log, val[0]), float, nz), err / val[0],
-            val[1:] / val[0])
+    return (l_peak + np.fromiter(map(log, val[0]), float, nz),
+            res.error / val[0], val[1:] / val[0])
 
 
 def cspa_logZ(params: ModelParams, mode: str = "cspa",
@@ -602,7 +573,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     center = _peak_slope(params, z_peak, peak, mode)[0]
     errs = []
 
-    def g(zs):
+    def panel(zs):
+        """The stacked inner integrals at the 15 z nodes of one panel."""
         out = np.zeros((5, zs.size))
         r_peak, l_peak = _radial_peaks(params, zs, mode)
         # z deep in the Gaussian tail contributes nothing, and the log
@@ -617,10 +589,18 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
             out[:, live] = w * np.vstack([np.ones_like(lv), means])
         return out
 
-    seeds = sorted({z_peak[0] + k * sigma_z
-                    for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
-    res = quad_gk(g, z_lo, z_hi, epsabs=1e-300, epsrel=epsrel,
-                  initial_points=seeds, max_panels=800)
+    def g(row, zs):
+        # one panel at a time: a peak grid of every panel's z nodes at once
+        # would make temporaries that raise the peak memory of a point
+        # several-fold (as in _refine_z_peak)
+        return np.stack([panel(z) for z in zs], axis=1)
+
+    # the seeds are the edges of the one row: those outside [z_lo, z_hi]
+    # clip to zero-width panels, which quad_gk skips
+    seeds = z_peak[0] + sigma_z * np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0,
+                                            2.0, 4.0, 8.0])
+    edges = np.clip(np.concatenate([[z_lo], seeds, [z_hi]]), z_lo, z_hi)
+    res = quad_gk(g, edges, epsabs=1e-300, epsrel=epsrel, max_panels=800)
     total = res.value[0]
     if total <= 0:
         raise QuadratureError("z integral collapsed to zero")

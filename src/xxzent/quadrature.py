@@ -1,12 +1,15 @@
-"""Adaptive Gauss-Kronrod quadrature with vectorized integrands.
+"""Adaptive Gauss-Kronrod quadrature of many rows at once.
 
-A (7, 15)-point Gauss-Kronrod pair on each panel, worst-panel-first interval
-bisection, and an error estimate per panel from |K15 - G7|. The integrand is
-called with a numpy array of abscissae and must return an array of values, so
-panels cost one vectorized call each; this is what keeps the CSPA integrals
-cheap enough for root finding on top of them. A stacked integrand returns
-shape (m, len(x)): all m components share the panels, and refinement follows
-the error of component 0 alone.
+quad_gk integrates a batch of rows, each over its own panel edges, with a
+(7, 15)-point Gauss-Kronrod pair on each panel and an error estimate per
+panel from |K15 - G7|. The integrand gets every panel that a step needs, of
+every row, in one vectorized call, which is what keeps the CSPA integrals
+cheap enough for root finding on top of them. Refinement goes in rounds:
+each round halves the worst panel of every row still above its budget, so a
+row is refined on the panels it started from, and its splits and sums do not
+depend on the other rows. A stacked integrand returns shape (m, panels, 15):
+all m components share the panels, and refinement follows the error of
+component 0 alone.
 
 bracket_root is the bracketing root finder (ITP) shared by the CMFA gap,
 the CSPA breakdown temperature and the limit-scan band edges; the rpa engine
@@ -17,7 +20,6 @@ Node and weight constants are the standard QUADPACK dqk15 values.
 
 from __future__ import annotations
 
-import heapq
 from math import ceil, isfinite, log2
 
 import numpy as np
@@ -72,70 +74,88 @@ class QuadResult:
         self.neval = neval
 
 
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    k = half * (y @ _WK)
-    g = half * (y @ _WGFULL)
-    if y.ndim == 1:
-        return float(k), abs(float(k) - float(g))
-    return k, abs(float(k[0]) - float(g[0]))
+def _rule(f, row, lo, hi):
+    """(K15 sums, |K15 - G7| of component 0) of f on the panels [lo, hi] of
+    rows ``row``; the sums have one leading axis per component."""
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES     # (panels, 15)
+    y = np.asarray(f(row, x), dtype=float)
+    y0 = y[0] if y.ndim == 3 else y
+    # one einsum per panel: a BLAS matrix-vector product would round a
+    # panel's sum differently depending on how many panels it is given
+    k = np.einsum("...k,k->...", y, _WK) * half
+    k0 = k[0] if y.ndim == 3 else k
+    return k, np.abs(k0 - np.einsum("...k,k->...", y0, _WGFULL) * half)
 
 
-def quad_gk(f, a, b, *, epsabs=1e-12, epsrel=1e-10, initial_points=None,
-            max_panels=2000):
-    """Integrate a vectorized callable f over [a, b].
+def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
+    """Integrate f over each row of panel ``edges``, all rows at once.
 
-    A stacked f (see the module docstring) gives an array value; its error
-    and the error budget refer to component 0.
+    ``edges`` has shape (rows, k), ascending along a row; a 1-D array is one
+    row, and zero-width panels are skipped. f(row, x) gets the row index of
+    each panel, shape (panels,), and its nodes, shape (panels, 15), and
+    returns values of shape (panels, 15), or (m, panels, 15) when stacked
+    (see the module docstring). Place edges at the known location of a
+    sharp peak so that the first call cannot step over it.
 
-    ``initial_points`` seeds the panel boundaries (pass the known location of
-    a sharp peak so the first pass cannot step over it). Refinement always
-    splits the panel with the largest error estimate; a QuadratureError is
-    raised when the budget is still missed after ``max_panels`` panels.
+    The first call evaluates every initial panel. Each refinement round is
+    one more call: in every row whose error is above max(epsabs, epsrel
+    |I_0|), it halves the splittable panel with the largest error. A row's
+    splits and sums depend on that row alone. A QuadratureError is raised
+    when such a row already has ``max_panels`` panels, or when its panels
+    at float resolution alone hold more error than its budget.
+
+    value has shape (rows,), or (m, rows) when stacked, and error (rows,);
+    for 1-D edges the row axis is dropped.
     """
-    pts = [a, b] if not initial_points else sorted({a, b, *(
-        p for p in initial_points if a < p < b)})
-    heap = []          # splittable panels, worst first
-    done_err = 0.0     # error locked in panels at float resolution
-    total = 0.0
-    toterr = 0.0
-    neval = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _panel(f, lo, hi)
-        neval += 15
-        total += val
-        toterr += err
-        heapq.heappush(heap, (-err, lo, hi, val))
-    npanels = len(heap)
-
-    def budget():
-        return max(epsabs, epsrel * abs(float(np.ravel(total)[0])))
-
-    while toterr > budget() and heap:
-        if npanels >= max_panels:
-            raise QuadratureError(
-                f"no convergence after {npanels} panels: error {toterr:.2e} "
-                f"vs target {budget():.2e}")
-        negerr, lo, hi, val = heapq.heappop(heap)
+    edges = np.asarray(edges, dtype=float)
+    grid = np.atleast_2d(edges)
+    rows = len(grid)
+    row, pan = np.nonzero(grid[:, 1:] > grid[:, :-1])
+    lo, hi = grid[row, pan], grid[row, pan + 1]
+    k, err = _rule(f, row, lo, hi)
+    stacked = k.ndim == 2
+    k = k.reshape(-1, lo.size)
+    neval = 15 * lo.size
+    while True:
+        # per row, in panel order: a row's sums do not see the other rows
+        val = np.stack([np.bincount(row, c, minlength=rows) for c in k])
+        toterr = np.bincount(row, err, minlength=rows)
+        budget = np.maximum(epsabs, epsrel * np.abs(val[0]))
+        need = toterr > budget
+        if not need.any():
+            break
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval at float resolution: stop splitting it, keep its error
-            done_err += -negerr
-            if done_err > budget():
-                raise QuadratureError(
-                    "panel at float resolution still above the error budget")
-            continue
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        neval += 30
-        total += v1 + v2 - val
-        toterr += e1 + e2 + negerr           # negerr is -err of the parent
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        npanels += 1
-    return QuadResult(total, toterr, neval)
+        split = (lo < mid) & (mid < hi)
+        if np.any(need & (np.bincount(row, minlength=rows) >= max_panels)):
+            raise QuadratureError(
+                f"no convergence after {max_panels} panels: error "
+                f"{toterr[need].max():.2e} vs target {budget[need].min():.2e}")
+        locked = np.bincount(row, np.where(split, 0.0, err), minlength=rows)
+        if np.any(need & (locked > budget)):
+            raise QuadratureError(
+                "panel at float resolution still above the error budget")
+        # the worst splittable panel of each row that needs one: its left
+        # half takes the panel's place, its right half goes last
+        c = np.flatnonzero(split & need[row])
+        c = c[np.lexsort((-err[c], row[c]))]
+        worst = c[np.r_[True, row[c][1:] != row[c][:-1]]]
+        halves = np.concatenate([row[worst], row[worst]])
+        k2, e2 = _rule(f, halves, np.concatenate([lo[worst], mid[worst]]),
+                       np.concatenate([mid[worst], hi[worst]]))
+        k2 = k2.reshape(len(k), -1)
+        neval += 15 * halves.size
+        n = worst.size
+        lo, hi = np.append(lo, mid[worst]), np.append(hi, hi[worst])
+        hi[worst] = mid[worst]
+        row = np.append(row, row[worst])
+        k = np.concatenate([k, k2[:, n:]], axis=1)
+        k[:, worst] = k2[:, :n]
+        err = np.append(err, e2[n:])
+        err[worst] = e2[:n]
+    if edges.ndim == 1:
+        val, toterr = val[:, 0], toterr[0]
+    return QuadResult(val if stacked else val[0], toterr, neval)
 
 
 def bracket_root(g, lo, g_lo, hi, g_hi, tol):

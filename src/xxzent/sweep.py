@@ -45,6 +45,7 @@ __all__ = [
     "TIERS",
     "GridAxis",
     "SweepSpec",
+    "check_tier",
     "CurvePoint",
     "evaluate_point",
     "evaluate_points",
@@ -107,11 +108,7 @@ class SweepSpec:
     axes: tuple
 
     def __post_init__(self):
-        if self.tier not in TIERS:
-            raise DomainError(f"unknown tier {self.tier!r}; choose from {TIERS}")
-        if self.tier == "bruteforce" and self.fixed.n > exact.BRUTE_FORCE_MAX_N:
-            raise DomainError(
-                f"bruteforce tier caps at n = {exact.BRUTE_FORCE_MAX_N}")
+        check_tier(self.tier, self.fixed.n)
         if not self.axes:
             raise DomainError("at least one grid axis required")
         names = [a.name for a in self.axes]
@@ -250,6 +247,18 @@ _EVALUATORS = {"bruteforce": _per_point(_bruteforce),
                "cmfa": _per_point(_cmfa), "mfa": _per_point(_mfa)}
 TIERS = tuple(_EVALUATORS)
 
+
+def check_tier(tier: str, n: int) -> None:
+    """DomainError for an unknown tier, or for n past the bruteforce cap:
+    the arguments of a sweep, a limit scan or a single point, checked
+    before any point is evaluated."""
+    if tier not in TIERS:
+        raise DomainError(f"unknown tier {tier!r}; choose from {TIERS}")
+    if tier == "bruteforce" and n > exact.BRUTE_FORCE_MAX_N:
+        raise DomainError(
+            f"bruteforce tier caps at n = {exact.BRUTE_FORCE_MAX_N}")
+
+
 # exception -> point status; any other exception is an error
 _STATUSES = ((BreakdownError, "breakdown"),
              ((NotApplicableError, PhaseError), "not-applicable"),
@@ -353,8 +362,8 @@ class LimitResult:
     ``intervals`` lists (onset, end) pairs where C > 0, ascending; an end of
     None marks a band still open at the last probe. ``limit`` is the largest
     refined root (None when no entanglement was found anywhere: the
-    zero-entanglement marker). Probes whose status is not ok are treated as
-    C undefined and never enter a band.
+    zero-entanglement marker). ``statuses`` holds each probe's status; a
+    probe whose status is not ok has C undefined and never enters a band.
     """
 
     intervals: tuple
@@ -387,6 +396,7 @@ def _scan_limit(tier, params, axis: GridAxis, epsrel):
     refinement point counts as not entangled, which moves the bracket
     toward its defined, entangled side.
     """
+    check_tier(tier, params.n)
     grid = axis.values()
     probes = evaluate_points(
         tier, [params.replace(**{axis.name: float(x)}) for x in grid], epsrel)
@@ -416,8 +426,7 @@ def _scan_limit(tier, params, axis: GridAxis, epsrel):
     ends = [end for _, end in intervals if end is not None]
     return LimitResult(intervals=tuple(intervals),
                        limit=ends[-1] if ends else None, n_probes=len(grid),
-                       statuses=tuple("ok" if d else "undefined"
-                                      for d in defined))
+                       statuses=tuple(pt.status for pt in probes))
 
 
 def limit_temperature(tier: str, params: ModelParams, t_min: float | None = None,
@@ -429,7 +438,8 @@ def limit_temperature(tier: str, params: ModelParams, t_min: float | None = None
     C > 0 <-> C = 0 transition and refines each to 1e-6 v by an ITP root
     find on the signed concurrence margin. Reentrant bands (CSPA just above
     the critical field) come out as separate intervals with their onset
-    temperatures. A grid that GridAxis rejects raises DomainError.
+    temperatures. A grid that GridAxis rejects, or a tier that check_tier
+    rejects, raises DomainError.
     """
     v = params.v
     t_min = 1e-3 * v if t_min is None else t_min
@@ -446,7 +456,8 @@ def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
     The exact tier's far-field entanglement decays like e^{-beta(b - b_c)}
     and is positive until it falls below the entangled-flag floor, so the
     reported far edge is detection-limited (it tightens to b_c as T -> 0).
-    A grid that GridAxis rejects raises DomainError.
+    A grid that GridAxis rejects, or a tier that check_tier rejects, raises
+    DomainError.
     """
     v = params.v
     b_max = 3.0 * v if b_max is None else b_max

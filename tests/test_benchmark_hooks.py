@@ -1,20 +1,52 @@
-"""The benchmark tracer replaces functions of the package by name; a rename
-in the package must fail here rather than in a traced benchmark run."""
+"""The benchmark tracer replaces functions of the package by name and reads
+attributes from their results; a rename in the package, or a changed result
+type, must fail here rather than in a traced benchmark run."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from xxzent.model import ModelParams
+
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
+# span name -> a call of the traced function, and what its reader returns
+READ = {
+    "sweep.evaluate_point": (
+        lambda f: f("exact", ModelParams(n=4, b=0.3, T=0.2)),
+        {"status": "ok"}),
+    "sweep.limit_temperature": (
+        lambda f: f("exact", ModelParams(n=4, b=0.3), probes=3),
+        {"probes": 3}),
+    "quadrature.quad_gk": (
+        lambda f: f(lambda row, x: x * x, [0.0, 1.0]),
+        {"neval": 15}),
+}
 
-def test_every_traced_attribute_resolves(monkeypatch):
+
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file executes
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves(tracing):
     assert tracing.TARGETS
     for module, attr, name, _ in tracing.TARGETS:
         assert callable(getattr(module, attr, None)), (module.__name__, attr,
                                                        name)
+
+
+def test_every_result_reader_reads_a_real_result(tracing):
+    readers = [(getattr(module, attr), name, read)
+               for module, attr, name, read in tracing.TARGETS if read]
+    assert {name for _, name, _ in readers} == set(READ)
+    for f, name, read in readers:
+        call, attrs = READ[name]
+        assert read(call(f)) == attrs, name

@@ -225,13 +225,35 @@ def test_tier_is_chosen_by_tier_alone(tmp_path, capsys):
 
 
 def test_limit_scan_without_a_defined_probe_says_so(capsys):
-    # the bruteforce tier caps at n = 14, so every probe is an error
-    argv = ("limit-temp", "--n", "20", "--b", "0.3", "--tier", "bruteforce",
-            "--probes", "3")
-    assert run_cli(*argv) == 4
+    # every probe is below the CSPA T*: three breakdowns, which exit 3 as
+    # the same grid swept does
+    argv = ("limit-temp", "--n", "20", "--b", "0", "--tier", "cspa",
+            "--t-min", "0.01", "--t-max", "0.05", "--probes", "3")
+    assert run_cli(*argv) == 3
     assert capsys.readouterr().out == (
         "no T probe was defined (every probe's status was breakdown, "
         "not-applicable or error)\n")
-    assert run_cli(*argv, "--out-format", "json") == 4
+    assert run_cli(*argv, "--out-format", "json") == 3
     assert json.loads(capsys.readouterr().out) == {
-        "tier": "bruteforce", "axis": "T", "intervals": [], "limit": None}
+        "tier": "cspa", "axis": "T", "intervals": [], "limit": None}
+    assert run_cli("sweep", "--n", "20", "--b", "0", "--tier", "cspa",
+                   "--grid", "T:0.01:0.05:3:log") == 3
+    capsys.readouterr()
+    # CMFA at gamma < 0: every probe not-applicable, which exits 4
+    assert run_cli("limit-temp", "--n", "20", "--gamma", "-0.5", "--b", "0.3",
+                   "--tier", "cmfa", "--probes", "3") == 4
+    assert capsys.readouterr().out.startswith("no T probe was defined")
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit-temp", "--b", "0.3", "--probes", "3"),
+    ("limit-field", "--T", "0.1", "--probes", "3"),
+    ("concurrence", "--T", "0.1"),
+    ("moments", "--T", "0.1"),
+    ("sweep", "--T", "0.1", "--grid", "b:0:1:3"),
+])
+def test_bruteforce_cap_is_invalid_arguments(argv, capsys):
+    # past n = 14 the command is refused before any point is evaluated
+    assert run_cli(*argv, "--n", "20", "--tier", "bruteforce") == 2
+    assert capsys.readouterr().err == (
+        "invalid arguments: bruteforce tier caps at n = 14\n")

@@ -6,7 +6,7 @@ import pytest
 from xxzent.cspa import (breakdown_temperature, cspa_logZ, cspa_moments,
                          omega_squared, rpa_frequency)
 from xxzent.errors import (BreakdownError, DomainError,
-                           InconsistentMomentsError)
+                           InconsistentMomentsError, QuadratureError)
 from xxzent.exact import (concurrence, exact_moments, exact_pair_state,
                           pair_state)
 from xxzent.model import ModelParams
@@ -22,19 +22,72 @@ def test_quad_gk_against_scipy():
         (lambda x: np.sin(40 * x) * np.exp(-x), 0.0, 5.0),
     ]
     for f, a, b in cases:
-        mine = quad_gk(f, a, b, epsrel=1e-12)
+        mine = quad_gk(lambda row, x: f(x), [a, b], epsrel=1e-12)
         ref, _ = scipy_quad(lambda t: float(f(np.array([t]))[0]), a, b,
                             epsabs=1e-14, epsrel=1e-14, limit=300)
         assert mine.value == pytest.approx(ref, rel=1e-11)
     # closed form: a 1e-14 quad of this one hits its roundoff floor
-    mine = quad_gk(lambda x: 1.0 / (1.0 + x * x), -4.0, 4.0, epsrel=1e-12)
+    mine = quad_gk(lambda row, x: 1.0 / (1.0 + x * x), [-4.0, 4.0],
+                   epsrel=1e-12)
     assert mine.value == pytest.approx(2.0 * atan(4.0), rel=1e-11)
 
 
 def test_quad_gk_narrow_spike_with_seeds():
-    f = lambda x: np.exp(-1e6 * (x - 0.3123) ** 2)
-    res = quad_gk(f, 0.0, 1.0, epsrel=1e-11, initial_points=[0.3123, 0.3135])
+    f = lambda row, x: np.exp(-1e6 * (x - 0.3123) ** 2)
+    res = quad_gk(f, [0.0, 0.3123, 0.3135, 1.0], epsrel=1e-11)
     assert res.value == pytest.approx(sqrt(pi / 1e6), rel=1e-10)
+
+
+def test_quad_gk_rows_are_integrated_independently():
+    # rows with different integrands, layouts and numbers of refinement
+    # rounds, two panels of zero width among them: each row's value and
+    # error are, bit for bit, those of the row integrated alone
+    centres = np.array([0.1, 0.45, 0.5, 0.3])
+    widths = np.array([1e-3, 3e-2, 8e-2, 1e-2])
+
+    def f(row, x):
+        y = np.exp(-((x - centres[row, None]) / widths[row, None]) ** 2)
+        return np.stack([y, x * y])
+
+    edges = np.array([[0.0, 0.1, 0.1, 0.5, 1.0],
+                      [0.0, 0.25, 0.5, 0.75, 1.0],
+                      [0.0, 0.0, 0.3, 0.6, 1.0],
+                      [0.0, 0.2, 0.4, 0.8, 1.0]])
+    res = quad_gk(f, edges, epsabs=0.0, epsrel=1e-12)
+    assert res.value.shape == (2, 4) and res.error.shape == (4,)
+    alone = [quad_gk(lambda row, x, i=i: f(np.full_like(row, i), x),
+                     edges[i], epsabs=0.0, epsrel=1e-12) for i in range(4)]
+    assert len({a.neval for a in alone}) > 1       # the rows refine unequally
+    assert res.neval == sum(a.neval for a in alone)
+    for i, a in enumerate(alone):
+        assert a.value.shape == (2,)
+        assert res.value[0, i] == a.value[0] and res.value[1, i] == a.value[1]
+        assert res.error[i] == a.error
+        assert a.value[0] == pytest.approx(sqrt(pi) * widths[i], rel=1e-12)
+
+
+def test_quad_gk_panel_budget_exit():
+    # 1/sqrt(x) is singular at 0: each halving of the panel there gains a
+    # factor sqrt(2) only, so 40 panels cannot reach 1e-12
+    with pytest.raises(QuadratureError, match="no convergence after 40"):
+        quad_gk(lambda row, x: 1.0 / np.sqrt(x), [0.0, 1.0], epsrel=1e-12,
+                max_panels=40)
+    assert quad_gk(lambda row, x: 1.0 / np.sqrt(x), [0.0, 1.0], epsrel=1e-6,
+                   max_panels=40).value == pytest.approx(2.0, rel=1e-6)
+
+
+def test_quad_gk_float_resolution_exit():
+    # a panel one ulp wide cannot be halved: its nodes round to its ends,
+    # so a step there leaves an error that no split can remove, in a row
+    # that misses its budget
+    lo = 1.0
+    hi = float(np.nextafter(lo, 2.0))
+    step = lambda row, x: np.where(x >= lo, 1.0, 0.0)
+    with pytest.raises(QuadratureError, match="float resolution"):
+        quad_gk(step, [lo, hi], epsabs=0.0, epsrel=1e-10)
+    # next to a wide panel that converges, the same row fails as a whole
+    with pytest.raises(QuadratureError, match="float resolution"):
+        quad_gk(step, [0.0, lo, hi], epsabs=0.0, epsrel=1e-10)
 
 
 def _bisect(moves_lo, lo, hi, tol):
@@ -349,12 +402,20 @@ def _radial_reference(cspa, p, z, peak, mode):
 
 
 def _count_quad_gk(monkeypatch, cspa):
-    """Record the interval of every quad_gk call made by cspa."""
+    """Record every quad_gk call made by cspa, in the order the calls start:
+    [edges, integrand calls, panels evaluated], the integrand called once
+    and then once per refinement round."""
     calls = []
 
-    def counted(f, a, b, **kwargs):
-        calls.append((a, b))
-        return quad_gk(f, a, b, **kwargs)
+    def counted(f, edges, **kwargs):
+        call = [np.asarray(edges), 0, 0]
+        calls.append(call)
+
+        def g(row, x):
+            call[1] += 1
+            call[2] += len(x)
+            return f(row, x)
+        return quad_gk(g, edges, **kwargs)
 
     monkeypatch.setattr(cspa, "quad_gk", counted)
     return calls
@@ -369,17 +430,19 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
     # width, whose nodes all lie at r > 0, so it takes no log(0)
     # (RuntimeWarnings are errors under pytest)
     import xxzent.cspa as cspa
-    fallbacks = _count_quad_gk(monkeypatch, cspa)
+    calls = _count_quad_gk(monkeypatch, cspa)
     epsrel = 1e-10
     for p in (ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3),
               ModelParams(n=100, v=1.0, gamma=-0.5, b=0.5, T=0.25),
               ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)):
         zs = np.append(np.linspace(-0.4, 1.0, 8), p.b)
         peaks = cspa._radial_peaks(p, zs, mode)
-        fallbacks.clear()
+        calls.clear()
         batch, rel, means = cspa._radial_log_integral_batch(p, zs, peaks,
                                                             mode, epsrel)
-        assert fallbacks == []       # the fixed panels alone meet the budget
+        # one call and no refinement round: the initial panels alone meet
+        # the budget
+        assert [rounds for _, rounds, _ in calls] == [1]
         adaptive = [_radial_reference(cspa, p, z, (r0, l0), mode)
                     for z, r0, l0 in zip(zs, *peaks)]
         assert np.all(rel <= epsrel)
@@ -407,14 +470,19 @@ def test_radial_peaks_match_a_per_z_scan():
 
 
 def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
-    # the outer shift comes from the peak scan, not from an extra adaptive
-    # radial integral at the z peak: the one quad_gk call is the outer z
-    # integral, since every inner row meets the budget on its fixed panels
+    # the outer shift comes from the peak scan, not from an extra radial
+    # integral at the z peak: the first quad_gk call is the outer z
+    # integral, one row, and every other is the radial batch of one of its
+    # panels, each one call of its integrand with no refinement round:
+    # every inner row meets the budget on its initial panels
     import xxzent.cspa as cspa
     calls = _count_quad_gk(monkeypatch, cspa)
     ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3))
     assert np.isfinite(ev.logZ)
-    assert len(calls) == 1 and calls[0][0] < 0.0 < calls[0][1]
+    (z_edges, _, z_panels), *radial = calls
+    assert z_edges.ndim == 1 and z_edges[0] < 0.0 < z_edges[-1]
+    assert len(radial) == z_panels
+    assert all(edges.ndim == 2 and rounds == 1 for edges, rounds, _ in radial)
 
 
 def test_cspa_gamma_collapse_to_xx():
@@ -581,32 +649,33 @@ def test_moments_continuous_as_gamma_approaches_one(mode):
 def test_quad_gk_stacked_components_match_scalar():
     # a stacked integrand shares the panels of component 0, which alone
     # drives refinement
-    def f(x):
+    def f(row, x):
         return np.exp(-3.0 * x * x) * np.cos(2.0 * x)
 
-    comps = (f, lambda x: x * x * f(x), lambda x: np.exp(x) * f(x))
+    comps = (f, lambda row, x: x * x * f(row, x),
+             lambda row, x: np.exp(x) * f(row, x))
 
-    def stacked(x):
-        return np.stack([c(x) for c in comps])
+    def stacked(row, x):
+        return np.stack([c(row, x) for c in comps])
 
-    seeds = [0.3, 1.1]
-    res = quad_gk(stacked, -2.0, 3.0, epsrel=1e-11, initial_points=seeds)
-    ref = quad_gk(f, -2.0, 3.0, epsrel=1e-11, initial_points=seeds)
+    edges = [-2.0, 0.3, 1.1, 3.0]
+    res = quad_gk(stacked, edges, epsrel=1e-11)
+    ref = quad_gk(f, edges, epsrel=1e-11)
     assert res.value.shape == (3,)
     assert res.neval == ref.neval
     assert res.value[0] == pytest.approx(ref.value, rel=1e-15)
     # (K15 - G7 differences: the last bits of the rule sums matter)
     assert res.error == pytest.approx(ref.error, rel=1e-3)
     # on the seeded panels alone, every component is its own scalar rule
-    coarse = quad_gk(stacked, -2.0, 3.0, epsrel=1.0, initial_points=seeds)
+    coarse = quad_gk(stacked, edges, epsrel=1.0)
     for k, c in enumerate(comps):
-        one = quad_gk(c, -2.0, 3.0, epsrel=1.0, initial_points=seeds)
+        one = quad_gk(c, edges, epsrel=1.0)
         assert coarse.value[k] == pytest.approx(one.value, rel=1e-14)
     # and refined, every component converges with component 0's panels
     from scipy.integrate import quad as scipy_quad
     for k, c in enumerate(comps):
-        exact, _ = scipy_quad(lambda t: float(c(np.array([t]))[0]), -2.0, 3.0,
-                              epsabs=1e-14, epsrel=1e-13)
+        exact, _ = scipy_quad(lambda t: float(c(0, np.array([t]))[0]),
+                              -2.0, 3.0, epsabs=1e-14, epsrel=1e-13)
         assert res.value[k] == pytest.approx(exact, rel=1e-10)
 
 
@@ -809,30 +878,34 @@ def test_node_derivatives_against_generic_rpa_engine(gamma, b, T, r, z):
 
 @pytest.mark.parametrize("mode", ["cspa", "spa"])
 def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
-    # at epsrel = 1e-11 the fixed panel layout misses the budget on these
-    # gamma = 1 rows, so one adaptive quad_gk call over the same cut
-    # integrates the same accumulators; at 1e-8 the fixed layout is accepted
+    # at epsrel = 1e-11 the initial panels miss the budget on these
+    # gamma = 1 rows, so refinement rounds of the same quad_gk call split
+    # them over the same cut (0, r_max); at 1e-8 there is no round, and the
+    # two agree
     import xxzent.cspa as cspa
-    fallbacks = _count_quad_gk(monkeypatch, cspa)
+    calls = _count_quad_gk(monkeypatch, cspa)
     for b in (0.8, 0.9333):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.1)
-        fallbacks.clear()
+        calls.clear()
         fixed = cspa_logZ(p, mode, epsrel=1e-8)
-        assert fallbacks == []
-        adaptive = cspa_logZ(p, mode, epsrel=1e-11)
+        assert [rounds for _, rounds, _ in calls] == [1]
+        calls.clear()
+        refined = cspa_logZ(p, mode, epsrel=1e-11)
         zs = np.zeros(1)
         r_max = cspa._radial_cut(p, zs, cspa._radial_peaks(p, zs, mode), mode)
-        assert fallbacks == [(0.0, r_max[0])]
+        ((edges, rounds, _),) = calls
+        assert rounds > 1
+        assert (edges[0, 0], edges[0, -1]) == (0.0, r_max[0])
         for name in ("logZ", "dlnZ_db", "d2lnZ_db2", "dlnZ_dv"):
-            assert getattr(adaptive, name) == pytest.approx(
+            assert getattr(refined, name) == pytest.approx(
                 getattr(fixed, name), rel=1e-9), name
     # one gamma < 1 inner row: the batch against an adaptive reference
     p = ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)
     zs = np.array([0.2])
     peaks = cspa._radial_peaks(p, zs, mode)
-    fallbacks.clear()
+    calls.clear()
     lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8)
-    assert fallbacks == []
+    assert [rounds for _, rounds, _ in calls] == [1]
     ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
                                         (peaks[0][0], peaks[1][0]), mode)
     assert ln_i0 == pytest.approx(lv[0], rel=1e-9)

@@ -318,7 +318,7 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
     monkeypatch.setattr(sweep, "evaluate_run", fake)
     res = limit_field("exact", ModelParams(n=8, T=0.1), b_max=10.0,
                       probes=11)
-    assert res.statuses == ("ok",) * 4 + ("undefined",) * 2 + ("ok",) * 5
+    assert res.statuses == ("ok",) * 4 + ("breakdown",) * 2 + ("ok",) * 5
     assert res.n_probes == 11
     (on1, end1), (on2, end2), (on3, end3) = res.intervals
     assert on1 == pytest.approx(1.3, abs=1e-6)   # bisected from a False probe
@@ -389,11 +389,13 @@ def test_runs_change_nothing_per_point(tier):
     for fixed, axis in FIG2_ROWS:
         spec = SweepSpec(tier=tier, fixed=fixed, axes=(axis,))
         points = spec.points()
-        for epsrel in (POINT_EPSREL, 1e-10):
+        # rows are refined at 1e-11, and not at the other two
+        for epsrel in (POINT_EPSREL, 1e-10, 1e-11):
             text = points_to_csv(evaluate_points(tier, points, epsrel))
             assert text == points_to_csv(
                 [evaluate_point(tier, p, epsrel) for p in points])
-        assert text == points_to_csv(run_sweep(spec, workers=2))
+            assert text == points_to_csv(
+                evaluate_points(tier, points, epsrel, workers=2))
     fixed, axis = FIG2_ROWS[0]
     points = SweepSpec("cspa", fixed, (axis,)).points()
     statuses = [pt.status for pt in evaluate_points("cspa", points,
@@ -420,10 +422,10 @@ def test_mixed_list_gives_the_rows_of_separate_calls():
                                         ("shared", ZeroDivisionError),
                                         ("z-peak", None)])
 def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
-    # at epsrel = 1e-11 the b = 0.8 row is refined adaptively: a failure
-    # there (a QuadratureError, or any other exception), or in the array
-    # pass that the run shares, fails b = 0.8 alone; so does a failure in
-    # b = 0.8's own z integral at gamma = 0.5
+    # at epsrel = 1e-11 the b = 0.8 row is refined in rounds: a failure in
+    # a round that holds it (a QuadratureError, or any other exception), or
+    # in the array pass that the run shares, fails b = 0.8 alone; so does a
+    # failure in b = 0.8's own z integral at gamma = 0.5
     from xxzent import cspa
     from xxzent.errors import QuadratureError
     from xxzent.sweep import evaluate_points
@@ -434,13 +436,24 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
     assert all(pt.status == "ok" for pt in clean)
     exc = exc or QuadratureError
     if where == "fallback":
-        real = cspa._weighted_factors
+        real, real_quad = cspa._weighted_factors, cspa.quad_gk
+        in_round = [False]
+
+        def quad(f, edges, **kwargs):
+            calls = []
+
+            def g(row, x):
+                # every call of the integrand after its first is a round
+                in_round[0] = bool(calls)
+                calls.append(1)
+                return f(row, x)
+            return real_quad(g, edges, **kwargs)
 
         def patched(params, r, *args):
-            # a fallback row gets 1-D nodes, the array pass a 2-D block
-            if np.ndim(r) == 1 and np.all(params.b == 0.8):
+            if in_round[0] and np.any(params.b == 0.8):
                 raise exc("injected")
             return real(params, r, *args)
+        monkeypatch.setattr(cspa, "quad_gk", quad)
         monkeypatch.setattr(cspa, "_weighted_factors", patched)
     elif where == "z-peak":
         real = cspa._refine_z_peak
