@@ -208,7 +208,7 @@ def _log_g(x: float) -> float:
     return log(sinh(x) / x)
 
 
-def cmfa_logZ(params: ModelParams) -> float:
+def cmfa_logZ(params: ModelParams, sol=None) -> float:
     """ln Z_CMFA at any gamma in (0, 1].
 
     gamma < 1 is produced by the exact rescaling identity
@@ -217,15 +217,16 @@ def cmfa_logZ(params: ModelParams) -> float:
     Note the identity fixes the additive constant to the gamma = 1 one
     (e.g. E0(1) = v/2), so cross-tier comparisons of ln Z should be done at
     gamma = 1 (the moment formulas are unaffected; see cmfa_moments).
+    ``sol`` is gap_solve(params) when the caller has it.
     """
     if params.T <= 0:
         raise DomainError("cmfa_logZ requires T > 0")
     if params.gamma <= 0:
         raise DomainError("CMFA closed forms require gamma > 0")
-    return _cmfa_logZ(params)
+    return _cmfa_logZ(params, sol)
 
 
-def cmfa_moments(params: ModelParams) -> CollectiveMoments:
+def cmfa_moments(params: ModelParams, sol=None) -> CollectiveMoments:
     """Analytic deformed-phase moments (gamma-direct forms).
 
     These are the Hartree values plus the RPA-corrected <S^2>: the transverse
@@ -241,9 +242,11 @@ def cmfa_moments(params: ModelParams) -> CollectiveMoments:
     Raises PhaseError in the normal phase (no deformed saddle; the CMFA
     concurrence there is handled as identically zero by the tier layer) and
     NotApplicableError for T <= Ttilde, |b| > b*, where the concurrence
-    formula turns complex.
+    formula turns complex. ``sol`` is gap_solve(params) when the caller has
+    it.
     """
-    sol = gap_solve(params)
+    if sol is None:
+        sol = gap_solve(params)
     if sol.phase != "deformed":
         raise PhaseError(
             f"CMFA moments need the deformed phase (|b| < gamma v = "

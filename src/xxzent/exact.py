@@ -43,12 +43,17 @@ formation E = -sum q_+- log2 q_+-, q_+- = (1 +- sqrt(1-C^2))/2.
 
 A brute-force oracle (n <= 14) is included for cross-validation. It builds
 the Hamiltonian from its explicit site-pair sum and uses only S_z
-conservation, never the collective spectrum: one eigh per magnetization
-block, the largest C(n, n/2) (3432 at n = 14), with rho_2 of sites (0, 1)
-assembled from the blocks, so no 2^n x 2^n matrix is ever formed. A point
-takes about 0.1 s at n = 11 and 23 s (0.7 GB) at n = 14 on one Xeon core
-(OpenBLAS, one thread). Also here: the large-field expansion of C and the
-stepwise T = 0 estimate.
+conservation, never the collective spectrum. On the magnetization block
+with k down spins the pair sum is H = -V F + c_k: the flip-flop sum
+F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the
+diagonal c_k = b S_z - V (1 - gamma) sum_{i != j} s^z_i s^z_j is the same on
+every state of the block (checked state by state). So one eigh of F per
+block, the largest C(n, n/2) (3432 at n = 14), serves every (v, gamma, b, T)
+of a run of points, with rho_2 of sites (0, 1) assembled from the blocks,
+so no 2^n x 2^n matrix is ever formed. A run of 8 points takes about 0.07 s
+at n = 11 and 19 s (0.59 GB) at n = 14 on one Xeon core (OpenBLAS, one
+thread). Also here: the large-field expansion of C and the stepwise T = 0
+estimate.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from math import exp, inf, log, sqrt
 
 import numpy as np
 
-from .errors import DomainError, InconsistentMomentsError
+from .errors import DomainError, InconsistentMomentsError, XxzentError
 from .model import ModelParams, _level_energy_2, log_multiplicities
 
 __all__ = [
@@ -77,6 +82,8 @@ __all__ = [
     "concurrence_from_margin",
     "eof_from_concurrence",
     "brute_force_moments",
+    "brute_force_observables",
+    "brute_force_observables_batch",
     "brute_force_pair_density",
     "wootters_margin",
     "wootters_concurrence",
@@ -465,27 +472,74 @@ def concurrence(pair: PairState) -> ConcurrenceResult:
 # Brute-force oracle (S_z blocks of the 2^n Hilbert space)
 # ----------------------------------------------------------------------------
 
-def brute_force_observables(params: ModelParams):
-    """(CollectiveMoments, rho_2 of sites (0, 1)) from one eigh per S_z block.
+def brute_force_observables_batch(points) -> list:
+    """brute_force_observables at each of ``points``, which share n: one
+    outcome per point, its (CollectiveMoments, rho_2) or the DomainError
+    that refuses it (n past the cap, T <= 0), decided before any eigh.
 
-    Each eigenstate carries its energy, S_z, <S^2> and its share of rho_2;
-    one log-sum-exp over all eigenvalues weights them. rho_2 is indexed by
-    2 q_0 + q_1 with q = 0 for spin up. Its only coherence couples |01> and
-    |10>: every other pair of basis states differs in magnetization.
+    On the block with k down spins H = -V F + c_k, with the flip-flop sum F
+    a function of n alone and c_k the same on every state of the block
+    (see _build_block). So the eigenstates of F are those of H at every
+    (v, gamma, b, T): the valid points share one eigh of F per block, and
+    each point weights the eigenstates by its own energies -V f + c_k. A
+    point's values do not depend on the other points of its batch.
     """
-    w, sz, s2, *pair = _brute_force_eig(params)
-    p, logZ = _boltzmann(w, params.beta)
-    moments = CollectiveMoments(sz=float(p @ sz), sz2=float(p @ (sz * sz)),
-                                s2=float(p @ s2), logZ=logZ)
-    *pops, coh = np.array(pair) @ p
-    rho2 = np.diag(pops)
-    rho2[1, 2] = rho2[2, 1] = coh
-    return moments, rho2
+    n = points[0].n
+    if any(p.n != n for p in points):
+        raise DomainError("a brute-force batch needs one n")
+    out = [_refusal(p) for p in points]
+    live = [k for k, o in enumerate(out) if o is None]
+    if live:
+        rows = _flip_flop_rows(n)
+        for k in live:
+            out[k] = _thermal_state(points[k], rows)
+    return out
+
+
+def brute_force_observables(params: ModelParams):
+    """(CollectiveMoments, rho_2 of sites (0, 1)) at one point: a batch of
+    one (see brute_force_observables_batch).
+
+    rho_2 is indexed by 2 q_0 + q_1 with q = 0 for spin up. Its only
+    coherence couples |01> and |10>: every other pair of basis states
+    differs in magnetization.
+    """
+    out, = brute_force_observables_batch([params])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def brute_force_moments(params: ModelParams) -> CollectiveMoments:
     """Thermal collective moments from the S_z-block oracle (n <= 14)."""
     return brute_force_observables(params)[0]
+
+
+def _refusal(params: ModelParams):
+    """The DomainError that refuses a brute-force point, or None."""
+    if params.n > BRUTE_FORCE_MAX_N:
+        return DomainError(
+            f"brute force capped at n = {BRUTE_FORCE_MAX_N}: its largest S_z "
+            f"block, C({params.n}, {params.n // 2}), exceeds the desk-scale "
+            "ceiling")
+    if params.T <= 0:
+        return DomainError("brute force oracle requires T > 0")
+    return None
+
+
+def _thermal_state(params: ModelParams, rows: np.ndarray):
+    """(CollectiveMoments, rho_2) at one point from the rows of
+    _flip_flop_rows: one log-sum-exp over the eigenstates' energies
+    b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights them."""
+    f, sz, zz, s2 = rows[:4]
+    w = params.b * sz - params.V * (f + (1.0 - params.gamma) * zz)
+    p, logZ = _boltzmann(w, params.beta)
+    moments = CollectiveMoments(sz=float(p @ sz), sz2=float(p @ (sz * sz)),
+                                s2=float(p @ s2), logZ=logZ)
+    *pops, coh = rows[4:] @ p
+    rho2 = np.diag(pops)
+    rho2[1, 2] = rho2[2, 1] = coh
+    return moments, rho2
 
 
 def _boltzmann(w: np.ndarray, beta: float):
@@ -496,21 +550,15 @@ def _boltzmann(w: np.ndarray, beta: float):
     return e / Z, m + log(Z)
 
 
-def _brute_force_eig(params: ModelParams):
-    """Per-eigenstate rows over all S_z blocks: energy, S_z, <S^2>, the four
+def _flip_flop_rows(n: int) -> np.ndarray:
+    """Per-eigenstate rows of F over all S_z blocks: its eigenvalue f, S_z,
+    the block's sum_{i != j} s^z_i s^z_j, <S^2> = f + S_z^2 + n/2, the four
     rho_2 populations and the rho_2 coherence <01|.|10>.
 
     The basis is split by the number k of down spins (bit k of a basis index
     set means site k is down); ``pos`` maps a basis index to its position in
     its block. Each block is diagonalized once and dropped.
     """
-    n = params.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise DomainError(
-            f"brute force capped at n = {BRUTE_FORCE_MAX_N}: its largest S_z "
-            f"block, C({n}, {n // 2}), exceeds the desk-scale ceiling")
-    if params.T <= 0:
-        raise DomainError("brute force oracle requires T > 0")
     idx = np.arange(2 ** n)
     down = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
     pair = 2 * (idx & 1) + ((idx >> 1) & 1)   # rho_2 index of sites (0, 1)
@@ -519,43 +567,51 @@ def _brute_force_eig(params: ModelParams):
     for k in range(n + 1):
         states = np.flatnonzero(down == k)
         pos[states] = np.arange(states.size)
-        H, F = _build_block(params, states, pos)
-        w, U = np.linalg.eigh(H)
-        sz = n / 2.0 - k
-        s2 = np.einsum("ia,ia->a", U, F @ U) + sz * sz + n / 2.0
+        F, sz, zz = _build_block(n, states, pos)
+        f, U = np.linalg.eigh(F)
         pops = [(U[pair[states] == q] ** 2).sum(axis=0) for q in range(4)]
         swap = states[pair[states] == 1]      # site 0 up, site 1 down
         coh = np.einsum("ia,ia->a", U[pos[swap]], U[pos[swap ^ 3]])
-        rows.append(np.stack([w, np.full_like(w, sz), s2, *pops, coh]))
+        rows.append(np.stack([f, np.full_like(f, sz), np.full_like(f, zz),
+                              f + sz * sz + n / 2.0, *pops, coh]))
     return np.concatenate(rows, axis=1)
 
 
-def _build_block(params: ModelParams, states: np.ndarray, pos: np.ndarray):
-    """H and the flip-flop sum F on the S_z block spanned by ``states``.
+def _site_sums(bits: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """S_z and sum over the site pairs (i, j) of s^z_i s^z_j, per basis state
+    (a row of ``bits``, 1 for a down spin)."""
+    szdiag = 0.5 - bits                       # per-site s_z eigenvalue
+    return szdiag.sum(axis=1), (szdiag[:, i] * szdiag[:, j]).sum(axis=1)
 
-    Both come from the explicit double sum over site pairs i != j, i.e.
+
+def _build_block(n: int, states: np.ndarray, pos: np.ndarray):
+    """The flip-flop sum F on the S_z block spanned by ``states``, with the
+    block's S_z and sum_{i != j} s^z_i s^z_j.
+
+    All three come from the explicit double sum over site pairs i != j, i.e.
     straight from the pairwise form of the Hamiltonian, independent of the
     collective-spectrum route the oracle is meant to check:
     F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j), which flips both spins of
     a pair whose bits differ, and H = b S_z - V [F + (1 - gamma)
     sum_{i != j} s^z_i s^z_j]. The pair sum generates the E0 = v(3-gamma)/4
     constant of the collective form by itself (sum_i s_i^2 terms), so there
-    is no explicit shift.
+    is no explicit shift. The diagonal part of H is evaluated state by
+    state; its sums of +-1/2 and +-1/4 are exact, so it is the same on every
+    state of the block, and XxzentError is raised where it is not, since
+    taking it out of the eigh would then be wrong.
     """
-    n, V = params.n, params.V
     bits = (states[:, None] >> np.arange(n)) & 1
-    szdiag = 0.5 - bits                       # per-site s_z eigenvalue
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    diag = (params.b * szdiag.sum(axis=1)
-            - V * (1.0 - params.gamma) * (szdiag[:, i] * szdiag[:, j]).sum(axis=1))
+    sz, zz = _site_sums(bits, i, j)
+    if np.ptp(sz) != 0.0 or np.ptp(zz) != 0.0:
+        raise XxzentError(f"diagonal not constant on the S_z block of "
+                          f"{states.size} states")
     # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2
     src, ij = np.nonzero(bits[:, i] != bits[:, j])
     dst = pos[states[src] ^ (1 << i[ij]) ^ (1 << j[ij])]
     F = np.zeros((states.size, states.size))
     np.add.at(F, (dst, src), 0.5)
-    H = -V * F
-    H[np.diag_indices_from(H)] += diag
-    return H, F
+    return F, float(sz[0]), float(zz[0])
 
 
 def brute_force_pair_density(params: ModelParams) -> np.ndarray:
@@ -563,17 +619,24 @@ def brute_force_pair_density(params: ModelParams) -> np.ndarray:
     return brute_force_observables(params)[1]
 
 
+_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))     # sigma_y x sigma_y
+
+
 def wootters_margin(rho2: np.ndarray) -> float:
-    """Wootters' l1 - l2 - l3 - l4 of a two-qubit density matrix, the l
-    being the square roots of the spectrum of rho (y x y) rho* (y x y) in
-    decreasing order; the concurrence is its positive part."""
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.kron(sy, sy)
-    R = rho2 @ yy @ rho2.conj() @ yy
-    ev = np.linalg.eigvals(R)
-    ev = np.sqrt(np.clip(ev.real, 0.0, None))
-    ev.sort()
-    return float(ev[-1] - ev[-2] - ev[-3] - ev[-4])
+    """Wootters' l1 - l2 - l3 - l4 of a two-qubit density matrix; the
+    concurrence is its positive part.
+
+    The l, in decreasing order, are the square roots of the spectrum of
+    rho (y x y) rho* (y x y), taken here as the singular values of
+    sqrt(rho) (y x y) sqrt(rho)*, with sqrt(rho) from eigh. The eigenvalues
+    of the non-Hermitian product would carry rounding of order eps |rho|^2,
+    which their square roots lift to about 1e-9 where the small l are tiny
+    (low T); the singular values keep them to rounding.
+    """
+    e, U = np.linalg.eigh(rho2)
+    root = (U * np.sqrt(np.clip(e, 0.0, None))) @ U.conj().T
+    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return float(lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def wootters_concurrence(rho2: np.ndarray) -> float:

@@ -4,18 +4,20 @@ Each tier is one entry of a ``tier -> evaluator`` table; an evaluator takes
 a run of points and returns one outcome per point, its result or what
 refused it. evaluate_run is the one place that runs an evaluator, times it
 and turns each outcome into a point and its status, so no exception of any
-type aborts a sweep. When the evaluator itself raises (the cspa and spa
-tiers raise whatever fails inside the pass a run shares), the run is
+type aborts a sweep, and no ok point carries a non-finite value. When the
+evaluator itself raises (the cspa and spa tiers raise whatever fails inside
+the pass a run shares, bruteforce whatever fails in its blocks), the run is
 evaluated again one point at a time: this retry is the one place that pins
 a failure of a shared pass to its point.
 evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS consecutive points at one (n, v, gamma),
-the same runs for every worker count, and the cspa and spa tiers evaluate a
-run at gamma = 1 in one array pass. evaluate_point is a run of one. Output
-ordering follows the input order whatever the worker count, and a point's
-values do not depend on its run, so CSV/JSON files are byte-identical across
-runs and across parallelism levels.
+the same runs for every worker count. The cspa and spa tiers evaluate a
+run at gamma = 1 in one array pass, and the bruteforce tier a run with one
+eigh per S_z block. evaluate_point is a run of one. Output ordering follows
+the input order whatever the worker count, and a point's values do not
+depend on its run, so CSV/JSON files are byte-identical across runs and
+across parallelism levels.
 
 CSV schema (fixed column order):
 
@@ -160,11 +162,11 @@ class CurvePoint:
         return r
 
 
-def _bruteforce(params, epsrel):
+def _bruteforce(points, epsrel):
     # C from the partial trace of the S_z-block thermal state, the route that
     # is independent of the collective spectrum
-    moments, rho2 = exact.brute_force_observables(params)
-    return moments, exact.wootters_margin(rho2), None
+    return _each(lambda obs: (obs[0], exact.wootters_margin(obs[1]), None),
+                 exact.brute_force_observables_batch(points))
 
 
 def _exact(params, epsrel):
@@ -200,10 +202,10 @@ def _cmfa(params, epsrel):
     if params.gamma <= 0:
         raise NotApplicableError("CMFA closed forms require gamma > 0")
     if sol.phase != "deformed":
-        return None, None, cmfa.cmfa_logZ(params)
+        return None, None, cmfa.cmfa_logZ(params, sol)
     if not sol.applicable:
         raise NotApplicableError(f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
-    moments = cmfa.cmfa_moments(params)
+    moments = cmfa.cmfa_moments(params, sol)
     pair = exact.pair_state(moments, params.n, tol=1e-8)
     return moments, exact.concurrence_margin(pair), None
 
@@ -242,7 +244,7 @@ def _per_point(evaluate):
 # state, so neither carries pair entanglement, and both compute the moments
 # for the output columns only (the concurrence formula on them would read
 # out quadrature noise).
-_EVALUATORS = {"bruteforce": _per_point(_bruteforce),
+_EVALUATORS = {"bruteforce": _bruteforce,
                "exact": _per_point(_exact), "cspa": _cspa, "spa": _spa,
                "cmfa": _per_point(_cmfa), "mfa": _per_point(_mfa)}
 TIERS = tuple(_EVALUATORS)
@@ -285,8 +287,22 @@ def _outcomes(tier: str, points, epsrel: float) -> list:
         if len(points) == 1:
             return [err]
         return [out for p in points for out in _outcomes(tier, [p], epsrel)]
-    return _each(lambda out: (out[0], exact.concurrence_from_margin(out[1]),
-                              out[2]), outcomes)
+    return _each(_result, points, outcomes)
+
+
+def _result(params, outcome):
+    """(moments, ConcurrenceResult, logZ) of an evaluator's outcome; an
+    XxzentError where a value the point carries is not finite. Values absent
+    by design are None, or ln Z NaN on the moments of a T = 0 point."""
+    moments, margin, logZ = outcome
+    values = [margin, logZ]
+    if moments is not None:
+        values += [moments.sz, moments.sz2, moments.s2]
+        if params.T > 0:
+            values.append(moments.logZ)
+    if not all(isfinite(x) for x in values if x is not None):
+        raise XxzentError("non-finite result")
+    return moments, exact.concurrence_from_margin(margin), logZ
 
 
 def evaluate_run(tier: str, points, epsrel: float = 1e-10) -> list:

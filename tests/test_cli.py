@@ -257,3 +257,14 @@ def test_bruteforce_cap_is_invalid_arguments(argv, capsys):
     assert run_cli(*argv, "--n", "20", "--tier", "bruteforce") == 2
     assert capsys.readouterr().err == (
         "invalid arguments: bruteforce tier caps at n = 14\n")
+
+
+def test_ok_row_never_holds_empty_values(capsys):
+    # just above the CSPA validity scan's T*, the integrand is NaN at its
+    # worst point; the point used to print as ok with empty values
+    rc = run_cli("concurrence", "--n", "20", "--gamma", "1", "--b", "0",
+                 "--T", "0.0792998", "--tier", "cspa")
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "status: error (non-finite result)\n"

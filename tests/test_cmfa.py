@@ -253,3 +253,30 @@ def test_asymptotics_gamma_rescale():
     expect = (1 - 2 * 200 * exp(-20.0)
               - (2 * 0.05 / 0.5) / (1 - (0.2 / 0.5) ** 2)) / 200
     assert a.c_large_n == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma, b, T", [(1.0, 0.3, 0.1), (0.5, 0.2, 0.1),
+                                         (1.0, 1.3, 0.1), (0.5, 0.2, 0.9)])
+def test_one_gap_solve_per_point(monkeypatch, gamma, b, T):
+    # the cmfa tier hands its gap solution to cmfa_moments (deformed phase)
+    # or cmfa_logZ (normal phase), which then give what they give when they
+    # solve the gap themselves
+    from xxzent import cmfa
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
+    sol = gap_solve(p)
+    deformed = sol.phase == "deformed"
+    assert deformed == (b < gamma and T < 0.5)
+    if deformed:
+        alone = cmfa_moments(p)
+        assert cmfa_moments(p, sol) == alone
+    else:
+        alone = cmfa_logZ(p)
+        assert cmfa_logZ(p, sol) == alone
+    calls = []
+    monkeypatch.setattr(cmfa, "gap_solve",
+                        lambda params: calls.append(params) or gap_solve(params))
+    pt = evaluate_point("cmfa", p)
+    assert pt.status == "ok"
+    assert (pt.moments if deformed else pt.logZ) == alone
+    assert calls == [p]

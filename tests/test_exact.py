@@ -537,6 +537,57 @@ def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
     assert abs(c_exact - wootters_concurrence(rho2)) < 1e-10
 
 
+@pytest.mark.parametrize("T", [0.02, 0.05])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("n", [4, 6, 9, 10])
+def test_brute_force_concurrence_matches_exact_at_low_T(n, gamma, T):
+    # at low T the small Wootters l are tiny; taken as square roots of the
+    # eigenvalues of rho (y x y) rho* (y x y) they missed exact by up to 6e-9
+    points = [ModelParams(n=n, v=1.0, gamma=gamma, b=float(b), T=T)
+              for b in np.linspace(0.0, 2.0, 17)]
+    for p, (_, rho2) in zip(points,
+                            exact.brute_force_observables_batch(points)):
+        c_exact = concurrence(thermal_observables(p)[1]).concurrence
+        assert abs(wootters_concurrence(rho2) - c_exact) < 1e-12, p
+
+
+def test_brute_force_batch_refuses_points_before_the_pass():
+    points = [ModelParams(n=4, v=1.0, T=0.3), ModelParams(n=4, v=1.0, T=0.0)]
+    ok, refused = exact.brute_force_observables_batch(points)
+    assert ok[0] == brute_force_moments(points[0])
+    assert isinstance(refused, DomainError)
+    capped = exact.brute_force_observables_batch(
+        [ModelParams(n=15, v=1.0, T=0.5)])
+    assert isinstance(capped[0], DomainError)
+    with pytest.raises(DomainError):
+        exact.brute_force_observables_batch(points[:1] + [
+            ModelParams(n=5, v=1.0, T=0.3)])
+
+
+def test_wootters_margin_on_general_two_qubit_states():
+    # Bell states: C = 1; Werner states: C = [(3 p - 1)/2]_+; random complex
+    # full-rank states: the eigenvalues of rho (y x y) rho* (y x y), which
+    # are well conditioned there
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    bell = np.array([0.0, 1.0, -1.0j, 0.0]) / sqrt(2.0)
+    assert exact.wootters_margin(np.outer(bell, bell.conj())) == \
+        pytest.approx(1.0, abs=1e-14)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)
+    for p in (0.1, 0.3, 0.6, 0.95):
+        werner = p * np.outer(singlet, singlet) + (1 - p) / 4 * np.eye(4)
+        assert wootters_concurrence(werner) == pytest.approx(
+            max((3 * p - 1) / 2, 0.0), abs=1e-14)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy)
+        lam = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))[::-1]
+        assert exact.wootters_margin(rho) == pytest.approx(
+            lam[0] - lam[1] - lam[2] - lam[3], abs=1e-12)
+
+
 def test_direct_pair_state_matches_moment_route():
     rng = np.random.default_rng(31)
     for _ in range(20):

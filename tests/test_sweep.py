@@ -1,15 +1,16 @@
 import json
-from math import comb
+from math import comb, inf
 
 import numpy as np
 import pytest
 
 from xxzent import exact
-from xxzent.errors import DomainError
+from xxzent.errors import DomainError, XxzentError
 from xxzent.model import ModelParams
 from xxzent.sweep import (CSV_COLUMNS, TIERS, GridAxis, SweepSpec,
-                          evaluate_point, limit_field, limit_temperature,
-                          points_to_csv, points_to_json, run_sweep)
+                          evaluate_point, evaluate_run, limit_field,
+                          limit_temperature, points_to_csv, points_to_json,
+                          run_sweep)
 
 
 def small_spec(tier="exact", **fixed):
@@ -260,9 +261,8 @@ def test_any_exception_becomes_error_status(monkeypatch):
     assert all(pt.moments is None and pt.result is None for pt in pts)
 
 
-def test_bruteforce_point_diagonalizes_once(monkeypatch):
-    # one eigh per S_z block, never the full 2^n matrix; the moments and the
-    # partial-trace rho_2 share those eigh calls
+def _count_eigh(monkeypatch):
+    """The shapes np.linalg.eigh is called on, in call order."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -271,10 +271,97 @@ def test_bruteforce_point_diagonalizes_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+# the S_z blocks of n = 6 spins; Wootters' sqrt(rho_2) adds one 4 x 4 eigh
+# per ok point, a size no n = 6 block has
+BLOCKS_6 = sorted((comb(6, k), comb(6, k)) for k in range(7))
+
+
+def test_non_finite_values_are_an_error(monkeypatch):
+    # a value a point carries must be finite; what is absent by design (the
+    # margin of spa and mfa, ln Z at an exact T = 0 point) is not checked
+    from xxzent import sweep
+    nan = float("nan")
+    p = ModelParams(n=8, v=1.0, b=0.3, T=0.2)
+    good = exact.CollectiveMoments(sz=-1.0, sz2=2.0, s2=12.0, logZ=3.0)
+    for outcome in ((good, nan, None), (good, 0.1, nan), (None, None, inf),
+                    (exact.CollectiveMoments(sz=-1.0, sz2=nan, s2=12.0,
+                                             logZ=3.0), None, None),
+                    (exact.CollectiveMoments(sz=-1.0, sz2=2.0, s2=12.0),
+                     0.1, None)):
+        monkeypatch.setitem(sweep._EVALUATORS, "mfa",
+                            lambda points, epsrel: [outcome])
+        pt = evaluate_point("mfa", p)
+        assert (pt.status, pt.message) == ("error", "non-finite result")
+    monkeypatch.setitem(sweep._EVALUATORS, "mfa",
+                        lambda points, epsrel: [(good, None, None)])
+    assert evaluate_point("mfa", p).status == "ok"
+    t0 = evaluate_point("exact", p.replace(T=0.0))
+    assert t0.status == "ok" and np.isnan(t0.moments.logZ)
+
+
+def test_bruteforce_point_diagonalizes_once(monkeypatch):
+    # one eigh per S_z block, never the full 2^n matrix; the moments and the
+    # partial-trace rho_2 share those eigh calls
+    calls = _count_eigh(monkeypatch)
     pt = evaluate_point("bruteforce", ModelParams(n=6, v=1.0, b=0.3, T=0.2))
     assert pt.status == "ok"
-    assert sorted(calls) == sorted((comb(6, k), comb(6, k)) for k in range(7))
+    assert sorted(calls) == sorted(BLOCKS_6 + [(4, 4)])
     assert (64, 64) not in calls
+
+
+def test_bruteforce_run_diagonalizes_once(monkeypatch):
+    # the blocks of F serve every point of a run, whatever v, gamma, b and T
+    calls = _count_eigh(monkeypatch)
+    points = [ModelParams(n=6, v=1.0, gamma=0.5, b=b, T=T)
+              for b in (0.0, 0.3, 1.1) for T in (0.05, 0.4)]
+    assert [pt.status for pt in evaluate_run("bruteforce", points)] == \
+        ["ok"] * 6
+    assert sorted(c for c in calls if c != (4, 4)) == BLOCKS_6
+    assert calls.count((4, 4)) == 6
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_bruteforce_point_bytes_do_not_depend_on_its_run(gamma):
+    points = [ModelParams(n=7, v=1.0, gamma=gamma, b=b, T=T)
+              for b, T in ((0.0, 0.03), (0.35, 0.1), (0.8, 0.5), (2.0, 1.5))]
+    alone = [evaluate_point("bruteforce", p).row() for p in points]
+    assert [pt.row() for pt in evaluate_run("bruteforce", points)] == alone
+    assert all(row["status"] == "ok" for row in alone)
+
+
+def test_bruteforce_t0_point_refused_alone(monkeypatch):
+    # the T = 0 point is refused before the pass, so its neighbours keep
+    # their bytes and nothing is diagonalized again
+    points = [ModelParams(n=6, v=1.0, b=b, T=T)
+              for b, T in ((0.2, 0.1), (0.2, 0.0), (0.6, 0.3))]
+    alone = [evaluate_point("bruteforce", points[k]).row() for k in (0, 2)]
+    calls = _count_eigh(monkeypatch)
+    run = evaluate_run("bruteforce", points)
+    assert [pt.status for pt in run] == ["ok", "error", "ok"]
+    assert run[1].message == "brute force oracle requires T > 0"
+    assert [run[0].row(), run[2].row()] == alone
+    assert sorted(c for c in calls if c != (4, 4)) == BLOCKS_6
+
+
+def test_bruteforce_non_constant_block_diagonal_raises(monkeypatch):
+    # the oracle takes each block's diagonal out of the eigh only because
+    # it is constant there; a diagonal that is not must raise
+    site_sums = exact._site_sums
+
+    def tilted(bits, i, j):
+        sz, zz = site_sums(bits, i, j)
+        zz[-1] += 0.25 * (zz.size > 1)
+        return sz, zz
+
+    monkeypatch.setattr(exact, "_site_sums", tilted)
+    with pytest.raises(XxzentError, match="diagonal not constant"):
+        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    assert (pt.status, pt.message) == (
+        "error", "diagonal not constant on the S_z block of 5 states")
 
 
 def test_ok_points_respect_symmetric_state_bound():
