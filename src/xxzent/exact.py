@@ -10,13 +10,14 @@ whose maximum lies more than 60 + 2 ln(n+1) below the global peak are
 skipped, and in the others only the M range above that cut (the roots of
 the quadratic, widened by one lattice step) is summed, with the peak as the
 one log-sum-exp shift. The skipped mass is at most e^-60 Z, which moves the
-concurrence by less than 3e-13 (see :func:`thermal_observables`). The work
-is one lgamma map of length n + 1 for ln Y(S), one numpy pass over the
-sectors for the window, and one numpy pass per CHUNK_LEVELS = 4096 levels
-that carry weight -- about 10^4 levels at n = 8810, T = 0.1 v, against
-n^2/4 for the full sum. No step is a Python loop over sectors or levels: a
-point takes about 0.04 s at n = 10^5 and 0.43 s at n = 10^6 (T = 0.1 v, one
-Xeon core), most of it the lgamma map.
+concurrence by less than 3e-13 (see :func:`_thermal_point`). The work is
+one lgamma map of length n + 1 for ln Y(S), computed once per run of points
+at one n (:func:`thermal_observables_batch`), then per point one numpy pass
+over the sectors for the window, and one numpy pass per CHUNK_LEVELS = 4096
+levels that carry weight -- about 10^4 levels at n = 8810, T = 0.1 v,
+against n^2/4 for the full sum. No step is a Python loop over sectors or
+levels. At n = 10^6 (T = 0.1 v, one Xeon core) one point takes about
+0.37 s, most of it the lgamma map, and a run of 8 points about 1.0 s.
 
 The symmetric two-qubit reduced state is
 
@@ -73,6 +74,7 @@ __all__ = [
     "exact_moments",
     "exact_pair_state",
     "thermal_observables",
+    "thermal_observables_batch",
     "ground_state_observables",
     "ground_state_moments",
     "ground_state_pair_state",
@@ -270,7 +272,7 @@ def _sector_segments(a: float, b: float, R, two_S):
     return k[keep], lo[keep], hi[keep]
 
 
-def _summation_window(params: ModelParams):
+def _summation_window(params: ModelParams, lnY: np.ndarray):
     """Certified window of the T > 0 spectral sum: (peak, segments).
 
     ``peak`` is the largest level log-weight ln Y(S) - beta E_SM and
@@ -282,12 +284,12 @@ def _summation_window(params: ModelParams):
     over the lattice M = -S..S has a closed form (the lattice points around
     the vertex for a > 0, the ends otherwise), evaluated for all S at once;
     sectors whose maximum is below the cut are skipped whole. The number of
-    levels summed is sum((hi - lo) // 2 + 1).
+    levels summed is sum((hi - lo) // 2 + 1). The ``lnY`` argument is
+    :func:`log_multiplicities` of n, which a batch computes once.
     """
     n, beta = params.n, params.beta
     a, b = params.V * params.gamma, params.b
     two_S = np.arange(n % 2, n + 1, 2)            # two_s_range(n)
-    lnY = log_multiplicities(n)
     S = two_S / 2.0
     const = lnY + beta * (params.V * S * (S + 1.0) - params.E0)
     cands = [-two_S, two_S]
@@ -306,8 +308,43 @@ def _summation_window(params: ModelParams):
     return peak, (two_S[live][k], lnY[live][k], lo, hi)
 
 
+def thermal_observables_batch(points) -> list:
+    """(CollectiveMoments, PairState) at each of ``points``, which share n:
+    one outcome per point, its observables or the exception that failed it.
+
+    T = 0 points take :func:`ground_state_observables`. If any point has
+    T > 0, ln Y(S) is computed once for the batch, and each T > 0 point sums
+    its own window from it (:func:`_thermal_point`), so a point's values do
+    not depend on the other points of its batch.
+    """
+    n = points[0].n
+    if any(p.n != n for p in points):
+        raise DomainError("an exact batch needs one n")
+    lnY = log_multiplicities(n) if any(p.T > 0 for p in points) else None
+    out = []
+    for p in points:
+        try:
+            out.append(ground_state_observables(p) if p.T == 0
+                       else _thermal_point(p, lnY))
+        except Exception as err:     # a failure stays with its point
+            out.append(err)
+    return out
+
+
 def thermal_observables(params: ModelParams):
-    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0.
+    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0;
+    a batch of one (see thermal_observables_batch)."""
+    if params.T <= 0:
+        raise DomainError("thermal_observables requires T > 0; "
+                          "use the ground-state path at T = 0")
+    out, = thermal_observables_batch([params])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _thermal_point(params: ModelParams, lnY: np.ndarray):
+    """(CollectiveMoments, PairState) at one T > 0 point, given ln Y(S).
 
     Accumulates Z, <S_z>, <S_z^2>, <S^2> and the three direct pair-state sums
     over the certified window of :func:`_summation_window`, shifted by the
@@ -323,20 +360,48 @@ def thermal_observables(params: ModelParams):
     |sqrt x - sqrt y| <= sqrt|x - y| and p+ + p- <= 1, the concurrence
     moves by |dC| <= 4 delta + 2 sqrt(2 delta) ~ 3e-13. (A cut of e^-40
     would not do: with p+ ~ 1e-26 in the far field, sqrt(delta) ~ 2e-9.)
+
+    The closed-form peak and the per-level log-weights round differently,
+    by about eps beta |E|: once beta |E| passes ~1e16 that is nats, and
+    the top level's weight can overflow or underflow. So where the summed
+    Z is not finite or is below 1/2 (the top level alone gives Z ~ 1), or
+    another sum is not finite, the peak is taken as the largest per-level
+    log-weight of the window and the sums are taken again.
     """
-    if params.T <= 0:
-        raise DomainError("thermal_observables requires T > 0; "
-                          "use the ground-state path at T = 0")
-    peak, (two_S, lnY, lo, hi) = _summation_window(params)
+    peak, segments = _summation_window(params, lnY)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = _window_sums(params, peak, segments)
+    if not (np.isfinite(acc).all() and acc[0] >= 0.5):
+        peak = max(float(_log_weights(params, *chunk).max())
+                   for chunk in _window_chunks(segments))
+        acc = _window_sums(params, peak, segments)
+    return _observables(params.n, acc, logZ=peak + log(acc[0]))
+
+
+def _window_chunks(segments):
+    """The window's levels, flat and CHUNK_LEVELS at a time: (two_S, lnY,
+    two_M) per chunk."""
+    two_S, lnY, lo, hi = segments
     end = np.cumsum((hi - lo) // 2 + 1)    # flat index one past each segment
     levels = int(end[-1])
-    acc = np.zeros(7)
     for first in range(0, levels, CHUNK_LEVELS):
         j = np.arange(first, min(first + CHUNK_LEVELS, levels))
         k = np.searchsorted(end, j, side="right")    # segment of each level
-        acc += _chunk_sums(params, peak, two_S[k], lnY[k],
-                           hi[k] - 2 * (end[k] - 1 - j))
-    return _observables(params.n, acc, logZ=peak + log(acc[0]))
+        yield two_S[k], lnY[k], hi[k] - 2 * (end[k] - 1 - j)
+
+
+def _window_sums(params: ModelParams, peak: float, segments) -> np.ndarray:
+    """The seven sums of :func:`_level_weights` over the window, chunk by
+    chunk."""
+    acc = np.zeros(7)
+    for chunk in _window_chunks(segments):
+        acc += _chunk_sums(params, peak, *chunk)
+    return acc
+
+
+def _log_weights(params: ModelParams, two_S, lnY, two_M):
+    """Per-level log-weights ln Y(S) - beta E_SM."""
+    return lnY - params.beta * _level_energy_2(params, two_S, two_M)
 
 
 def _chunk_sums(params: ModelParams, peak: float, two_S, lnY, two_M):
@@ -346,9 +411,8 @@ def _chunk_sums(params: ModelParams, peak: float, two_S, lnY, two_M):
     A function of its own so that a chunk's arrays are freed before the
     next chunk is built.
     """
-    w = lnY - params.beta * _level_energy_2(params, two_S, two_M)
     rows = _level_weights(params.n, two_S, two_M)
-    rows *= np.exp(w - peak)
+    rows *= np.exp(_log_weights(params, two_S, lnY, two_M) - peak)
     return rows.sum(axis=1)
 
 

@@ -50,7 +50,7 @@ class ModelParams:
     Energies (v, b, T) share one unit; v > 0 is the attractive coupling
     strength, gamma <= 1 the anisotropy, b the transverse field and T the
     temperature (T = 0 selects the ground-state code paths). All four must
-    be finite.
+    be finite, and so must beta = 1/T at T > 0.
     """
 
     n: int
@@ -73,6 +73,8 @@ class ModelParams:
             x = getattr(self, name)
             if not isfinite(x):
                 raise DomainError(f"{name} must be finite, got {x}")
+        if self.T > 0 and not isfinite(1.0 / self.T):
+            raise DomainError(f"beta = 1/T overflows at T = {self.T}")
 
     @property
     def V(self) -> float:

@@ -13,11 +13,13 @@ evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS consecutive points at one (n, v, gamma),
 the same runs for every worker count. The cspa and spa tiers evaluate a
-run at gamma = 1 in one array pass, and the bruteforce tier a run with one
-eigh per S_z block. evaluate_point is a run of one. Output ordering follows
-the input order whatever the worker count, and a point's values do not
-depend on its run, so CSV/JSON files are byte-identical across runs and
-across parallelism levels.
+run at gamma = 1 in one array pass, the bruteforce tier a run with one
+eigh per S_z block, and the exact tier a run with one ln Y(S), each point
+then summing its own window (a failure there is that point's outcome).
+evaluate_point is a run of one. Output ordering follows the input order
+whatever the worker count, and a point's values do not depend on its run,
+so CSV/JSON files are byte-identical across runs and across parallelism
+levels.
 
 CSV schema (fixed column order):
 
@@ -169,11 +171,9 @@ def _bruteforce(points, epsrel):
                  exact.brute_force_observables_batch(points))
 
 
-def _exact(params, epsrel):
-    observables = (exact.ground_state_observables if params.T == 0
-                   else exact.thermal_observables)
-    moments, pair = observables(params)
-    return moments, exact.concurrence_margin(pair), None
+def _exact(points, epsrel):
+    return _each(lambda obs: (obs[0], exact.concurrence_margin(obs[1]), None),
+                 exact.thermal_observables_batch(points))
 
 
 def _cspa(points, epsrel):
@@ -245,7 +245,7 @@ def _per_point(evaluate):
 # for the output columns only (the concurrence formula on them would read
 # out quadrature noise).
 _EVALUATORS = {"bruteforce": _bruteforce,
-               "exact": _per_point(_exact), "cspa": _cspa, "spa": _spa,
+               "exact": _exact, "cspa": _cspa, "spa": _spa,
                "cmfa": _per_point(_cmfa), "mfa": _per_point(_mfa)}
 TIERS = tuple(_EVALUATORS)
 

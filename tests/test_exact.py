@@ -15,8 +15,8 @@ from xxzent.exact import (CollectiveMoments, brute_force_moments,
                           large_field_expansion, pair_state,
                           thermal_observables, wootters_concurrence,
                           zero_T_concurrence_approx)
-from xxzent.model import (ModelParams, crossing_fields, log_multiplicity,
-                          spectrum_table, two_s_range)
+from xxzent.model import (ModelParams, crossing_fields, log_multiplicities,
+                          log_multiplicity, spectrum_table, two_s_range)
 
 
 def random_params(rng, n_max=8):
@@ -154,7 +154,7 @@ def test_windowed_sum_matches_full_sum_large_n(T):
 def test_windowed_sum_work_is_a_few_sectors():
     # the full sum visits all 19.4M levels; the weight sits in 25 of 4406 sectors
     p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
-    _, (_, _, lo, hi) = exact._summation_window(p)
+    _, (_, _, lo, hi) = exact._summation_window(p, log_multiplicities(p.n))
     levels = int(((hi - lo) // 2 + 1).sum())
     assert 0 < levels <= 2e4
 
@@ -252,7 +252,8 @@ def test_vectorized_window_matches_scalar_rule():
     branches = set()
     for n, gamma, b, T in _window_cases():
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        peak, (two_S, lnY, lo, hi) = exact._summation_window(p)
+        peak, (two_S, lnY, lo, hi) = exact._summation_window(
+            p, log_multiplicities(p.n))
         ref_peak, ref = _scalar_window(p, branches)
         assert peak == ref_peak, p
         got = sorted(zip(two_S.tolist(), lnY.tolist(), lo.tolist(), hi.tolist()))
@@ -267,7 +268,7 @@ def test_vectorized_window_matches_scalar_rule():
                                          (0.0, 0.5, 0.05)])
 def test_chunked_sum_matches_default(monkeypatch, gamma, b, T):
     p = ModelParams(n=1000, v=1.0, gamma=gamma, b=b, T=T)
-    _, (_, _, lo, hi) = exact._summation_window(p)
+    _, (_, _, lo, hi) = exact._summation_window(p, log_multiplicities(p.n))
     end = np.cumsum((hi - lo) // 2 + 1)
     assert np.any(end % 5 != 0)          # some segment ends inside a chunk
     ref = thermal_observables(p)
@@ -286,7 +287,7 @@ def test_chunked_sum_matches_default(monkeypatch, gamma, b, T):
 @pytest.mark.parametrize("n, b", [(1000, 0.3), (8810, 0.0)])
 def test_level_weights_called_once_per_chunk(monkeypatch, n, b):
     p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.1)
-    _, (_, _, lo, hi) = exact._summation_window(p)
+    _, (_, _, lo, hi) = exact._summation_window(p, log_multiplicities(p.n))
     levels = int(((hi - lo) // 2 + 1).sum())
     calls = []
     level_weights = exact._level_weights
@@ -562,6 +563,20 @@ def test_brute_force_batch_refuses_points_before_the_pass():
     with pytest.raises(DomainError):
         exact.brute_force_observables_batch(points[:1] + [
             ModelParams(n=5, v=1.0, T=0.3)])
+
+
+def test_exact_batch_takes_each_point_on_its_path():
+    # T = 0 points take the ground-state path, T > 0 points the thermal sum;
+    # thermal_observables alone refuses T = 0, and a batch needs one n
+    points = [ModelParams(n=30, v=1.0, b=0.4, T=0.2),
+              ModelParams(n=30, v=1.0, b=0.4, T=0.0)]
+    thermal, ground = exact.thermal_observables_batch(points)
+    assert thermal == thermal_observables(points[0])
+    assert ground == exact.ground_state_observables(points[1])
+    with pytest.raises(DomainError):
+        thermal_observables(points[1])
+    with pytest.raises(DomainError):
+        exact.thermal_observables_batch(points + [ModelParams(n=31, T=0.2)])
 
 
 def test_wootters_margin_on_general_two_qubit_states():

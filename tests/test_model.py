@@ -141,11 +141,13 @@ def test_params_validation():
         ModelParams(n=4, T=-0.1)
     nan, inf = float("nan"), float("inf")
     for bad in (dict(b=nan), dict(b=-inf), dict(T=nan), dict(T=inf),
-                dict(gamma=nan), dict(gamma=-inf), dict(v=inf)):
+                dict(gamma=nan), dict(gamma=-inf), dict(v=inf),
+                dict(T=1e-310), dict(T=5e-324)):      # 1/T overflows
         with pytest.raises(DomainError):
             ModelParams(n=4, **bad)
         with pytest.raises(DomainError):
             ModelParams(n=4, T=0.1).replace(**bad)
+    assert ModelParams(n=4, T=1e-308).beta == 1e308
 
 
 def test_spectrum_table_rows():

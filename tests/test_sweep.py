@@ -247,13 +247,37 @@ def test_exact_t0_large_n_matches_low_T_limit():
             concurrence(pair).concurrence, abs=1e-12)
 
 
+def test_exact_tiny_T_gives_the_ground_state():
+    # once beta |E| passes ~1e16 the window's closed-form peak and the
+    # per-level log-weights differ by nats; the sums are then shifted by the
+    # largest per-level log-weight, so C is the T = 0 one, not an error.
+    # Crossing fields (a two-level ground state) are left out.
+    checked = 0
+    for n in (20, 101, 1000, 8810):
+        for gamma in (1.0, 0.5, -0.5):
+            for b in (0.3, 1.5):
+                p0 = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=0.0)
+                if len(exact._ground_levels(p0)) > 1:
+                    continue
+                c0 = evaluate_point("exact", p0).result.concurrence
+                for pt in evaluate_run("exact", [
+                        p0.replace(T=T) for T in (1e-16, 1e-20, 1e-50,
+                                                  1e-100, 1e-200, 1e-300)]):
+                    assert pt.status == "ok", (pt.params, pt.message)
+                    assert pt.result.concurrence == pytest.approx(c0,
+                                                                  abs=1e-12)
+                    checked += 1
+    assert checked == 138
+
+
 def test_any_exception_becomes_error_status(monkeypatch):
     from xxzent import exact
 
-    def boom(params):
+    def boom(params, lnY):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(exact, "thermal_observables", boom)
+    # the exact run evaluator sums each T > 0 point in _thermal_point
+    monkeypatch.setattr(exact, "_thermal_point", boom)
     pts = run_sweep(SweepSpec(tier="exact", fixed=ModelParams(n=8, T=0.2),
                               axes=(GridAxis("b", 0.0, 1.0, 3),)))
     assert [pt.status for pt in pts] == ["error"] * 3
@@ -362,6 +386,64 @@ def test_bruteforce_non_constant_block_diagonal_raises(monkeypatch):
     pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
     assert (pt.status, pt.message) == (
         "error", "diagonal not constant on the S_z block of 5 states")
+
+
+def _count_log_multiplicities(monkeypatch):
+    """The n of each log_multiplicities call of the exact tier."""
+    calls = []
+    real = exact.log_multiplicities
+    monkeypatch.setattr(exact, "log_multiplicities",
+                        lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def test_exact_run_computes_lnY_once(monkeypatch):
+    # ln Y(S) depends on n alone: once per run that has a T > 0 point, never
+    # for a run of T = 0 points (runs of 8, 8 and 4 here)
+    calls = _count_log_multiplicities(monkeypatch)
+    spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.1),
+                     (GridAxis("b", 0.0, 1.5, 20),))
+    assert all(pt.status == "ok" for pt in run_sweep(spec))
+    assert calls == [1000] * 3
+    calls.clear()
+    spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.0),
+                     (GridAxis("b", 0.0, 1.5, 5),))
+    assert all(pt.status == "ok" for pt in run_sweep(spec))
+    assert calls == []
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5, -0.5])
+def test_exact_point_bytes_do_not_depend_on_its_run(gamma):
+    points = [ModelParams(n=101, v=1.0, gamma=gamma, b=b, T=T)
+              for b, T in ((0.0, 0.03), (0.35, 0.0), (0.8, 0.5), (0.5, 0.0),
+                           (2.0, 1.5), (0.6, 0.1))]
+    alone = [evaluate_point("exact", p).row() for p in points]
+    assert [pt.row() for pt in evaluate_run("exact", points)] == alone
+    assert all(row["status"] == "ok" for row in alone)
+
+
+def test_exact_failure_stays_with_its_point(monkeypatch):
+    # a point that fails inside its own sums fails alone: its neighbours
+    # keep their bytes, and the run is not retried point by point (which
+    # would compute ln Y again)
+    points = [ModelParams(n=1000, v=1.0, b=b, T=T)
+              for b, T in ((0.2, 0.1), (0.5, 0.1), (0.5, 0.0), (0.9, 0.2))]
+    clean = evaluate_run("exact", points)
+    real = exact._thermal_point
+
+    def patched(params, lnY):
+        if params.b == 0.5:
+            raise ZeroDivisionError("injected")
+        return real(params, lnY)
+
+    monkeypatch.setattr(exact, "_thermal_point", patched)
+    calls = _count_log_multiplicities(monkeypatch)
+    hurt = evaluate_run("exact", points)
+    assert [pt.status for pt in hurt] == ["ok", "error", "ok", "ok"]
+    assert hurt[1].message == "ZeroDivisionError: injected"
+    assert [hurt[k].row() for k in (0, 2, 3)] == \
+        [clean[k].row() for k in (0, 2, 3)]
+    assert calls == [1000]
 
 
 def test_ok_points_respect_symmetric_state_bound():
