@@ -24,15 +24,17 @@ sinh(sqrt X)/sqrt X is entire in X, so omega^2 < 0 (imaginary collective
 mode) is fine as long as beta|omega|/2 < pi, where G(-y^2) = ln[sin(y)/y] is
 finite; past that C_RPA is not positive, the integrand diverges, the
 temperature is below the breakdown temperature T*, and the evaluation
-refuses with a BreakdownError. The validity scan runs on a fixed grid before
-any integration (fail fast with a diagnostic). One function, _g, evaluates G
-and, for the moments, G' and G''.
+refuses with a BreakdownError. The validity scan runs before any
+integration (fail fast with a diagnostic), along the one line in r on which
+the worst omega^2 lies. One function, _g, evaluates G and, for the moments,
+G' and G''.
 
 A batch of points has two stages. First each point is refused or kept,
-before any integral: T <= 0, then in cspa mode the validity scan (a
-BreakdownError). A refusal is that point's outcome. Then the kept points
-share one quadrature pass, and an exception inside that pass raises for the
-whole batch; the sweep layer re-evaluates such a batch point by point.
+before any integral: T <= 0, then in cspa mode the validity scan, one scan
+of the whole batch (a BreakdownError). A refusal is that point's outcome.
+Then the kept points share one quadrature pass, and an exception inside that
+pass raises for the whole batch; the sweep layer re-evaluates such a batch
+point by point.
 
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
@@ -42,11 +44,11 @@ radial integrals is one quad_gk call, one row each: every row starts on the
 same layout in units of its own width, and a row that misses the error
 budget is refined on those panels in the same call. At gamma = 1 a point is
 one row (z = 0), and a batch of points at one (n, v, gamma) is one array
-pass, one row per point, and one validity scan; a row's bits do not depend
-on the other rows of its pass. For gamma < 1 each point has its own outer z
-integral, a quad_gk call of one row whose z nodes are the radial rows: the
-z with the highest l_peak seeds the outer z panels and shifts the outer
-integral; z nodes more than 200 log-units below it are skipped.
+pass, one row per point; a row's bits do not depend on the other rows of
+its pass. For gamma < 1 each point has its own outer z integral, a quad_gk
+call of one row whose z nodes are the radial rows: the z with the highest
+l_peak seeds the outer z panels and shifts the outer integral; z nodes more
+than 200 log-units below it are skipped.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -96,8 +98,6 @@ __all__ = [
     "breakdown_temperature",
 ]
 
-_SCAN_R = 256
-_SCAN_Z = 64
 _TAIL_LOG_UNITS = 40.0     # log-units of Gaussian tail kept beyond the peak
 
 
@@ -337,30 +337,41 @@ class CspaEvaluation:
 
 def _scan_validity(params):
     """(worst, (r, z)): the worst -omega^2 over the static domain and where
-    it is (validity needs worst < 4 pi^2 T^2); at gamma = 1 one per row of a
-    _Rows, from one array call.
+    it is (validity needs worst < 4 pi^2 T^2), one per row of a _Rows.
 
-    omega^2 < 0 can only happen for lam < v, so the scan box r in (0, 1.1 v],
-    |b - z| <= 1.1 v covers every possible violation regardless of n.
+    omega^2 = a c with c = a + v (1-q) t is negative only where a < 0, so
+    lam < v, and at fixed lam the worst point then has the smallest q: z = b
+    (q = 1 - gamma) at gamma < 1, z = 0 at gamma = 1. The scan is 1-D in r
+    on that line, in three array calls: 64 points on (0, 1.1 v], 65 across
+    the two steps around the best of them, and the vertex of the parabola
+    through the best three.
     """
-    v = params.v
-    r = np.linspace(v / _SCAN_R, 1.1 * v, _SCAN_R)
-    if params.gamma < 1.0:
-        z = params.b + np.linspace(-1.1 * v, 1.1 * v, _SCAN_Z)
-        rr, zz = np.meshgrid(r, z, indexing="ij")
-        w2 = omega_squared(params, rr, zz)
-        i = np.unravel_index(np.argmin(w2), w2.shape)
-        return float(-w2[i]), (float(rr[i]), float(zz[i]))
-    w2 = omega_squared(params, r, 0.0)
-    return -w2.min(axis=-1), (r[np.argmin(w2, axis=-1)], 0.0)
+    z = params.b if params.gamma < 1.0 else 0.0
+    h = 1.1 * params.v / 64
+    r = h * np.arange(1.0, 65.0)
+    k = np.argmin(omega_squared(params, r, z), axis=-1, keepdims=True)
+    # r > 0, where lam = 0 would leave omega undefined at gamma < 1
+    r = np.maximum(r[k] + (h / 32) * np.arange(-32, 33), h / 64)
+    w2 = omega_squared(params, r, z)
+    j = np.argmin(w2, axis=-1, keepdims=True).clip(1, 63)
+    f0, f1, f2 = (np.take_along_axis(w2, j + i, -1) for i in (-1, 0, 1))
+    curv = f0 - 2.0 * f1 + f2
+    shift = np.divide(0.5 * (f0 - f2), curv, out=np.zeros_like(curv),
+                      where=curv > 0)
+    rv = np.take_along_axis(r, j, -1) + (h / 32) * shift.clip(-1.0, 1.0)
+    r = np.concatenate([r, rv], axis=-1)
+    w2 = np.concatenate([w2, omega_squared(params, rv, z)], axis=-1)
+    i = np.argmin(w2, axis=-1, keepdims=True)
+    r = np.take_along_axis(r, i, -1)
+    return -np.take_along_axis(w2, i, -1), (r, np.full_like(r, z))
 
 
-def _breakdown(params: ModelParams, worst, where):
+def _breakdown(params: ModelParams, worst, r, z):
     """The BreakdownError of a point whose validity scan found ``worst`` at
-    ``where``, or None when the point is valid."""
+    (r, z), or None when the point is valid."""
     if worst < (2.0 * pi * params.T) ** 2:
         return None
-    where = (float(where[0]), float(where[1]))
+    where = (float(r), float(z))
     t_star = breakdown_temperature(params)
     return BreakdownError(
         f"CSPA breakdown: beta|omega|/2 >= pi at (r, z) = {where} "
@@ -373,17 +384,18 @@ def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     """Estimated T*: the largest T at which some static point violates
     beta|omega|/2 < pi. Returns 0 when the CSPA is valid at every T > 0.
 
-    The validity scan reads v, gamma and b only, so T* is computed once per
-    field and shared by every n and T."""
-    return _t_star(params.v, params.gamma, params.b, tol)
+    The validity scan reads v and gamma, and b at gamma = 1 only, so T* is
+    computed once per field and shared by every n and T."""
+    return _t_star(params.v, params.gamma,
+                   0.0 if params.gamma < 1.0 else params.b, tol)
 
 
 @lru_cache(maxsize=256)
 def _t_star(v: float, gamma: float, b: float, tol: float) -> float:
     def excess(T):
-        # n = 2 is a placeholder: _scan_validity does not read n
-        worst, _ = _scan_validity(ModelParams(n=2, v=v, gamma=gamma, b=b, T=T))
-        return worst - (2.0 * pi * T) ** 2
+        # one row, the field at temperature T: the validity scan reads no n
+        worst, _ = _scan_validity(_Rows(None, v, gamma, b, 1.0 / T))
+        return float(worst[0]) - (2.0 * pi * T) ** 2
 
     t_hi = 0.5 * v
     if excess(t_hi) >= 0:      # should not happen for the attractive XXZ
@@ -516,31 +528,25 @@ def _logZ_batch(points, mode: str, epsrel: float) -> list:
     outcome per point, its CspaEvaluation or the exception that refuses it.
 
     Every refusal (T <= 0, then in cspa mode the validity scan) is decided
-    before any integral: at gamma = 1 in one array call, at gamma < 1 one
-    scan per point. The valid points then share one pass, one radial row
-    per point at gamma = 1 and one z integral per point at gamma < 1, and
-    whatever that pass raises, it raises for the whole batch.
+    before any integral, by one scan of all the points. The valid points
+    then share one pass, one radial row per point at gamma = 1 and one z
+    integral per point at gamma < 1, and whatever that pass raises, it
+    raises for the whole batch.
     """
     if mode not in ("cspa", "spa"):
         raise DomainError(f"unknown mode {mode!r}")
     out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0 else None
            for p in points]
     live = [k for k, o in enumerate(out) if o is None]
-    z_integral = points[0].gamma < 1.0
     if mode == "cspa" and live:
-        if z_integral:
-            scans = [_scan_validity(points[k]) for k in live]
-        else:
-            worst, (r, _) = _scan_validity(_Rows.of([points[k] for k in live]))
-            scans = [(w, (rk, 0.0)) for w, rk in zip(np.ravel(worst),
-                                                      np.ravel(r))]
-        for k, (worst, where) in zip(live, scans):
-            out[k] = _breakdown(points[k], worst, where)
+        worst, where = _scan_validity(_Rows.of([points[k] for k in live]))
+        for k, *scan in zip(live, *map(np.ravel, (worst, *where))):
+            out[k] = _breakdown(points[k], *scan)
         live = [k for k in live if out[k] is None]
     if live:
         valid = [points[k] for k in live]
-        evs = ([_logZ_z(p, mode, epsrel) for p in valid] if z_integral
-               else _logZ_rows(valid, mode, epsrel))
+        evs = ([_logZ_z(p, mode, epsrel) for p in valid]
+               if valid[0].gamma < 1.0 else _logZ_rows(valid, mode, epsrel))
         for k, ev in zip(live, evs):
             out[k] = ev
     return out

@@ -102,8 +102,9 @@ def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
     one more call: in every row whose error is above max(epsabs, epsrel
     |I_0|), it halves the splittable panel with the largest error. A row's
     splits and sums depend on that row alone. A QuadratureError is raised
-    when such a row already has ``max_panels`` panels, or when its panels
-    at float resolution alone hold more error than its budget.
+    when a sum of any component, or an error estimate, is not finite, when
+    a row above its budget already has ``max_panels`` panels, or when its
+    panels at float resolution alone hold more error than its budget.
 
     value has shape (rows,), or (m, rows) when stacked, and error (rows,);
     for 1-D edges the row axis is dropped.
@@ -121,6 +122,8 @@ def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
         # per row, in panel order: a row's sums do not see the other rows
         val = np.stack([np.bincount(row, c, minlength=rows) for c in k])
         toterr = np.bincount(row, err, minlength=rows)
+        if not (np.isfinite(val).all() and np.isfinite(toterr).all()):
+            raise QuadratureError("non-finite integral or error estimate")
         budget = np.maximum(epsabs, epsrel * np.abs(val[0]))
         need = toterr > budget
         if not need.any():

@@ -260,11 +260,39 @@ def test_bruteforce_cap_is_invalid_arguments(argv, capsys):
 
 
 def test_ok_row_never_holds_empty_values(capsys):
-    # just above the CSPA validity scan's T*, the integrand is NaN at its
-    # worst point; the point used to print as ok with empty values
+    # just above a validity grid's T*, the integrand is NaN at the worst
+    # point the grid missed; such a point printed as ok with empty values,
+    # then as error. The line scan finds that point: it is a breakdown
     rc = run_cli("concurrence", "--n", "20", "--gamma", "1", "--b", "0",
                  "--T", "0.0792998", "--tier", "cspa")
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err == "status: error (non-finite result)\n"
+    assert captured.err.startswith("status: breakdown (CSPA breakdown: ")
+
+
+@pytest.mark.parametrize("gamma, grid_t_star", [(1.0, 0.0792996),
+                                                (0.5, 0.0397661)])
+def test_sweep_across_t_star_breaks_down_below_it(capsys, gamma,
+                                                  grid_t_star):
+    # T from below the T* of the old 256 x 64 validity grid to above the
+    # line scan's, T* itself included: every point below T* is a breakdown,
+    # and no ok row holds an empty value (the error rows from T* up are
+    # moments no pair state has, or no convergence, not values lost)
+    from xxzent.cspa import breakdown_temperature
+    from xxzent.model import ModelParams
+    t_star = breakdown_temperature(
+        ModelParams(n=20, gamma=gamma, b=0.0, T=0.1), tol=1e-12)
+    gap = t_star - grid_t_star
+    assert gap > 0
+    run_cli("sweep", "--n", "20", "--gamma", str(gamma), "--b", "0",
+            "--tier", "cspa", "--grid",
+            f"T:{grid_t_star - gap}:{t_star + gap}:10")
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    below = [row for row in rows if float(row["T"]) < t_star]
+    assert sum(float(row["T"]) > grid_t_star for row in below) >= 2
+    assert {row["status"] for row in below} == {"breakdown"}
+    for row in rows:
+        if row["status"] == "ok":
+            assert all(row.values()), row

@@ -90,6 +90,27 @@ def test_quad_gk_float_resolution_exit():
         quad_gk(step, [0.0, lo, hi], epsabs=0.0, epsrel=1e-10)
 
 
+def test_quad_gk_non_finite_sum_raises():
+    # a NaN row has a NaN error, which is never above its budget: it used
+    # to be returned as converged
+    def nan_row(row, x):
+        return np.where(row[:, None] == 1, np.nan, np.cos(x))
+
+    edges = [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
+    with pytest.raises(QuadratureError, match="non-finite"):
+        quad_gk(nan_row, edges)
+    # a non-finite stacked component raises too, though component 0, which
+    # steers the refinement, is finite
+    def stacked(row, x):
+        return np.stack([np.cos(x), np.where(x > 0.9, np.inf, x)])
+
+    with pytest.raises(QuadratureError, match="non-finite"):
+        quad_gk(stacked, edges)
+    # the same components, finite, integrate
+    res = quad_gk(lambda row, x: np.stack([np.cos(x), x]), edges)
+    np.testing.assert_allclose(res.value, [[np.sin(1.0)] * 2, [0.5] * 2])
+
+
 def _bisect(moves_lo, lo, hi, tol):
     """The halving loop that bracket_root replaced, as the reference."""
     for _ in range(200):
@@ -260,8 +281,8 @@ def test_successful_logZ_never_estimates_t_star(monkeypatch):
 
 
 def test_t_star_once_per_field(monkeypatch):
-    # the validity scan reads v, gamma and b only: one T* per field, shared
-    # by every n and T
+    # the validity scan reads v and gamma, and b at gamma = 1 only: one T*
+    # per field, shared by every n and T, and at gamma < 1 by every b
     import xxzent.cspa as cspa
     scan, calls = _counted(cspa._scan_validity)
     monkeypatch.setattr(cspa, "_scan_validity", scan)
@@ -273,11 +294,75 @@ def test_t_star_once_per_field(monkeypatch):
             hexes.add(breakdown_temperature(p).hex())
         assert len(hexes) == 1
         before = len(calls)
-        p = ModelParams(n=7, v=1.0, gamma=0.5, b=0.3, T=0.2)
-        assert breakdown_temperature(p).hex() in hexes
+        for b in (0.3, 0.0, 0.5):
+            p = ModelParams(n=7, v=1.0, gamma=0.5, b=b, T=0.2)
+            assert breakdown_temperature(p).hex() in hexes
         assert len(calls) == before
+        # at gamma = 1 the field b sets T*
+        t1 = {breakdown_temperature(ModelParams(n=7, b=b, T=0.2))
+              for b in (0.0, 0.5)}
+        assert len(t1) == 2 and len(calls) > before
     finally:
         cspa._t_star.cache_clear()
+
+
+def _grid_worst(p):
+    """The worst -omega^2 on a dense 2-D (r, z) check grid over the box
+    r in (0, 1.1 v], |b - z| <= 1.1 v, denser than the old 256 x 64 scan
+    (z = 0 alone at gamma = 1)."""
+    r = np.linspace(p.v / 1024, 1.1 * p.v, 1024)
+    z = (p.b + np.linspace(-1.1 * p.v, 1.1 * p.v, 257) if p.gamma < 1.0
+         else np.zeros(1))
+    rr, zz = np.meshgrid(r, z, indexing="ij")
+    return -float(np.min(omega_squared(p, rr, zz)))
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+def test_validity_scan_finds_the_worst_point(gamma):
+    # the 1-D line scan is at least every value of a dense 2-D grid and
+    # within 1e-10 of a dense 1-D reference on its line (z = b at gamma < 1,
+    # z = 0 at gamma = 1), where the worst point lies
+    import xxzent.cspa as cspa
+    for b in (0.0, 0.3, 0.9):
+        for T in (0.005, 0.02, 0.05, 0.08):
+            p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
+            worst, (r, z) = cspa._scan_validity(p)
+            worst = float(worst[0])
+            line = b if gamma < 1.0 else 0.0
+            ref = -float(np.min(omega_squared(
+                p, np.linspace(1.1 / 2 ** 20, 1.1, 2 ** 20), line)))
+            assert worst >= _grid_worst(p), (b, T)
+            assert worst == pytest.approx(ref, rel=1e-10), (b, T)
+            assert float(z[0]) == line
+            assert -omega_squared(p, float(r[0]), line) == worst
+
+
+def test_validity_scan_is_130_omega_evaluations_per_row(monkeypatch):
+    # three omega^2 array calls per run at every gamma: 64 coarse points,
+    # 65 fine ones and a vertex, per row whatever the number of rows
+    import xxzent.cspa as cspa
+    from xxzent import sweep
+    sizes = []
+    real = cspa.omega_squared
+
+    def counted(params, r, z=0.0):
+        w2 = real(params, r, z)
+        sizes.append(np.size(w2))
+        return w2
+
+    monkeypatch.setattr(cspa, "omega_squared", counted)
+    for gamma in (0.5, 1.0):
+        for k in (1, 8):
+            sizes.clear()
+            points = [ModelParams(n=20, gamma=gamma, b=b, T=0.3)
+                      for b in np.linspace(0.0, 1.2, k)]
+            cspa.cspa_moments_batch(points, epsrel=1e-8)
+            assert sizes == [64 * k, 65 * k, k], (gamma, k)
+    # a sweep of 16 points is two runs of 8: two scans
+    sizes.clear()
+    sweep.evaluate_points("cspa", [ModelParams(n=20, gamma=0.5, b=0.3, T=T)
+                                   for T in np.linspace(0.1, 0.4, 16)], 1e-8)
+    assert sizes == [64 * 8, 65 * 8, 8] * 2
 
 
 def test_spa_never_breaks_down():
