@@ -154,9 +154,8 @@ def _omega_factors(params: ModelParams, r, lam, t):
     """(q, a, c) with omega^2 = a c, a = lam - v t, c = lam - v q t and
     q = 1 - gamma r^2/lam^2, from r, lam = |(r, b - z)| and
     t = tanh(beta lam / 2)."""
-    v = params.v
     q = 1.0 - params.gamma * r * r / (lam * lam)
-    return q, lam - v * t, lam - v * q * t
+    return q, lam - params.v * t, lam - params.v * q * t
 
 
 def rpa_frequency(params: ModelParams, r: float, z: float = 0.0) -> complex:
@@ -335,19 +334,30 @@ class CspaEvaluation:
     dlnZ_dv: float
 
 
+def _line_offset(gamma: float, b):
+    """b - z on the line of the validity scan: 0 (z = b) at gamma < 1, b
+    (z = 0) at gamma = 1. omega^2 reads b and z only through b - z, so the
+    scan, and T*, read b only through this offset."""
+    return b if gamma >= 1.0 else 0.0
+
+
 def _scan_validity(params):
     """(worst, (r, z)): the worst -omega^2 over the static domain and where
     it is (validity needs worst < 4 pi^2 T^2), one per row of a _Rows.
 
-    omega^2 = a c with c = a + v (1-q) t is negative only where a < 0, so
-    lam < v, and at fixed lam the worst point then has the smallest q: z = b
-    (q = 1 - gamma) at gamma < 1, z = 0 at gamma = 1. The scan is 1-D in r
-    on that line, in three array calls: 64 points on (0, 1.1 v], 65 across
-    the two steps around the best of them, and the vertex of the parabola
-    through the best three.
+    omega^2 = a c with a = lam - v t, c = lam - v q t and q = 1 - gamma
+    r^2/lam^2 between 1 - gamma (at z = b) and 1 (at r = 0). At gamma >= 0,
+    c >= a: omega^2 < 0 needs a < 0 < c, so lam < v, and at fixed lam the
+    worst point has the smallest q. At gamma < 0, c <= a: omega^2 < 0
+    needs c < 0 < a, so lam < v q t <= v (1 - gamma), and the worst point
+    has the largest q. Either way it lies on one line, z = b at gamma < 1
+    and z = 0 at gamma = 1 (_line_offset), and the scan is 1-D in r on
+    (0, 1.1 v max(1, 1 - gamma)], in three array calls: 64 points, 65
+    across the two steps around the best of them, and the vertex of the
+    parabola through the best three.
     """
-    z = params.b if params.gamma < 1.0 else 0.0
-    h = 1.1 * params.v / 64
+    z = params.b - _line_offset(params.gamma, params.b)
+    h = 1.1 * params.v * max(1.0, 1.0 - params.gamma) / 64
     r = h * np.arange(1.0, 65.0)
     k = np.argmin(omega_squared(params, r, z), axis=-1, keepdims=True)
     # r > 0, where lam = 0 would leave omega undefined at gamma < 1
@@ -356,8 +366,7 @@ def _scan_validity(params):
     j = np.argmin(w2, axis=-1, keepdims=True).clip(1, 63)
     f0, f1, f2 = (np.take_along_axis(w2, j + i, -1) for i in (-1, 0, 1))
     curv = f0 - 2.0 * f1 + f2
-    shift = np.divide(0.5 * (f0 - f2), curv, out=np.zeros_like(curv),
-                      where=curv > 0)
+    shift = 0.5 * (f0 - f2) / np.where(curv > 0, curv, inf)  # 0 if not convex
     rv = np.take_along_axis(r, j, -1) + (h / 32) * shift.clip(-1.0, 1.0)
     r = np.concatenate([r, rv], axis=-1)
     w2 = np.concatenate([w2, omega_squared(params, rv, z)], axis=-1)
@@ -387,14 +396,15 @@ def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     The validity scan reads v and gamma, and b at gamma = 1 only, so T* is
     computed once per field and shared by every n and T."""
     return _t_star(params.v, params.gamma,
-                   0.0 if params.gamma < 1.0 else params.b, tol)
+                   _line_offset(params.gamma, params.b), tol)
 
 
 @lru_cache(maxsize=256)
-def _t_star(v: float, gamma: float, b: float, tol: float) -> float:
+def _t_star(v: float, gamma: float, offset: float, tol: float) -> float:
     def excess(T):
-        # one row, the field at temperature T: the validity scan reads no n
-        worst, _ = _scan_validity(_Rows(None, v, gamma, b, 1.0 / T))
+        # one row, at field b = offset (the scan line's own offset) and
+        # temperature T: the validity scan reads no n
+        worst, _ = _scan_validity(_Rows(None, v, gamma, offset, 1.0 / T))
         return float(worst[0]) - (2.0 * pi * T) ** 2
 
     t_hi = 0.5 * v

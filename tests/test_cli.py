@@ -275,24 +275,28 @@ def test_ok_row_never_holds_empty_values(capsys):
                                                 (0.5, 0.0397661)])
 def test_sweep_across_t_star_breaks_down_below_it(capsys, gamma,
                                                   grid_t_star):
-    # T from below the T* of the old 256 x 64 validity grid to above the
-    # line scan's, T* itself included: every point below T* is a breakdown,
-    # and no ok row holds an empty value (the error rows from T* up are
-    # moments no pair state has, or no convergence, not values lost)
+    # T from below the T* of the old 256 x 64 validity grid to just below
+    # the line scan's: every point is a breakdown. T* itself is stepped
+    # over (a point a hair above it refines to the panel cap before it
+    # reads error); at twice T* the point is ok, with every value
     from xxzent.cspa import breakdown_temperature
     from xxzent.model import ModelParams
     t_star = breakdown_temperature(
         ModelParams(n=20, gamma=gamma, b=0.0, T=0.1), tol=1e-12)
     gap = t_star - grid_t_star
     assert gap > 0
-    run_cli("sweep", "--n", "20", "--gamma", str(gamma), "--b", "0",
-            "--tier", "cspa", "--grid",
-            f"T:{grid_t_star - gap}:{t_star + gap}:10")
-    header, *lines = capsys.readouterr().out.splitlines()
-    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
-    below = [row for row in rows if float(row["T"]) < t_star]
+
+    def rows(*argv):
+        run_cli(*argv, "--n", "20", "--gamma", str(gamma), "--b", "0",
+                "--tier", "cspa")
+        header, *lines = capsys.readouterr().out.splitlines()
+        return [dict(zip(header.split(","), line.split(",")))
+                for line in lines]
+
+    below = rows("sweep", "--grid",
+                 f"T:{grid_t_star - gap}:{t_star * (1 - 1e-9)}:10")
     assert sum(float(row["T"]) > grid_t_star for row in below) >= 2
     assert {row["status"] for row in below} == {"breakdown"}
-    for row in rows:
-        if row["status"] == "ok":
-            assert all(row.values()), row
+    [above] = rows("concurrence", "--T", str(2 * t_star))
+    assert above["status"] == "ok"
+    assert all(above.values()), above

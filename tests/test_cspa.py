@@ -306,22 +306,32 @@ def test_t_star_once_per_field(monkeypatch):
         cspa._t_star.cache_clear()
 
 
+def _scan_reach(p):
+    """The r (and |b - z|) reach of the check grids: 1.1 v, or
+    1.1 v (1 - gamma) at gamma < 0, where omega^2 < 0 reaches out to
+    lam = v (1 - gamma)."""
+    return 1.1 * p.v * max(1.0, 1.0 - p.gamma)
+
+
 def _grid_worst(p):
     """The worst -omega^2 on a dense 2-D (r, z) check grid over the box
-    r in (0, 1.1 v], |b - z| <= 1.1 v, denser than the old 256 x 64 scan
+    r in (0, reach], |b - z| <= reach, denser than the old 256 x 64 scan
     (z = 0 alone at gamma = 1)."""
-    r = np.linspace(p.v / 1024, 1.1 * p.v, 1024)
-    z = (p.b + np.linspace(-1.1 * p.v, 1.1 * p.v, 257) if p.gamma < 1.0
+    reach = _scan_reach(p)
+    r = np.linspace(reach / 1024, reach, 1024)
+    z = (p.b + np.linspace(-reach, reach, 257) if p.gamma < 1.0
          else np.zeros(1))
     rr, zz = np.meshgrid(r, z, indexing="ij")
     return -float(np.min(omega_squared(p, rr, zz)))
 
 
-@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0])
 def test_validity_scan_finds_the_worst_point(gamma):
     # the 1-D line scan is at least every value of a dense 2-D grid and
     # within 1e-10 of a dense 1-D reference on its line (z = b at gamma < 1,
-    # z = 0 at gamma = 1), where the worst point lies
+    # z = 0 at gamma = 1), where the worst point lies; at gamma = 0,
+    # omega^2 = a^2 >= 0 and the worst value is a zero of a, so the
+    # comparison is absolute there
     import xxzent.cspa as cspa
     for b in (0.0, 0.3, 0.9):
         for T in (0.005, 0.02, 0.05, 0.08):
@@ -329,10 +339,11 @@ def test_validity_scan_finds_the_worst_point(gamma):
             worst, (r, z) = cspa._scan_validity(p)
             worst = float(worst[0])
             line = b if gamma < 1.0 else 0.0
+            reach = _scan_reach(p)
             ref = -float(np.min(omega_squared(
-                p, np.linspace(1.1 / 2 ** 20, 1.1, 2 ** 20), line)))
+                p, np.linspace(reach / 2 ** 20, reach, 2 ** 20), line)))
             assert worst >= _grid_worst(p), (b, T)
-            assert worst == pytest.approx(ref, rel=1e-10), (b, T)
+            assert worst == pytest.approx(ref, rel=1e-10, abs=1e-12), (b, T)
             assert float(z[0]) == line
             assert -omega_squared(p, float(r[0]), line) == worst
 
