@@ -63,6 +63,7 @@ __all__ = [
     "cmfa_logZ",
     "cmfa_moments",
     "mfa_product_moments",
+    "mean_field_z",
     "cmfa_asymptotics",
     "CmfaAsymptotics",
     "tc_discontinuity",
@@ -120,9 +121,9 @@ def critical_temperature(params: ModelParams) -> float:
     bp = abs(params.b) / params.gamma
     if bp >= params.v:
         return 0.0
-    if bp == 0.0:
-        return 0.5 * params.v
     x = bp / params.v
+    if x < 1e-8:   # T_c = (v/2)(1 - x^2/3 - ...): v/2 to double precision
+        return 0.5 * params.v
     return bp / log((1.0 + x) / (1.0 - x))
 
 
@@ -266,19 +267,35 @@ def cmfa_moments(params: ModelParams, sol=None) -> CollectiveMoments:
 
 
 def _normal_z_shift(params: ModelParams) -> float:
-    """Longitudinal mean-field shift z in the normal phase (r = 0):
-    z = (gamma - 1) v tanh(beta (b - z)/2) * sign(b - z), by damped iteration."""
+    """Longitudinal mean-field shift z in the normal phase (r = 0): the
+    stable root of f(z) = z - (gamma - 1) v tanh(beta (b - z)/2), by Newton
+    steps from the aligned end z = (gamma - 1) v sign(b), sign 1 at b = 0.
+
+    f is concave on that side of z = b, so the steps rise monotonically to
+    the root nearest the aligned end; at gamma <= 0, b = 0, that is the
+    ordered root, not the unstable z = 0."""
     g, v, b = params.gamma, params.v, params.b
     beta = params.beta
-    z = 0.0
+    c = (1.0 - g) * 0.5 * beta * v         # f'(z) = 1 - c sech^2
+    z = (g - 1.0) * v * (1.0 if b >= 0 else -1.0)
     for _ in range(500):
-        w = b - z
-        t = tanh(0.5 * beta * abs(w)) * (1.0 if w >= 0 else -1.0)
-        z_new = (g - 1.0) * v * t
-        if abs(z_new - z) < 1e-14 * max(v, 1.0):
-            return z_new
-        z = 0.5 * (z + z_new)
+        t = tanh(0.5 * beta * (b - z))
+        # f' as (1 - c) + c t^2: at c = 1 (the b = 0 ordering temperature)
+        # 1 - c (1 - t^2) would round to 0 once t^2 < 1e-16
+        step = (z - (g - 1.0) * v * t) / ((1.0 - c) + c * t * t)
+        z -= step
+        if abs(step) < 1e-14 * max(v, 1.0):
+            break
     return z
+
+
+def mean_field_z(params: ModelParams) -> float:
+    """The longitudinal shift z of the mean-field saddle, in either phase:
+    b - z = b/gamma in the deformed phase, _normal_z_shift in the normal
+    phase. It is also the saddle of the CSPA z integrand at large n."""
+    if gap_solve(params).phase == "deformed":
+        return params.b - params.b / params.gamma
+    return _normal_z_shift(params)
 
 
 def mfa_product_moments(params: ModelParams) -> CollectiveMoments:

@@ -46,9 +46,12 @@ budget is refined on those panels in the same call. At gamma = 1 a point is
 one row (z = 0), and a batch of points at one (n, v, gamma) is one array
 pass, one row per point; a row's bits do not depend on the other rows of
 its pass. For gamma < 1 each point has its own outer z integral, a quad_gk
-call of one row whose z nodes are the radial rows: the z with the highest
-l_peak seeds the outer z panels and shifts the outer integral; z nodes more
-than 200 log-units below it are skipped.
+call of one row whose z nodes are the radial rows. The mean-field saddle z0
+(cmfa.mean_field_z: b - z0 = b/gamma in the deformed phase, the stable
+normal-phase root otherwise) seeds the outer z panels, and its l_peak shifts
+the outer integral; z nodes more than 200 log-units below it are skipped,
+and an inner integral more than 700 log-units above it is a QuadratureError,
+not a clipped sum.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -83,6 +86,7 @@ from math import factorial, inf, log, pi, sqrt
 
 import numpy as np
 
+from .cmfa import mean_field_z
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
@@ -584,7 +588,10 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
     z_lo = -abs(params.b) - width_z - 1.5 * v
     z_hi = abs(params.b) + width_z + 1.5 * v
-    z_peak, peak = _refine_z_peak(params, z_lo, z_hi, sigma_z, mode)
+    # the mean-field saddle is the z peak at large n, and close to it
+    # at any n: it seeds the z panels, and its radial peak sets the shift
+    z_peak = np.array([mean_field_z(params)])
+    peak = _radial_peaks(params, z_peak, mode)
     shift = float(peak[1][0])
     center = _peak_slope(params, z_peak, peak, mode)[0]
     errs = []
@@ -601,14 +608,18 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
                 params, zs[live], (r_peak[live], l_peak[live]), mode,
                 epsrel, center)
             errs.extend(rel)
-            w = np.exp(np.minimum(lv - shift, 700.0))
+            if np.any(lv - shift > 700.0):
+                raise QuadratureError(
+                    "z integral: an inner integral e^700 above the one at "
+                    "the mean-field saddle")
+            w = np.exp(lv - shift)
             out[:, live] = w * np.vstack([np.ones_like(lv), means])
         return out
 
     def g(row, zs):
         # one panel at a time: a peak grid of every panel's z nodes at once
         # would make temporaries that raise the peak memory of a point
-        # several-fold (as in _refine_z_peak)
+        # several-fold
         return np.stack([panel(z) for z in zs], axis=1)
 
     # the seeds are the edges of the one row: those outside [z_lo, z_hi]
@@ -645,29 +656,6 @@ def _peak_slope(params, zs, peaks, mode: str):
     Var(d_b L) = <d^2> - <d>^2 does not cancel."""
     r_peak, zs = np.asarray(peaks[0])[..., None], np.asarray(zs)[..., None]
     return _log_integrand(params, r_peak, zs, mode, derivs=True)[1][0, ..., 0]
-
-
-def _refine_z_peak(params: ModelParams, z_lo: float, z_hi: float,
-                   sigma_z: float, mode: str):
-    """(z_peak, (r_peak, l_peak) there), each as a one-element array: the z
-    of the highest radial peak l_peak, a cheap proxy for the inner integral,
-    found by shrinking grid scans (the z Gaussian can be arbitrarily narrow
-    as gamma -> 1)."""
-    lo, hi = z_lo, z_hi
-    for _ in range(48):
-        zs = np.linspace(lo, hi, 48)
-        # two array calls of 24 z: the temporaries of one 48 x 512 grid are
-        # large enough that malloc maps each from the system and faults it
-        # in afresh; the halves reuse freed heap memory
-        r_peak, l_peak = map(np.concatenate, zip(
-            *(_radial_peaks(params, half, mode) for half in np.split(zs, 2))))
-        k = int(np.argmax(l_peak))
-        span = hi - lo
-        if span < 0.25 * sigma_z:
-            break
-        lo = max(z_lo, zs[k] - 2.0 * span / 47.0)
-        hi = min(z_hi, zs[k] + 2.0 * span / 47.0)
-    return zs[k:k + 1], (r_peak[k:k + 1], l_peak[k:k + 1])
 
 
 def cspa_moments(params: ModelParams, mode: str = "cspa",

@@ -196,15 +196,14 @@ def _cmfa(params, epsrel):
     In the normal phase (|b| >= gamma v or T >= T_c) the CMFA cannot sustain
     pair entanglement (its far-field bracket is strictly negative), so C is
     exactly zero with the normal-phase ln Z; in the complex window
-    (T <= Ttilde, b > b*) the tier is not applicable.
+    (T <= Ttilde, |b| > b*) cmfa_moments refuses the point as not
+    applicable.
     """
-    sol = cmfa.gap_solve(params)
     if params.gamma <= 0:
         raise NotApplicableError("CMFA closed forms require gamma > 0")
+    sol = cmfa.gap_solve(params)
     if sol.phase != "deformed":
         return None, None, cmfa.cmfa_logZ(params, sol)
-    if not sol.applicable:
-        raise NotApplicableError(f"b > b* = {sol.b_star:.6g} at T <= Ttilde")
     moments = cmfa.cmfa_moments(params, sol)
     pair = exact.pair_state(moments, params.n, tol=1e-8)
     return moments, exact.concurrence_margin(pair), None

@@ -209,6 +209,55 @@ def test_mfa_separable_product_moments():
         assert concurrence(ps).concurrence == 0.0
 
 
+@pytest.mark.parametrize("gamma", [-0.5, 0.0])
+def test_mfa_at_zero_field_is_the_zero_field_limit(gamma):
+    # at gamma <= 0, b = 0, z = 0 is an unstable fixed point of the
+    # normal-phase shift; the MFA takes the ordered root, as at b -> 0
+    p = ModelParams(n=100, v=1.0, gamma=gamma, b=0.0, T=0.1)
+    at0 = mfa_product_moments(p)
+    near = mfa_product_moments(p.replace(b=1e-9))
+    assert at0.logZ == pytest.approx(near.logZ, rel=1e-8)
+    assert at0.sz2 == pytest.approx(near.sz2, rel=1e-8)
+
+
+@pytest.mark.parametrize("gamma, b, T", [
+    (0.5, 0.3, 0.1), (0.5, -0.3, 0.1), (0.25, 0.0, 0.2),   # deformed
+    (0.5, 0.8, 0.1), (0.9, 0.95, 0.05), (-0.5, 0.0, 0.1), (0.0, 1e-9, 0.1),
+    (0.0, -0.4, 0.3), (0.25, 0.0, 0.5),
+    # just above the b = 0 ordering temperature (1 - gamma) v / 2: the
+    # only root is z = 0, reached from the aligned end
+    (0.0, 0.0, 0.51), (-0.5, 0.0, 0.76)])
+def test_mean_field_z_is_the_stable_saddle(gamma, b, T):
+    # b - z = b/gamma in the deformed phase; in the normal phase a root of
+    # f(z) = z - (gamma - 1) v tanh(beta (b - z)/2) with f' > 0 (stable),
+    # on the side of b that the field favours
+    from xxzent.cmfa import mean_field_z
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
+    z = mean_field_z(p)
+    if gap_solve(p).phase == "deformed":
+        assert b - z == pytest.approx(b / gamma, rel=1e-14, abs=1e-15)
+        return
+    t = tanh((b - z) / (2.0 * T))
+    assert abs(z - (gamma - 1.0) * t) < 1e-13
+    assert 1.0 - (1.0 - gamma) * (1.0 - t * t) / (2.0 * T) > 0.0
+    assert (1.0 - gamma) * z * (1.0 if b >= 0 else -1.0) < 1e-12
+    if T > (1.0 - gamma) / 2.0 and b == 0.0:
+        assert abs(z) < 1e-12
+
+
+@pytest.mark.parametrize("gamma, b, T", [(-0.5, 0.0, 0.75), (0.0, 0.0, 0.5),
+                                         (0.5, 1e-300, 0.25)])
+def test_mean_field_z_at_the_ordering_temperature_and_tiny_field(gamma, b, T):
+    # at T = (1 - gamma) v / 2, b = 0, f'(0) = 0 and z = 0 is a triple root,
+    # found to about cbrt(eps); a field so small that (1 + x)/(1 - x)
+    # rounds to 1 has T_c = v/2, not a division by zero
+    from xxzent.cmfa import mean_field_z
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
+    assert abs(mean_field_z(p)) < 1e-7
+    if gamma > 0:
+        assert critical_temperature(p) == 0.5
+
+
 # --------------------------------------------------------------- asymptotics
 
 def test_asymptotics_disappearance_threshold():

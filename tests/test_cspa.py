@@ -581,6 +581,42 @@ def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
     assert all(edges.ndim == 2 and rounds == 1 for edges, rounds, _ in radial)
 
 
+def test_2d_log_integrand_nodes_per_point(monkeypatch):
+    # the z peak is the mean-field saddle, with one radial peak scan: under
+    # 170,000 log-integrand nodes per point on this set (about 137,500)
+    import xxzent.cspa as cspa
+    real = cspa._log_integrand
+    nodes = [0]
+
+    def counted(params, r, z, *args, **kwargs):
+        nodes[0] += int(np.prod(np.broadcast_shapes(np.shape(r),
+                                                    np.shape(z))))
+        return real(params, r, z, *args, **kwargs)
+
+    monkeypatch.setattr(cspa, "_log_integrand", counted)
+    points = [ModelParams(n=100, v=1.0, gamma=g, b=b, T=T)
+              for g in (0.25, 0.5, 0.75) for b in (0.0, 0.2, 0.5)
+              for T in (0.1, 0.25)]
+    for p in points:
+        assert np.isfinite(cspa_moments(p, epsrel=1e-8).s2)
+    assert nodes[0] / len(points) < 170_000
+
+
+def test_seed_far_from_the_z_peak_is_an_error(monkeypatch):
+    # the outer integral is shifted by the radial peak at the seed; an
+    # inner integral e^700 above it fails the point instead of being
+    # clipped into an ok value
+    import xxzent.cspa as cspa
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=100, v=1.0, gamma=0.5, b=0.3, T=0.1)
+    assert evaluate_point("cspa", p).status == "ok"
+    real = cspa.mean_field_z
+    monkeypatch.setattr(cspa, "mean_field_z", lambda q: real(q) + 2.0)
+    with pytest.raises(QuadratureError, match="mean-field saddle"):
+        cspa_logZ(p)
+    assert evaluate_point("cspa", p).status == "error"
+
+
 def test_cspa_gamma_collapse_to_xx():
     # the z Gaussian collapses as gamma -> 1^-: the difference from the
     # gamma = 1 radial result is O(1 - gamma), checked at two scales, and

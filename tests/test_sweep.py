@@ -625,13 +625,13 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
         monkeypatch.setattr(cspa, "quad_gk", quad)
         monkeypatch.setattr(cspa, "_weighted_factors", patched)
     elif where == "z-peak":
-        real = cspa._refine_z_peak
+        real = cspa.mean_field_z
 
-        def patched(params, *args):
+        def patched(params):
             if params.b == 0.8:
                 raise exc("injected")
-            return real(params, *args)
-        monkeypatch.setattr(cspa, "_refine_z_peak", patched)
+            return real(params)
+        monkeypatch.setattr(cspa, "mean_field_z", patched)
     else:
         real = cspa._radial_peaks
 
