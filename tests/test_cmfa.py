@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xxzent.cmfa import (cmfa_asymptotics, cmfa_logZ, cmfa_moments,
-                         critical_temperature, gap_solve,
+                         critical_temperature, gap_solve, mean_field_z,
                          mfa_product_moments, tc_discontinuity)
 from xxzent.errors import DomainError, NotApplicableError, PhaseError
 from xxzent.exact import (concurrence, exact_moments, exact_pair_state,
@@ -231,7 +231,6 @@ def test_mean_field_z_is_the_stable_saddle(gamma, b, T):
     # b - z = b/gamma in the deformed phase; in the normal phase a root of
     # f(z) = z - (gamma - 1) v tanh(beta (b - z)/2) with f' > 0 (stable),
     # on the side of b that the field favours
-    from xxzent.cmfa import mean_field_z
     p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
     z = mean_field_z(p)
     if gap_solve(p).phase == "deformed":
@@ -251,7 +250,6 @@ def test_mean_field_z_at_the_ordering_temperature_and_tiny_field(gamma, b, T):
     # at T = (1 - gamma) v / 2, b = 0, f'(0) = 0 and z = 0 is a triple root,
     # found to about cbrt(eps); a field so small that (1 + x)/(1 - x)
     # rounds to 1 has T_c = v/2, not a division by zero
-    from xxzent.cmfa import mean_field_z
     p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
     assert abs(mean_field_z(p)) < 1e-7
     if gamma > 0:
