@@ -47,7 +47,7 @@ concurrence vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, exp, inf, log, pi, sinh, sqrt, tanh
+from math import cosh, exp, inf, log, nan, pi, sinh, sqrt, tanh
 
 import numpy as np
 
@@ -266,23 +266,31 @@ def cmfa_moments(params: ModelParams, sol=None) -> CollectiveMoments:
                              logZ=_cmfa_logZ(params, sol))
 
 
-def _normal_z_shift(params: ModelParams) -> float:
-    """Longitudinal mean-field shift z in the normal phase (r = 0): the
+def _normal_z_shift(params: ModelParams, end: float | None = None) -> float:
+    """Longitudinal mean-field shift z in the normal phase (r = 0): a
     stable root of f(z) = z - (gamma - 1) v tanh(beta (b - z)/2), by Newton
-    steps from the aligned end z = (gamma - 1) v sign(b), sign 1 at b = 0.
+    steps from the aligned end z = (gamma - 1) v end, with ``end`` = sign(b)
+    (1 at b = 0) unless given.
 
     f is concave on that side of z = b, so the steps rise monotonically to
     the root nearest the aligned end; at gamma <= 0, b = 0, that is the
-    ordered root, not the unstable z = 0."""
+    ordered root, not the unstable z = 0. From the other end (-sign(b)) the
+    steps reach the ordered root on that side where f has one; where it
+    has none they end on the first root, or meet f' <= 0 and give NaN."""
     g, v, b = params.gamma, params.v, params.b
     beta = params.beta
     c = (1.0 - g) * 0.5 * beta * v         # f'(z) = 1 - c sech^2
-    z = (g - 1.0) * v * (1.0 if b >= 0 else -1.0)
+    if end is None:
+        end = 1.0 if b >= 0 else -1.0
+    z = (g - 1.0) * v * end
     for _ in range(500):
         t = tanh(0.5 * beta * (b - z))
         # f' as (1 - c) + c t^2: at c = 1 (the b = 0 ordering temperature)
         # 1 - c (1 - t^2) would round to 0 once t^2 < 1e-16
-        step = (z - (g - 1.0) * v * t) / ((1.0 - c) + c * t * t)
+        slope = (1.0 - c) + c * t * t
+        if slope <= 0.0:
+            return nan
+        step = (z - (g - 1.0) * v * t) / slope
         z -= step
         if abs(step) < 1e-14 * max(v, 1.0):
             break

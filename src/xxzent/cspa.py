@@ -46,12 +46,17 @@ budget is refined on those panels in the same call. At gamma = 1 a point is
 one row (z = 0), and a batch of points at one (n, v, gamma) is one array
 pass, one row per point; a row's bits do not depend on the other rows of
 its pass. For gamma < 1 each point has its own outer z integral, a quad_gk
-call of one row whose z nodes are the radial rows. The mean-field saddle z0
-(cmfa.mean_field_z: b - z0 = b/gamma in the deformed phase, the stable
-normal-phase root otherwise) seeds the outer z panels, and its l_peak shifts
-the outer integral; z nodes more than 200 log-units below it are skipped,
-and an inner integral more than 700 log-units above it is a QuadratureError,
-not a clipped sum.
+call of one row whose z nodes are the radial rows, on |z| up to
+|b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. The mean-field
+saddle z0 (cmfa.mean_field_z: b - z0 = b/gamma in the deformed phase, the
+stable normal-phase root otherwise) seeds the outer z panels, and its
+l_peak shifts the outer integral. In the normal phase the ordered root
+from the other aligned end, where there is one more than sigma_z away and
+within 200 log-units, is a second saddle (at small |b| and
+T < (1 - gamma) v/2): it is seeded too, and the higher one sets the shift.
+z nodes more than 200 log-units below the shift are skipped, and an inner
+integral more than 700 log-units above it is a QuadratureError, not a
+clipped sum.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -86,7 +91,7 @@ from math import factorial, inf, log, pi, sqrt
 
 import numpy as np
 
-from .cmfa import mean_field_z
+from .cmfa import _normal_z_shift, gap_solve, mean_field_z
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
@@ -586,14 +591,26 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     n, v, beta = params.n, params.v, params.beta
     sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
-    z_lo = -abs(params.b) - width_z - 1.5 * v
-    z_hi = abs(params.b) + width_z + 1.5 * v
-    # the mean-field saddle is the z peak at large n, and close to it
-    # at any n: it seeds the z panels, and its radial peak sets the shift
+    # the normal-phase saddle reaches |z| -> (1 - gamma) v
+    z_hi = abs(params.b) + width_z + 1.5 * v * max(1.0, 1.0 - params.gamma)
+    z_lo = -z_hi
+    # the mean-field saddle is the z peak at large n, and close to it at
+    # any n: it seeds the z panels, and its radial peak sets the shift. A
+    # normal-phase point can have a second, ordered saddle on the other
+    # side (the pair +-z0 at b = 0 and T < (1 - gamma) v/2): it is seeded
+    # too where it lies apart and within 200 log-units, as the z-node
+    # filter below, and the higher of the two sets shift and centre
     z_peak = np.array([mean_field_z(params)])
+    if gap_solve(params).phase == "normal":
+        other = _normal_z_shift(params, -1.0 if params.b >= 0 else 1.0)
+        if abs(other - z_peak[0]) > sigma_z:
+            z_peak = np.append(z_peak, other)
     peak = _radial_peaks(params, z_peak, mode)
-    shift = float(peak[1][0])
-    center = _peak_slope(params, z_peak, peak, mode)[0]
+    seeded = peak[1] > peak[1][0] - 200.0
+    z_peak, peak = z_peak[seeded], (peak[0][seeded], peak[1][seeded])
+    top = int(np.argmax(peak[1]))
+    shift = float(peak[1][top])
+    center = _peak_slope(params, z_peak, peak, mode)[top]
     errs = []
 
     def panel(zs):
@@ -624,8 +641,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
 
     # the seeds are the edges of the one row: those outside [z_lo, z_hi]
     # clip to zero-width panels, which quad_gk skips
-    seeds = z_peak[0] + sigma_z * np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0,
-                                            2.0, 4.0, 8.0])
+    seeds = np.sort(z_peak[:, None] + sigma_z * np.array(
+        [-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0]), axis=None)
     edges = np.clip(np.concatenate([[z_lo], seeds, [z_hi]]), z_lo, z_hi)
     res = quad_gk(g, edges, epsabs=1e-300, epsrel=epsrel, max_panels=800)
     total = res.value[0]

@@ -10,14 +10,14 @@ whose maximum lies more than 60 + 2 ln(n+1) below the global peak are
 skipped, and in the others only the M range above that cut (the roots of
 the quadratic, widened by one lattice step) is summed, with the peak as the
 one log-sum-exp shift. The skipped mass is at most e^-60 Z, which moves the
-concurrence by less than 3e-13 (see :func:`_thermal_point`). The work is
-one lgamma map of length n + 1 for ln Y(S), computed once per run of points
-at one n (:func:`thermal_observables_batch`), then per point one numpy pass
-over the sectors for the window, and one numpy pass per CHUNK_LEVELS = 4096
-levels that carry weight -- about 10^4 levels at n = 8810, T = 0.1 v,
-against n^2/4 for the full sum. No step is a Python loop over sectors or
-levels. At n = 10^6 (T = 0.1 v, one Xeon core) one point takes about
-0.37 s, most of it the lgamma map, and a run of 8 points about 1.0 s.
+concurrence by less than 3e-13 (see :func:`thermal_observables`). The work
+is one lgamma map of length n + 1 for ln Y(S), kept for the last n
+(:func:`log_multiplicities`), then per point one numpy pass over the
+sectors for the window, and one numpy pass per CHUNK_LEVELS = 4096 levels
+that carry weight -- about 10^4 levels at n = 8810, T = 0.1 v, against
+n^2/4 for the full sum. No step is a Python loop over sectors or levels.
+At n = 10^6 (T = 0.1 v, one Xeon core) the first point at an n takes about
+0.42 s, most of it the lgamma map, and each later point 0.10-0.12 s.
 
 The symmetric two-qubit reduced state is
 
@@ -50,16 +50,18 @@ F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the
 diagonal c_k = b S_z - V (1 - gamma) sum_{i != j} s^z_i s^z_j is the same on
 every state of the block (checked state by state). So one eigh of F per
 block, the largest C(n, n/2) (3432 at n = 14), serves every (v, gamma, b, T)
-of a run of points, with rho_2 of sites (0, 1) assembled from the blocks,
-so no 2^n x 2^n matrix is ever formed. A run of 8 points takes about 0.07 s
-at n = 11 and 19 s (0.59 GB) at n = 14 on one Xeon core (OpenBLAS, one
-thread). Also here: the large-field expansion of C and the stepwise T = 0
-estimate.
+at that n: the eigen-rows are kept for the last n (:func:`_flip_flop_rows`),
+with rho_2 of sites (0, 1) assembled from the blocks, so no 2^n x 2^n
+matrix is ever formed. On one Xeon core (OpenBLAS, one thread) the first
+point at an n takes about 0.14 s at n = 11 and 20 s (0.59 GB) at n = 14,
+and each later point under 1 ms. Also here: the large-field expansion of C
+and the stepwise T = 0 estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, inf, log, sqrt
 
 import numpy as np
@@ -74,7 +76,6 @@ __all__ = [
     "exact_moments",
     "exact_pair_state",
     "thermal_observables",
-    "thermal_observables_batch",
     "ground_state_observables",
     "ground_state_moments",
     "ground_state_pair_state",
@@ -85,7 +86,6 @@ __all__ = [
     "eof_from_concurrence",
     "brute_force_moments",
     "brute_force_observables",
-    "brute_force_observables_batch",
     "brute_force_pair_density",
     "wootters_margin",
     "wootters_concurrence",
@@ -272,7 +272,7 @@ def _sector_segments(a: float, b: float, R, two_S):
     return k[keep], lo[keep], hi[keep]
 
 
-def _summation_window(params: ModelParams, lnY: np.ndarray):
+def _summation_window(params: ModelParams):
     """Certified window of the T > 0 spectral sum: (peak, segments).
 
     ``peak`` is the largest level log-weight ln Y(S) - beta E_SM and
@@ -284,10 +284,10 @@ def _summation_window(params: ModelParams, lnY: np.ndarray):
     over the lattice M = -S..S has a closed form (the lattice points around
     the vertex for a > 0, the ends otherwise), evaluated for all S at once;
     sectors whose maximum is below the cut are skipped whole. The number of
-    levels summed is sum((hi - lo) // 2 + 1). The ``lnY`` argument is
-    :func:`log_multiplicities` of n, which a batch computes once.
+    levels summed is sum((hi - lo) // 2 + 1).
     """
     n, beta = params.n, params.beta
+    lnY = log_multiplicities(n)
     a, b = params.V * params.gamma, params.b
     two_S = np.arange(n % 2, n + 1, 2)            # two_s_range(n)
     S = two_S / 2.0
@@ -308,43 +308,8 @@ def _summation_window(params: ModelParams, lnY: np.ndarray):
     return peak, (two_S[live][k], lnY[live][k], lo, hi)
 
 
-def thermal_observables_batch(points) -> list:
-    """(CollectiveMoments, PairState) at each of ``points``, which share n:
-    one outcome per point, its observables or the exception that failed it.
-
-    T = 0 points take :func:`ground_state_observables`. If any point has
-    T > 0, ln Y(S) is computed once for the batch, and each T > 0 point sums
-    its own window from it (:func:`_thermal_point`), so a point's values do
-    not depend on the other points of its batch.
-    """
-    n = points[0].n
-    if any(p.n != n for p in points):
-        raise DomainError("an exact batch needs one n")
-    lnY = log_multiplicities(n) if any(p.T > 0 for p in points) else None
-    out = []
-    for p in points:
-        try:
-            out.append(ground_state_observables(p) if p.T == 0
-                       else _thermal_point(p, lnY))
-        except Exception as err:     # a failure stays with its point
-            out.append(err)
-    return out
-
-
 def thermal_observables(params: ModelParams):
-    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0;
-    a batch of one (see thermal_observables_batch)."""
-    if params.T <= 0:
-        raise DomainError("thermal_observables requires T > 0; "
-                          "use the ground-state path at T = 0")
-    out, = thermal_observables_batch([params])
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _thermal_point(params: ModelParams, lnY: np.ndarray):
-    """(CollectiveMoments, PairState) at one T > 0 point, given ln Y(S).
+    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0.
 
     Accumulates Z, <S_z>, <S_z^2>, <S^2> and the three direct pair-state sums
     over the certified window of :func:`_summation_window`, shifted by the
@@ -368,7 +333,10 @@ def _thermal_point(params: ModelParams, lnY: np.ndarray):
     another sum is not finite, the peak is taken as the largest per-level
     log-weight of the window and the sums are taken again.
     """
-    peak, segments = _summation_window(params, lnY)
+    if params.T <= 0:
+        raise DomainError("thermal_observables requires T > 0; "
+                          "use the ground-state path at T = 0")
+    peak, segments = _summation_window(params)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = _window_sums(params, peak, segments)
     if not (np.isfinite(acc).all() and acc[0] >= 0.5):
@@ -536,65 +504,29 @@ def concurrence(pair: PairState) -> ConcurrenceResult:
 # Brute-force oracle (S_z blocks of the 2^n Hilbert space)
 # ----------------------------------------------------------------------------
 
-def brute_force_observables_batch(points) -> list:
-    """brute_force_observables at each of ``points``, which share n: one
-    outcome per point, its (CollectiveMoments, rho_2) or the DomainError
-    that refuses it (n past the cap, T <= 0), decided before any eigh.
+def brute_force_observables(params: ModelParams):
+    """(CollectiveMoments, rho_2 of sites (0, 1)) at one T > 0 point.
 
     On the block with k down spins H = -V F + c_k, with the flip-flop sum F
     a function of n alone and c_k the same on every state of the block
-    (see _build_block). So the eigenstates of F are those of H at every
-    (v, gamma, b, T): the valid points share one eigh of F per block, and
-    each point weights the eigenstates by its own energies -V f + c_k. A
-    point's values do not depend on the other points of its batch.
-    """
-    n = points[0].n
-    if any(p.n != n for p in points):
-        raise DomainError("a brute-force batch needs one n")
-    out = [_refusal(p) for p in points]
-    live = [k for k, o in enumerate(out) if o is None]
-    if live:
-        rows = _flip_flop_rows(n)
-        for k in live:
-            out[k] = _thermal_state(points[k], rows)
-    return out
-
-
-def brute_force_observables(params: ModelParams):
-    """(CollectiveMoments, rho_2 of sites (0, 1)) at one point: a batch of
-    one (see brute_force_observables_batch).
+    (see _build_block). So the eigenstates of F (_flip_flop_rows, kept for
+    the last n) are those of H at every (v, gamma, b, T), and one
+    log-sum-exp over their energies b S_z - V [f + (1 - gamma)
+    sum_{i != j} s^z_i s^z_j] weights them. A point past the n cap or at
+    T <= 0 is refused before any eigh.
 
     rho_2 is indexed by 2 q_0 + q_1 with q = 0 for spin up. Its only
     coherence couples |01> and |10>: every other pair of basis states
     differs in magnetization.
     """
-    out, = brute_force_observables_batch([params])
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def brute_force_moments(params: ModelParams) -> CollectiveMoments:
-    """Thermal collective moments from the S_z-block oracle (n <= 14)."""
-    return brute_force_observables(params)[0]
-
-
-def _refusal(params: ModelParams):
-    """The DomainError that refuses a brute-force point, or None."""
     if params.n > BRUTE_FORCE_MAX_N:
-        return DomainError(
+        raise DomainError(
             f"brute force capped at n = {BRUTE_FORCE_MAX_N}: its largest S_z "
             f"block, C({params.n}, {params.n // 2}), exceeds the desk-scale "
             "ceiling")
     if params.T <= 0:
-        return DomainError("brute force oracle requires T > 0")
-    return None
-
-
-def _thermal_state(params: ModelParams, rows: np.ndarray):
-    """(CollectiveMoments, rho_2) at one point from the rows of
-    _flip_flop_rows: one log-sum-exp over the eigenstates' energies
-    b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights them."""
+        raise DomainError("brute force oracle requires T > 0")
+    rows = _flip_flop_rows(params.n)
     f, sz, zz, s2 = rows[:4]
     w = params.b * sz - params.V * (f + (1.0 - params.gamma) * zz)
     p, logZ = _boltzmann(w, params.beta)
@@ -606,6 +538,11 @@ def _thermal_state(params: ModelParams, rows: np.ndarray):
     return moments, rho2
 
 
+def brute_force_moments(params: ModelParams) -> CollectiveMoments:
+    """Thermal collective moments from the S_z-block oracle (n <= 14)."""
+    return brute_force_observables(params)[0]
+
+
 def _boltzmann(w: np.ndarray, beta: float):
     lw = -beta * w
     m = lw.max()
@@ -614,14 +551,17 @@ def _boltzmann(w: np.ndarray, beta: float):
     return e / Z, m + log(Z)
 
 
+@lru_cache(maxsize=1)
 def _flip_flop_rows(n: int) -> np.ndarray:
     """Per-eigenstate rows of F over all S_z blocks: its eigenvalue f, S_z,
     the block's sum_{i != j} s^z_i s^z_j, <S^2> = f + S_z^2 + n/2, the four
-    rho_2 populations and the rho_2 coherence <01|.|10>.
+    rho_2 populations and the rho_2 coherence <01|.|10>; read-only.
 
     The basis is split by the number k of down spins (bit k of a basis index
     set means site k is down); ``pos`` maps a basis index to its position in
-    its block. Each block is diagonalized once and dropped.
+    its block. Each block is diagonalized once and dropped. The rows depend
+    on n alone, and the last table is kept, so the points of a sweep or a
+    limit scan at one n share one set of block eighs.
     """
     idx = np.arange(2 ** n)
     down = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
@@ -638,7 +578,9 @@ def _flip_flop_rows(n: int) -> np.ndarray:
         coh = np.einsum("ia,ia->a", U[pos[swap]], U[pos[swap ^ 3]])
         rows.append(np.stack([f, np.full_like(f, sz), np.full_like(f, zz),
                               f + sz * sz + n / 2.0, *pops, coh]))
-    return np.concatenate(rows, axis=1)
+    rows = np.concatenate(rows, axis=1)
+    rows.setflags(write=False)
+    return rows
 
 
 def _site_sums(bits: np.ndarray, i: np.ndarray, j: np.ndarray):

@@ -23,6 +23,7 @@ removes any floating-point parity ambiguity for odd n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isfinite, lgamma, log1p
 
 import numpy as np
@@ -190,18 +191,23 @@ def log_multiplicity(n: int, two_S: int) -> float:
     return lc + log1p(-k / (n - k + 1.0))
 
 
+@lru_cache(maxsize=1)
 def log_multiplicities(n: int) -> np.ndarray:
-    """ln Y(S) for every 2S of :func:`two_s_range` at once.
+    """ln Y(S) for every 2S of :func:`two_s_range` at once, read-only.
 
     Bit-identical to :func:`log_multiplicity` element by element: the same
     terms, combined in the same order, with lgamma and log1p from ``math``.
+    The table depends on n alone, and the last one is kept: a sweep, limit
+    scan or figure curve works at one n, so its points map lgamma once.
     """
     lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)  # lgamma(j+1)
     h = n // 2
     k = np.arange(h, -1, -1.0)             # k = (n - 2S) / 2, 2S ascending
     lc = lg[n] - lg[h::-1] - lg[n - h:]    # lgamma(k+1), lgamma(n-k+1)
     x = -k / (n - k + 1.0)
-    return lc + np.fromiter(map(log1p, x.tolist()), float, k.size)
+    lnY = lc + np.fromiter(map(log1p, x.tolist()), float, k.size)
+    lnY.setflags(write=False)
+    return lnY
 
 
 def two_s_range(n: int):

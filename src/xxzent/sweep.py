@@ -6,16 +6,17 @@ refused it. evaluate_run is the one place that runs an evaluator, times it
 and turns each outcome into a point and its status, so no exception of any
 type aborts a sweep, and no ok point carries a non-finite value. When the
 evaluator itself raises (the cspa and spa tiers raise whatever fails inside
-the pass a run shares, bruteforce whatever fails in its blocks), the run is
-evaluated again one point at a time: this retry is the one place that pins
-a failure of a shared pass to its point.
+the pass a run shares), the run is evaluated again one point at a time:
+this retry is the one place that pins a failure of a shared pass to its
+point.
 evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS consecutive points at one (n, v, gamma),
 the same runs for every worker count. The cspa and spa tiers evaluate a
-run at gamma = 1 in one array pass, the bruteforce tier a run with one
-eigh per S_z block, and the exact tier a run with one ln Y(S), each point
-then summing its own window (a failure there is that point's outcome).
+run at gamma = 1 in one array pass; every other tier evaluates one point
+at a time. The per-n tables of the exact and bruteforce tiers, ln Y(S) and
+the S_z-block eigen-rows, are kept for the last n, so the points at one n
+share them across runs, limit-scan edge refinements included.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism
@@ -164,16 +165,17 @@ class CurvePoint:
         return r
 
 
-def _bruteforce(points, epsrel):
+def _bruteforce(params, epsrel):
     # C from the partial trace of the S_z-block thermal state, the route that
     # is independent of the collective spectrum
-    return _each(lambda obs: (obs[0], exact.wootters_margin(obs[1]), None),
-                 exact.brute_force_observables_batch(points))
+    moments, rho2 = exact.brute_force_observables(params)
+    return moments, exact.wootters_margin(rho2), None
 
 
-def _exact(points, epsrel):
-    return _each(lambda obs: (obs[0], exact.concurrence_margin(obs[1]), None),
-                 exact.thermal_observables_batch(points))
+def _exact(params, epsrel):
+    moments, pair = (exact.ground_state_observables(params) if params.T == 0
+                     else exact.thermal_observables(params))
+    return moments, exact.concurrence_margin(pair), None
 
 
 def _cspa(points, epsrel):
@@ -243,8 +245,8 @@ def _per_point(evaluate):
 # state, so neither carries pair entanglement, and both compute the moments
 # for the output columns only (the concurrence formula on them would read
 # out quadrature noise).
-_EVALUATORS = {"bruteforce": _bruteforce,
-               "exact": _exact, "cspa": _cspa, "spa": _spa,
+_EVALUATORS = {"bruteforce": _per_point(_bruteforce),
+               "exact": _per_point(_exact), "cspa": _cspa, "spa": _spa,
                "cmfa": _per_point(_cmfa), "mfa": _per_point(_mfa)}
 TIERS = tuple(_EVALUATORS)
 

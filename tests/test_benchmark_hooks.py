@@ -50,3 +50,20 @@ def test_every_result_reader_reads_a_real_result(tracing):
     for f, name, read in readers:
         call, attrs = READ[name]
         assert read(call(f)) == attrs, name
+
+
+@pytest.mark.parametrize("tier, attr", [("exact", "thermal_observables"),
+                                        ("bruteforce",
+                                         "brute_force_observables")])
+def test_each_tier_reaches_its_traced_layer(monkeypatch, tier, attr):
+    # the tracer counts a tier's points at the layer it wraps; a tier that
+    # went around that layer would read 0 there
+    from xxzent import exact, sweep
+    calls = []
+    real = getattr(exact, attr)
+    monkeypatch.setattr(exact, attr, lambda p: calls.append(p) or real(p))
+    spec = sweep.SweepSpec(tier, ModelParams(n=6, T=0.2),
+                           (sweep.GridAxis("b", 0.0, 1.0, 11),))
+    points = sweep.run_sweep(spec)
+    assert [pt.status for pt in points] == ["ok"] * 11
+    assert calls == spec.points()

@@ -244,6 +244,25 @@ def test_mean_field_z_is_the_stable_saddle(gamma, b, T):
         assert abs(z) < 1e-12
 
 
+@pytest.mark.parametrize("gamma, b, T, ordered", [
+    (-1.0, 0.0, 0.2, True), (-1.0, 0.001, 0.2, True), (-0.5, -0.1, 0.2, True),
+    (0.0, 1.0, 0.1, False), (0.5, 0.6, 0.233, False), (-0.5, -0.3, 0.6, False)])
+def test_normal_z_shift_from_the_other_end(gamma, b, T, ordered):
+    # from the end the field disfavours the Newton steps reach the stable
+    # ordered root on that side where f has one (|b| small, beta (1 - gamma)
+    # v / 2 > 1), and NaN where they meet f' <= 0 because it has none
+    from xxzent.cmfa import _normal_z_shift
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
+    z = _normal_z_shift(p, -1.0 if b >= 0 else 1.0)
+    if not ordered:
+        assert np.isnan(z)
+        return
+    t = tanh((b - z) / (2.0 * T))
+    assert abs(z - (gamma - 1.0) * t) < 1e-13
+    assert 1.0 - (1.0 - gamma) * (1.0 - t * t) / (2.0 * T) > 0.0
+    assert z * (1.0 if b >= 0 else -1.0) > 0.5
+
+
 @pytest.mark.parametrize("gamma, b, T", [(-0.5, 0.0, 0.75), (0.0, 0.0, 0.5),
                                          (0.5, 1e-300, 0.25)])
 def test_mean_field_z_at_the_ordering_temperature_and_tiny_field(gamma, b, T):

@@ -617,6 +617,22 @@ def test_seed_far_from_the_z_peak_is_an_error(monkeypatch):
     assert evaluate_point("cspa", p).status == "error"
 
 
+@pytest.mark.parametrize("b", [0.0, 0.001])
+def test_ordered_z_saddles_at_negative_gamma(b):
+    # at gamma = -1, T = 0.2 the normal-phase z integrand has two ordered
+    # saddles near z = -+2 v, past the old 1.5 v reach of the z range and
+    # of equal height at b = 0: missing one reads ln Z low by ln 2 and
+    # |Sz| near n/2. Sz matches exact to 1e-3 of max(|Sz|, 1); ln Z/n to
+    # 1e-5 (3.3e-7 measured; a missed saddle is ln 2/n = 6.9e-4)
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=1000, v=1.0, gamma=-1.0, b=b, T=0.2)
+    cs, ex = evaluate_point("cspa", p), evaluate_point("exact", p)
+    assert cs.status == "ok", cs.message
+    assert abs(cs.moments.sz - ex.moments.sz) <= 1e-3 * max(
+        abs(ex.moments.sz), 1.0)
+    assert abs(cs.moments.logZ - ex.moments.logZ) / p.n < 1e-5
+
+
 def test_cspa_gamma_collapse_to_xx():
     # the z Gaussian collapses as gamma -> 1^-: the difference from the
     # gamma = 1 radial result is O(1 - gamma), checked at two scales, and

@@ -154,7 +154,7 @@ def test_windowed_sum_matches_full_sum_large_n(T):
 def test_windowed_sum_work_is_a_few_sectors():
     # the full sum visits all 19.4M levels; the weight sits in 25 of 4406 sectors
     p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
-    _, (_, _, lo, hi) = exact._summation_window(p, log_multiplicities(p.n))
+    _, (_, _, lo, hi) = exact._summation_window(p)
     levels = int(((hi - lo) // 2 + 1).sum())
     assert 0 < levels <= 2e4
 
@@ -252,8 +252,7 @@ def test_vectorized_window_matches_scalar_rule():
     branches = set()
     for n, gamma, b, T in _window_cases():
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        peak, (two_S, lnY, lo, hi) = exact._summation_window(
-            p, log_multiplicities(p.n))
+        peak, (two_S, lnY, lo, hi) = exact._summation_window(p)
         ref_peak, ref = _scalar_window(p, branches)
         assert peak == ref_peak, p
         got = sorted(zip(two_S.tolist(), lnY.tolist(), lo.tolist(), hi.tolist()))
@@ -268,7 +267,7 @@ def test_vectorized_window_matches_scalar_rule():
                                          (0.0, 0.5, 0.05)])
 def test_chunked_sum_matches_default(monkeypatch, gamma, b, T):
     p = ModelParams(n=1000, v=1.0, gamma=gamma, b=b, T=T)
-    _, (_, _, lo, hi) = exact._summation_window(p, log_multiplicities(p.n))
+    _, (_, _, lo, hi) = exact._summation_window(p)
     end = np.cumsum((hi - lo) // 2 + 1)
     assert np.any(end % 5 != 0)          # some segment ends inside a chunk
     ref = thermal_observables(p)
@@ -287,7 +286,7 @@ def test_chunked_sum_matches_default(monkeypatch, gamma, b, T):
 @pytest.mark.parametrize("n, b", [(1000, 0.3), (8810, 0.0)])
 def test_level_weights_called_once_per_chunk(monkeypatch, n, b):
     p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.1)
-    _, (_, _, lo, hi) = exact._summation_window(p, log_multiplicities(p.n))
+    _, (_, _, lo, hi) = exact._summation_window(p)
     levels = int(((hi - lo) // 2 + 1).sum())
     calls = []
     level_weights = exact._level_weights
@@ -544,39 +543,35 @@ def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
 def test_brute_force_concurrence_matches_exact_at_low_T(n, gamma, T):
     # at low T the small Wootters l are tiny; taken as square roots of the
     # eigenvalues of rho (y x y) rho* (y x y) they missed exact by up to 6e-9
-    points = [ModelParams(n=n, v=1.0, gamma=gamma, b=float(b), T=T)
-              for b in np.linspace(0.0, 2.0, 17)]
-    for p, (_, rho2) in zip(points,
-                            exact.brute_force_observables_batch(points)):
+    for b in np.linspace(0.0, 2.0, 17):
+        p = ModelParams(n=n, v=1.0, gamma=gamma, b=float(b), T=T)
+        _, rho2 = brute_force_observables(p)
         c_exact = concurrence(thermal_observables(p)[1]).concurrence
         assert abs(wootters_concurrence(rho2) - c_exact) < 1e-12, p
 
 
-def test_brute_force_batch_refuses_points_before_the_pass():
-    points = [ModelParams(n=4, v=1.0, T=0.3), ModelParams(n=4, v=1.0, T=0.0)]
-    ok, refused = exact.brute_force_observables_batch(points)
-    assert ok[0] == brute_force_moments(points[0])
-    assert isinstance(refused, DomainError)
-    capped = exact.brute_force_observables_batch(
-        [ModelParams(n=15, v=1.0, T=0.5)])
-    assert isinstance(capped[0], DomainError)
-    with pytest.raises(DomainError):
-        exact.brute_force_observables_batch(points[:1] + [
-            ModelParams(n=5, v=1.0, T=0.3)])
+def test_brute_force_refuses_points_before_any_eigh(monkeypatch):
+    # T <= 0 and n past the cap are refused before a block is built
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or None)
+    for p in (ModelParams(n=4, v=1.0, T=0.0), ModelParams(n=15, v=1.0, T=0.5)):
+        with pytest.raises(DomainError):
+            brute_force_observables(p)
+    assert calls == []
 
 
-def test_exact_batch_takes_each_point_on_its_path():
-    # T = 0 points take the ground-state path, T > 0 points the thermal sum;
-    # thermal_observables alone refuses T = 0, and a batch needs one n
-    points = [ModelParams(n=30, v=1.0, b=0.4, T=0.2),
-              ModelParams(n=30, v=1.0, b=0.4, T=0.0)]
-    thermal, ground = exact.thermal_observables_batch(points)
-    assert thermal == thermal_observables(points[0])
-    assert ground == exact.ground_state_observables(points[1])
-    with pytest.raises(DomainError):
-        thermal_observables(points[1])
-    with pytest.raises(DomainError):
-        exact.thermal_observables_batch(points + [ModelParams(n=31, T=0.2)])
+def test_per_n_tables_are_read_only():
+    # the memoized tables are shared by every later point at their n
+    p = ModelParams(n=6, v=1.0, b=0.3, T=0.2)
+    ref = brute_force_observables(p)
+    for table in (log_multiplicities(p.n), exact._flip_flop_rows(p.n)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        with pytest.raises(ValueError):
+            table.flat[-1] *= 2.0
+    again = brute_force_observables(p)
+    assert again[0] == ref[0] and np.array_equal(again[1], ref[1])
 
 
 def test_wootters_margin_on_general_two_qubit_states():

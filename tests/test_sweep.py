@@ -273,11 +273,11 @@ def test_exact_tiny_T_gives_the_ground_state():
 def test_any_exception_becomes_error_status(monkeypatch):
     from xxzent import exact
 
-    def boom(params, lnY):
+    def boom(params):
         raise ZeroDivisionError("injected")
 
-    # the exact run evaluator sums each T > 0 point in _thermal_point
-    monkeypatch.setattr(exact, "_thermal_point", boom)
+    # the exact tier sums each T > 0 point in thermal_observables
+    monkeypatch.setattr(exact, "thermal_observables", boom)
     pts = run_sweep(SweepSpec(tier="exact", fixed=ModelParams(n=8, T=0.2),
                               axes=(GridAxis("b", 0.0, 1.0, 3),)))
     assert [pt.status for pt in pts] == ["error"] * 3
@@ -347,6 +347,22 @@ def test_bruteforce_run_diagonalizes_once(monkeypatch):
     assert calls.count((4, 4)) == 6
 
 
+def test_bruteforce_sweep_diagonalizes_once(monkeypatch):
+    # the rows of F are kept for the last n, so a sweep of three runs (8, 8
+    # and 4 points) diagonalizes each block once; a new n builds its own
+    calls = _count_eigh(monkeypatch)
+    spec = SweepSpec("bruteforce", ModelParams(n=6, v=1.0, gamma=0.5, T=0.2),
+                     (GridAxis("b", 0.0, 1.5, 20),))
+    assert all(pt.status == "ok" for pt in run_sweep(spec))
+    assert sorted(c for c in calls if c != (4, 4)) == BLOCKS_6
+    assert exact._flip_flop_rows.cache_info().misses == 1
+    calls.clear()
+    evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    evaluate_point("bruteforce", ModelParams(n=6, v=1.0, T=0.2))
+    assert sorted(c for c in calls if c != (4, 4)) == sorted(
+        [(comb(5, k), comb(5, k)) for k in range(6)] + BLOCKS_6)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_bruteforce_point_bytes_do_not_depend_on_its_run(gamma):
     points = [ModelParams(n=7, v=1.0, gamma=gamma, b=b, T=T)
@@ -362,6 +378,7 @@ def test_bruteforce_t0_point_refused_alone(monkeypatch):
     points = [ModelParams(n=6, v=1.0, b=b, T=T)
               for b, T in ((0.2, 0.1), (0.2, 0.0), (0.6, 0.3))]
     alone = [evaluate_point("bruteforce", points[k]).row() for k in (0, 2)]
+    exact._flip_flop_rows.cache_clear()
     calls = _count_eigh(monkeypatch)
     run = evaluate_run("bruteforce", points)
     assert [pt.status for pt in run] == ["ok", "error", "ok"]
@@ -388,28 +405,30 @@ def test_bruteforce_non_constant_block_diagonal_raises(monkeypatch):
         "error", "diagonal not constant on the S_z block of 5 states")
 
 
-def _count_log_multiplicities(monkeypatch):
-    """The n of each log_multiplicities call of the exact tier."""
-    calls = []
-    real = exact.log_multiplicities
-    monkeypatch.setattr(exact, "log_multiplicities",
-                        lambda n: calls.append(n) or real(n))
-    return calls
+def _lnY_builds():
+    """How many ln Y(S) tables have been built (cache misses)."""
+    return exact.log_multiplicities.cache_info().misses
 
 
-def test_exact_run_computes_lnY_once(monkeypatch):
-    # ln Y(S) depends on n alone: once per run that has a T > 0 point, never
-    # for a run of T = 0 points (runs of 8, 8 and 4 here)
-    calls = _count_log_multiplicities(monkeypatch)
-    spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.1),
-                     (GridAxis("b", 0.0, 1.5, 20),))
-    assert all(pt.status == "ok" for pt in run_sweep(spec))
-    assert calls == [1000] * 3
-    calls.clear()
+def test_exact_run_computes_lnY_once():
+    # ln Y(S) depends on n alone: once for a whole sweep at one n (runs of
+    # 8, 8 and 4 here), never for T = 0 points
     spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.0),
                      (GridAxis("b", 0.0, 1.5, 5),))
     assert all(pt.status == "ok" for pt in run_sweep(spec))
-    assert calls == []
+    assert _lnY_builds() == 0
+    spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.1),
+                     (GridAxis("b", 0.0, 1.5, 20),))
+    assert all(pt.status == "ok" for pt in run_sweep(spec))
+    assert _lnY_builds() == 1
+
+
+def test_exact_limit_scan_computes_lnY_once():
+    # 40 probes and the refinement points of each band edge share one table
+    res = limit_temperature("exact", ModelParams(n=1000, v=1.0, b=0.3),
+                            probes=40)
+    assert res.limit is not None
+    assert _lnY_builds() == 1
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5, -0.5])
@@ -429,21 +448,35 @@ def test_exact_failure_stays_with_its_point(monkeypatch):
     points = [ModelParams(n=1000, v=1.0, b=b, T=T)
               for b, T in ((0.2, 0.1), (0.5, 0.1), (0.5, 0.0), (0.9, 0.2))]
     clean = evaluate_run("exact", points)
-    real = exact._thermal_point
+    real = exact.thermal_observables
 
-    def patched(params, lnY):
+    def patched(params):
         if params.b == 0.5:
             raise ZeroDivisionError("injected")
-        return real(params, lnY)
+        return real(params)
 
-    monkeypatch.setattr(exact, "_thermal_point", patched)
-    calls = _count_log_multiplicities(monkeypatch)
+    monkeypatch.setattr(exact, "thermal_observables", patched)
+    exact.log_multiplicities.cache_clear()
     hurt = evaluate_run("exact", points)
     assert [pt.status for pt in hurt] == ["ok", "error", "ok", "ok"]
     assert hurt[1].message == "ZeroDivisionError: injected"
     assert [hurt[k].row() for k in (0, 2, 3)] == \
         [clean[k].row() for k in (0, 2, 3)]
-    assert calls == [1000]
+    assert _lnY_builds() == 1
+
+
+def test_exact_tier_takes_each_point_on_its_path():
+    # T = 0 points take the ground-state path, T > 0 points the thermal sum,
+    # which alone refuses T = 0
+    for T, path in ((0.2, exact.thermal_observables),
+                    (0.0, exact.ground_state_observables)):
+        p = ModelParams(n=30, v=1.0, b=0.4, T=T)
+        moments, pair = path(p)
+        pt = evaluate_point("exact", p)
+        assert pt.moments == moments
+        assert pt.result.margin == exact.concurrence_margin(pair)
+    with pytest.raises(DomainError):
+        exact.thermal_observables(p)
 
 
 def test_ok_points_respect_symmetric_state_bound():
