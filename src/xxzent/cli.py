@@ -46,19 +46,10 @@ def _parse_grid(text) -> GridAxis:
     if len(parts) not in (4, 5):
         raise argparse.ArgumentTypeError(
             "grid must be axis:min:max:count[:log], e.g. b:0:1.1:50")
-    name = parts[0]
-    try:
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+    name, lo, hi, count, *scale = parts
+    try:     # a DomainError is a ValueError
+        return GridAxis(name, float(lo), float(hi), int(count), *scale)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    scale = "lin"
-    if len(parts) == 5:
-        if parts[4] not in ("log", "lin"):
-            raise argparse.ArgumentTypeError("grid scale must be lin or log")
-        scale = parts[4]
-    try:
-        return GridAxis(name=name, lo=lo, hi=hi, count=count, scale=scale)
-    except DomainError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 

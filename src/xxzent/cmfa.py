@@ -168,11 +168,23 @@ def _logZ_free(n: int, beta: float, lam: float, E0: float) -> float:
     return n * (log(2.0) + _log_cosh(0.5 * beta * lam)) - beta * E0
 
 
-def _cmfa_logZ(params: ModelParams, sol=None) -> float:
-    """cmfa_logZ without its checks: the gamma = 1 closed forms for both
-    phases at b' = |b|/gamma, minus ln(gamma)/2. ``sol`` is gap_solve(params)
-    when the caller has it; the gamma = 1 point at b' has the same phase,
-    gap and chi."""
+def cmfa_logZ(params: ModelParams, sol=None) -> float:
+    """ln Z_CMFA at any gamma in (0, 1]: the gamma = 1 closed forms for both
+    phases at b' = |b|/gamma, minus ln(gamma)/2.
+
+    gamma < 1 is produced by the exact rescaling identity
+    logZ(gamma, b) = logZ(1, b/gamma) - ln(gamma)/2, applied literally; this
+    makes the identity a machine-precision invariant of the implementation.
+    Note the identity fixes the additive constant to the gamma = 1 one
+    (e.g. E0(1) = v/2), so cross-tier comparisons of ln Z should be done at
+    gamma = 1 (the moment formulas are unaffected; see cmfa_moments).
+    ``sol`` is gap_solve(params) when the caller has it; the gamma = 1
+    point at b' has the same phase, gap and chi.
+    """
+    if params.T <= 0:
+        raise DomainError("cmfa_logZ requires T > 0")
+    if params.gamma <= 0:
+        raise DomainError("CMFA closed forms require gamma > 0")
     n, v, b, T = params.n, params.v, abs(params.b) / params.gamma, params.T
     beta = 1.0 / T
     E0 = 0.5 * v  # gamma = 1
@@ -207,24 +219,6 @@ def _log_g(x: float) -> float:
     if x > 20.0:
         return x - log(2.0 * x) + np.log1p(-exp(-2.0 * x))
     return log(sinh(x) / x)
-
-
-def cmfa_logZ(params: ModelParams, sol=None) -> float:
-    """ln Z_CMFA at any gamma in (0, 1].
-
-    gamma < 1 is produced by the exact rescaling identity
-    logZ(gamma, b) = logZ(1, b/gamma) - ln(gamma)/2, applied literally; this
-    makes the identity a machine-precision invariant of the implementation.
-    Note the identity fixes the additive constant to the gamma = 1 one
-    (e.g. E0(1) = v/2), so cross-tier comparisons of ln Z should be done at
-    gamma = 1 (the moment formulas are unaffected; see cmfa_moments).
-    ``sol`` is gap_solve(params) when the caller has it.
-    """
-    if params.T <= 0:
-        raise DomainError("cmfa_logZ requires T > 0")
-    if params.gamma <= 0:
-        raise DomainError("CMFA closed forms require gamma > 0")
-    return _cmfa_logZ(params, sol)
 
 
 def cmfa_moments(params: ModelParams, sol=None) -> CollectiveMoments:
@@ -263,7 +257,7 @@ def cmfa_moments(params: ModelParams, sol=None) -> CollectiveMoments:
     s2 = (0.5 * n * lam / v) ** 2 \
         + 0.5 * n * (1.0 - chi * (2.0 - (1.0 + chi) * T / v)) / (1.0 - chi) ** 2
     return CollectiveMoments(sz=sz, sz2=sz2, s2=s2,
-                             logZ=_cmfa_logZ(params, sol))
+                             logZ=cmfa_logZ(params, sol))
 
 
 def _normal_z_shift(params: ModelParams, end: float | None = None) -> float:
@@ -297,13 +291,18 @@ def _normal_z_shift(params: ModelParams, end: float | None = None) -> float:
     return z
 
 
-def mean_field_z(params: ModelParams) -> float:
-    """The longitudinal shift z of the mean-field saddle, in either phase:
-    b - z = b/gamma in the deformed phase, _normal_z_shift in the normal
-    phase. It is also the saddle of the CSPA z integrand at large n."""
+def mean_field_z(params: ModelParams) -> tuple[float, ...]:
+    """Every longitudinal shift z of a mean-field saddle, the stable one
+    first; they are also the saddles of the CSPA z integrand at large n.
+
+    Deformed phase: (b - b/gamma,). Normal phase: _normal_z_shift from the
+    aligned end, then from the other end; where there is no ordered root on
+    that side, the second is NaN or repeats the first.
+    """
     if gap_solve(params).phase == "deformed":
-        return params.b - params.b / params.gamma
-    return _normal_z_shift(params)
+        return (params.b - params.b / params.gamma,)
+    end = 1.0 if params.b >= 0 else -1.0
+    return _normal_z_shift(params, end), _normal_z_shift(params, -end)
 
 
 def mfa_product_moments(params: ModelParams) -> CollectiveMoments:
@@ -319,8 +318,8 @@ def mfa_product_moments(params: ModelParams) -> CollectiveMoments:
         raise DomainError("mfa moments require T > 0")
     n, v, g = params.n, params.v, params.gamma
     beta = params.beta
-    sol = gap_solve(params) if g > 0 else None
-    if sol is not None and sol.phase == "deformed":
+    sol = gap_solve(params)
+    if sol.phase == "deformed":
         lam = sol.lam
         mz = -params.b / (2.0 * g * v)
         mperp2 = max(lam * lam - (params.b / g) ** 2, 0.0) / (4.0 * v * v)

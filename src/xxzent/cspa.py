@@ -48,12 +48,13 @@ pass, one row per point; a row's bits do not depend on the other rows of
 its pass. For gamma < 1 each point has its own outer z integral, a quad_gk
 call of one row whose z nodes are the radial rows, on |z| up to
 |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. The mean-field
-saddle z0 (cmfa.mean_field_z: b - z0 = b/gamma in the deformed phase, the
-stable normal-phase root otherwise) seeds the outer z panels, and its
-l_peak shifts the outer integral. In the normal phase the ordered root
-from the other aligned end, where there is one more than sigma_z away and
-within 200 log-units, is a second saddle (at small |b| and
-T < (1 - gamma) v/2): it is seeded too, and the higher one sets the shift.
+saddle z0 (the first of cmfa.mean_field_z: b - z0 = b/gamma in the
+deformed phase, the stable normal-phase root otherwise) seeds the outer z
+panels, and its l_peak shifts the outer integral. In the normal phase
+mean_field_z also gives the ordered root from the other aligned end; where
+it lies more than sigma_z away and within 200 log-units it is a second
+saddle (at small |b| and T < (1 - gamma) v/2): it is seeded too, and the
+higher one sets the shift.
 z nodes more than 200 log-units below the shift are skipped, and an inner
 integral more than 700 log-units above it is a QuadratureError, not a
 clipped sum.
@@ -91,7 +92,7 @@ from math import factorial, inf, log, pi, sqrt
 
 import numpy as np
 
-from .cmfa import _normal_z_shift, gap_solve, mean_field_z
+from .cmfa import mean_field_z
 from .errors import BreakdownError, DomainError, QuadratureError
 from .exact import CollectiveMoments
 from .model import ModelParams
@@ -594,17 +595,14 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     # the normal-phase saddle reaches |z| -> (1 - gamma) v
     z_hi = abs(params.b) + width_z + 1.5 * v * max(1.0, 1.0 - params.gamma)
     z_lo = -z_hi
-    # the mean-field saddle is the z peak at large n, and close to it at
-    # any n: it seeds the z panels, and its radial peak sets the shift. A
-    # normal-phase point can have a second, ordered saddle on the other
-    # side (the pair +-z0 at b = 0 and T < (1 - gamma) v/2): it is seeded
-    # too where it lies apart and within 200 log-units, as the z-node
-    # filter below, and the higher of the two sets shift and centre
-    z_peak = np.array([mean_field_z(params)])
-    if gap_solve(params).phase == "normal":
-        other = _normal_z_shift(params, -1.0 if params.b >= 0 else 1.0)
-        if abs(other - z_peak[0]) > sigma_z:
-            z_peak = np.append(z_peak, other)
+    # the mean-field saddles are the z peaks at large n, and close to them
+    # at any n: they seed the z panels, and their radial peaks set the
+    # shift. The stable one comes first; a normal-phase point can have a
+    # second, ordered saddle on the other side (the pair +-z0 at b = 0 and
+    # T < (1 - gamma) v/2), kept where it lies apart and within 200
+    # log-units, as the z-node filter below. The higher sets shift and centre
+    first, *others = mean_field_z(params)
+    z_peak = np.array([first] + [z for z in others if abs(z - first) > sigma_z])
     peak = _radial_peaks(params, z_peak, mode)
     seeded = peak[1] > peak[1][0] - 200.0
     z_peak, peak = z_peak[seeded], (peak[0][seeded], peak[1][seeded])

@@ -74,7 +74,6 @@ __all__ = [
     "PairState",
     "ConcurrenceResult",
     "exact_moments",
-    "exact_pair_state",
     "thermal_observables",
     "ground_state_observables",
     "ground_state_moments",
@@ -84,7 +83,6 @@ __all__ = [
     "concurrence_margin",
     "concurrence_from_margin",
     "eof_from_concurrence",
-    "brute_force_moments",
     "brute_force_observables",
     "brute_force_pair_density",
     "wootters_margin",
@@ -284,23 +282,29 @@ def _summation_window(params: ModelParams):
     over the lattice M = -S..S has a closed form (the lattice points around
     the vertex for a > 0, the ends otherwise), evaluated for all S at once;
     sectors whose maximum is below the cut are skipped whole. The number of
-    levels summed is sum((hi - lo) // 2 + 1).
+    levels summed is sum((hi - lo) // 2 + 1). A peak that is not finite
+    (beta |E| past the float range: at n = 8810 from T ~ 1e-305) is a
+    DomainError, raised before any sum.
     """
     n, beta = params.n, params.beta
     lnY = log_multiplicities(n)
     a, b = params.V * params.gamma, params.b
     two_S = np.arange(n % 2, n + 1, 2)            # two_s_range(n)
     S = two_S / 2.0
-    const = lnY + beta * (params.V * S * (S + 1.0) - params.E0)
     cands = [-two_S, two_S]
     if a > 0:
         vertex = np.clip(-b / a, -two_S, two_S)        # 2 M* = -b / (V gamma)
         below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
         cands += [below, np.minimum(below + 2.0, two_S)]
-    best = np.max([-beta * (b * (c / 2.0) + a * (c / 2.0) ** 2) for c in cands],
-                  axis=0)
-    sector_max = const + best
+    with np.errstate(over="ignore", invalid="ignore"):
+        const = lnY + beta * (params.V * S * (S + 1.0) - params.E0)
+        best = np.max([-beta * (b * (c / 2.0) + a * (c / 2.0) ** 2)
+                       for c in cands], axis=0)
+        sector_max = const + best
     peak = float(sector_max.max())
+    if not np.isfinite(peak):
+        raise DomainError(f"beta |E| overflows at T = {params.T:.6g}; "
+                          "T = 0 is the ground-state path")
     cut = peak - CUT_NATS - 2.0 * log(n + 1.0)
     live = np.flatnonzero(sector_max >= cut)
     R = (const[live] - cut) / beta
@@ -387,11 +391,6 @@ def _chunk_sums(params: ModelParams, peak: float, two_S, lnY, two_M):
 def exact_moments(params: ModelParams) -> CollectiveMoments:
     """ln Z and the collective moments by direct Boltzmann sums (T > 0)."""
     return thermal_observables(params)[0]
-
-
-def exact_pair_state(params: ModelParams) -> PairState:
-    """Two-qubit reduced state by direct (cancellation-free) sums (T > 0)."""
-    return thermal_observables(params)[1]
 
 
 # ----------------------------------------------------------------------------
@@ -536,11 +535,6 @@ def brute_force_observables(params: ModelParams):
     rho2 = np.diag(pops)
     rho2[1, 2] = rho2[2, 1] = coh
     return moments, rho2
-
-
-def brute_force_moments(params: ModelParams) -> CollectiveMoments:
-    """Thermal collective moments from the S_z-block oracle (n <= 14)."""
-    return brute_force_observables(params)[0]
 
 
 def _boltzmann(w: np.ndarray, beta: float):

@@ -14,8 +14,8 @@ from xxzent.cmfa import cmfa_asymptotics, cmfa_logZ, cmfa_moments, gap_solve
 from xxzent.cspa import breakdown_temperature, cspa_logZ, cspa_moments
 from xxzent.errors import BreakdownError
 from xxzent.exact import (brute_force_observables, concurrence, exact_moments,
-                          exact_pair_state, far_field_limit_temperature,
-                          pair_state, thermal_observables,
+                          far_field_limit_temperature, pair_state,
+                          thermal_observables,
                           wootters_concurrence)
 from xxzent.model import ModelParams, crossing_fields
 from xxzent.rpa import linearize, rpa_energies, xxz_sites
@@ -73,7 +73,7 @@ def test_criterion_2_fig1_reproduction():
     nc = {}
     for b in grid:
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.005)
-        nc[b] = 20 * concurrence(exact_pair_state(p)).concurrence
+        nc[b] = 20 * concurrence(thermal_observables(p)[1]).concurrence
     peak_region = [v for b, v in nc.items() if 0.85 < b < 0.95]
     assert max(peak_region) == pytest.approx(2.00, abs=0.01)
     assert max(nc.values()) == pytest.approx(2.00, abs=0.01)
@@ -110,7 +110,7 @@ def test_criterion_3_fig3_threshold():
     n_star = hi
     assert abs(n_star - 8810) <= 1
     p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
-    c_exact = concurrence(exact_pair_state(p)).concurrence
+    c_exact = concurrence(thermal_observables(p)[1]).concurrence
     assert abs(c_exact) < 0.1 / 8810
     dt = time.time() - t0
     assert dt < 60.0
@@ -146,7 +146,7 @@ def test_criterion_5_cspa_accuracy_and_breakdown():
         m = cspa_moments(p)
         c_cspa = concurrence(
             pair_state(m, 20, tol=1e-6)).concurrence
-        c_ex = concurrence(exact_pair_state(p)).concurrence
+        c_ex = concurrence(thermal_observables(p)[1]).concurrence
         worst = max(worst, abs(c_cspa - c_ex))
         assert abs(c_cspa - c_ex) <= 0.05 * (2.0 / 20.0)
     # breakdown detection at b = 0: T* within 10% of v / 4 pi
@@ -231,7 +231,7 @@ def test_criterion_8_cmfa_large_n_convergence():
         m = cmfa_moments(p)
         c_cmfa = concurrence(
             pair_state(m, 100, tol=1e-8)).concurrence
-        c_ex = concurrence(exact_pair_state(p)).concurrence
+        c_ex = concurrence(thermal_observables(p)[1]).concurrence
         worst = max(worst, abs(c_cmfa - c_ex))
         assert abs(c_cmfa - c_ex) < 0.02 / 100.0
     dt = time.time() - t0

@@ -7,8 +7,8 @@ from xxzent.cmfa import (cmfa_asymptotics, cmfa_logZ, cmfa_moments,
                          critical_temperature, gap_solve, mean_field_z,
                          mfa_product_moments, tc_discontinuity)
 from xxzent.errors import DomainError, NotApplicableError, PhaseError
-from xxzent.exact import (concurrence, exact_moments, exact_pair_state,
-                          pair_state, zero_T_concurrence_approx)
+from xxzent.exact import (concurrence, exact_moments, pair_state,
+                          thermal_observables, zero_T_concurrence_approx)
 from xxzent.model import ModelParams
 
 
@@ -194,7 +194,7 @@ def test_cmfa_close_to_exact_mid_regime():
         p = ModelParams(n=n, v=1.0, gamma=g, b=b, T=T)
         m = cmfa_moments(p)
         c = concurrence(pair_state(m, n, tol=1e-8)).concurrence
-        ce = concurrence(exact_pair_state(p)).concurrence
+        ce = concurrence(thermal_observables(p)[1]).concurrence
         assert abs(c - ce) <= 0.02 / n
 
 
@@ -232,8 +232,9 @@ def test_mean_field_z_is_the_stable_saddle(gamma, b, T):
     # f(z) = z - (gamma - 1) v tanh(beta (b - z)/2) with f' > 0 (stable),
     # on the side of b that the field favours
     p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
-    z = mean_field_z(p)
+    z = mean_field_z(p)[0]
     if gap_solve(p).phase == "deformed":
+        assert len(mean_field_z(p)) == 1
         assert b - z == pytest.approx(b / gamma, rel=1e-14, abs=1e-15)
         return
     t = tanh((b - z) / (2.0 * T))
@@ -250,10 +251,11 @@ def test_mean_field_z_is_the_stable_saddle(gamma, b, T):
 def test_normal_z_shift_from_the_other_end(gamma, b, T, ordered):
     # from the end the field disfavours the Newton steps reach the stable
     # ordered root on that side where f has one (|b| small, beta (1 - gamma)
-    # v / 2 > 1), and NaN where they meet f' <= 0 because it has none
-    from xxzent.cmfa import _normal_z_shift
+    # v / 2 > 1), and NaN where they meet f' <= 0 because it has none; it
+    # is the normal phase's second saddle
     p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
-    z = _normal_z_shift(p, -1.0 if b >= 0 else 1.0)
+    assert gap_solve(p).phase == "normal"
+    _, z = mean_field_z(p)
     if not ordered:
         assert np.isnan(z)
         return
@@ -270,7 +272,7 @@ def test_mean_field_z_at_the_ordering_temperature_and_tiny_field(gamma, b, T):
     # found to about cbrt(eps); a field so small that (1 + x)/(1 - x)
     # rounds to 1 has T_c = v/2, not a division by zero
     p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
-    assert abs(mean_field_z(p)) < 1e-7
+    assert abs(mean_field_z(p)[0]) < 1e-7
     if gamma > 0:
         assert critical_temperature(p) == 0.5
 

@@ -7,8 +7,8 @@ from xxzent.cspa import (breakdown_temperature, cspa_logZ, cspa_moments,
                          omega_squared, rpa_frequency)
 from xxzent.errors import (BreakdownError, DomainError,
                            InconsistentMomentsError, QuadratureError)
-from xxzent.exact import (concurrence, exact_moments, exact_pair_state,
-                          pair_state)
+from xxzent.exact import (concurrence, exact_moments, pair_state,
+                          thermal_observables)
 from xxzent.model import ModelParams
 from xxzent.quadrature import bracket_root, quad_gk
 
@@ -611,10 +611,37 @@ def test_seed_far_from_the_z_peak_is_an_error(monkeypatch):
     p = ModelParams(n=100, v=1.0, gamma=0.5, b=0.3, T=0.1)
     assert evaluate_point("cspa", p).status == "ok"
     real = cspa.mean_field_z
-    monkeypatch.setattr(cspa, "mean_field_z", lambda q: real(q) + 2.0)
+    monkeypatch.setattr(cspa, "mean_field_z",
+                        lambda q: tuple(z + 2.0 for z in real(q)))
     with pytest.raises(QuadratureError, match="mean-field saddle"):
         cspa_logZ(p)
     assert evaluate_point("cspa", p).status == "error"
+
+
+@pytest.mark.parametrize("gamma, b", [(0.5, 0.3), (0.5, 0.8), (-1.0, 0.0),
+                                      (0.0, 0.001)])
+def test_one_gap_solve_per_z_integral(monkeypatch, gamma, b):
+    # cmfa.mean_field_z solves the point's saddles, both of them where the
+    # normal phase has two (gamma = -1, b = 0): the z integral takes them
+    # from that one call and solves no gap of its own. Every module's name
+    # for gap_solve is counted, not only cmfa's.
+    import sys
+    from xxzent import cmfa
+    from xxzent.sweep import evaluate_point
+    real, calls = cmfa.gap_solve, []
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("xxzent") and getattr(module, "gap_solve",
+                                                 None) is real:
+            monkeypatch.setattr(module, "gap_solve", counted)
+    p = ModelParams(n=100, v=1.0, gamma=gamma, b=b, T=0.2)
+    assert evaluate_point("cspa", p).status == "ok"
+    assert calls == [p]
+    deformed = gamma == 0.5 and b < 0.5
+    assert len(cmfa.mean_field_z(p)) == (1 if deformed else 2)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.001])
@@ -669,7 +696,7 @@ def test_cspa_concurrence_close_to_exact_n100():
     p = ModelParams(n=100, v=1.0, gamma=1.0, b=0.5, T=0.2)
     m = cspa_moments(p)
     c = concurrence(pair_state(m, 100, tol=1e-6)).concurrence
-    ce = concurrence(exact_pair_state(p)).concurrence
+    ce = concurrence(thermal_observables(p)[1]).concurrence
     assert c == pytest.approx(ce, rel=0.02)
 
 
@@ -712,7 +739,7 @@ def test_cspa_beats_cmfa_near_critical_field():
     errs_cspa, errs_cmfa = [], []
     for b in (0.85, 0.9, 0.95, 1.0, 1.05, 1.1):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.15)
-        ce = concurrence(exact_pair_state(p)).concurrence
+        ce = concurrence(thermal_observables(p)[1]).concurrence
         cs = evaluate_point("cspa", p)
         cm = evaluate_point("cmfa", p)
         assert cs.status == "ok"

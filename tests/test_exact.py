@@ -6,11 +6,10 @@ import pytest
 
 from xxzent import exact
 from xxzent.errors import DomainError, InconsistentMomentsError
-from xxzent.exact import (CollectiveMoments, brute_force_moments,
-                          brute_force_observables,
+from xxzent.exact import (CollectiveMoments, brute_force_observables,
                           brute_force_pair_density, concurrence,
                           eof_from_concurrence, exact_moments,
-                          exact_pair_state, far_field_limit_temperature,
+                          far_field_limit_temperature,
                           ground_state_moments, ground_state_pair_state,
                           large_field_expansion, pair_state,
                           thermal_observables, wootters_concurrence,
@@ -47,7 +46,7 @@ def test_exact_matches_brute_force():
     for _ in range(30):
         p = random_params(rng)
         a = exact_moments(p)
-        b = brute_force_moments(p)
+        b = brute_force_observables(p)[0]
         for x, y in ((a.logZ, b.logZ), (a.sz, b.sz), (a.sz2, b.sz2),
                      (a.s2, b.s2)):
             assert x == pytest.approx(y, rel=1e-11, abs=1e-12)
@@ -358,7 +357,7 @@ def test_concurrence_bounds_and_eof():
     rng = np.random.default_rng(2)
     for _ in range(100):
         p = random_params(rng)
-        res = concurrence(exact_pair_state(p))
+        res = concurrence(thermal_observables(p)[1])
         assert 0.0 <= res.concurrence <= 2.0 / p.n + 1e-12
         assert res.eof >= 0.0
         assert (res.eof == 0.0) == (res.concurrence == 0.0)
@@ -447,7 +446,7 @@ def test_gamma_nonpositive_no_entanglement_at_t0():
 
 def test_brute_force_caps_n():
     with pytest.raises(DomainError):
-        brute_force_moments(ModelParams(n=15, v=1.0, T=0.5))
+        brute_force_observables(ModelParams(n=15, v=1.0, T=0.5))
 
 
 def test_brute_force_pair_density_structure():
@@ -471,7 +470,7 @@ def test_brute_force_concurrence_routes_agree():
     for _ in range(15):
         p = random_params(rng, n_max=7)
         c_wootters = wootters_concurrence(brute_force_pair_density(p))
-        c_formula = concurrence(exact_pair_state(p)).concurrence
+        c_formula = concurrence(thermal_observables(p)[1]).concurrence
         assert c_wootters == pytest.approx(c_formula, abs=1e-10)
 
 
@@ -636,7 +635,7 @@ def test_large_field_expansion_tracks_exact():
     for T in (0.05, 0.1):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=2.0, T=T)
         approx = large_field_expansion(p).concurrence
-        ex = concurrence(exact_pair_state(p)).concurrence
+        ex = concurrence(thermal_observables(p)[1]).concurrence
         assert approx == pytest.approx(ex, rel=0.1)
 
 
@@ -666,6 +665,6 @@ def test_field_symmetry_of_concurrence():
     rng = np.random.default_rng(4)
     for _ in range(10):
         p = random_params(rng, n_max=12)
-        cp = concurrence(exact_pair_state(p)).concurrence
-        cm = concurrence(exact_pair_state(p.replace(b=-p.b))).concurrence
+        cp = concurrence(thermal_observables(p)[1]).concurrence
+        cm = concurrence(thermal_observables(p.replace(b=-p.b))[1]).concurrence
         assert cp == pytest.approx(cm, abs=1e-12)

@@ -162,7 +162,7 @@ def test_entangled_flag_is_a_python_bool_for_every_tier():
         assert type(pt.result.entangled) is bool, tier
     pt = evaluate_point("exact", p.replace(T=0.0))
     assert type(pt.result.entangled) is bool
-    pair = exact.exact_pair_state(p)
+    pair = exact.thermal_observables(p)[1]
     assert type(exact.concurrence(pair).entangled) is bool
     far = exact.large_field_expansion(p.replace(b=2.0, T=0.02))
     assert far.status == "ok" and type(far.entangled) is bool
@@ -268,6 +268,20 @@ def test_exact_tiny_T_gives_the_ground_state():
                                                                   abs=1e-12)
                     checked += 1
     assert checked == 138
+
+
+@pytest.mark.parametrize("T", [1e-305, 1e-308])
+def test_exact_T_past_the_float_range_is_refused(T):
+    # at n = 8810 beta |E| overflows below T ~ 1e-305: the window's peak is
+    # not finite and the point is refused before any sum, with no
+    # RuntimeWarning on the way (an error under this suite)
+    p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.3, T=T)
+    with pytest.raises(DomainError, match=r"beta \|E\| overflows .*"
+                       "T = 0 is the ground-state path"):
+        exact.thermal_observables(p)
+    pt = evaluate_point("exact", p)
+    assert pt.status == "error" and "overflows" in pt.message
+    assert evaluate_point("exact", p.replace(T=1e-300)).status == "ok"
 
 
 def test_any_exception_becomes_error_status(monkeypatch):
