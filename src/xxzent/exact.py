@@ -49,13 +49,16 @@ with k down spins the pair sum is H = -V F + c_k: the flip-flop sum
 F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the
 diagonal c_k = b S_z - V (1 - gamma) sum_{i != j} s^z_i s^z_j is the same on
 every state of the block (checked state by state). So one eigh of F per
-block, the largest C(n, n/2) (3432 at n = 14), serves every (v, gamma, b, T)
-at that n: the eigen-rows are kept for the last n (:func:`_flip_flop_rows`),
-with rho_2 of sites (0, 1) assembled from the blocks, so no 2^n x 2^n
-matrix is ever formed. On one Xeon core (OpenBLAS, one thread) the first
-point at an n takes about 0.14 s at n = 11 and 20 s (0.59 GB) at n = 14,
-and each later point under 1 ms. Also here: the large-field expansion of C
-and the stepwise T = 0 estimate.
+block with k <= n // 2, the largest C(n, n/2) (3432 at n = 14), serves every
+(v, gamma, b, T) at that n; the global spin flip maps block k onto block
+n - k with the same F, so those blocks take block k's eigen-rows with S_z
+negated and no eigh. The rows are kept for the last n
+(:func:`_flip_flop_rows`), with rho_2 of sites (0, 1) assembled from the
+blocks, so no 2^n x 2^n matrix is ever formed. On one Xeon core (OpenBLAS,
+one thread) the first point at an n takes about 0.04 s at n = 11, 1.1 s at
+n = 13 and 12.5 s at n = 14 (0.59 GB peak, set by the middle block, which
+the flip does not spare), and each later point under 1 ms. Also here: the
+large-field expansion of C and the stepwise T = 0 estimate.
 """
 
 from __future__ import annotations
@@ -508,8 +511,9 @@ def brute_force_observables(params: ModelParams):
 
     On the block with k down spins H = -V F + c_k, with the flip-flop sum F
     a function of n alone and c_k the same on every state of the block
-    (see _build_block). So the eigenstates of F (_flip_flop_rows, kept for
-    the last n) are those of H at every (v, gamma, b, T), and one
+    (see _build_block). So the eigenstates of F (_flip_flop_rows: one eigh
+    per block with k <= n // 2, the others from the spin flip, kept for the
+    last n) are those of H at every (v, gamma, b, T), and one
     log-sum-exp over their energies b S_z - V [f + (1 - gamma)
     sum_{i != j} s^z_i s^z_j] weights them. A point past the n cap or at
     T <= 0 is refused before any eigh.
@@ -553,16 +557,22 @@ def _flip_flop_rows(n: int) -> np.ndarray:
 
     The basis is split by the number k of down spins (bit k of a basis index
     set means site k is down); ``pos`` maps a basis index to its position in
-    its block. Each block is diagonalized once and dropped. The rows depend
-    on n alone, and the last table is kept, so the points of a sweep or a
-    limit scan at one n share one set of block eighs.
+    its block. Only the blocks with k <= n // 2 are built and diagonalized,
+    each once and then dropped. The global spin flip maps block k onto block
+    n - k, whose ascending states are block k's complements in descending
+    order: its F is block k's F[::-1, ::-1], S_z changes sign and
+    sum_{i != j} s^z_i s^z_j stays. So block n - k has block k's f, <S^2>
+    and coherence, S_z negated and the populations in reverse order
+    (q -> 3 - q), with no eigh of its own. The blocks stay in the order
+    k = 0..n. The rows depend on n alone, and the last table is kept, so the
+    points of a sweep or a limit scan at one n share one set of block eighs.
     """
     idx = np.arange(2 ** n)
     down = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
     pair = 2 * (idx & 1) + ((idx >> 1) & 1)   # rho_2 index of sites (0, 1)
     pos = np.empty_like(idx)
     rows = []
-    for k in range(n + 1):
+    for k in range(n // 2 + 1):
         states = np.flatnonzero(down == k)
         pos[states] = np.arange(states.size)
         F, sz, zz = _build_block(n, states, pos)
@@ -572,6 +582,11 @@ def _flip_flop_rows(n: int) -> np.ndarray:
         coh = np.einsum("ia,ia->a", U[pos[swap]], U[pos[swap ^ 3]])
         rows.append(np.stack([f, np.full_like(f, sz), np.full_like(f, zz),
                               f + sz * sz + n / 2.0, *pops, coh]))
+    for k in range(n // 2 + 1, n + 1):
+        # f, S_z, zz, <S^2>; populations q -> 3 - q; coherence
+        flipped = rows[n - k][[0, 1, 2, 3, 7, 6, 5, 4, 8]]
+        flipped[1] = -flipped[1]
+        rows.append(flipped)
     rows = np.concatenate(rows, axis=1)
     rows.setflags(write=False)
     return rows

@@ -326,3 +326,61 @@ def test_criterion_10_thermodynamic_identity_suite():
     dt = time.time() - t0
     report(10, f"identity residuals: exact worst {worst_exact:.2e}, CMFA "
                f"worst {worst_cmfa:.2e} (aim 1e-6), {dt:.1f}s")
+
+
+# criterion 11: the paper's two comparative claims on one grid. Bounds from
+# measurement, max |dC| against exact over the ok points:
+#   n, gamma   window: CSPA  window: CMFA  ratio   below: CMFA
+#   20, 1      6.6e-3        2.3e-2        3.4     2.2e-3
+#   20, 0.5    4.9e-3        1.5e-2        3.2     5.2e-3
+#   100, 1     4.2e-5        1.5e-3        34.8    2.5e-7
+#   100, 0.5   2.2e-5        4.8e-5        2.24    1.4e-5
+# so CSPA beats CMFA in the window by the CRIT11_FACTOR of each case (each
+# 11% or more below its ratio), and CMFA's |dC| below the window falls by
+# at least CRIT11_FALL from n = 20 to 100 (measured 9100x and 380x)
+CRIT11_B_OVER_GAMMA = np.linspace(0.5, 1.2, 15)
+CRIT11_T_GRID = (0.05, 0.08, 0.1, 0.15, 0.2)
+CRIT11_FACTOR = {(20, 1.0): 2.5, (20, 0.5): 2.5, (100, 1.0): 20.0,
+                 (100, 0.5): 2.0}
+CRIT11_FALL = 100.0
+
+
+def test_criterion_11_cspa_near_b_c_cmfa_below_it():
+    t0 = time.time()
+    below = {}
+    lines = []
+    for (n, gamma), factor in CRIT11_FACTOR.items():
+        b_c = ModelParams(n=n, v=1.0, gamma=gamma).b_c
+        window = {"cspa": [], "cmfa": []}
+        below[n, gamma] = []
+        missing = 0
+        for b in CRIT11_B_OVER_GAMMA * gamma:
+            for T in CRIT11_T_GRID:
+                p = ModelParams(n=n, v=1.0, gamma=gamma, b=float(b), T=T)
+                c_ex = evaluate_point("exact", p).result.concurrence
+                pts = {"cspa": evaluate_point("cspa", p, epsrel=1e-9),
+                       "cmfa": evaluate_point("cmfa", p)}
+                assert pts["cmfa"].status == "ok", p
+                dC = {tier: abs(pt.result.concurrence - c_ex)
+                      for tier, pt in pts.items() if pt.status == "ok"}
+                # b within 0.15 gamma of b_c, edges included
+                if abs(b - b_c) <= 0.15 * gamma + 1e-9:
+                    missing += "cspa" not in dC
+                    for tier, d in dC.items():
+                        window[tier].append(d)
+                elif b < b_c:
+                    below[n, gamma].append(dC["cmfa"])
+        # one window point is not ok: n = 100, gamma = 0.5, b = 0.5,
+        # T = 0.05, rho_2 not PSD (ROADMAP item 2)
+        assert missing <= 1, (n, gamma, missing)
+        worst = {tier: max(d) for tier, d in window.items()}
+        assert worst["cspa"] * factor < worst["cmfa"], (n, gamma, worst)
+        lines.append(f"n={n} gamma={gamma}: CSPA {worst['cspa']:.1e} vs "
+                     f"CMFA {worst['cmfa']:.1e}")
+    for gamma in (1.0, 0.5):
+        fall = max(below[20, gamma]) / max(below[100, gamma])
+        assert fall > CRIT11_FALL, (gamma, fall)
+        lines.append(f"gamma={gamma}: CMFA below the window falls {fall:.0f}x")
+    dt = time.time() - t0
+    assert dt < 60.0
+    report(11, "; ".join(lines) + f", {dt:.1f}s")

@@ -507,9 +507,10 @@ def _kron_thermal_reference(p):
 def test_brute_force_matches_a_kron_reference():
     # an oracle-independent dense reference: every entry of rho_2, the zeros
     # outside the symmetric-pair pattern included, shows that assembling the
-    # partial trace from the S_z blocks drops nothing
+    # partial trace from the S_z blocks drops nothing; n = 7 and 8 put many
+    # states in the blocks the spin flip derives, at both parities
     rng = np.random.default_rng(5)
-    for n in range(2, 7):
+    for n in range(2, 9):
         for _ in range(3):
             p = ModelParams(n=n, v=1.0, gamma=float(rng.uniform(-1.0, 1.0)),
                             b=float(rng.uniform(-1.5, 1.5)),
@@ -519,6 +520,25 @@ def test_brute_force_matches_a_kron_reference():
             np.testing.assert_allclose([bf.logZ, bf.sz, bf.sz2, bf.s2],
                                        [logZ, *moments], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bf_rho2, rho2, rtol=0, atol=1e-12)
+
+
+def test_spin_flip_maps_block_k_onto_block_n_minus_k():
+    # the oracle diagonalizes only the blocks with k <= n // 2 and takes
+    # block n - k from block k: its F is block k's reversed, bit for bit, with
+    # S_z negated and sum_{i != j} s^z_i s^z_j the same
+    for n in range(2, 10):
+        idx = np.arange(2 ** n)
+        down = np.array([bin(i).count("1") for i in idx])
+        blocks = [np.flatnonzero(down == k) for k in range(n + 1)]
+        pos = np.empty_like(idx)
+        for states in blocks:
+            pos[states] = np.arange(states.size)
+        for k in range(n // 2 + 1):
+            F, sz, zz = exact._build_block(n, blocks[k], pos)
+            F_flip, sz_flip, zz_flip = exact._build_block(n, blocks[n - k],
+                                                          pos)
+            assert np.array_equal(F_flip, F[::-1, ::-1]), (n, k)
+            assert sz_flip == -sz and zz_flip == zz, (n, k)
 
 
 @pytest.mark.parametrize("n, gamma, b, T", [(12, 1.0, 0.5, 0.1),

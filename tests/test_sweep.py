@@ -1,5 +1,5 @@
 import json
-from math import comb, inf
+from math import inf
 
 import numpy as np
 import pytest
@@ -312,9 +312,10 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-# the S_z blocks of n = 6 spins; Wootters' sqrt(rho_2) adds one 4 x 4 eigh
-# per ok point, a size no n = 6 block has
-BLOCKS_6 = sorted((comb(6, k), comb(6, k)) for k in range(7))
+# the S_z blocks of n = 6 spins with k <= 3 down spins; the spin flip gives
+# the blocks with k > 3 without an eigh. Wootters' sqrt(rho_2) adds one
+# 4 x 4 eigh per ok point, a size no n = 6 block has
+BLOCKS_6 = [(1, 1), (6, 6), (15, 15), (20, 20)]
 
 
 def test_non_finite_values_are_an_error(monkeypatch):
@@ -341,8 +342,8 @@ def test_non_finite_values_are_an_error(monkeypatch):
 
 
 def test_bruteforce_point_diagonalizes_once(monkeypatch):
-    # one eigh per S_z block, never the full 2^n matrix; the moments and the
-    # partial-trace rho_2 share those eigh calls
+    # one eigh per S_z block with k <= n // 2, never the full 2^n matrix; the
+    # moments and the partial-trace rho_2 share those eigh calls
     calls = _count_eigh(monkeypatch)
     pt = evaluate_point("bruteforce", ModelParams(n=6, v=1.0, b=0.3, T=0.2))
     assert pt.status == "ok"
@@ -374,7 +375,7 @@ def test_bruteforce_sweep_diagonalizes_once(monkeypatch):
     evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
     evaluate_point("bruteforce", ModelParams(n=6, v=1.0, T=0.2))
     assert sorted(c for c in calls if c != (4, 4)) == sorted(
-        [(comb(5, k), comb(5, k)) for k in range(6)] + BLOCKS_6)
+        [(1, 1), (5, 5), (10, 10)] + BLOCKS_6)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
