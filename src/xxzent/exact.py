@@ -2,22 +2,23 @@
 
 Everything here comes from the collective spectrum sum
 
-    Z = sum_S Y(S) sum_M exp(-beta E_SM),
+    Z = sum_S Y(S) sum_M exp(-beta E_SM).
 
-summed over a certified window. At fixed S the log-weight ln Y(S) - beta E_SM
-is a quadratic in M, so every sector's maximum has a closed form; sectors
-whose maximum lies more than 60 + 2 ln(n+1) below the global peak are
-skipped, and in the others only the M range above that cut (the roots of
-the quadratic, widened by one lattice step) is summed, with the peak as the
-one log-sum-exp shift. The skipped mass is at most e^-60 Z, which moves the
-concurrence by less than 3e-13 (see :func:`thermal_observables`). The work
-is one lgamma map of length n + 1 for ln Y(S), kept for the last n
-(:func:`log_multiplicities`), then per point one numpy pass over the
-sectors for the window, and one numpy pass per CHUNK_LEVELS = 4096 levels
-that carry weight -- about 10^4 levels at n = 8810, T = 0.1 v, against
-n^2/4 for the full sum. No step is a Python loop over sectors or levels.
+A level's log-weight ln Y(S) - beta E_SM is c_S + f(M): a sector term plus
+a quadratic in M, coupled only through |M| <= S. So Z and the other six
+sums are sums over the columns M of e^f(M) times suffix sums over the
+sectors S >= |M|, taken once per point with np.logaddexp.accumulate
+(see :func:`thermal_observables`). Every sector's largest level has a
+closed form; sectors whose maximum lies more than 60 + 2 ln(n+1) below
+the global peak, and columns that far below the largest column, are
+skipped. The skipped mass is at most e^-60 Z, which moves the concurrence
+by less than 3e-13. The work is one lgamma map of length n + 1 for ln Y(S),
+kept for the last n (:func:`log_multiplicities`), then per point a few
+numpy passes over the n/2 + 1 sectors and the n + 1 columns, with no
+Python loop over sectors or columns and no pass over the ~n^2/4 levels.
 At n = 10^6 (T = 0.1 v, one Xeon core) the first point at an n takes about
-0.42 s, most of it the lgamma map, and each later point 0.10-0.12 s.
+0.35 s, most of it the lgamma map, and each later point about 0.05 s, most
+of it the closed-form sector maxima.
 
 The symmetric two-qubit reduced state is
 
@@ -167,34 +168,27 @@ class ConcurrenceResult:
 # Spectral sums
 # ----------------------------------------------------------------------------
 
-CUT_NATS = 60.0   # levels below peak - CUT_NATS - 2 ln(n+1) are skipped
-CHUNK_LEVELS = 4096   # window levels per numpy pass (bounds the pass's memory)
+CUT_NATS = 60.0   # weight below peak - CUT_NATS - 2 ln(n+1) is skipped
 
 
-def _level_weights(n: int, two_S, two_M) -> np.ndarray:
-    """Per-level values of the seven spectral sums, one row each.
+def _sums(n: int, M, ssp1, excess, w) -> np.ndarray:
+    """The seven spectral sums over levels or columns M, weighted by w.
 
     Rows: 1, M, M^2, S(S+1) (count and the three moments) and
     (M + n/2)(M + n/2 - 1), (n/2 - M)(n/2 - M - 1), S(S+1) - M^2 - n/2
-    (the direct p+, p-, alpha sums). ``two_S`` is a scalar or broadcasts
-    against ``two_M``.
+    (the direct p+, p-, alpha sums). The caller passes the S(S+1) row as
+    ``ssp1`` and the alpha row as ``excess``, each formed without
+    cancellation.
     """
-    M = np.asarray(two_M, dtype=float) / 2.0
-    S = np.asarray(two_S, dtype=float) / 2.0
     half = n / 2.0
-    rows = np.empty((7,) + M.shape)      # filled in place: no stacked copies
-    rows[0] = 1.0
-    rows[1] = M
-    rows[2] = M * M
-    rows[3] = S * (S + 1.0)
-    rows[4] = (M + half) * (M + half - 1.0)
-    rows[5] = (half - M) * (half - M - 1.0)
-    rows[6] = rows[3] - rows[2] - half
-    return rows
+    rows = np.stack([np.ones_like(M), M, M * M, ssp1,
+                     (M + half) * (M + half - 1.0),
+                     (half - M) * (half - M - 1.0), excess])
+    return rows @ w
 
 
 def _observables(n: int, acc, logZ: float = float("nan")):
-    """(CollectiveMoments, PairState) from the seven sums of _level_weights."""
+    """(CollectiveMoments, PairState) from the seven sums of _sums."""
     Z = acc[0]
     moments = CollectiveMoments(sz=acc[1] / Z, sz2=acc[2] / Z, s2=acc[3] / Z,
                                 logZ=logZ)
@@ -204,93 +198,26 @@ def _observables(n: int, acc, logZ: float = float("nan")):
                               p_minus=p_minus, alpha=alpha)
 
 
-def _lattice_down(x, two_S):
-    """Largest doubled M <= x with the parity of 2S, elementwise.
-
-    x is first clipped to two lattice steps beyond the sector, so infinite
-    or huge roots are safe.
-    """
-    x = np.clip(x, -two_S - 4.0, two_S + 4.0)
-    return two_S - 2 * np.ceil((two_S - x) / 2.0).astype(np.int64)
+def _cut(top: float, n: int) -> float:
+    """Log-weight below which a level or column is skipped, for a largest
+    log-weight ``top``."""
+    return top - CUT_NATS - 2.0 * log(n + 1.0)
 
 
-def _lattice_up(x, two_S):
-    """Smallest doubled M >= x with the parity of 2S (clipped as above)."""
-    return -_lattice_down(-x, two_S)
+def _live_sectors(params: ModelParams):
+    """Closed-form sector maxima of the T > 0 sum: (peak, c, live).
 
-
-def _roots(a: float, b: float, R):
-    """Real roots r1 <= r2 of a M^2 + b M = R (a != 0) for each R,
-    cancellation-free.
-
-    A discriminant that rounds below zero is taken as zero (double root at
-    the vertex); callers widen around the roots by a lattice step anyway.
-    Where q = 0 (b = 0 and a R <= 0) both roots are 0.
-    """
-    s = np.sqrt(np.maximum(b * b + 4.0 * a * R, 0.0))
-    q = -0.5 * (b + np.copysign(s, b))
-    r1 = q / a
-    r2 = np.divide(-R, q, out=np.zeros_like(q), where=q != 0.0)
-    return np.minimum(r1, r2), np.maximum(r1, r2)
-
-
-def _sector_segments(a: float, b: float, R, two_S):
-    """Doubled-M ranges where a M^2 + b M <= R, for all sectors at once.
-
-    Returns (k, lo, hi): sector index into ``R``/``two_S`` and the range
-    lo..hi (step 2), one entry per non-empty segment. Each range is widened
-    by one lattice step beyond the roots, so rounding in the roots never
-    drops a level that belongs to the window.
-    """
-    k = np.arange(two_S.size)
-    if a > 0:
-        r1, r2 = _roots(a, b, R)
-        lo = np.maximum(_lattice_up(2.0 * r1, two_S) - 2, -two_S)
-        hi = np.minimum(_lattice_down(2.0 * r2, two_S) + 2, two_S)
-    else:
-        # a <= 0: the left side is concave or linear in M, so the window is
-        # the sector minus one open interval (x1, x2) -- a left and a right
-        # end segment. No interval (x1, x2) = (+inf, -inf) leaves the sector
-        # whole; a = 0 has one infinite root.
-        infs = np.full(R.shape, inf)
-        if a < 0:
-            gap = b * b + 4.0 * a * R > 0.0
-            r1, r2 = _roots(a, b, R)
-            x1, x2 = np.where(gap, r1, infs), np.where(gap, r2, -infs)
-        elif b > 0:
-            x1, x2 = R / b, infs
-        elif b < 0:
-            x1, x2 = -infs, R / b
-        else:
-            x1, x2 = infs, -infs
-        left_hi = np.minimum(_lattice_down(2.0 * x1, two_S) + 2, two_S)
-        right_lo = np.maximum(_lattice_up(2.0 * x2, two_S) - 2, -two_S)
-        whole = left_hi + 2 >= right_lo
-        k = np.concatenate([k, k])
-        lo = np.concatenate([-two_S, np.where(whole, two_S + 2, right_lo)])
-        hi = np.concatenate([np.where(whole, two_S, left_hi), two_S])
-    keep = lo <= hi
-    return k[keep], lo[keep], hi[keep]
-
-
-def _summation_window(params: ModelParams):
-    """Certified window of the T > 0 spectral sum: (peak, segments).
-
-    ``peak`` is the largest level log-weight ln Y(S) - beta E_SM and
-    ``segments`` = (two_S, lnY, lo, hi), one array entry per segment: the
-    doubled-M ranges lo..hi (step 2) of sector 2S, whose ln Y(S) is lnY,
-    holding every level whose log-weight is at least
-    cut = peak - CUT_NATS - 2 ln(n+1). At fixed S the log-weight is
-    const(S) - beta (b M + a M^2) with a = V gamma, so each sector's maximum
-    over the lattice M = -S..S has a closed form (the lattice points around
-    the vertex for a > 0, the ends otherwise), evaluated for all S at once;
-    sectors whose maximum is below the cut are skipped whole. The number of
-    levels summed is sum((hi - lo) // 2 + 1). A peak that is not finite
-    (beta |E| past the float range: at n = 8810 from T ~ 1e-305) is a
-    DomainError, raised before any sum.
+    A level's log-weight ln Y(S) - beta E_SM is c_S + f(M), with
+    c_S = ln Y(S) + beta (V S(S+1) - E0) (``c``, one entry per 2S of
+    two_s_range(n)) and f(M) = -beta (b M + V gamma M^2). So each sector's
+    maximum over M = -S..S has a closed form (the lattice points around the
+    vertex of f for gamma > 0, the ends otherwise), evaluated for all S at
+    once. ``peak`` is the largest level log-weight and ``live`` the indices
+    of the sectors whose maximum is at least _cut(peak, n). A peak that is
+    not finite (beta |E| past the float range: at n = 8810 from
+    T ~ 1e-305) is a DomainError, raised before any sum.
     """
     n, beta = params.n, params.beta
-    lnY = log_multiplicities(n)
     a, b = params.V * params.gamma, params.b
     two_S = np.arange(n % 2, n + 1, 2)            # two_s_range(n)
     S = two_S / 2.0
@@ -300,95 +227,85 @@ def _summation_window(params: ModelParams):
         below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
         cands += [below, np.minimum(below + 2.0, two_S)]
     with np.errstate(over="ignore", invalid="ignore"):
-        const = lnY + beta * (params.V * S * (S + 1.0) - params.E0)
-        best = np.max([-beta * (b * (c / 2.0) + a * (c / 2.0) ** 2)
-                       for c in cands], axis=0)
-        sector_max = const + best
+        c = log_multiplicities(n) + beta * (params.V * S * (S + 1.0) - params.E0)
+        sector_max = c + np.max([-beta * (b * (m / 2.0) + a * (m / 2.0) ** 2)
+                                 for m in cands], axis=0)
     peak = float(sector_max.max())
     if not np.isfinite(peak):
         raise DomainError(f"beta |E| overflows at T = {params.T:.6g}; "
                           "T = 0 is the ground-state path")
-    cut = peak - CUT_NATS - 2.0 * log(n + 1.0)
-    live = np.flatnonzero(sector_max >= cut)
-    R = (const[live] - cut) / beta
-    k, lo, hi = _sector_segments(a, b, R, two_S[live])
-    return peak, (two_S[live][k], lnY[live][k], lo, hi)
+    return peak, c, np.flatnonzero(sector_max >= _cut(peak, n))
 
 
 def thermal_observables(params: ModelParams):
     """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0.
 
-    Accumulates Z, <S_z>, <S_z^2>, <S^2> and the three direct pair-state sums
-    over the certified window of :func:`_summation_window`, shifted by the
-    window's peak so no exponential overflows. The window's levels are laid
-    out flat, segment after segment, and summed CHUNK_LEVELS at a time.
+    A level's log-weight c_S + f(M) (see :func:`_live_sectors`) couples S
+    and M only through |M| <= S. So each of the seven sums of :func:`_sums`
+    is a sum over the columns M of e^f(M) times suffix sums over the
+    sectors S >= s = |M|:
 
-    Certificate: there are at most (n+1)^2 levels (S, M), each skipped one
-    weighs less than e^cut = e^peak e^-CUT_NATS / (n+1)^2, and Z >= e^peak,
-    so the skipped mass is delta <= e^-60 Z ~ 9e-27 Z. Every per-level value
-    of p+, p-, alpha lies in [-1, 1], so each pair-state entry moves by at
-    most 2 delta; ln Z by at most delta; the moments by at most 2 delta times
+        H(s) = sum_{S >= s} e^c_S,
+        K(s) = sum_{S >= s} (S(S+1) - s(s+1)) e^c_S
+             = sum_{t >= s} 2 (t+1) H(t+1).
+
+    A column's weight is e^f(M) H(s); its S(S+1) sum is K + s(s+1) H and
+    its alpha sum K + (s - n/2) H. The other rows are per-column factors, so
+    p+- keep their direct sums. H and K are suffix log-sum-exps
+    (np.logaddexp.accumulate) over the hull of the live sectors, shifted by
+    the hull's largest c_S, and every suffix is a sum of positive terms.
+    The columns M = +-s fold onto the sector grid, so per point the work is
+    a few numpy passes over at most n/2 + 1 sectors and n + 1 columns, not
+    over levels. A column's log-weight, less the hull's shift, is
+    g(M) = ln H(s) + f(M). Only the columns within _cut(G, n) of the
+    largest one, G, are exponentiated, with G as their shift, so the summed
+    Z is at least 1 and finite. The shift is added back last, as
+    ln Z = shift + (G + ln Z_summed): the b-dependent part is rounded at its
+    own size, so ln Z stays smooth in b to rounding, and the column weights
+    carry no rounding of the large c_S (~10^5 at n ~ 10^3, T ~ 1e-3 v).
+
+    Certificate: each level of a sector outside the hull weighs less than
+    e^_cut(peak, n) = e^peak e^-CUT_NATS / (n+1)^2, and each skipped column
+    less than e^G e^-CUT_NATS / (n+1)^2. There are fewer than (n+1)^2
+    levels and columns together, and Z >= max(e^peak, e^G), so the skipped
+    mass is delta <= e^-60 Z ~ 9e-27 Z. Every per-level value of p+, p-,
+    alpha lies in [-1, 1], so each pair-state entry moves by at most
+    2 delta; ln Z by at most delta; the moments by at most 2 delta times
     their largest per-level value (n/2, n^2/4, n(n+2)/4). Since
     |sqrt x - sqrt y| <= sqrt|x - y| and p+ + p- <= 1, the concurrence
     moves by |dC| <= 4 delta + 2 sqrt(2 delta) ~ 3e-13. (A cut of e^-40
     would not do: with p+ ~ 1e-26 in the far field, sqrt(delta) ~ 2e-9.)
-
-    The closed-form peak and the per-level log-weights round differently,
-    by about eps beta |E|: once beta |E| passes ~1e16 that is nats, and
-    the top level's weight can overflow or underflow. So where the summed
-    Z is not finite or is below 1/2 (the top level alone gives Z ~ 1), or
-    another sum is not finite, the peak is taken as the largest per-level
-    log-weight of the window and the sums are taken again.
     """
     if params.T <= 0:
         raise DomainError("thermal_observables requires T > 0; "
                           "use the ground-state path at T = 0")
-    peak, segments = _summation_window(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = _window_sums(params, peak, segments)
-    if not (np.isfinite(acc).all() and acc[0] >= 0.5):
-        peak = max(float(_log_weights(params, *chunk).max())
-                   for chunk in _window_chunks(segments))
-        acc = _window_sums(params, peak, segments)
-    return _observables(params.n, acc, logZ=peak + log(acc[0]))
-
-
-def _window_chunks(segments):
-    """The window's levels, flat and CHUNK_LEVELS at a time: (two_S, lnY,
-    two_M) per chunk."""
-    two_S, lnY, lo, hi = segments
-    end = np.cumsum((hi - lo) // 2 + 1)    # flat index one past each segment
-    levels = int(end[-1])
-    for first in range(0, levels, CHUNK_LEVELS):
-        j = np.arange(first, min(first + CHUNK_LEVELS, levels))
-        k = np.searchsorted(end, j, side="right")    # segment of each level
-        yield two_S[k], lnY[k], hi[k] - 2 * (end[k] - 1 - j)
-
-
-def _window_sums(params: ModelParams, peak: float, segments) -> np.ndarray:
-    """The seven sums of :func:`_level_weights` over the window, chunk by
-    chunk."""
-    acc = np.zeros(7)
-    for chunk in _window_chunks(segments):
-        acc += _chunk_sums(params, peak, *chunk)
-    return acc
-
-
-def _log_weights(params: ModelParams, two_S, lnY, two_M):
-    """Per-level log-weights ln Y(S) - beta E_SM."""
-    return lnY - params.beta * _level_energy_2(params, two_S, two_M)
-
-
-def _chunk_sums(params: ModelParams, peak: float, two_S, lnY, two_M):
-    """The seven sums of :func:`_level_weights` over some levels (S, M),
-    each weighted by exp(ln Y(S) - beta E_SM - peak).
-
-    A function of its own so that a chunk's arrays are freed before the
-    next chunk is built.
-    """
-    rows = _level_weights(params.n, two_S, two_M)
-    rows *= np.exp(_log_weights(params, two_S, lnY, two_M) - peak)
-    return rows.sum(axis=1)
+    n, beta = params.n, params.beta
+    peak, c, live = _live_sectors(params)
+    first, last = live[0], live[-1]
+    s = np.arange(last + 1) + (n % 2) / 2.0      # S of sectors 0..last
+    hull = c[first:last + 1]
+    shift = float(hull.max())
+    lnH = np.logaddexp.accumulate(hull[::-1] - shift)[::-1]
+    lnK = np.logaddexp.accumulate(
+        (np.log(2.0 * s[first:last] + 2.0) + lnH[1:])[::-1])[::-1]
+    # a column s < first sees the whole hull: H(s) = H(first), and K(s)
+    # exceeds K(first) by (S(S+1) - s(s+1)) H(first), S = s[first]
+    ratio = np.zeros(last + 1)                   # K(s) / H(s)
+    ratio[first:last] = np.exp(lnK - lnH[:-1])
+    ssp1 = s * (s + 1.0)
+    ratio[:first] = ratio[first] + ssp1[first] - ssp1[:first]
+    lnH = np.concatenate([np.full(first, lnH[0]), lnH])
+    M = np.stack([-s, s])
+    with np.errstate(over="ignore"):
+        g = lnH - beta * (params.b * M + params.V * params.gamma * M * M)
+    if n % 2 == 0:
+        g[1, 0] = -inf                           # M = 0 is one column
+    G = float(g.max())
+    keep = g >= _cut(G, n)
+    M, r = M[keep], np.broadcast_to(ratio, g.shape)[keep]
+    s = np.abs(M)
+    acc = _sums(n, M, r + s * (s + 1.0), r + (s - n / 2.0), np.exp(g[keep] - G))
+    return _observables(n, acc, logZ=shift + (G + log(acc[0])))
 
 
 def exact_moments(params: ModelParams) -> CollectiveMoments:
@@ -418,8 +335,10 @@ def _ground_levels(params: ModelParams, tol: float = 1e-12):
 def _mixture_observables(params: ModelParams, levels):
     """Equal-weight mixture of the levels, each (S, M) counted Y(S) times."""
     two_S, two_M, Y = np.array(levels, dtype=float).T
-    sums = _level_weights(params.n, two_S, two_M) @ Y
-    return _observables(params.n, sums)
+    S, M = two_S / 2.0, two_M / 2.0
+    ssp1 = S * (S + 1.0)
+    return _observables(params.n, _sums(params.n, M, ssp1,
+                                        ssp1 - M * M - params.n / 2.0, Y))
 
 
 def ground_state_observables(params: ModelParams):

@@ -1,5 +1,4 @@
-from dataclasses import fields
-from math import ceil, copysign, exp, fsum, inf, log, sqrt
+from math import ceil, exp, fsum, log, sqrt
 
 import numpy as np
 import pytest
@@ -83,14 +82,19 @@ def test_derivative_identities_against_finite_differences():
             p.n / 4 - (p.n * p.T / p.v) * dz_dg, abs=1e-5 * p.n)
 
 
-def _reference_sums(n, rows):
-    """Seven spectral sums from (S, M, weight) rows, in the order
+def _level_values(n, S, M):
+    """A level's values in the seven spectral sums, in the order
     Z, M, M^2, S(S+1), p+ n(n-1), p- n(n-1), alpha n(n-1)."""
     half = n / 2
+    return (1.0, M, M * M, S * (S + 1), (M + half) * (M + half - 1),
+            (half - M) * (half - M - 1), S * (S + 1) - M * M - half)
+
+
+def _reference_sums(n, rows):
+    """Seven spectral sums from (S, M, weight) rows."""
     cols = ([], [], [], [], [], [], [])
     for S, M, w in rows:
-        for col, x in zip(cols, (1.0, M, M * M, S * (S + 1), (M + half) * (M + half - 1),
-                                 (half - M) * (half - M - 1), S * (S + 1) - M * M - half)):
+        for col, x in zip(cols, _level_values(n, S, M)):
             col.append(w * x)
     return [fsum(c) for c in cols]
 
@@ -127,17 +131,15 @@ def test_windowed_sum_matches_spectrum_table():
                     _assert_matches_reference(p, -emin / T, _reference_sums(n, rows))
 
 
-@pytest.mark.parametrize("T", [0.01, 0.1, 0.6])
-def test_windowed_sum_matches_full_sum_large_n(T):
+def _assert_matches_full_sum(p):
     # reference: the plain sum over all ~n^2/4 levels, sector by sector
-    p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.5, T=T)
     half, V = p.n / 2, p.V
     sectors = []
-    for two_S in range(0, p.n + 1, 2):
+    for two_S in two_s_range(p.n):
         S = two_S / 2
         M = np.arange(-two_S, two_S + 1, 2) / 2
         E = p.b * M - V * (S * (S + 1) - p.gamma * M * M) + p.E0
-        sectors.append((S, M, log_multiplicity(p.n, two_S) - E / T))
+        sectors.append((S, M, log_multiplicity(p.n, two_S) - E / p.T))
     shift = max(w.max() for _, _, w in sectors)
     sums = np.zeros(7)
     for S, M, w in sectors:
@@ -150,90 +152,115 @@ def test_windowed_sum_matches_full_sum_large_n(T):
     _assert_matches_reference(p, shift, sums)
 
 
-def test_windowed_sum_work_is_a_few_sectors():
-    # the full sum visits all 19.4M levels; the weight sits in 25 of 4406 sectors
-    p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.0, T=0.1)
-    _, (_, _, lo, hi) = exact._summation_window(p)
-    levels = int(((hi - lo) // 2 + 1).sum())
-    assert 0 < levels <= 2e4
+@pytest.mark.parametrize("T", [0.01, 0.1, 0.6])
+def test_windowed_sum_matches_full_sum_large_n(T):
+    _assert_matches_full_sum(ModelParams(n=8810, v=1.0, gamma=1.0, b=0.5, T=T))
 
 
-# Reference for the window: the per-sector scalar rule, one sector at a time.
-# ``branches`` records which cases of the rule a run has exercised.
-
-def _scalar_lattice_down(x, two_S):
-    x = min(max(x, -two_S - 4.0), two_S + 4.0)
-    return two_S - 2 * ceil((two_S - x) / 2.0)
-
-
-def _scalar_lattice_up(x, two_S):
-    return -_scalar_lattice_down(-x, two_S)
+@pytest.mark.parametrize("T", [0.01, 0.1, 0.6])
+def test_windowed_sum_matches_full_sum_odd_n(T):
+    # odd n has no M = 0 column; gamma < 0 puts the weight at the ends
+    # M = +-S of each sector, and b = 3 puts p+ deep in the far field
+    _assert_matches_full_sum(ModelParams(n=2001, v=1.0, gamma=-0.5, b=3.0, T=T))
 
 
-def _scalar_roots(a, b, R):
-    s = sqrt(max(b * b + 4.0 * a * R, 0.0))
-    q = -0.5 * (b + copysign(s, b))
-    if q == 0.0:
-        return 0.0, 0.0
-    r1, r2 = q / a, -R / q
-    return min(r1, r2), max(r1, r2)
+def _column_calls(monkeypatch):
+    """Record the arguments of every exact._sums call: (n, M, ssp1,
+    excess, w), one tuple per call."""
+    calls = []
+    sums = exact._sums
+    monkeypatch.setattr(exact, "_sums", lambda *a: calls.append(a) or sums(*a))
+    return calls
 
 
-def _scalar_sector_segments(a, b, R, two_S, branches):
-    if a > 0:
-        branches.add("a > 0")
-        r1, r2 = _scalar_roots(a, b, R)
-        lo = max(_scalar_lattice_up(2.0 * r1, two_S) - 2, -two_S)
-        hi = min(_scalar_lattice_down(2.0 * r2, two_S) + 2, two_S)
-        return [(lo, hi)] if lo <= hi else []
-    if a < 0 and b * b + 4.0 * a * R > 0.0:
-        x1, x2 = _scalar_roots(a, b, R)
-    elif a == 0 and b != 0:
-        branches.add("a = 0, infinite root")
-        x1, x2 = (R / b, inf) if b > 0 else (-inf, R / b)
-    else:
-        branches.add("a < 0, negative discriminant" if a < 0 else "a = 0 = b")
-        return [(-two_S, two_S)]
-    left_hi = min(_scalar_lattice_down(2.0 * x1, two_S) + 2, two_S)
-    right_lo = max(_scalar_lattice_up(2.0 * x2, two_S) - 2, -two_S)
-    if left_hi + 2 >= right_lo:
-        branches.add("a <= 0, gap narrower than a step")
-        return [(-two_S, two_S)]
-    branches.add("a <= 0, two end segments")
-    return [(lo, hi) for lo, hi in ((-two_S, left_hi), (right_lo, two_S))
-            if lo <= hi]
+def test_column_sums_match_per_column_fsum(monkeypatch):
+    # each column M carries the seven sums over its levels S >= |M| of the
+    # live-sector hull; the reference takes every level with math.fsum, and
+    # both sides are normalized by their total Z
+    calls = _column_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    cases = [(2, 1.0, 0.0, 1.0), (3, 0.0, 0.5, 0.5), (16, -0.5, 1.0, 0.3),
+             (15, -2.0, -1.0, 2.0)]
+    cases += [(int(rng.integers(2, 17)),
+               float(rng.choice([1.0, 0.5, 0.0, -0.5, rng.uniform(-2.0, 1.0)])),
+               float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.3, 3.0)))
+              for _ in range(100)]
+    assert {n % 2 for n, *_ in cases} == {0, 1}
+    assert any(gamma < 0 for _, gamma, *_ in cases)
+    for n, gamma, b, T in cases:
+        p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
+        calls.clear()
+        thermal_observables(p)
+        (_, M, ssp1, excess, w), = calls
+        _, c, live = exact._live_sectors(p)
+        S = np.arange(c.size) + (n % 2) / 2
+        hull = np.arange(live[0], live[-1] + 1)
+        top = c[hull].max()
+        got, ref = [], []
+        for m, q3, q6, wm in zip(M, ssp1, excess, w):
+            # the column's levels S >= |m| with weight e^(c_S - top + f(m))
+            levels = [(_level_values(n, S[k], m),
+                       exp(c[k] - top - p.beta * (b * m + p.V * gamma * m * m)))
+                      for k in hull if S[k] >= abs(m)]
+            ref.append([(fsum(v[i] * x for v, x in levels),
+                         fsum(abs(v[i]) * x for v, x in levels)) for i in range(7)])
+            # the code's column: weight w times its per-column factors, with
+            # the folded S(S+1) and alpha rows passed as they are
+            v = _level_values(n, 0.0, m)
+            got.append([wm * x for x in v[:3] + (q3,) + v[4:6] + (q6,)])
+        Zg, Zr = fsum(g[0] for g in got), fsum(r[0][0] for r in ref)
+        for g_col, r_col in zip(got, ref):
+            for x, (y, scale) in zip(g_col, r_col):
+                assert abs(x / Zg - y / Zr) <= 1e-14 * scale / Zr, p
 
 
-def _scalar_window(p, branches):
+def test_windowed_sum_work_is_a_few_sectors(monkeypatch):
+    # the work per point is one suffix sum over the hull of the live
+    # sectors and one over the columns M = +-s of the sector grid, each at
+    # most n/2 + 1 long; the full sum has ~n^2/4 levels
+    calls = _column_calls(monkeypatch)
+    # (n, b, T): sectors accumulated, columns summed; the level-by-level
+    # sum of earlier versions summed 286,675 levels at (8810, 0.5, 0.6) and
+    # 103,250 at (1000, 0.3, 0.4125), and ~10^4 at (8810, 0.0, 0.1)
+    for (n, b, T), work in {(8810, 0.5, 0.6): (1080, 1076),
+                            (1000, 0.3, 0.4125): (470, 349),
+                            (8810, 0.0, 0.1): (25, 525)}.items():
+        p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=T)
+        _, _, live = exact._live_sectors(p)
+        calls.clear()
+        thermal_observables(p)
+        (_, M, *_), = calls
+        assert (live[-1] - live[0] + 1, M.size) == work, p
+        assert max(work) <= n // 2 + 1
+
+
+# Reference for the live sectors: the per-sector scalar rule, one sector at
+# a time.
+
+def _scalar_live_sectors(p):
     n, beta = p.n, p.beta
     a, b = p.V * p.gamma, p.b
-    two_S = np.array(two_s_range(n))
-    lnY = np.array([log_multiplicity(n, int(t)) for t in two_S])
-    S = two_S / 2.0
-    const = lnY + beta * (p.V * S * (S + 1.0) - p.E0)
-    cands = [-two_S, two_S]
-    if a > 0:
-        vertex = np.clip(-b / a, -two_S, two_S)
-        below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
-        cands += [below, np.minimum(below + 2.0, two_S)]
-    best = np.max([-beta * (b * (c / 2.0) + a * (c / 2.0) ** 2) for c in cands],
-                  axis=0)
-    sector_max = const + best
-    peak = float(sector_max.max())
+    c, sector_max = [], []
+    for two_S in two_s_range(n):
+        S = two_S / 2.0
+        cs = log_multiplicity(n, two_S) + beta * (p.V * S * (S + 1.0) - p.E0)
+        cands = [-two_S, two_S]
+        if a > 0:
+            vertex = min(max(-b / a, -two_S), two_S)
+            below = two_S - 2.0 * ceil((two_S - vertex) / 2.0)
+            cands += [below, min(below + 2.0, two_S)]
+        c.append(cs)
+        sector_max.append(cs + max(-beta * (b * (m / 2.0) + a * (m / 2.0) ** 2)
+                                   for m in cands))
+    peak = max(sector_max)
     cut = peak - exact.CUT_NATS - 2.0 * log(n + 1.0)
-    segments = []
-    for k in np.flatnonzero(sector_max >= cut):
-        ts = int(two_S[k])
-        R = (const[k] - cut) / beta
-        segments += [(ts, float(lnY[k]), lo, hi)
-                     for lo, hi in _scalar_sector_segments(a, b, R, ts, branches)]
-    return peak, sorted(segments)
+    return peak, c, [k for k, x in enumerate(sector_max) if x >= cut]
 
 
 def _window_cases():
     rng = np.random.default_rng(8)
-    # edge cases first: a = 0 with b = 0, a < 0 with a negative discriminant
-    # (whole sectors), a = 0 with b != 0 (one infinite root), odd and even n
+    # edge cases first: gamma = 0 with b = 0 and b != 0, gamma < 0 (the
+    # ends of each sector), odd and even n
     yield from [(20, 0.0, 0.0, 0.1), (21, 0.0, 0.0, 2.0), (300, -1.0, 0.0, 0.5),
                 (301, -0.5, 0.0, 0.001), (40, 0.0, 0.5, 0.1),
                 (41, 0.0, -3.0, 1.0), (1000, 0.0, 0.5, 5.0),
@@ -246,53 +273,16 @@ def _window_cases():
 
 
 def test_vectorized_window_matches_scalar_rule():
-    # RuntimeWarnings are errors under the test settings, so a guarded
-    # division that warned (e.g. -R/q at q = 0) would fail here
-    branches = set()
+    # the closed-form sector maxima for all sectors at once: the same peak,
+    # sector constants c_S and live sectors as the rule applied sector by
+    # sector; RuntimeWarnings are errors under the test settings
     for n, gamma, b, T in _window_cases():
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        peak, (two_S, lnY, lo, hi) = exact._summation_window(p)
-        ref_peak, ref = _scalar_window(p, branches)
+        peak, c, live = exact._live_sectors(p)
+        ref_peak, ref_c, ref_live = _scalar_live_sectors(p)
         assert peak == ref_peak, p
-        got = sorted(zip(two_S.tolist(), lnY.tolist(), lo.tolist(), hi.tolist()))
-        assert got == ref, p
-    assert branches == {"a > 0", "a = 0 = b", "a = 0, infinite root",
-                        "a < 0, negative discriminant",
-                        "a <= 0, gap narrower than a step",
-                        "a <= 0, two end segments"}
-
-
-@pytest.mark.parametrize("gamma, b, T", [(1.0, 0.3, 0.1), (-0.5, 0.5, 0.2),
-                                         (0.0, 0.5, 0.05)])
-def test_chunked_sum_matches_default(monkeypatch, gamma, b, T):
-    p = ModelParams(n=1000, v=1.0, gamma=gamma, b=b, T=T)
-    _, (_, _, lo, hi) = exact._summation_window(p)
-    end = np.cumsum((hi - lo) // 2 + 1)
-    assert np.any(end % 5 != 0)          # some segment ends inside a chunk
-    ref = thermal_observables(p)
-    monkeypatch.setattr(exact, "CHUNK_LEVELS", 5)
-    got = thermal_observables(p)
-    for r, g in zip(ref, got):
-        for f in fields(r):
-            x, y = getattr(r, f.name), getattr(g, f.name)
-            # p = (1 - p+ - p-)/2 is a difference of sums, so it is held to
-            # 1e-14 of the trace; everything else is a sum held to 1e-14 of
-            # itself
-            tol = dict(abs=1e-14) if f.name == "p" else dict(rel=1e-14, abs=0.0)
-            assert y == pytest.approx(x, **tol), (p, f.name)
-
-
-@pytest.mark.parametrize("n, b", [(1000, 0.3), (8810, 0.0)])
-def test_level_weights_called_once_per_chunk(monkeypatch, n, b):
-    p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.1)
-    _, (_, _, lo, hi) = exact._summation_window(p)
-    levels = int(((hi - lo) // 2 + 1).sum())
-    calls = []
-    level_weights = exact._level_weights
-    monkeypatch.setattr(exact, "_level_weights",
-                        lambda *a: calls.append(1) or level_weights(*a))
-    thermal_observables(p)
-    assert len(calls) == ceil(levels / exact.CHUNK_LEVELS) < lo.size
+        assert c.tolist() == ref_c, p
+        assert live.tolist() == ref_live, p
 
 
 def test_exact_tier_reaches_n_1e5():
