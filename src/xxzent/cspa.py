@@ -42,11 +42,11 @@ z. Each radial integral is shifted by its l_peak, with panels placed across
 r_peak so the quadrature cannot miss a sharp large-n saddle. A batch of
 radial integrals is one quad_gk call, one row each: every row starts on the
 same layout in units of its own width, and a row that misses the error
-budget is refined on those panels in the same call. At gamma = 1 a point is
-one row (z = 0), and a batch of points at one (n, v, gamma) is one array
-pass, one row per point; a row's bits do not depend on the other rows of
-its pass. For gamma < 1 each point has its own outer z integral, a quad_gk
-call of one row whose z nodes are the radial rows, on |z| up to
+budget is refined on those panels in the same call. At gamma = 1 a batch
+of points at one (n, v, gamma), a batch of one included, is one array pass
+with one row per point (z = 0); a row's bits do not depend on the other
+rows of its pass. For gamma < 1 each point has its own outer z integral, a
+quad_gk call of one row whose z nodes are the radial rows, on |z| up to
 |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. The mean-field
 saddle z0 (the first of cmfa.mean_field_z: b - z0 = b/gamma in the
 deformed phase, the stable normal-phase root otherwise) seeds the outer z
@@ -115,7 +115,8 @@ class _Rows:
     """Points at one (n, v, gamma) as the radial rows of one array pass,
     read through the attribute names of ModelParams: n, v, gamma and E0
     shared, b and beta one per row as column arrays, so that they broadcast
-    over the nodes of a (rows, nodes) array."""
+    over the nodes of a (rows, nodes) array. A single point is one row of
+    the same arrays, which round as its float b and beta do."""
 
     def __init__(self, n, v, gamma, b, beta):
         self.n, self.v, self.gamma, self.b, self.beta = n, v, gamma, b, beta
@@ -123,10 +124,7 @@ class _Rows:
 
     @staticmethod
     def of(points):
-        """The points as rows; a single point is its own ModelParams, whose
-        float b and beta are cheaper than arrays and round the same."""
-        if len(points) == 1:
-            return points[0]
+        """The points as rows, one per point, a single point included."""
         p = points[0]
         return _Rows(p.n, p.v, p.gamma, np.array([[q.b] for q in points]),
                      np.array([[q.beta] for q in points]))
@@ -479,14 +477,15 @@ def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
 
 # initial panel edges of every radial row (units of sigma, stretched with
 # the cut); the integrand is smooth, so they resolve it to ~1e-10, and
-# quad_gk refines the rows that need more
+# quad_gk refines the rows that need more. The last panel ends at the cut,
+# sqrt(2 (_TAIL_LOG_UNITS + ln n)) > 8.9 sigma past r_peak
 _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
                          -0.5, -0.2, 0.0, 0.2, 0.5, 0.9, 1.4, 2.0, 3.0, 5.0,
-                         8.0, 16.0, 40.0])
+                         8.0])
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
-                               center=0.0):
+                               center):
     """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
     integrals over (0, r_max) of the rows of _weighted_factors, for a whole
     batch of rows: the z values of one ModelParams, or the points of a
@@ -642,7 +641,7 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     seeds = np.sort(z_peak[:, None] + sigma_z * np.array(
         [-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0]), axis=None)
     edges = np.clip(np.concatenate([[z_lo], seeds, [z_hi]]), z_lo, z_hi)
-    res = quad_gk(g, edges, epsabs=1e-300, epsrel=epsrel, max_panels=800)
+    res = quad_gk(g, edges, epsabs=0.0, epsrel=epsrel, max_panels=800)
     total = res.value[0]
     if total <= 0:
         raise QuadratureError("z integral collapsed to zero")

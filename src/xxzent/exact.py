@@ -64,7 +64,7 @@ large-field expansion of C and the stepwise T = 0 estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import exp, inf, log, sqrt
 
@@ -135,18 +135,6 @@ class PairState:
     p: float
     p_minus: float
     alpha: float
-
-    def eigenvalues(self):
-        """Spectrum of rho_2: (p+, p-, p+alpha, p-alpha)."""
-        return (self.p_plus, self.p_minus, self.p + self.alpha, self.p - self.alpha)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([
-            [self.p_plus, 0.0, 0.0, 0.0],
-            [0.0, self.p, self.alpha, 0.0],
-            [0.0, self.alpha, self.p, 0.0],
-            [0.0, 0.0, 0.0, self.p_minus],
-        ])
 
 
 @dataclass(frozen=True)
@@ -275,6 +263,18 @@ def thermal_observables(params: ModelParams):
     |sqrt x - sqrt y| <= sqrt|x - y| and p+ + p- <= 1, the concurrence
     moves by |dC| <= 4 delta + 2 sqrt(2 delta) ~ 3e-13. (A cut of e^-40
     would not do: with p+ ~ 1e-26 in the far field, sqrt(delta) ~ 2e-9.)
+
+    When the cut keeps at most two columns, all of them ground columns
+    (:func:`_ground_levels`), the point is the T -> 0 limit: the equal
+    mixture of :func:`ground_state_observables`, with
+    ln Z = shift + G + ln(#ground). Degenerate ground columns differ in g
+    only by beta times the rounding of their energies, which skews their
+    weights as T falls (|dC| ~ 3e-9 at n = 20, T = 1e-13 v) and below
+    T ~ 1e-16 v drops one of them. Every other column is then cut, and so
+    is every lower sector of a kept column: its gap is at least v, against
+    at most 2 gamma v/n to a neighbouring column. As at T = 0, a field
+    within the degeneracy tolerance of _ground_levels of a crossing field
+    counts as that crossing field.
     """
     if params.T <= 0:
         raise DomainError("thermal_observables requires T > 0; "
@@ -303,6 +303,12 @@ def thermal_observables(params: ModelParams):
     G = float(g.max())
     keep = g >= _cut(G, n)
     M, r = M[keep], np.broadcast_to(ratio, g.shape)[keep]
+    if M.size <= 2:
+        ground = _ground_levels(params)
+        if np.isin(2.0 * M, ground).all():
+            moments, pair = ground_state_observables(params)
+            return (replace(moments, logZ=shift + (G + log(ground.size))),
+                    pair)
     s = np.abs(M)
     acc = _sums(n, M, r + s * (s + 1.0), r + (s - n / 2.0), np.exp(g[keep] - G))
     return _observables(n, acc, logZ=shift + (G + log(acc[0])))
@@ -317,8 +323,8 @@ def exact_moments(params: ModelParams) -> CollectiveMoments:
 # T = 0 path
 # ----------------------------------------------------------------------------
 
-def _ground_levels(params: ModelParams, tol: float = 1e-12):
-    """Degenerate set of minimal-energy levels [(two_S, two_M, Y weight)].
+def _ground_levels(params: ModelParams) -> np.ndarray:
+    """The 2M of the degenerate minimal-energy levels, ascending.
 
     At fixed M the energy falls with S (v > 0), so every minimal level lies in
     the top sector S = n/2, where Y = 1: O(n) work at any n. A crossing field
@@ -329,16 +335,7 @@ def _ground_levels(params: ModelParams, tol: float = 1e-12):
     two_M = np.arange(-n, n + 1, 2)
     E = _level_energy_2(params, n, two_M)
     scale = max(params.v, abs(params.b), 1.0)
-    return [(n, int(tm), 1) for tm in two_M[E <= E.min() + tol * scale]]
-
-
-def _mixture_observables(params: ModelParams, levels):
-    """Equal-weight mixture of the levels, each (S, M) counted Y(S) times."""
-    two_S, two_M, Y = np.array(levels, dtype=float).T
-    S, M = two_S / 2.0, two_M / 2.0
-    ssp1 = S * (S + 1.0)
-    return _observables(params.n, _sums(params.n, M, ssp1,
-                                        ssp1 - M * M - params.n / 2.0, Y))
+    return two_M[E <= E.min() + 1e-12 * scale]
 
 
 def ground_state_observables(params: ModelParams):
@@ -348,7 +345,11 @@ def ground_state_observables(params: ModelParams):
     two-level mixture reproduces the fluctuation <S_z^2> - <S_z>^2 = 1/4
     responsible for the C = 1/n dips.
     """
-    return _mixture_observables(params, _ground_levels(params))
+    n = params.n
+    M = _ground_levels(params) / 2.0
+    ssp1 = np.full_like(M, n / 2.0 * (n / 2.0 + 1.0))      # S = n/2
+    return _observables(n, _sums(n, M, ssp1, ssp1 - M * M - n / 2.0,
+                                 np.ones_like(M)))
 
 
 def ground_state_moments(params: ModelParams) -> CollectiveMoments:

@@ -22,6 +22,7 @@ removes any floating-point parity ambiguity for odd n.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite, lgamma, log1p
@@ -101,9 +102,7 @@ class ModelParams:
         return self.gamma * self.v * (1.0 - 1.0 / self.n)
 
     def replace(self, **kw) -> "ModelParams":
-        d = dict(n=self.n, v=self.v, gamma=self.gamma, b=self.b, T=self.T)
-        d.update(kw)
-        return ModelParams(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,13 @@ class CrossingFields:
     aligned: bool
 
 
-def _check_sm(n: int, two_S: int, two_M: int):
+def _check_s(n: int, two_S: int):
     if two_S < (n % 2) or two_S > n or (two_S - n) % 2 != 0:
         raise DomainError(f"S = {two_S/2} invalid for n = {n}")
+
+
+def _check_sm(n: int, two_S: int, two_M: int):
+    _check_s(n, two_S)
     if abs(two_M) > two_S or (two_M - two_S) % 2 != 0:
         raise DomainError(f"M = {two_M/2} invalid for S = {two_S/2}")
 
@@ -172,8 +175,7 @@ def multiplicity(n: int, S) -> int:
     sum_S Y(S)(2S+1) = 2^n holds exactly for any n.
     """
     two_S = _doubled(S, "S")
-    if two_S < (n % 2) or two_S > n or (two_S - n) % 2 != 0:
-        raise DomainError(f"S = {two_S/2} invalid for n = {n}")
+    _check_s(n, two_S)
     k = (n - two_S) // 2
     lower = comb(n, k - 1) if k >= 1 else 0
     return comb(n, k) - lower
@@ -181,9 +183,8 @@ def multiplicity(n: int, S) -> int:
 
 def log_multiplicity(n: int, two_S: int) -> float:
     """ln Y(S) from doubled 2S, via log-gamma; safe up to n ~ 10^4 and beyond."""
+    _check_s(n, two_S)
     k = (n - two_S) // 2
-    if k < 0 or two_S > n:
-        raise DomainError(f"2S = {two_S} invalid for n = {n}")
     lc = lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
     if k == 0:
         return lc
@@ -240,5 +241,4 @@ def crossing_fields(params: ModelParams) -> CrossingFields:
         return CrossingFields(fields=(), b_c=0.0, aligned=True)
     n, g, v = params.n, params.gamma, params.v
     fields = sorted(g * v * (1.0 - two_M) / n for two_M in range(-n + 2, n + 1, 2))
-    return CrossingFields(fields=tuple(fields), b_c=g * v * (1.0 - 1.0 / n),
-                          aligned=False)
+    return CrossingFields(fields=tuple(fields), b_c=params.b_c, aligned=False)

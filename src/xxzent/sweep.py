@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from math import inf, isfinite
 
@@ -165,14 +165,14 @@ class CurvePoint:
         return r
 
 
-def _bruteforce(params, epsrel):
+def _bruteforce(params):
     # C from the partial trace of the S_z-block thermal state, the route that
     # is independent of the collective spectrum
     moments, rho2 = exact.brute_force_observables(params)
     return moments, exact.wootters_margin(rho2), None
 
 
-def _exact(params, epsrel):
+def _exact(params):
     moments, pair = (exact.ground_state_observables(params) if params.T == 0
                      else exact.thermal_observables(params))
     return moments, exact.concurrence_margin(pair), None
@@ -192,7 +192,7 @@ def _spa(points, epsrel):
                  cspa.cspa_moments_batch(points, "spa", epsrel))
 
 
-def _cmfa(params, epsrel):
+def _cmfa(params):
     """Analytic moments in the deformed window, C = 0 in the normal phase.
 
     In the normal phase (|b| >= gamma v or T >= T_c) the CMFA cannot sustain
@@ -211,7 +211,7 @@ def _cmfa(params, epsrel):
     return moments, exact.concurrence_margin(pair), None
 
 
-def _mfa(params, epsrel):
+def _mfa(params):
     return cmfa.mfa_product_moments(params), None, None
 
 
@@ -232,8 +232,9 @@ def _each(f, *columns):
 
 
 def _per_point(evaluate):
-    """The run evaluator of a tier that evaluates one point at a time."""
-    return lambda points, epsrel: _each(lambda p: evaluate(p, epsrel), points)
+    """The run evaluator of a tier that evaluates one point at a time and
+    reads no epsrel."""
+    return lambda points, epsrel: _each(evaluate, points)
 
 
 # tier -> evaluator(points, epsrel) -> one outcome per point: an exception,
@@ -486,15 +487,18 @@ def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
 # Writers
 # ----------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
+def _value(x):
+    """A cell's value: a float (numpy ones too) as a float, or None where it
+    is missing or not finite; any other value as it is."""
     if isinstance(x, (float, np.floating)):
         x = float(x)
-        if not np.isfinite(x):
-            return ""
-        return repr(x)
-    return str(x)
+        return x if isfinite(x) else None
+    return x
+
+
+def _fmt(x) -> str:
+    x = _value(x)
+    return "" if x is None else str(x)
 
 
 def _csv(rows, columns) -> str:
@@ -510,25 +514,10 @@ def points_to_csv(points, columns=CSV_COLUMNS) -> str:
 
 
 def points_to_json(points, spec: SweepSpec | None = None) -> str:
-    def clean(row):
-        out = {}
-        for k, v in row.items():
-            if isinstance(v, (float, np.floating)):
-                v = float(v)
-                if not np.isfinite(v):
-                    v = None
-            out[k] = v
-        return out
-
     head = {}
     if spec is not None:
-        head = {"tier": spec.tier,
-                "fixed": {"n": spec.fixed.n, "v": spec.fixed.v,
-                          "gamma": spec.fixed.gamma, "b": spec.fixed.b,
-                          "T": spec.fixed.T},
-                "axes": [{"name": a.name, "lo": a.lo, "hi": a.hi,
-                          "count": a.count, "scale": a.scale}
-                         for a in spec.axes],
+        head = {"tier": spec.tier, "fixed": asdict(spec.fixed),
+                "axes": [asdict(a) for a in spec.axes],
                 "outputs": list(CSV_COLUMNS)}
-    doc = {"spec": head, "points": [clean(pt.row()) for pt in points]}
-    return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+    rows = [{k: _value(v) for k, v in pt.row().items()} for pt in points]
+    return json.dumps({"spec": head, "points": rows}, indent=1) + "\n"

@@ -535,7 +535,7 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
         peaks = cspa._radial_peaks(p, zs, mode)
         calls.clear()
         batch, rel, means = cspa._radial_log_integral_batch(p, zs, peaks,
-                                                            mode, epsrel)
+                                                            mode, epsrel, 0.0)
         # one call and no refinement round: the initial panels alone meet
         # the budget
         assert [rounds for _, rounds, _ in calls] == [1]
@@ -1079,7 +1079,8 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
     zs = np.array([0.2])
     peaks = cspa._radial_peaks(p, zs, mode)
     calls.clear()
-    lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8)
+    lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8,
+                                                   0.0)
     assert [rounds for _, rounds, _ in calls] == [1]
     ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
                                         (peaks[0][0], peaks[1][0]), mode)

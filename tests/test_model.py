@@ -69,6 +69,18 @@ def test_log_multiplicity_large_n_no_overflow():
     assert np.isfinite(val) and val > 6000   # ~ n ln 2 at S ~ 0
 
 
+@pytest.mark.parametrize("n, two_S", [(4, 3), (5, 2), (4, -2), (4, 6)])
+def test_invalid_spin_raises_domain_error(n, two_S):
+    # 2S must have the parity of n and lie in [n mod 2, n], for the log
+    # degeneracy as for the degeneracy and the level energy
+    with pytest.raises(DomainError):
+        log_multiplicity(n, two_S)
+    with pytest.raises(DomainError):
+        multiplicity(n, two_S / 2)
+    with pytest.raises(DomainError):
+        level_energy(ModelParams(n=n), two_S / 2, 0)
+
+
 def test_log_multiplicities_bit_identical():
     # the array route must reproduce the scalar one exactly, not just closely:
     # the exact tier's certified window is built from these values

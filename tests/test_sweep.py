@@ -1,5 +1,5 @@
 import json
-from math import inf
+from math import inf, log
 
 import numpy as np
 import pytest
@@ -251,14 +251,12 @@ def test_exact_tiny_T_gives_the_ground_state():
     # once beta |E| passes ~1e16 the window's closed-form peak and the
     # per-level log-weights differ by nats; the sums are then shifted by the
     # largest per-level log-weight, so C is the T = 0 one, not an error.
-    # Crossing fields (a two-level ground state) are left out.
+    # n = 8810, gamma = 1, b = 0.3 is a crossing field (two ground levels)
     checked = 0
     for n in (20, 101, 1000, 8810):
         for gamma in (1.0, 0.5, -0.5):
             for b in (0.3, 1.5):
                 p0 = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=0.0)
-                if len(exact._ground_levels(p0)) > 1:
-                    continue
                 c0 = evaluate_point("exact", p0).result.concurrence
                 for pt in evaluate_run("exact", [
                         p0.replace(T=T) for T in (1e-16, 1e-20, 1e-50,
@@ -267,7 +265,30 @@ def test_exact_tiny_T_gives_the_ground_state():
                     assert pt.result.concurrence == pytest.approx(c0,
                                                                   abs=1e-12)
                     checked += 1
-    assert checked == 138
+    assert checked == 144
+
+
+@pytest.mark.parametrize("n, b", [(20, 0.35), (8810, 0.3)])
+def test_exact_tiny_T_at_a_crossing_field_is_the_equal_mixture(n, b):
+    # at a crossing field the two ground columns' log-weights differ only by
+    # beta times the rounding of their energies: summed as they stand,
+    # <S_z> reads -3.731 at n = 20, T = 1e-16 and -1321.0 at n = 8810,
+    # T <= 1e-14, instead of the equal mixture's -3.5 and -1321.5
+    p0 = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.0)
+    two_M = exact._ground_levels(p0)
+    assert len(two_M) == 2
+    E = exact._level_energy_2(p0, n, two_M[0])
+    zero = evaluate_point("exact", p0)
+    for T in (1e-12, 1e-13, 1e-14, 1e-16, 1e-50, 1e-300):
+        pt = evaluate_point("exact", p0.replace(T=T))
+        assert pt.status == "ok", pt.message
+        m = pt.moments
+        assert m.sz == zero.moments.sz
+        assert m.sz2 - m.sz ** 2 == pytest.approx(0.25, abs=1e-9)
+        assert pt.result.concurrence == pytest.approx(
+            zero.result.concurrence, abs=1e-12)
+        # ln Z = -beta E_ground + ln 2
+        assert m.logZ == pytest.approx(-E / T + log(2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("T", [1e-305, 1e-308])
