@@ -44,21 +44,22 @@ Concurrence:  C = 2 [ |alpha| - sqrt(p+ p-) ]_+, with the entanglement of
 formation E = -sum q_+- log2 q_+-, q_+- = (1 +- sqrt(1-C^2))/2.
 
 A brute-force oracle (n <= 14) is included for cross-validation. It builds
-the Hamiltonian from its explicit site-pair sum and uses only S_z
-conservation, never the collective spectrum. On the magnetization block
-with k down spins the pair sum is H = -V F + c_k: the flip-flop sum
-F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the
-diagonal c_k = b S_z - V (1 - gamma) sum_{i != j} s^z_i s^z_j is the same on
-every state of the block (checked state by state). So one eigh of F per
-block with k <= n // 2, the largest C(n, n/2) (3432 at n = 14), serves every
-(v, gamma, b, T) at that n; the global spin flip maps block k onto block
-n - k with the same F, so those blocks take block k's eigen-rows with S_z
-negated and no eigh. The rows are kept for the last n
-(:func:`_flip_flop_rows`), with rho_2 of sites (0, 1) assembled from the
-blocks, so no 2^n x 2^n matrix is ever formed. On one Xeon core (OpenBLAS,
-one thread) the first point at an n takes about 0.04 s at n = 11, 1.1 s at
-n = 13 and 12.5 s at n = 14 (0.59 GB peak, set by the middle block, which
-the flip does not spare), and each later point under 1 ms. Also here: the
+the Hamiltonian from its explicit site-pair sum and uses two symmetries of
+any sum over all site pairs, never the collective spectrum or Y(S): S_z
+conservation and the site transpositions. On the block with k down spins
+the pair sum is H = -V F + c_k: the flip-flop sum F = sum_{i != j}
+(s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the diagonal c_k is the
+same on every state of the block (checked). The swaps of the site pairs
+(0, 1), (2, 3), ... commute with F, so their parities split each block into
+sectors, and sectors with equal numbers of odd pairs, equal in size, take
+one stacked eigh (the largest sector has 393 states at n = 14, the largest
+block 3432). Blocks k > n // 2 come from block n - k by the global spin
+flip. The eigen-rows serve every (v, gamma, b, T) at that n and are kept
+for the last n (:func:`_flip_flop_rows`), with rho_2 of sites (0, 1) read
+off the sectors. On one Xeon core (OpenBLAS, one thread) the first point at
+an n takes about 0.016 s at n = 11, 0.09 s at n = 13 and 0.23 s at n = 14
+(60 MB peak for the whole process), and each later point under 1 ms. Also
+here: the
 large-field expansion of C and the stepwise T = 0 estimate.
 """
 
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import exp, inf, log, sqrt
+from math import comb, exp, inf, log, sqrt
 
 import numpy as np
 
@@ -264,17 +265,17 @@ def thermal_observables(params: ModelParams):
     moves by |dC| <= 4 delta + 2 sqrt(2 delta) ~ 3e-13. (A cut of e^-40
     would not do: with p+ ~ 1e-26 in the far field, sqrt(delta) ~ 2e-9.)
 
-    When the cut keeps at most two columns, all of them ground columns
-    (:func:`_ground_levels`), the point is the T -> 0 limit: the equal
-    mixture of :func:`ground_state_observables`, with
-    ln Z = shift + G + ln(#ground). Degenerate ground columns differ in g
-    only by beta times the rounding of their energies, which skews their
-    weights as T falls (|dC| ~ 3e-9 at n = 20, T = 1e-13 v) and below
-    T ~ 1e-16 v drops one of them. Every other column is then cut, and so
-    is every lower sector of a kept column: its gap is at least v, against
-    at most 2 gamma v/n to a neighbouring column. As at T = 0, a field
-    within the degeneracy tolerance of _ground_levels of a crossing field
-    counts as that crossing field.
+    When the cut keeps at most two columns, all of them ground columns to
+    rounding (:func:`_ground_levels` with ``ulps``: within 4 ulps of the
+    ground energy), the point is the T -> 0 limit: the equal mixture of
+    the ground levels, with ln Z = shift + G + ln(#ground). Degenerate
+    columns differ in g only by beta times the rounding of their energies,
+    which skews their weights as T falls (|dC| ~ 3e-9 at n = 20,
+    T = 1e-13 v) and below T ~ 1e-16 v drops one of them. Every other
+    column is then cut, and so is every lower sector of a kept column: its
+    gap is at least v, against at most 2 gamma v/n to a neighbouring
+    column. Columns whose computed gap exceeds that rounding are summed as
+    they stand, however small beta times the gap.
     """
     if params.T <= 0:
         raise DomainError("thermal_observables requires T > 0; "
@@ -304,9 +305,9 @@ def thermal_observables(params: ModelParams):
     keep = g >= _cut(G, n)
     M, r = M[keep], np.broadcast_to(ratio, g.shape)[keep]
     if M.size <= 2:
-        ground = _ground_levels(params)
+        ground = _ground_levels(params, ulps=4.0)
         if np.isin(2.0 * M, ground).all():
-            moments, pair = ground_state_observables(params)
+            moments, pair = _top_mixture(n, ground / 2.0)
             return (replace(moments, logZ=shift + (G + log(ground.size))),
                     pair)
     s = np.abs(M)
@@ -323,19 +324,22 @@ def exact_moments(params: ModelParams) -> CollectiveMoments:
 # T = 0 path
 # ----------------------------------------------------------------------------
 
-def _ground_levels(params: ModelParams) -> np.ndarray:
+def _ground_levels(params: ModelParams, ulps: float | None = None):
     """The 2M of the degenerate minimal-energy levels, ascending.
 
     At fixed M the energy falls with S (v > 0), so every minimal level lies in
     the top sector S = n/2, where Y = 1: O(n) work at any n. A crossing field
     lands exactly on two degenerate levels; the T -> 0 limit of the thermal
-    state is the equal mixture over the degenerate set.
+    state is the equal mixture over the degenerate set. Levels within
+    1e-12 max(v, |b|, 1) of the minimum count as degenerate, or, given
+    ``ulps``, within that many units in the last place of its |E|.
     """
     n = params.n
     two_M = np.arange(-n, n + 1, 2)
     E = _level_energy_2(params, n, two_M)
-    scale = max(params.v, abs(params.b), 1.0)
-    return two_M[E <= E.min() + 1e-12 * scale]
+    tol = (1e-12 * max(params.v, abs(params.b), 1.0) if ulps is None
+           else ulps * np.spacing(abs(E.min())))
+    return two_M[E <= E.min() + tol]
 
 
 def ground_state_observables(params: ModelParams):
@@ -345,9 +349,13 @@ def ground_state_observables(params: ModelParams):
     two-level mixture reproduces the fluctuation <S_z^2> - <S_z>^2 = 1/4
     responsible for the C = 1/n dips.
     """
-    n = params.n
-    M = _ground_levels(params) / 2.0
-    ssp1 = np.full_like(M, n / 2.0 * (n / 2.0 + 1.0))      # S = n/2
+    return _top_mixture(params.n, _ground_levels(params) / 2.0)
+
+
+def _top_mixture(n: int, M: np.ndarray):
+    """(CollectiveMoments, PairState) of the equal mixture of the S = n/2
+    levels with the given M."""
+    ssp1 = np.full_like(M, n / 2.0 * (n / 2.0 + 1.0))
     return _observables(n, _sums(n, M, ssp1, ssp1 - M * M - n / 2.0,
                                  np.ones_like(M)))
 
@@ -423,7 +431,7 @@ def concurrence(pair: PairState) -> ConcurrenceResult:
 
 
 # ----------------------------------------------------------------------------
-# Brute-force oracle (S_z blocks of the 2^n Hilbert space)
+# Brute-force oracle (pair-swap sectors of the S_z blocks of the 2^n space)
 # ----------------------------------------------------------------------------
 
 def brute_force_observables(params: ModelParams):
@@ -431,12 +439,11 @@ def brute_force_observables(params: ModelParams):
 
     On the block with k down spins H = -V F + c_k, with the flip-flop sum F
     a function of n alone and c_k the same on every state of the block
-    (see _build_block). So the eigenstates of F (_flip_flop_rows: one eigh
-    per block with k <= n // 2, the others from the spin flip, kept for the
-    last n) are those of H at every (v, gamma, b, T), and one
-    log-sum-exp over their energies b S_z - V [f + (1 - gamma)
-    sum_{i != j} s^z_i s^z_j] weights them. A point past the n cap or at
-    T <= 0 is refused before any eigh.
+    (see _block_rows). So the eigenstates of F (_flip_flop_rows: one eigh
+    per stack of equal-size pair-swap sectors, kept for the last n) are
+    those of H at every (v, gamma, b, T), and one log-sum-exp over their
+    energies b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights
+    them. A point past the n cap or at T <= 0 is refused before any eigh.
 
     rho_2 is indexed by 2 q_0 + q_1 with q = 0 for spin up. Its only
     coherence couples |01> and |10>: every other pair of basis states
@@ -475,33 +482,19 @@ def _flip_flop_rows(n: int) -> np.ndarray:
     the block's sum_{i != j} s^z_i s^z_j, <S^2> = f + S_z^2 + n/2, the four
     rho_2 populations and the rho_2 coherence <01|.|10>; read-only.
 
-    The basis is split by the number k of down spins (bit k of a basis index
-    set means site k is down); ``pos`` maps a basis index to its position in
-    its block. Only the blocks with k <= n // 2 are built and diagonalized,
-    each once and then dropped. The global spin flip maps block k onto block
-    n - k, whose ascending states are block k's complements in descending
-    order: its F is block k's F[::-1, ::-1], S_z changes sign and
-    sum_{i != j} s^z_i s^z_j stays. So block n - k has block k's f, <S^2>
-    and coherence, S_z negated and the populations in reverse order
+    Bit k of a basis index set means site k is down. Only the blocks with
+    k <= n // 2 down spins are built (:func:`_block_rows`, one eigh per
+    stack of equal-size pair-swap sectors). The global spin flip maps block
+    k onto block n - k and each sector onto the same sector (it commutes
+    with the pair swaps), so block n - k has block k's f, <S^2> and
+    coherence, S_z negated and the populations in reverse order
     (q -> 3 - q), with no eigh of its own. The blocks stay in the order
     k = 0..n. The rows depend on n alone, and the last table is kept, so the
-    points of a sweep or a limit scan at one n share one set of block eighs.
+    points of a sweep or a limit scan at one n share one set of eighs.
     """
     idx = np.arange(2 ** n)
-    down = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    pair = 2 * (idx & 1) + ((idx >> 1) & 1)   # rho_2 index of sites (0, 1)
-    pos = np.empty_like(idx)
-    rows = []
-    for k in range(n // 2 + 1):
-        states = np.flatnonzero(down == k)
-        pos[states] = np.arange(states.size)
-        F, sz, zz = _build_block(n, states, pos)
-        f, U = np.linalg.eigh(F)
-        pops = [(U[pair[states] == q] ** 2).sum(axis=0) for q in range(4)]
-        swap = states[pair[states] == 1]      # site 0 up, site 1 down
-        coh = np.einsum("ia,ia->a", U[pos[swap]], U[pos[swap ^ 3]])
-        rows.append(np.stack([f, np.full_like(f, sz), np.full_like(f, zz),
-                              f + sz * sz + n / 2.0, *pops, coh]))
+    ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    rows = [_block_rows(n, k, ones) for k in range(n // 2 + 1)]
     for k in range(n // 2 + 1, n + 1):
         # f, S_z, zz, <S^2>; populations q -> 3 - q; coherence
         flipped = rows[n - k][[0, 1, 2, 3, 7, 6, 5, 4, 8]]
@@ -519,38 +512,90 @@ def _site_sums(bits: np.ndarray, i: np.ndarray, j: np.ndarray):
     return szdiag.sum(axis=1), (szdiag[:, i] * szdiag[:, j]).sum(axis=1)
 
 
-def _build_block(n: int, states: np.ndarray, pos: np.ndarray):
-    """The flip-flop sum F on the S_z block spanned by ``states``, with the
-    block's S_z and sum_{i != j} s^z_i s^z_j.
+def _pair_bits(s: np.ndarray, even: int):
+    """Masks of the site pairs (2p, 2p + 1) of states s, as bit 2p: d, the
+    pairs whose bits differ, and g, those of them turned away from the
+    canonical orientation (site 2p up, site 2p + 1 down)."""
+    lo = s & even
+    d = lo ^ ((s >> 1) & even)
+    return d, d & lo
 
-    All three come from the explicit double sum over site pairs i != j, i.e.
-    straight from the pairwise form of the Hamiltonian, independent of the
-    collective-spectrum route the oracle is meant to check:
-    F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j), which flips both spins of
-    a pair whose bits differ, and H = b S_z - V [F + (1 - gamma)
-    sum_{i != j} s^z_i s^z_j]. The pair sum generates the E0 = v(3-gamma)/4
-    constant of the collective form by itself (sum_i s_i^2 terms), so there
-    is no explicit shift. The diagonal part of H is evaluated state by
-    state; its sums of +-1/2 and +-1/4 are exact, so it is the same on every
-    state of the block, and XxzentError is raised where it is not, since
-    taking it out of the eigh would then be wrong.
+
+def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
+    """The rows of :func:`_flip_flop_rows` on the block with k down spins;
+    ``ones[s]`` is the number of set bits of s.
+
+    All of it comes from the explicit pair sum H = b S_z - V [F +
+    (1 - gamma) sum_{i != j} s^z_i s^z_j], F flipping both spins of a pair
+    whose bits differ; the pair sum generates E0 = v(3-gamma)/4 by itself.
+    The diagonal part is evaluated state by state; its sums of +-1/2 and
+    +-1/4 are exact, so XxzentError is raised where it is not constant.
+
+    F commutes with the swaps of the site pairs (0, 1), (2, 3), ..., whose
+    parities split the block into sectors sigma (the odd pairs). A state s
+    with representative r (each pair with differing bits d(r) turned
+    canonical) and flipped pairs g(s) labels the basis vector
+    2^(-|d(r)|/2) sum_{h in d(r)} (-1)^|h & sigma| swap_h(r) of sector
+    sigma = g(s). Each flip r -> t adds 1/2 2^((|d(r)| - |d(t)|)/2)
+    (-1)^|g(t) & sigma| at (r(t), sigma) if sigma lies in d(t). Sectors of
+    equal |sigma| are equal in size and share one eigh; one that is not
+    symmetric to rounding (F not commuting with the swaps) raises
+    XxzentError. Pair 0 is sites (0, 1): where it is odd it is the singlet,
+    rho_2 = (0, 1/2, 1/2, 0) with coherence -1/2; else an eigenvector's
+    weights on r with pair 0 up-up, down-down and mixed give p+, p- and T0,
+    with T0/2 to q = 1, 2 and to the coherence.
     """
-    bits = (states[:, None] >> np.arange(n)) & 1
+    pairs, even = n // 2, (4 ** (n // 2) - 1) // 3
+    states = np.flatnonzero(ones == k)
+    d, g = _pair_bits(states, even)
+    order = np.lexsort((g, ones[g]))          # by |sigma|, then sigma
+    states, d, g = states[order], d[order], g[order]
+    rep = states ^ 3 * g
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    sz, zz = _site_sums(bits, i, j)
+    sz, zz = _site_sums((states[:, None] >> np.arange(n)) & 1, i, j)
     if np.ptp(sz) != 0.0 or np.ptp(zz) != 0.0:
         raise XxzentError(f"diagonal not constant on the S_z block of "
                           f"{states.size} states")
-    # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2
-    src, ij = np.nonzero(bits[:, i] != bits[:, j])
-    dst = pos[states[src] ^ (1 << i[ij]) ^ (1 << j[ij])]
-    F = np.zeros((states.size, states.size))
-    np.add.at(F, (dst, src), 0.5)
-    return F, float(sz[0]), float(zz[0])
+    sz, zz = float(sz[0]), float(zz[0])
+    # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2, from each rep
+    rbits = (rep[:, None] >> np.arange(n)) & 1
+    src, ij = np.nonzero(rbits[:, i] != rbits[:, j])
+    t = rep[src] ^ (1 << i[ij]) ^ (1 << j[ij])
+    sigma = g[src]
+    dt, gt = _pair_bits(t, even)
+    live = (dt & sigma) == sigma
+    src, t, sigma, dt, gt = (a[live] for a in (src, t, sigma, dt, gt))
+    val = (0.5 * np.sqrt(2.0 ** (ones[d[src]] - ones[dt]))
+           * (1 - 2 * (ones[gt & sigma] & 1)))
+    rank = np.empty(2 ** n, dtype=np.intp)
+    rank[states] = np.arange(states.size)
+    dst = rank[t ^ 3 * (gt ^ sigma)]          # basis vector (r(t), sigma)
+    odd, out = ones[g], []
+    for js in np.unique(odd):
+        lo, hi = np.searchsorted(odd, [js, js + 1])
+        count = comb(pairs, int(js))
+        m = (hi - lo) // count
+        a, b = np.searchsorted(src, [lo, hi])
+        F = np.bincount((dst[a:b] - lo) * m + (src[a:b] - lo) % m,
+                        weights=val[a:b], minlength=count * m * m)
+        F = F.reshape(count, m, m)
+        if np.abs(F - F.transpose(0, 2, 1)).max() > 1e-12 * n:
+            raise XxzentError(f"flip-flop sum not symmetric on a pair-swap "
+                              f"sector of {m} states")
+        f, U = np.linalg.eigh(F)
+        w, pair0 = U * U, (rep[lo:hi] & 3).reshape(count, m, 1)
+        up, mixed, down = ((w * (pair0 == q)).sum(axis=1).ravel()
+                           for q in (0, 2, 3))
+        sign = 1 - 2 * np.repeat(g[lo:hi:m] & 1, m)   # -1: pair 0 odd
+        f = f.ravel()
+        out.append(np.stack([f, np.full_like(f, sz), np.full_like(f, zz),
+                             f + sz * sz + n / 2.0, up, 0.5 * mixed,
+                             0.5 * mixed, down, 0.5 * sign * mixed]))
+    return np.concatenate(out, axis=1)
 
 
 def brute_force_pair_density(params: ModelParams) -> np.ndarray:
-    """Exact rho_2 of sites (0, 1), assembled from the S_z blocks."""
+    """Exact rho_2 of sites (0, 1), read off the pair-swap sectors."""
     return brute_force_observables(params)[1]
 
 

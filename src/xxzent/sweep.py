@@ -15,8 +15,9 @@ into runs of at most RUN_POINTS consecutive points at one (n, v, gamma),
 the same runs for every worker count. The cspa and spa tiers evaluate a
 run at gamma = 1 in one array pass; every other tier evaluates one point
 at a time. The per-n tables of the exact and bruteforce tiers, ln Y(S) and
-the S_z-block eigen-rows, are kept for the last n, so the points at one n
-share them across runs, limit-scan edge refinements included.
+the eigen-rows of the pair-swap sectors of the S_z blocks, are kept for the
+last n, so the points at one n share them across runs, limit-scan edge
+refinements included.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism
@@ -166,8 +167,8 @@ class CurvePoint:
 
 
 def _bruteforce(params):
-    # C from the partial trace of the S_z-block thermal state, the route that
-    # is independent of the collective spectrum
+    # C from the partial trace of the pairwise Hamiltonian's thermal state,
+    # the route that is independent of the collective spectrum
     moments, rho2 = exact.brute_force_observables(params)
     return moments, exact.wootters_margin(rho2), None
 

@@ -1,4 +1,5 @@
-from math import ceil, exp, fsum, log, sqrt
+import tracemalloc
+from math import ceil, comb, exp, fsum, log, sqrt
 
 import numpy as np
 import pytest
@@ -515,27 +516,85 @@ def test_brute_force_matches_a_kron_reference():
             np.testing.assert_allclose(bf_rho2, rho2, rtol=0, atol=1e-12)
 
 
+def _block_reference(p):
+    """ln Z, (<S_z>, <S_z^2>, <S^2>) and rho_2 of sites (0, 1) from one dense
+    eigh of the flip-flop sum F per whole S_z block, F built from its
+    flips (bit k set: site k down); H = b S_z - V [F + (1 - gamma) zz]."""
+    n = p.n
+    idx = np.arange(2 ** n)
+    bits = (idx[:, None] >> np.arange(n)) & 1
+    q, pos = 2 * bits[:, 0] + bits[:, 1], np.empty_like(idx)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    E, rows = [], []
+    for k in range(n + 1):
+        states = np.flatnonzero(bits.sum(axis=1) == k)
+        pos[states] = np.arange(states.size)
+        src, ij = np.nonzero(bits[states][:, i] != bits[states][:, j])
+        F = np.zeros((states.size, states.size))
+        np.add.at(F, (pos[states[src] ^ (1 << i[ij]) ^ (1 << j[ij])], src), 0.5)
+        f, U = np.linalg.eigh(F)
+        sz = n / 2.0 - k
+        E.append(p.b * sz - p.V * (f + (1.0 - p.gamma) * (sz * sz - n / 4.0)))
+        swap = states[q[states] == 1]
+        rows.append([np.full_like(f, sz), np.full_like(f, sz * sz),
+                     f + sz * sz + n / 2.0,
+                     *((U[q[states] == c] ** 2).sum(axis=0) for c in range(4)),
+                     np.einsum("ia,ia->a", U[pos[swap]], U[pos[swap ^ 3]])])
+    lw = -np.concatenate(E) / p.T
+    w = np.exp(lw - lw.max())
+    sz, sz2, s2, *pops, coh = np.concatenate(rows, axis=1) @ (w / w.sum())
+    rho2 = np.diag(pops)
+    rho2[1, 2] = rho2[2, 1] = coh
+    return lw.max() + log(w.sum()), [sz, sz2, s2], rho2
+
+
+def test_brute_force_matches_a_block_reference():
+    # the pair-swap sectors against one dense eigh per whole S_z block: the
+    # sectors drop no state and mix no two, at both parities of n
+    rng = np.random.default_rng(19)
+    for n in range(2, 12):
+        for _ in range(2):
+            p = ModelParams(n=n, v=1.0, gamma=float(rng.uniform(-1.0, 1.0)),
+                            b=float(rng.uniform(-1.5, 1.5)),
+                            T=float(rng.uniform(0.05, 2.0)))
+            logZ, moments, rho2 = _block_reference(p)
+            bf, bf_rho2 = brute_force_observables(p)
+            np.testing.assert_allclose([bf.logZ, bf.sz, bf.sz2, bf.s2],
+                                       [logZ, *moments], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bf_rho2, rho2, rtol=0, atol=1e-12)
+
+
 def test_spin_flip_maps_block_k_onto_block_n_minus_k():
-    # the oracle diagonalizes only the blocks with k <= n // 2 and takes
-    # block n - k from block k: its F is block k's reversed, bit for bit, with
-    # S_z negated and sum_{i != j} s^z_i s^z_j the same
+    # the oracle builds only the blocks with k <= n // 2 and takes block
+    # n - k from block k; a direct sector build of block n - k must give the
+    # same eigenvalues, column for column, S_z and sum_{i != j} s^z_i s^z_j,
+    # and the same rows summed over each eigenspace (F's eigenvalues are
+    # multiples of 1/4), whatever basis eigh picks inside one
     for n in range(2, 10):
-        idx = np.arange(2 ** n)
-        down = np.array([bin(i).count("1") for i in idx])
-        blocks = [np.flatnonzero(down == k) for k in range(n + 1)]
-        pos = np.empty_like(idx)
-        for states in blocks:
-            pos[states] = np.arange(states.size)
-        for k in range(n // 2 + 1):
-            F, sz, zz = exact._build_block(n, blocks[k], pos)
-            F_flip, sz_flip, zz_flip = exact._build_block(n, blocks[n - k],
-                                                          pos)
-            assert np.array_equal(F_flip, F[::-1, ::-1]), (n, k)
-            assert sz_flip == -sz and zz_flip == zz, (n, k)
+        ones = np.array([bin(s).count("1") for s in range(2 ** n)])
+        table = exact._flip_flop_rows(n)
+        ends = np.cumsum([comb(n, k) for k in range(n + 1)])
+        for k in range(n // 2 + 1, n + 1):
+            derived = table[:, ends[k] - comb(n, k):ends[k]]
+            direct = exact._block_rows(n, k, ones)
+            assert derived.shape == direct.shape, (n, k)
+            np.testing.assert_allclose(derived[0], direct[0], atol=1e-12)
+            assert np.array_equal(derived[1:3], direct[1:3]), (n, k)
+            assert set(direct[1]) == {n / 2.0 - k}, (n, k)
+            for rows in (derived, direct):
+                groups = np.rint(4.0 * rows[0])
+                assert np.abs(4.0 * rows[0] - groups).max() < 1e-12
+            keys, where = np.unique(np.rint(4.0 * direct[0]),
+                                    return_inverse=True)
+            for g in range(keys.size):
+                np.testing.assert_allclose(
+                    derived[3:, np.rint(4.0 * derived[0]) == keys[g]].sum(1),
+                    direct[3:, where == g].sum(1), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, gamma, b, T", [(12, 1.0, 0.5, 0.1),
-                                            (13, 0.6, -0.3, 0.15)])
+                                            (13, 0.6, -0.3, 0.15),
+                                            (14, 1.0, 0.5, 0.1)])
 def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
     # criterion 1's tolerances past its n = 2..10 range, at entangled points
     p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
@@ -547,6 +606,33 @@ def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
     c_exact = concurrence(pair).concurrence
     assert c_exact > 1e-3
     assert abs(c_exact - wootters_concurrence(rho2)) < 1e-10
+
+
+def test_brute_force_table_at_n14_stays_small():
+    # the largest sector stack at n = 14 is 393 x 393, against the
+    # 3432 x 3432 middle S_z block: tracemalloc sees a peak of about 26 MB
+    tracemalloc.start()
+    try:
+        exact._flip_flop_rows(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("db, T", [(0.0, 1e-4), (1e-4, 1e-4), (-3e-3, 1e-3)])
+def test_brute_force_matches_exact_near_a_crossing_at_n14(db, T):
+    # at and next to the crossing field b_M, M = -3 (b = 1/2), where exact
+    # keeps two columns: the equal mixture at the field, the thermal two
+    # levels beside it; criterion 1's tolerances
+    p = ModelParams(n=14, v=1.0, gamma=1.0, b=0.5 + db, T=T)
+    ex, pair = thermal_observables(p)
+    bf, rho2 = brute_force_observables(p)
+    for a, b_ in ((ex.logZ, bf.logZ), (ex.sz, bf.sz), (ex.sz2, bf.sz2),
+                  (ex.s2, bf.s2)):
+        assert abs(a - b_) <= 1e-10 * max(abs(a), abs(b_)) + 1e-12
+    assert abs(concurrence(pair).concurrence
+               - wootters_concurrence(rho2)) < 1e-10
 
 
 @pytest.mark.parametrize("T", [0.02, 0.05])

@@ -1,5 +1,5 @@
 import json
-from math import inf, log
+from math import exp, inf, log
 
 import numpy as np
 import pytest
@@ -291,6 +291,22 @@ def test_exact_tiny_T_at_a_crossing_field_is_the_equal_mixture(n, b):
         assert m.logZ == pytest.approx(-E / T + log(2.0), rel=1e-15)
 
 
+def test_exact_tiny_T_next_to_a_crossing_field_is_thermal():
+    # past the crossing at b = 0.35 (n = 20) by 1e-12 v at T = 1e-12 v, and
+    # by 1e-11 v at 1e-11 v, beta Delta = 1: both points are the thermal
+    # two-level state, M = -4 and -3 weighted 1 : e^-1, and read it to the
+    # rounding of the field offset (1.5e-6); a route with the T = 0
+    # tolerance 1e-12 max(v, |b|, 1) gave the first point the crossing's
+    # equal mixture, <S_z> = -3.5 and Var(S_z) = 0.25. So does 5e-13 v at
+    # 1e-12 v (beta Delta = 1/2)
+    for db, T in ((1e-12, 1e-12), (1e-11, 1e-11), (5e-13, 1e-12)):
+        m = evaluate_point("exact", ModelParams(n=20, v=1.0, gamma=1.0,
+                                                b=0.35 + db, T=T)).moments
+        p = 1.0 / (1.0 + exp(db / T))
+        assert m.sz == pytest.approx(-4.0 + p, abs=1e-5)
+        assert m.sz2 - m.sz ** 2 == pytest.approx(p * (1.0 - p), abs=1e-5)
+
+
 @pytest.mark.parametrize("T", [1e-305, 1e-308])
 def test_exact_T_past_the_float_range_is_refused(T):
     # at n = 8810 beta |E| overflows below T ~ 1e-305: the window's peak is
@@ -333,10 +349,17 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-# the S_z blocks of n = 6 spins with k <= 3 down spins; the spin flip gives
-# the blocks with k > 3 without an eigh. Wootters' sqrt(rho_2) adds one
-# 4 x 4 eigh per ok point, a size no n = 6 block has
-BLOCKS_6 = [(1, 1), (6, 6), (15, 15), (20, 20)]
+# the stacked pair-swap sectors (count, size, size) of n = 6 spins, one
+# stack per number of odd pairs in each S_z block with k <= 3 down spins
+# (k = 0; 1; 2; 3); the spin flip gives the blocks with k > 3 without an
+# eigh. Wootters' sqrt(rho_2) adds one 4 x 4 eigh per ok point, the only
+# 2-D argument; no sector is larger than 7, the even sector of k = 3
+STACKS_6 = sorted([(1, 1, 1),
+                   (1, 3, 3), (3, 1, 1),
+                   (1, 6, 6), (3, 2, 2), (3, 1, 1),
+                   (1, 7, 7), (3, 3, 3), (3, 1, 1), (1, 1, 1)])
+STACKS_5 = sorted([(1, 1, 1), (1, 3, 3), (2, 1, 1), (1, 5, 5), (2, 2, 2),
+                   (1, 1, 1)])
 
 
 def test_non_finite_values_are_an_error(monkeypatch):
@@ -363,13 +386,14 @@ def test_non_finite_values_are_an_error(monkeypatch):
 
 
 def test_bruteforce_point_diagonalizes_once(monkeypatch):
-    # one eigh per S_z block with k <= n // 2, never the full 2^n matrix; the
+    # one eigh per sector stack of the S_z blocks with k <= n // 2, never a
+    # whole block (the largest has 20 states) or the full 2^n matrix; the
     # moments and the partial-trace rho_2 share those eigh calls
     calls = _count_eigh(monkeypatch)
     pt = evaluate_point("bruteforce", ModelParams(n=6, v=1.0, b=0.3, T=0.2))
     assert pt.status == "ok"
-    assert sorted(calls) == sorted(BLOCKS_6 + [(4, 4)])
-    assert (64, 64) not in calls
+    assert sorted(calls) == sorted(STACKS_6 + [(4, 4)])
+    assert max(c[-1] for c in calls) == 7
 
 
 def test_bruteforce_run_diagonalizes_once(monkeypatch):
@@ -379,8 +403,11 @@ def test_bruteforce_run_diagonalizes_once(monkeypatch):
               for b in (0.0, 0.3, 1.1) for T in (0.05, 0.4)]
     assert [pt.status for pt in evaluate_run("bruteforce", points)] == \
         ["ok"] * 6
-    assert sorted(c for c in calls if c != (4, 4)) == BLOCKS_6
+    assert sorted(c for c in calls if c != (4, 4)) == STACKS_6
     assert calls.count((4, 4)) == 6
+    calls.clear()
+    pt = evaluate_point("bruteforce", ModelParams(n=6, v=2.0, b=0.7, T=0.3))
+    assert pt.status == "ok" and calls == [(4, 4)]
 
 
 def test_bruteforce_sweep_diagonalizes_once(monkeypatch):
@@ -390,13 +417,13 @@ def test_bruteforce_sweep_diagonalizes_once(monkeypatch):
     spec = SweepSpec("bruteforce", ModelParams(n=6, v=1.0, gamma=0.5, T=0.2),
                      (GridAxis("b", 0.0, 1.5, 20),))
     assert all(pt.status == "ok" for pt in run_sweep(spec))
-    assert sorted(c for c in calls if c != (4, 4)) == BLOCKS_6
+    assert sorted(c for c in calls if c != (4, 4)) == STACKS_6
     assert exact._flip_flop_rows.cache_info().misses == 1
     calls.clear()
     evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
     evaluate_point("bruteforce", ModelParams(n=6, v=1.0, T=0.2))
     assert sorted(c for c in calls if c != (4, 4)) == sorted(
-        [(1, 1), (5, 5), (10, 10)] + BLOCKS_6)
+        STACKS_5 + STACKS_6)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
@@ -420,7 +447,7 @@ def test_bruteforce_t0_point_refused_alone(monkeypatch):
     assert [pt.status for pt in run] == ["ok", "error", "ok"]
     assert run[1].message == "brute force oracle requires T > 0"
     assert [run[0].row(), run[2].row()] == alone
-    assert sorted(c for c in calls if c != (4, 4)) == BLOCKS_6
+    assert sorted(c for c in calls if c != (4, 4)) == STACKS_6
 
 
 def test_bruteforce_non_constant_block_diagonal_raises(monkeypatch):
@@ -439,6 +466,26 @@ def test_bruteforce_non_constant_block_diagonal_raises(monkeypatch):
     pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
     assert (pt.status, pt.message) == (
         "error", "diagonal not constant on the S_z block of 5 states")
+
+
+def test_bruteforce_asymmetric_sector_matrix_raises(monkeypatch):
+    # a projected F is symmetric only if F commutes with the pair swaps;
+    # eigh reads one triangle, so a sector matrix that is not must raise
+    bincount = np.bincount
+
+    def skewed(x, weights=None, minlength=0):
+        out = bincount(x, weights=weights, minlength=minlength)
+        if out.size > 1:       # F[0, 0, 1] of the first stack with m > 1
+            out[1] += 0.5
+        return out
+
+    monkeypatch.setattr(np, "bincount", skewed)
+    with pytest.raises(XxzentError, match="not symmetric"):
+        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    assert (pt.status, pt.message) == (
+        "error", "flip-flop sum not symmetric on a pair-swap sector of 3 "
+        "states")
 
 
 def _lnY_builds():
