@@ -8,17 +8,19 @@ A level's log-weight ln Y(S) - beta E_SM is c_S + f(M): a sector term plus
 a quadratic in M, coupled only through |M| <= S. So Z and the other six
 sums are sums over the columns M of e^f(M) times suffix sums over the
 sectors S >= |M|, taken once per point with np.logaddexp.accumulate
-(see :func:`thermal_observables`). Every sector's largest level has a
-closed form; sectors whose maximum lies more than 60 + 2 ln(n+1) below
-the global peak, and columns that far below the largest column, are
-skipped. The skipped mass is at most e^-60 Z, which moves the concurrence
-by less than 3e-13. The work is one lgamma map of length n + 1 for ln Y(S),
-kept for the last n (:func:`log_multiplicities`), then per point a few
-numpy passes over the n/2 + 1 sectors and the n + 1 columns, with no
-Python loop over sectors or columns and no pass over the ~n^2/4 levels.
-At n = 10^6 (T = 0.1 v, one Xeon core) the first point at an n takes about
-0.35 s, most of it the lgamma map, and each later point about 0.05 s, most
-of it the closed-form sector maxima.
+(see :func:`thermal_observables`). The levels of sector S are the columns
+|M| <= S, so every sector's largest level is c_S plus a prefix maximum of
+f over |M|: one pass for all sectors, with f computed once per point.
+Sectors whose maximum lies more than 60 + 2 ln(n+1) below the global peak,
+and columns that far below the largest column, are skipped. The skipped
+mass is at most e^-60 Z, which moves the concurrence by less than 3e-13.
+The work is one lgamma map of length n + 1 for ln Y(S), kept for the last
+n (:func:`log_multiplicities`), then per point a few numpy passes over the
+n/2 + 1 sectors and the n + 1 columns, with no Python loop over sectors or
+columns and no pass over the ~n^2/4 levels. At n = 10^6 (T = 0.1 v, one
+Xeon core) the first point at an n takes about 0.3 s, most of it the
+lgamma map, and each later point about 0.025 s, most of it c_S, f and
+their prefix maximum over all n/2 + 1 sectors.
 
 The symmetric two-qubit reduced state is
 
@@ -194,36 +196,35 @@ def _cut(top: float, n: int) -> float:
 
 
 def _live_sectors(params: ModelParams):
-    """Closed-form sector maxima of the T > 0 sum: (peak, c, live).
+    """Sector constants, column log-weights and live sectors of the T > 0
+    sum: (c, f, live).
 
     A level's log-weight ln Y(S) - beta E_SM is c_S + f(M), with
     c_S = ln Y(S) + beta (V S(S+1) - E0) (``c``, one entry per 2S of
-    two_s_range(n)) and f(M) = -beta (b M + V gamma M^2). So each sector's
-    maximum over M = -S..S has a closed form (the lattice points around the
-    vertex of f for gamma > 0, the ends otherwise), evaluated for all S at
-    once. ``peak`` is the largest level log-weight and ``live`` the indices
-    of the sectors whose maximum is at least _cut(peak, n). A peak that is
-    not finite (beta |E| past the float range: at n = 8810 from
-    T ~ 1e-305) is a DomainError, raised before any sum.
+    two_s_range(n)) and f(M) = -beta (b M + V gamma M^2) (``f``, rows
+    M = -s and M = +s over the same grid of s = |M|; for even n the second
+    M = 0 is -inf, so each column appears once). The levels of sector S are
+    the columns with |M| <= S, so its largest log-weight is c_S plus the
+    prefix maximum of f over s, at every gamma. ``live`` holds the indices
+    of the sectors whose maximum is at least _cut(peak, n), peak being the
+    largest of them. A peak that is not finite (beta |E| past the float
+    range: at n = 8810 from T ~ 1e-305) is a DomainError, raised before any
+    sum.
     """
     n, beta = params.n, params.beta
-    a, b = params.V * params.gamma, params.b
-    two_S = np.arange(n % 2, n + 1, 2)            # two_s_range(n)
-    S = two_S / 2.0
-    cands = [-two_S, two_S]
-    if a > 0:
-        vertex = np.clip(-b / a, -two_S, two_S)        # 2 M* = -b / (V gamma)
-        below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
-        cands += [below, np.minimum(below + 2.0, two_S)]
+    s = np.arange(n // 2 + 1) + (n % 2) / 2.0     # S of two_s_range(n)
+    M = np.stack([-s, s])
     with np.errstate(over="ignore", invalid="ignore"):
-        c = log_multiplicities(n) + beta * (params.V * S * (S + 1.0) - params.E0)
-        sector_max = c + np.max([-beta * (b * (m / 2.0) + a * (m / 2.0) ** 2)
-                                 for m in cands], axis=0)
+        c = log_multiplicities(n) + beta * (params.V * s * (s + 1.0) - params.E0)
+        f = -beta * (params.b * M + params.V * params.gamma * M * M)
+        if n % 2 == 0:
+            f[1, 0] = -inf                       # M = 0 is one column
+        sector_max = c + np.maximum.accumulate(f.max(axis=0))
     peak = float(sector_max.max())
     if not np.isfinite(peak):
         raise DomainError(f"beta |E| overflows at T = {params.T:.6g}; "
                           "T = 0 is the ground-state path")
-    return peak, c, np.flatnonzero(sector_max >= _cut(peak, n))
+    return c, f, np.flatnonzero(sector_max >= _cut(peak, n))
 
 
 def thermal_observables(params: ModelParams):
@@ -246,12 +247,13 @@ def thermal_observables(params: ModelParams):
     The columns M = +-s fold onto the sector grid, so per point the work is
     a few numpy passes over at most n/2 + 1 sectors and n + 1 columns, not
     over levels. A column's log-weight, less the hull's shift, is
-    g(M) = ln H(s) + f(M). Only the columns within _cut(G, n) of the
-    largest one, G, are exponentiated, with G as their shift, so the summed
-    Z is at least 1 and finite. The shift is added back last, as
-    ln Z = shift + (G + ln Z_summed): the b-dependent part is rounded at its
-    own size, so ln Z stays smooth in b to rounding, and the column weights
-    carry no rounding of the large c_S (~10^5 at n ~ 10^3, T ~ 1e-3 v).
+    g(M) = ln H(s) + f(M), with the f of :func:`_live_sectors`. Only the
+    columns within _cut(G, n) of the largest one, G, are exponentiated,
+    with G as their shift, so the summed Z is at least 1 and finite. The
+    shift is added back last, as ln Z = shift + (G + ln Z_summed): the
+    b-dependent part is rounded at its own size, so ln Z stays smooth in b
+    to rounding, and the column weights carry no rounding of the large c_S
+    (~10^5 at n ~ 10^3, T ~ 1e-3 v).
 
     Certificate: each level of a sector outside the hull weighs less than
     e^_cut(peak, n) = e^peak e^-CUT_NATS / (n+1)^2, and each skipped column
@@ -280,8 +282,8 @@ def thermal_observables(params: ModelParams):
     if params.T <= 0:
         raise DomainError("thermal_observables requires T > 0; "
                           "use the ground-state path at T = 0")
-    n, beta = params.n, params.beta
-    peak, c, live = _live_sectors(params)
+    n = params.n
+    c, f, live = _live_sectors(params)
     first, last = live[0], live[-1]
     s = np.arange(last + 1) + (n % 2) / 2.0      # S of sectors 0..last
     hull = c[first:last + 1]
@@ -297,10 +299,7 @@ def thermal_observables(params: ModelParams):
     ratio[:first] = ratio[first] + ssp1[first] - ssp1[:first]
     lnH = np.concatenate([np.full(first, lnH[0]), lnH])
     M = np.stack([-s, s])
-    with np.errstate(over="ignore"):
-        g = lnH - beta * (params.b * M + params.V * params.gamma * M * M)
-    if n % 2 == 0:
-        g[1, 0] = -inf                           # M = 0 is one column
+    g = lnH + f[:, :last + 1]
     G = float(g.max())
     keep = g >= _cut(G, n)
     M, r = M[keep], np.broadcast_to(ratio, g.shape)[keep]
@@ -451,9 +450,9 @@ def brute_force_observables(params: ModelParams):
     """
     if params.n > BRUTE_FORCE_MAX_N:
         raise DomainError(
-            f"brute force capped at n = {BRUTE_FORCE_MAX_N}: its largest S_z "
-            f"block, C({params.n}, {params.n // 2}), exceeds the desk-scale "
-            "ceiling")
+            f"brute force capped at n = {BRUTE_FORCE_MAX_N}: it tabulates all "
+            f"2^n = {2 ** params.n} basis states, and at n = 14 the "
+            "16384-state table takes about 0.2 s and 27 MB to build")
     if params.T <= 0:
         raise DomainError("brute force oracle requires T > 0")
     rows = _flip_flop_rows(params.n)

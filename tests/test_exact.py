@@ -1,5 +1,5 @@
 import tracemalloc
-from math import ceil, comb, exp, fsum, log, sqrt
+from math import comb, exp, fsum, log, sqrt
 
 import numpy as np
 import pytest
@@ -196,7 +196,7 @@ def test_column_sums_match_per_column_fsum(monkeypatch):
         calls.clear()
         thermal_observables(p)
         (_, M, ssp1, excess, w), = calls
-        _, c, live = exact._live_sectors(p)
+        c, _, live = exact._live_sectors(p)
         S = np.arange(c.size) + (n % 2) / 2
         hull = np.arange(live[0], live[-1] + 1)
         top = c[hull].max()
@@ -238,27 +238,46 @@ def test_windowed_sum_work_is_a_few_sectors(monkeypatch):
         assert max(work) <= n // 2 + 1
 
 
-# Reference for the live sectors: the per-sector scalar rule, one sector at
-# a time.
+# References for the live sectors. The first takes each sector's largest
+# level over every M = -S..S, one sector at a time, with the tier's own
+# column expression f(M) = -beta (b M + V gamma M^2); the second is the
+# closed-form rule: f at the ends of each sector and, for gamma > 0, at the
+# lattice points around the vertex of f.
+
+def _live_set(n, sector_max):
+    peak = max(sector_max)
+    cut = peak - exact.CUT_NATS - 2.0 * log(n + 1.0)
+    return peak, [k for k, x in enumerate(sector_max) if x >= cut]
+
 
 def _scalar_live_sectors(p):
     n, beta = p.n, p.beta
-    a, b = p.V * p.gamma, p.b
     c, sector_max = [], []
     for two_S in two_s_range(n):
         S = two_S / 2.0
         cs = log_multiplicity(n, two_S) + beta * (p.V * S * (S + 1.0) - p.E0)
-        cands = [-two_S, two_S]
-        if a > 0:
-            vertex = min(max(-b / a, -two_S), two_S)
-            below = two_S - 2.0 * ceil((two_S - vertex) / 2.0)
-            cands += [below, min(below + 2.0, two_S)]
+        M = np.arange(-two_S, two_S + 1, 2) / 2.0
         c.append(cs)
-        sector_max.append(cs + max(-beta * (b * (m / 2.0) + a * (m / 2.0) ** 2)
-                                   for m in cands))
-    peak = max(sector_max)
-    cut = peak - exact.CUT_NATS - 2.0 * log(n + 1.0)
-    return peak, c, [k for k, x in enumerate(sector_max) if x >= cut]
+        sector_max.append(float(np.max(
+            cs - beta * (p.b * M + p.V * p.gamma * M * M))))
+    peak, live = _live_set(n, sector_max)
+    return peak, c, live
+
+
+def _closed_form_live_sectors(p):
+    n, beta = p.n, p.beta
+    a, b = p.V * p.gamma, p.b
+    two_S = np.arange(n % 2, n + 1, 2)
+    S = two_S / 2.0
+    cands = [-two_S, two_S]
+    if a > 0:
+        vertex = np.clip(-b / a, -two_S, two_S)        # 2 M* = -b / (V gamma)
+        below = two_S - 2.0 * np.ceil((two_S - vertex) / 2.0)
+        cands += [below, np.minimum(below + 2.0, two_S)]
+    c = log_multiplicities(n) + beta * (p.V * S * (S + 1.0) - p.E0)
+    f = [-beta * (b * M + p.V * p.gamma * M * M) for M in np.divide(cands, 2.0)]
+    _, live = _live_set(n, (c + np.max(f, axis=0)).tolist())
+    return c, live
 
 
 def _window_cases():
@@ -277,16 +296,33 @@ def _window_cases():
 
 
 def test_vectorized_window_matches_scalar_rule():
-    # the closed-form sector maxima for all sectors at once: the same peak,
-    # sector constants c_S and live sectors as the rule applied sector by
-    # sector; RuntimeWarnings are errors under the test settings
+    # the sector maxima as one prefix max over the columns, for all sectors
+    # at once: the same peak, sector constants c_S and live sectors as the
+    # per-sector maximum over every level, and the same c_S and live sectors
+    # as the closed-form rule; RuntimeWarnings are errors under the test
+    # settings
     for n, gamma, b, T in _window_cases():
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        peak, c, live = exact._live_sectors(p)
+        c, f, live = exact._live_sectors(p)
+        peak = max(c[k] + f[:, :k + 1].max() for k in range(c.size))
         ref_peak, ref_c, ref_live = _scalar_live_sectors(p)
         assert peak == ref_peak, p
         assert c.tolist() == ref_c, p
         assert live.tolist() == ref_live, p
+        cf_c, cf_live = _closed_form_live_sectors(p)
+        assert c.tolist() == cf_c.tolist(), p
+        assert live.tolist() == cf_live, p
+
+
+def test_live_sectors_match_closed_form_rule_up_to_n8810():
+    # 700 points: n x 4 gamma in [-1, 1] x 5 b x 7 T in [1e-3, 2]
+    for n in (7, 20, 101, 1000, 8810):
+        for gamma in (-1.0, 0.0, 0.5, 1.0):
+            for b in (0.0, 0.3, 0.9, -1.15, 3.0):
+                for T in (1e-3, 0.01, 0.05, 0.1, 0.4, 1.0, 2.0):
+                    p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
+                    live = exact._live_sectors(p)[2]
+                    assert live.tolist() == _closed_form_live_sectors(p)[1], p
 
 
 def test_exact_tier_reaches_n_1e5():
@@ -439,7 +475,9 @@ def test_gamma_nonpositive_no_entanglement_at_t0():
 # --------------------------------------------------------------- brute force
 
 def test_brute_force_caps_n():
-    with pytest.raises(DomainError):
+    # the cap bounds the 2^n-state table, not an S_z block
+    with pytest.raises(DomainError, match=r"capped at n = 14: it tabulates "
+                       r"all 2\^n = 32768 basis states"):
         brute_force_observables(ModelParams(n=15, v=1.0, T=0.5))
 
 
