@@ -37,24 +37,32 @@ pass raises for the whole batch; the sweep layer re-evaluates such a batch
 point by point.
 
 Everything is evaluated in log space around one radial peak scan, the
-maximum (r_peak, l_peak) of ln[r e^L(r, z)] over an r grid, vectorized over
-z. Each radial integral is shifted by its l_peak, with panels placed across
-r_peak so the quadrature cannot miss a sharp large-n saddle. A batch of
-radial integrals is one quad_gk call, one row each: every row starts on the
-same layout in units of its own width, and a row that misses the error
-budget is refined on those panels in the same call. At gamma = 1 a batch
-of points at one (n, v, gamma), a batch of one included, is one array pass
-with one row per point (z = 0); a row's bits do not depend on the other
-rows of its pass. For gamma < 1 each point has its own outer z integral, a
-quad_gk call of one row whose z nodes are the radial rows, on |z| up to
-|b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. The mean-field
-saddle z0 (the first of cmfa.mean_field_z: b - z0 = b/gamma in the
-deformed phase, the stable normal-phase root otherwise) seeds the outer z
-panels, and its l_peak shifts the outer integral. In the normal phase
-mean_field_z also gives the ordered root from the other aligned end; where
-it lies more than sigma_z away and within 200 log-units it is a second
-saddle (at small |b| and T < (1 - gamma) v/2): it is seeded too, and the
-higher one sets the shift.
+maximum (r_peak, l_peak) of ln[r e^L(r, z)] over a 512-point r grid,
+vectorized over z, in two levels: every 16th grid point, then the 33 grid
+points around the best of them (the whole grid's maximum for a profile with
+one maximum). Each radial integral is shifted by its l_peak, with panels
+placed across r_peak so the quadrature cannot miss a sharp large-n saddle. A
+batch of radial integrals is one quad_gk call, one row each: every row
+starts on the same layout in units of its own width, and a row that misses
+the error budget is refined on those panels in the same call. At gamma = 1
+a batch of points at one (n, v, gamma), a batch of one included, is one
+array pass with one row per point (z = 0); a row's bits do not depend on
+the other rows of its pass. For gamma < 1 each point has its own outer z
+integral, a quad_gk call of one row whose z nodes are the radial rows, on
+|z| up to |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. Each of
+its rounds is one peak scan of all its z nodes and radial batches of at
+most 15 of them. The mean-field saddle z0 (the first of cmfa.mean_field_z:
+b - z0 = b/gamma in the deformed phase, the stable normal-phase root
+otherwise) seeds the outer z panels, and its l_peak shifts the outer
+integral. In the normal phase mean_field_z also gives the ordered root from
+the other aligned end; where it lies more than sigma_z away and within 200
+log-units it is a second saddle (at small |b| and T < (1 - gamma) v/2): it
+is seeded too, and the higher one sets the shift. The panels around a
+saddle are laid out in units of the z width measured there, 1/sqrt(kappa)
+with kappa the curvature of -ln(inner integral) from one radial batch at
+the saddle and at +-sigma_z, sigma_z = sqrt(2 v (1 - gamma)/(n beta)) the
+bare Gaussian width (sigma_z itself where kappa is not positive and
+finite): the inner integral makes the z profile wider than sigma_z.
 z nodes more than 200 log-units below the shift are skipped, and an inner
 integral more than 700 log-units above it is a QuadratureError, not a
 clipped sum.
@@ -429,14 +437,22 @@ def _t_star(v: float, gamma: float, offset: float, tol: float) -> float:
 
 def _radial_peaks(params, zs, mode: str):
     """(r_peak, l_peak), the maximum of ln[r e^{L(r, z)}] over r, per z of
-    ``zs`` (any shape; one per row of a _Rows): a 512-point grid on
-    (0, 1.5 v + |b - z|] per z, all in one array call."""
-    zs = np.asarray(zs, dtype=float)
-    r_hi = 1.5 * params.v + np.abs(params.b - zs[..., None])[..., 0]
+    ``zs`` (any shape; one per row of a _Rows), on a 512-point grid on
+    (0, 1.5 v + |b - z|] per z. Two array calls scan it: every 16th grid
+    point, then the 33 grid points from the coarse neighbour below the best
+    of those to the one above. For a profile with one maximum on the grid
+    that is, bit for bit, the maximum of the whole grid; a second, narrow
+    maximum (an RPA spike a hair above T*) can be stepped over."""
+    zs = np.asarray(zs, dtype=float)[..., None]
+    r_hi = 1.5 * params.v + np.abs(params.b - zs)[..., 0]
     grid = np.linspace(r_hi / 512.0, r_hi, 512, axis=-1)
-    L = _log_integrand(params, grid, zs[..., None], mode) + np.log(grid)
+    r = grid[..., 15::16]
+    L = _log_integrand(params, r, zs, mode) + np.log(r)
+    k = 16 * np.nanargmax(L, axis=-1)[..., None] + 15
+    r = np.take_along_axis(grid, np.clip(k + np.arange(-16, 17), 0, 511), -1)
+    L = _log_integrand(params, r, zs, mode) + np.log(r)
     k = np.nanargmax(L, axis=-1)[..., None]
-    return (np.take_along_axis(grid, k, -1)[..., 0],
+    return (np.take_along_axis(r, k, -1)[..., 0],
             np.take_along_axis(L, k, -1)[..., 0])
 
 
@@ -482,6 +498,12 @@ def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
 _BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
                          -0.5, -0.2, 0.0, 0.2, 0.5, 0.9, 1.4, 2.0, 3.0, 5.0,
                          8.0])
+
+
+# radial rows per batch of the outer z integral: a round's live z nodes go
+# through the radial integral this many at a time, the nodes of one z panel,
+# which bounds the temporaries of a batch whatever the number of panels
+_Z_BATCH = 15
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
@@ -587,7 +609,10 @@ def _logZ_rows(points, mode: str, epsrel: float) -> list:
 
 def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     """ln Z at gamma < 1: the outer adaptive integral over z of the inner
-    radial integral, stacked with its means, at a valid point."""
+    radial integral, stacked with its means, at a valid point. Its panels
+    sit at z0 + width {0, +-1, +-2, +-4, +-8} around each seeded saddle
+    z0, width the z width measured there (see the module docstring), and
+    each round of it is one peak scan of its z nodes."""
     n, v, beta = params.n, params.v, params.beta
     sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
@@ -602,43 +627,52 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     # log-units, as the z-node filter below. The higher sets shift and centre
     first, *others = mean_field_z(params)
     z_peak = np.array([first] + [z for z in others if abs(z - first) > sigma_z])
-    peak = _radial_peaks(params, z_peak, mode)
-    seeded = peak[1] > peak[1][0] - 200.0
-    z_peak, peak = z_peak[seeded], (peak[0][seeded], peak[1][seeded])
+    # each saddle with its neighbours at +-sigma_z, all in one peak scan
+    z_nbr = z_peak[:, None] + sigma_z * np.array([-1.0, 0.0, 1.0])
+    nbr = _radial_peaks(params, z_nbr, mode)
+    seeded = nbr[1][:, 1] > nbr[1][0, 1] - 200.0
+    z_nbr, nbr = z_nbr[seeded], (nbr[0][seeded], nbr[1][seeded])
+    z_peak, peak = z_nbr[:, 1], (nbr[0][:, 1], nbr[1][:, 1])
     top = int(np.argmax(peak[1]))
     shift = float(peak[1][top])
     center = _peak_slope(params, z_peak, peak, mode)[top]
+    # the z profile is wider than sigma_z, the inner integral broadens it:
+    # its width at each saddle is 1/sqrt(kappa), kappa the curvature of
+    # -ln I_0 across the saddle's neighbours (sigma_z where kappa is not
+    # positive and finite), from one radial batch
+    l_nbr = _radial_log_integral_batch(
+        params, z_nbr.ravel(), (nbr[0].ravel(), nbr[1].ravel()), mode,
+        epsrel, center)[0].reshape(z_nbr.shape)
+    kappa = -(l_nbr[:, 2] - 2.0 * l_nbr[:, 1] + l_nbr[:, 0]) / sigma_z ** 2
+    width = np.array([1.0 / sqrt(k) if 0.0 < k < inf else sigma_z
+                      for k in kappa])
     errs = []
 
-    def panel(zs):
-        """The stacked inner integrals at the 15 z nodes of one panel."""
+    def g(row, zs):
+        """The stacked inner integrals at the z nodes of a round's panels:
+        one peak scan of them all, then radial batches of _Z_BATCH rows."""
+        shape, zs = zs.shape, zs.ravel()
         out = np.zeros((5, zs.size))
         r_peak, l_peak = _radial_peaks(params, zs, mode)
         # z deep in the Gaussian tail contributes nothing, and the log
         # integrand there sits below float resolution anyway
-        live = l_peak - shift > -200.0
-        if np.any(live):
+        live = np.flatnonzero(l_peak - shift > -200.0)
+        for k in range(0, live.size, _Z_BATCH):
+            i = live[k:k + _Z_BATCH]
             lv, rel, means = _radial_log_integral_batch(
-                params, zs[live], (r_peak[live], l_peak[live]), mode,
-                epsrel, center)
+                params, zs[i], (r_peak[i], l_peak[i]), mode, epsrel, center)
             errs.extend(rel)
             if np.any(lv - shift > 700.0):
                 raise QuadratureError(
                     "z integral: an inner integral e^700 above the one at "
                     "the mean-field saddle")
             w = np.exp(lv - shift)
-            out[:, live] = w * np.vstack([np.ones_like(lv), means])
-        return out
-
-    def g(row, zs):
-        # one panel at a time: a peak grid of every panel's z nodes at once
-        # would make temporaries that raise the peak memory of a point
-        # several-fold
-        return np.stack([panel(z) for z in zs], axis=1)
+            out[:, i] = w * np.vstack([np.ones_like(lv), means])
+        return out.reshape(5, *shape)
 
     # the seeds are the edges of the one row: those outside [z_lo, z_hi]
     # clip to zero-width panels, which quad_gk skips
-    seeds = np.sort(z_peak[:, None] + sigma_z * np.array(
+    seeds = np.sort(z_peak[:, None] + width[:, None] * np.array(
         [-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0]), axis=None)
     edges = np.clip(np.concatenate([[z_lo], seeds, [z_hi]]), z_lo, z_hi)
     res = quad_gk(g, edges, epsabs=0.0, epsrel=epsrel, max_panels=800)

@@ -22,7 +22,6 @@ removes any floating-point parity ambiguity for odd n.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite, lgamma, log1p
@@ -102,7 +101,9 @@ class ModelParams:
         return self.gamma * self.v * (1.0 - 1.0 / self.n)
 
     def replace(self, **kw) -> "ModelParams":
-        return dataclasses.replace(self, **kw)
+        # as dataclasses.replace, __post_init__ included, at less cost per
+        # call: sweeps and limit scans build every point through it
+        return ModelParams(**{**self.__dict__, **kw})
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,24 @@ def test_params_validation():
     assert ModelParams(n=4, T=1e-308).beta == 1e308
 
 
+def test_replace_is_dataclasses_replace():
+    # replace builds through the class: the same value and the same checks
+    # as dataclasses.replace, a non-finite b and an unknown field included
+    import dataclasses
+    p = ModelParams(n=20, v=1.5, gamma=0.5, b=0.3, T=0.2)
+    for kw in ({}, dict(T=0.7), dict(b=-1.0, gamma=-1.0), dict(n=8.0)):
+        q = p.replace(**kw)
+        assert q == dataclasses.replace(p, **kw)
+        assert type(q.n) is int and q.__dict__ == dataclasses.replace(
+            p, **kw).__dict__
+    assert p == ModelParams(n=20, v=1.5, gamma=0.5, b=0.3, T=0.2)
+    for b in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="b must be finite"):
+            p.replace(b=b)
+    with pytest.raises(TypeError):
+        p.replace(field=1.0)
+
+
 def test_spectrum_table_rows():
     p = ModelParams(n=4, v=1.0, gamma=1.0, b=0.1)
     rows = spectrum_table(p)
