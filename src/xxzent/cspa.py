@@ -40,32 +40,38 @@ Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over a 512-point r grid,
 vectorized over z, in two levels: every 16th grid point, then the 33 grid
 points around the best of them (the whole grid's maximum for a profile with
-one maximum). Each radial integral is shifted by its l_peak, with panels
-placed across r_peak so the quadrature cannot miss a sharp large-n saddle. A
-batch of radial integrals is one quad_gk call, one row each: every row
-starts on the same layout in units of its own width, and a row that misses
-the error budget is refined on those panels in the same call. At gamma = 1
-a batch of points at one (n, v, gamma), a batch of one included, is one
-array pass with one row per point (z = 0); a row's bits do not depend on
-the other rows of its pass. For gamma < 1 each point has its own outer z
+one maximum). The same scan gives the radial width at the peak, sigma_r =
+1/sqrt(kappa), kappa the curvature of ln[r e^L] across the maximum's two
+grid neighbours, with no integrand call of its own; it is never below the
+bare Gaussian width sqrt(2 v / (n beta)), which it is where kappa is not
+positive and finite or the maximum lies at an end of the grid. Each radial
+integral is shifted by its l_peak and cut at r_peak + sigma_r sqrt(2 (40 +
+ln n)), that distance grown by factors of 1.5 while ln[r e^L] there is
+within 40 log-units of the peak (a QuadratureError after 8 moves), with
+panels placed across r_peak so the quadrature cannot miss a sharp large-n
+saddle. A batch of radial integrals is one quad_gk call, one row each: every
+row starts on the same layout in units of its own sigma_r, and a row that
+misses the error budget is refined on those panels in the same call. At
+gamma = 1 a batch of points at one (n, v, gamma), a batch of one included,
+is one array pass with one row per point (z = 0); a row's bits do not depend
+on the other rows of its pass. For gamma < 1 each point has its own outer z
 integral, a quad_gk call of one row whose z nodes are the radial rows, on
-|z| up to |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. Each of
-its rounds is one peak scan of all its z nodes and radial batches of at
-most 15 of them. The mean-field saddle z0 (the first of cmfa.mean_field_z:
-b - z0 = b/gamma in the deformed phase, the stable normal-phase root
-otherwise) seeds the outer z panels, and its l_peak shifts the outer
-integral. In the normal phase mean_field_z also gives the ordered root from
-the other aligned end; where it lies more than sigma_z away and within 200
-log-units it is a second saddle (at small |b| and T < (1 - gamma) v/2): it
-is seeded too, and the higher one sets the shift. The panels around a
-saddle are laid out in units of the z width measured there, 1/sqrt(kappa)
-with kappa the curvature of -ln(inner integral) from one radial batch at
-the saddle and at +-sigma_z, sigma_z = sqrt(2 v (1 - gamma)/(n beta)) the
-bare Gaussian width (sigma_z itself where kappa is not positive and
-finite): the inner integral makes the z profile wider than sigma_z.
-z nodes more than 200 log-units below the shift are skipped, and an inner
-integral more than 700 log-units above it is a QuadratureError, not a
-clipped sum.
+|z| up to |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. Each of its
+rounds is one peak scan of all its z nodes and radial batches of at most 15
+of them. The mean-field saddle z0 (the first of cmfa.mean_field_z: b - z0 =
+b/gamma in the deformed phase, the stable normal-phase root otherwise) seeds
+the outer z panels, and its l_peak shifts the outer integral. In the normal
+phase mean_field_z also gives the ordered root from the other aligned end;
+where it lies more than sigma_z away and within 200 log-units it is a second
+saddle (at small |b| and T < (1 - gamma) v/2): it is seeded too, and the
+higher one sets the shift. The panels around a saddle are laid out in units
+of the z width measured there, 1/sqrt(kappa) with kappa the curvature of
+-ln(inner integral) from one radial batch at the saddle and at +-sigma_z,
+sigma_z = sqrt(2 v (1 - gamma)/(n beta)) the bare Gaussian width (sigma_z
+itself where kappa is not positive and finite): the inner integral makes the
+z profile wider than sigma_z. z nodes more than 200 log-units below the
+shift are skipped, and an inner integral more than 700 log-units above it is
+a QuadratureError, not a clipped sum.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -436,48 +442,75 @@ def _t_star(v: float, gamma: float, offset: float, tol: float) -> float:
 
 
 def _radial_peaks(params, zs, mode: str):
-    """(r_peak, l_peak), the maximum of ln[r e^{L(r, z)}] over r, per z of
-    ``zs`` (any shape; one per row of a _Rows), on a 512-point grid on
-    (0, 1.5 v + |b - z|] per z. Two array calls scan it: every 16th grid
-    point, then the 33 grid points from the coarse neighbour below the best
-    of those to the one above. For a profile with one maximum on the grid
-    that is, bit for bit, the maximum of the whole grid; a second, narrow
-    maximum (an RPA spike a hair above T*) can be stepped over."""
+    """(r_peak, l_peak, sigma_r): the maximum of ln[r e^{L(r, z)}] over r and
+    the radial width there, per z of ``zs`` (any shape; one per row of a
+    _Rows), on a 512-point grid on (0, 1.5 v + |b - z|] per z. Two array
+    calls scan it: every 16th grid point, then the 33 grid points from the
+    coarse neighbour below the best of those to the one above. For a
+    profile with one maximum on the grid that is, bit for bit, the maximum
+    of the whole grid; a second, narrow maximum (an RPA spike a hair above
+    T*) can be stepped over.
+
+    sigma_r is _peak_width's, from the maximum and its two neighbours on
+    the fine window: no integrand call of its own."""
     zs = np.asarray(zs, dtype=float)[..., None]
-    r_hi = 1.5 * params.v + np.abs(params.b - zs)[..., 0]
-    grid = np.linspace(r_hi / 512.0, r_hi, 512, axis=-1)
+    r_hi = 1.5 * params.v + np.abs(params.b - zs)
+    grid = np.linspace(r_hi[..., 0] / 512.0, r_hi[..., 0], 512, axis=-1)
     r = grid[..., 15::16]
     L = _log_integrand(params, r, zs, mode) + np.log(r)
     k = 16 * np.nanargmax(L, axis=-1)[..., None] + 15
     r = np.take_along_axis(grid, np.clip(k + np.arange(-16, 17), 0, 511), -1)
     L = _log_integrand(params, r, zs, mode) + np.log(r)
     k = np.nanargmax(L, axis=-1)[..., None]
-    return (np.take_along_axis(r, k, -1)[..., 0],
-            np.take_along_axis(L, k, -1)[..., 0])
+    # (below, at, above) the maximum; the window repeats its end points
+    r, f = ([np.take_along_axis(a, np.clip(k + i, 0, 32), -1) for i in
+             (-1, 0, 1)] for a in (r, L))
+    sigma = _peak_width(params, r, f, r_hi / 512.0)
+    return r[1][..., 0], f[1][..., 0], sigma[..., 0]
 
 
-def _radial_width(params):
-    """(width, sigma): the kept radial half-window past the peak and the
-    Gaussian width it spans, _TAIL_LOG_UNITS + ln n log-units (a column,
-    one per row, for a _Rows)."""
-    units = _TAIL_LOG_UNITS + log(params.n)
-    width = np.sqrt(4.0 * params.v * units / (params.n * params.beta))
-    return width, width / sqrt(2.0 * units)
+def _peak_width(params, r, f, h):
+    """The radial width sigma_r = 1/sqrt(kappa) at a maximum of ln[r e^L],
+    kappa = -(f[0] - 2 f[1] + f[2])/h^2 its curvature from the values ``f``
+    of ln[r e^L] at the grid points ``r`` = (below, at, above) the maximum,
+    h the grid step. It is never below the bare Gaussian width
+    sqrt(2 v / (n beta)), which it is where kappa is not positive and finite
+    or where the maximum has no grid neighbour on one side (r[0] == r[1] or
+    r[1] == r[2])."""
+    with np.errstate(invalid="ignore"):
+        kappa = -(f[0] - 2.0 * f[1] + f[2]) / (h * h)
+    ok = (r[0] < r[1]) & (r[1] < r[2]) & (kappa > 0.0) & (kappa < inf)
+    return np.maximum(1.0 / np.sqrt(np.where(ok, kappa, inf)),
+                      np.sqrt(2.0 * params.v / (params.n * params.beta)))
 
 
 def _radial_cut(params, zs, peaks, mode: str):
-    """Truncation radius per z: r_peak + width, moved out by factors of 1.5
-    (at most 8 times) while ln[r e^L] there is within _TAIL_LOG_UNITS of the
-    peak, since the radial profile can be wider than the bare Gaussian."""
+    """Truncation radius per z: r_peak + sigma_r sqrt(2 (_TAIL_LOG_UNITS +
+    ln n)), where a Gaussian of the width sigma_r measured at the peak has
+    fallen by _TAIL_LOG_UNITS + ln n. While ln[r e^L] there is within
+    _TAIL_LOG_UNITS of the peak, which checks that width, its distance from
+    r_peak grows by factors of 1.5: in units of sigma_r, so that the tail
+    panel past 8 sigma_r stays a few widths wide however far r_peak is from
+    0. A row still that close after 8 moves is a QuadratureError."""
     # one column per z, which a _Rows' b and beta line up with
-    r_peak, l_peak, zs = (np.asarray(a)[..., None] for a in (*peaks, zs))
-    r_max = r_peak + _radial_width(params)[0]
-    for _ in range(8):
+    r_peak, l_peak, sigma, zs = (np.asarray(a)[..., None]
+                                 for a in (*peaks, zs))
+    r_max = r_peak + sigma * sqrt(2.0 * (_TAIL_LOG_UNITS + log(params.n)))
+    for moves in range(9):
         tail = _log_integrand(params, r_max, zs, mode) + np.log(r_max)
         wide = np.isfinite(tail) & (tail >= l_peak - _TAIL_LOG_UNITS)
         if not np.any(wide):
             break
-        r_max = np.where(wide, 1.5 * r_max, r_max)
+        if moves == 8:
+            at = tuple(np.argwhere(wide)[0].tolist())
+            b, beta = (np.broadcast_to(x, wide.shape)[at]
+                       for x in (params.b, params.beta))
+            raise QuadratureError(
+                f"radial CSPA row {at[:-1]} (b = {b:.6g}, T = {1.0 / beta:.6g}"
+                f", z = {zs[at]:.6g}): ln[r e^L] still within "
+                f"{_TAIL_LOG_UNITS:g} log-units of its peak at the cut r = "
+                f"{r_max[at]:.6g} after 8 moves")
+        r_max = np.where(wide, r_peak + 1.5 * (r_max - r_peak), r_max)
     return r_max[..., 0]
 
 
@@ -491,12 +524,12 @@ def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
     return w * np.stack([np.ones_like(w), d, d * d, terms[1], terms[2]])
 
 
-# initial panel edges of every radial row (units of sigma, stretched with
-# the cut); the integrand is smooth, so they resolve it to ~1e-10, and
-# quad_gk refines the rows that need more. The last panel ends at the cut,
-# sqrt(2 (_TAIL_LOG_UNITS + ln n)) > 8.9 sigma past r_peak
-_BATCH_EDGES = np.array([-40.0, -16.0, -8.0, -5.0, -3.0, -2.0, -1.4, -0.9,
-                         -0.5, -0.2, 0.0, 0.2, 0.5, 0.9, 1.4, 2.0, 3.0, 5.0,
+# initial panel edges of every radial row, in units of the width sigma_r
+# measured at its peak, plus 0 and the cut, at least sqrt(2 (_TAIL_LOG_UNITS
+# + ln n)) > 8.9 sigma_r past r_peak. The integrand is smooth on that
+# scale, so they resolve it to ~1e-10, and quad_gk refines the rows that
+# need more; the tail past 8 sigma_r is one panel, moved cut or not
+_BATCH_EDGES = np.array([-16.0, -8.0, -5.0, -3.0, -1.5, 0.0, 1.5, 3.0, 5.0,
                          8.0])
 
 
@@ -519,12 +552,8 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
     panels in the same call. A QuadratureError raises for the whole batch.
     """
     nz = zs.size
-    r_peak, l_peak = peaks
-    width, sigma = (np.ravel(a) for a in _radial_width(params))
+    r_peak, l_peak, sigma = peaks
     r_max = _radial_cut(params, zs, peaks, mode)
-    # a cut moved out means a profile wider than the bare Gaussian
-    sigma = sigma * np.where(r_max > r_peak + width, (r_max - r_peak) / width,
-                             1.0)
     # clipping collapses the panels beyond [0, r_max], which quad_gk skips
     edges = np.clip(r_peak[:, None] + sigma[:, None] * _BATCH_EDGES[None, :],
                     0.0, r_max[:, None])
@@ -631,8 +660,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     z_nbr = z_peak[:, None] + sigma_z * np.array([-1.0, 0.0, 1.0])
     nbr = _radial_peaks(params, z_nbr, mode)
     seeded = nbr[1][:, 1] > nbr[1][0, 1] - 200.0
-    z_nbr, nbr = z_nbr[seeded], (nbr[0][seeded], nbr[1][seeded])
-    z_peak, peak = z_nbr[:, 1], (nbr[0][:, 1], nbr[1][:, 1])
+    z_nbr, nbr = z_nbr[seeded], tuple(a[seeded] for a in nbr)
+    z_peak, peak = z_nbr[:, 1], tuple(a[:, 1] for a in nbr)
     top = int(np.argmax(peak[1]))
     shift = float(peak[1][top])
     center = _peak_slope(params, z_peak, peak, mode)[top]
@@ -641,8 +670,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     # -ln I_0 across the saddle's neighbours (sigma_z where kappa is not
     # positive and finite), from one radial batch
     l_nbr = _radial_log_integral_batch(
-        params, z_nbr.ravel(), (nbr[0].ravel(), nbr[1].ravel()), mode,
-        epsrel, center)[0].reshape(z_nbr.shape)
+        params, z_nbr.ravel(), tuple(map(np.ravel, nbr)), mode, epsrel,
+        center)[0].reshape(z_nbr.shape)
     kappa = -(l_nbr[:, 2] - 2.0 * l_nbr[:, 1] + l_nbr[:, 0]) / sigma_z ** 2
     width = np.array([1.0 / sqrt(k) if 0.0 < k < inf else sigma_z
                       for k in kappa])
@@ -653,14 +682,15 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
         one peak scan of them all, then radial batches of _Z_BATCH rows."""
         shape, zs = zs.shape, zs.ravel()
         out = np.zeros((5, zs.size))
-        r_peak, l_peak = _radial_peaks(params, zs, mode)
+        peaks = _radial_peaks(params, zs, mode)
         # z deep in the Gaussian tail contributes nothing, and the log
         # integrand there sits below float resolution anyway
-        live = np.flatnonzero(l_peak - shift > -200.0)
+        live = np.flatnonzero(peaks[1] - shift > -200.0)
         for k in range(0, live.size, _Z_BATCH):
             i = live[k:k + _Z_BATCH]
             lv, rel, means = _radial_log_integral_batch(
-                params, zs[i], (r_peak[i], l_peak[i]), mode, epsrel, center)
+                params, zs[i], tuple(a[i] for a in peaks), mode, epsrel,
+                center)
             errs.extend(rel)
             if np.any(lv - shift > 700.0):
                 raise QuadratureError(

@@ -481,7 +481,7 @@ def _radial_reference(cspa, p, z, peak, mode):
     (0, _radial_cut), each row integrated on its own by scipy's adaptive
     quadrature, which shares nothing with quad_gk."""
     from scipy.integrate import quad as scipy_quad
-    r_peak, l_peak = peak
+    r_peak, l_peak, _ = peak
     cut = float(cspa._radial_cut(p, z, peak, mode))
     rows = {}
 
@@ -540,8 +540,8 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
         # one call and no refinement round: the initial panels alone meet
         # the budget
         assert [rounds for _, rounds, _ in calls] == [1]
-        adaptive = [_radial_reference(cspa, p, z, (r0, l0), mode)
-                    for z, r0, l0 in zip(zs, *peaks)]
+        adaptive = [_radial_reference(cspa, p, z, peak, mode)
+                    for z, *peak in zip(zs, *peaks)]
         assert np.all(rel <= epsrel)
         np.testing.assert_allclose(batch, [a[0] for a in adaptive], rtol=0,
                                    atol=4 * epsrel)
@@ -584,20 +584,107 @@ def test_radial_peaks_match_a_per_z_scan():
             points += [q.replace(T=T) for T in np.geomspace(t_lo, 0.5, 10)]
         batches.append((cspa._Rows.of(points), points, np.zeros(150)))
         for params, rows, zs in batches:
-            r_peak, l_peak = cspa._radial_peaks(params, zs, mode)
+            r_peak, l_peak, sigma = cspa._radial_peaks(params, zs, mode)
             for k in (1, 8):
                 head = cspa._radial_peaks(cspa._at(params, slice(k)), zs[:k],
                                           mode)
-                assert np.array_equal(head[0], r_peak[:k])
-                assert np.array_equal(head[1], l_peak[:k])
+                for a, whole in zip(head, (r_peak, l_peak, sigma)):
+                    assert np.array_equal(a, whole[:k])
             for p, z, r0, l0 in zip(rows, zs, r_peak, l_peak):
                 assert (r0, l0) == _plain_peak(p, z, mode), (p, z)
     p = ModelParams(n=50, v=1.0, gamma=0.5, b=0.3, T=0.3)
     zs = np.array([[-1.0, 0.0], [0.31, 2.5]])
-    r_peak, l_peak = cspa._radial_peaks(p, zs, "cspa")
-    assert r_peak.shape == l_peak.shape == zs.shape
+    r_peak, l_peak, sigma = cspa._radial_peaks(p, zs, "cspa")
+    assert r_peak.shape == l_peak.shape == sigma.shape == zs.shape
     for idx in np.ndindex(zs.shape):
         assert (r_peak[idx], l_peak[idx]) == _plain_peak(p, zs[idx], "cspa")
+
+
+@pytest.mark.parametrize("n", [20, 100, 1000])
+@pytest.mark.parametrize("gamma", [1.0, 0.5, -0.5])
+@pytest.mark.parametrize("b", [0.3, 0.9])
+def test_radial_width_is_the_curvature_at_the_peak(n, gamma, b):
+    # sigma_r = 1/sqrt(kappa), kappa the curvature of ln[r e^L] at r_peak
+    # from the peak scan's own grid neighbours, against a central difference
+    # with a step of 1/100 of the bare width, at the z saddle: within 1%
+    # (the grid step r_hi/512 is up to a third of the width at n = 1000,
+    # and r_peak sits on the grid, not at the maximum), and never below the
+    # bare Gaussian width, which it is at gamma = -0.5, b = 0.9
+    import xxzent.cspa as cspa
+    from xxzent.cmfa import mean_field_z
+    p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=0.25)
+    z = mean_field_z(p)[0] if gamma < 1.0 else 0.0
+    (r0,), _, (sigma,) = cspa._radial_peaks(p, np.array([z]), "cspa")
+    bare = sqrt(2.0 / (n * 4.0))
+    h = bare / 100.0
+    r = r0 + h * np.array([-1.0, 0.0, 1.0])
+    f = cspa._log_integrand(p, r, z, "cspa") + np.log(r)
+    width = 1.0 / sqrt(-(f[0] - 2.0 * f[1] + f[2]) / (h * h))
+    if gamma == -0.5 and b == 0.9:
+        assert width < 0.95 * bare and sigma == bare
+    else:
+        assert width > 1.01 * bare
+        assert sigma == pytest.approx(width, rel=1e-2)
+
+
+def test_radial_width_falls_back_to_the_bare_width(monkeypatch):
+    # where the curvature at the maximum is not positive and finite, or the
+    # maximum has no grid neighbour on one side (an end of the grid, where
+    # the fine window repeats its end point), sigma_r is the bare Gaussian
+    # width sqrt(2 v / (n beta))
+    import xxzent.cspa as cspa
+    p = ModelParams(n=100, v=1.0, gamma=0.5, b=0.3, T=0.25)
+    bare = sqrt(2.0 / (100 * 4.0))
+    r = (0.4, 0.5, 0.6)
+    # kappa < 0, = 0 (twice), NaN, +inf and all NaN
+    for f in ((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+              (-1.0, 0.0, np.nan), (-inf, 0.0, -1.0), (np.nan,) * 3):
+        assert cspa._peak_width(p, r, f, 0.1) == bare, f
+    for ends in ((0.5, 0.5, 0.6), (0.4, 0.5, 0.5)):
+        assert cspa._peak_width(p, ends, (-1e-4, 0.0, -1e-4), 0.1) == bare
+    # a curvature of 2 at h = 0.1, and a sharp one the bare width covers
+    assert cspa._peak_width(p, r, (-0.01, 0.0, -0.01), 0.1) == sqrt(0.5)
+    assert cspa._peak_width(p, r, (-2.0, 0.0, -2.0), 0.1) == bare
+    # the same through the peak scan, on profiles ln[r e^L] = prof(r): the
+    # maximum at either end of the grid (0, r_hi], and one whose neighbour
+    # above the maximum is NaN
+    r_hi = 1.5 + 0.3
+    for prof, r_peak in ((lambda r: r, r_hi), (lambda r: -r, r_hi / 512.0),
+                         (lambda r: np.where(r > 0.7, np.nan,
+                                             -(r - 0.7) ** 2), None)):
+        monkeypatch.setattr(cspa, "_log_integrand",
+                            lambda params, r, z, mode: prof(r) - np.log(r))
+        (r0,), _, (sigma,) = cspa._radial_peaks(p, np.array([0.0]), "cspa")
+        assert sigma == bare
+        assert r0 == pytest.approx(r_peak or 0.7, abs=r_hi / 512.0)
+
+
+def test_radial_cut_raises_on_a_heavy_tail(monkeypatch):
+    # a row whose ln[r e^L] is still within _TAIL_LOG_UNITS of its peak at
+    # the cut after 8 moves is a QuadratureError that names the row, not a
+    # silently truncated integral; in a sweep it fails that point alone
+    import xxzent.cspa as cspa
+    from xxzent.sweep import evaluate_points
+    points = [ModelParams(n=20, v=1.0, b=b, T=0.25) for b in (0.3, 0.9, 1.2)]
+    (_, (l_peak,), _) = cspa._radial_peaks(points[1], np.zeros(1), "cspa")
+    real = cspa._log_integrand
+
+    def heavy(params, r, z, mode, derivs=False):
+        out = real(params, r, z, mode, derivs)
+        if derivs:
+            return out
+        # a tail 30 log-units below the peak that falls like 1/r
+        tail = np.logaddexp(out, l_peak - 30.0 - np.log1p(r * r))
+        return np.where(np.asarray(params.b) == 0.9, tail, out)
+
+    monkeypatch.setattr(cspa, "_log_integrand", heavy)
+    with pytest.raises(QuadratureError, match=r"radial CSPA row \(1,\) "
+                       r"\(b = 0\.9, T = 0\.25, z = 0\): .* still within "
+                       r"40 log-units .* after 8 moves"):
+        cspa._logZ_batch(points, "cspa", 1e-10)
+    pts = evaluate_points("cspa", points)
+    assert [pt.status for pt in pts] == ["ok", "error", "ok"]
+    assert "still within 40 log-units" in pts[1].message
 
 
 def test_coarse_scan_misses_a_spike_near_t_star_to_the_same_status():
@@ -609,7 +696,7 @@ def test_coarse_scan_misses_a_spike_near_t_star_to_the_same_status():
     from xxzent.sweep import evaluate_point
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.1)
     p = p.replace(T=breakdown_temperature(p) * (1.0 + 1e-6))
-    _, l_peak = cspa._radial_peaks(p, np.zeros(1), "cspa")
+    _, l_peak, _ = cspa._radial_peaks(p, np.zeros(1), "cspa")
     assert l_peak[0] < _plain_peak(p, 0.0, "cspa")[1] - 1.0
     pt = evaluate_point("cspa", p)
     assert (pt.status, pt.message) == (
@@ -639,9 +726,11 @@ def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
 
 def test_2d_log_integrand_nodes_per_point(monkeypatch):
     # the z peak is the mean-field saddle, with one two-level radial peak
-    # scan per outer round: under 60,000 log-integrand nodes per point on
-    # this set (about 44,200; 137,500 with a full 512-point scan per z and
-    # the outer panels in units of the bare Gaussian width)
+    # scan per outer round, and each radial row is laid out in units of
+    # the width measured at its peak: under 33,000 log-integrand nodes per
+    # point on this set (about 28,850; 44,200 with the radial rows in units
+    # of the bare Gaussian width, 137,500 with a full 512-point scan per z
+    # and the outer panels in units of the bare width)
     import xxzent.cspa as cspa
     real = cspa._log_integrand
     nodes = [0]
@@ -657,7 +746,7 @@ def test_2d_log_integrand_nodes_per_point(monkeypatch):
               for T in (0.1, 0.25)]
     for p in points:
         assert np.isfinite(cspa_moments(p, epsrel=1e-8).s2)
-    assert nodes[0] / len(points) < 60_000
+    assert nodes[0] / len(points) < 33_000
 
 
 # the benchmark's 2D points at epsrel = 1e-10: (b, (Sz, Sz2, S2, ln Z)) as
@@ -1176,10 +1265,11 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
     # at epsrel = 1e-11 the initial panels miss the budget on these
     # gamma = 1 rows, so refinement rounds of the same quad_gk call split
     # them over the same cut (0, r_max); at 1e-8 there is no round, and the
-    # two agree
+    # two agree (b = 0.8 meets 1e-11 on the panels in units of the measured
+    # width; b = 0.9 and 0.9333 still refine in both modes)
     import xxzent.cspa as cspa
     calls = _count_quad_gk(monkeypatch, cspa)
-    for b in (0.8, 0.9333):
+    for b in (0.9, 0.9333):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.1)
         calls.clear()
         fixed = cspa_logZ(p, mode, epsrel=1e-8)
@@ -1203,7 +1293,7 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
                                                    0.0)
     assert [rounds for _, rounds, _ in calls] == [1]
     ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
-                                        (peaks[0][0], peaks[1][0]), mode)
+                                        [a[0] for a in peaks], mode)
     assert ln_i0 == pytest.approx(lv[0], rel=1e-9)
     np.testing.assert_allclose(ad_means, means[:, 0], rtol=1e-9)
 
@@ -1227,20 +1317,28 @@ def test_log_integrand_calls_grow_with_runs_not_points(monkeypatch):
     # the run
     import xxzent.cspa as cspa
     from xxzent import figures, sweep
-    calls = []
+    calls, derivative_nodes = [], [0]
     real = cspa._log_integrand
 
-    def counted(*args, **kwargs):
+    def counted(params, r, z, mode, derivs=False):
         calls.append(1)
-        return real(*args, **kwargs)
+        if derivs:
+            derivative_nodes[0] += int(np.prod(np.broadcast_shapes(
+                np.shape(r), np.shape(z))))
+        return real(params, r, z, mode, derivs)
 
     monkeypatch.setattr(cspa, "_log_integrand", counted)
     for curve in figures._figure_2()[2]:
         sweep.evaluate_points("cspa", [curve.fixed.replace(**{curve.axis: x})
                                        for x in curve.values],
                               figures.POINT_EPSREL)
-    # 27 runs: one call a run more than with a one-level peak scan (134)
-    assert len(calls) == 161
+    # 27 runs, 5 calls each, and 4 of them move the cut once: the width
+    # measured at the peak leaves the cut where it starts in the other 23
+    # (161 calls with the bare Gaussian width, which moved it in 26 runs)
+    assert len(calls) == 139
+    # the panels in units of that width, peak slopes included (45,413 on
+    # 19 edges in units of the bare width)
+    assert derivative_nodes[0] == 23_528
     points = [ModelParams(n=20, v=1.0, b=b, T=0.25)
               for b in np.linspace(0.0, 1.3, 16)]
     for k in (1, 5, 8, 9, 16):

@@ -707,10 +707,10 @@ def test_mixed_list_gives_the_rows_of_separate_calls():
                                         ("shared", ZeroDivisionError),
                                         ("z-peak", None)])
 def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
-    # at epsrel = 1e-11 the b = 0.8 row is refined in rounds: a failure in
+    # at epsrel = 1e-11 the b = 0.9 row is refined in rounds: a failure in
     # a round that holds it (a QuadratureError, or any other exception), or
-    # in the array pass that the run shares, fails b = 0.8 alone; so does a
-    # failure in b = 0.8's own z integral at gamma = 0.5
+    # in the array pass that the run shares, fails b = 0.9 alone; so does a
+    # failure in b = 0.9's own z integral at gamma = 0.5
     from xxzent import cspa
     from xxzent.errors import QuadratureError
     from xxzent.sweep import evaluate_points
@@ -722,20 +722,21 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
     exc = exc or QuadratureError
     if where == "fallback":
         real, real_quad = cspa._weighted_factors, cspa.quad_gk
-        in_round = [False]
+        # the integrand calls so far of the running quad_gk call: every
+        # call after its first is a refinement round
+        calls, raised = [0], []
 
         def quad(f, edges, **kwargs):
-            calls = []
+            calls[0] = 0
 
             def g(row, x):
-                # every call of the integrand after its first is a round
-                in_round[0] = bool(calls)
-                calls.append(1)
+                calls[0] += 1
                 return f(row, x)
             return real_quad(g, edges, **kwargs)
 
         def patched(params, r, *args):
-            if in_round[0] and np.any(params.b == 0.8):
+            if calls[0] > 1 and np.any(params.b == 0.9):
+                raised.append(calls[0])
                 raise exc("injected")
             return real(params, r, *args)
         monkeypatch.setattr(cspa, "quad_gk", quad)
@@ -744,7 +745,7 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
         real = cspa.mean_field_z
 
         def patched(params):
-            if params.b == 0.8:
+            if params.b == 0.9:
                 raise exc("injected")
             return real(params)
         monkeypatch.setattr(cspa, "mean_field_z", patched)
@@ -752,15 +753,18 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
         real = cspa._radial_peaks
 
         def patched(params, zs, mode):
-            if np.any(params.b == 0.8):
+            if np.any(params.b == 0.9):
                 raise exc("injected")
             return real(params, zs, mode)
         monkeypatch.setattr(cspa, "_radial_peaks", patched)
     hurt = evaluate_points("cspa", points, 1e-11)
-    assert [pt.status for pt in hurt] == ["ok", "ok", "error", "ok", "ok"]
-    assert hurt[2].message.endswith("injected")
-    assert points_to_csv(hurt[:2] + hurt[3:]) == points_to_csv(
-        clean[:2] + clean[3:])
+    assert [pt.status for pt in hurt] == ["ok", "ok", "ok", "error", "ok"]
+    assert hurt[3].message.endswith("injected")
+    assert points_to_csv(hurt[:3] + hurt[4:]) == points_to_csv(
+        clean[:3] + clean[4:])
+    if where == "fallback":
+        # the shared pass and the point's own retry each failed in a round
+        assert len(raised) == 2 and min(raised) > 1
 
 
 def test_refusals_never_cause_a_retry(monkeypatch):
