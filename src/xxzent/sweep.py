@@ -11,13 +11,15 @@ this retry is the one place that pins a failure of a shared pass to its
 point.
 evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
-into runs of at most RUN_POINTS consecutive points at one (n, v, gamma),
-the same runs for every worker count. The cspa and spa tiers evaluate a
-run at gamma = 1 in one array pass; every other tier evaluates one point
-at a time. The per-n tables of the exact and bruteforce tiers, ln Y(S) and
-the eigen-rows of the pair-swap sectors of the S_z blocks, are kept for the
-last n, so the points at one n share them across runs, limit-scan edge
-refinements included.
+into runs of at most RUN_POINTS (40) consecutive points at one (n, v,
+gamma), the same runs for every worker count, and a worker process takes
+whole runs: a group of 40 points or fewer at one (n, v, gamma) is one run,
+evaluated in one process whatever the worker count. The cspa and spa tiers
+evaluate a run at gamma = 1 in one array pass; every other tier evaluates
+one point at a time. The per-n tables of the exact and bruteforce tiers,
+ln Y(S) and the eigen-rows of the pair-swap sectors of the S_z blocks, are
+kept for the last n, so the points at one n share them across runs,
+limit-scan edge refinements included.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism
@@ -68,11 +70,13 @@ __all__ = [
 CSV_COLUMNS = ("tier", "n", "v", "gamma", "b", "T", "logZ", "Sz", "Sz2", "S2",
                "C", "nC", "EoF", "status")
 
-# points per run of evaluate_points. At n = 20 a run of 8 CSPA points takes
-# about a quarter of the time of 8 single points, and 16 barely less; runs
-# of 40 make temporaries large enough that malloc maps each from the system
-# and faults it in afresh (about 4300 minor faults per figure 2, against 0)
-RUN_POINTS = 8
+# points per run of evaluate_points: a row of figure 2 (30 or 40 points),
+# or the probe grid of a figure's or the benchmark's limit scan (22 to 40
+# probes), is one run, one array pass at gamma = 1. A CSPA pass costs
+# mostly its fixed overhead: figure 2 takes 0.052 s in runs of 40 or 64,
+# 0.055 s in runs of 32 and 0.073 s in runs of 8 (best of 20, one Xeon
+# core), and a pass of 40 rows faults in no fresh pages
+RUN_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,9 @@ def evaluate_points(tier: str, params, epsrel: float = 1e-10,
                     workers: int = 1):
     """Evaluate the tier at every ModelParams in ``params``, in order, run
     by run; a pool of ``workers`` processes, never more than there are
-    runs, maps the same runs."""
+    runs, maps the same runs. A DomainError for workers < 1."""
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     jobs = [(tier, run, epsrel) for run in _runs(params)]
     workers = min(workers, len(jobs))
     if workers <= 1:

@@ -195,6 +195,18 @@ def test_limit_scans_reject_bad_grids(argv, capsys):
     assert "invalid arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ("sweep",),
+    ("compare", "--tier-b", "cmfa"),
+])
+def test_workers_below_one_are_invalid_arguments(argv, workers, capsys):
+    assert run_cli(*argv, "--n", "8", "--T", "0.2", "--grid", "b:0:1:3",
+                   "--workers", workers) == 2
+    assert capsys.readouterr().err == (
+        "invalid arguments: workers must be >= 1\n")
+
+
 def test_sweep_grid_rejects_infinite_ends(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", "--n", "8", "--grid", "b:0:inf:3")

@@ -370,11 +370,15 @@ def test_validity_scan_is_130_omega_evaluations_per_row(monkeypatch):
                       for b in np.linspace(0.0, 1.2, k)]
             cspa.cspa_moments_batch(points, epsrel=1e-8)
             assert sizes == [64 * k, 65 * k, k], (gamma, k)
-    # a sweep of 16 points is two runs of 8: two scans
+    # a sweep of RUN_POINTS + 8 points is two runs, of 40 and of 8: two
+    # scans
+    run = sweep.RUN_POINTS
+    assert run == 40
     sizes.clear()
     sweep.evaluate_points("cspa", [ModelParams(n=20, gamma=0.5, b=0.3, T=T)
-                                   for T in np.linspace(0.1, 0.4, 16)], 1e-8)
-    assert sizes == [64 * 8, 65 * 8, 8] * 2
+                                   for T in np.linspace(0.1, 0.4, run + 8)],
+                          1e-8)
+    assert sizes == [64 * run, 65 * run, run, 64 * 8, 65 * 8, 8]
 
 
 def test_spa_never_breaks_down():
@@ -709,18 +713,25 @@ def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
     # integral at the z peak. The first quad_gk call is the width batch, one
     # radial row at the saddle and one at each of its neighbours; the
     # second is the outer z integral, one row; every other is a radial
-    # batch of at most 15 of its z nodes. Each radial batch is one call of
-    # its integrand with no refinement round: every inner row meets the
-    # budget on its initial panels
+    # batch of at most _Z_BATCH of its z nodes. Each radial batch is one
+    # call of its integrand with no refinement round: every inner row meets
+    # the budget on its initial panels. The outer integral takes three
+    # rounds, of 10, 2 and 2 panels of 15 nodes: 147, 30 and 30 live z
+    # nodes, cut into batches of 45 (three panels), six in all
     import xxzent.cspa as cspa
     calls = _count_quad_gk(monkeypatch, cspa)
     ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3))
     assert np.isfinite(ev.logZ)
-    (w_edges, w_rounds, _), (z_edges, _, z_panels), *radial = calls
+    (w_edges, w_rounds, _), (z_edges, z_rounds, z_panels), *radial = calls
     assert w_edges.ndim == 2 and len(w_edges) == 3 and w_rounds == 1
     assert z_edges.ndim == 1 and z_edges[0] < 0.0 < z_edges[-1]
-    assert all(edges.ndim == 2 and len(edges) <= 15 and rounds == 1
-               for edges, rounds, _ in radial)
+    assert (z_rounds, z_panels) == (3, 14)
+    batch = cspa._Z_BATCH
+    assert batch == 45
+    assert all(edges.ndim == 2 and rounds == 1 for edges, rounds, _ in radial)
+    assert [len(edges) for edges, _, _ in radial] == [
+        min(batch, live - k) for live in (147, 30, 30)
+        for k in range(0, live, batch)]
     assert sum(len(edges) for edges, _, _ in radial) <= 15 * z_panels
 
 
@@ -1314,7 +1325,7 @@ def test_log_integrand_calls_grow_with_runs_not_points(monkeypatch):
     # a run of points at gamma = 1 is one radial pass: a validity scan, then
     # _log_integrand for the two levels of the peak scan, the peak slopes,
     # each step of the cut and the panels, whatever the number of points in
-    # the run
+    # the run (at most RUN_POINTS)
     import xxzent.cspa as cspa
     from xxzent import figures, sweep
     calls, derivative_nodes = [], [0]
@@ -1332,19 +1343,21 @@ def test_log_integrand_calls_grow_with_runs_not_points(monkeypatch):
         sweep.evaluate_points("cspa", [curve.fixed.replace(**{curve.axis: x})
                                        for x in curve.values],
                               figures.POINT_EPSREL)
-    # 27 runs, 5 calls each, and 4 of them move the cut once: the width
-    # measured at the peak leaves the cut where it starts in the other 23
-    # (161 calls with the bare Gaussian width, which moved it in 26 runs)
-    assert len(calls) == 139
+    # each row of figure 2 is one run, 6 runs of 5 calls each, and the cut
+    # moves 4 times, in the three T-rows (twice in the first): the width
+    # measured at the peak leaves it where it starts in the three b-rows
+    assert sweep.RUN_POINTS == 40
+    assert len(calls) == 34
     # the panels in units of that width, peak slopes included (45,413 on
     # 19 edges in units of the bare width)
     assert derivative_nodes[0] == 23_528
+    run = sweep.RUN_POINTS
     points = [ModelParams(n=20, v=1.0, b=b, T=0.25)
-              for b in np.linspace(0.0, 1.3, 16)]
-    for k in (1, 5, 8, 9, 16):
+              for b in np.linspace(0.0, 1.3, 2 * run)]
+    for k in (1, 5, run, run + 1, 2 * run):
         for mode in ("cspa", "spa"):
             calls.clear()
             sweep.evaluate_points(mode, points[:k], figures.POINT_EPSREL)
             # at most one more step of the cut per run
-            runs = ceil(k / sweep.RUN_POINTS)
+            runs = ceil(k / run)
             assert 5 * runs <= len(calls) <= 6 * runs, (k, mode)

@@ -6,6 +6,7 @@ import pytest
 
 from xxzent import exact
 from xxzent.errors import DomainError, XxzentError
+from xxzent.figures import POINT_EPSREL
 from xxzent.model import ModelParams
 from xxzent.sweep import (CSV_COLUMNS, TIERS, GridAxis, SweepSpec,
                           evaluate_point, evaluate_run, limit_field,
@@ -44,12 +45,29 @@ def test_sweep_spec_validation():
                   axes=(GridAxis("b", 0, 1, 3), GridAxis("b", 0, 1, 3)))
 
 
-def test_sweep_deterministic_across_workers():
-    spec = small_spec()
-    csv_seq = points_to_csv(run_sweep(spec, workers=1))
-    csv_par = points_to_csv(run_sweep(spec, workers=2))
-    csv_seq2 = points_to_csv(run_sweep(spec, workers=1))
-    assert csv_seq == csv_par == csv_seq2
+def test_sweep_deterministic_across_workers(monkeypatch):
+    # 2 RUN_POINTS + 1 points are three runs, which a real pool of two
+    # processes maps
+    from concurrent.futures import ProcessPoolExecutor
+    from xxzent import sweep
+    mapped = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def map(self, f, jobs):
+            jobs = list(jobs)
+            mapped.append(len(jobs))
+            return super().map(f, jobs)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountedPool)
+    for tier in ("exact", "cspa"):
+        spec = SweepSpec(tier=tier, fixed=ModelParams(n=8, v=1.0, T=0.2),
+                         axes=(GridAxis("b", 0.0, 1.0,
+                                        2 * sweep.RUN_POINTS + 1),))
+        csv_seq = points_to_csv(run_sweep(spec, workers=1))
+        csv_par = points_to_csv(run_sweep(spec, workers=2))
+        csv_seq2 = points_to_csv(run_sweep(spec, workers=1))
+        assert csv_seq == csv_par == csv_seq2, tier
+        assert ",ok\n" in csv_seq, tier
+    assert mapped == [3, 3]
 
 
 def test_sweep_2d_ordering_row_major():
@@ -689,6 +707,27 @@ def test_runs_change_nothing_per_point(tier):
         [19, 7, 4]
 
 
+@pytest.mark.parametrize("epsrel", [POINT_EPSREL, 1e-11])
+def test_pass_size_changes_no_point(monkeypatch, epsrel):
+    # a point's bytes do not depend on the size of the pass it is in: runs
+    # of 1, 8 or 40 points at gamma = 1 (figure 2's rows; at epsrel = 1e-11
+    # rows are refined), radial batches of 1, 15 or 45 z nodes at gamma < 1
+    # (the benchmark's two n = 100 points)
+    from xxzent import cspa, sweep
+    from xxzent.sweep import evaluate_points
+    points = [p for fixed, axis in FIG2_ROWS
+              for p in SweepSpec("cspa", fixed, (axis,)).points()]
+    points += [ModelParams(n=100, v=1.0, gamma=0.5, b=b, T=0.25)
+               for b in (0.05, 0.5)]
+    texts = set()
+    for run, batch in ((1, 1), (8, 15), (40, 45)):
+        monkeypatch.setattr(sweep, "RUN_POINTS", run)
+        monkeypatch.setattr(cspa, "_Z_BATCH", batch)
+        texts.add(tuple(points_to_csv(evaluate_points(tier, points, epsrel))
+                        for tier in ("cspa", "spa")))
+    assert len(texts) == 1
+
+
 def test_mixed_list_gives_the_rows_of_separate_calls():
     # runs never mix n or gamma: one list gives the rows of one call per part
     from xxzent.sweep import evaluate_points
@@ -789,15 +828,18 @@ def test_refusals_never_cause_a_retry(monkeypatch):
         pts = sweep.evaluate_points("cspa", points, epsrel)
         return [[pt.status for pt in pts].count(s)
                 for s in ("ok", "breakdown", "error")]
+    # the 30 points of the row are one run (at most RUN_POINTS), which
+    # enters the evaluator once whatever its 7 breakdowns and 4 errors
+    assert sweep.RUN_POINTS == 40
     fixed, axis = FIG2_ROWS[0]
     points = SweepSpec("cspa", fixed, (axis,)).points()
     assert statuses(points, POINT_EPSREL) == [19, 7, 4]
-    assert calls == {"evaluator": 4, "_logZ_rows": 4, "_logZ_z": 0}
+    assert calls == {"evaluator": 1, "_logZ_rows": 1, "_logZ_z": 0}
     # at gamma < 1 a breakdown point never enters its z integral
     points = [ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=float(T))
               for T in np.geomspace(0.02, 0.5, 8)]
     assert statuses(points, 1e-8) == [6, 2, 0]
-    assert calls == {"evaluator": 5, "_logZ_rows": 4, "_logZ_z": 6}
+    assert calls == {"evaluator": 2, "_logZ_rows": 1, "_logZ_z": 6}
 
 
 def test_pool_never_outnumbers_the_runs(monkeypatch):
@@ -820,8 +862,14 @@ def test_pool_never_outnumbers_the_runs(monkeypatch):
             return map(f, jobs)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
     fixed = ModelParams(n=20, v=1.0, T=0.1)
-    for count, workers, pooled in ((3, 64, []), (20, 64, [3]), (20, 2, [2]),
-                                   (20, 1, [])):
+    # runs of at most RUN_POINTS: 3 and RUN_POINTS points are one run,
+    # 2 RUN_POINTS + 3 are three
+    run = sweep.RUN_POINTS
+    assert run == 40
+    for count, workers, pooled in ((3, 64, []), (run, 64, []),
+                                   (2 * run + 3, 64, [3]),
+                                   (2 * run + 3, 2, [2]),
+                                   (2 * run + 3, 1, [])):
         pools.clear()
         spec = SweepSpec("exact", fixed, (GridAxis("b", 0.0, 1.0, count),))
         assert points_to_csv(run_sweep(spec, workers=workers)) == \
