@@ -108,7 +108,7 @@ import numpy as np
 
 from .cmfa import mean_field_z
 from .errors import BreakdownError, DomainError, QuadratureError
-from .exact import CollectiveMoments
+from .exact import CollectiveMoments, _one
 from .model import ModelParams
 from .quadrature import bracket_root, quad_gk
 
@@ -583,14 +583,6 @@ def cspa_logZ(params: ModelParams, mode: str = "cspa",
     offending static point and the estimated T*) is raised for T <= T*.
     """
     return _one(_logZ_batch([params], mode, epsrel))
-
-
-def _one(outcomes):
-    """The outcome of a batch of one: its value, or the exception raised."""
-    (out,) = outcomes
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 def _logZ_batch(points, mode: str, epsrel: float) -> list:

@@ -8,19 +8,25 @@ A level's log-weight ln Y(S) - beta E_SM is c_S + f(M): a sector term plus
 a quadratic in M, coupled only through |M| <= S. So Z and the other six
 sums are sums over the columns M of e^f(M) times suffix sums over the
 sectors S >= |M|, taken once per point with np.logaddexp.accumulate
-(see :func:`thermal_observables`). The levels of sector S are the columns
-|M| <= S, so every sector's largest level is c_S plus a prefix maximum of
-f over |M|: one pass for all sectors, with f computed once per point.
-Sectors whose maximum lies more than 60 + 2 ln(n+1) below the global peak,
-and columns that far below the largest column, are skipped. The skipped
-mass is at most e^-60 Z, which moves the concurrence by less than 3e-13.
-The work is one lgamma map of length n + 1 for ln Y(S), kept for the last
-n (:func:`log_multiplicities`), then per point a few numpy passes over the
-n/2 + 1 sectors and the n + 1 columns, with no Python loop over sectors or
-columns and no pass over the ~n^2/4 levels. At n = 10^6 (T = 0.1 v, one
-Xeon core) the first point at an n takes about 0.3 s, most of it the
-lgamma map, and each later point about 0.025 s, most of it c_S, f and
-their prefix maximum over all n/2 + 1 sectors.
+(see :func:`thermal_observables_batch`). The levels of sector S are the
+columns |M| <= S, so every sector's largest level is c_S plus a prefix
+maximum of f over |M|: one pass for all sectors, with f computed once per
+point. Sectors whose maximum lies more than 60 + 2 ln(n+1) below the
+global peak, and columns that far below the largest column, are skipped.
+The skipped mass is at most e^-60 Z, which moves the concurrence by less
+than 3e-13. The work is one lgamma map of length n + 1 for ln Y(S), kept
+for the last n (:func:`log_multiplicities`), then for a run of points at
+one (n, v, gamma) a few numpy passes over (points x sectors) arrays, and
+per point its two suffix sums and one product over its kept columns, with
+no Python loop over sectors or columns and no pass over the ~n^2/4
+levels. A run shares its array passes up to _PASS_SECTORS entries (every
+point of a run at n = 20, 8 points at n = 1000, one point from n = 4096),
+so at small n a point costs a share of the numpy calls instead of all of
+them: 40 points at n = 20 take about 1 ms, against 5.5 ms one point at a
+time (one Xeon core). At n = 10^6 (T = 0.1 v) the first point at an n
+takes about 0.3 s, most of it the lgamma map, and each later point about
+0.025 s, most of it c_S, f and their prefix maximum over all n/2 + 1
+sectors.
 
 The symmetric two-qubit reduced state is
 
@@ -82,6 +88,7 @@ __all__ = [
     "ConcurrenceResult",
     "exact_moments",
     "thermal_observables",
+    "thermal_observables_batch",
     "ground_state_observables",
     "ground_state_moments",
     "ground_state_pair_state",
@@ -160,10 +167,18 @@ class ConcurrenceResult:
 # ----------------------------------------------------------------------------
 
 CUT_NATS = 60.0   # weight below peak - CUT_NATS - 2 ln(n+1) is skipped
+# the (points x sectors) entries of one array pass of a run: a pass takes
+# as many of the run's points as fit, and at least one. Larger passes fault
+# in fresh pages as their arrays come and go: one pass over a 40-point run
+# at n = 1000 faulted in about 200 pages a run, one over 5 points at
+# n = 8810 about 270, while passes of 8 or 16 points at n = 1000 and of one
+# at n = 8810 faulted in none (in-process, warm)
+_PASS_SECTORS = 4096
 
 
-def _sums(n: int, M, ssp1, excess, w) -> np.ndarray:
-    """The seven spectral sums over levels or columns M, weighted by w.
+def _rows(n: int, M, ssp1, excess) -> np.ndarray:
+    """The seven rows of the spectral sums over levels or columns M; the
+    sums are the rows times the weights.
 
     Rows: 1, M, M^2, S(S+1) (count and the three moments) and
     (M + n/2)(M + n/2 - 1), (n/2 - M)(n/2 - M - 1), S(S+1) - M^2 - n/2
@@ -172,14 +187,13 @@ def _sums(n: int, M, ssp1, excess, w) -> np.ndarray:
     cancellation.
     """
     half = n / 2.0
-    rows = np.stack([np.ones_like(M), M, M * M, ssp1,
+    return np.stack([np.ones_like(M), M, M * M, ssp1,
                      (M + half) * (M + half - 1.0),
                      (half - M) * (half - M - 1.0), excess])
-    return rows @ w
 
 
 def _observables(n: int, acc, logZ: float = float("nan")):
-    """(CollectiveMoments, PairState) from the seven sums of _sums."""
+    """(CollectiveMoments, PairState) from the seven sums of _rows."""
     Z = acc[0]
     moments = CollectiveMoments(sz=acc[1] / Z, sz2=acc[2] / Z, s2=acc[3] / Z,
                                 logZ=logZ)
@@ -189,49 +203,118 @@ def _observables(n: int, acc, logZ: float = float("nan")):
                               p_minus=p_minus, alpha=alpha)
 
 
-def _cut(top: float, n: int) -> float:
+def _cut(top, n: int):
     """Log-weight below which a level or column is skipped, for a largest
-    log-weight ``top``."""
+    log-weight ``top`` (a float, or an array of them)."""
     return top - CUT_NATS - 2.0 * log(n + 1.0)
 
 
-def _live_sectors(params: ModelParams):
+def _one(outcomes):
+    """The outcome of a batch of one: its value, or the exception raised."""
+    (out,) = outcomes
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _live_sectors(points):
     """Sector constants, column log-weights and live sectors of the T > 0
-    sum: (c, f, live).
+    sums at ``points``, which share n, v and gamma: (c, f, live, peak),
+    one row per point.
 
     A level's log-weight ln Y(S) - beta E_SM is c_S + f(M), with
-    c_S = ln Y(S) + beta (V S(S+1) - E0) (``c``, one entry per 2S of
-    two_s_range(n)) and f(M) = -beta (b M + V gamma M^2) (``f``, rows
-    M = -s and M = +s over the same grid of s = |M|; for even n the second
-    M = 0 is -inf, so each column appears once). The levels of sector S are
-    the columns with |M| <= S, so its largest log-weight is c_S plus the
-    prefix maximum of f over s, at every gamma. ``live`` holds the indices
-    of the sectors whose maximum is at least _cut(peak, n), peak being the
-    largest of them. A peak that is not finite (beta |E| past the float
-    range: at n = 8810 from T ~ 1e-305) is a DomainError, raised before any
-    sum.
+    c_S = ln Y(S) + beta (V S(S+1) - E0) (``c``, one column per 2S of
+    two_s_range(n)) and f(M) = -beta (b M + V gamma M^2) (``f``, per point
+    the rows M = -s and M = +s over the same grid of s = |M|; for even n
+    the second M = 0 is -inf, so each column appears once). The levels of
+    sector S are the columns with |M| <= S, so its largest log-weight is
+    c_S plus the prefix maximum of f over s, at every gamma. ``live`` marks
+    the sectors whose maximum is at least _cut(peak, n), ``peak`` being the
+    largest of them. A point whose peak is not finite (beta |E| past the
+    float range: at n = 8810 from T ~ 1e-305) has no meaningful row, and
+    is refused before any sum.
     """
-    n, beta = params.n, params.beta
+    p0 = points[0]
+    n, V, gamma = p0.n, p0.V, p0.gamma
+    beta = np.array([p.beta for p in points])[:, None]
+    b = np.array([p.b for p in points])[:, None, None]
     s = np.arange(n // 2 + 1) + (n % 2) / 2.0     # S of two_s_range(n)
     M = np.stack([-s, s])
     with np.errstate(over="ignore", invalid="ignore"):
-        c = log_multiplicities(n) + beta * (params.V * s * (s + 1.0) - params.E0)
-        f = -beta * (params.b * M + params.V * params.gamma * M * M)
+        c = log_multiplicities(n) + beta * (V * s * (s + 1.0) - p0.E0)
+        f = -beta[:, :, None] * (b * M + V * gamma * M * M)
         if n % 2 == 0:
-            f[1, 0] = -inf                       # M = 0 is one column
-        sector_max = c + np.maximum.accumulate(f.max(axis=0))
-    peak = float(sector_max.max())
-    if not np.isfinite(peak):
-        raise DomainError(f"beta |E| overflows at T = {params.T:.6g}; "
-                          "T = 0 is the ground-state path")
-    return c, f, np.flatnonzero(sector_max >= _cut(peak, n))
+            f[:, 1, 0] = -inf                    # M = 0 is one column
+        sector_max = c + np.maximum.accumulate(f.max(axis=1), axis=1)
+        peak = sector_max.max(axis=1)
+        live = sector_max >= _cut(peak, n)[:, None]
+    return c, f, live, peak
+
+
+def _columns(n: int, c, f, live):
+    """The kept columns of the points of _live_sectors whose peak is
+    finite, one segment per point: (M, ssp1, excess, w, ends, shift, G).
+
+    Point k's columns are M[ends[k]:ends[k + 1]] with their S(S+1) and
+    alpha rows ``ssp1`` and ``excess`` and weights ``w`` = e^(g - G[k]);
+    its ln Z is shift[k] + G[k] + ln(sum of its w). See
+    :func:`thermal_observables_batch`.
+    """
+    rows = np.arange(c.shape[0])
+    first = live.argmax(axis=1)
+    last = c.shape[1] - 1 - live[:, ::-1].argmax(axis=1)
+    # a column s past a point's hull has H(s) = 0: only s <= max(last) count
+    width = int(last.max()) + 1
+    s = np.arange(width) + (n % 2) / 2.0         # S of two_s_range(n)
+    ssp1 = s * (s + 1.0)
+    lo0 = int(first.min())
+    log_2s2 = np.log(2.0 * s[lo0:] + 2.0)        # over every point's hull
+    lnH = np.full((rows.size, width), -inf)      # ln H(s), -inf past the hull
+    ratio = np.zeros((rows.size, width))         # K(s) / H(s)
+    shift = []
+    for k, lo, hi in zip(rows, first.tolist(), (last + 1).tolist()):
+        # the two suffix sums over the point's own hull of live sectors
+        hull = c[k, lo:hi]
+        top = float(hull.max())
+        shift.append(top)
+        h = np.logaddexp.accumulate(hull[::-1] - top)[::-1]
+        lnK = np.logaddexp.accumulate(
+            (log_2s2[lo - lo0:hi - 1 - lo0] + h[1:])[::-1])
+        lnH[k, lo:hi] = h
+        ratio[k, lo:hi - 1] = np.exp(lnK[::-1] - h[:-1])
+    # a column s < first sees the whole hull: H(s) = H(first), and K(s)
+    # exceeds K(first) by (S(S+1) - s(s+1)) H(first), S = s[first]
+    below = np.arange(width) < first[:, None]
+    np.copyto(lnH, lnH[rows, first][:, None], where=below)
+    np.subtract((ratio[rows, first] + ssp1[first])[:, None], ssp1, out=ratio,
+                where=below)
+    g = lnH[:, None, :] + f[:, :, :width]
+    G = g.max(axis=(1, 2))
+    # the kept columns as flat indices into g, point by point
+    keep = np.flatnonzero(g >= _cut(G, n)[:, None, None])
+    point, column = np.divmod(keep, 2 * width)
+    M = np.concatenate([-s, s])[column]
+    r = ratio.ravel()[point * width + column % width]
+    w = np.exp(g.ravel()[keep] - G[point])
+    s = np.abs(M)
+    return (M, r + s * (s + 1.0), r + (s - n / 2.0), w,
+            np.searchsorted(point, np.arange(rows.size + 1)).tolist(), shift,
+            G.tolist())
 
 
 def thermal_observables(params: ModelParams):
-    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0.
+    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0;
+    a batch of one of :func:`thermal_observables_batch`."""
+    return _one(thermal_observables_batch([params]))
+
+
+def thermal_observables_batch(points) -> list:
+    """thermal_observables at each of ``points``, which share n, v and
+    gamma: one outcome per point, its (CollectiveMoments, PairState) or the
+    exception that refuses it.
 
     A level's log-weight c_S + f(M) (see :func:`_live_sectors`) couples S
-    and M only through |M| <= S. So each of the seven sums of :func:`_sums`
+    and M only through |M| <= S. So each of the seven sums of :func:`_rows`
     is a sum over the columns M of e^f(M) times suffix sums over the
     sectors S >= s = |M|:
 
@@ -254,6 +337,20 @@ def thermal_observables(params: ModelParams):
     b-dependent part is rounded at its own size, so ln Z stays smooth in b
     to rounding, and the column weights carry no rounding of the large c_S
     (~10^5 at n ~ 10^3, T ~ 1e-3 v).
+
+    The points share array passes, each of as many as keep its
+    (points x sectors) arrays within _PASS_SECTORS entries: c_S, f, the
+    sector maxima, the live hulls, g and the cut of the columns are
+    computed for all of them at once, and so are the rows of their kept
+    columns. Per point remain the two suffix sums, each over the point's
+    own hull (a hull spanning the pass would sum sectors no point keeps:
+    at n = 8810, b = 0.5 and T from 0.01 to 0.6 each hull holds 1 to 1080
+    sectors, their union 3217), the product of its kept columns with
+    their weights (one per point, so its summation order, and every bit,
+    is that of the point alone) and the T -> 0 branch below. Every
+    refusal is decided before any sum: T <= 0, and a peak that is not
+    finite, each a DomainError. Any other exception inside a pass raises
+    for the whole batch.
 
     Certificate: each level of a sector outside the hull weighs less than
     e^_cut(peak, n) = e^peak e^-CUT_NATS / (n+1)^2, and each skipped column
@@ -279,39 +376,45 @@ def thermal_observables(params: ModelParams):
     column. Columns whose computed gap exceeds that rounding are summed as
     they stand, however small beta times the gap.
     """
-    if params.T <= 0:
-        raise DomainError("thermal_observables requires T > 0; "
-                          "use the ground-state path at T = 0")
-    n = params.n
-    c, f, live = _live_sectors(params)
-    first, last = live[0], live[-1]
-    s = np.arange(last + 1) + (n % 2) / 2.0      # S of sectors 0..last
-    hull = c[first:last + 1]
-    shift = float(hull.max())
-    lnH = np.logaddexp.accumulate(hull[::-1] - shift)[::-1]
-    lnK = np.logaddexp.accumulate(
-        (np.log(2.0 * s[first:last] + 2.0) + lnH[1:])[::-1])[::-1]
-    # a column s < first sees the whole hull: H(s) = H(first), and K(s)
-    # exceeds K(first) by (S(S+1) - s(s+1)) H(first), S = s[first]
-    ratio = np.zeros(last + 1)                   # K(s) / H(s)
-    ratio[first:last] = np.exp(lnK - lnH[:-1])
-    ssp1 = s * (s + 1.0)
-    ratio[:first] = ratio[first] + ssp1[first] - ssp1[:first]
-    lnH = np.concatenate([np.full(first, lnH[0]), lnH])
-    M = np.stack([-s, s])
-    g = lnH + f[:, :last + 1]
-    G = float(g.max())
-    keep = g >= _cut(G, n)
-    M, r = M[keep], np.broadcast_to(ratio, g.shape)[keep]
-    if M.size <= 2:
-        ground = _ground_levels(params, ulps=4.0)
-        if np.isin(2.0 * M, ground).all():
-            moments, pair = _top_mixture(n, ground / 2.0)
-            return (replace(moments, logZ=shift + (G + log(ground.size))),
-                    pair)
-    s = np.abs(M)
-    acc = _sums(n, M, r + s * (s + 1.0), r + (s - n / 2.0), np.exp(g[keep] - G))
-    return _observables(n, acc, logZ=shift + (G + log(acc[0])))
+    out = [None if p.T > 0 else DomainError(
+        "thermal_observables requires T > 0; use the ground-state path at "
+        "T = 0") for p in points]
+    hot = [k for k, o in enumerate(out) if o is None]
+    step = max(1, _PASS_SECTORS // (points[0].n // 2 + 1)) if hot else 1
+    for i in range(0, len(hot), step):
+        part = hot[i:i + step]
+        for k, outcome in zip(part, _thermal_pass([points[k] for k in part])):
+            out[k] = outcome
+    return out
+
+
+def _thermal_pass(points) -> list:
+    """The outcomes of T > 0 points that share n, v and gamma, from one
+    array pass (see :func:`thermal_observables_batch`)."""
+    c, f, live, peak = _live_sectors(points)
+    finite = np.isfinite(peak)
+    out = [None if ok else DomainError(f"beta |E| overflows at T = {p.T:.6g}; "
+                                       "T = 0 is the ground-state path")
+           for p, ok in zip(points, finite)]
+    if not finite.any():
+        return out
+    if not finite.all():
+        c, f, live = c[finite], f[finite], live[finite]
+    n = points[0].n
+    M, ssp1, excess, w, ends, shift, G = _columns(n, c, f, live)
+    rows = _rows(n, M, ssp1, excess)
+    for i, k in enumerate(np.flatnonzero(finite).tolist()):
+        j = slice(ends[i], ends[i + 1])
+        if ends[i + 1] - ends[i] <= 2:
+            ground = _ground_levels(points[k], ulps=4.0)
+            if np.isin(2.0 * M[j], ground).all():
+                moments, pair = _top_mixture(n, ground / 2.0)
+                out[k] = (replace(moments, logZ=shift[i]
+                                  + (G[i] + log(ground.size))), pair)
+                continue
+        acc = rows[:, j] @ w[j]
+        out[k] = _observables(n, acc, logZ=shift[i] + (G[i] + log(acc[0])))
+    return out
 
 
 def exact_moments(params: ModelParams) -> CollectiveMoments:
@@ -355,8 +458,8 @@ def _top_mixture(n: int, M: np.ndarray):
     """(CollectiveMoments, PairState) of the equal mixture of the S = n/2
     levels with the given M."""
     ssp1 = np.full_like(M, n / 2.0 * (n / 2.0 + 1.0))
-    return _observables(n, _sums(n, M, ssp1, ssp1 - M * M - n / 2.0,
-                                 np.ones_like(M)))
+    return _observables(n, _rows(n, M, ssp1, ssp1 - M * M - n / 2.0)
+                        @ np.ones_like(M))
 
 
 def ground_state_moments(params: ModelParams) -> CollectiveMoments:

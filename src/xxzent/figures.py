@@ -220,8 +220,8 @@ def reproduce_figure(fig_id: int, out_dir: str):
     """Write the CSV data and gnuplot script for one reference figure.
 
     Returns the list of files written. Figures 3-5 sweep up to n ~ 8810 and
-    run limit-temperature root finds per point: seconds, up to about 20 s
-    for figure 5.
+    run limit-temperature root finds per point: seconds, about 3.6 s for
+    figure 5 (one Xeon core).
     """
     if fig_id not in _FIGURES:
         raise DomainError(f"figure id must be one of {FIGURE_IDS}")

@@ -5,21 +5,23 @@ a run of points and returns one outcome per point, its result or what
 refused it. evaluate_run is the one place that runs an evaluator, times it
 and turns each outcome into a point and its status, so no exception of any
 type aborts a sweep, and no ok point carries a non-finite value. When the
-evaluator itself raises (the cspa and spa tiers raise whatever fails inside
-the pass a run shares), the run is evaluated again one point at a time:
-this retry is the one place that pins a failure of a shared pass to its
-point.
+evaluator itself raises (the cspa, spa and exact tiers raise whatever fails
+inside the pass a run shares), the run is evaluated again one point at a
+time: this retry is the one place that pins a failure of a shared pass to
+its point.
 evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS (40) consecutive points at one (n, v,
 gamma), the same runs for every worker count, and a worker process takes
 whole runs: a group of 40 points or fewer at one (n, v, gamma) is one run,
 evaluated in one process whatever the worker count. The cspa and spa tiers
-evaluate a run at gamma = 1 in one array pass; every other tier evaluates
-one point at a time. The per-n tables of the exact and bruteforce tiers,
-ln Y(S) and the eigen-rows of the pair-swap sectors of the S_z blocks, are
-kept for the last n, so the points at one n share them across runs,
-limit-scan edge refinements included.
+evaluate a run at gamma = 1 in one array pass, and the exact tier the
+T > 0 points of a run in shared array passes (all of them at n = 20, 8 at a
+time at n = 1000), its T = 0 points on the ground-state path; the
+bruteforce, cmfa and mfa tiers evaluate one point at a time. The per-n
+tables of the exact and bruteforce tiers, ln Y(S) and the eigen-rows of the
+pair-swap sectors of the S_z blocks, are kept for the last n, so the points
+at one n share them across runs, limit-scan edge refinements included.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism
@@ -177,10 +179,19 @@ def _bruteforce(params):
     return moments, exact.wootters_margin(rho2), None
 
 
-def _exact(params):
-    moments, pair = (exact.ground_state_observables(params) if params.T == 0
-                     else exact.thermal_observables(params))
-    return moments, exact.concurrence_margin(pair), None
+def _exact(points, epsrel):
+    # T = 0 points take the ground-state path; the others share the run's
+    # thermal passes
+    hot = [p for p in points if p.T != 0]
+    thermal = iter(exact.thermal_observables_batch(hot) if hot else ())
+    column = [None if p.T == 0 else next(thermal) for p in points]
+
+    def margin(params, observed):
+        moments, pair = (exact.ground_state_observables(params)
+                         if observed is None else observed)
+        return moments, exact.concurrence_margin(pair), None
+
+    return _each(margin, points, column)
 
 
 def _cspa(points, epsrel):
@@ -237,22 +248,23 @@ def _each(f, *columns):
 
 
 def _per_point(evaluate):
-    """The run evaluator of a tier that evaluates one point at a time and
-    reads no epsrel."""
+    """The run evaluator of a tier that evaluates one point at a time
+    (bruteforce, cmfa, mfa) and reads no epsrel."""
     return lambda points, epsrel: _each(evaluate, points)
 
 
 # tier -> evaluator(points, epsrel) -> one outcome per point: an exception,
-# or (moments or None, margin or None, logZ or None). The margin is the
-# signed quantity whose positive part is C:
-# 2(|alpha| - sqrt(p+ p-)) of the pair state, or Wootters' l1 - l2 - l3 - l4
-# for bruteforce. None means C = 0 by construction: the SPA thermal state is
-# a positive mixture of product states and the MFA state a single product
-# state, so neither carries pair entanglement, and both compute the moments
-# for the output columns only (the concurrence formula on them would read
-# out quadrature noise).
+# or (moments or None, margin or None, logZ or None). The exact, cspa and
+# spa evaluators take the run in shared array passes, the others through
+# _per_point one point at a time. The margin is the signed quantity whose
+# positive part is C: 2(|alpha| - sqrt(p+ p-)) of the pair state, or
+# Wootters' l1 - l2 - l3 - l4 for bruteforce. None means C = 0 by
+# construction: the SPA thermal state is a positive mixture of product
+# states and the MFA state a single product state, so neither carries pair
+# entanglement, and both compute the moments for the output columns only
+# (the concurrence formula on them would read out quadrature noise).
 _EVALUATORS = {"bruteforce": _per_point(_bruteforce),
-               "exact": _per_point(_exact), "cspa": _cspa, "spa": _spa,
+               "exact": _exact, "cspa": _cspa, "spa": _spa,
                "cmfa": _per_point(_cmfa), "mfa": _per_point(_mfa)}
 TIERS = tuple(_EVALUATORS)
 

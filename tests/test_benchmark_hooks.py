@@ -52,16 +52,22 @@ def test_every_result_reader_reads_a_real_result(tracing):
         assert read(call(f)) == attrs, name
 
 
-@pytest.mark.parametrize("tier, attr", [("exact", "thermal_observables"),
-                                        ("bruteforce",
-                                         "brute_force_observables")])
+@pytest.mark.parametrize("tier, attr",
+                         [("exact", "thermal_observables_batch"),
+                          ("bruteforce", "brute_force_observables")])
 def test_each_tier_reaches_its_traced_layer(monkeypatch, tier, attr):
     # the tracer counts a tier's points at the layer it wraps; a tier that
-    # went around that layer would read 0 there
+    # went around that layer would read 0 there. The exact tier's layer
+    # takes a run of points, the bruteforce tier's one point
     from xxzent import exact, sweep
     calls = []
     real = getattr(exact, attr)
-    monkeypatch.setattr(exact, attr, lambda p: calls.append(p) or real(p))
+
+    def spy(arg):
+        calls.extend(arg if isinstance(arg, list) else [arg])
+        return real(arg)
+
+    monkeypatch.setattr(exact, attr, spy)
     spec = sweep.SweepSpec(tier, ModelParams(n=6, T=0.2),
                            (sweep.GridAxis("b", 0.0, 1.0, 11),))
     points = sweep.run_sweep(spec)

@@ -168,20 +168,24 @@ def test_windowed_sum_matches_full_sum_odd_n(T):
     _assert_matches_full_sum(ModelParams(n=2001, v=1.0, gamma=-0.5, b=3.0, T=T))
 
 
-def _column_calls(monkeypatch):
-    """Record the arguments of every exact._sums call: (n, M, ssp1,
-    excess, w), one tuple per call."""
-    calls = []
-    sums = exact._sums
-    monkeypatch.setattr(exact, "_sums", lambda *a: calls.append(a) or sums(*a))
-    return calls
+def _window(p):
+    """One point's sector constants, column log-weights and live sector
+    indices, as the tier computes them in a run of one."""
+    c, f, live, _ = exact._live_sectors([p])
+    return c[0], f[0], np.flatnonzero(live[0])
 
 
-def test_column_sums_match_per_column_fsum(monkeypatch):
+def _kept_columns(p):
+    """One point's kept columns as the tier contracts them with their
+    weights: (M, ssp1, excess, w)."""
+    c, f, live, _ = exact._live_sectors([p])
+    return exact._columns(p.n, c, f, live)[:4]
+
+
+def test_column_sums_match_per_column_fsum():
     # each column M carries the seven sums over its levels S >= |M| of the
     # live-sector hull; the reference takes every level with math.fsum, and
     # both sides are normalized by their total Z
-    calls = _column_calls(monkeypatch)
     rng = np.random.default_rng(12)
     cases = [(2, 1.0, 0.0, 1.0), (3, 0.0, 0.5, 0.5), (16, -0.5, 1.0, 0.3),
              (15, -2.0, -1.0, 2.0)]
@@ -193,10 +197,8 @@ def test_column_sums_match_per_column_fsum(monkeypatch):
     assert any(gamma < 0 for _, gamma, *_ in cases)
     for n, gamma, b, T in cases:
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        calls.clear()
-        thermal_observables(p)
-        (_, M, ssp1, excess, w), = calls
-        c, _, live = exact._live_sectors(p)
+        M, ssp1, excess, w = _kept_columns(p)
+        c, _, live = _window(p)
         S = np.arange(c.size) + (n % 2) / 2
         hull = np.arange(live[0], live[-1] + 1)
         top = c[hull].max()
@@ -218,11 +220,10 @@ def test_column_sums_match_per_column_fsum(monkeypatch):
                 assert abs(x / Zg - y / Zr) <= 1e-14 * scale / Zr, p
 
 
-def test_windowed_sum_work_is_a_few_sectors(monkeypatch):
+def test_windowed_sum_work_is_a_few_sectors():
     # the work per point is one suffix sum over the hull of the live
     # sectors and one over the columns M = +-s of the sector grid, each at
     # most n/2 + 1 long; the full sum has ~n^2/4 levels
-    calls = _column_calls(monkeypatch)
     # (n, b, T): sectors accumulated, columns summed; the level-by-level
     # sum of earlier versions summed 286,675 levels at (8810, 0.5, 0.6) and
     # 103,250 at (1000, 0.3, 0.4125), and ~10^4 at (8810, 0.0, 0.1)
@@ -230,10 +231,8 @@ def test_windowed_sum_work_is_a_few_sectors(monkeypatch):
                             (1000, 0.3, 0.4125): (470, 349),
                             (8810, 0.0, 0.1): (25, 525)}.items():
         p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=T)
-        _, _, live = exact._live_sectors(p)
-        calls.clear()
-        thermal_observables(p)
-        (_, M, *_), = calls
+        _, _, live = _window(p)
+        M = _kept_columns(p)[0]
         assert (live[-1] - live[0] + 1, M.size) == work, p
         assert max(work) <= n // 2 + 1
 
@@ -303,7 +302,7 @@ def test_vectorized_window_matches_scalar_rule():
     # settings
     for n, gamma, b, T in _window_cases():
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        c, f, live = exact._live_sectors(p)
+        c, f, live = _window(p)
         peak = max(c[k] + f[:, :k + 1].max() for k in range(c.size))
         ref_peak, ref_c, ref_live = _scalar_live_sectors(p)
         assert peak == ref_peak, p
@@ -321,7 +320,7 @@ def test_live_sectors_match_closed_form_rule_up_to_n8810():
             for b in (0.0, 0.3, 0.9, -1.15, 3.0):
                 for T in (1e-3, 0.01, 0.05, 0.1, 0.4, 1.0, 2.0):
                     p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-                    live = exact._live_sectors(p)[2]
+                    live = _window(p)[2]
                     assert live.tolist() == _closed_form_live_sectors(p)[1], p
 
 

@@ -339,14 +339,37 @@ def test_exact_T_past_the_float_range_is_refused(T):
     assert evaluate_point("exact", p.replace(T=1e-300)).status == "ok"
 
 
+@pytest.mark.parametrize("n, T", [(8810, 1e-305), (1000, 1e-306)])
+def test_exact_overflow_in_a_run_fails_alone(monkeypatch, n, T):
+    # a point past the float range between two normal points of one run is
+    # refused alone, with no RuntimeWarning (an error under this suite), and
+    # its neighbours keep their bytes; at n = 1000 all three share one
+    # array pass, at n = 8810 each point is a pass of its own
+    p = ModelParams(n=n, v=1.0, gamma=1.0, b=0.3, T=T)
+    run = [p.replace(T=0.1), p, p.replace(T=1e-300)]
+    passes = []
+    real = exact._thermal_pass
+    monkeypatch.setattr(exact, "_thermal_pass",
+                        lambda points: passes.append(points) or real(points))
+    pts = evaluate_run("exact", run)
+    assert [pt.status for pt in pts] == ["ok", "error", "ok"]
+    assert pts[1].message == (f"beta |E| overflows at T = {T:.6g}; "
+                              "T = 0 is the ground-state path")
+    assert len(passes) == (1 if n == 1000 else 3)
+    assert [pts[k].row() for k in (0, 2)] == \
+        [evaluate_point("exact", run[k]).row() for k in (0, 2)]
+
+
 def test_any_exception_becomes_error_status(monkeypatch):
     from xxzent import exact
 
-    def boom(params):
+    def boom(points):
         raise ZeroDivisionError("injected")
 
-    # the exact tier sums each T > 0 point in thermal_observables
-    monkeypatch.setattr(exact, "thermal_observables", boom)
+    # the exact tier sums the T > 0 points of a run in
+    # thermal_observables_batch; the run that raised is evaluated again
+    # one point at a time, and each of those raises too
+    monkeypatch.setattr(exact, "thermal_observables_batch", boom)
     pts = run_sweep(SweepSpec(tier="exact", fixed=ModelParams(n=8, T=0.2),
                               axes=(GridAxis("b", 0.0, 1.0, 3),)))
     assert [pt.status for pt in pts] == ["error"] * 3
@@ -543,22 +566,24 @@ def test_exact_point_bytes_do_not_depend_on_its_run(gamma):
 
 
 def test_exact_failure_stays_with_its_point(monkeypatch):
-    # a point that fails inside its own sums fails alone: its neighbours
-    # keep their bytes, and the run is not retried point by point (which
-    # would compute ln Y again)
+    # a point whose outcome in the run's thermal pass is an exception fails
+    # alone: its neighbours keep their bytes, and the run is not retried
+    # point by point (which would compute ln Y again)
     points = [ModelParams(n=1000, v=1.0, b=b, T=T)
               for b, T in ((0.2, 0.1), (0.5, 0.1), (0.5, 0.0), (0.9, 0.2))]
     clean = evaluate_run("exact", points)
-    real = exact.thermal_observables
+    real = exact.thermal_observables_batch
+    runs = []
 
-    def patched(params):
-        if params.b == 0.5:
-            raise ZeroDivisionError("injected")
-        return real(params)
+    def patched(run):
+        runs.append(run)
+        return [ZeroDivisionError("injected") if p.b == 0.5 else out
+                for p, out in zip(run, real(run))]
 
-    monkeypatch.setattr(exact, "thermal_observables", patched)
+    monkeypatch.setattr(exact, "thermal_observables_batch", patched)
     exact.log_multiplicities.cache_clear()
     hurt = evaluate_run("exact", points)
+    assert runs == [[points[k] for k in (0, 1, 3)]]
     assert [pt.status for pt in hurt] == ["ok", "error", "ok", "ok"]
     assert hurt[1].message == "ZeroDivisionError: injected"
     assert [hurt[k].row() for k in (0, 2, 3)] == \
@@ -726,6 +751,40 @@ def test_pass_size_changes_no_point(monkeypatch, epsrel):
         texts.add(tuple(points_to_csv(evaluate_points(tier, points, epsrel))
                         for tier in ("cspa", "spa")))
     assert len(texts) == 1
+
+
+def test_exact_pass_size_changes_no_point(monkeypatch):
+    # a point's bytes do not depend on the run or the array pass it is in:
+    # runs of 1, 8 or 40 points, passes of 1 point up to 32 at n = 1000,
+    # on figure 2's rows, figure 3's n = 8810 b-row, a 40-probe log-T grid
+    # at n = 1000, and a run that mixes T = 0, a point on the T -> 0 branch
+    # (T = 1e-13 at a crossing field), odd n and gamma <= 0
+    from xxzent import sweep
+    from xxzent.sweep import evaluate_points
+    points = [p for fixed, axis in FIG2_ROWS
+              for p in SweepSpec("exact", fixed, (axis,)).points()]
+    points += [ModelParams(n=8810, v=1.0, b=float(b), T=0.1)
+               for b in np.linspace(0.0, 1.05, 36)]
+    points += [ModelParams(n=1000, v=1.0, b=0.3, T=float(T))
+               for T in np.geomspace(1e-3, 1.0, 40)]
+    points += [ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=T)
+               for b, T in ((0.35, 1e-13), (0.35, 0.0), (0.2, 0.1),
+                            (0.35, 1e-13), (0.6, 0.0), (0.9, 2.0))]
+    points += [ModelParams(n=21, v=1.0, gamma=gamma, b=b, T=T)
+               for gamma in (0.0, -0.5)
+               for b, T in ((0.0, 0.05), (0.3, 0.0), (1.2, 0.4), (-0.7, 1.0))]
+    texts = set()
+    for run, cells in ((1, 1), (8, 2048), (40, 16384)):
+        monkeypatch.setattr(sweep, "RUN_POINTS", run)
+        monkeypatch.setattr(exact, "_PASS_SECTORS", cells)
+        pts = evaluate_points("exact", points)
+        texts.add(points_to_csv(pts))
+    assert len(texts) == 1
+    statuses = [pt.status for pt in pts]
+    assert statuses.count("ok") == len(points)
+    # the T -> 0 branch ran: the crossing's equal mixture, Var(S_z) = 1/4
+    m = pts[points.index(ModelParams(n=20, v=1.0, b=0.35, T=1e-13))].moments
+    assert m.sz2 - m.sz ** 2 == pytest.approx(0.25, abs=1e-9)
 
 
 def test_mixed_list_gives_the_rows_of_separate_calls():
