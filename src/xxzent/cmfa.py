@@ -64,9 +64,6 @@ __all__ = [
     "cmfa_moments",
     "mfa_product_moments",
     "mean_field_z",
-    "cmfa_asymptotics",
-    "CmfaAsymptotics",
-    "tc_discontinuity",
 ]
 
 
@@ -342,63 +339,3 @@ def mfa_product_moments(params: ModelParams) -> CollectiveMoments:
     sz2 = n / 4.0 + n * (n - 1.0) * mz * mz
     s2 = 0.75 * n + n * (n - 1.0) * m2
     return CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=logZ)
-
-
-@dataclass(frozen=True)
-class CmfaAsymptotics:
-    """Large-n CMFA concurrence and its limit-field / limit-temperature forms."""
-
-    c_large_n: float           # (1/n)[1 - 2n e^{-beta v} - (2T/gv)/(1-b^2/(gv)^2)]_+
-    b_l: float                 # limit field gv sqrt(1 - (2T/gv)/(1 - 2n e^{-bv}))
-    t_l_low_t: float           # (gv/2)(1 - b^2/(gv)^2), valid while 2n e^{-v/T} << 1
-    t_l_large_n: float         # (v/ln 2n)[1 - (2/g)/((ln 2n)^2 (1 - b^2/(gv)^2))]
-    n_disappear: float         # entanglement gone for n >~ (1/2) e^{beta v}(1 - 2T/(gv))
-
-
-def cmfa_asymptotics(params: ModelParams) -> CmfaAsymptotics:
-    """O(1/n) expansion of the CMFA concurrence and its closed-form limits.
-
-    Requires the deformed phase well below T_c (the expansion drops the
-    near-critical chi structure).
-    """
-    sol = gap_solve(params)
-    if sol.phase != "deformed":
-        raise PhaseError("asymptotic CMFA forms hold in the deformed phase only")
-    n, v, g, T = params.n, params.v, params.gamma, params.T
-    beta = 1.0 / T
-    gv = g * v
-    x2 = (params.b / gv) ** 2
-    ebv = exp(-beta * v)
-    bracket = 1.0 - 2.0 * n * ebv - (2.0 * T / gv) / (1.0 - x2) if x2 < 1 else -1.0
-    c = max(bracket, 0.0) / n
-    denom = 1.0 - 2.0 * n * ebv
-    b_l = gv * sqrt(1.0 - (2.0 * T / gv) / denom) if denom > 0 and \
-        (2.0 * T / gv) < denom else 0.0
-    ln2n = log(2.0 * n)
-    t_l_large_n = (v / ln2n) * (1.0 - (2.0 / g) / (ln2n ** 2 * (1.0 - x2))) \
-        if x2 < 1 else 0.0
-    n_gone = float("inf") if beta * v > 700.0 \
-        else 0.5 * exp(beta * v) * (1.0 - 2.0 * T / gv)
-    return CmfaAsymptotics(
-        c_large_n=c,
-        b_l=b_l,
-        t_l_low_t=0.5 * gv * (1.0 - x2) if x2 < 1 else 0.0,
-        t_l_large_n=t_l_large_n,
-        n_disappear=n_gone,
-    )
-
-
-def tc_discontinuity(params: ModelParams, rel_step: float = 1e-8) -> float:
-    """Jump of ln Z_CMFA across T_c(b), measured, not smoothed.
-
-    The deformed and normal branches are not claimed to join continuously;
-    this reports logZ(T_c(1+eps)) - logZ(T_c(1-eps)) for diagnostics. Note
-    the deformed branch diverges like -ln(1-chi)/2 as T -> T_c^-, so the
-    reported jump grows (logarithmically) as rel_step shrinks.
-    """
-    tc = critical_temperature(params)
-    if tc <= 0:
-        raise DomainError("no deformed phase at these parameters")
-    above = cmfa_logZ(params.replace(T=tc * (1.0 + rel_step)))
-    below = cmfa_logZ(params.replace(T=tc * (1.0 - rel_step)))
-    return above - below

@@ -114,7 +114,6 @@ from .quadrature import bracket_root, quad_gk
 
 __all__ = [
     "CspaEvaluation",
-    "rpa_frequency",
     "omega_squared",
     "cspa_logZ",
     "cspa_moments",
@@ -178,12 +177,6 @@ def _omega_factors(params: ModelParams, r, lam, t):
     t = tanh(beta lam / 2)."""
     q = 1.0 - params.gamma * r * r / (lam * lam)
     return q, lam - params.v * t, lam - params.v * q * t
-
-
-def rpa_frequency(params: ModelParams, r: float, z: float = 0.0) -> complex:
-    """The collective RPA energy: real >= 0, or positive imaginary."""
-    w2 = omega_squared(params, r, z)
-    return complex(sqrt(w2)) if w2 >= 0 else complex(0.0, sqrt(-w2))
 
 
 # sinh(s)/s = 1 + X sum_j X^(j-1) / (2j+1)!, s^2 = X: row k of the Horner

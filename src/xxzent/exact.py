@@ -66,16 +66,14 @@ flip. The eigen-rows serve every (v, gamma, b, T) at that n and are kept
 for the last n (:func:`_flip_flop_rows`), with rho_2 of sites (0, 1) read
 off the sectors. On one Xeon core (OpenBLAS, one thread) the first point at
 an n takes about 0.016 s at n = 11, 0.09 s at n = 13 and 0.23 s at n = 14
-(60 MB peak for the whole process), and each later point under 1 ms. Also
-here: the
-large-field expansion of C and the stepwise T = 0 estimate.
+(60 MB peak for the whole process), and each later point under 1 ms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, exp, inf, log, sqrt
+from math import comb, inf, log, sqrt
 
 import numpy as np
 
@@ -100,10 +98,6 @@ __all__ = [
     "brute_force_observables",
     "brute_force_pair_density",
     "wootters_margin",
-    "wootters_concurrence",
-    "large_field_expansion",
-    "far_field_limit_temperature",
-    "zero_T_concurrence_approx",
 ]
 
 BRUTE_FORCE_MAX_N = 14
@@ -158,7 +152,6 @@ class ConcurrenceResult:
     concurrence: float
     eof: float
     entangled: bool
-    status: str = "ok"
     margin: float | None = None
 
 
@@ -719,52 +712,3 @@ def wootters_margin(rho2: np.ndarray) -> float:
     root = (U * np.sqrt(np.clip(e, 0.0, None))) @ U.conj().T
     lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     return float(lam[0] - lam[1] - lam[2] - lam[3])
-
-
-def wootters_concurrence(rho2: np.ndarray) -> float:
-    """Wootters concurrence of an arbitrary two-qubit density matrix."""
-    return max(wootters_margin(rho2), 0.0)
-
-
-# ----------------------------------------------------------------------------
-# Asymptotics
-# ----------------------------------------------------------------------------
-
-def large_field_expansion(params: ModelParams) -> ConcurrenceResult:
-    """Far-field concurrence to lowest order in exp(-beta b):
-
-        C ~ (2/n) e^{-beta(b - b_c)} [ 1 - e^{-beta v}
-              - sqrt(2 n eta / (n-1)) e^{-beta gamma v / n} ]_+
-        eta = 1 - (n-1) e^{-beta v} + (n/2)(n-3) e^{-2 beta v (1 - 1/n)}
-
-    Valid deep in the aligned region; requires |b| - b_c > 5 T (else the
-    result is flagged not-applicable rather than silently extrapolated).
-    """
-    n, v = params.n, params.v
-    beta = params.beta
-    b = abs(params.b)
-    b_c = params.b_c
-    if b - b_c <= 5.0 * params.T:
-        return ConcurrenceResult(concurrence=float("nan"), eof=float("nan"),
-                                 entangled=False, status="not-applicable")
-    ebv = exp(-beta * v)
-    eta = 1.0 - (n - 1.0) * ebv + 0.5 * n * (n - 3.0) * exp(-2.0 * beta * v * (1.0 - 1.0 / n))
-    bracket = 1.0 - ebv - sqrt(max(2.0 * n * eta / (n - 1.0), 0.0)) * exp(-beta * params.gamma * v / n)
-    C = (2.0 / n) * exp(-beta * (b - b_c)) * max(bracket, 0.0)
-    return ConcurrenceResult(concurrence=C, eof=eof_from_concurrence(C),
-                             entangled=bool(C > ENTANGLED_EPS))
-
-
-def far_field_limit_temperature(n: int, gamma: float, v: float) -> float:
-    """b-independent limit temperature 2*gamma*v / (n ln[2n/(n-1)]) for b >> b_c."""
-    return 2.0 * gamma * v / (n * log(2.0 * n / (n - 1.0)))
-
-
-def zero_T_concurrence_approx(n: int, m: float) -> float:
-    """Stepwise T = 0 concurrence, C ~ 1/(n-1) + [4m^2/(1-4m^2)]/(n-1)^2.
-
-    m = M/n must stay well below 1/2 (the expansion breaks near alignment).
-    """
-    if abs(m) >= 0.5 - 1.0 / n:
-        raise DomainError(f"|m| = {abs(m)} too close to 1/2: expansion invalid")
-    return 1.0 / (n - 1.0) + (4.0 * m * m / (1.0 - 4.0 * m * m)) / (n - 1.0) ** 2

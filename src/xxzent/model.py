@@ -32,14 +32,12 @@ from .errors import DomainError
 
 __all__ = [
     "ModelParams",
-    "SpinLevel",
     "CrossingFields",
     "level_energy",
     "multiplicity",
     "log_multiplicity",
     "log_multiplicities",
     "two_s_range",
-    "spectrum_table",
     "crossing_fields",
 ]
 
@@ -104,16 +102,6 @@ class ModelParams:
         # as dataclasses.replace, __post_init__ included, at less cost per
         # call: sweeps and limit scans build every point through it
         return ModelParams(**{**self.__dict__, **kw})
-
-
-@dataclass(frozen=True)
-class SpinLevel:
-    """One collective level: quantum numbers, energy and multiplicity Y(S)."""
-
-    S: float
-    M: float
-    energy: float
-    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -215,20 +203,6 @@ def log_multiplicities(n: int) -> np.ndarray:
 def two_s_range(n: int):
     """Doubled total-spin values 2S = n mod 2, ..., n (ascending)."""
     return range(n % 2, n + 1, 2)
-
-
-def spectrum_table(params: ModelParams):
-    """All (S, M, E_SM, Y(S)) rows of the collective spectrum.
-
-    O(n^2) rows; intended for small to moderate n (tests, CLI inspection).
-    """
-    rows = []
-    for two_S in two_s_range(params.n):
-        Y = multiplicity(params.n, two_S / 2.0)
-        for two_M in range(-two_S, two_S + 1, 2):
-            rows.append(SpinLevel(two_S / 2.0, two_M / 2.0,
-                                  _level_energy_2(params, two_S, two_M), Y))
-    return rows
 
 
 def crossing_fields(params: ModelParams) -> CrossingFields:

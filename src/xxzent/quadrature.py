@@ -12,8 +12,9 @@ all m components share the panels, and refinement follows the error of
 component 0 alone.
 
 bracket_root is the bracketing root finder (ITP) shared by the CMFA gap,
-the CSPA breakdown temperature and the limit-scan band edges; the rpa engine
-keeps its own so that it stays an independent check.
+the CSPA breakdown temperature and the limit-scan band edges. The RPA
+engine that the tests check the tiers against keeps its own, so that it
+stays an independent check.
 
 Node and weight constants are the standard QUADPACK dqk15 values.
 """

@@ -32,6 +32,9 @@ The chain provided here:
     by near-zero Hessian eigenvalues and excluded.
 
 Identical sites are detected and diagonalized once.
+
+This is a test oracle for the cspa and cmfa tiers: it imports nothing from
+xxzent but the error types, so it shares no code with what it checks.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from math import log, pi, sinh, sqrt
 
 import numpy as np
 
-from .errors import BreakdownError, ConvergenceError, DomainError, PhaseError
+from xxzent.errors import (BreakdownError, ConvergenceError, DomainError,
+                           PhaseError)
 
 __all__ = [
     "LocalSite",

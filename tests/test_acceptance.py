@@ -10,16 +10,16 @@ from math import log, pi, sqrt, tanh
 import numpy as np
 import pytest
 
-from xxzent.cmfa import cmfa_asymptotics, cmfa_logZ, cmfa_moments, gap_solve
+from xxzent.cmfa import cmfa_logZ, cmfa_moments, gap_solve
 from xxzent.cspa import breakdown_temperature, cspa_logZ, cspa_moments
 from xxzent.errors import BreakdownError
 from xxzent.exact import (brute_force_observables, concurrence, exact_moments,
-                          far_field_limit_temperature, pair_state,
-                          thermal_observables,
-                          wootters_concurrence)
+                          pair_state, thermal_observables, wootters_margin)
 from xxzent.model import ModelParams, crossing_fields
-from xxzent.rpa import linearize, rpa_energies, xxz_sites
 from xxzent.sweep import evaluate_point, limit_temperature
+
+from oracles.closed_forms import cmfa_asymptotics, far_field_limit_temperature
+from oracles.rpa import linearize, rpa_energies, xxz_sites
 
 
 def report(k, msg):
@@ -57,7 +57,7 @@ def test_criterion_1_oracle_equivalence():
             worst_m = max(worst_m, abs(a - b_) / denom)
             assert abs(a - b_) <= 1e-10 * max(abs(a), abs(b_)) + 1e-12
         c_exact = concurrence(pair).concurrence
-        c_bf = wootters_concurrence(rho2)
+        c_bf = max(wootters_margin(rho2), 0.0)
         worst_c = max(worst_c, abs(c_exact - c_bf))
         assert abs(c_exact - c_bf) < 1e-10
     dt = time.time() - t0

@@ -3,13 +3,15 @@ from math import exp, log, sqrt, tanh
 import numpy as np
 import pytest
 
-from xxzent.cmfa import (cmfa_asymptotics, cmfa_logZ, cmfa_moments,
-                         critical_temperature, gap_solve, mean_field_z,
-                         mfa_product_moments, tc_discontinuity)
+from xxzent.cmfa import (cmfa_logZ, cmfa_moments, critical_temperature,
+                         gap_solve, mean_field_z, mfa_product_moments)
 from xxzent.errors import DomainError, NotApplicableError, PhaseError
 from xxzent.exact import (concurrence, exact_moments, pair_state,
-                          thermal_observables, zero_T_concurrence_approx)
+                          thermal_observables)
 from xxzent.model import ModelParams
+
+from oracles.closed_forms import (cmfa_asymptotics, tc_discontinuity,
+                                  zero_T_concurrence_approx)
 
 
 # ------------------------------------------------------------------ gap + Tc

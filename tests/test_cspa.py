@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from xxzent.cspa import (breakdown_temperature, cspa_logZ, cspa_moments,
-                         omega_squared, rpa_frequency)
+                         omega_squared)
 from xxzent.errors import (BreakdownError, DomainError,
                            InconsistentMomentsError, QuadratureError)
 from xxzent.exact import (concurrence, exact_moments, pair_state,
                           thermal_observables)
 from xxzent.model import ModelParams
 from xxzent.quadrature import bracket_root, quad_gk
+
+from oracles.closed_forms import rpa_frequency
 
 
 # ----------------------------------------------------------------- quadrature
@@ -1209,7 +1211,7 @@ def test_derivative_helpers_finite_in_extreme_regimes():
 def _generic_rpa_route(p, r, z):
     """(ln C_RPA, omega^2 of the collective mode) from the generic RPA
     engine at the static field x = (r, 0[, z])."""
-    from xxzent.rpa import linearize, log_c_rpa, rpa_energies, xxz_sites
+    from oracles.rpa import linearize, log_c_rpa, rpa_energies, xxz_sites
     sites, couplings = xxz_sites(p)
     x = np.array([r, 0.0] + ([z] if p.gamma < 1.0 else []))
     spectrum = rpa_energies(linearize(sites, x, p.T), couplings,

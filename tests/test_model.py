@@ -4,7 +4,9 @@ import pytest
 from xxzent.errors import DomainError
 from xxzent.model import (ModelParams, crossing_fields, level_energy,
                           log_multiplicities, log_multiplicity, multiplicity,
-                          spectrum_table, two_s_range)
+                          two_s_range)
+
+from oracles.closed_forms import spectrum_table
 
 
 def test_level_energy_n2():

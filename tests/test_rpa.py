@@ -5,9 +5,10 @@ import pytest
 
 from xxzent.errors import BreakdownError, DomainError, PhaseError
 from xxzent.model import ModelParams
-from xxzent.rpa import (LocalSite, c0_factor, c_rpa, free_energy,
-                        hartree_solve, linearize, log_c_rpa, response_matrix,
-                        rpa_energies, xxz_sites)
+
+from oracles.rpa import (LocalSite, c0_factor, c_rpa, free_energy,
+                         hartree_solve, linearize, log_c_rpa, response_matrix,
+                         rpa_energies, xxz_sites)
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]])
 SY = np.array([[0.0, -0.5j], [0.5j, 0.0]])
