@@ -10,23 +10,24 @@ sums are sums over the columns M of e^f(M) times suffix sums over the
 sectors S >= |M|, taken once per point with np.logaddexp.accumulate
 (see :func:`thermal_observables_batch`). The levels of sector S are the
 columns |M| <= S, so every sector's largest level is c_S plus a prefix
-maximum of f over |M|: one pass for all sectors, with f computed once per
-point. Sectors whose maximum lies more than 60 + 2 ln(n+1) below the
-global peak, and columns that far below the largest column, are skipped.
-The skipped mass is at most e^-60 Z, which moves the concurrence by less
-than 3e-13. The work is one lgamma map of length n + 1 for ln Y(S), kept
-for the last n (:func:`log_multiplicities`), then for a run of points at
-one (n, v, gamma) a few numpy passes over (points x sectors) arrays, and
-per point its two suffix sums and one product over its kept columns, with
-no Python loop over sectors or columns and no pass over the ~n^2/4
-levels. A run shares its array passes up to _PASS_SECTORS entries (every
-point of a run at n = 20, 8 points at n = 1000, one point from n = 4096),
-so at small n a point costs a share of the numpy calls instead of all of
-them: 40 points at n = 20 take about 1 ms, against 5.5 ms one point at a
-time (one Xeon core). At n = 10^6 (T = 0.1 v) the first point at an n
-takes about 0.3 s, most of it the lgamma map, and each later point about
-0.025 s, most of it c_S, f and their prefix maximum over all n/2 + 1
-sectors.
+maximum of f over |M|. Sectors whose maximum lies more than 60 + 2 ln(n+1)
+below the global peak, and columns that far below the largest column, are
+skipped. The skipped mass is at most e^-60 Z, which moves the concurrence
+by less than 3e-13. A point works only where that leaves anything: on a
+bracket of sectors around its live ones, which an estimate of the sector
+maxima on a grid finds and a bound on them certifies (:func:`_live_sectors`),
+and on the window of columns within the cut (:func:`_column_window`). ln Y(S)
+is mapped there alone, two lgamma calls a sector, and nothing is kept
+between points. A run shares its array passes up to _PASS_SECTORS entries
+(every point of a run at n = 20, 16 points at n = 1000, one point from
+n = 8192), so at small n a point costs a share of the numpy calls instead
+of all of them. At n = 10^6 (T = 0.1 v, b = 0.3 v) a point takes about
+2 ms and its bracket 163 sectors of 500,001; at n = 10^8 about 17 ms and
+45 MB for the whole process, at n = 10^9 about 0.1 s and 72 MB (one Xeon
+core). ln Y itself, by lgamma, rounds to about 3e-9 absolute at
+n = 10^6 and 6e-6 at 10^9 (see :mod:`xxzent.model`): huge-n points are
+references for time and memory, not for 1e-10. The T = 0 path
+(:func:`_ground_levels`) stays O(n).
 
 The symmetric two-qubit reduced state is
 
@@ -73,12 +74,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, inf, log, sqrt
+from math import ceil, comb, floor, inf, isfinite, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InconsistentMomentsError, XxzentError
-from .model import ModelParams, _level_energy_2, log_multiplicities
+from .model import ModelParams, _level_energy_2, log_multiplicity_span
 
 __all__ = [
     "CollectiveMoments",
@@ -160,13 +162,23 @@ class ConcurrenceResult:
 # ----------------------------------------------------------------------------
 
 CUT_NATS = 60.0   # weight below peak - CUT_NATS - 2 ln(n+1) is skipped
-# the (points x sectors) entries of one array pass of a run: a pass takes
-# as many of the run's points as fit, and at least one. Larger passes fault
-# in fresh pages as their arrays come and go: one pass over a 40-point run
-# at n = 1000 faulted in about 200 pages a run, one over 5 points at
-# n = 8810 about 270, while passes of 8 or 16 points at n = 1000 and of one
-# at n = 8810 faulted in none (in-process, warm)
-_PASS_SECTORS = 4096
+# the points of a run share array passes of at most this many points x
+# (n/2 + 1) entries, and at least one point: a pass's arrays span its points'
+# bracket, which points at distant T can spread over all n/2 + 1 sectors
+# (every point of a run at n = 20, 16 points at n = 1000, one point from
+# n = 8192)
+_PASS_SECTORS = 8192
+# a domain of fewer sectors is its own bracket: the estimate, the bounds
+# that certify it and the columns below it would take more numpy calls than
+# the sectors they skip
+_WHOLE_DOMAIN = 64
+# the grid rounds of the estimate take at most _GRID points each, until its
+# steps are at most _STEP sectors or 1/64 of the range they span
+_GRID = 256
+_STEP = 32
+# a computed log-weight lies within _ROUNDING times the sum of the sizes of
+# its terms of its exact value (its roundings take some 10 ulps; this is 256)
+_ROUNDING = 2.0 ** -44
 
 
 def _rows(n: int, M, ssp1, excess) -> np.ndarray:
@@ -210,64 +222,280 @@ def _one(outcomes):
     return out
 
 
-def _live_sectors(points):
-    """Sector constants, column log-weights and live sectors of the T > 0
-    sums at ``points``, which share n, v and gamma: (c, f, live, peak),
-    one row per point.
+_SIGNS = np.array([[-1.0], [1.0]])     # the rows M = -s and M = +s
+_HALVES = np.array([[-0.5], [0.5]])    # Stirling's -+ 1/2, on the same rows
+
+
+class _Sectors(NamedTuple):
+    """The live sectors of the points of a pass (see :func:`_live_sectors`):
+    per point (the first axis of each array) its beta and b, then over the
+    bracket L..H of sectors c (points x sectors), over the columns
+    s = S_j (the sector indices ``j``) f (points x 2 x columns), and over
+    the bracket live and peak."""
+
+    beta: np.ndarray
+    b: np.ndarray
+    L: int
+    j: np.ndarray
+    c: np.ndarray
+    f: np.ndarray
+    live: np.ndarray
+    peak: np.ndarray
+
+
+def _sector_estimate(n: int, beta, V: float, a: float, b_abs, S):
+    """The largest log-weight sigma(S) of sector S (see
+    :func:`_live_sectors`) less a constant, to about 0.2 nats, at the
+    sectors S (one row) for each point (beta, b_abs: one column): ln Y(S)
+    from Stirling's formula and the largest f(M) over |M| <= S at the
+    continuous vertex of f, a = V gamma."""
+    x = (n / 2.0 + 1.0) + _SIGNS * S           # n/2 + 1 -+ S
+    lnY = np.log(2.0 * S + 1.0) - ((x + _HALVES) * np.log(x)).sum(axis=0)
+    m = S if a <= 0.0 else np.minimum(S, b_abs * (0.5 / a))
+    return lnY + beta * (V * S * (S + 1.0) + m * (b_abs - a * m))
+
+
+def _estimated_bracket(n: int, beta, V: float, a: float, b_abs):
+    """Sector indices (lo, hi) around the sectors where the estimate of
+    sigma (:func:`_sector_estimate`) of some point lies within a nat past
+    the cut of its largest value.
+
+    Each round takes the estimate at _GRID sectors over lo..hi and moves
+    lo and hi in to the grid sectors past that cut before and after the
+    largest estimate of each point (the runs of them that start and end
+    the grid); the rounds stop at a grid step of at most _STEP sectors or
+    1/64 of lo..hi: one round up to n ~ 16000, two up to n ~ 10^7. Points
+    whose largest estimate is not finite take no part; without another
+    point the bracket is the top sector.
+    """
+    h, delta = n // 2, (n % 2) / 2.0
+    beta, b_abs = beta[:, None], b_abs[:, None]
+    lo, hi = 0, h
+    while True:
+        step = -(-(hi - lo) // (_GRID - 1))
+        k = np.arange(lo, hi + step, step)
+        k[-1] = hi
+        est = _sector_estimate(n, beta, V, a, b_abs, k + delta)
+        top = est.max(axis=1)
+        if not all(map(isfinite, top.tolist())):
+            finite = np.isfinite(top)
+            if not finite.any():
+                return h, h
+            est, top = est[finite], top[finite]
+        past = est < _cut(top[:, None] - 1.0, n)
+        left = min(past.argmin(axis=1).tolist())
+        right = min(past[:, ::-1].argmin(axis=1).tolist())
+        lo = int(k[left - 1]) if left else lo
+        hi = int(k[-right]) if right else hi
+        if step <= max(_STEP, (hi - lo) // 64):
+            return lo, hi
+
+
+def _column_window(n: int, beta, b, a: float, top: int):
+    """Sector indices (lo, hi) within 0..top that hold, for every point
+    (``beta``, ``b``: one each) and sign, every column |M| <= S_top whose
+    f(M) = -beta (b M + a M^2) lies within the cut of the largest f over
+    those columns in exact arithmetic, with two columns to spare at each
+    end that is not 0 or top; lo > hi where no f is finite.
+
+    The largest f over the lattice is within beta max(a, 0) / 4 of the
+    largest over [-S_top, S_top], at the clipped vertex -b / (2a) for a > 0
+    and at an end else, and a computed f within its rounding of its exact
+    value. So the columns sought have f >= theta, that largest less the
+    cut, those and the rounding: for a > 0 the M within
+    R = sqrt(d^2 + 1/4 + (cut + rounding) / (beta a)) of the vertex, d its
+    distance past S_top; for a < 0 the M off an interval around the vertex
+    (every M where theta is below the vertex); for a = 0 the M past
+    theta / (beta |b|) on the side of 0 away from b.
+    """
+    S = top + (n % 2) / 2.0
+    b_abs = np.abs(b)
+    # the cut and the rounding of f, in units of f
+    width = CUT_NATS + 2.0 * log(n + 1.0) + 8.0 * _ROUNDING * (
+        max(beta.tolist()) * (max(b_abs.tolist()) * S + abs(a) * S * S)
+        + log(n + 1.0) + 1.0)
+    if a > 0.0:
+        vertex = b_abs * (0.5 / a)                  # |M| of the vertex
+        d = np.maximum(vertex - S, 0.0)
+        R = np.sqrt(d * d + (0.25 + width / a / beta))
+        lo, hi = vertex - R, vertex + R
+    elif a < 0.0:
+        vertex = b_abs * (-0.5 / a)
+        # f(vertex) is the least f; the largest is at the end M = -S sgn(b)
+        w2 = (S + vertex) ** 2 - width / (-a) / beta
+        w = np.sqrt(np.maximum(w2, 0.0))
+        lo = np.where(w2 <= 0.0, 0.0, np.maximum(w - vertex, 0.0))
+        hi = np.where(lo <= S, S, -inf)
+    else:
+        # f = -beta b M: the largest is beta |b| S, at M = -S sgn(b)
+        lo = S - width / (beta * b_abs)
+        hi = np.where(lo <= S, S, -inf)
+    lo = max(float(np.fmin.reduce(lo)) - (n % 2) / 2.0, -1.0)
+    hi = min(float(np.fmax.reduce(hi)) - (n % 2) / 2.0, top + 1.0)
+    return (int(max(floor(lo) - 2.0, 0.0)) if lo <= top else top + 1,
+            int(min(ceil(hi) + 2.0, float(top))) if hi >= 0.0 else -1)
+
+
+def _live_sectors(points) -> _Sectors:
+    """The live sectors of the T > 0 sums at ``points``, which share n, v
+    and gamma, over one bracket of sectors L..H (see :class:`_Sectors`).
 
     A level's log-weight ln Y(S) - beta E_SM is c_S + f(M), with
-    c_S = ln Y(S) + beta (V S(S+1) - E0) (``c``, one column per 2S of
-    two_s_range(n)) and f(M) = -beta (b M + V gamma M^2) (``f``, per point
-    the rows M = -s and M = +s over the same grid of s = |M|; for even n
-    the second M = 0 is -inf, so each column appears once). The levels of
-    sector S are the columns with |M| <= S, so its largest log-weight is
-    c_S plus the prefix maximum of f over s, at every gamma. ``live`` marks
-    the sectors whose maximum is at least _cut(peak, n), ``peak`` being the
-    largest of them. A point whose peak is not finite (beta |E| past the
-    float range: at n = 8810 from T ~ 1e-305) has no meaningful row, and
-    is refused before any sum.
+    c_S = ln Y(S) + beta (V S(S+1) - E0) (``c``, one column per sector
+    L..H of two_s_range(n)) and f(M) = -beta (b M + V gamma M^2) (``f``,
+    per point the rows M = -s and M = +s over the columns s = S_j; for even
+    n the second M = 0 is -inf, so each column appears once). The columns
+    are the window of :func:`_column_window` below the bracket, then the
+    sectors of the bracket. The levels of sector S are the columns with
+    |M| <= S, so its largest log-weight sigma(S) is c_S plus the prefix
+    maximum of f over s, at every gamma: over the window, the largest f of
+    every column s < S_L, then a running maximum over the bracket.
+    ``live`` marks the sectors whose sigma is at least _cut(peak, n),
+    ``peak`` being the largest sigma. A point whose peak is not finite
+    (beta |E| past the float range: at n = 8810 from T ~ 1e-305) has no
+    meaningful row, and is refused before any sum.
+
+    The bracket is every sector of a domain of fewer than _WHOLE_DOMAIN,
+    else the estimate of :func:`_estimated_bracket`; ln Y is mapped over it
+    alone (:func:`log_multiplicity_span`). It holds where every sector
+    outside it is below the cut (:func:`_bracket_holds`); an end that does
+    not hold moves out by the bracket's width, and the bracket is taken
+    again. So the peak, the cut and the live sectors are those of the sum
+    over all n/2 + 1 sectors.
     """
     p0 = points[0]
-    n, V, gamma = p0.n, p0.V, p0.gamma
-    beta = np.array([p.beta for p in points])[:, None]
-    b = np.array([p.b for p in points])[:, None, None]
-    s = np.arange(n // 2 + 1) + (n % 2) / 2.0     # S of two_s_range(n)
-    M = np.stack([-s, s])
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = log_multiplicities(n) + beta * (V * s * (s + 1.0) - p0.E0)
-        f = -beta[:, :, None] * (b * M + V * gamma * M * M)
-        if n % 2 == 0:
-            f[:, 1, 0] = -inf                    # M = 0 is one column
-        sector_max = c + np.maximum.accumulate(f.max(axis=1), axis=1)
-        peak = sector_max.max(axis=1)
-        live = sector_max >= _cut(peak, n)[:, None]
-    return c, f, live, peak
+    n, V, a, E0 = p0.n, p0.V, p0.V * p0.gamma, p0.E0
+    h, delta = n // 2, (n % 2) / 2.0
+    beta = np.array([p.beta for p in points])
+    b = np.array([p.b for p in points])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L, H = ((0, h) if h < _WHOLE_DOMAIN
+                else _estimated_bracket(n, beta, V, a, np.abs(b)))
+        while True:
+            j = np.arange(L, H + 1)
+            lo, hi = _column_window(n, beta, b, a, L - 1) if L else (0, -1)
+            if lo <= hi:
+                j = np.concatenate([np.arange(lo, hi + 1), j])
+            s = j + delta                             # S of two_s_range(n)
+            below = j.size - (H + 1 - L)              # columns below L
+            c = (log_multiplicity_span(n, L, H + 1)
+                 + beta[:, None] * (V * s[below:] * (s[below:] + 1.0) - E0))
+            M = _SIGNS * s
+            f = -beta[:, None, None] * (b[:, None, None] * M + a * M * M)
+            if n % 2 == 0 and j[0] == 0:
+                f[:, 1, 0] = -inf                 # M = 0 is one column
+            f_max = f.max(axis=1)
+            if below:
+                f_max[:, below] = np.maximum(f_max[:, below],
+                                             f_max[:, :below].max(axis=1))
+            sigma = c + np.maximum.accumulate(f_max[:, below:], axis=1)
+            peak = sigma.max(axis=1)
+            cut = _cut(peak, n)
+            low, high = ((True, True) if L == 0 and H == h else
+                         _bracket_holds(n, V, a, E0, beta, b, L, H, sigma,
+                                        peak, cut))
+            if low and high:
+                return _Sectors(beta, b, L, j, c, f, sigma >= cut[:, None],
+                                peak)
+            width = H - L + 1
+            L, H = (L if low else max(L - width, 0),
+                    H if high else min(H + width, h))
 
 
-def _columns(n: int, c, f, live):
-    """The kept columns of the points of _live_sectors whose peak is
-    finite, one segment per point: (M, ssp1, excess, w, ends, shift, G).
+def _bracket_holds(n: int, V: float, a: float, E0: float, beta, b, L: int,
+                   H: int, sigma, peak, cut):
+    """Whether every sector below L, and every sector past H, is below the
+    cut as computed, for every point with a finite peak: (low, high).
 
-    Point k's columns are M[ends[k]:ends[k + 1]] with their S(S+1) and
-    alpha rows ``ssp1`` and ``excess`` and weights ``w`` = e^(g - G[k]);
-    its ln Z is shift[k] + G[k] + ln(sum of its w). See
-    :func:`thermal_observables_batch`.
+    An end that is an end of the domain holds. Another holds where it lies
+    below the cut by more than twice the rounding of a computed sigma and
+    sigma is monotone beyond it in exact arithmetic. The step
+    sigma(S+1) - sigma(S) is ln Y(S+1)/Y(S) = ln((n/2 - S)(2S + 3) /
+    ((n/2 + S + 2)(2S + 1))), plus 2 beta V (S+1) from c_S, plus the growth
+    of the prefix maximum of f, beta max(0, |b| - a x) at x = 2S + 1,
+    a = V gamma. At u = S + 1 that is P(u) + Q(x):
+    P(u) = ln((m - u)/(m + u)) + 2 beta (V + a-) u, m = n/2 + 1,
+    a- = max(0, -a), is concave in u, and Q(x) = ln((x + 2)/x) plus
+    beta (|b| + a) where a < 0, else beta max(0, |b| - a x), does not grow
+    with x. So no step below sector L is less than the smaller of P(u(0))
+    and P(u(L - 1)) plus Q(x(L - 1)), and past the vertex of P no step
+    exceeds the one before: sigma rises up to L where that bound is
+    positive, and falls from H on where u(H - 1) is past the vertex and
+    the step into H is negative, each by more than its rounding. A step is
+    linear in beta and grows with |b|, so the bounds are taken over the
+    range of the points' beta at their least or largest |b|.
     """
+    h, delta, m = n // 2, (n % 2) / 2.0, n / 2.0 + 1.0
+    if not all(map(isfinite, peak.tolist())):
+        finite = np.isfinite(peak)
+        if not finite.any():
+            return True, True
+        beta, b, sigma, cut = (beta[finite], b[finite], sigma[finite],
+                               cut[finite])
+    betas = (float(beta.min()), float(beta.max()))
+    b_abs = np.abs(b)
+    b_min, b_max = float(b_abs.min()), float(b_abs.max())
+    Va = V - min(a, 0.0)
+
+    def steps(u, x, b_abs):
+        # P(u) + Q(x) at the least and the largest beta
+        field = b_abs + a if a < 0.0 else max(0.0, b_abs - a * x)
+        return [log((m - u) * (x + 2.0) / ((m + u) * x))
+                + beta * (2.0 * Va * u + field) for beta in betas]
+
+    # the rounding of a bound, and twice that of a computed sigma, from
+    # ln Y (each lgamma at most n ln(n + 1)), beta V S(S+1), beta E0 and
+    # the columns
+    rounding = _ROUNDING * (4.0 + log(m) + betas[1] * (
+        2.0 * Va * m + b_max + abs(a) * (n + 2.0)))
+    slack = 2.0 * _ROUNDING * (n * log(n + 1.0) + 1.0 + betas[1] * (
+        V * h * (h + 1.0) + E0 + (b_max + abs(a) * h) * (h + 1.0)))
+    low = L == 0
+    if not low:
+        u, x = L + delta, 2.0 * (L + delta) - 1.0      # the step from L - 1
+        low = (min(steps(u, x, b_min) + steps(delta + 1.0, x, b_min))
+               > rounding and bool((sigma[:, 0] < cut - slack).all()))
+    high = H == h
+    if not high:
+        u, x = H + delta, 2.0 * (H + delta) - 1.0      # the step into H
+        high = (betas[1] * Va * (m - u) * (m + u) <= m * (1.0 - _ROUNDING)
+                and max(steps(u, x, b_max)) < -rounding
+                and bool((sigma[:, -1] < cut - slack).all()))
+    return low, high
+
+
+def _columns(n: int, sectors: _Sectors):
+    """The kept columns of the points of ``sectors`` (whose peaks are
+    finite), one segment per point: (M, ssp1, excess, w, ends, shift, G).
+
+    Point k's columns are M[ends[k]:ends[k + 1]], M = -s then M = +s, each
+    by ascending s, with their S(S+1) and alpha rows ``ssp1`` and
+    ``excess`` and weights ``w`` = e^(g - G[k]); its ln Z is
+    shift[k] + G[k] + ln(sum of its w). See
+    :func:`thermal_observables_batch`.
+
+    A column's log-weight g(M) = ln H(s) + f(M) is at most
+    ln H(first) + f(M), and the columns below the bracket reach that. So
+    the columns within the cut lie within the cut of the largest f below
+    the bracket: in its column window, which the columns of ``sectors``
+    hold; its ends, where not ends of the columns below, must be cut.
+    """
+    _, _, L, j, c, f, live, _ = sectors
+    delta = (n % 2) / 2.0
     rows = np.arange(c.shape[0])
-    first = live.argmax(axis=1)
-    last = c.shape[1] - 1 - live[:, ::-1].argmax(axis=1)
-    # a column s past a point's hull has H(s) = 0: only s <= max(last) count
-    width = int(last.max()) + 1
-    s = np.arange(width) + (n % 2) / 2.0         # S of two_s_range(n)
+    below = j.size - c.shape[1]                  # columns below the bracket
+    first = live.argmax(axis=1) + below
+    last = j.size - 1 - live[:, ::-1].argmax(axis=1)
+    s = j + delta                                # S of two_s_range(n)
     ssp1 = s * (s + 1.0)
     lo0 = int(first.min())
     log_2s2 = np.log(2.0 * s[lo0:] + 2.0)        # over every point's hull
-    lnH = np.full((rows.size, width), -inf)      # ln H(s), -inf past the hull
-    ratio = np.zeros((rows.size, width))         # K(s) / H(s)
+    lnH = np.full((rows.size, j.size), -inf)     # ln H(s), -inf past the hull
+    ratio = np.zeros((rows.size, j.size))        # K(s) / H(s)
     shift = []
     for k, lo, hi in zip(rows, first.tolist(), (last + 1).tolist()):
         # the two suffix sums over the point's own hull of live sectors
-        hull = c[k, lo:hi]
+        hull = c[k, lo - below:hi - below]
         top = float(hull.max())
         shift.append(top)
         h = np.logaddexp.accumulate(hull[::-1] - top)[::-1]
@@ -277,17 +505,22 @@ def _columns(n: int, c, f, live):
         ratio[k, lo:hi - 1] = np.exp(lnK[::-1] - h[:-1])
     # a column s < first sees the whole hull: H(s) = H(first), and K(s)
     # exceeds K(first) by (S(S+1) - s(s+1)) H(first), S = s[first]
-    below = np.arange(width) < first[:, None]
-    np.copyto(lnH, lnH[rows, first][:, None], where=below)
+    below_first = np.arange(j.size) < first[:, None]
+    np.copyto(lnH, lnH[rows, first][:, None], where=below_first)
     np.subtract((ratio[rows, first] + ssp1[first])[:, None], ssp1, out=ratio,
-                where=below)
-    g = lnH[:, None, :] + f[:, :, :width]
+                where=below_first)
+    g = lnH[:, None, :] + f
     G = g.max(axis=(1, 2))
+    keep = g >= _cut(G, n)[:, None, None]
+    if below and ((j[0] > 0 and keep[:, :, 0].any())
+                  or (j[below - 1] < L - 1 and keep[:, :, below - 1].any())):
+        raise XxzentError("a column within the cut lies at an end of the "
+                          "column window")
     # the kept columns as flat indices into g, point by point
-    keep = np.flatnonzero(g >= _cut(G, n)[:, None, None])
-    point, column = np.divmod(keep, 2 * width)
+    keep = np.flatnonzero(keep)
+    point, column = np.divmod(keep, 2 * j.size)
     M = np.concatenate([-s, s])[column]
-    r = ratio.ravel()[point * width + column % width]
+    r = ratio.ravel()[point * j.size + column % j.size]
     w = np.exp(g.ravel()[keep] - G[point])
     s = np.abs(M)
     return (M, r + s * (s + 1.0), r + (s - n / 2.0), w,
@@ -321,29 +554,29 @@ def thermal_observables_batch(points) -> list:
     (np.logaddexp.accumulate) over the hull of the live sectors, shifted by
     the hull's largest c_S, and every suffix is a sum of positive terms.
     The columns M = +-s fold onto the sector grid, so per point the work is
-    a few numpy passes over at most n/2 + 1 sectors and n + 1 columns, not
-    over levels. A column's log-weight, less the hull's shift, is
-    g(M) = ln H(s) + f(M), with the f of :func:`_live_sectors`. Only the
-    columns within _cut(G, n) of the largest one, G, are exponentiated,
-    with G as their shift, so the summed Z is at least 1 and finite. The
-    shift is added back last, as ln Z = shift + (G + ln Z_summed): the
-    b-dependent part is rounded at its own size, so ln Z stays smooth in b
-    to rounding, and the column weights carry no rounding of the large c_S
-    (~10^5 at n ~ 10^3, T ~ 1e-3 v).
+    a few numpy passes over the sectors of its bracket and the columns of
+    its window, not over levels. A column's log-weight, less the hull's
+    shift, is g(M) = ln H(s) + f(M), with the f of :func:`_live_sectors`.
+    Only the columns within _cut(G, n) of the largest one, G, are
+    exponentiated, with G as their shift, so the summed Z is at least 1 and
+    finite. The shift is added back last, as ln Z = shift + (G +
+    ln Z_summed): the b-dependent part is rounded at its own size, so ln Z
+    stays smooth in b to rounding, and the column weights carry no
+    rounding of the large c_S (~10^5 at n ~ 10^3, T ~ 1e-3 v).
 
-    The points share array passes, each of as many as keep its
-    (points x sectors) arrays within _PASS_SECTORS entries: c_S, f, the
-    sector maxima, the live hulls, g and the cut of the columns are
-    computed for all of them at once, and so are the rows of their kept
-    columns. Per point remain the two suffix sums, each over the point's
-    own hull (a hull spanning the pass would sum sectors no point keeps:
-    at n = 8810, b = 0.5 and T from 0.01 to 0.6 each hull holds 1 to 1080
-    sectors, their union 3217), the product of its kept columns with
-    their weights (one per point, so its summation order, and every bit,
-    is that of the point alone) and the T -> 0 branch below. Every
-    refusal is decided before any sum: T <= 0, and a peak that is not
-    finite, each a DomainError. Any other exception inside a pass raises
-    for the whole batch.
+    The points share array passes, each of as many as keep
+    points x (n/2 + 1) within _PASS_SECTORS entries: the estimate, the
+    bracket and its certificate, c_S, f, the sector maxima, the live
+    hulls, g and the cut of the columns are computed for all of them at
+    once, and so are the rows of their kept columns. Per point remain the
+    two suffix sums, each over the point's own hull (a hull spanning the
+    pass would sum sectors no point keeps: at n = 8810, b = 0.5 and T from
+    0.01 to 0.6 each hull holds 1 to 1080 sectors, their union 3217), the
+    product of its kept columns with their weights (one per point, so its
+    summation order, and every bit, is that of the point alone) and the
+    T -> 0 branch below. Every refusal is decided before any sum: T <= 0,
+    and a peak that is not finite, each a DomainError. Any other exception
+    inside a pass raises for the whole batch.
 
     Certificate: each level of a sector outside the hull weighs less than
     e^_cut(peak, n) = e^peak e^-CUT_NATS / (n+1)^2, and each skipped column
@@ -384,17 +617,18 @@ def thermal_observables_batch(points) -> list:
 def _thermal_pass(points) -> list:
     """The outcomes of T > 0 points that share n, v and gamma, from one
     array pass (see :func:`thermal_observables_batch`)."""
-    c, f, live, peak = _live_sectors(points)
-    finite = np.isfinite(peak)
+    sectors = _live_sectors(points)
+    finite = np.isfinite(sectors.peak)
     out = [None if ok else DomainError(f"beta |E| overflows at T = {p.T:.6g}; "
                                        "T = 0 is the ground-state path")
            for p, ok in zip(points, finite)]
     if not finite.any():
         return out
     if not finite.all():
-        c, f, live = c[finite], f[finite], live[finite]
+        sectors = sectors._replace(**{k: getattr(sectors, k)[finite] for k in (
+            "beta", "b", "c", "f", "live", "peak")})
     n = points[0].n
-    M, ssp1, excess, w, ends, shift, G = _columns(n, c, f, live)
+    M, ssp1, excess, w, ends, shift, G = _columns(n, sectors)
     rows = _rows(n, M, ssp1, excess)
     for i, k in enumerate(np.flatnonzero(finite).tolist()):
         j = slice(ends[i], ends[i + 1])

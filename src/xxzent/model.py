@@ -18,12 +18,18 @@ each (S, M) level carrying the multiplicity Y(S) of spin-S multiplets.
 
 Half-integer spins are carried as doubled integers (2S, 2M) internally, which
 removes any floating-point parity ambiguity for odd n.
+
+ln Y(S) comes from lgamma (:func:`log_multiplicity`, and
+:func:`log_multiplicity_span` for a run of sectors, bit for bit the same),
+whose terms grow like n ln n: against mpmath its absolute error reaches
+2.6e-11 at n = 10^4, 2.2e-9 at 10^6, 4.2e-8 at 10^7, 4.4e-7 at 10^8 and
+5.7e-6 at 10^9 (the largest over about 100 sectors each, spread over the
+domain and its top). Nothing is tabulated or kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, isfinite, lgamma, log1p
 
 import numpy as np
@@ -36,7 +42,7 @@ __all__ = [
     "level_energy",
     "multiplicity",
     "log_multiplicity",
-    "log_multiplicities",
+    "log_multiplicity_span",
     "two_s_range",
     "crossing_fields",
 ]
@@ -171,7 +177,7 @@ def multiplicity(n: int, S) -> int:
 
 
 def log_multiplicity(n: int, two_S: int) -> float:
-    """ln Y(S) from doubled 2S, via log-gamma; safe up to n ~ 10^4 and beyond."""
+    """ln Y(S) from doubled 2S, via log-gamma; no overflow at any n."""
     _check_s(n, two_S)
     k = (n - two_S) // 2
     lc = lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
@@ -181,23 +187,22 @@ def log_multiplicity(n: int, two_S: int) -> float:
     return lc + log1p(-k / (n - k + 1.0))
 
 
-@lru_cache(maxsize=1)
-def log_multiplicities(n: int) -> np.ndarray:
-    """ln Y(S) for every 2S of :func:`two_s_range` at once, read-only.
+def log_multiplicity_span(n: int, start: int, stop: int) -> np.ndarray:
+    """ln Y(S) for the sectors two_s_range(n)[start:stop], 2S ascending.
 
     Bit-identical to :func:`log_multiplicity` element by element: the same
     terms, combined in the same order, with lgamma and log1p from ``math``.
-    The table depends on n alone, and the last one is kept: a sweep, limit
-    scan or figure curve works at one n, so its points map lgamma once.
+    It takes 2 (stop - start) + 1 lgamma calls, whatever n.
     """
-    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)  # lgamma(j+1)
     h = n // 2
-    k = np.arange(h, -1, -1.0)             # k = (n - 2S) / 2, 2S ascending
-    lc = lg[n] - lg[h::-1] - lg[n - h:]    # lgamma(k+1), lgamma(n-k+1)
+    k = np.arange(h - start, h - stop, -1.0)        # k = (n - 2S) / 2
+    lk = np.fromiter(map(lgamma, range(h - start + 1, h - stop + 1, -1)),
+                     float, k.size)                 # lgamma(k + 1)
+    lnk = np.fromiter(map(lgamma, range(n - h + start + 1, n - h + stop + 1)),
+                      float, k.size)                # lgamma(n - k + 1)
+    lc = lgamma(n + 1) - lk - lnk
     x = -k / (n - k + 1.0)
-    lnY = lc + np.fromiter(map(log1p, x.tolist()), float, k.size)
-    lnY.setflags(write=False)
-    return lnY
+    return lc + np.fromiter(map(log1p, x.tolist()), float, k.size)
 
 
 def two_s_range(n: int):

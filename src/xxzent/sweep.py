@@ -16,12 +16,13 @@ gamma), the same runs for every worker count, and a worker process takes
 whole runs: a group of 40 points or fewer at one (n, v, gamma) is one run,
 evaluated in one process whatever the worker count. The cspa and spa tiers
 evaluate a run at gamma = 1 in one array pass, and the exact tier the
-T > 0 points of a run in shared array passes (all of them at n = 20, 8 at a
-time at n = 1000), its T = 0 points on the ground-state path; the
+T > 0 points of a run in shared array passes (all of them at n = 20, 16 at
+a time at n = 1000), its T = 0 points on the ground-state path; the
 bruteforce, cmfa and mfa tiers evaluate one point at a time. The per-n
-tables of the exact and bruteforce tiers, ln Y(S) and the eigen-rows of the
-pair-swap sectors of the S_z blocks, are kept for the last n, so the points
-at one n share them across runs, limit-scan edge refinements included.
+table of the bruteforce tier, the eigen-rows of the pair-swap sectors of
+the S_z blocks, is kept for the last n, so the points at one n share it
+across runs, limit-scan edge refinements included; the exact tier keeps
+nothing between passes.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism

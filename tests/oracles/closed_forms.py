@@ -4,14 +4,17 @@ spectrum, as test oracles for the tiers.
 The far-field and T = 0 concurrence expansions and the far-field limit
 temperature check the exact tier; the large-n CMFA expansion and the T_c
 jump of ln Z check the cmfa tier; the single RPA mode checks the cspa
-integrand; the (S, M) level table checks the exact tier's spectral sums.
+integrand; the (S, M) level table checks the exact tier's spectral sums,
+and the ln Y(S) table of every sector its live sectors, over the full scan.
 Only public xxzent names are imported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, lgamma, log, log1p, sqrt
+
+import numpy as np
 
 from xxzent.cmfa import cmfa_logZ, critical_temperature, gap_solve
 from xxzent.cspa import omega_squared
@@ -33,6 +36,19 @@ class SpinLevel:
     M: float
     energy: float
     multiplicity: int
+
+
+def log_multiplicities(n: int) -> np.ndarray:
+    """ln Y(S) for every 2S of two_s_range(n), the full scan: one lgamma map
+    of length n + 1 and one log1p map over the sectors, bit-identical to
+    model.log_multiplicity element by element (the same terms, combined in
+    the same order, with lgamma and log1p from ``math``)."""
+    lg = np.fromiter(map(lgamma, range(1, n + 2)), float, n + 1)  # lgamma(j+1)
+    h = n // 2
+    k = np.arange(h, -1, -1.0)             # k = (n - 2S) / 2, 2S ascending
+    lc = lg[n] - lg[h::-1] - lg[n - h:]    # lgamma(k+1), lgamma(n-k+1)
+    x = -k / (n - k + 1.0)
+    return lc + np.fromiter(map(log1p, x.tolist()), float, k.size)
 
 
 def spectrum_table(params: ModelParams):

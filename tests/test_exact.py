@@ -11,12 +11,12 @@ from xxzent.exact import (CollectiveMoments, brute_force_observables,
                           eof_from_concurrence, exact_moments,
                           ground_state_moments, ground_state_pair_state,
                           pair_state, thermal_observables)
-from xxzent.model import (ModelParams, crossing_fields, log_multiplicities,
-                          log_multiplicity, two_s_range)
+from xxzent.model import (ModelParams, crossing_fields, log_multiplicity,
+                          two_s_range)
 
 from oracles.closed_forms import (far_field_limit_temperature,
-                                  large_field_expansion, spectrum_table,
-                                  zero_T_concurrence_approx)
+                                  large_field_expansion, log_multiplicities,
+                                  spectrum_table, zero_T_concurrence_approx)
 
 
 def random_params(rng, n_max=8):
@@ -170,17 +170,18 @@ def test_windowed_sum_matches_full_sum_odd_n(T):
 
 
 def _window(p):
-    """One point's sector constants, column log-weights and live sector
-    indices, as the tier computes them in a run of one."""
-    c, f, live, _ = exact._live_sectors([p])
-    return c[0], f[0], np.flatnonzero(live[0])
+    """One point's bracket as the tier computes it in a run of one: its
+    first sector L, its sector constants c over L.., its live sector
+    indices (into two_s_range(n)) and its peak."""
+    sectors = exact._live_sectors([p])
+    live = sectors.L + np.flatnonzero(sectors.live[0])
+    return sectors.L, sectors.c[0], live, float(sectors.peak[0])
 
 
 def _kept_columns(p):
     """One point's kept columns as the tier contracts them with their
     weights: (M, ssp1, excess, w)."""
-    c, f, live, _ = exact._live_sectors([p])
-    return exact._columns(p.n, c, f, live)[:4]
+    return exact._columns(p.n, exact._live_sectors([p]))[:4]
 
 
 def test_column_sums_match_per_column_fsum():
@@ -199,9 +200,9 @@ def test_column_sums_match_per_column_fsum():
     for n, gamma, b, T in cases:
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
         M, ssp1, excess, w = _kept_columns(p)
-        c, _, live = _window(p)
-        S = np.arange(c.size) + (n % 2) / 2
-        hull = np.arange(live[0], live[-1] + 1)
+        L, c, live, _ = _window(p)
+        S = L + np.arange(c.size) + (n % 2) / 2
+        hull = np.arange(live[0], live[-1] + 1) - L
         top = c[hull].max()
         got, ref = [], []
         for m, q3, q6, wm in zip(M, ssp1, excess, w):
@@ -232,7 +233,7 @@ def test_windowed_sum_work_is_a_few_sectors():
                             (1000, 0.3, 0.4125): (470, 349),
                             (8810, 0.0, 0.1): (25, 525)}.items():
         p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=T)
-        _, _, live = _window(p)
+        live = _window(p)[2]
         M = _kept_columns(p)[0]
         assert (live[-1] - live[0] + 1, M.size) == work, p
         assert max(work) <= n // 2 + 1
@@ -265,6 +266,7 @@ def _scalar_live_sectors(p):
 
 
 def _closed_form_live_sectors(p):
+    # the full scan: ln Y(S) of every sector from the oracle's table
     n, beta = p.n, p.beta
     a, b = p.V * p.gamma, p.b
     two_S = np.arange(n % 2, n + 1, 2)
@@ -276,8 +278,8 @@ def _closed_form_live_sectors(p):
         cands += [below, np.minimum(below + 2.0, two_S)]
     c = log_multiplicities(n) + beta * (p.V * S * (S + 1.0) - p.E0)
     f = [-beta * (b * M + p.V * p.gamma * M * M) for M in np.divide(cands, 2.0)]
-    _, live = _live_set(n, (c + np.max(f, axis=0)).tolist())
-    return c, live
+    peak, live = _live_set(n, (c + np.max(f, axis=0)).tolist())
+    return peak, c, live
 
 
 def _window_cases():
@@ -296,33 +298,46 @@ def _window_cases():
 
 
 def test_vectorized_window_matches_scalar_rule():
-    # the sector maxima as one prefix max over the columns, for all sectors
-    # at once: the same peak, sector constants c_S and live sectors as the
-    # per-sector maximum over every level, and the same c_S and live sectors
-    # as the closed-form rule; RuntimeWarnings are errors under the test
-    # settings
+    # the sector maxima of the bracket, one prefix max over the columns: the
+    # same peak, sector constants c_S and live sectors as the per-sector
+    # maximum over every level of every sector, and as the closed-form
+    # rule; RuntimeWarnings are errors under the test settings
     for n, gamma, b, T in _window_cases():
         p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-        c, f, live = _window(p)
-        peak = max(c[k] + f[:, :k + 1].max() for k in range(c.size))
+        L, c, live, peak = _window(p)
         ref_peak, ref_c, ref_live = _scalar_live_sectors(p)
         assert peak == ref_peak, p
-        assert c.tolist() == ref_c, p
+        assert c.tolist() == ref_c[L:L + c.size], p
         assert live.tolist() == ref_live, p
-        cf_c, cf_live = _closed_form_live_sectors(p)
-        assert c.tolist() == cf_c.tolist(), p
+        cf_peak, cf_c, cf_live = _closed_form_live_sectors(p)
+        assert peak == cf_peak, p
+        assert c.tolist() == cf_c[L:L + c.size].tolist(), p
         assert live.tolist() == cf_live, p
 
 
-def test_live_sectors_match_closed_form_rule_up_to_n8810():
-    # 700 points: n x 4 gamma in [-1, 1] x 5 b x 7 T in [1e-3, 2]
-    for n in (7, 20, 101, 1000, 8810):
+def test_bracket_matches_closed_form_rule_on_840_points(monkeypatch):
+    # 840 points: n x 4 gamma in [-1, 1] x 5 b x 7 T in [1e-3, 2]; the
+    # bracket's first and last live sector and its peak are the full
+    # scan's, and its ends are certified without growing: ln Y is mapped
+    # once, over a bracket that overshoots the hull by a few sectors
+    calls, spans = [], []
+    real = exact.log_multiplicity_span
+    monkeypatch.setattr(exact, "log_multiplicity_span",
+                        lambda *args: calls.append(args) or real(*args))
+    for n in (7, 20, 101, 1000, 8810, 100_001):
         for gamma in (-1.0, 0.0, 0.5, 1.0):
             for b in (0.0, 0.3, 0.9, -1.15, 3.0):
                 for T in (1e-3, 0.01, 0.05, 0.1, 0.4, 1.0, 2.0):
                     p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T)
-                    live = _window(p)[2]
-                    assert live.tolist() == _closed_form_live_sectors(p)[1], p
+                    calls.clear()
+                    L, c, live, peak = _window(p)
+                    cf_peak, _, cf_live = _closed_form_live_sectors(p)
+                    assert (live[0], live[-1]) == (cf_live[0], cf_live[-1]), p
+                    assert peak == cf_peak, p
+                    assert len(calls) == 1, p
+                    spans.append(c.size - (live[-1] - live[0] + 1))
+    assert len(spans) == 840
+    assert max(spans) <= 72 and sorted(spans)[420] <= 4
 
 
 def test_exact_tier_reaches_n_1e5():
@@ -699,14 +714,14 @@ def test_brute_force_refuses_points_before_any_eigh(monkeypatch):
 
 
 def test_per_n_tables_are_read_only():
-    # the memoized tables are shared by every later point at their n
+    # the memoized eigen-rows are shared by every later point at their n
     p = ModelParams(n=6, v=1.0, b=0.3, T=0.2)
     ref = brute_force_observables(p)
-    for table in (log_multiplicities(p.n), exact._flip_flop_rows(p.n)):
-        with pytest.raises(ValueError):
-            table[0] = 0.0
-        with pytest.raises(ValueError):
-            table.flat[-1] *= 2.0
+    table = exact._flip_flop_rows(p.n)
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    with pytest.raises(ValueError):
+        table.flat[-1] *= 2.0
     again = brute_force_observables(p)
     assert again[0] == ref[0] and np.array_equal(again[1], ref[1])
 

@@ -3,10 +3,10 @@ import pytest
 
 from xxzent.errors import DomainError
 from xxzent.model import (ModelParams, crossing_fields, level_energy,
-                          log_multiplicities, log_multiplicity, multiplicity,
-                          two_s_range)
+                          log_multiplicity, log_multiplicity_span,
+                          multiplicity, two_s_range)
 
-from oracles.closed_forms import spectrum_table
+from oracles.closed_forms import log_multiplicities, spectrum_table
 
 
 def test_level_energy_n2():
@@ -84,13 +84,19 @@ def test_invalid_spin_raises_domain_error(n, two_S):
 
 
 def test_log_multiplicities_bit_identical():
-    # the array route must reproduce the scalar one exactly, not just closely:
-    # the exact tier's certified window is built from these values
+    # the array routes must reproduce the scalar one exactly, not just
+    # closely: the exact tier's certified bracket is built from these
+    # values. The span maps any run of sectors; the full table (the test
+    # oracle of the full scan) all of them
     for n in (2, 3, 20, 21, 8810, 100_001):
-        got = log_multiplicities(n)
         ref = [log_multiplicity(n, two_S) for two_S in two_s_range(n)]
-        assert got.shape == (len(ref),)
-        assert all(x == y for x, y in zip(got.tolist(), ref)), n
+        assert log_multiplicities(n).tolist() == ref, n
+        assert log_multiplicity_span(n, 0, len(ref)).tolist() == ref, n
+        for start, stop in ((0, 1), (len(ref) - 1, len(ref)),
+                            (len(ref) // 3, len(ref) // 2), (5, 5)):
+            got = log_multiplicity_span(n, start, stop)
+            assert got.shape == (max(stop - start, 0),)
+            assert got.tolist() == ref[start:stop], (n, start, stop)
 
 
 def test_crossing_fields_n20():

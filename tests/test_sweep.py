@@ -1,10 +1,10 @@
 import json
-from math import exp, inf, log
+from math import exp, inf, log, log2
 
 import numpy as np
 import pytest
 
-from xxzent import exact
+from xxzent import exact, model
 from xxzent.errors import DomainError, XxzentError
 from xxzent.figures import POINT_EPSREL
 from xxzent.model import ModelParams
@@ -363,7 +363,7 @@ def test_exact_overflow_in_a_run_fails_alone(monkeypatch, n, T):
 
 
 def test_any_exception_becomes_error_status(monkeypatch):
-    from xxzent import exact
+    from xxzent import exact, model
 
     def boom(points):
         raise ZeroDivisionError("injected")
@@ -531,30 +531,36 @@ def test_bruteforce_asymmetric_sector_matrix_raises(monkeypatch):
         "states")
 
 
-def _lnY_builds():
-    """How many ln Y(S) tables have been built (cache misses)."""
-    return exact.log_multiplicities.cache_info().misses
+def _lgamma_calls(monkeypatch):
+    """The calls to model.lgamma from here on: ln Y(S) takes two a sector
+    it maps, and one for lgamma(n + 1)."""
+    calls = []
+    real = model.lgamma
+    monkeypatch.setattr(model, "lgamma", lambda x: calls.append(x) or real(x))
+    return calls
 
 
-def test_exact_run_computes_lnY_once():
-    # ln Y(S) depends on n alone: once for a whole sweep at one n (runs of
-    # 8, 8 and 4 here), never for T = 0 points
+def test_exact_T0_points_map_no_lgamma(monkeypatch):
+    # T = 0 points take the ground-state path, which needs no ln Y(S)
+    calls = _lgamma_calls(monkeypatch)
     spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.0),
                      (GridAxis("b", 0.0, 1.5, 5),))
     assert all(pt.status == "ok" for pt in run_sweep(spec))
-    assert _lnY_builds() == 0
-    spec = SweepSpec("exact", ModelParams(n=1000, v=1.0, T=0.1),
-                     (GridAxis("b", 0.0, 1.5, 20),))
-    assert all(pt.status == "ok" for pt in run_sweep(spec))
-    assert _lnY_builds() == 1
+    assert calls == []
 
 
-def test_exact_limit_scan_computes_lnY_once():
-    # 40 probes and the refinement points of each band edge share one table
-    res = limit_temperature("exact", ModelParams(n=1000, v=1.0, b=0.3),
-                            probes=40)
-    assert res.limit is not None
-    assert _lnY_builds() == 1
+@pytest.mark.parametrize("n", [10**6, 10**8])
+def test_exact_point_maps_lgamma_over_its_hull(monkeypatch, n):
+    # ln Y(S) is mapped over the point's bracket alone, within a few
+    # sectors of its hull of live sectors, whatever n: the full table took
+    # n + 1 lgamma calls, 10^8 + 1 here
+    p = ModelParams(n=n, v=1.0, gamma=1.0, b=0.3, T=0.1)
+    live = exact._live_sectors([p]).live[0]
+    hull = int(live.size - live[::-1].argmax() - live.argmax())
+    calls = _lgamma_calls(monkeypatch)
+    assert evaluate_point("exact", p).status == "ok"
+    assert (len(calls) - 1) % 2 == 0
+    assert hull <= (len(calls) - 1) // 2 <= hull + log2(n)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5, -0.5])
@@ -570,7 +576,7 @@ def test_exact_point_bytes_do_not_depend_on_its_run(gamma):
 def test_exact_failure_stays_with_its_point(monkeypatch):
     # a point whose outcome in the run's thermal pass is an exception fails
     # alone: its neighbours keep their bytes, and the run is not retried
-    # point by point (which would compute ln Y again)
+    # point by point (which would bracket each point again)
     points = [ModelParams(n=1000, v=1.0, b=b, T=T)
               for b, T in ((0.2, 0.1), (0.5, 0.1), (0.5, 0.0), (0.9, 0.2))]
     clean = evaluate_run("exact", points)
@@ -583,14 +589,12 @@ def test_exact_failure_stays_with_its_point(monkeypatch):
                 for p, out in zip(run, real(run))]
 
     monkeypatch.setattr(exact, "thermal_observables_batch", patched)
-    exact.log_multiplicities.cache_clear()
     hurt = evaluate_run("exact", points)
     assert runs == [[points[k] for k in (0, 1, 3)]]
     assert [pt.status for pt in hurt] == ["ok", "error", "ok", "ok"]
     assert hurt[1].message == "ZeroDivisionError: injected"
     assert [hurt[k].row() for k in (0, 2, 3)] == \
         [clean[k].row() for k in (0, 2, 3)]
-    assert _lnY_builds() == 1
 
 
 def test_exact_tier_takes_each_point_on_its_path():
