@@ -236,6 +236,9 @@ def _limit_text(res, axis):
         lines.append(f"band: {lo:.8g} .. {hi_s}")
     if res.limit is not None:
         lines.append(f"limit: {res.limit:.8g}")
+    elif res.intervals:
+        lines.append(f"limit: none (the last band is still open at the top "
+                     f"of the {axis} probe grid)")
     return "\n".join(lines) + "\n"
 
 

@@ -11,10 +11,14 @@ depend on the other rows. A stacked integrand returns shape (m, panels, 15):
 all m components share the panels, and refinement follows the error of
 component 0 alone.
 
-bracket_root is the bracketing root finder (ITP) shared by the CMFA gap,
-the CSPA breakdown temperature and the limit-scan band edges. The RPA
-engine that the tests check the tiers against keeps its own, so that it
-stays an independent check.
+bracket_root is the bracketing root finder (ITP) shared by the CMFA gap
+and the CSPA breakdown temperature; bracket_roots runs the same steps on
+many brackets in lockstep, one call of the function a round for every
+bracket still open, which is how the limit scans refine their band edges
+in shared runs. Both step one coroutine, _itp, so a root's bits do not
+depend on which of them steps it. The RPA engine that the tests check the
+tiers against keeps its own root finder, so that it stays an independent
+check.
 
 Node and weight constants are the standard QUADPACK dqk15 values.
 """
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["quad_gk", "QuadResult", "bracket_root"]
+__all__ = ["quad_gk", "QuadResult", "bracket_root", "bracket_roots"]
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights below.
 _XGK = np.array([
@@ -162,22 +166,11 @@ def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
     return QuadResult(val if stacked else val[0], toterr, neval)
 
 
-def bracket_root(g, lo, g_lo, hi, g_hi, tol):
-    """Root of g in [lo, hi] by ITP (Oliveira & Takahashi, ACM TOMS 47(1),
-    2020); returns the midpoint of the final bracket as a float.
-
-    g_lo = g(lo) and g_hi = g(hi) lie on opposite sides: g > 0 is one side
-    of the root and g <= 0 the other. A value of +-inf gives the side only,
-    and while an end of the bracket has no finite value the step is the
-    plain midpoint, so a g that only ever returns +-inf is bisection.
-    Otherwise the regula falsi point is truncated toward the midpoint and
-    projected into the ITP minmax disc, with the paper's constants
-    k1 = 0.2/(hi - lo), k2 = 2 and n0 = 1.
-
-    The bracket shrinks while hi - lo >= tol, for at most
-    ceil(log2((hi - lo)/tol)) + 1 evaluations of g and never more than 200:
-    at most one more than bisection, and far fewer on a smooth g.
-    """
+def _itp(lo, g_lo, hi, g_hi, tol):
+    """ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) as a coroutine: it
+    yields each x at which it needs g, is sent g(x), and returns the
+    midpoint of the final bracket as a float. bracket_root documents the
+    step."""
     if not hi - lo >= tol:
         return float(0.5 * (lo + hi))
     n_max = ceil(log2((hi - lo) / tol)) + 1 if tol > 0 else 200
@@ -194,9 +187,68 @@ def bracket_root(g, lo, g_lo, hi, g_hi, tol):
             sigma = 1.0 if mid >= xf else -1.0
             xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
             x = xt if abs(xt - mid) <= r else mid - sigma * r
-        y = float(g(x))
+        y = float((yield x))
         if (y > 0) == (g_lo > 0):
             lo, g_lo = x, y
         else:
             hi, g_hi = x, y
     return float(0.5 * (lo + hi))
+
+
+def bracket_root(g, lo, g_lo, hi, g_hi, tol):
+    """Root of g in [lo, hi] by ITP (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020); returns the midpoint of the final bracket as a float.
+
+    g_lo = g(lo) and g_hi = g(hi) lie on opposite sides: g > 0 is one side
+    of the root and g <= 0 the other. A value of +-inf gives the side only,
+    and while an end of the bracket has no finite value the step is the
+    plain midpoint, so a g that only ever returns +-inf is bisection.
+    Otherwise the regula falsi point is truncated toward the midpoint and
+    projected into the ITP minmax disc, with the paper's constants
+    k1 = 0.2/(hi - lo), k2 = 2 and n0 = 1.
+
+    The bracket shrinks while hi - lo >= tol, for at most
+    ceil(log2((hi - lo)/tol)) + 1 evaluations of g and never more than 200:
+    at most one more than bisection, and far fewer on a smooth g.
+    """
+    # next / send straight on the coroutine: the CMFA gap takes about 40
+    # steps a point, so this loop builds nothing per step
+    steps = _itp(lo, g_lo, hi, g_hi, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(g(x))
+    except StopIteration as done:
+        return done.value
+
+
+def bracket_roots(g, brackets):
+    """The roots bracket_root finds for each argument tuple (lo, g_lo, hi,
+    g_hi, tol) of ``brackets``, bit for bit, with the brackets stepped in
+    lockstep.
+
+    Each round calls g once, as g(which, xs), with the next x of every
+    bracket still open, in bracket order, and ``which`` their indices into
+    ``brackets``; it returns one value per x. A bracket narrower than its
+    tol evaluates nothing, and the rounds end when every bracket has its
+    root.
+    """
+    roots = [None] * len(brackets)
+    live = {}                        # bracket index -> (coroutine, next x)
+    for i, bracket in enumerate(brackets):
+        steps = _itp(*bracket)
+        try:
+            live[i] = steps, next(steps)
+        except StopIteration as done:
+            roots[i] = done.value
+    while live:
+        which = list(live)
+        ys = g(which, [live[i][1] for i in which])
+        for i, y in zip(which, ys):
+            steps = live[i][0]
+            try:
+                live[i] = steps, steps.send(y)
+            except StopIteration as done:
+                roots[i] = done.value
+                del live[i]
+    return roots

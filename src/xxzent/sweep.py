@@ -28,6 +28,15 @@ whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism
 levels.
 
+A limit scan probes a grid along T or b and refines each band edge by ITP.
+_scan_limits takes a list of scans on one probe axis: the probes of all
+of them are one evaluate_points call, and their edges one
+quadrature.bracket_roots call, which evaluates the next point of every
+open edge in one list a round, so the edges of a round share a run.
+limit_temperature and limit_field are a scan of one, limit_temperatures
+the scans at many points of one (n, v, gamma); each edge is bit for bit
+the one a scan of its point alone finds.
+
 CSV schema (fixed column order):
 
     tier,n,v,gamma,b,T,logZ,Sz,Sz2,S2,C,nC,EoF,status
@@ -41,7 +50,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from math import inf, isfinite
 
 import numpy as np
@@ -50,7 +59,7 @@ from . import cmfa, cspa, exact
 from .errors import (BreakdownError, DomainError, NotApplicableError,
                      PhaseError, XxzentError)
 from .model import ModelParams
-from .quadrature import bracket_root
+from .quadrature import bracket_roots
 
 __all__ = [
     "TIERS",
@@ -63,6 +72,7 @@ __all__ = [
     "evaluate_run",
     "run_sweep",
     "limit_temperature",
+    "limit_temperatures",
     "limit_field",
     "LimitResult",
     "points_to_csv",
@@ -398,10 +408,12 @@ class LimitResult:
     """Entanglement bands along one scanned axis.
 
     ``intervals`` lists (onset, end) pairs where C > 0, ascending; an end of
-    None marks a band still open at the last probe. ``limit`` is the largest
-    refined root (None when no entanglement was found anywhere: the
-    zero-entanglement marker). ``statuses`` holds each probe's status; a
-    probe whose status is not ok has C undefined and never enters a band.
+    None marks a band still open at the last probe. ``limit`` is the end of
+    the last band: None when no entanglement was found anywhere (the
+    zero-entanglement marker), and None when the last band is still open,
+    since the probes do not reach its end. ``statuses`` holds each probe's
+    status; a probe whose status is not ok has C undefined and never enters
+    a band.
     """
 
     intervals: tuple
@@ -424,72 +436,120 @@ def _flag_margin(point) -> float:
     return inf if _entangled(point) else -inf
 
 
-def _scan_limit(tier, params, axis: GridAxis, epsrel):
-    """Bands of C > 0 over one probe sweep along ``axis``.
-
-    A band is a run of entangled probes. Each edge is refined to 1e-6 v
-    between the band's outer probe and its defined neighbour by
-    bracket_root on the signed margin above the entangled flag, and stays
-    on the outer probe when the neighbour is undefined. An undefined
-    refinement point counts as not entangled, which moves the bracket
-    toward its defined, entangled side.
-    """
-    check_tier(tier, params.n)
-    grid = axis.values()
-    probes = evaluate_points(
-        tier, [params.replace(**{axis.name: float(x)}) for x in grid], epsrel)
-    defined = [pt.status == "ok" for pt in probes]
-
-    def g(x):
-        return _flag_margin(evaluate_point(
-            tier, params.replace(**{axis.name: x}), epsrel))
-
-    def edge(i, k):
-        """The edge between a band's outer probe i and its neighbour k."""
-        if not defined[k]:
-            return float(grid[i])
-        (lo, g_lo), (hi, g_hi) = sorted(
-            (float(grid[j]), _flag_margin(probes[j])) for j in (i, k))
-        return bracket_root(g, lo, g_lo, hi, g_hi, 1e-6 * params.v)
-
-    intervals = []
-    for entangled, run in groupby(range(len(grid)),
+def _bands(probes):
+    """(first, last) probe index of each run of entangled probes."""
+    out = []
+    for entangled, run in groupby(range(len(probes)),
                                   key=lambda i: _entangled(probes[i])):
         if entangled:
             run = list(run)
-            i, j = run[0], run[-1]
-            # a band still entangled at the last probe stays open (end None)
-            intervals.append((edge(i, i - 1) if i > 0 else float(grid[i]),
-                              edge(j, j + 1) if j < len(grid) - 1 else None))
-    ends = [end for _, end in intervals if end is not None]
-    return LimitResult(intervals=tuple(intervals),
-                       limit=ends[-1] if ends else None, n_probes=len(grid),
-                       statuses=tuple(pt.status for pt in probes))
+            out.append((run[0], run[-1]))
+    return out
+
+
+def _scan_limits(tier, fixed, axis: GridAxis, epsrel):
+    """Bands of C > 0 over one probe sweep along ``axis`` from each point of
+    ``fixed``, one LimitResult per point.
+
+    A band is a run of entangled probes. Each edge is refined to 1e-6 v
+    between the band's outer probe and its defined neighbour by ITP on the
+    signed margin above the entangled flag, and stays on the outer probe
+    when the neighbour is undefined. An undefined refinement point counts
+    as not entangled, which moves the bracket toward its defined, entangled
+    side.
+
+    The probes of every scan go through one evaluate_points call, and the
+    edges of every scan through one bracket_roots call: each round of the
+    root finder evaluates the next point of every open edge as one list,
+    so the edges share a run a round instead of taking a run a point. A
+    point's values do not depend on its run, so each edge is the one a
+    scan of its point alone finds, bit for bit.
+    """
+    check_tier(tier, fixed[0].n)
+    grid = [float(x) for x in axis.values()]
+    m = len(grid)
+    probes = evaluate_points(
+        tier, [p.replace(**{axis.name: x}) for p in fixed for x in grid],
+        epsrel)
+    scans = [probes[k:k + m] for k in range(0, len(probes), m)]
+    bands = [_bands(pts) for pts in scans]
+    # every band's (onset, end), flat in scan order: the outer probe when
+    # its neighbour is undefined or off the bottom of the grid, None for
+    # the end of a band open at the top, and the root of a bracket that
+    # the refinement fills in otherwise
+    edges, slots, brackets, owners = [], [], [], []
+    for params, pts, spans in zip(fixed, scans, bands):
+        for i, j in spans:
+            for outer, k in ((i, i - 1), (j, j + 1)):
+                if k == m or k < 0 or pts[k].status != "ok":
+                    edges.append(None if k == m else grid[outer])
+                    continue
+                (lo, g_lo), (hi, g_hi) = sorted(
+                    (grid[x], _flag_margin(pts[x])) for x in (outer, k))
+                slots.append(len(edges))
+                edges.append(None)
+                brackets.append((lo, g_lo, hi, g_hi, 1e-6 * params.v))
+                owners.append(params)
+
+    def g(which, xs):
+        return [_flag_margin(pt) for pt in evaluate_points(
+            tier, [owners[w].replace(**{axis.name: x})
+                   for w, x in zip(which, xs)], epsrel)]
+
+    for slot, root in zip(slots, bracket_roots(g, brackets)):
+        edges[slot] = root
+    pairs = iter(zip(edges[::2], edges[1::2]))
+    out = []
+    for pts, spans in zip(scans, bands):
+        intervals = tuple(islice(pairs, len(spans)))
+        out.append(LimitResult(
+            intervals=intervals,
+            limit=intervals[-1][1] if intervals else None, n_probes=m,
+            statuses=tuple(pt.status for pt in pts)))
+    return out
 
 
 def limit_temperature(tier: str, params: ModelParams, t_min: float | None = None,
                       t_max: float | None = None, probes: int = 60,
                       epsrel: float = 1e-10) -> LimitResult:
-    """Largest root of C(T) = 0 for the given tier, plus all onset intervals.
+    """Roots of C(T) = 0 for the given tier: every onset interval, and the
+    limit temperature T_L, the end of the last one.
 
     Probes a log-spaced T grid in [1e-3 v, v] by default, brackets every
     C > 0 <-> C = 0 transition and refines each to 1e-6 v by an ITP root
     find on the signed concurrence margin. Reentrant bands (CSPA just above
     the critical field) come out as separate intervals with their onset
-    temperatures. A grid that GridAxis rejects, or a tier that check_tier
-    rejects, raises DomainError.
+    temperatures. The limit is None when C > 0 nowhere, or when the last
+    band is still open at t_max. A scan of one (see limit_temperatures).
+    A grid that GridAxis rejects, or a tier that check_tier rejects, raises
+    DomainError.
     """
-    v = params.v
+    return limit_temperatures(tier, [params], t_min, t_max, probes, epsrel)[0]
+
+
+def limit_temperatures(tier: str, fixed, t_min: float | None = None,
+                       t_max: float | None = None, probes: int = 60,
+                       epsrel: float = 1e-10) -> list:
+    """limit_temperature at each ModelParams of ``fixed``, which share n, v
+    and gamma (a DomainError otherwise), scanned together: all probes in
+    one evaluation loop and all band edges refined in lockstep. Each result
+    is bit for bit that of limit_temperature at its point alone."""
+    if len({(p.n, p.v, p.gamma) for p in fixed}) != 1:
+        raise DomainError("limit_temperatures needs one or more points that "
+                          "share n, v and gamma")
+    v = fixed[0].v
     t_min = 1e-3 * v if t_min is None else t_min
     t_max = v if t_max is None else t_max
-    return _scan_limit(tier, params, GridAxis("T", t_min, t_max, probes, "log"),
-                       epsrel)
+    axis = GridAxis("T", t_min, t_max, probes, "log")
+    return _scan_limits(tier, fixed, axis, epsrel)
 
 
 def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
                 b_max: float | None = None, probes: int = 60,
                 epsrel: float = 1e-10) -> LimitResult:
-    """Largest root of C(b) = 0 at fixed T, plus any far-field bands.
+    """Roots of C(b) = 0 at fixed T: every band along b, and the limit
+    field, the end of the last one (None when C > 0 nowhere, or when the
+    last band is still open at b_max).
 
     The exact tier's far-field entanglement decays like e^{-beta(b - b_c)}
     and is positive until it falls below the entangled-flag floor, so the
@@ -499,8 +559,8 @@ def limit_field(tier: str, params: ModelParams, b_min: float = 0.0,
     """
     v = params.v
     b_max = 3.0 * v if b_max is None else b_max
-    return _scan_limit(tier, params, GridAxis("b", b_min, b_max, probes),
-                       epsrel)
+    return _scan_limits(tier, [params], GridAxis("b", b_min, b_max, probes),
+                        epsrel)[0]
 
 
 # ----------------------------------------------------------------------------

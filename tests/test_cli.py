@@ -77,6 +77,22 @@ def test_limit_temp_text(capsys):
     assert "limit:" in out and "band:" in out
 
 
+def test_limit_temp_under_an_open_top_band_is_none(capsys):
+    # two bands, the upper one still open at t_max: the probes reach no
+    # end of the last band, so there is no limit (the lower band's end is
+    # not one)
+    argv = ("limit-temp", "--tier", "cspa", "--n", "100", "--b", "1.0",
+            "--t-max", "0.02", "--probes", "40")
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert "band: 0.0079563352 .. open" in out
+    assert "limit: none" in out and "limit: 0" not in out
+    assert run_cli(*argv, "--out-format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["intervals"]) == 2 and doc["intervals"][1][1] is None
+    assert doc["limit"] is None
+
+
 def test_limit_field_json(capsys):
     rc = run_cli("limit-field", "--n", "20", "--T", "0.1", "--tier", "cmfa",
                  "--out-format", "json", "--probes", "40")

@@ -11,7 +11,7 @@ from xxzent.errors import (BreakdownError, DomainError,
 from xxzent.exact import (concurrence, exact_moments, pair_state,
                           thermal_observables)
 from xxzent.model import ModelParams
-from xxzent.quadrature import bracket_root, quad_gk
+from xxzent.quadrature import bracket_root, bracket_roots, quad_gk
 
 from oracles.closed_forms import rpa_frequency
 
@@ -192,6 +192,73 @@ def test_bracket_root_infinite_values_still_converge():
         x = bracket_root(f, lo, g_lo, hi, g_hi, tol)
         assert abs(x - root) <= 0.5 * tol
         assert len(calls) <= ceil(log2((hi - lo) / tol)) + 1
+
+
+def _side_only(root, up):
+    return ((lambda x: inf if x < root else -inf) if up
+            else (lambda x: -inf if x < root else inf))
+
+
+def _never(x):
+    raise AssertionError(f"evaluated at {x!r}")
+
+
+def _bracket_cases():
+    """(g, lo, g_lo, hi, g_hi, tol) of every case of the three bracket_root
+    tests above, then brackets narrower than their tol."""
+    cases = []
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        lo = float(rng.uniform(-10.0, 10.0))
+        hi = lo + float(10.0 ** rng.uniform(-8.0, 2.0))
+        root = float(rng.uniform(lo, hi))
+        tol = (hi - lo) * float(10.0 ** rng.uniform(-18.0, 0.5))
+        g = _side_only(root, bool(rng.integers(2)))
+        cases.append((g, lo, g(lo), hi, g(hi), tol))
+    for g, lo, hi, _ in SMOOTH:
+        for ratio in (2.0 ** 15, 1e3, 123456.7):
+            cases.append((g, lo, g(lo), hi, g(hi), (hi - lo) / ratio))
+
+    def patchy(x):
+        if x < 0.2 or 0.45 <= x < 0.52:
+            return inf
+        return 0.55 - x
+    cases += [(patchy, 0.0, inf, 1.0, patchy(1.0), 1e-9),
+              (patchy, 0.3, patchy(0.3), 1.0, -inf, 1e-9),
+              (patchy, 0.0, inf, 1.0, -inf, 1e-9)]
+    cases += [(_never, 0.3, 1.0, 0.3 + 1e-9, -1.0, 1e-6),
+              (_never, 2.0, inf, 2.0, -inf, 1e-12),
+              (_never, -1.0, -inf, 1.0, inf, 4.0)]
+    return cases
+
+
+def test_bracket_roots_is_bracket_root_in_lockstep():
+    cases = _bracket_cases()
+    alone, steps = [], []
+    for g, *args in cases:
+        f, calls = _counted(g)
+        alone.append(bracket_root(f, *args))
+        steps.append(calls)
+    seen = [[] for _ in cases]
+    rounds = []
+
+    def g_many(which, xs):
+        rounds.append(list(which))
+        for i, x in zip(which, xs):
+            seen[i].append(x)
+        return [cases[i][0](x) for i, x in zip(which, xs)]
+
+    roots = bracket_roots(g_many, [args for _, *args in cases])
+    assert all(type(x) is float for x in roots)
+    assert [x.hex() for x in roots] == [x.hex() for x in alone]
+    # each bracket is sent the points it is sent alone, one a round while
+    # it is open, in bracket order; a narrow one is sent none
+    assert [[float(x).hex() for x in xs] for xs in seen] == \
+        [[float(x).hex() for x in xs] for xs in steps]
+    assert rounds == [[i for i, xs in enumerate(steps) if len(xs) > k]
+                      for k in range(max(map(len, steps)))]
+    assert all(not xs for xs in steps[-3:])
+    assert bracket_roots(g_many, []) == []
 
 
 # -------------------------------------------------------------- rpa_frequency

@@ -1,6 +1,6 @@
 """Figure tables: file names, row counts and the calls each figure makes,
 with point evaluation and limit scans stubbed out, so each runs in
-milliseconds."""
+milliseconds; and the runs that figure 4's limit scans take."""
 
 import os
 
@@ -9,7 +9,7 @@ import pytest
 from xxzent import figures, sweep
 from xxzent.sweep import CurvePoint, LimitResult
 
-# figure -> ({file: data rows} in writing order, point calls, limit calls)
+# figure -> ({file: data rows} in writing order, point calls, limit scans)
 EXPECTED = {
     1: ({"fig1_T0.005.csv": 170, "fig1_T0.025.csv": 170}, 340, 0),
     2: ({**{f"fig2_top_T{T}.csv": 3 * 40 for T in (0.1, 0.25, 0.5)},
@@ -35,12 +35,17 @@ def calls(monkeypatch):
         return [CurvePoint(tier=tier, params=p, status="error")
                 for p in points]
 
-    def fake_limit(tier, params, **kwargs):
-        count["limit"] += 1
-        return LimitResult(intervals=(), limit=None, n_probes=0, statuses=())
+    def fake_limits(tier, fixed, **kwargs):
+        count["limit"] += len(fixed)
+        return [LimitResult(intervals=(), limit=None, n_probes=0,
+                            statuses=())] * len(fixed)
+
+    def scan_of_one(tier, params, **kwargs):
+        raise AssertionError("a figure's scans go through limit_temperatures")
 
     monkeypatch.setattr(sweep, "evaluate_run", fake_run)
-    monkeypatch.setattr(figures, "limit_temperature", fake_limit)
+    monkeypatch.setattr(figures, "limit_temperatures", fake_limits)
+    monkeypatch.setattr(figures, "limit_temperature", scan_of_one)
     return count
 
 
@@ -55,3 +60,20 @@ def test_figure_files_rows_and_calls(fig_id, calls, tmp_path):
     assert (calls["point"], calls["limit"]) == (points, limits)
     plot = (tmp_path / script).read_text()
     assert all(f"'{name}' using" in plot for name in rows)
+
+
+def test_figure_4_scans_share_runs(monkeypatch, tmp_path):
+    # each (tier, n) group of figure 4 is one scan of all its b values, so
+    # the band edges of a round share a run: the points are those of one
+    # scan per b value, in few runs
+    counts = {}
+    real = sweep.evaluate_run
+
+    def counted(tier, points, epsrel=1e-10):
+        runs, pts = counts.get(tier, (0, 0))
+        counts[tier] = (runs + 1, pts + len(points))
+        return real(tier, points, epsrel)
+    monkeypatch.setattr(sweep, "evaluate_run", counted)
+    figures.reproduce_figure(4, str(tmp_path))
+    assert counts == {"exact": (87, 2795), "cmfa": (78, 2641),
+                      "cspa": (31, 796)}

@@ -8,10 +8,11 @@ from xxzent import exact, model
 from xxzent.errors import DomainError, XxzentError
 from xxzent.figures import POINT_EPSREL
 from xxzent.model import ModelParams
+from xxzent.quadrature import bracket_root
 from xxzent.sweep import (CSV_COLUMNS, TIERS, GridAxis, SweepSpec,
                           evaluate_point, evaluate_run, limit_field,
-                          limit_temperature, points_to_csv, points_to_json,
-                          run_sweep)
+                          limit_temperature, limit_temperatures,
+                          points_to_csv, points_to_json, run_sweep)
 
 from oracles.closed_forms import (far_field_limit_temperature,
                                   large_field_expansion)
@@ -632,11 +633,10 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
     # mid-point of the edge between probes 7 and 8; entangled on
     # [1.3, 3.5), [5.5, 7.4) and [9.25, 10]
     from xxzent import sweep
-    calls = []
+    runs = []
 
     def fake_point(tier, params):
         b = params.b
-        calls.append(b)
         if 3.5 <= b < 5.5 or 7.4 <= b < 7.6:
             return sweep.CurvePoint(tier=tier, params=params,
                                     status="breakdown")
@@ -647,11 +647,12 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
                                 result=result)
 
     def fake(tier, points, epsrel=1e-10):
+        runs.append([p.b for p in points])
         return [fake_point(tier, p) for p in points]
 
     monkeypatch.setattr(sweep, "evaluate_run", fake)
-    res = limit_field("exact", ModelParams(n=8, T=0.1), b_max=10.0,
-                      probes=11)
+    p = ModelParams(n=8, T=0.1)
+    res = limit_field("exact", p, b_max=10.0, probes=11)
     assert res.statuses == ("ok",) * 4 + ("breakdown",) * 2 + ("ok",) * 5
     assert res.n_probes == 11
     (on1, end1), (on2, end2), (on3, end3) = res.intervals
@@ -661,11 +662,24 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
     assert end2 == pytest.approx(7.4, abs=1e-6)  # through an undefined mid
     assert on3 == pytest.approx(9.25, abs=1e-6)
     assert end3 is None                 # open at the top of the probe grid
-    assert res.limit == end2
-    # 11 probes, then 20 halvings of a unit bracket for each of three edges
-    assert len(calls) == 11 + 3 * 20
-    assert calls[:11] == [float(b) for b in range(11)]
-    assert calls[11] == 1.5 and calls[31] == 7.5 and calls[51] == 9.5
+    assert res.limit is None            # so the probes reach no last end
+    # 11 probes in one run, then 20 halvings of a unit bracket for each of
+    # three edges, stepped in lockstep: 20 runs of 3, one point an edge
+    assert runs[0] == [float(b) for b in range(11)]
+    assert [len(run) for run in runs[1:]] == [3] * 20
+    assert runs[1] == [1.5, 7.5, 9.5]
+
+    def margin(b):
+        return sweep._flag_margin(fake_point("exact", p.replace(b=b)))
+    # each edge is sent the points, in order, that it is sent refined alone
+    for k, (lo, hi) in enumerate(((1.0, 2.0), (7.0, 8.0), (9.0, 10.0))):
+        alone = []
+
+        def g(b):
+            alone.append(b)
+            return margin(b)
+        bracket_root(g, lo, margin(lo), hi, margin(hi), 1e-6)
+        assert [run[k] for run in runs[1:]] == alone
 
 
 def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
@@ -706,6 +720,162 @@ def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if entangled(mid) == side else (lo, mid)
             assert abs(x - 0.5 * (lo + hi)) <= 5e-7, (tier, b, x, lo)
+
+
+def _per_edge_scan(tier, params, axis, epsrel):
+    """The scan loop that lockstep refinement replaced, as the reference:
+    the probes in one list, then each band edge refined alone by
+    bracket_root, one evaluate_point a step. (intervals, statuses)."""
+    from itertools import groupby
+    from xxzent import sweep
+    grid = axis.values()
+    probes = sweep.evaluate_points(
+        tier, [params.replace(**{axis.name: float(x)}) for x in grid], epsrel)
+
+    def g(x):
+        return sweep._flag_margin(evaluate_point(
+            tier, params.replace(**{axis.name: x}), epsrel))
+
+    def edge(i, k):
+        if probes[k].status != "ok":
+            return float(grid[i])
+        (lo, g_lo), (hi, g_hi) = sorted(
+            (float(grid[j]), sweep._flag_margin(probes[j])) for j in (i, k))
+        return bracket_root(g, lo, g_lo, hi, g_hi, 1e-6 * params.v)
+
+    intervals = []
+    for entangled, run in groupby(range(len(grid)),
+                                  key=lambda i: sweep._entangled(probes[i])):
+        if entangled:
+            run = list(run)
+            i, j = run[0], run[-1]
+            intervals.append((edge(i, i - 1) if i > 0 else float(grid[i]),
+                              edge(j, j + 1) if j < len(grid) - 1 else None))
+    return intervals, tuple(pt.status for pt in probes)
+
+
+def _hex(intervals):
+    return [tuple(None if x is None else x.hex() for x in iv)
+            for iv in intervals]
+
+
+# the nine scans of the benchmark's limit-scan workload at its nominal
+# fields, then the reentrant cspa scan at n = 100, b = 1.0: two bands, four
+# edges, the inner two on the probes next to an undefined gap; last the
+# same scan to t_max = 0.02, where the upper band is open (no end, no
+# limit). (tier, n, b, probes, epsrel, t_max)
+LIMIT_SCANS = [(tier, n, b, probes, epsrel, 1.0)
+               for tier, n, probes, epsrel in (("exact", 1000, 40, 1e-10),
+                                               ("cmfa", 1000, 40, 1e-10),
+                                               ("cspa", 20, 28, 1e-8))
+               for b in (0.3, 0.9, 1.15)]
+LIMIT_SCANS += [("cspa", 100, 1.0, 40, 1e-8, 1.0),
+                ("cspa", 100, 1.0, 40, 1e-10, 0.02)]
+
+
+@pytest.mark.parametrize("tier, n, b, probes, epsrel, t_max", LIMIT_SCANS)
+def test_lockstep_scan_is_the_per_edge_loop(tier, n, b, probes, epsrel,
+                                            t_max):
+    p = ModelParams(n=n, v=1.0, gamma=1.0, b=b, T=0.1)
+    res = limit_temperature(tier, p, t_max=t_max, probes=probes,
+                            epsrel=epsrel)
+    axis = GridAxis("T", 1e-3, t_max, probes, "log")
+    intervals, statuses = _per_edge_scan(tier, p, axis, epsrel)
+    assert _hex(res.intervals) == _hex(intervals)
+    assert res.statuses == statuses
+    assert res.limit == (intervals[-1][1] if intervals else None)
+    if n == 100:
+        probed = [x in axis.values() for iv in intervals for x in iv]
+        assert probed == [False, True, True, False]
+        assert (res.limit is None) == (t_max < 1.0)
+
+
+@pytest.mark.parametrize("tier, n, b_values, probes, epsrel", [
+    ("cspa", 20, np.linspace(0.05, 1.3, 12), 28, 1e-8),
+    ("exact", 100, np.linspace(0.02, 1.35, 20), 40, 1e-10)])
+def test_lockstep_figure_group_is_the_per_edge_loop(tier, n, b_values,
+                                                    probes, epsrel):
+    # a figure-4 group: its b values in one scan, every edge in lockstep
+    fixed = [ModelParams(n=n, v=1.0, gamma=1.0, b=float(b), T=0.1)
+             for b in b_values]
+    results = limit_temperatures(tier, fixed, probes=probes, epsrel=epsrel)
+    axis = GridAxis("T", 1e-3, 1.0, probes, "log")
+    for p, res in zip(fixed, results, strict=True):
+        intervals, statuses = _per_edge_scan(tier, p, axis, epsrel)
+        assert _hex(res.intervals) == _hex(intervals), p.b
+        assert res.statuses == statuses
+    assert sum(len(res.intervals) for res in results) > len(fixed) // 2
+
+
+def test_limit_temperatures_needs_one_n_v_gamma():
+    p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.1)
+    for fixed in ([], [p, p.replace(n=21)], [p, p.replace(v=2.0)],
+                  [p, p.replace(gamma=0.5)]):
+        with pytest.raises(DomainError):
+            limit_temperatures("exact", fixed)
+
+
+def test_lockstep_run_counts(monkeypatch):
+    # limit-scan's nine scans: the cspa scans' 107 points take 20 runs, the
+    # reentrant scan's two edges sharing theirs; the exact and cmfa scans
+    # refine one edge each, a run a point
+    from xxzent import sweep
+    counts = {}
+    real = sweep.evaluate_run
+
+    def counted(tier, points, epsrel=1e-10):
+        runs, pts = counts.get(tier, (0, 0))
+        counts[tier] = (runs + 1, pts + len(points))
+        return real(tier, points, epsrel)
+    monkeypatch.setattr(sweep, "evaluate_run", counted)
+    for tier, n, b, probes, epsrel, _ in LIMIT_SCANS[:9]:
+        limit_temperature(tier, ModelParams(n=n, v=1.0, gamma=1.0, b=b,
+                                            T=0.1), probes=probes,
+                          epsrel=epsrel)
+    assert counts == {"exact": (15, 132), "cmfa": (15, 132),
+                      "cspa": (20, 107)}
+
+
+@pytest.mark.parametrize("failure", ["error", "breakdown"])
+def test_failure_in_a_shared_refinement_run_stays_with_its_point(
+        monkeypatch, failure):
+    # cspa at n = 20, b = 1.15: the band's onset and end share each
+    # refinement run. A failure injected at the onset's point of the first
+    # shared run (a raise in the shared pass, or a breakdown outcome) fails
+    # that point alone: the end stays the clean one, and the onset is the
+    # one the per-edge loop finds with the same failure
+    from xxzent import sweep
+    from xxzent.errors import BreakdownError
+    p = ModelParams(n=20, v=1.0, gamma=1.0, b=1.15, T=0.1)
+    axis = GridAxis("T", 1e-3, 1.0, 28, "log")
+    runs = []
+    real_run = sweep.evaluate_run
+
+    def recorded(tier, points, epsrel=1e-10):
+        out = real_run(tier, points, epsrel)
+        runs.append([(q.T, pt.status) for q, pt in zip(points, out)])
+        return out
+    monkeypatch.setattr(sweep, "evaluate_run", recorded)
+    clean = limit_temperature("cspa", p, probes=28, epsrel=1e-8)
+    (target, onset_status), (end_x, end_status) = runs[1]
+    assert onset_status == end_status == "ok"
+    real = sweep._EVALUATORS["cspa"]
+
+    def injected(points, epsrel):
+        hit = [q.T == target for q in points]
+        if failure == "error" and any(hit):
+            raise ZeroDivisionError("injected")
+        return [BreakdownError("injected") if h else out
+                for h, out in zip(hit, real(points, epsrel))]
+    monkeypatch.setitem(sweep._EVALUATORS, "cspa", injected)
+    runs.clear()
+    hurt = limit_temperature("cspa", p, probes=28, epsrel=1e-8)
+    assert runs[1] == [(target, failure), (end_x, "ok")]
+    (on, end), = hurt.intervals
+    assert end.hex() == clean.intervals[0][1].hex()
+    assert on.hex() != clean.intervals[0][0].hex()
+    intervals, _ = _per_edge_scan("cspa", p, axis, 1e-8)
+    assert _hex(hurt.intervals) == _hex(intervals)
 
 
 # figure 2's b = 0.5 T-row (19 ok, 7 breakdown, 4 error in the cspa tier)
