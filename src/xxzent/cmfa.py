@@ -4,7 +4,9 @@ Deformed phase (gamma > 0, |b| < gamma v, T < T_c): the gap solves
 
     lam = v tanh(beta lam / 2)            (independent of b and gamma),
 
-the longitudinal shift gives b - z = b/gamma (independent of T and v), and
+so the gap is computed once per (v, T) and shared by every n, gamma and b,
+as cspa computes T* once per field; the longitudinal shift gives
+b - z = b/gamma (independent of T and v), and
 
     T_c(b) = b' / ln[(1 + b'/v)/(1 - b'/v)],   b' = |b|/gamma,
 
@@ -47,6 +49,7 @@ concurrence vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cosh, exp, inf, log, nan, pi, sinh, sqrt, tanh
 
 import numpy as np
@@ -92,9 +95,13 @@ def _sech2(x: float) -> float:
     return 4.0 * e / (1.0 + e) ** 2
 
 
+# the gap depends on (v, T) alone, and a figure asks for the same few again
+# and again: figure 4 for 269 distinct (v, T) in 1699 calls. Figure 5, the
+# largest, asks for 299, so 512 entries keep every root of any one figure.
+@lru_cache(maxsize=512)
 def _gap_root(v: float, T: float) -> float:
     """Root of lam = v tanh(beta lam / 2) in [1e-12 v, v] to 1e-14 v; 0 if
-    T >= v/2."""
+    T >= v/2. Computed once per (v, T), as cspa._t_star is per field."""
     if T >= 0.5 * v:
         return 0.0
     beta = 1.0 / T
@@ -124,6 +131,13 @@ def critical_temperature(params: ModelParams) -> float:
     return bp / log((1.0 + x) / (1.0 - x))
 
 
+def _deformed(params: ModelParams, tc: float) -> bool:
+    """Whether the point is in the deformed phase: gamma > 0, |b| < gamma v
+    and T below its T_c = ``tc``."""
+    g = params.gamma
+    return g > 0 and abs(params.b) < g * params.v and params.T < tc
+
+
 def gap_solve(params: ModelParams) -> MeanFieldSolution:
     """Phase selection and the b-independent gap of the deformed phase."""
     if params.T <= 0:
@@ -131,8 +145,7 @@ def gap_solve(params: ModelParams) -> MeanFieldSolution:
     v, T, g = params.v, params.T, params.gamma
     tc = critical_temperature(params)
     t_tilde = g * v / (2.0 * params.n) if g > 0 else 0.0
-    deformed = g > 0 and abs(params.b) < g * v and T < tc
-    if not deformed:
+    if not _deformed(params, tc):
         return MeanFieldSolution(phase="normal", lam=abs(params.b) / g if g > 0 else 0.0,
                                  chi=0.0, tc=tc, t_tilde=t_tilde, applicable=False)
     lam = _gap_root(v, T)
@@ -294,9 +307,12 @@ def mean_field_z(params: ModelParams) -> tuple[float, ...]:
 
     Deformed phase: (b - b/gamma,). Normal phase: _normal_z_shift from the
     aligned end, then from the other end; where there is no ordered root on
-    that side, the second is NaN or repeats the first.
+    that side, the second is NaN or repeats the first. The phase is
+    gap_solve's, decided without solving the gap.
     """
-    if gap_solve(params).phase == "deformed":
+    if params.T <= 0:
+        raise DomainError("mean_field_z requires T > 0")
+    if _deformed(params, critical_temperature(params)):
         return (params.b - params.b / params.gamma,)
     end = 1.0 if params.b >= 0 else -1.0
     return _normal_z_shift(params, end), _normal_z_shift(params, -end)

@@ -165,22 +165,24 @@ class CurvePoint:
     wall_time: float = 0.0
     message: str = ""
 
-    def row(self) -> dict:
-        p = self.params
-        r = {"tier": self.tier, "n": p.n, "v": p.v, "gamma": p.gamma,
-             "b": p.b, "T": p.T, "logZ": self.logZ, "Sz": None, "Sz2": None,
-             "S2": None, "C": None, "nC": None, "EoF": None,
-             "status": self.status}
-        if self.moments is not None:
-            r["Sz"], r["Sz2"], r["S2"] = self.moments.sz, self.moments.sz2, \
-                self.moments.s2
-            if self.logZ is None and np.isfinite(self.moments.logZ):
-                r["logZ"] = self.moments.logZ
+    def values(self) -> tuple:
+        """The point's cells in CSV_COLUMNS order, None where missing: ln Z
+        from the moments where the tier gave none of its own and theirs is
+        finite, and C, nC and EoF on ok points only."""
+        p, m, logZ = self.params, self.moments, self.logZ
+        sz = sz2 = s2 = c = nc = eof = None
+        if m is not None:
+            sz, sz2, s2 = m.sz, m.sz2, m.s2
+            if logZ is None and isfinite(m.logZ):
+                logZ = m.logZ
         if self.result is not None and self.status == "ok":
-            r["C"] = self.result.concurrence
-            r["nC"] = p.n * self.result.concurrence
-            r["EoF"] = self.result.eof
-        return r
+            c, eof = self.result.concurrence, self.result.eof
+            nc = p.n * c
+        return (self.tier, p.n, p.v, p.gamma, p.b, p.T, logZ, sz, sz2, s2, c,
+                nc, eof, self.status)
+
+    def row(self) -> dict:
+        return dict(zip(CSV_COLUMNS, self.values()))
 
 
 def _bruteforce(params):
@@ -577,20 +579,34 @@ def _value(x):
 
 
 def _fmt(x) -> str:
+    """A cell's text: _value's value as str, empty where it is None. A plain
+    float, most cells of a file, takes that rule without the call."""
+    if type(x) is float:
+        return str(x) if isfinite(x) else ""
     x = _value(x)
     return "" if x is None else str(x)
 
 
-def _csv(rows, columns) -> str:
-    """CSV text of dict rows, one cell rule for every file (_fmt)."""
+def _text(columns, rows) -> str:
+    """CSV text of rows of values in ``columns`` order, one cell rule for
+    every file (_fmt)."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    lines += [",".join(map(_fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def _csv(rows, columns) -> str:
+    """CSV text of dict rows."""
+    return _text(columns, ([row[c] for c in columns] for row in rows))
+
+
 def points_to_csv(points, columns=CSV_COLUMNS) -> str:
-    return _csv((pt.row() for pt in points), columns)
+    """CSV text of the points: each point's values, straight from
+    CurvePoint.values, in the order of ``columns`` (a subset of
+    CSV_COLUMNS)."""
+    at = [CSV_COLUMNS.index(c) for c in columns]
+    return _text(columns, ([values[i] for i in at]
+                           for values in map(CurvePoint.values, points)))
 
 
 def points_to_json(points, spec: SweepSpec | None = None) -> str:

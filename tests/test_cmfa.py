@@ -350,3 +350,43 @@ def test_one_gap_solve_per_point(monkeypatch, gamma, b, T):
     assert pt.status == "ok"
     assert (pt.moments if deformed else pt.logZ) == alone
     assert calls == [p]
+
+
+def test_cached_gap_root_is_the_solve_bit_for_bit():
+    # the cache hands back, bit for bit, what the solve itself gives: above
+    # and at v/2 (no gap), just below v/2 (a gap near 0), down to
+    # T = 1e-4 v (a gap at v); np.float64 keys share the entries of equal
+    # float keys, whichever comes first
+    from xxzent import cmfa
+    solve, keys = cmfa._gap_root.__wrapped__, set()
+    for v in (0.5, 1.0, 2.0, 3.7):
+        for T in (0.75 * v, 0.5 * v, float(np.nextafter(0.5 * v, 0.0)),
+                  0.49 * v, 0.3 * v, 0.1 * v, 0.01 * v, 1e-4 * v):
+            keys.add((v, T))
+            for key in ((np.float64(v), np.float64(T)), (v, T),
+                        (v, np.float64(T))):
+                assert float.hex(cmfa._gap_root(*key)) == \
+                    float.hex(solve(*key)) == float.hex(solve(v, T)), key
+    info = cmfa._gap_root.cache_info()
+    assert (info.misses, info.hits, info.currsize) == \
+        (len(keys), 2 * len(keys), len(keys))
+    assert cmfa._gap_root(1.0, 0.5) == 0.0
+    assert 0.0 < cmfa._gap_root(1.0, float(np.nextafter(0.5, 0.0))) < 1e-6
+    assert cmfa._gap_root(1.0, 1e-4) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("gamma, b, T", [(0.5, 0.3, 0.1), (1.0, 0.0, 0.2),
+                                         (0.25, -0.2, 0.05)])
+def test_mean_field_z_solves_no_gap(monkeypatch, gamma, b, T):
+    # the deformed phase's z shift is b - b/gamma whatever the gap: the
+    # phase is gap_solve's, decided without a (v, T) root
+    from xxzent import cmfa
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
+    assert gap_solve(p).phase == "deformed"
+    calls, root = [], cmfa._gap_root
+    monkeypatch.setattr(cmfa, "_gap_root",
+                        lambda v, T: calls.append((v, T)) or root(v, T))
+    assert mean_field_z(p) == (b - b / gamma,)
+    assert calls == []
+    with pytest.raises(DomainError):
+        mean_field_z(p.replace(T=0.0))

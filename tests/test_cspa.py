@@ -912,8 +912,10 @@ def test_seed_far_from_the_z_peak_is_an_error(monkeypatch):
 def test_one_gap_solve_per_z_integral(monkeypatch, gamma, b):
     # cmfa.mean_field_z solves the point's saddles, both of them where the
     # normal phase has two (gamma = -1, b = 0): the z integral takes them
-    # from that one call and solves no gap of its own. Every module's name
-    # for gap_solve is counted, not only cmfa's.
+    # from that one call and solves no gap of its own, and mean_field_z
+    # decides the phase as gap_solve does without solving the gap, so not
+    # one gap is solved. Every module's name for gap_solve is counted, not
+    # only cmfa's, and the (v, T) root beneath it too.
     import sys
     from xxzent import cmfa
     from xxzent.sweep import evaluate_point
@@ -926,9 +928,12 @@ def test_one_gap_solve_per_z_integral(monkeypatch, gamma, b):
         if name.startswith("xxzent") and getattr(module, "gap_solve",
                                                  None) is real:
             monkeypatch.setattr(module, "gap_solve", counted)
+    root = cmfa._gap_root
+    monkeypatch.setattr(cmfa, "_gap_root",
+                        lambda v, T: calls.append((v, T)) or root(v, T))
     p = ModelParams(n=100, v=1.0, gamma=gamma, b=b, T=0.2)
     assert evaluate_point("cspa", p).status == "ok"
-    assert calls == [p]
+    assert calls == []
     deformed = gamma == 0.5 and b < 0.5
     assert len(cmfa.mean_field_z(p)) == (1 if deformed else 2)
 

@@ -77,3 +77,12 @@ def test_figure_4_scans_share_runs(monkeypatch, tmp_path):
     figures.reproduce_figure(4, str(tmp_path))
     assert counts == {"exact": (87, 2795), "cmfa": (78, 2641),
                       "cspa": (31, 796)}
+
+
+def test_figure_2_solves_each_gap_once(tmp_path):
+    # figure 2's cmfa points ask for 27 distinct (v, T) gaps 106 times: the
+    # cache (cleared before each test) solves each once
+    from xxzent import cmfa
+    figures.reproduce_figure(2, str(tmp_path))
+    info = cmfa._gap_root.cache_info()
+    assert (info.hits + info.misses, info.misses) == (106, 27)

@@ -98,6 +98,110 @@ def test_csv_schema_and_missing_fields():
     assert cols["C"] == "" and cols["status"] == "not-applicable"
 
 
+def _reference_row(pt):
+    """A point's row as a dict, field by field: ln Z from the moments where
+    the tier gave none and theirs is finite, C, nC and EoF on ok points."""
+    p = pt.params
+    r = {"tier": pt.tier, "n": p.n, "v": p.v, "gamma": p.gamma, "b": p.b,
+         "T": p.T, "logZ": pt.logZ, "Sz": None, "Sz2": None, "S2": None,
+         "C": None, "nC": None, "EoF": None, "status": pt.status}
+    if pt.moments is not None:
+        r["Sz"], r["Sz2"], r["S2"] = pt.moments.sz, pt.moments.sz2, \
+            pt.moments.s2
+        if pt.logZ is None and np.isfinite(pt.moments.logZ):
+            r["logZ"] = pt.moments.logZ
+    if pt.result is not None and pt.status == "ok":
+        r["C"] = pt.result.concurrence
+        r["nC"] = p.n * pt.result.concurrence
+        r["EoF"] = pt.result.eof
+    return r
+
+
+def _reference_value(x):
+    """The writers' cell value: a float (numpy ones too) as a float, None
+    where it is missing or not finite, anything else as it is."""
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        return x if np.isfinite(x) else None
+    return x
+
+
+def _reference_csv(points, columns=CSV_COLUMNS):
+    lines = [",".join(columns)]
+    for pt in points:
+        row = {k: _reference_value(x) for k, x in _reference_row(pt).items()}
+        lines.append(",".join("" if row[c] is None else str(row[c])
+                              for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _points_of_every_cell_kind():
+    from xxzent.sweep import CurvePoint
+    f32, f64 = np.float32, np.float64
+    pts = [evaluate_point(tier, ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=T))
+           for tier, b, T in (("exact", 0.3, 0.1), ("exact", 0.3, 0.0),
+                              ("exact", 0.0, 0.0), ("cmfa", 0.3, 0.1),
+                              ("cmfa", 1.3, 0.1), ("cmfa", 0.93, 0.001),
+                              ("cspa", 0.0, 0.02), ("cspa", 0.5, 0.3),
+                              ("spa", 0.5, 0.3), ("mfa", 0.3, 0.1),
+                              ("bruteforce", 0.3, 0.1))]
+    pts.append(evaluate_point("cspa", ModelParams(n=20, v=1.0, gamma=1.0,
+                                                  b=0.5, T=1e-3)))
+    odd = ModelParams(n=7, v=f64(1.5), gamma=f32(0.5), b=f32(-0.1),
+                      T=f64(0.2))
+    moments = exact.CollectiveMoments(sz=f32(0.25), sz2=f64(1.0 / 3.0),
+                                      s2=np.nan, logZ=f32(-2.5))
+    result = exact.ConcurrenceResult(concurrence=f64(0.125), eof=f32(0.0625),
+                                     entangled=True)
+    pts += [CurvePoint("exact", odd, "ok", moments, result),
+            CurvePoint("exact", odd, "ok", moments, result, logZ=np.inf),
+            CurvePoint("exact", odd, "error", moments, result,
+                       message="refused"),
+            CurvePoint("cspa", odd, "breakdown",
+                       exact.CollectiveMoments(sz=np.inf, sz2=-np.inf,
+                                               s2=f64(2.0), logZ=-np.inf),
+                       result),
+            CurvePoint("cmfa", odd, "ok", None,
+                       exact.ConcurrenceResult(concurrence=np.nan, eof=np.inf,
+                                               entangled=False),
+                       logZ=f64(3.0)),
+            CurvePoint("cmfa", odd, "not-applicable", None, None)]
+    return pts
+
+
+def test_point_files_hold_each_cell_by_the_one_rule():
+    # every cell kind, in both writers: floats, numpy float64 and float32
+    # ones, ints and strings; missing and non-finite cells (a NaN ln Z of
+    # an exact T = 0 point included) empty in CSV and null in JSON; C, nC
+    # and EoF on ok points only; the CLI's moments columns as well
+    pts = _points_of_every_cell_kind()
+    statuses = {pt.status for pt in pts}
+    assert statuses == {"ok", "breakdown", "not-applicable", "error"}
+    zero_T = pts[1]
+    assert zero_T.status == "ok" and np.isnan(zero_T.moments.logZ)
+    assert points_to_csv([zero_T]).splitlines()[1].split(",")[6] == ""
+    assert points_to_csv(pts) == _reference_csv(pts)
+    moments_only = tuple(c for c in CSV_COLUMNS if c not in ("C", "nC", "EoF"))
+    assert points_to_csv(pts, columns=moments_only) == \
+        _reference_csv(pts, moments_only)
+    def bits(row):
+        return {k: (type(x), float.hex(float(x)))
+                if isinstance(x, (float, np.floating)) else x
+                for k, x in row.items()}
+    assert [bits(pt.row()) for pt in pts] == \
+        [bits(_reference_row(pt)) for pt in pts]
+    spec = small_spec()
+    head = {"tier": "exact", "fixed": dict(n=8, v=1.0, gamma=1.0, b=0.0,
+                                           T=0.2),
+            "axes": [dict(name="b", lo=0.0, hi=1.0, count=6, scale="lin")],
+            "outputs": list(CSV_COLUMNS)}
+    rows = [{k: _reference_value(x) for k, x in _reference_row(pt).items()}
+            for pt in pts]
+    for s, h in ((spec, head), (None, {})):
+        assert points_to_json(pts, s) == \
+            json.dumps({"spec": h, "points": rows}, indent=1) + "\n"
+
+
 def test_sweep_captures_per_point_failures():
     # cspa grid crossing the breakdown boundary: points fail, sweep survives
     spec = SweepSpec(tier="cspa", fixed=ModelParams(n=20, v=1.0, b=0.0, T=1.0),
