@@ -53,21 +53,27 @@ Concurrence:  C = 2 [ |alpha| - sqrt(p+ p-) ]_+, with the entanglement of
 formation E = -sum q_+- log2 q_+-, q_+- = (1 +- sqrt(1-C^2))/2.
 
 A brute-force oracle (n <= 14) is included for cross-validation. It builds
-the Hamiltonian from its explicit site-pair sum and uses two symmetries of
+the Hamiltonian from its explicit site-pair sum and uses only symmetries of
 any sum over all site pairs, never the collective spectrum or Y(S): S_z
-conservation and the site transpositions. On the block with k down spins
-the pair sum is H = -V F + c_k: the flip-flop sum F = sum_{i != j}
-(s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the diagonal c_k is the
-same on every state of the block (checked). The swaps of the site pairs
-(0, 1), (2, 3), ... commute with F, so their parities split each block into
-sectors, and sectors with equal numbers of odd pairs, equal in size, take
-one stacked eigh (the largest sector has 393 states at n = 14, the largest
-block 3432). Blocks k > n // 2 come from block n - k by the global spin
-flip. The eigen-rows serve every (v, gamma, b, T) at that n and are kept
-for the last n (:func:`_flip_flop_rows`), with rho_2 of sites (0, 1) read
-off the sectors. On one Xeon core (OpenBLAS, one thread) the first point at
-an n takes about 0.016 s at n = 11, 0.09 s at n = 13 and 0.23 s at n = 14
-(60 MB peak for the whole process), and each later point under 1 ms.
+conservation, the site permutations and the global spin flip. On the block
+with k down spins the pair sum is H = -V F + c_k: the flip-flop sum
+F = sum_{i != j} (s^x_i s^x_j + s^y_i s^y_j) depends on n alone, and the
+diagonal c_k is the same on every state of the block (checked). The swaps
+of the site pairs (0, 1), (2, 3), ... commute with F, so their parities
+split each block into sectors sigma (the odd pairs). A permutation of the
+pairs that fixes pair (0, 1) maps sector sigma onto pi(sigma) with the same
+spectrum and the same rho_2 of sites (0, 1), so only one canonical sector
+per class (|sigma|, pair 0 odd or not) is diagonalized, its columns
+weighted by the class size, and the two of equal |sigma|, equal in size,
+take one stacked eigh: 63 sector matrices at n = 14 instead of 576, and
+4372 columns instead of 16384 (the largest sector has 393 states, the
+largest block 3432). Blocks k > n // 2 come from block n - k by the global
+spin flip. The eigen-rows serve every (v, gamma, b, T) at that n and are
+kept for the last n (:func:`_flip_flop_rows`), with rho_2 of sites (0, 1)
+read off the sectors. On one Xeon core (OpenBLAS, one thread) the first
+point at an n takes about 0.005 s at n = 11, 0.02 s at n = 13 and 0.05 s
+at n = 14 (a 7 MB tracemalloc peak for the table, 45 MB peak RSS for the
+whole CLI process), and each later point under 1 ms.
 """
 
 from __future__ import annotations
@@ -768,11 +774,12 @@ def brute_force_observables(params: ModelParams):
 
     On the block with k down spins H = -V F + c_k, with the flip-flop sum F
     a function of n alone and c_k the same on every state of the block
-    (see _block_rows). So the eigenstates of F (_flip_flop_rows: one eigh
-    per stack of equal-size pair-swap sectors, kept for the last n) are
-    those of H at every (v, gamma, b, T), and one log-sum-exp over their
-    energies b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights
-    them. A point past the n cap or at T <= 0 is refused before any eigh.
+    (see _block_rows). So the eigenstates of F (_flip_flop_rows: one
+    canonical pair-swap sector per class, kept for the last n) are those of
+    H at every (v, gamma, b, T), and one log-sum-exp over their energies
+    b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights them, each
+    eigenstate counted as many times as its class has sectors. A point past
+    the n cap or at T <= 0 is refused before any eigh.
 
     rho_2 is indexed by 2 q_0 + q_1 with q = 0 for spin up. Its only
     coherence couples |01> and |10>: every other pair of basis states
@@ -782,25 +789,27 @@ def brute_force_observables(params: ModelParams):
         raise DomainError(
             f"brute force capped at n = {BRUTE_FORCE_MAX_N}: it tabulates all "
             f"2^n = {2 ** params.n} basis states, and at n = 14 the "
-            "16384-state table takes about 0.2 s and 27 MB to build")
+            "16384-state table takes about 0.05 s and 7 MB to build")
     if params.T <= 0:
         raise DomainError("brute force oracle requires T > 0")
     rows = _flip_flop_rows(params.n)
     f, sz, zz, s2 = rows[:4]
     w = params.b * sz - params.V * (f + (1.0 - params.gamma) * zz)
-    p, logZ = _boltzmann(w, params.beta)
+    p, logZ = _boltzmann(w, params.beta, rows[9])
     moments = CollectiveMoments(sz=float(p @ sz), sz2=float(p @ (sz * sz)),
                                 s2=float(p @ s2), logZ=logZ)
-    *pops, coh = rows[4:] @ p
+    *pops, coh = rows[4:9] @ p
     rho2 = np.diag(pops)
     rho2[1, 2] = rho2[2, 1] = coh
     return moments, rho2
 
 
-def _boltzmann(w: np.ndarray, beta: float):
+def _boltzmann(w: np.ndarray, beta: float, mult: np.ndarray):
+    """Weights and ln Z of levels w, each counted mult times:
+    ln Z = m + ln sum mult e^(lw - m) with m the largest lw = -beta w."""
     lw = -beta * w
     m = lw.max()
-    e = np.exp(lw - m)
+    e = mult * np.exp(lw - m)
     Z = e.sum()
     return e / Z, m + log(Z)
 
@@ -809,24 +818,26 @@ def _boltzmann(w: np.ndarray, beta: float):
 def _flip_flop_rows(n: int) -> np.ndarray:
     """Per-eigenstate rows of F over all S_z blocks: its eigenvalue f, S_z,
     the block's sum_{i != j} s^z_i s^z_j, <S^2> = f + S_z^2 + n/2, the four
-    rho_2 populations and the rho_2 coherence <01|.|10>; read-only.
+    rho_2 populations, the rho_2 coherence <01|.|10> and the multiplicity,
+    the number of pair-swap sectors that share the column; read-only.
 
     Bit k of a basis index set means site k is down. Only the blocks with
-    k <= n // 2 down spins are built (:func:`_block_rows`, one eigh per
-    stack of equal-size pair-swap sectors). The global spin flip maps block
-    k onto block n - k and each sector onto the same sector (it commutes
-    with the pair swaps), so block n - k has block k's f, <S^2> and
-    coherence, S_z negated and the populations in reverse order
-    (q -> 3 - q), with no eigh of its own. The blocks stay in the order
-    k = 0..n. The rows depend on n alone, and the last table is kept, so the
-    points of a sweep or a limit scan at one n share one set of eighs.
+    k <= n // 2 down spins are built (:func:`_block_rows`: one canonical
+    sector per class, stacked by size into one eigh). The global spin flip
+    maps block k onto block n - k and each sector onto the same sector (it
+    commutes with the pair swaps), so block n - k has block k's f, <S^2>,
+    coherence and multiplicity, S_z negated and the populations in reverse
+    order (q -> 3 - q), with no eigh of its own. The blocks stay in the
+    order k = 0..n, and the multiplicities sum to 2^n. The rows depend on n
+    alone, and the last table is kept, so the points of a sweep or a limit
+    scan at one n share one set of eighs.
     """
     idx = np.arange(2 ** n)
     ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
     rows = [_block_rows(n, k, ones) for k in range(n // 2 + 1)]
     for k in range(n // 2 + 1, n + 1):
-        # f, S_z, zz, <S^2>; populations q -> 3 - q; coherence
-        flipped = rows[n - k][[0, 1, 2, 3, 7, 6, 5, 4, 8]]
+        # f, S_z, zz, <S^2>; populations q -> 3 - q; coherence; multiplicity
+        flipped = rows[n - k][[0, 1, 2, 3, 7, 6, 5, 4, 8, 9]]
         flipped[1] = -flipped[1]
         rows.append(flipped)
     rows = np.concatenate(rows, axis=1)
@@ -838,7 +849,9 @@ def _site_sums(bits: np.ndarray, i: np.ndarray, j: np.ndarray):
     """S_z and sum over the site pairs (i, j) of s^z_i s^z_j, per basis state
     (a row of ``bits``, 1 for a down spin)."""
     szdiag = 0.5 - bits                       # per-site s_z eigenvalue
-    return szdiag.sum(axis=1), (szdiag[:, i] * szdiag[:, j]).sum(axis=1)
+    links = np.zeros((bits.shape[1],) * 2)
+    links[i, j] = 1.0
+    return szdiag.sum(axis=1), ((szdiag @ links) * szdiag).sum(axis=1)
 
 
 def _pair_bits(s: np.ndarray, even: int):
@@ -850,6 +863,14 @@ def _pair_bits(s: np.ndarray, even: int):
     return d, d & lo
 
 
+def _canonical_sectors(sigma: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Whether each pair-swap sector sigma (its odd pairs, as bits 2p) is
+    the canonical one of its class: the first |sigma| pairs if pair 0 is
+    odd, else the pairs 1..|sigma|."""
+    first = ((1 << 2 * ones[sigma]) - 1) // 3        # pairs 0..|sigma| - 1
+    return (sigma == first) | (sigma == 4 * first)
+
+
 def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     """The rows of :func:`_flip_flop_rows` on the block with k down spins;
     ``ones[s]`` is the number of set bits of s.
@@ -857,54 +878,79 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     All of it comes from the explicit pair sum H = b S_z - V [F +
     (1 - gamma) sum_{i != j} s^z_i s^z_j], F flipping both spins of a pair
     whose bits differ; the pair sum generates E0 = v(3-gamma)/4 by itself.
-    The diagonal part is evaluated state by state; its sums of +-1/2 and
-    +-1/4 are exact, so XxzentError is raised where it is not constant.
+    The diagonal part is evaluated state by state on the whole block; its
+    sums of +-1/2 and +-1/4 are exact, so XxzentError is raised where it
+    is not constant.
 
     F commutes with the swaps of the site pairs (0, 1), (2, 3), ..., whose
     parities split the block into sectors sigma (the odd pairs). A state s
     with representative r (each pair with differing bits d(r) turned
     canonical) and flipped pairs g(s) labels the basis vector
     2^(-|d(r)|/2) sum_{h in d(r)} (-1)^|h & sigma| swap_h(r) of sector
-    sigma = g(s). Each flip r -> t adds 1/2 2^((|d(r)| - |d(t)|)/2)
-    (-1)^|g(t) & sigma| at (r(t), sigma) if sigma lies in d(t). Sectors of
-    equal |sigma| are equal in size and share one eigh; one that is not
-    symmetric to rounding (F not commuting with the swaps) raises
-    XxzentError. Pair 0 is sites (0, 1): where it is odd it is the singlet,
-    rho_2 = (0, 1/2, 1/2, 0) with coherence -1/2; else an eigenvector's
-    weights on r with pair 0 up-up, down-down and mixed give p+, p- and T0,
-    with T0/2 to q = 1, 2 and to the coherence.
+    sigma = g(s). Each flip r -> t of two differing bits adds
+    2^((|d(r)| - |d(t)|)/2) (-1)^|g(t) & sigma| at (r(t), sigma) if sigma
+    lies in d(t).
+
+    A permutation of the pairs that fixes pair (0, 1) commutes with F and
+    maps sector sigma onto pi(sigma) with the same spectrum and the same
+    rho_2 of sites (0, 1). So only the canonical sector of each class
+    (|sigma|, pair 0 odd or not) is built (:func:`_canonical_sectors`), and
+    its columns carry the class size C(P - 1, |sigma| - 1) or
+    C(P - 1, |sigma|), P = n // 2, as multiplicity. The two canonical
+    sectors of equal |sigma| share one eigh; XxzentError is raised if they
+    differ in size, if a flip leaves them, or if a sector matrix is not
+    symmetric to rounding (F not commuting with the swaps). Where pair 0 is
+    odd it is the singlet, rho_2 = (0, 1/2, 1/2, 0) with coherence -1/2;
+    else an eigenvector's weights on r with pair 0 up-up, down-down and
+    mixed give p+, p- and T0, with T0/2 to q = 1, 2 and to the coherence.
     """
     pairs, even = n // 2, (4 ** (n // 2) - 1) // 3
     states = np.flatnonzero(ones == k)
-    d, g = _pair_bits(states, even)
-    order = np.lexsort((g, ones[g]))          # by |sigma|, then sigma
-    states, d, g = states[order], d[order], g[order]
-    rep = states ^ 3 * g
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     sz, zz = _site_sums((states[:, None] >> np.arange(n)) & 1, i, j)
     if np.ptp(sz) != 0.0 or np.ptp(zz) != 0.0:
         raise XxzentError(f"diagonal not constant on the S_z block of "
                           f"{states.size} states")
     sz, zz = float(sz[0]), float(zz[0])
-    # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2, from each rep
+    d, g = _pair_bits(states, even)
+    keep = _canonical_sectors(g, ones)
+    states, d, g = states[keep], d[keep], g[keep]
+    order = np.lexsort((g, ones[g]))          # by |sigma|, then sigma
+    states, d, g = states[order], d[order], g[order]
+    first = np.flatnonzero(np.diff(g, prepend=-1))     # each sector's start
+    size = np.diff(first, append=g.size)
+    stacked = ones[g[first[1:]]] == ones[g[first[:-1]]]
+    if (size[1:] != size[:-1])[stacked].any():
+        raise XxzentError(f"pair-swap sectors of unequal size stacked in one "
+                          f"eigh on the S_z block with {k} down spins")
+    new = np.append(True, ~stacked)          # one stack per |sigma|
+    bounds = [*first[new].tolist(), g.size]
+    rep = states ^ 3 * g
+    # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2 flips a pair of
+    # differing bits with amplitude 1/2 as (i, j) and again as (j, i)
     rbits = (rep[:, None] >> np.arange(n)) & 1
-    src, ij = np.nonzero(rbits[:, i] != rbits[:, j])
-    t = rep[src] ^ (1 << i[ij]) ^ (1 << j[ij])
+    fi, fj = i[i < j], j[i < j]
+    src, ij = np.nonzero(rbits[:, fi] != rbits[:, fj])
+    t = rep[src] ^ (1 << fi[ij]) ^ (1 << fj[ij])
     sigma = g[src]
     dt, gt = _pair_bits(t, even)
     live = (dt & sigma) == sigma
     src, t, sigma, dt, gt = (a[live] for a in (src, t, sigma, dt, gt))
-    val = (0.5 * np.sqrt(2.0 ** (ones[d[src]] - ones[dt]))
+    val = (np.sqrt(2.0 ** (ones[d[src]] - ones[dt]))
            * (1 - 2 * (ones[gt & sigma] & 1)))
-    rank = np.empty(2 ** n, dtype=np.intp)
+    rank = np.full(2 ** n, -1, dtype=np.intp)
     rank[states] = np.arange(states.size)
     dst = rank[t ^ 3 * (gt ^ sigma)]          # basis vector (r(t), sigma)
-    odd, out = ones[g], []
-    for js in np.unique(odd):
-        lo, hi = np.searchsorted(odd, [js, js + 1])
-        count = comb(pairs, int(js))
-        m = (hi - lo) // count
-        a, b = np.searchsorted(src, [lo, hi])
+    if (dst < 0).any():
+        raise XxzentError(f"flip-flop sum leaves the canonical pair-swap "
+                          f"sectors of the S_z block with {k} down spins")
+    # per eigenvector: f, S_z, zz, <S^2>, p+, T0/2, T0/2, p-, coherence, mult
+    rows = np.empty((10, g.size))
+    pair0 = ((rep & 3) == np.array([[0], [2], [3]])).astype(float)
+    cut = np.searchsorted(src, bounds).tolist()
+    for lo, hi, m, a, b in zip(bounds[:-1], bounds[1:], size[new].tolist(),
+                               cut[:-1], cut[1:]):
+        count = (hi - lo) // m
         F = np.bincount((dst[a:b] - lo) * m + (src[a:b] - lo) % m,
                         weights=val[a:b], minlength=count * m * m)
         F = F.reshape(count, m, m)
@@ -912,15 +958,19 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
             raise XxzentError(f"flip-flop sum not symmetric on a pair-swap "
                               f"sector of {m} states")
         f, U = np.linalg.eigh(F)
-        w, pair0 = U * U, (rep[lo:hi] & 3).reshape(count, m, 1)
-        up, mixed, down = ((w * (pair0 == q)).sum(axis=1).ravel()
-                           for q in (0, 2, 3))
-        sign = 1 - 2 * np.repeat(g[lo:hi:m] & 1, m)   # -1: pair 0 odd
-        f = f.ravel()
-        out.append(np.stack([f, np.full_like(f, sz), np.full_like(f, zz),
-                             f + sz * sz + n / 2.0, up, 0.5 * mixed,
-                             0.5 * mixed, down, 0.5 * sign * mixed]))
-    return np.concatenate(out, axis=1)
+        rows[0, lo:hi] = f.ravel()
+        # each eigenvector's weight on the reps with pair 0 up-up, mixed and
+        # down-down
+        w = pair0[:, lo:hi].reshape(3, count, m).transpose(1, 0, 2) @ (U * U)
+        rows[[4, 5, 7], lo:hi] = w.transpose(1, 0, 2).reshape(3, -1)
+    rows[1], rows[2] = sz, zz
+    rows[3] = rows[0] + sz * sz + n / 2.0
+    rows[5] *= 0.5
+    rows[6] = rows[5]
+    rows[8] = rows[5] * (1 - 2 * (g & 1))     # -T0/2 where pair 0 is odd
+    rows[9] = np.array([comb(pairs - 1, x) for x in range(pairs)],
+                       dtype=float)[ones[g] - (g & 1)]
+    return rows
 
 
 def brute_force_pair_density(params: ModelParams) -> np.ndarray:

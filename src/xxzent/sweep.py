@@ -19,10 +19,10 @@ evaluate a run at gamma = 1 in one array pass, and the exact tier the
 T > 0 points of a run in shared array passes (all of them at n = 20, 16 at
 a time at n = 1000), its T = 0 points on the ground-state path; the
 bruteforce, cmfa and mfa tiers evaluate one point at a time. The per-n
-table of the bruteforce tier, the eigen-rows of the pair-swap sectors of
-the S_z blocks, is kept for the last n, so the points at one n share it
-across runs, limit-scan edge refinements included; the exact tier keeps
-nothing between passes.
+table of the bruteforce tier, the eigen-rows of one canonical pair-swap
+sector per class of each S_z block, is kept for the last n, so the points
+at one n share it across runs, limit-scan edge refinements included; the
+exact tier keeps nothing between passes.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism

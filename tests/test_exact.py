@@ -17,6 +17,7 @@ from xxzent.model import (ModelParams, crossing_fields, log_multiplicity,
 from oracles.closed_forms import (far_field_limit_temperature,
                                   large_field_expansion, log_multiplicities,
                                   spectrum_table, zero_T_concurrence_approx)
+from oracles.pair_sectors import sector_rows
 
 
 def random_params(rng, n_max=8):
@@ -605,7 +606,7 @@ def test_brute_force_matches_a_block_reference():
     # the pair-swap sectors against one dense eigh per whole S_z block: the
     # sectors drop no state and mix no two, at both parities of n
     rng = np.random.default_rng(19)
-    for n in range(2, 12):
+    for n in range(2, 13):
         for _ in range(2):
             p = ModelParams(n=n, v=1.0, gamma=float(rng.uniform(-1.0, 1.0)),
                             b=float(rng.uniform(-1.5, 1.5)),
@@ -622,13 +623,13 @@ def test_spin_flip_maps_block_k_onto_block_n_minus_k():
     # n - k from block k; a direct sector build of block n - k must give the
     # same eigenvalues, column for column, S_z and sum_{i != j} s^z_i s^z_j,
     # and the same rows summed over each eigenspace (F's eigenvalues are
-    # multiples of 1/4), whatever basis eigh picks inside one
+    # multiples of 1/4), whatever basis eigh picks inside one; a block's
+    # columns are those of its canonical sectors, found by their S_z
     for n in range(2, 10):
         ones = np.array([bin(s).count("1") for s in range(2 ** n)])
         table = exact._flip_flop_rows(n)
-        ends = np.cumsum([comb(n, k) for k in range(n + 1)])
         for k in range(n // 2 + 1, n + 1):
-            derived = table[:, ends[k] - comb(n, k):ends[k]]
+            derived = table[:, table[1] == n / 2.0 - k]
             direct = exact._block_rows(n, k, ones)
             assert derived.shape == direct.shape, (n, k)
             np.testing.assert_allclose(derived[0], direct[0], atol=1e-12)
@@ -662,15 +663,103 @@ def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
 
 
 def test_brute_force_table_at_n14_stays_small():
-    # the largest sector stack at n = 14 is 393 x 393, against the
-    # 3432 x 3432 middle S_z block: tracemalloc sees a peak of about 26 MB
+    # the largest sector stack at n = 14 is 2 x 393 x 393, against the
+    # 3432 x 3432 middle S_z block: tracemalloc sees a peak of about 7 MB
     tracemalloc.start()
     try:
         exact._flip_flop_rows(14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 20e6
+
+
+def _pair0_sums(rows):
+    """The rho_2 rows (populations and coherence) summed over each
+    eigenspace of F, keyed by 4 f (F's eigenvalues are multiples of 1/4),
+    whatever basis eigh picks inside one."""
+    keys = np.rint(4.0 * rows[0])
+    assert np.abs(4.0 * rows[0] - keys).max() < 1e-12
+    return {key: rows[4:9, keys == key].sum(axis=1)
+            for key in np.unique(keys)}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_sector_of_a_class_matches_its_canonical_sector(n):
+    # a permutation of the pairs that fixes pair (0, 1) maps sector sigma
+    # onto pi(sigma), so each class (|sigma|, pair 0 odd or not) has
+    # C(P - 1, |sigma| - 1) or C(P - 1, |sigma|) sectors with one spectrum
+    # and one rho_2 of sites (0, 1). Every sector of the all-sector
+    # reference must match the class's canonical columns, which the tier
+    # builds in the order |sigma|, then pair 0 odd before even
+    ones = np.array([bin(s).count("1") for s in range(2 ** n)])
+    for k in range(n + 1):
+        ref, sigma = sector_rows(n, k)
+        built = exact._block_rows(n, k, ones)
+        assert np.array_equal(built[1:3], ref[1:3, :built.shape[1]])
+        odd = sigma & 1
+        start = 0
+        for js, o in sorted({(ones[s], o) for s, o in zip(sigma, odd)},
+                            key=lambda c: (c[0], -c[1])):
+            members = np.unique(sigma[(ones[sigma] == js) & (odd == o)])
+            mult = comb(n // 2 - 1, int(js) - int(o))
+            assert members.size == mult, (n, k, js, o)
+            m = int((sigma == members[0]).sum())
+            canonical = built[:, start:start + m]
+            start += m
+            assert np.all(canonical[9] == mult), (n, k, js, o)
+            sums = _pair0_sums(canonical)
+            for s in members:
+                cols = ref[:, sigma == s]
+                np.testing.assert_allclose(np.sort(cols[0]),
+                                           np.sort(canonical[0]),
+                                           rtol=0, atol=1e-12)
+                got = _pair0_sums(cols)
+                assert got.keys() == sums.keys(), (n, k, s)
+                for key in got:
+                    np.testing.assert_allclose(got[key], sums[key],
+                                               rtol=0, atol=1e-12)
+        assert start == built.shape[1], (n, k)
+
+
+def test_multiplicities_count_every_state():
+    # the class sizes of an S_z block add up to its C(n, k) states, and the
+    # whole table's to 2^n
+    for n in range(2, 15):
+        table = exact._flip_flop_rows(n)
+        assert table[9].sum() == 2 ** n
+        for k in range(n + 1):
+            assert table[9, table[1] == n / 2.0 - k].sum() == comb(n, k)
+
+
+def _count_eigh(monkeypatch):
+    """The shapes np.linalg.eigh is called on, in call order."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append(a.shape)
+                        or eigh(a, *args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("n, matrices, columns, every_sector",
+                         [(10, 35, 484, 112), (11, 35, 968, 112),
+                          (14, 63, 4372, 576)])
+def test_brute_force_table_diagonalizes_one_sector_per_class(
+        monkeypatch, n, matrices, columns, every_sector):
+    # one canonical sector per class against every sector of the blocks
+    # with k <= n // 2, and a column per class eigenvector against one per
+    # basis state; the eighs stay one per |sigma| of a block
+    calls = _count_eigh(monkeypatch)
+    table = exact._flip_flop_rows(n)
+    assert sum(shape[0] for shape in calls) == matrices
+    assert table.shape == (10, columns)
+    stacks = len(calls)
+    calls.clear()
+    for k in range(n // 2 + 1):
+        sector_rows(n, k)
+    assert sum(shape[0] for shape in calls) == every_sector
+    assert len(calls) == stacks
 
 
 @pytest.mark.parametrize("db, T", [(0.0, 1e-4), (1e-4, 1e-4), (-3e-3, 1e-3)])

@@ -497,15 +497,18 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-# the stacked pair-swap sectors (count, size, size) of n = 6 spins, one
-# stack per number of odd pairs in each S_z block with k <= 3 down spins
-# (k = 0; 1; 2; 3); the spin flip gives the blocks with k > 3 without an
-# eigh. Wootters' sqrt(rho_2) adds one 4 x 4 eigh per ok point, the only
-# 2-D argument; no sector is larger than 7, the even sector of k = 3
+# the stacked canonical pair-swap sectors (count, size, size) of n = 6
+# spins, one stack per number |sigma| of odd pairs in each S_z block with
+# k <= 3 down spins (k = 0; 1; 2; 3): the sector with pair 0 odd and the
+# one with pair 0 even, where |sigma| allows both; the pair permutations
+# give the other sectors, and the spin flip the blocks with k > 3, without
+# an eigh. Wootters' sqrt(rho_2) adds one 4 x 4 eigh per ok point, the only
+# 2-D argument; no sector is larger than 7, the even sector of k = 3. At
+# n = 5 every sector is canonical (two pairs)
 STACKS_6 = sorted([(1, 1, 1),
-                   (1, 3, 3), (3, 1, 1),
-                   (1, 6, 6), (3, 2, 2), (3, 1, 1),
-                   (1, 7, 7), (3, 3, 3), (3, 1, 1), (1, 1, 1)])
+                   (1, 3, 3), (2, 1, 1),
+                   (1, 6, 6), (2, 2, 2), (2, 1, 1),
+                   (1, 7, 7), (2, 3, 3), (2, 1, 1), (1, 1, 1)])
 STACKS_5 = sorted([(1, 1, 1), (1, 3, 3), (2, 1, 1), (1, 5, 5), (2, 2, 2),
                    (1, 1, 1)])
 
@@ -534,9 +537,10 @@ def test_non_finite_values_are_an_error(monkeypatch):
 
 
 def test_bruteforce_point_diagonalizes_once(monkeypatch):
-    # one eigh per sector stack of the S_z blocks with k <= n // 2, never a
-    # whole block (the largest has 20 states) or the full 2^n matrix; the
-    # moments and the partial-trace rho_2 share those eigh calls
+    # one eigh per stack of canonical sectors of the S_z blocks with
+    # k <= n // 2, never a whole block (the largest has 20 states) or the
+    # full 2^n matrix; the moments and the partial-trace rho_2 share those
+    # eigh calls
     calls = _count_eigh(monkeypatch)
     pt = evaluate_point("bruteforce", ModelParams(n=6, v=1.0, b=0.3, T=0.2))
     assert pt.status == "ok"
@@ -634,6 +638,49 @@ def test_bruteforce_asymmetric_sector_matrix_raises(monkeypatch):
     assert (pt.status, pt.message) == (
         "error", "flip-flop sum not symmetric on a pair-swap sector of 3 "
         "states")
+
+
+def _dropping_one_state(monkeypatch, sector):
+    """Keep the canonical sectors but the last state of ``sector`` (its odd
+    pairs, as bits 2p) wherever the sector has more than one."""
+    canonical = exact._canonical_sectors
+
+    def short(sigma, ones):
+        keep = canonical(sigma, ones)
+        kept = np.flatnonzero(keep & (sigma == sector))
+        if kept.size > 1:
+            keep[kept[-1]] = False
+        return keep
+
+    monkeypatch.setattr(exact, "_canonical_sectors", short)
+
+
+def test_bruteforce_unequal_sector_stack_raises(monkeypatch):
+    # the two canonical sectors of one |sigma| share an eigh because they
+    # are equal in size; a stack that is not must raise, not be cut into
+    # sectors of the first one's size. At n = 5, k = 2 the sector of pair 0
+    # (bit 0) then has 1 state and that of pair 1 has 2
+    _dropping_one_state(monkeypatch, 1)
+    with pytest.raises(XxzentError, match="unequal size"):
+        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    assert (pt.status, pt.message) == (
+        "error", "pair-swap sectors of unequal size stacked in one eigh on "
+        "the S_z block with 2 down spins")
+
+
+def test_bruteforce_flip_out_of_the_kept_sectors_raises(monkeypatch):
+    # every flip from a canonical sector lands in that sector; one that
+    # lands on a state the build did not keep must raise, not index the
+    # last row. At n = 5, k = 1 the even sector loses site 4 down, which a
+    # flip of sites 1 and 4 reaches from site 1 down
+    _dropping_one_state(monkeypatch, 0)
+    with pytest.raises(XxzentError, match="leaves the canonical"):
+        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    assert (pt.status, pt.message) == (
+        "error", "flip-flop sum leaves the canonical pair-swap sectors of "
+        "the S_z block with 1 down spins")
 
 
 def _lgamma_calls(monkeypatch):
