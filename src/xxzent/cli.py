@@ -4,17 +4,19 @@ Subcommands: moments, concurrence, sweep, limit-temp, limit-field, figure,
 compare. Energies are in units of v unless --v is given (k = 1 throughout).
 
 Exit codes: 0 ok, 2 invalid arguments, 3 numerical failure
-(breakdown/quadrature/convergence), 4 tier not applicable at every point.
+(breakdown/quadrature or another package error), 4 tier not applicable at
+every point.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from .errors import (BreakdownError, ConvergenceError, DomainError,
-                     QuadratureError, XxzentError)
+from .errors import (BreakdownError, DomainError, QuadratureError,
+                     XxzentError)
 from .model import ModelParams
 from .sweep import (CSV_COLUMNS, GridAxis, SweepSpec, check_tier,
                     evaluate_point, limit_field, limit_temperature,
@@ -253,7 +255,6 @@ def _cmd_limit(args, which):
         res = limit_field(tier, params, b_min=args.b_min, b_max=args.b_max,
                           probes=args.probes)
     if args.out_format == "json":
-        import json
         doc = {"tier": tier, "axis": which,
                "intervals": [[lo, hi] for lo, hi in res.intervals],
                "limit": res.limit}
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
             if getattr(args, key) is None:      # no flag gave it
                 setattr(args, key, value)
         return _COMMANDS[args.command](args)
-    except (BreakdownError, QuadratureError, ConvergenceError) as err:
+    except (BreakdownError, QuadratureError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DomainError as err:

@@ -22,8 +22,8 @@ between points. A run shares its array passes up to _PASS_SECTORS entries
 (every point of a run at n = 20, 16 points at n = 1000, one point from
 n = 8192), so at small n a point costs a share of the numpy calls instead
 of all of them. At n = 10^6 (T = 0.1 v, b = 0.3 v) a point takes about
-2 ms and its bracket 163 sectors of 500,001; at n = 10^8 about 17 ms and
-45 MB for the whole process, at n = 10^9 about 0.1 s and 72 MB (one Xeon
+2 ms and its bracket 163 sectors of 500,001; at n = 10^8 about 12 ms and
+42 MB for the whole process, at n = 10^9 about 0.1 s and 72 MB (one Xeon
 core). ln Y itself, by lgamma, rounds to about 3e-9 absolute at
 n = 10^6 and 6e-6 at 10^9 (see :mod:`xxzent.model`): huge-n points are
 references for time and memory, not for 1e-10. The T = 0 path
@@ -63,17 +63,17 @@ of the site pairs (0, 1), (2, 3), ... commute with F, so their parities
 split each block into sectors sigma (the odd pairs). A permutation of the
 pairs that fixes pair (0, 1) maps sector sigma onto pi(sigma) with the same
 spectrum and the same rho_2 of sites (0, 1), so only one canonical sector
-per class (|sigma|, pair 0 odd or not) is diagonalized, its columns
-weighted by the class size, and the two of equal |sigma|, equal in size,
-take one stacked eigh: 63 sector matrices at n = 14 instead of 576, and
-4372 columns instead of 16384 (the largest sector has 393 states, the
-largest block 3432). Blocks k > n // 2 come from block n - k by the global
-spin flip. The eigen-rows serve every (v, gamma, b, T) at that n and are
-kept for the last n (:func:`_flip_flop_rows`), with rho_2 of sites (0, 1)
-read off the sectors. On one Xeon core (OpenBLAS, one thread) the first
-point at an n takes about 0.005 s at n = 11, 0.02 s at n = 13 and 0.05 s
-at n = 14 (a 7 MB tracemalloc peak for the table, 45 MB peak RSS for the
-whole CLI process), and each later point under 1 ms.
+per class (|sigma|, pair 0 odd or not) is diagonalized, one eigh each, its
+columns weighted by the class size: 63 sector matrices at n = 14 instead
+of 576, and 4372 columns instead of 16384 (the largest sector has 393
+states, the largest block 3432). Blocks k > n // 2 come from block n - k
+by the global spin flip. The eigen-rows serve every (v, gamma, b, T) at
+that n and are kept for the last n (:func:`_flip_flop_rows`), with rho_2
+of sites (0, 1) read off the sectors. On one Xeon core (OpenBLAS, one
+thread) the first point at an n takes about 0.004 s at n = 11, 0.017 s at
+n = 13 and 0.042 s at n = 14 (a 7 MB tracemalloc peak for the table,
+45 MB peak RSS for the whole CLI process), and each later point under
+0.1 ms.
 """
 
 from __future__ import annotations
@@ -535,15 +535,18 @@ def _columns(n: int, sectors: _Sectors):
 
 
 def thermal_observables(params: ModelParams):
-    """One pass over the spectrum: (CollectiveMoments, PairState) at T > 0;
-    a batch of one of :func:`thermal_observables_batch`."""
+    """One pass over the spectrum: (CollectiveMoments, PairState), at T = 0
+    those of :func:`ground_state_observables`; a batch of one of
+    :func:`thermal_observables_batch`."""
     return _one(thermal_observables_batch([params]))
 
 
 def thermal_observables_batch(points) -> list:
     """thermal_observables at each of ``points``, which share n, v and
     gamma: one outcome per point, its (CollectiveMoments, PairState) or the
-    exception that refuses it.
+    exception that refuses it. A T = 0 point takes the ground-state path
+    (:func:`ground_state_observables`, ln Z NaN) before any pass; the
+    passes below take the T > 0 points.
 
     A level's log-weight c_S + f(M) (see :func:`_live_sectors`) couples S
     and M only through |M| <= S. So each of the seven sums of :func:`_rows`
@@ -580,9 +583,9 @@ def thermal_observables_batch(points) -> list:
     0.01 to 0.6 each hull holds 1 to 1080 sectors, their union 3217), the
     product of its kept columns with their weights (one per point, so its
     summation order, and every bit, is that of the point alone) and the
-    T -> 0 branch below. Every refusal is decided before any sum: T <= 0,
-    and a peak that is not finite, each a DomainError. Any other exception
-    inside a pass raises for the whole batch.
+    T -> 0 branch below. Every refusal is decided before any sum: a peak
+    that is not finite, a DomainError. Any other exception inside a pass
+    raises for the whole batch.
 
     Certificate: each level of a sector outside the hull weighs less than
     e^_cut(peak, n) = e^peak e^-CUT_NATS / (n+1)^2, and each skipped column
@@ -608,9 +611,8 @@ def thermal_observables_batch(points) -> list:
     column. Columns whose computed gap exceeds that rounding are summed as
     they stand, however small beta times the gap.
     """
-    out = [None if p.T > 0 else DomainError(
-        "thermal_observables requires T > 0; use the ground-state path at "
-        "T = 0") for p in points]
+    out = [ground_state_observables(p) if p.T == 0 else None
+           for p in points]
     hot = [k for k, o in enumerate(out) if o is None]
     step = max(1, _PASS_SECTORS // (points[0].n // 2 + 1)) if hot else 1
     for i in range(0, len(hot), step):
@@ -651,7 +653,8 @@ def _thermal_pass(points) -> list:
 
 
 def exact_moments(params: ModelParams) -> CollectiveMoments:
-    """ln Z and the collective moments by direct Boltzmann sums (T > 0)."""
+    """ln Z and the collective moments by direct Boltzmann sums; at T = 0
+    the ground-state moments, with ln Z NaN."""
     return thermal_observables(params)[0]
 
 
@@ -823,11 +826,11 @@ def _flip_flop_rows(n: int) -> np.ndarray:
 
     Bit k of a basis index set means site k is down. Only the blocks with
     k <= n // 2 down spins are built (:func:`_block_rows`: one canonical
-    sector per class, stacked by size into one eigh). The global spin flip
-    maps block k onto block n - k and each sector onto the same sector (it
-    commutes with the pair swaps), so block n - k has block k's f, <S^2>,
-    coherence and multiplicity, S_z negated and the populations in reverse
-    order (q -> 3 - q), with no eigh of its own. The blocks stay in the
+    sector per class, one eigh each). The global spin flip maps block k
+    onto block n - k and each sector onto the same sector (it commutes
+    with the pair swaps), so block n - k has block k's f, <S^2>, coherence
+    and multiplicity, S_z negated and the populations in reverse order
+    (q -> 3 - q), with no eigh of its own. The blocks stay in the
     order k = 0..n, and the multiplicities sum to 2^n. The rows depend on n
     alone, and the last table is kept, so the points of a sweep or a limit
     scan at one n share one set of eighs.
@@ -896,13 +899,13 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     rho_2 of sites (0, 1). So only the canonical sector of each class
     (|sigma|, pair 0 odd or not) is built (:func:`_canonical_sectors`), and
     its columns carry the class size C(P - 1, |sigma| - 1) or
-    C(P - 1, |sigma|), P = n // 2, as multiplicity. The two canonical
-    sectors of equal |sigma| share one eigh; XxzentError is raised if they
-    differ in size, if a flip leaves them, or if a sector matrix is not
-    symmetric to rounding (F not commuting with the swaps). Where pair 0 is
-    odd it is the singlet, rho_2 = (0, 1/2, 1/2, 0) with coherence -1/2;
-    else an eigenvector's weights on r with pair 0 up-up, down-down and
-    mixed give p+, p- and T0, with T0/2 to q = 1, 2 and to the coherence.
+    C(P - 1, |sigma|), P = n // 2, as multiplicity. Each canonical sector
+    takes one eigh of its own; XxzentError is raised if a flip leaves the
+    canonical sectors, or if a sector matrix is not symmetric to rounding
+    (F not commuting with the swaps). Where pair 0 is odd it is the
+    singlet, rho_2 = (0, 1/2, 1/2, 0) with coherence -1/2; else an
+    eigenvector's weights on r with pair 0 up-up, down-down and mixed give
+    p+, p- and T0, with T0/2 to q = 1, 2 and to the coherence.
     """
     pairs, even = n // 2, (4 ** (n // 2) - 1) // 3
     states = np.flatnonzero(ones == k)
@@ -915,16 +918,9 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     d, g = _pair_bits(states, even)
     keep = _canonical_sectors(g, ones)
     states, d, g = states[keep], d[keep], g[keep]
-    order = np.lexsort((g, ones[g]))          # by |sigma|, then sigma
+    order = np.argsort(g, kind="stable")      # one run of states a sector
     states, d, g = states[order], d[order], g[order]
-    first = np.flatnonzero(np.diff(g, prepend=-1))     # each sector's start
-    size = np.diff(first, append=g.size)
-    stacked = ones[g[first[1:]]] == ones[g[first[:-1]]]
-    if (size[1:] != size[:-1])[stacked].any():
-        raise XxzentError(f"pair-swap sectors of unequal size stacked in one "
-                          f"eigh on the S_z block with {k} down spins")
-    new = np.append(True, ~stacked)          # one stack per |sigma|
-    bounds = [*first[new].tolist(), g.size]
+    bounds = [*np.flatnonzero(np.diff(g, prepend=-1)).tolist(), g.size]
     rep = states ^ 3 * g
     # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2 flips a pair of
     # differing bits with amplitude 1/2 as (i, j) and again as (j, i)
@@ -948,21 +944,18 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     rows = np.empty((10, g.size))
     pair0 = ((rep & 3) == np.array([[0], [2], [3]])).astype(float)
     cut = np.searchsorted(src, bounds).tolist()
-    for lo, hi, m, a, b in zip(bounds[:-1], bounds[1:], size[new].tolist(),
-                               cut[:-1], cut[1:]):
-        count = (hi - lo) // m
-        F = np.bincount((dst[a:b] - lo) * m + (src[a:b] - lo) % m,
-                        weights=val[a:b], minlength=count * m * m)
-        F = F.reshape(count, m, m)
-        if np.abs(F - F.transpose(0, 2, 1)).max() > 1e-12 * n:
+    for lo, hi, a, b in zip(bounds[:-1], bounds[1:], cut[:-1], cut[1:]):
+        m = hi - lo
+        F = np.bincount((dst[a:b] - lo) * m + (src[a:b] - lo),
+                        weights=val[a:b], minlength=m * m).reshape(m, m)
+        if np.abs(F - F.T).max() > 1e-12 * n:
             raise XxzentError(f"flip-flop sum not symmetric on a pair-swap "
                               f"sector of {m} states")
         f, U = np.linalg.eigh(F)
-        rows[0, lo:hi] = f.ravel()
+        rows[0, lo:hi] = f
         # each eigenvector's weight on the reps with pair 0 up-up, mixed and
         # down-down
-        w = pair0[:, lo:hi].reshape(3, count, m).transpose(1, 0, 2) @ (U * U)
-        rows[[4, 5, 7], lo:hi] = w.transpose(1, 0, 2).reshape(3, -1)
+        rows[[4, 5, 7], lo:hi] = pair0[:, lo:hi] @ (U * U)
     rows[1], rows[2] = sz, zz
     rows[3] = rows[0] + sz * sz + n / 2.0
     rows[5] *= 0.5

@@ -229,7 +229,7 @@ def reproduce_figure(fig_id: int, out_dir: str):
 
     Returns the list of files written. Figures 3-5 sweep up to n ~ 8810 and
     figures 4 and 5 run limit-temperature root finds per field value:
-    about 0.4 s for figure 4 and 3.9 s for figure 5 in-process (one Xeon
+    about 0.3 s for figure 4 and 2.7 s for figure 5 in-process (one Xeon
     core).
     """
     if fig_id not in _FIGURES:

@@ -26,7 +26,9 @@ exact tier keeps nothing between passes.
 evaluate_point is a run of one. Output ordering follows the input order
 whatever the worker count, and a point's values do not depend on its run,
 so CSV/JSON files are byte-identical across runs and across parallelism
-levels.
+levels at a fixed BLAS thread count. The bruteforce tier's values move at
+rounding level with that count at n = 14, where LAPACK picks other
+eigenvectors inside degenerate eigenspaces.
 
 A limit scan probes a grid along T or b and refines each band edge by ITP.
 _scan_limits takes a list of scans on one probe axis: the probes of all
@@ -193,18 +195,12 @@ def _bruteforce(params):
 
 
 def _exact(points, epsrel):
-    # T = 0 points take the ground-state path; the others share the run's
-    # thermal passes
-    hot = [p for p in points if p.T != 0]
-    thermal = iter(exact.thermal_observables_batch(hot) if hot else ())
-    column = [None if p.T == 0 else next(thermal) for p in points]
-
-    def margin(params, observed):
-        moments, pair = (exact.ground_state_observables(params)
-                         if observed is None else observed)
+    # T = 0 points take the ground-state path inside the batch
+    def margin(observed):
+        moments, pair = observed
         return moments, exact.concurrence_margin(pair), None
 
-    return _each(margin, points, column)
+    return _each(margin, exact.thermal_observables_batch(points))
 
 
 def _cspa(points, epsrel):

@@ -662,9 +662,10 @@ def test_brute_force_matches_exact_beyond_n10(n, gamma, b, T):
     assert abs(c_exact - max(exact.wootters_margin(rho2), 0.0)) < 1e-10
 
 
-def test_brute_force_table_at_n14_stays_small():
-    # the largest sector stack at n = 14 is 2 x 393 x 393, against the
-    # 3432 x 3432 middle S_z block: tracemalloc sees a peak of about 7 MB
+def test_brute_force_table_at_n14_stays_small(monkeypatch):
+    # the largest sector at n = 14 is 393 x 393, against the 3432 x 3432
+    # middle S_z block: tracemalloc sees a peak of about 7 MB
+    calls = _count_eigh(monkeypatch)
     tracemalloc.start()
     try:
         exact._flip_flop_rows(14)
@@ -672,6 +673,7 @@ def test_brute_force_table_at_n14_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+    assert max(calls) == (393, 393)
 
 
 def _pair0_sums(rows):
@@ -749,17 +751,17 @@ def test_brute_force_table_diagonalizes_one_sector_per_class(
         monkeypatch, n, matrices, columns, every_sector):
     # one canonical sector per class against every sector of the blocks
     # with k <= n // 2, and a column per class eigenvector against one per
-    # basis state; the eighs stay one per |sigma| of a block
+    # basis state; each eigh takes one sector matrix, where the reference
+    # stacks the equal sectors of one |sigma|
     calls = _count_eigh(monkeypatch)
     table = exact._flip_flop_rows(n)
-    assert sum(shape[0] for shape in calls) == matrices
+    assert len(calls) == matrices
+    assert all(len(shape) == 2 for shape in calls)
     assert table.shape == (10, columns)
-    stacks = len(calls)
     calls.clear()
     for k in range(n // 2 + 1):
         sector_rows(n, k)
     assert sum(shape[0] for shape in calls) == every_sector
-    assert len(calls) == stacks
 
 
 @pytest.mark.parametrize("db, T", [(0.0, 1e-4), (1e-4, 1e-4), (-3e-3, 1e-3)])

@@ -497,20 +497,20 @@ def _count_eigh(monkeypatch):
     return calls
 
 
-# the stacked canonical pair-swap sectors (count, size, size) of n = 6
-# spins, one stack per number |sigma| of odd pairs in each S_z block with
-# k <= 3 down spins (k = 0; 1; 2; 3): the sector with pair 0 odd and the
-# one with pair 0 even, where |sigma| allows both; the pair permutations
-# give the other sectors, and the spin flip the blocks with k > 3, without
-# an eigh. Wootters' sqrt(rho_2) adds one 4 x 4 eigh per ok point, the only
-# 2-D argument; no sector is larger than 7, the even sector of k = 3. At
-# n = 5 every sector is canonical (two pairs)
-STACKS_6 = sorted([(1, 1, 1),
-                   (1, 3, 3), (2, 1, 1),
-                   (1, 6, 6), (2, 2, 2), (2, 1, 1),
-                   (1, 7, 7), (2, 3, 3), (2, 1, 1), (1, 1, 1)])
-STACKS_5 = sorted([(1, 1, 1), (1, 3, 3), (2, 1, 1), (1, 5, 5), (2, 2, 2),
-                   (1, 1, 1)])
+# the canonical pair-swap sectors (size, size) of n = 6 spins, one eigh
+# each, in each S_z block with k <= 3 down spins (k = 0; 1; 2; 3): for each
+# number |sigma| of odd pairs the sector with pair 0 odd and the one with
+# pair 0 even, where |sigma| allows both; the pair permutations give the
+# other sectors, and the spin flip the blocks with k > 3, without an eigh.
+# Wootters' sqrt(rho_2) adds one 4 x 4 eigh per ok point; no sector has 4
+# states, and none more than 7, the even sector of k = 3. At n = 5 every
+# sector is canonical (two pairs)
+SECTORS_6 = sorted([(1, 1),
+                    (3, 3), (1, 1), (1, 1),
+                    (6, 6), (2, 2), (2, 2), (1, 1), (1, 1),
+                    (7, 7), (3, 3), (3, 3), (1, 1), (1, 1), (1, 1)])
+SECTORS_5 = sorted([(1, 1), (3, 3), (1, 1), (1, 1), (5, 5), (2, 2), (2, 2),
+                    (1, 1)])
 
 
 def test_non_finite_values_are_an_error(monkeypatch):
@@ -537,14 +537,14 @@ def test_non_finite_values_are_an_error(monkeypatch):
 
 
 def test_bruteforce_point_diagonalizes_once(monkeypatch):
-    # one eigh per stack of canonical sectors of the S_z blocks with
-    # k <= n // 2, never a whole block (the largest has 20 states) or the
-    # full 2^n matrix; the moments and the partial-trace rho_2 share those
-    # eigh calls
+    # one eigh per canonical sector of the S_z blocks with k <= n // 2,
+    # never a whole block (the largest has 20 states) or the full 2^n
+    # matrix; the moments and the partial-trace rho_2 share those eigh
+    # calls
     calls = _count_eigh(monkeypatch)
     pt = evaluate_point("bruteforce", ModelParams(n=6, v=1.0, b=0.3, T=0.2))
     assert pt.status == "ok"
-    assert sorted(calls) == sorted(STACKS_6 + [(4, 4)])
+    assert sorted(calls) == sorted(SECTORS_6 + [(4, 4)])
     assert max(c[-1] for c in calls) == 7
 
 
@@ -555,7 +555,7 @@ def test_bruteforce_run_diagonalizes_once(monkeypatch):
               for b in (0.0, 0.3, 1.1) for T in (0.05, 0.4)]
     assert [pt.status for pt in evaluate_run("bruteforce", points)] == \
         ["ok"] * 6
-    assert sorted(c for c in calls if c != (4, 4)) == STACKS_6
+    assert sorted(c for c in calls if c != (4, 4)) == SECTORS_6
     assert calls.count((4, 4)) == 6
     calls.clear()
     pt = evaluate_point("bruteforce", ModelParams(n=6, v=2.0, b=0.7, T=0.3))
@@ -569,13 +569,13 @@ def test_bruteforce_sweep_diagonalizes_once(monkeypatch):
     spec = SweepSpec("bruteforce", ModelParams(n=6, v=1.0, gamma=0.5, T=0.2),
                      (GridAxis("b", 0.0, 1.5, 20),))
     assert all(pt.status == "ok" for pt in run_sweep(spec))
-    assert sorted(c for c in calls if c != (4, 4)) == STACKS_6
+    assert sorted(c for c in calls if c != (4, 4)) == SECTORS_6
     assert exact._flip_flop_rows.cache_info().misses == 1
     calls.clear()
     evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
     evaluate_point("bruteforce", ModelParams(n=6, v=1.0, T=0.2))
     assert sorted(c for c in calls if c != (4, 4)) == sorted(
-        STACKS_5 + STACKS_6)
+        SECTORS_5 + SECTORS_6)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
@@ -599,7 +599,7 @@ def test_bruteforce_t0_point_refused_alone(monkeypatch):
     assert [pt.status for pt in run] == ["ok", "error", "ok"]
     assert run[1].message == "brute force oracle requires T > 0"
     assert [run[0].row(), run[2].row()] == alone
-    assert sorted(c for c in calls if c != (4, 4)) == STACKS_6
+    assert sorted(c for c in calls if c != (4, 4)) == SECTORS_6
 
 
 def test_bruteforce_non_constant_block_diagonal_raises(monkeypatch):
@@ -627,7 +627,7 @@ def test_bruteforce_asymmetric_sector_matrix_raises(monkeypatch):
 
     def skewed(x, weights=None, minlength=0):
         out = bincount(x, weights=weights, minlength=minlength)
-        if out.size > 1:       # F[0, 0, 1] of the first stack with m > 1
+        if out.size > 1:       # F[0, 1] of the first sector with m > 1
             out[1] += 0.5
         return out
 
@@ -655,32 +655,23 @@ def _dropping_one_state(monkeypatch, sector):
     monkeypatch.setattr(exact, "_canonical_sectors", short)
 
 
-def test_bruteforce_unequal_sector_stack_raises(monkeypatch):
-    # the two canonical sectors of one |sigma| share an eigh because they
-    # are equal in size; a stack that is not must raise, not be cut into
-    # sectors of the first one's size. At n = 5, k = 2 the sector of pair 0
-    # (bit 0) then has 1 state and that of pair 1 has 2
-    _dropping_one_state(monkeypatch, 1)
-    with pytest.raises(XxzentError, match="unequal size"):
-        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
-    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
-    assert (pt.status, pt.message) == (
-        "error", "pair-swap sectors of unequal size stacked in one eigh on "
-        "the S_z block with 2 down spins")
-
-
-def test_bruteforce_flip_out_of_the_kept_sectors_raises(monkeypatch):
+def test_bruteforce_flip_out_of_the_kept_sectors_raises():
     # every flip from a canonical sector lands in that sector; one that
     # lands on a state the build did not keep must raise, not index the
-    # last row. At n = 5, k = 1 the even sector loses site 4 down, which a
-    # flip of sites 1 and 4 reaches from site 1 down
-    _dropping_one_state(monkeypatch, 0)
-    with pytest.raises(XxzentError, match="leaves the canonical"):
-        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
-    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
-    assert (pt.status, pt.message) == (
-        "error", "flip-flop sum leaves the canonical pair-swap sectors of "
-        "the S_z block with 1 down spins")
+    # last row or be diagonalized short of a state. At n = 5, k = 1 the
+    # even sector loses site 4 down, which a flip of sites 1 and 4 reaches
+    # from site 1 down; at k = 2 the odd sector of pair 0 (bit 0) loses
+    # sites 0 and 4 down, which a flip of sites 3 and 4 reaches from its
+    # other state
+    for sector, k in ((0, 1), (1, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            _dropping_one_state(patch, sector)
+            with pytest.raises(XxzentError, match="leaves the canonical"):
+                exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+            pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+            assert (pt.status, pt.message) == (
+                "error", "flip-flop sum leaves the canonical pair-swap "
+                f"sectors of the S_z block with {k} down spins")
 
 
 def _lgamma_calls(monkeypatch):
@@ -726,9 +717,10 @@ def test_exact_point_bytes_do_not_depend_on_its_run(gamma):
 
 
 def test_exact_failure_stays_with_its_point(monkeypatch):
-    # a point whose outcome in the run's thermal pass is an exception fails
-    # alone: its neighbours keep their bytes, and the run is not retried
-    # point by point (which would bracket each point again)
+    # a point whose outcome in the run's batch is an exception fails alone:
+    # its neighbours, the T = 0 point among them, keep their bytes, and the
+    # run is not retried point by point (which would bracket each point
+    # again)
     points = [ModelParams(n=1000, v=1.0, b=b, T=T)
               for b, T in ((0.2, 0.1), (0.5, 0.1), (0.5, 0.0), (0.9, 0.2))]
     clean = evaluate_run("exact", points)
@@ -737,12 +729,12 @@ def test_exact_failure_stays_with_its_point(monkeypatch):
 
     def patched(run):
         runs.append(run)
-        return [ZeroDivisionError("injected") if p.b == 0.5 else out
+        return [ZeroDivisionError("injected") if p == points[1] else out
                 for p, out in zip(run, real(run))]
 
     monkeypatch.setattr(exact, "thermal_observables_batch", patched)
     hurt = evaluate_run("exact", points)
-    assert runs == [[points[k] for k in (0, 1, 3)]]
+    assert runs == [points]
     assert [pt.status for pt in hurt] == ["ok", "error", "ok", "ok"]
     assert hurt[1].message == "ZeroDivisionError: injected"
     assert [hurt[k].row() for k in (0, 2, 3)] == \
@@ -750,8 +742,8 @@ def test_exact_failure_stays_with_its_point(monkeypatch):
 
 
 def test_exact_tier_takes_each_point_on_its_path():
-    # T = 0 points take the ground-state path, T > 0 points the thermal sum,
-    # which alone refuses T = 0
+    # T = 0 points take the ground-state path, T > 0 points the thermal
+    # sum; thermal_observables itself answers T = 0 on the ground-state path
     for T, path in ((0.2, exact.thermal_observables),
                     (0.0, exact.ground_state_observables)):
         p = ModelParams(n=30, v=1.0, b=0.4, T=T)
@@ -759,8 +751,8 @@ def test_exact_tier_takes_each_point_on_its_path():
         pt = evaluate_point("exact", p)
         assert pt.moments == moments
         assert pt.result.margin == exact.concurrence_margin(pair)
-    with pytest.raises(DomainError):
-        exact.thermal_observables(p)
+    assert exact.thermal_observables(p) == exact.ground_state_observables(p)
+    assert np.isnan(exact.exact_moments(p).logZ)
 
 
 def test_ok_points_respect_symmetric_state_bound():
