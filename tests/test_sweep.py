@@ -655,23 +655,34 @@ def _dropping_one_state(monkeypatch, sector):
     monkeypatch.setattr(exact, "_canonical_sectors", short)
 
 
-def test_bruteforce_flip_out_of_the_kept_sectors_raises():
+def test_bruteforce_unequal_sector_stack_raises(monkeypatch):
+    # the two canonical sectors of one |sigma| are equal in size; a build
+    # that makes them unequal by dropping a state must raise, not be
+    # diagonalized short of that state. At n = 5, k = 2 the sector of pair 0
+    # (bit 0) then has 1 state and that of pair 1 has 2: the dropped state,
+    # sites 0 and 4 down, is reached by a flip of sites 3 and 4 from the
+    # other state of its sector, so the flip check raises
+    _dropping_one_state(monkeypatch, 1)
+    with pytest.raises(XxzentError, match="leaves the canonical"):
+        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    assert (pt.status, pt.message) == (
+        "error", "flip-flop sum leaves the canonical pair-swap sectors of "
+        "the S_z block with 2 down spins")
+
+
+def test_bruteforce_flip_out_of_the_kept_sectors_raises(monkeypatch):
     # every flip from a canonical sector lands in that sector; one that
     # lands on a state the build did not keep must raise, not index the
-    # last row or be diagonalized short of a state. At n = 5, k = 1 the
-    # even sector loses site 4 down, which a flip of sites 1 and 4 reaches
-    # from site 1 down; at k = 2 the odd sector of pair 0 (bit 0) loses
-    # sites 0 and 4 down, which a flip of sites 3 and 4 reaches from its
-    # other state
-    for sector, k in ((0, 1), (1, 2)):
-        with pytest.MonkeyPatch.context() as patch:
-            _dropping_one_state(patch, sector)
-            with pytest.raises(XxzentError, match="leaves the canonical"):
-                exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
-            pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
-            assert (pt.status, pt.message) == (
-                "error", "flip-flop sum leaves the canonical pair-swap "
-                f"sectors of the S_z block with {k} down spins")
+    # last row. At n = 5, k = 1 the even sector loses site 4 down, which a
+    # flip of sites 1 and 4 reaches from site 1 down
+    _dropping_one_state(monkeypatch, 0)
+    with pytest.raises(XxzentError, match="leaves the canonical"):
+        exact.brute_force_observables(ModelParams(n=5, v=1.0, T=0.2))
+    pt = evaluate_point("bruteforce", ModelParams(n=5, v=1.0, T=0.2))
+    assert (pt.status, pt.message) == (
+        "error", "flip-flop sum leaves the canonical pair-swap sectors of "
+        "the S_z block with 1 down spins")
 
 
 def _lgamma_calls(monkeypatch):
