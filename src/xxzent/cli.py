@@ -185,11 +185,11 @@ def _emit(args, text, name):
         sys.stdout.write(text)
 
 
-def _points_out(args, points, spec=None, name="points"):
+def _points_out(args, points, spec=None, name="points", columns=CSV_COLUMNS):
     if args.out_format == "json":
-        _emit(args, points_to_json(points, spec), f"{name}.json")
+        _emit(args, points_to_json(points, spec, columns), f"{name}.json")
     else:
-        _emit(args, points_to_csv(points), f"{name}.csv")
+        _emit(args, points_to_csv(points, columns), f"{name}.csv")
 
 
 def _status_exit(statuses):
@@ -210,10 +210,7 @@ def _cmd_point(args, with_c):
         return _status_exit([pt.status])
     cols = CSV_COLUMNS if with_c else tuple(
         c for c in CSV_COLUMNS if c not in ("C", "nC", "EoF"))
-    if args.out_format == "json":
-        _points_out(args, [pt], name="point")
-    else:
-        _emit(args, points_to_csv([pt], columns=cols), "point.csv")
+    _points_out(args, [pt], name="point", columns=cols)
     return EXIT_OK
 
 

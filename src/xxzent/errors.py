@@ -23,14 +23,6 @@ class QuadratureError(XxzentError):
     """Adaptive integration failed to reach the requested error budget."""
 
 
-class ConvergenceError(XxzentError):
-    """Iterative solver did not converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class PhaseError(XxzentError):
     """Operation requested in the wrong mean-field phase (e.g. deformed-phase
     moments in the normal phase, or a non-positive fluctuation Hessian)."""

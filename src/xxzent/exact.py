@@ -234,13 +234,11 @@ _HALVES = np.array([[-0.5], [0.5]])    # Stirling's -+ 1/2, on the same rows
 
 class _Sectors(NamedTuple):
     """The live sectors of the points of a pass (see :func:`_live_sectors`):
-    per point (the first axis of each array) its beta and b, then over the
-    bracket L..H of sectors c (points x sectors), over the columns
-    s = S_j (the sector indices ``j``) f (points x 2 x columns), and over
-    the bracket live and peak."""
+    per point (the first axis of each array) over the bracket L..H of
+    sectors c (points x sectors), over the columns s = S_j (the sector
+    indices ``j``) f (points x 2 x columns), and over the bracket live and
+    peak."""
 
-    beta: np.ndarray
-    b: np.ndarray
     L: int
     j: np.ndarray
     c: np.ndarray
@@ -401,8 +399,7 @@ def _live_sectors(points) -> _Sectors:
                          _bracket_holds(n, V, a, E0, beta, b, L, H, sigma,
                                         peak, cut))
             if low and high:
-                return _Sectors(beta, b, L, j, c, f, sigma >= cut[:, None],
-                                peak)
+                return _Sectors(L, j, c, f, sigma >= cut[:, None], peak)
             width = H - L + 1
             L, H = (L if low else max(L - width, 0),
                     H if high else min(H + width, h))
@@ -486,7 +483,7 @@ def _columns(n: int, sectors: _Sectors):
     the bracket: in its column window, which the columns of ``sectors``
     hold; its ends, where not ends of the columns below, must be cut.
     """
-    _, _, L, j, c, f, live, _ = sectors
+    L, j, c, f, live, _ = sectors
     delta = (n % 2) / 2.0
     rows = np.arange(c.shape[0])
     below = j.size - c.shape[1]                  # columns below the bracket
@@ -634,7 +631,7 @@ def _thermal_pass(points) -> list:
         return out
     if not finite.all():
         sectors = sectors._replace(**{k: getattr(sectors, k)[finite] for k in (
-            "beta", "b", "c", "f", "live", "peak")})
+            "c", "f", "live", "peak")})
     n = points[0].n
     M, ssp1, excess, w, ends, shift, G = _columns(n, sectors)
     rows = _rows(n, M, ssp1, excess)

@@ -35,7 +35,7 @@ import numpy as np
 from .cmfa import critical_temperature
 from .errors import DomainError
 from .model import ModelParams, crossing_fields
-from .sweep import (LimitResult, _csv, evaluate_points, limit_temperatures,
+from .sweep import (LimitResult, _text, evaluate_points, limit_temperatures,
                     points_to_csv)
 # not called here: the benchmark's tracer wraps figures.limit_temperature by
 # name, so the name stays until the tracer wraps what the figures call
@@ -66,12 +66,10 @@ def _write(path, text):
 
 
 def _tl_row(tier, n, gamma, b, res: LimitResult):
-    if res.limit is not None:
-        return {"tier": tier, "n": n, "v": 1.0, "gamma": gamma, "b": b,
-                "T_L": float(res.limit), "status": "ok"}
-    status = "open-band" if res.intervals else "no-entanglement"
-    return {"tier": tier, "n": n, "v": 1.0, "gamma": gamma, "b": b,
-            "T_L": None, "status": status}
+    """A limit file's row, in LIMIT_COLUMNS order."""
+    status = ("ok" if res.limit is not None else
+              "open-band" if res.intervals else "no-entanglement")
+    return (tier, n, 1.0, gamma, b, res.limit, status)
 
 
 def _gnuplot(name, title, plots, extra="") -> str:
@@ -128,7 +126,7 @@ class _LimitFile:
                                              epsrel=epsrel)
                 rows += [_tl_row(tier, n, gamma, p.b, res)
                          for p, res in zip(fixed, results)]
-        return _csv(rows, LIMIT_COLUMNS)
+        return _text(LIMIT_COLUMNS, rows)
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,10 @@ class _TcGuide:
     plots: tuple
 
     def text(self) -> str:
-        return _csv(
-            ({"tier": "tc", "n": 20, "v": 1.0, "gamma": 1.0, "b": float(b),
-              "T_L": critical_temperature(ModelParams(n=20, b=float(b))),
-              "status": "ok"} for b in self.b_values), LIMIT_COLUMNS)
+        return _text(LIMIT_COLUMNS, (
+            ("tc", 20, 1.0, 1.0, float(b),
+             critical_temperature(ModelParams(n=20, b=float(b))), "ok")
+            for b in self.b_values))
 
 
 # Each figure: (gnuplot title, axis labels, curve files in writing order).

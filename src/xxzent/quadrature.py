@@ -170,8 +170,8 @@ def _itp(lo, g_lo, hi, g_hi, tol):
     """ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) as a coroutine: it
     yields each x at which it needs g, is sent g(x), and returns the
     midpoint of the final bracket as a float. bracket_root documents the
-    step."""
-    if not hi - lo >= tol:
+    step. A bracket of zero width returns its end whatever its tol."""
+    if hi == lo or not hi - lo >= tol:
         return float(0.5 * (lo + hi))
     n_max = ceil(log2((hi - lo) / tol)) + 1 if tol > 0 else 200
     k1 = 0.2 / (hi - lo)
@@ -230,8 +230,10 @@ def bracket_roots(g, brackets):
     Each round calls g once, as g(which, xs), with the next x of every
     bracket still open, in bracket order, and ``which`` their indices into
     ``brackets``; it returns one value per x. A bracket narrower than its
-    tol evaluates nothing, and the rounds end when every bracket has its
-    root.
+    tol, or of zero width (lo == hi, whatever its tol), evaluates nothing
+    and has the midpoint of its ends as its root: the limit scans pass a
+    band edge that stays on its probe as such a bracket. The rounds end
+    when every bracket has its root.
     """
     roots = [None] * len(brackets)
     live = {}                        # bracket index -> (coroutine, next x)

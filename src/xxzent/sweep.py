@@ -30,11 +30,14 @@ levels at a fixed BLAS thread count. The bruteforce tier's values move at
 rounding level with that count at n = 14, where LAPACK picks other
 eigenvectors inside degenerate eigenspaces.
 
-A limit scan probes a grid along T or b and refines each band edge by ITP.
-_scan_limits takes a list of scans on one probe axis: the probes of all
-of them are one evaluate_points call, and their edges one
-quadrature.bracket_roots call, which evaluates the next point of every
-open edge in one list a round, so the edges of a round share a run.
+A limit scan probes a grid along T or b, takes each probe's signed margin
+above the entangled flag once, and reads its bands off the positive
+margins. _scan_limits takes a list of scans on one probe axis: the probes
+of all of them are one evaluate_points call, and every band edge of all
+of them a bracket of one quadrature.bracket_roots call, which evaluates
+the next point of every open edge in one list a round, so the edges of a
+round share a run. An edge next to an undefined probe, or at an end of
+the grid, is a zero-width bracket at its probe and costs nothing.
 limit_temperature and limit_field are a scan of one, limit_temperatures
 the scans at many points of one (n, v, gamma); each edge is bit for bit
 the one a scan of its point alone finds.
@@ -52,7 +55,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import groupby, islice
+from itertools import groupby
 from math import inf, isfinite
 
 import numpy as np
@@ -434,12 +437,12 @@ def _flag_margin(point) -> float:
     return inf if _entangled(point) else -inf
 
 
-def _bands(probes):
-    """(first, last) probe index of each run of entangled probes."""
+def _bands(margins):
+    """(first, last) index of each run of positive margins."""
     out = []
-    for entangled, run in groupby(range(len(probes)),
-                                  key=lambda i: _entangled(probes[i])):
-        if entangled:
+    for positive, run in groupby(range(len(margins)),
+                                 key=lambda i: margins[i] > 0):
+        if positive:
             run = list(run)
             out.append((run[0], run[-1]))
     return out
@@ -449,12 +452,14 @@ def _scan_limits(tier, fixed, axis: GridAxis, epsrel):
     """Bands of C > 0 over one probe sweep along ``axis`` from each point of
     ``fixed``, one LimitResult per point.
 
-    A band is a run of entangled probes. Each edge is refined to 1e-6 v
-    between the band's outer probe and its defined neighbour by ITP on the
-    signed margin above the entangled flag, and stays on the outer probe
-    when the neighbour is undefined. An undefined refinement point counts
-    as not entangled, which moves the bracket toward its defined, entangled
-    side.
+    Each probe's _flag_margin is taken once, and a band is a run of
+    positive margins: the entangled probes. Every band edge is a bracket
+    between the band's outer probe and its neighbour, refined to 1e-6 v by
+    ITP on the margin. Where the neighbour is undefined or off the grid
+    the bracket has zero width at the outer probe, which ITP returns
+    without evaluating anything; the end of a band open at the top of the
+    grid is then dropped. An undefined refinement point counts as not
+    entangled, which moves the bracket toward its defined, entangled side.
 
     The probes of every scan go through one evaluate_points call, and the
     edges of every scan through one bracket_roots call: each round of the
@@ -469,23 +474,18 @@ def _scan_limits(tier, fixed, axis: GridAxis, epsrel):
     probes = evaluate_points(
         tier, [p.replace(**{axis.name: x}) for p in fixed for x in grid],
         epsrel)
-    scans = [probes[k:k + m] for k in range(0, len(probes), m)]
-    bands = [_bands(pts) for pts in scans]
-    # every band's (onset, end), flat in scan order: the outer probe when
-    # its neighbour is undefined or off the bottom of the grid, None for
-    # the end of a band open at the top, and the root of a bracket that
-    # the refinement fills in otherwise
-    edges, slots, brackets, owners = [], [], [], []
-    for params, pts, spans in zip(fixed, scans, bands):
+    margins = [_flag_margin(pt) for pt in probes]
+    starts = range(0, len(probes), m)       # each scan's first probe
+    bands = [_bands(margins[at:at + m]) for at in starts]
+    # every band's onset and end, flat in scan order
+    brackets, owners = [], []
+    for at, params, spans in zip(starts, fixed, bands):
         for i, j in spans:
             for outer, k in ((i, i - 1), (j, j + 1)):
-                if k == m or k < 0 or pts[k].status != "ok":
-                    edges.append(None if k == m else grid[outer])
-                    continue
+                if not (0 <= k < m and probes[at + k].status == "ok"):
+                    k = outer
                 (lo, g_lo), (hi, g_hi) = sorted(
-                    (grid[x], _flag_margin(pts[x])) for x in (outer, k))
-                slots.append(len(edges))
-                edges.append(None)
+                    (grid[x], margins[at + x]) for x in (outer, k))
                 brackets.append((lo, g_lo, hi, g_hi, 1e-6 * params.v))
                 owners.append(params)
 
@@ -494,16 +494,16 @@ def _scan_limits(tier, fixed, axis: GridAxis, epsrel):
             tier, [owners[w].replace(**{axis.name: x})
                    for w, x in zip(which, xs)], epsrel)]
 
-    for slot, root in zip(slots, bracket_roots(g, brackets)):
-        edges[slot] = root
-    pairs = iter(zip(edges[::2], edges[1::2]))
+    roots = iter(bracket_roots(g, brackets))
     out = []
-    for pts, spans in zip(scans, bands):
-        intervals = tuple(islice(pairs, len(spans)))
+    for at, spans in zip(starts, bands):
+        # two roots a band, onset then end
+        intervals = tuple((onset, end if j < m - 1 else None)
+                          for (_, j), onset, end in zip(spans, roots, roots))
         out.append(LimitResult(
             intervals=intervals,
             limit=intervals[-1][1] if intervals else None, n_probes=m,
-            statuses=tuple(pt.status for pt in pts)))
+            statuses=tuple(pt.status for pt in probes[at:at + m])))
     return out
 
 
@@ -591,25 +591,29 @@ def _text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(rows, columns) -> str:
-    """CSV text of dict rows."""
-    return _text(columns, ([row[c] for c in columns] for row in rows))
+def _cells(points, columns):
+    """Each point's values, straight from CurvePoint.values, in the order
+    of ``columns`` (a subset of CSV_COLUMNS)."""
+    at = [CSV_COLUMNS.index(c) for c in columns]
+    return ([values[i] for i in at]
+            for values in map(CurvePoint.values, points))
 
 
 def points_to_csv(points, columns=CSV_COLUMNS) -> str:
-    """CSV text of the points: each point's values, straight from
-    CurvePoint.values, in the order of ``columns`` (a subset of
-    CSV_COLUMNS)."""
-    at = [CSV_COLUMNS.index(c) for c in columns]
-    return _text(columns, ([values[i] for i in at]
-                           for values in map(CurvePoint.values, points)))
+    """CSV text of the points' values in the order of ``columns``."""
+    return _text(columns, _cells(points, columns))
 
 
-def points_to_json(points, spec: SweepSpec | None = None) -> str:
+def points_to_json(points, spec: SweepSpec | None = None,
+                   columns=CSV_COLUMNS) -> str:
+    """JSON text of the spec, if any, and of the points' values keyed by
+    ``columns``: the cells points_to_csv writes, None where it writes an
+    empty field."""
     head = {}
     if spec is not None:
         head = {"tier": spec.tier, "fixed": asdict(spec.fixed),
                 "axes": [asdict(a) for a in spec.axes],
-                "outputs": list(CSV_COLUMNS)}
-    rows = [{k: _value(v) for k, v in pt.row().items()} for pt in points]
+                "outputs": list(columns)}
+    rows = [dict(zip(columns, map(_value, cells)))
+            for cells in _cells(points, columns)]
     return json.dumps({"spec": head, "points": rows}, indent=1) + "\n"

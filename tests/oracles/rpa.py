@@ -45,8 +45,7 @@ from math import log, pi, sinh, sqrt
 
 import numpy as np
 
-from xxzent.errors import (BreakdownError, ConvergenceError, DomainError,
-                           PhaseError)
+from xxzent.errors import BreakdownError, DomainError, PhaseError
 
 __all__ = [
     "LocalSite",
@@ -65,6 +64,14 @@ __all__ = [
 ]
 
 DEGENERATE_PAIR_TOL = 1e-12
+
+
+class ConvergenceError(Exception):
+    """The Hartree iteration did not converge from a seed."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,22 @@ def test_json_output(capsys):
     assert doc["points"][0]["status"] == "ok"
 
 
+@pytest.mark.parametrize("command", ["moments", "concurrence"])
+def test_point_json_keys_are_the_csv_header(command, capsys):
+    argv = (command, "--n", "12", "--T", "0.2", "--tier", "cmfa")
+    assert run_cli(*argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert run_cli(*argv, "--out-format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spec"] == {}
+    (point,) = doc["points"]
+    assert list(point) == header.split(",")
+    assert ("C" in point) == (command == "concurrence")
+    # the same cells: empty in the CSV where the JSON has null
+    assert ["" if x is None else str(x) for x in point.values()] == \
+        row.split(",")
+
+
 def test_sweep_to_files(tmp_path, capsys):
     rc = run_cli("sweep", "--n", "8", "--T", "0.2", "--tier", "exact",
                  "--grid", "b:0:1:5", "--out-dir", str(tmp_path))

@@ -261,6 +261,19 @@ def test_bracket_roots_is_bracket_root_in_lockstep():
     assert bracket_roots(g_many, []) == []
 
 
+def test_zero_width_bracket_is_its_end_whatever_its_tol():
+    # the limit scans pass an edge that stays on its probe as a zero-width
+    # bracket; tol = 1e-6 v is 0 for v below about 2.5e-318
+    def g_many(which, xs):
+        raise AssertionError("a zero-width bracket evaluates nothing")
+
+    for tol in (0.0, 5e-324, 1e-6, inf):
+        for x, g_x in ((0.5, 1.0), (-3.25, -inf), (1e-310, 0.0)):
+            (root,) = bracket_roots(g_many, [(x, g_x, x, g_x, tol)])
+            assert type(root) is float and root.hex() == x.hex()
+            assert bracket_root(_never, x, g_x, x, g_x, tol) == x
+
+
 # -------------------------------------------------------------- rpa_frequency
 
 def test_rpa_frequency_normal_limit_r0():

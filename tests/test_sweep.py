@@ -961,6 +961,86 @@ def test_lockstep_figure_group_is_the_per_edge_loop(tier, n, b_values,
     assert sum(len(res.intervals) for res in results) > len(fixed) // 2
 
 
+def _synthetic_field_scan(monkeypatch, undefined, entangled):
+    """limit_field over the probes b = 0, 1, ..., 10 of a synthetic C(b):
+    breakdown where ``undefined(b)``, margin 0.1 where ``entangled(b)`` and
+    -0.1 elsewhere. (result, the per-edge loop's intervals, the b values of
+    each run the scan evaluates)."""
+    from xxzent import sweep
+    runs = []
+
+    def fake(tier, points, epsrel=1e-10):
+        runs.append([p.b for p in points])
+        return [sweep.CurvePoint(tier=tier, params=p, status="breakdown")
+                if undefined(p.b) else
+                sweep.CurvePoint(tier=tier, params=p, status="ok",
+                                 result=exact.concurrence_from_margin(
+                                     0.1 if entangled(p.b) else -0.1))
+                for p in points]
+
+    monkeypatch.setattr(sweep, "evaluate_run", fake)
+    p = ModelParams(n=8, T=0.1)
+    res = limit_field("exact", p, b_max=10.0, probes=11)
+    scan = runs[:]
+    intervals, statuses = _per_edge_scan("exact", p,
+                                         GridAxis("b", 0.0, 10.0, 11), 1e-10)
+    assert res.statuses == statuses
+    assert res.limit == (intervals[-1][1] if intervals else None)
+    return res, intervals, scan
+
+
+def test_band_from_the_first_probe_has_its_onset_there(monkeypatch):
+    res, intervals, runs = _synthetic_field_scan(
+        monkeypatch, lambda b: False, lambda b: b < 2.5)
+    ((onset, end),) = res.intervals
+    assert onset == 0.0 and type(onset) is float
+    assert end == pytest.approx(2.5, abs=1e-6) and res.limit == end
+    assert _hex(res.intervals) == _hex(intervals)
+    # the onset evaluates nothing: one point a round, all for the end
+    assert all(len(run) == 1 and 2.0 < run[0] < 3.0 for run in runs[1:])
+    assert len(runs) > 2
+
+
+def test_band_between_undefined_probes_stays_on_its_probes(monkeypatch):
+    res, intervals, runs = _synthetic_field_scan(
+        monkeypatch, lambda b: b in (3.0, 7.0), lambda b: 4.0 <= b < 7.0)
+    assert res.intervals == ((4.0, 6.0),) and res.limit == 6.0
+    assert _hex(res.intervals) == _hex(intervals)
+    assert runs == [[float(b) for b in range(11)]]    # the probes alone
+
+
+def test_one_probe_band_at_the_top_is_open(monkeypatch):
+    res, intervals, runs = _synthetic_field_scan(
+        monkeypatch, lambda b: False, lambda b: b >= 9.6)
+    ((onset, end),) = res.intervals
+    assert onset == pytest.approx(9.6, abs=1e-6)
+    assert end is None and res.limit is None
+    assert _hex(res.intervals) == _hex(intervals)
+    assert all(len(run) == 1 and 9.0 < run[0] < 10.0 for run in runs[1:])
+
+
+def test_field_scan_of_one_open_band_refines_nothing(monkeypatch):
+    # exact at n = 20, T = 0.1 is entangled on every probe of b in
+    # [0, 0.5]: both edges stay on the grid's ends, so the probes are the
+    # one run, and the band is open at the top
+    from xxzent import sweep
+    runs = []
+    real = sweep.evaluate_run
+
+    def counted(tier, points, epsrel=1e-10):
+        runs.append(len(points))
+        return real(tier, points, epsrel)
+
+    monkeypatch.setattr(sweep, "evaluate_run", counted)
+    p = ModelParams(n=20, T=0.1)
+    res = limit_field("exact", p, b_max=0.5, probes=20)
+    assert res.intervals == ((0.0, None),) and res.limit is None
+    assert runs == [20]
+    intervals, _ = _per_edge_scan("exact", p, GridAxis("b", 0.0, 0.5, 20),
+                                  1e-10)
+    assert _hex(res.intervals) == _hex(intervals)
+
+
 def test_limit_temperatures_needs_one_n_v_gamma():
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.1)
     for fixed in ([], [p, p.replace(n=21)], [p, p.replace(v=2.0)],
