@@ -282,7 +282,7 @@ def _cmd_compare(args):
             diffs.append(abs(a.result.concurrence - b.result.concurrence))
     if not diffs:
         print("no grid point where both tiers are ok", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
+        return _status_exit(pt.status for pt in pa + pb if pt.status != "ok")
     print(f"points compared: {len(diffs)} / {len(pa)}")
     print(f"max |dC|:  {max(diffs):.6e}")
     print(f"mean |dC|: {sum(diffs) / len(diffs):.6e}")

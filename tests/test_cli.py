@@ -109,6 +109,15 @@ def test_limit_temp_under_an_open_top_band_is_none(capsys):
     assert doc["limit"] is None
 
 
+def test_limit_temp_without_entanglement_says_so(capsys):
+    # far above b_c no probe is entangled: the zero-entanglement marker
+    assert run_cli("limit-temp", "--n", "20", "--b", "3",
+                   "--probes", "5") == 0
+    assert capsys.readouterr().out == (
+        "no entanglement found on the T probe grid (zero-entanglement "
+        "marker)\n")
+
+
 def test_limit_field_json(capsys):
     rc = run_cli("limit-field", "--n", "20", "--T", "0.1", "--tier", "cmfa",
                  "--out-format", "json", "--probes", "40")
@@ -137,6 +146,22 @@ def test_compare_output(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "max |dC|" in out and "mean |dC|" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    # every cspa point is a breakdown (a sweep of them exits 3 too)
+    pytest.param(("--T", "0.01", "--tier", "cspa"), 3, id="breakdown"),
+    # every cmfa point at T = 0 is an error
+    pytest.param(("--T", "0", "--tier", "cmfa"), 3, id="error"),
+    # cmfa is not applicable at gamma < 0
+    pytest.param(("--T", "0.1", "--gamma", "-0.5", "--tier", "cmfa"), 4,
+                 id="not-applicable"),
+])
+def test_compare_without_a_common_ok_point_exits_by_the_statuses(argv, code,
+                                                                capsys):
+    assert run_cli("compare", "--n", "20", *argv, "--tier-b", "exact",
+                   "--grid", "b:0:0.5:3") == code
+    assert capsys.readouterr().err == "no grid point where both tiers are ok\n"
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -169,6 +194,22 @@ def test_config_bad_values_are_invalid_arguments(tmp_path, capsys, argv,
     cfg.write_text(line + "\n")
     assert run_cli(*argv, "--n", "20", "--config", str(cfg)) == 2
     assert "invalid arguments" in capsys.readouterr().err
+
+
+def test_config_line_without_a_value_is_invalid_arguments(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = 0.1\nn 20\n")
+    assert run_cli("concurrence", "--n", "20", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        "invalid arguments: bad config line: n 20\n")
+
+
+def test_unreadable_config_is_invalid_arguments(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli("concurrence", "--n", "20", "--T", "0.1",
+                   "--config", str(missing)) == 2
+    assert capsys.readouterr().err.startswith(
+        "invalid arguments: cannot read config file: ")
 
 
 def test_config_value_of_an_option_without_default(tmp_path, capsys):
@@ -237,6 +278,13 @@ def test_workers_below_one_are_invalid_arguments(argv, workers, capsys):
                    "--workers", workers) == 2
     assert capsys.readouterr().err == (
         "invalid arguments: workers must be >= 1\n")
+
+
+def test_sweep_grid_of_three_fields_is_invalid_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--n", "8", "--T", "0.1", "--grid", "b:0:1")
+    assert exc.value.code == 2
+    assert "grid must be axis:min:max:count[:log]" in capsys.readouterr().err
 
 
 def test_sweep_grid_rejects_infinite_ends(capsys):

@@ -212,6 +212,14 @@ def test_sweep_captures_per_point_failures():
     assert len(pts) == 6
 
 
+def test_unknown_tier_is_an_error_at_every_point():
+    p = ModelParams(n=8, v=1.0, gamma=1.0, b=0.0, T=0.2)
+    pts = evaluate_run("nope", [p, p.replace(b=0.5)])
+    assert [(pt.tier, pt.status, pt.message) for pt in pts] == \
+        [("nope", "error", "unknown tier 'nope'")] * 2
+    assert all(pt.moments is None and pt.result is None for pt in pts)
+
+
 def test_json_shape():
     spec = small_spec()
     pts = run_sweep(spec)
@@ -434,9 +442,9 @@ def test_exact_tiny_T_next_to_a_crossing_field_is_thermal():
 
 @pytest.mark.parametrize("T", [1e-305, 1e-308])
 def test_exact_T_past_the_float_range_is_refused(T):
-    # at n = 8810 beta |E| overflows below T ~ 1e-305: the window's peak is
-    # not finite and the point is refused before any sum, with no
-    # RuntimeWarning on the way (an error under this suite)
+    # at n = 8810 beta |E| overflows below T ~ 1.3e-304: the point is
+    # refused before any pass, with no RuntimeWarning on the way (an error
+    # under this suite)
     p = ModelParams(n=8810, v=1.0, gamma=1.0, b=0.3, T=T)
     with pytest.raises(DomainError, match=r"beta \|E\| overflows .*"
                        "T = 0 is the ground-state path"):
@@ -449,9 +457,9 @@ def test_exact_T_past_the_float_range_is_refused(T):
 @pytest.mark.parametrize("n, T", [(8810, 1e-305), (1000, 1e-306)])
 def test_exact_overflow_in_a_run_fails_alone(monkeypatch, n, T):
     # a point past the float range between two normal points of one run is
-    # refused alone, with no RuntimeWarning (an error under this suite), and
-    # its neighbours keep their bytes; at n = 1000 all three share one
-    # array pass, at n = 8810 each point is a pass of its own
+    # refused alone, before any pass, with no RuntimeWarning (an error under
+    # this suite), and its neighbours keep their bytes; at n = 1000 the two
+    # share one array pass, at n = 8810 each is a pass of its own
     p = ModelParams(n=n, v=1.0, gamma=1.0, b=0.3, T=T)
     run = [p.replace(T=0.1), p, p.replace(T=1e-300)]
     passes = []
@@ -462,9 +470,82 @@ def test_exact_overflow_in_a_run_fails_alone(monkeypatch, n, T):
     assert [pt.status for pt in pts] == ["ok", "error", "ok"]
     assert pts[1].message == (f"beta |E| overflows at T = {T:.6g}; "
                               "T = 0 is the ground-state path")
-    assert len(passes) == (1 if n == 1000 else 3)
+    assert len(passes) == (1 if n == 1000 else 2)
+    assert all(p not in points for points in passes)
     assert [pts[k].row() for k in (0, 2)] == \
         [evaluate_point("exact", run[k]).row() for k in (0, 2)]
+
+
+def _overflows(p):
+    """The closed-form refusal rule of the exact tier at T > 0 point p."""
+    h = p.n / 2.0
+    return not np.isfinite(4.0 * p.beta * (
+        p.V * h * (h + 1.0) + abs(p.E0) + abs(p.b) * h
+        + abs(p.V * p.gamma) * h * h))
+
+
+# the edge of the float range: every n, gamma and b at 52 T from 1e-295 to
+# 1e-308, and the tiny |gamma| of the exotic grid, whose 1 / (2 V gamma)
+# overflows at finite T; n = 10^6, whose points cost ~10 ms each, takes a
+# subsample of either grid
+_EDGE_T = np.logspace(-295, -308, 52).tolist()
+_EDGE_GB = [(g, b) for g in (1.0, 0.5, 1e-3, 0.0, -0.5)
+            for b in (0.0, 0.3, -1.5, 1e3)]
+_EXOTIC_GB = [(g, b) for g in (1e-300, -1e-300, 1e-200, 1e-17, -1e-17,
+                               5e-324, -1.0, 0.0)
+              for b in (0.0, 1e-300, 0.3, -0.3, 1e6)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, pairs, Ts", [
+    *(pytest.param(n, _EDGE_GB, _EDGE_T, id=f"edge-{n}")
+      for n in (2, 3, 20, 127, 128, 1000, 8810)),
+    pytest.param(10**6, _EDGE_GB[::5], _EDGE_T[::6], id="edge-1000000"),
+    *(pytest.param(n, _EXOTIC_GB, [1e-5, 0.1, 10.0, 1e6], id=f"exotic-{n}")
+      for n in (200, 1001)),
+    pytest.param(10**6, _EXOTIC_GB[::8], [1e-5, 10.0], id="exotic-1000000"),
+])
+def test_exact_point_is_ok_or_refused_before_any_pass(monkeypatch, n, pairs,
+                                                      Ts):
+    # every point is ok or refused by the closed-form rule, with no warning
+    # of any kind; a refused point reaches no pass, and every pass forms
+    # finite sector peaks within the rule's bound, n ln 2 + that sum / 4
+    passes, peaks = [], []
+    real_pass, real_sectors = exact._thermal_pass, exact._live_sectors
+
+    def live_sectors(points):
+        sectors = real_sectors(points)
+        peaks.extend(zip(points, sectors.peak.tolist()))
+        return sectors
+
+    monkeypatch.setattr(exact, "_thermal_pass",
+                        lambda points: passes.append(points)
+                        or real_pass(points))
+    monkeypatch.setattr(exact, "_live_sectors", live_sectors)
+    refused = 0
+    for gamma, b in pairs:
+        passes.clear()
+        run = [ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=T) for T in Ts]
+        pts = evaluate_run("exact", run)
+        passed = [q for points in passes for q in points]
+        for p, pt in zip(run, pts):
+            if _overflows(p):
+                assert pt.status == "error" and pt.message == (
+                    f"beta |E| overflows at T = {p.T:.6g}; "
+                    "T = 0 is the ground-state path")
+                assert p not in passed
+                refused += 1
+            else:
+                assert pt.status == "ok", (p, pt.message)
+                assert passed.count(p) == 1
+    h = n / 2.0
+    for p, peak in peaks:
+        bound = n * log(2.0) + (
+            p.V * h * (h + 1.0) + abs(p.E0) + abs(p.b) * h
+            + abs(p.V * p.gamma) * h * h) / p.T
+        assert abs(peak) <= bound * (1.0 + 1e-12), (p, peak)
+    # the edge grid reaches past the float range, the exotic one does not
+    assert (refused > 0) == (Ts[-1] < 1e-300)
 
 
 def test_any_exception_becomes_error_status(monkeypatch):
