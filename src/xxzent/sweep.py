@@ -14,7 +14,10 @@ by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS (40) consecutive points at one (n, v,
 gamma), the same runs for every worker count, and a worker process takes
 whole runs: a group of 40 points or fewer at one (n, v, gamma) is one run,
-evaluated in one process whatever the worker count. The cspa and spa tiers
+evaluated in one process whatever the worker count. The process pool
+module, which loads multiprocessing, is imported only by a call that
+builds a pool (workers > 1 and more than one run), so importing the
+package or running in one process never pays for it. The cspa and spa tiers
 evaluate a run at gamma = 1 in one array pass, and the exact tier the
 T > 0 points of a run in shared array passes (all of them at n = 20, 16 at
 a time at n = 1000), its T = 0 points on the ground-state path; the
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from math import inf, isfinite
@@ -114,6 +116,9 @@ class GridAxis:
             raise DomainError(f"grid ends must be finite, got {self.lo}, {self.hi}")
         if self.count < 2:
             raise DomainError("grid counts must be >= 2")
+        if not (isfinite(self.count) and self.count == int(self.count)):
+            raise DomainError(f"grid counts must be integers, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
         if not self.lo < self.hi:
             raise DomainError("grid needs lo < hi")
         if self.scale not in ("lin", "log"):
@@ -382,14 +387,18 @@ def evaluate_points(tier: str, params, epsrel: float = 1e-10,
                     workers: int = 1):
     """Evaluate the tier at every ModelParams in ``params``, in order, run
     by run; a pool of ``workers`` processes, never more than there are
-    runs, maps the same runs. A DomainError for workers < 1."""
+    runs, maps the same runs, and only then is the pool module imported.
+    A DomainError for workers < 1 or not an integer."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    if not (isfinite(workers) and workers == int(workers)):
+        raise DomainError(f"workers must be an integer, got {workers}")
     jobs = [(tier, run, epsrel) for run in _runs(params)]
-    workers = min(workers, len(jobs))
+    workers = min(int(workers), len(jobs))
     if workers <= 1:
         done = [_run_star(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_star, jobs))
     return [pt for run in done for pt in run]

@@ -28,13 +28,29 @@ def small_spec(tier="exact", **fixed):
 def test_grid_axis_validation():
     with pytest.raises(DomainError):
         GridAxis("x", 0, 1, 5)
-    with pytest.raises(DomainError):
-        GridAxis("b", 0, 1, 1)
+    for count in (1, 1.5, -inf):
+        with pytest.raises(DomainError, match="grid counts must be >= 2"):
+            GridAxis("b", 0, 1, count)
     with pytest.raises(DomainError):
         GridAxis("b", 1, 0, 5)
     with pytest.raises(DomainError):
         GridAxis("T", 0, 1, 5, scale="log")
     assert len(GridAxis("T", 0.01, 1, 7, scale="log").values()) == 7
+
+
+@pytest.mark.parametrize("count", [2.5, float("nan"), inf])
+def test_grid_counts_must_be_integers(count):
+    with pytest.raises(DomainError, match="grid counts must be integers"):
+        GridAxis("b", 0.0, 1.0, count)
+    with pytest.raises(DomainError, match="grid counts must be integers"):
+        limit_temperature("exact", ModelParams(n=4, b=0.1), probes=count)
+
+
+def test_integral_float_grid_count_is_an_int():
+    axis = GridAxis("b", 0.0, 1.0, 3.0)
+    assert axis.count == 3 and type(axis.count) is int
+    spec = SweepSpec("exact", ModelParams(n=4, T=0.1), (axis,))
+    assert [p.b for p in spec.points()] == [0.0, 0.5, 1.0]
 
 
 def test_sweep_spec_validation():
@@ -52,16 +68,17 @@ def test_sweep_spec_validation():
 def test_sweep_deterministic_across_workers(monkeypatch):
     # 2 RUN_POINTS + 1 points are three runs, which a real pool of two
     # processes maps
-    from concurrent.futures import ProcessPoolExecutor
+    import concurrent.futures
     from xxzent import sweep
     mapped = []
 
-    class CountedPool(ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def map(self, f, jobs):
             jobs = list(jobs)
             mapped.append(len(jobs))
             return super().map(f, jobs)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountedPool)
+    # sweep imports the pool class when a call asks for one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     for tier in ("exact", "cspa"):
         spec = SweepSpec(tier=tier, fixed=ModelParams(n=8, v=1.0, T=0.2),
                          axes=(GridAxis("b", 0.0, 1.0,
@@ -1395,6 +1412,7 @@ def test_refusals_never_cause_a_retry(monkeypatch):
 def test_pool_never_outnumbers_the_runs(monkeypatch):
     # a pool forks all its workers at once: never more than there are runs,
     # and one run is evaluated in-process
+    import concurrent.futures
     from xxzent import sweep
     pools = []
 
@@ -1410,7 +1428,8 @@ def test_pool_never_outnumbers_the_runs(monkeypatch):
 
         def map(self, f, jobs):
             return map(f, jobs)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     fixed = ModelParams(n=20, v=1.0, T=0.1)
     # runs of at most RUN_POINTS: 3 and RUN_POINTS points are one run,
     # 2 RUN_POINTS + 3 are three
@@ -1419,9 +1438,45 @@ def test_pool_never_outnumbers_the_runs(monkeypatch):
     for count, workers, pooled in ((3, 64, []), (run, 64, []),
                                    (2 * run + 3, 64, [3]),
                                    (2 * run + 3, 2, [2]),
+                                   (2 * run + 3, 2.0, [2]),
                                    (2 * run + 3, 1, [])):
         pools.clear()
         spec = SweepSpec("exact", fixed, (GridAxis("b", 0.0, 1.0, count),))
         assert points_to_csv(run_sweep(spec, workers=workers)) == \
             points_to_csv(run_sweep(spec))
         assert pools == pooled
+        assert all(type(w) is int for w in pools)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.5, float("nan"), inf])
+def test_workers_that_are_not_integers_are_refused_before_any_run(
+        workers, monkeypatch):
+    from xxzent import sweep
+    runs = []
+    monkeypatch.setattr(sweep, "evaluate_run",
+                        lambda *args: runs.append(args) or [])
+    spec = SweepSpec("exact", ModelParams(n=20, T=0.1),
+                     (GridAxis("b", 0.0, 1.0, 100),))
+    with pytest.raises(DomainError, match="workers must be an integer"):
+        run_sweep(spec, workers=workers)
+    assert runs == []
+
+
+def test_import_loads_no_process_pool():
+    # only evaluate_points(..., workers > 1) needs the pool module, which
+    # pulls in multiprocessing, socket, subprocess and logging
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import xxzent
+    code = ("import sys, xxzent, xxzent.cli, xxzent.figures; "
+            "print([m for m in ('concurrent.futures.process', "
+            "'multiprocessing') if m in sys.modules])")
+    src = str(Path(xxzent.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         timeout=60).stdout
+    assert out == "[]\n"
