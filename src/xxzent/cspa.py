@@ -419,11 +419,13 @@ def _t_star(v: float, gamma: float, offset: float, tol: float) -> float:
         worst, _ = _scan_validity(_Rows(None, v, gamma, offset, 1.0 / T))
         return float(worst[0]) - (2.0 * pi * T) ** 2
 
-    t_hi = 0.5 * v
-    if excess(t_hi) >= 0:      # should not happen for the attractive XXZ
-        return t_hi
-    t_lo = 1e-6 * v
-    if excess(t_lo) <= 0:
+    # -omega^2 <= (v max(1, |gamma|) / 2)^2 (t <= 1), so every T above
+    # v max(1, |gamma|) / (4 pi) is valid: T* passes v/2 only at gamma <
+    # -2 pi, and there the top end doubles until it is valid
+    t_lo, t_hi = 1e-6 * v, 0.5 * v
+    while excess(t_hi) >= 0:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    if t_hi == 0.5 * v and excess(t_lo) <= 0:
         return 0.0
     # the side of the root only: plain bisection steps, so that T* does not
     # depend on the root finder's interpolation
@@ -561,7 +563,7 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
                                  l_peak[row, None],
                                  np.reshape(_at(center, row), (-1, 1)))
 
-    res = quad_gk(f, edges, epsabs=0.0, epsrel=epsrel, max_panels=4000)
+    res = quad_gk(f, edges, epsrel=epsrel, max_panels=4000)
     val = res.value
     if np.any(val[0] <= 0):
         raise QuadratureError("radial CSPA integral collapsed to zero")
@@ -694,16 +696,17 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     seeds = np.sort(z_peak[:, None] + width[:, None] * np.array(
         [-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0]), axis=None)
     edges = np.clip(np.concatenate([[z_lo], seeds, [z_hi]]), z_lo, z_hi)
-    res = quad_gk(g, edges, epsabs=0.0, epsrel=epsrel, max_panels=800)
-    total = res.value[0]
+    res = quad_gk(g, edges[None], epsrel=epsrel, max_panels=800)
+    value = res.value[:, 0]
+    total = value[0]
     if total <= 0:
         raise QuadratureError("z integral collapsed to zero")
     pref = 0.25 * sqrt(n ** 3 * beta ** 3
                        / (pi * v ** 3 * (1.0 - params.gamma)))
     logZ = log(pref) + shift + log(total)
-    error = float(res.error / total + (max(errs) if errs else 0.0))
+    error = float(res.error[0] / total + (max(errs) if errs else 0.0))
     return _evaluation(params, mode, logZ, error, center,
-                       res.value[1:] / total, 1.5)
+                       value[1:] / total, 1.5)
 
 
 def _evaluation(params: ModelParams, mode: str, logZ: float, error: float,

@@ -22,9 +22,9 @@ between points. A run shares its array passes up to _PASS_SECTORS entries
 (every point of a run at n = 20, 16 points at n = 1000, one point from
 n = 8192), so at small n a point costs a share of the numpy calls instead
 of all of them. At n = 10^6 (T = 0.1 v, b = 0.3 v) a point takes about
-2 ms and its bracket 163 sectors of 500,001; at n = 10^8 about 12 ms and
-42 MB for the whole process, at n = 10^9 about 0.1 s and 72 MB (one Xeon
-core). ln Y itself, by lgamma, rounds to about 3e-9 absolute at
+1 ms and its bracket 163 sectors of 500,001; at n = 10^8 about 7 ms, and
+40 MB of peak RSS for a CLI process, at n = 10^9 about 25 ms and 59 MB (one
+Xeon core). ln Y itself, by lgamma, rounds to about 3e-9 absolute at
 n = 10^6 and 6e-6 at 10^9 (see :mod:`xxzent.model`): huge-n points are
 references for time and memory, not for 1e-10. The T = 0 path
 (:func:`_ground_levels`) stays O(n).
@@ -52,7 +52,7 @@ moment-difference route suffers for |b| >> b_c, where p+ can be ~1e-14.
 Concurrence:  C = 2 [ |alpha| - sqrt(p+ p-) ]_+, with the entanglement of
 formation E = -sum q_+- log2 q_+-, q_+- = (1 +- sqrt(1-C^2))/2.
 
-A brute-force oracle (n <= 14) is included for cross-validation. It builds
+A brute-force oracle (n <= 18) is included for cross-validation. It builds
 the Hamiltonian from its explicit site-pair sum and uses only symmetries of
 any sum over all site pairs, never the collective spectrum or Y(S): S_z
 conservation, the site permutations and the global spin flip. On the block
@@ -71,8 +71,9 @@ by the global spin flip. The eigen-rows serve every (v, gamma, b, T) at
 that n and are kept for the last n (:func:`_flip_flop_rows`), with rho_2
 of sites (0, 1) read off the sectors. On one Xeon core (OpenBLAS, one
 thread) the first point at an n takes about 0.004 s at n = 11, 0.017 s at
-n = 13 and 0.042 s at n = 14 (a 7 MB tracemalloc peak for the table,
-45 MB peak RSS for the whole CLI process), and each later point under
+n = 13, 0.042 s at n = 14 (a 7 MB tracemalloc peak for the table, 45 MB
+peak RSS for the whole CLI process), 0.6 s at n = 16 (0.9 s and 95 MB as a
+CLI process) and 13 s and 460 MB at n = 18, and each later point under
 0.1 ms.
 """
 
@@ -108,7 +109,7 @@ __all__ = [
     "wootters_margin",
 ]
 
-BRUTE_FORCE_MAX_N = 14
+BRUTE_FORCE_MAX_N = 18
 ENTANGLED_EPS = 1e-14      # C above this counts as entangled (absorbs roundoff)
 
 
@@ -776,6 +777,16 @@ def concurrence(pair: PairState) -> ConcurrenceResult:
 # Brute-force oracle (pair-swap sectors of the S_z blocks of the 2^n space)
 # ----------------------------------------------------------------------------
 
+def check_brute_force_n(n: int) -> None:
+    """DomainError for n past the brute-force cap, the one message of the
+    cap for the oracle and the bruteforce tier alike."""
+    if n > BRUTE_FORCE_MAX_N:
+        raise DomainError(
+            f"brute force capped at n = {BRUTE_FORCE_MAX_N}: the first point "
+            "at n = 18 builds its sector table in about 13 s and 460 MB, "
+            "and each n past it costs several times more")
+
+
 def brute_force_observables(params: ModelParams):
     """(CollectiveMoments, rho_2 of sites (0, 1)) at one T > 0 point.
 
@@ -792,11 +803,7 @@ def brute_force_observables(params: ModelParams):
     coherence couples |01> and |10>: every other pair of basis states
     differs in magnetization.
     """
-    if params.n > BRUTE_FORCE_MAX_N:
-        raise DomainError(
-            f"brute force capped at n = {BRUTE_FORCE_MAX_N}: it tabulates all "
-            f"2^n = {2 ** params.n} basis states, and at n = 14 the "
-            "16384-state table takes about 0.05 s and 7 MB to build")
+    check_brute_force_n(params.n)
     if params.T <= 0:
         raise DomainError("brute force oracle requires T > 0")
     rows = _flip_flop_rows(params.n)

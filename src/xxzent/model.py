@@ -65,7 +65,11 @@ class ModelParams:
     T: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        try:
+            whole = int(self.n) == self.n >= 2
+        except (TypeError, ValueError, OverflowError):   # None, nan, inf
+            whole = False
+        if not whole:
             raise DomainError(f"n must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if not self.v > 0:

@@ -1,15 +1,17 @@
 """Adaptive Gauss-Kronrod quadrature of many rows at once.
 
-quad_gk integrates a batch of rows, each over its own panel edges, with a
-(7, 15)-point Gauss-Kronrod pair on each panel and an error estimate per
-panel from |K15 - G7|. The integrand gets every panel that a step needs, of
+quad_gk integrates the m components of an integrand over a batch of rows,
+each row over its own panel edges, with a (7, 15)-point Gauss-Kronrod pair
+on each panel and an error estimate per panel from |K15 - G7| of component
+0. It has one call form: edges of shape (rows, k), an integrand that
+returns shape (m, panels, 15), a value of shape (m, rows) and a relative
+error budget per row. The integrand gets every panel that a step needs, of
 every row, in one vectorized call, which is what keeps the CSPA integrals
 cheap enough for root finding on top of them. Refinement goes in rounds:
 each round halves the worst panel of every row still above its budget, so a
 row is refined on the panels it started from, and its splits and sums do not
-depend on the other rows. A stacked integrand returns shape (m, panels, 15):
-all m components share the panels, and refinement follows the error of
-component 0 alone.
+depend on the other rows. All m components share the panels, and refinement
+follows the error of component 0 alone.
 
 bracket_root is the bracketing root finder (ITP) shared by the CMFA gap
 and the CSPA breakdown temperature; bracket_roots runs the same steps on
@@ -80,48 +82,43 @@ class QuadResult:
 
 
 def _rule(f, row, lo, hi):
-    """(K15 sums, |K15 - G7| of component 0) of f on the panels [lo, hi] of
-    rows ``row``; the sums have one leading axis per component."""
+    """(K15 sums, one row per component, and |K15 - G7| of component 0) of f
+    on the panels [lo, hi] of rows ``row``."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES     # (panels, 15)
     y = np.asarray(f(row, x), dtype=float)
-    y0 = y[0] if y.ndim == 3 else y
     # one einsum per panel: a BLAS matrix-vector product would round a
     # panel's sum differently depending on how many panels it is given
     k = np.einsum("...k,k->...", y, _WK) * half
-    k0 = k[0] if y.ndim == 3 else k
-    return k, np.abs(k0 - np.einsum("...k,k->...", y0, _WGFULL) * half)
+    return k, np.abs(k[0] - np.einsum("...k,k->...", y[0], _WGFULL) * half)
 
 
-def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
-    """Integrate f over each row of panel ``edges``, all rows at once.
+def quad_gk(f, edges, *, epsrel=1e-10, max_panels=2000):
+    """Integrate the m components of f over each row of panel ``edges``, all
+    rows at once.
 
-    ``edges`` has shape (rows, k), ascending along a row; a 1-D array is one
-    row, and zero-width panels are skipped. f(row, x) gets the row index of
-    each panel, shape (panels,), and its nodes, shape (panels, 15), and
-    returns values of shape (panels, 15), or (m, panels, 15) when stacked
-    (see the module docstring). Place edges at the known location of a
-    sharp peak so that the first call cannot step over it.
+    ``edges`` has shape (rows, k), ascending along a row; zero-width panels
+    are skipped. f(row, x) gets the row index of each panel, shape
+    (panels,), and its nodes, shape (panels, 15), and returns values of
+    shape (m, panels, 15). Place edges at the known location of a sharp peak
+    so that the first call cannot step over it.
 
     The first call evaluates every initial panel. Each refinement round is
-    one more call: in every row whose error is above max(epsabs, epsrel
-    |I_0|), it halves the splittable panel with the largest error. A row's
-    splits and sums depend on that row alone. A QuadratureError is raised
-    when a sum of any component, or an error estimate, is not finite, when
-    a row above its budget already has ``max_panels`` panels, or when its
-    panels at float resolution alone hold more error than its budget.
+    one more call: in every row whose error of component 0 is above epsrel
+    |I_0|, I_0 that row's integral of component 0, it halves the splittable
+    panel with the largest error. A row's splits and sums depend on that row
+    alone. A QuadratureError is raised when a sum of any component, or an
+    error estimate, is not finite, when a row above its budget already has
+    ``max_panels`` panels, or when its panels at float resolution alone hold
+    more error than its budget.
 
-    value has shape (rows,), or (m, rows) when stacked, and error (rows,);
-    for 1-D edges the row axis is dropped.
+    value has shape (m, rows) and error shape (rows,).
     """
     edges = np.asarray(edges, dtype=float)
-    grid = np.atleast_2d(edges)
-    rows = len(grid)
-    row, pan = np.nonzero(grid[:, 1:] > grid[:, :-1])
-    lo, hi = grid[row, pan], grid[row, pan + 1]
+    rows = len(edges)
+    row, pan = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    lo, hi = edges[row, pan], edges[row, pan + 1]
     k, err = _rule(f, row, lo, hi)
-    stacked = k.ndim == 2
-    k = k.reshape(-1, lo.size)
     neval = 15 * lo.size
     while True:
         # per row, in panel order: a row's sums do not see the other rows
@@ -129,7 +126,7 @@ def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
         toterr = np.bincount(row, err, minlength=rows)
         if not (np.isfinite(val).all() and np.isfinite(toterr).all()):
             raise QuadratureError("non-finite integral or error estimate")
-        budget = np.maximum(epsabs, epsrel * np.abs(val[0]))
+        budget = epsrel * np.abs(val[0])
         need = toterr > budget
         if not need.any():
             break
@@ -151,7 +148,6 @@ def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
         halves = np.concatenate([row[worst], row[worst]])
         k2, e2 = _rule(f, halves, np.concatenate([lo[worst], mid[worst]]),
                        np.concatenate([mid[worst], hi[worst]]))
-        k2 = k2.reshape(len(k), -1)
         neval += 15 * halves.size
         n = worst.size
         lo, hi = np.append(lo, mid[worst]), np.append(hi, hi[worst])
@@ -161,9 +157,7 @@ def quad_gk(f, edges, *, epsabs=1e-12, epsrel=1e-10, max_panels=2000):
         k[:, worst] = k2[:, :n]
         err = np.append(err, e2[n:])
         err[worst] = e2[:n]
-    if edges.ndim == 1:
-        val, toterr = val[:, 0], toterr[0]
-    return QuadResult(val if stacked else val[0], toterr, neval)
+    return QuadResult(val, toterr, neval)
 
 
 def _itp(lo, g_lo, hi, g_hi, tol):
@@ -211,8 +205,10 @@ def bracket_root(g, lo, g_lo, hi, g_hi, tol):
     ceil(log2((hi - lo)/tol)) + 1 evaluations of g and never more than 200:
     at most one more than bisection, and far fewer on a smooth g.
     """
-    # next / send straight on the coroutine: the CMFA gap takes about 40
-    # steps a point, so this loop builds nothing per step
+    # next / send straight on the coroutine, which builds nothing per step:
+    # as a one-bracket bracket_roots, 300 cold CMFA gap roots (about 47 steps
+    # each, once per (v, T)) took 20 ms instead of 5 ms on one Xeon core,
+    # about +13 ms on figure 4's 269 distinct (v, T)
     steps = _itp(lo, g_lo, hi, g_hi, tol)
     try:
         x = next(steps)

@@ -292,9 +292,8 @@ def check_tier(tier: str, n: int) -> None:
     before any point is evaluated."""
     if tier not in TIERS:
         raise DomainError(f"unknown tier {tier!r}; choose from {TIERS}")
-    if tier == "bruteforce" and n > exact.BRUTE_FORCE_MAX_N:
-        raise DomainError(
-            f"bruteforce tier caps at n = {exact.BRUTE_FORCE_MAX_N}")
+    if tier == "bruteforce":
+        exact.check_brute_force_n(n)
 
 
 # exception -> point status; any other exception is an error
@@ -432,18 +431,13 @@ class LimitResult:
     statuses: tuple
 
 
-def _entangled(point) -> bool:
-    """C > 0 at an ok point; an undefined point counts as not entangled."""
-    return point.status == "ok" and point.result.entangled
-
-
 def _flag_margin(point) -> float:
     """Signed distance above the entangled flag, margin - ENTANGLED_EPS, so
-    > 0 exactly where the point is entangled; +-inf gives the side only, for
-    an undefined point or one without a margin."""
+    > 0 exactly where the point is entangled; -inf gives the side only, for
+    an undefined point or one without a margin (C = 0 by construction)."""
     if point.status == "ok" and point.result.margin is not None:
         return float(point.result.margin) - exact.ENTANGLED_EPS
-    return inf if _entangled(point) else -inf
+    return -inf
 
 
 def _bands(margins):

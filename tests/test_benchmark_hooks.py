@@ -21,7 +21,7 @@ READ = {
         lambda f: f("exact", ModelParams(n=4, b=0.3), probes=3),
         {"probes": 3}),
     "quadrature.quad_gk": (
-        lambda f: f(lambda row, x: x * x, [0.0, 1.0]),
+        lambda f: f(lambda row, x: (x * x)[None], [[0.0, 1.0]]),
         {"neval": 15}),
 }
 

@@ -345,10 +345,13 @@ def test_limit_scan_without_a_defined_probe_says_so(capsys):
     ("sweep", "--T", "0.1", "--grid", "b:0:1:3"),
 ])
 def test_bruteforce_cap_is_invalid_arguments(argv, capsys):
-    # past n = 14 the command is refused before any point is evaluated
-    assert run_cli(*argv, "--n", "20", "--tier", "bruteforce") == 2
+    # past n = 18 the command is refused before any point is evaluated,
+    # with the oracle's own message
+    assert run_cli(*argv, "--n", "19", "--tier", "bruteforce") == 2
     assert capsys.readouterr().err == (
-        "invalid arguments: bruteforce tier caps at n = 14\n")
+        "invalid arguments: brute force capped at n = 18: the first point "
+        "at n = 18 builds its sector table in about 13 s and 460 MB, and "
+        "each n past it costs several times more\n")
 
 
 def test_ok_row_never_holds_empty_values(capsys):

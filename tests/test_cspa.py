@@ -25,20 +25,20 @@ def test_quad_gk_against_scipy():
         (lambda x: np.sin(40 * x) * np.exp(-x), 0.0, 5.0),
     ]
     for f, a, b in cases:
-        mine = quad_gk(lambda row, x: f(x), [a, b], epsrel=1e-12)
+        mine = quad_gk(lambda row, x: f(x)[None], [[a, b]], epsrel=1e-12)
         ref, _ = scipy_quad(lambda t: float(f(np.array([t]))[0]), a, b,
                             epsabs=1e-14, epsrel=1e-14, limit=300)
-        assert mine.value == pytest.approx(ref, rel=1e-11)
+        assert mine.value[0, 0] == pytest.approx(ref, rel=1e-11)
     # closed form: a 1e-14 quad of this one hits its roundoff floor
-    mine = quad_gk(lambda row, x: 1.0 / (1.0 + x * x), [-4.0, 4.0],
+    mine = quad_gk(lambda row, x: (1.0 / (1.0 + x * x))[None], [[-4.0, 4.0]],
                    epsrel=1e-12)
-    assert mine.value == pytest.approx(2.0 * atan(4.0), rel=1e-11)
+    assert mine.value[0, 0] == pytest.approx(2.0 * atan(4.0), rel=1e-11)
 
 
 def test_quad_gk_narrow_spike_with_seeds():
-    f = lambda row, x: np.exp(-1e6 * (x - 0.3123) ** 2)
-    res = quad_gk(f, [0.0, 0.3123, 0.3135, 1.0], epsrel=1e-11)
-    assert res.value == pytest.approx(sqrt(pi / 1e6), rel=1e-10)
+    f = lambda row, x: np.exp(-1e6 * (x - 0.3123) ** 2)[None]
+    res = quad_gk(f, [[0.0, 0.3123, 0.3135, 1.0]], epsrel=1e-11)
+    assert res.value[0, 0] == pytest.approx(sqrt(pi / 1e6), rel=1e-10)
 
 
 def test_quad_gk_rows_are_integrated_independently():
@@ -56,27 +56,28 @@ def test_quad_gk_rows_are_integrated_independently():
                       [0.0, 0.25, 0.5, 0.75, 1.0],
                       [0.0, 0.0, 0.3, 0.6, 1.0],
                       [0.0, 0.2, 0.4, 0.8, 1.0]])
-    res = quad_gk(f, edges, epsabs=0.0, epsrel=1e-12)
+    res = quad_gk(f, edges, epsrel=1e-12)
     assert res.value.shape == (2, 4) and res.error.shape == (4,)
     alone = [quad_gk(lambda row, x, i=i: f(np.full_like(row, i), x),
-                     edges[i], epsabs=0.0, epsrel=1e-12) for i in range(4)]
+                     edges[i:i + 1], epsrel=1e-12) for i in range(4)]
     assert len({a.neval for a in alone}) > 1       # the rows refine unequally
     assert res.neval == sum(a.neval for a in alone)
     for i, a in enumerate(alone):
-        assert a.value.shape == (2,)
-        assert res.value[0, i] == a.value[0] and res.value[1, i] == a.value[1]
-        assert res.error[i] == a.error
-        assert a.value[0] == pytest.approx(sqrt(pi) * widths[i], rel=1e-12)
+        assert a.value.shape == (2, 1)
+        assert (res.value[0, i] == a.value[0, 0]
+                and res.value[1, i] == a.value[1, 0])
+        assert res.error[i] == a.error[0]
+        assert a.value[0, 0] == pytest.approx(sqrt(pi) * widths[i], rel=1e-12)
 
 
 def test_quad_gk_panel_budget_exit():
     # 1/sqrt(x) is singular at 0: each halving of the panel there gains a
     # factor sqrt(2) only, so 40 panels cannot reach 1e-12
+    f = lambda row, x: (1.0 / np.sqrt(x))[None]
     with pytest.raises(QuadratureError, match="no convergence after 40"):
-        quad_gk(lambda row, x: 1.0 / np.sqrt(x), [0.0, 1.0], epsrel=1e-12,
-                max_panels=40)
-    assert quad_gk(lambda row, x: 1.0 / np.sqrt(x), [0.0, 1.0], epsrel=1e-6,
-                   max_panels=40).value == pytest.approx(2.0, rel=1e-6)
+        quad_gk(f, [[0.0, 1.0]], epsrel=1e-12, max_panels=40)
+    assert quad_gk(f, [[0.0, 1.0]], epsrel=1e-6,
+                   max_panels=40).value[0, 0] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_quad_gk_float_resolution_exit():
@@ -85,19 +86,19 @@ def test_quad_gk_float_resolution_exit():
     # that misses its budget
     lo = 1.0
     hi = float(np.nextafter(lo, 2.0))
-    step = lambda row, x: np.where(x >= lo, 1.0, 0.0)
+    step = lambda row, x: np.where(x >= lo, 1.0, 0.0)[None]
     with pytest.raises(QuadratureError, match="float resolution"):
-        quad_gk(step, [lo, hi], epsabs=0.0, epsrel=1e-10)
+        quad_gk(step, [[lo, hi]], epsrel=1e-10)
     # next to a wide panel that converges, the same row fails as a whole
     with pytest.raises(QuadratureError, match="float resolution"):
-        quad_gk(step, [0.0, lo, hi], epsabs=0.0, epsrel=1e-10)
+        quad_gk(step, [[0.0, lo, hi]], epsrel=1e-10)
 
 
 def test_quad_gk_non_finite_sum_raises():
     # a NaN row has a NaN error, which is never above its budget: it used
     # to be returned as converged
     def nan_row(row, x):
-        return np.where(row[:, None] == 1, np.nan, np.cos(x))
+        return np.where(row[:, None] == 1, np.nan, np.cos(x))[None]
 
     edges = [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
     with pytest.raises(QuadratureError, match="non-finite"):
@@ -335,6 +336,32 @@ def test_breakdown_temperature_b0():
 def test_breakdown_temperature_zero_beyond_v():
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=1.2, T=0.1)
     assert breakdown_temperature(p) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [-10.0, -100.0])
+def test_breakdown_temperature_above_v_over_2(gamma):
+    # at gamma < -2 pi the scan reaches invalid points above T = v/2 (its
+    # sign change lies near 0.795 v at gamma = -10 and 7.93 v at -100):
+    # T* brackets that change, and every breakdown message there reads
+    # T <= T*, where T* used to read 0.5
+    import re
+    import xxzent.cspa as cspa
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=0.0, T=1.0)
+    t_star = breakdown_temperature(p)
+    assert t_star > 0.75 * max(1.0, -gamma) / (4 * pi)
+
+    def excess(T):
+        worst, _ = cspa._scan_validity(cspa._Rows.of([p.replace(T=T)]))
+        return float(worst[0, 0]) - (2.0 * pi * T) ** 2
+
+    assert excess(t_star - 1e-5) >= 0 > excess(t_star + 1e-5)
+    for T in t_star * np.array([0.1, 0.5, 0.9, 0.999, 1.001, 1.5]):
+        pt = evaluate_point("cspa", p.replace(T=float(T)))
+        assert (pt.status == "breakdown") == (T < t_star)
+        if pt.status == "breakdown":
+            shown = re.search(r"\(T = (\S+) <= T\* ~ (\S+)\)", pt.message)
+            assert float(shown[1]) <= float(shown[2])
 
 
 def test_cspa_breakdown_raises_below_t_star():
@@ -586,12 +613,14 @@ def _radial_reference(cspa, p, z, peak, mode):
 
 def _count_quad_gk(monkeypatch, cspa):
     """Record every quad_gk call made by cspa, in the order the calls start:
-    [edges, integrand calls, panels evaluated], the integrand called once
-    and then once per refinement round."""
+    [edges, integrand calls, panels evaluated, keyword arguments], the
+    integrand called once and then once per refinement round. The outer z
+    integral is the call with max_panels=800, the radial batches those with
+    4000."""
     calls = []
 
     def counted(f, edges, **kwargs):
-        call = [np.asarray(edges), 0, 0]
+        call = [np.asarray(edges), 0, 0, kwargs]
         calls.append(call)
 
         def g(row, x):
@@ -625,7 +654,7 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
                                                             mode, epsrel, 0.0)
         # one call and no refinement round: the initial panels alone meet
         # the budget
-        assert [rounds for _, rounds, _ in calls] == [1]
+        assert [rounds for _, rounds, *_ in calls] == [1]
         adaptive = [_radial_reference(cspa, p, z, peak, mode)
                     for z, *peak in zip(zs, *peaks)]
         assert np.all(rel <= epsrel)
@@ -804,17 +833,21 @@ def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
     calls = _count_quad_gk(monkeypatch, cspa)
     ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3))
     assert np.isfinite(ev.logZ)
-    (w_edges, w_rounds, _), (z_edges, z_rounds, z_panels), *radial = calls
+    ((w_edges, w_rounds, _, w_kw), (z_edges, z_rounds, z_panels, z_kw),
+     *radial) = calls
     assert w_edges.ndim == 2 and len(w_edges) == 3 and w_rounds == 1
-    assert z_edges.ndim == 1 and z_edges[0] < 0.0 < z_edges[-1]
+    assert w_kw["max_panels"] == 4000
+    assert z_kw["max_panels"] == 800 and z_edges.shape[0] == 1
+    assert z_edges[0, 0] < 0.0 < z_edges[0, -1]
     assert (z_rounds, z_panels) == (3, 14)
     batch = cspa._Z_BATCH
     assert batch == 45
-    assert all(edges.ndim == 2 and rounds == 1 for edges, rounds, _ in radial)
-    assert [len(edges) for edges, _, _ in radial] == [
+    assert all(edges.ndim == 2 and rounds == 1 and kw["max_panels"] == 4000
+               for edges, rounds, _, kw in radial)
+    assert [len(edges) for edges, *_ in radial] == [
         min(batch, live - k) for live in (147, 30, 30)
         for k in range(0, live, batch)]
-    assert sum(len(edges) for edges, _, _ in radial) <= 15 * z_panels
+    assert sum(len(edges) for edges, *_ in radial) <= 15 * z_panels
 
 
 def test_2d_log_integrand_nodes_per_point(monkeypatch):
@@ -863,7 +896,8 @@ def test_z_panels_in_units_of_the_measured_width(monkeypatch, b, before):
     calls = _count_quad_gk(monkeypatch, cspa)
     m = cspa_moments(ModelParams(n=100, v=1.0, gamma=0.5, b=b, T=0.25),
                      epsrel=1e-10)
-    ((edges, outer),) = [(e, rounds) for e, rounds, _ in calls if e.ndim == 1]
+    ((edges, outer),) = [(e[0], rounds) for e, rounds, _, kw in calls
+                         if kw["max_panels"] == 800]
     assert outer - 1 <= 2      # the first call is no refinement round
     # the panel below the saddle is one width wide, wider than sigma_z
     # (0.071 and 0.056 against 0.05)
@@ -896,7 +930,8 @@ def test_z_width_falls_back_to_the_gaussian_width(monkeypatch, l_nbr):
     pt = evaluate_point("cspa", ModelParams(n=100, v=1.0, gamma=0.5, b=b,
                                             T=0.25), epsrel=1e-10)
     assert pt.status == "ok" and calls[0] == 3
-    (edges,) = [e for e, _, _ in quad_calls if e.ndim == 1]
+    (edges,) = [e[0] for e, _, _, kw in quad_calls
+                if kw["max_panels"] == 800]
     sigma_z = sqrt(2.0 * 0.5 / (100 * 4.0))
     assert np.diff(edges)[4] == pytest.approx(sigma_z, rel=1e-12)
     m = pt.moments
@@ -1005,6 +1040,11 @@ def test_cspa_concurrence_close_to_exact_n100():
     c = concurrence(pair_state(m, 100, tol=1e-6)).concurrence
     ce = concurrence(thermal_observables(p)[1]).concurrence
     assert c == pytest.approx(ce, rel=0.02)
+
+
+def test_cspa_logZ_refuses_an_unknown_mode():
+    with pytest.raises(DomainError, match=r"^unknown mode 'x'$"):
+        cspa_logZ(ModelParams(n=4, T=0.1), mode="x")
 
 
 def test_cspa_moments_breakdown_mentions_spa_fallback():
@@ -1140,25 +1180,30 @@ def test_quad_gk_stacked_components_match_scalar():
     def stacked(row, x):
         return np.stack([c(row, x) for c in comps])
 
-    edges = [-2.0, 0.3, 1.1, 3.0]
+    def alone(c):
+        return lambda row, x: c(row, x)[None]
+
+    edges = [[-2.0, 0.3, 1.1, 3.0]]
     res = quad_gk(stacked, edges, epsrel=1e-11)
-    ref = quad_gk(f, edges, epsrel=1e-11)
-    assert res.value.shape == (3,)
+    ref = quad_gk(alone(f), edges, epsrel=1e-11)
+    assert res.value.shape == (3, 1)
     assert res.neval == ref.neval
-    assert res.value[0] == pytest.approx(ref.value, rel=1e-15)
+    assert res.value[0, 0] == pytest.approx(ref.value[0, 0], rel=1e-15)
     # (K15 - G7 differences: the last bits of the rule sums matter)
-    assert res.error == pytest.approx(ref.error, rel=1e-3)
-    # on the seeded panels alone, every component is its own scalar rule
+    assert res.error[0] == pytest.approx(ref.error[0], rel=1e-3)
+    # on the seeded panels alone, every component is its own one-component
+    # rule
     coarse = quad_gk(stacked, edges, epsrel=1.0)
     for k, c in enumerate(comps):
-        one = quad_gk(c, edges, epsrel=1.0)
-        assert coarse.value[k] == pytest.approx(one.value, rel=1e-14)
+        one = quad_gk(alone(c), edges, epsrel=1.0)
+        assert coarse.value[k, 0] == pytest.approx(one.value[0, 0],
+                                                   rel=1e-14)
     # and refined, every component converges with component 0's panels
     from scipy.integrate import quad as scipy_quad
     for k, c in enumerate(comps):
         exact, _ = scipy_quad(lambda t: float(c(0, np.array([t]))[0]),
                               -2.0, 3.0, epsabs=1e-14, epsrel=1e-13)
-        assert res.value[k] == pytest.approx(exact, rel=1e-10)
+        assert res.value[k, 0] == pytest.approx(exact, rel=1e-10)
 
 
 def test_g_derivatives_against_mpmath():
@@ -1371,12 +1416,12 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
         p = ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=0.1)
         calls.clear()
         fixed = cspa_logZ(p, mode, epsrel=1e-8)
-        assert [rounds for _, rounds, _ in calls] == [1]
+        assert [rounds for _, rounds, *_ in calls] == [1]
         calls.clear()
         refined = cspa_logZ(p, mode, epsrel=1e-11)
         zs = np.zeros(1)
         r_max = cspa._radial_cut(p, zs, cspa._radial_peaks(p, zs, mode), mode)
-        ((edges, rounds, _),) = calls
+        ((edges, rounds, *_),) = calls
         assert rounds > 1
         assert (edges[0, 0], edges[0, -1]) == (0.0, r_max[0])
         for name in ("logZ", "dlnZ_db", "d2lnZ_db2", "dlnZ_dv"):
@@ -1389,7 +1434,7 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
     calls.clear()
     lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8,
                                                    0.0)
-    assert [rounds for _, rounds, _ in calls] == [1]
+    assert [rounds for _, rounds, *_ in calls] == [1]
     ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
                                         [a[0] for a in peaks], mode)
     assert ln_i0 == pytest.approx(lv[0], rel=1e-9)

@@ -489,11 +489,44 @@ def test_gamma_nonpositive_no_entanglement_at_t0():
 
 # --------------------------------------------------------------- brute force
 
+@pytest.mark.parametrize("moments, message", [
+    ((3.0, 9.0, 9.0), r"|<S_z>| = 3.0 > n/2"),
+    ((1.0, 5.0, 6.0), r"<S_z^2> = 5.0 out of range"),
+    ((1.0, 2.0, 7.0), r"<S^2> = 7.0 out of range"),
+    ((1.0, 4.0, 3.0), r"<S_z^2> exceeds <S^2>")])
+def test_collective_moments_check_refusals(moments, message):
+    # each kinematic bound of CollectiveMoments.check at n = 4 (n/2 = 2,
+    # S(S+1) <= 6), one violated at a time
+    sz, sz2, s2 = moments
+    with pytest.raises(InconsistentMomentsError) as err:
+        CollectiveMoments(sz=sz, sz2=sz2, s2=s2, logZ=0.0).check(4)
+    assert str(err.value) == message
+
+
 def test_brute_force_caps_n():
-    # the cap bounds the 2^n-state table, not an S_z block
-    with pytest.raises(DomainError, match=r"capped at n = 14: it tabulates "
-                       r"all 2\^n = 32768 basis states"):
-        brute_force_observables(ModelParams(n=15, v=1.0, T=0.5))
+    # the cap bounds the cost of the sector table, refused just past it
+    with pytest.raises(DomainError, match=r"capped at n = 18: the first "
+                       r"point at n = 18 builds its sector table in about "
+                       r"13 s and 460 MB"):
+        brute_force_observables(ModelParams(n=19, v=1.0, T=0.5))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_brute_force_matches_exact_past_n_14(n):
+    # criterion 1's grid and tolerances at n = 15 and 16: the sector table
+    # there takes under a second and 100 MB to build
+    rng = np.random.default_rng(20240817 + n)
+    for _ in range(6):
+        p = ModelParams(n=n, v=1.0, gamma=float(rng.uniform(0.0, 1.0)),
+                        b=float(rng.uniform(-1.5, 1.5)),
+                        T=float(rng.uniform(0.02, 2.0)))
+        ex, pair = thermal_observables(p)
+        bf, rho2 = brute_force_observables(p)
+        for a, b_ in ((ex.logZ, bf.logZ), (ex.sz, bf.sz), (ex.sz2, bf.sz2),
+                      (ex.s2, bf.s2)):
+            assert abs(a - b_) <= 1e-10 * max(abs(a), abs(b_)) + 1e-12, p
+        c_bf = max(exact.wootters_margin(rho2), 0.0)
+        assert abs(concurrence(pair).concurrence - c_bf) < 1e-10, p
 
 
 def test_brute_force_pair_density_structure():
@@ -798,7 +831,7 @@ def test_brute_force_refuses_points_before_any_eigh(monkeypatch):
     calls = []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(1) or None)
-    for p in (ModelParams(n=4, v=1.0, T=0.0), ModelParams(n=15, v=1.0, T=0.5)):
+    for p in (ModelParams(n=4, v=1.0, T=0.0), ModelParams(n=19, v=1.0, T=0.5)):
         with pytest.raises(DomainError):
             brute_force_observables(p)
     assert calls == []

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from xxzent import figures, sweep
+from xxzent.errors import DomainError
 from xxzent.sweep import CurvePoint, LimitResult
 
 # figure -> ({file: data rows} in writing order, point calls, limit scans)
@@ -60,6 +61,14 @@ def test_figure_files_rows_and_calls(fig_id, calls, tmp_path):
     assert (calls["point"], calls["limit"]) == (points, limits)
     plot = (tmp_path / script).read_text()
     assert all(f"'{name}' using" in plot for name in rows)
+
+
+def test_unknown_figure_is_refused_before_any_file(tmp_path):
+    out = tmp_path / "fig6"
+    with pytest.raises(DomainError, match=r"^figure id must be one of "
+                       r"\(1, 2, 3, 4, 5\)$"):
+        figures.reproduce_figure(6, str(out))
+    assert not out.exists()
 
 
 def test_figure_4_scans_share_runs(monkeypatch, tmp_path):

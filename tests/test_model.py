@@ -16,6 +16,12 @@ def test_level_energy_n2():
     assert level_energy(p, 0, 0) == pytest.approx(+0.5, abs=1e-15)
 
 
+def test_level_energy_refuses_a_spin_that_is_not_half_integer():
+    with pytest.raises(DomainError,
+                       match=r"^S = 0\.3 is not integer or half-integer$"):
+        level_energy(ModelParams(n=4), 0.3, 0)
+
+
 def test_level_energy_field_symmetry_at_b0():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -168,6 +174,25 @@ def test_params_validation():
         with pytest.raises(DomainError):
             ModelParams(n=4, T=0.1).replace(**bad)
     assert ModelParams(n=4, T=1e-308).beta == 1e308
+
+
+@pytest.mark.parametrize("n, shown", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+    (2.5, "2.5"), ("4", "4"), (1, "1")])
+def test_n_is_refused_unless_an_integer_of_at_least_2(n, shown):
+    # int() of nan and inf raised a raw ValueError and OverflowError; a
+    # string n stays a DomainError, not a TypeError from n < 2
+    for build in (lambda: ModelParams(n=n),
+                  lambda: ModelParams(n=4, T=0.1).replace(n=n)):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == f"n must be an integer >= 2, got {shown}"
+    assert type(ModelParams(n=4.0).n) is int
+
+
+def test_beta_is_undefined_at_t_0():
+    with pytest.raises(DomainError, match=r"^beta undefined at T = 0$"):
+        ModelParams(n=4).beta
 
 
 def test_replace_is_dataclasses_replace():

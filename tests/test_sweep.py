@@ -65,6 +65,15 @@ def test_sweep_spec_validation():
                   axes=(GridAxis("b", 0, 1, 3), GridAxis("b", 0, 1, 3)))
 
 
+def test_grid_and_spec_refusals():
+    with pytest.raises(DomainError, match=r"^grid scale must be 'lin' or "
+                       r"'log'$"):
+        GridAxis("b", 0.0, 1.0, 3, scale="sqrt")
+    with pytest.raises(DomainError, match=r"^at least one grid axis "
+                       r"required$"):
+        SweepSpec(tier="exact", fixed=ModelParams(n=4, T=0.1), axes=())
+
+
 def test_sweep_deterministic_across_workers(monkeypatch):
     # 2 RUN_POINTS + 1 points are three runs, which a real pool of two
     # processes maps
@@ -316,6 +325,34 @@ def test_entangled_flag_is_a_python_bool_for_every_tier():
     assert type(exact.concurrence(pair).entangled) is bool
     far = large_field_expansion(p.replace(b=2.0, T=0.02))
     assert far is not None and type(far.entangled) is bool
+
+
+def test_flag_margin_is_positive_exactly_at_entangled_points():
+    # the limit scans read the flag off _flag_margin: on figure 2's points,
+    # failed ones included, on the separable spa and mfa points and on
+    # cmfa's normal phase (no margin), its sign is the entangled flag of an
+    # ok point
+    from xxzent import figures, sweep
+    runs = []
+    for curve in figures._figure_2()[2]:
+        params = [curve.fixed.replace(**{curve.axis: float(x)})
+                  for x in curve.values]
+        runs += [(tier, params) for tier in (*curve.tiers, "spa", "mfa")]
+    normal = [ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=T)
+              for b in (0.0, 0.5) for T in (0.6, 0.8)]
+    runs.append(("cmfa", normal))
+    seen = set()
+    for tier, params in runs:
+        for pt in sweep.evaluate_points(tier, params, POINT_EPSREL):
+            flag = pt.status == "ok" and pt.result.entangled
+            assert (sweep._flag_margin(pt) > 0) == flag, (tier, pt.params)
+            seen.add((tier, pt.status, flag,
+                      pt.status == "ok" and pt.result.margin is None))
+    assert {("exact", "ok", True, False), ("cspa", "ok", True, False),
+            ("cspa", "breakdown", False, False),
+            ("cspa", "error", False, False),
+            ("cmfa", "ok", False, True), ("spa", "ok", False, True),
+            ("mfa", "ok", False, True)} <= seen
 
 
 def test_limit_field_small_T_tightens_to_bc():
@@ -893,8 +930,10 @@ def test_limit_scan_bands_around_undefined_probes(monkeypatch):
             return sweep.CurvePoint(tier=tier, params=params,
                                     status="breakdown")
         C = 0.1 if 1.3 <= b < 3.5 or 5.5 <= b < 7.4 or b >= 9.25 else 0.0
+        # a margin of +-inf gives the side only, so the edges are bisected
         result = exact.ConcurrenceResult(concurrence=C, eof=0.0,
-                                         entangled=C > 0)
+                                         entangled=C > 0,
+                                         margin=inf if C > 0 else -inf)
         return sweep.CurvePoint(tier=tier, params=params, status="ok",
                                 result=result)
 
@@ -962,8 +1001,8 @@ def test_limit_edges_on_the_margin_match_a_fine_bisection(monkeypatch):
             assert len(edges) == 1 and refined <= 8, (tier, b, refined)
 
         def entangled(T):
-            return sweep._entangled(
-                evaluate_run(tier, [p.replace(T=T)], epsrel)[0])
+            return sweep._flag_margin(
+                evaluate_run(tier, [p.replace(T=T)], epsrel)[0]) > 0
         for x in edges:
             i = int(np.searchsorted(grid, x))
             lo, hi = grid[i - 1], grid[i]
@@ -997,7 +1036,8 @@ def _per_edge_scan(tier, params, axis, epsrel):
 
     intervals = []
     for entangled, run in groupby(range(len(grid)),
-                                  key=lambda i: sweep._entangled(probes[i])):
+                                  key=lambda i: sweep._flag_margin(
+                                      probes[i]) > 0):
         if entangled:
             run = list(run)
             i, j = run[0], run[-1]
