@@ -280,7 +280,13 @@ def _normal_z_shift(params: ModelParams, end: float | None = None) -> float:
     the root nearest the aligned end; at gamma <= 0, b = 0, that is the
     ordered root, not the unstable z = 0. From the other end (-sign(b)) the
     steps reach the ordered root on that side where f has one; where it
-    has none they end on the first root, or meet f' <= 0 and give NaN."""
+    has none they end on the first root, or meet f' <= 0 and give NaN.
+
+    So at b = 0 (+0 and -0 alike), gamma <= 0 and T < (1 - gamma) v / 2
+    the mfa tier reports the ordered branch of the + side, the one
+    b -> +0 selects (S_z near -n/2), not the mean of the two mirrored
+    branches, whose S_z is the exact 0: a chosen branch, like the
+    symmetry breaking of any mean field. b = +-1e-12 give mirrored S_z."""
     g, v, b = params.gamma, params.v, params.b
     beta = params.beta
     c = (1.0 - g) * 0.5 * beta * v         # f'(z) = 1 - c sech^2

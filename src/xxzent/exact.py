@@ -67,14 +67,17 @@ per class (|sigma|, pair 0 odd or not) is diagonalized, one eigh each, its
 columns weighted by the class size: 63 sector matrices at n = 14 instead
 of 576, and 4372 columns instead of 16384 (the largest sector has 393
 states, the largest block 3432). Blocks k > n // 2 come from block n - k
-by the global spin flip. The eigen-rows serve every (v, gamma, b, T) at
-that n and are kept for the last n (:func:`_flip_flop_rows`), with rho_2
-of sites (0, 1) read off the sectors. On one Xeon core (OpenBLAS, one
-thread) the first point at an n takes about 0.004 s at n = 11, 0.017 s at
-n = 13, 0.042 s at n = 14 (a 7 MB tracemalloc peak for the table, 45 MB
-peak RSS for the whole CLI process), 0.6 s at n = 16 (0.9 s and 95 MB as a
-CLI process) and 13 s and 460 MB at n = 18, and each later point under
-0.1 ms.
+by the global spin flip. The blocks k <= n // 2 are built in one pass over
+the blocks: those below n // 2 as whole arrays, then the largest alone.
+The eigen-rows serve every (v, gamma, b, T) at that n and are kept for the
+last n (:func:`_flip_flop_rows`), with rho_2 of sites (0, 1) read off the
+sectors. On one Xeon core (OpenBLAS, one thread) the first point at an n
+takes about 0.004 s at n = 11, 0.016 s at n = 13, 0.043 s at n = 14 (a
+7 MB tracemalloc peak for the table, 43 MB peak RSS for the whole CLI
+process), 0.5 s at n = 16 (0.7 s and 94 MB as a CLI process), 3 s and
+242 MB as a CLI process at n = 17, and 10 s at n = 18 (11 s and 461 MB as
+a CLI process); each later point takes under 0.1 ms up to n = 14 and
+about 0.4 ms at n = 18.
 """
 
 from __future__ import annotations
@@ -783,7 +786,7 @@ def check_brute_force_n(n: int) -> None:
     if n > BRUTE_FORCE_MAX_N:
         raise DomainError(
             f"brute force capped at n = {BRUTE_FORCE_MAX_N}: the first point "
-            "at n = 18 builds its sector table in about 13 s and 460 MB, "
+            "at n = 18 builds its sector table in about 11 s and 460 MB, "
             "and each n past it costs several times more")
 
 
@@ -836,25 +839,33 @@ def _flip_flop_rows(n: int) -> np.ndarray:
     the number of pair-swap sectors that share the column; read-only.
 
     Bit k of a basis index set means site k is down. Only the blocks with
-    k <= n // 2 down spins are built (:func:`_block_rows`: one canonical
-    sector per class, one eigh each). The global spin flip maps block k
-    onto block n - k and each sector onto the same sector (it commutes
-    with the pair swaps), so block n - k has block k's f, <S^2>, coherence
-    and multiplicity, S_z negated and the populations in reverse order
-    (q -> 3 - q), with no eigh of its own. The blocks stay in the
-    order k = 0..n, and the multiplicities sum to 2^n. The rows depend on n
+    k <= n // 2 down spins are built, in one pass over the blocks
+    (:func:`_block_rows`: one canonical sector per class, one eigh each).
+    That pass takes the blocks below n // 2 together and the largest block
+    alone, so up to n = 18 its flip arrays never hold more than 2.3 times
+    the flips of the largest block. The global spin flip maps block k onto
+    block n - k and each sector onto the same sector (it commutes with the
+    pair swaps), so block n - k has block k's f, <S^2>, coherence and
+    multiplicity, S_z negated and the populations in reverse order
+    (q -> 3 - q), with no eigh of its own. The blocks stay in the order
+    k = 0..n, and the multiplicities sum to 2^n. The rows depend on n
     alone, and the last table is kept, so the points of a sweep or a limit
     scan at one n share one set of eighs.
     """
     idx = np.arange(2 ** n)
     ones = ((idx[:, None] >> np.arange(n)) & 1).sum(axis=1)
-    rows = [_block_rows(n, k, ones) for k in range(n // 2 + 1)]
-    for k in range(n // 2 + 1, n + 1):
-        # f, S_z, zz, <S^2>; populations q -> 3 - q; coherence; multiplicity
-        flipped = rows[n - k][[0, 1, 2, 3, 7, 6, 5, 4, 8, 9]]
-        flipped[1] = -flipped[1]
-        rows.append(flipped)
-    rows = np.concatenate(rows, axis=1)
+    half = n // 2
+    rows = np.concatenate([_block_rows(n, range(half), ones),
+                           _block_rows(n, range(half, half + 1), ones)],
+                          axis=1)
+    # blocks k < n - half, by k from the top down, give blocks n - k > half
+    # in order: f, S_z, zz, <S^2>; populations q -> 3 - q; coherence;
+    # multiplicity
+    cols = np.flatnonzero(rows[1] > half - n / 2.0)
+    cols = cols[np.argsort(rows[1, cols], kind="stable")]
+    flipped = rows[np.ix_([0, 1, 2, 3, 7, 6, 5, 4, 8, 9], cols)]
+    flipped[1] = -flipped[1]
+    rows = np.concatenate([rows, flipped], axis=1)
     rows.setflags(write=False)
     return rows
 
@@ -885,25 +896,27 @@ def _canonical_sectors(sigma: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return (sigma == first) | (sigma == 4 * first)
 
 
-def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
-    """The rows of :func:`_flip_flop_rows` on the block with k down spins;
-    ``ones[s]`` is the number of set bits of s.
+def _block_rows(n: int, ks: range, ones: np.ndarray) -> np.ndarray:
+    """The rows of :func:`_flip_flop_rows` on the blocks with k in ks down
+    spins, in the order of k; ``ones[s]`` is the number of set bits of s.
+    Every step up to the sector matrices runs once on the states of all
+    these blocks together.
 
     All of it comes from the explicit pair sum H = b S_z - V [F +
     (1 - gamma) sum_{i != j} s^z_i s^z_j], F flipping both spins of a pair
     whose bits differ; the pair sum generates E0 = v(3-gamma)/4 by itself.
-    The diagonal part is evaluated state by state on the whole block; its
-    sums of +-1/2 and +-1/4 are exact, so XxzentError is raised where it
-    is not constant.
+    The diagonal part is evaluated state by state; its sums of +-1/2 and
+    +-1/4 are exact, so XxzentError is raised where it is not constant on
+    a block.
 
     F commutes with the swaps of the site pairs (0, 1), (2, 3), ..., whose
-    parities split the block into sectors sigma (the odd pairs). A state s
+    parities split each block into sectors sigma (the odd pairs). A state s
     with representative r (each pair with differing bits d(r) turned
     canonical) and flipped pairs g(s) labels the basis vector
     2^(-|d(r)|/2) sum_{h in d(r)} (-1)^|h & sigma| swap_h(r) of sector
     sigma = g(s). Each flip r -> t of two differing bits adds
     2^((|d(r)| - |d(t)|)/2) (-1)^|g(t) & sigma| at (r(t), sigma) if sigma
-    lies in d(t).
+    lies in d(t); a flip keeps k, so it stays in the block of r.
 
     A permutation of the pairs that fixes pair (0, 1) commutes with F and
     maps sector sigma onto pi(sigma) with the same spectrum and the same
@@ -919,19 +932,24 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     p+, p- and T0, with T0/2 to q = 1, 2 and to the coherence.
     """
     pairs, even = n // 2, (4 ** (n // 2) - 1) // 3
-    states = np.flatnonzero(ones == k)
+    states = np.flatnonzero((ones >= ks.start) & (ones < ks.stop))
+    states = states[np.argsort(ones[states], kind="stable")]   # by k, then s
+    k = ones[states]
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     sz, zz = _site_sums((states[:, None] >> np.arange(n)) & 1, i, j)
-    if np.ptp(sz) != 0.0 or np.ptp(zz) != 0.0:
+    first = np.searchsorted(k, k)             # the first state of each block
+    tilted = (sz != sz[first]) | (zz != zz[first])
+    if tilted.any():
         raise XxzentError(f"diagonal not constant on the S_z block of "
-                          f"{states.size} states")
-    sz, zz = float(sz[0]), float(zz[0])
+                          f"{comb(n, int(k[tilted.argmax()]))} states")
     d, g = _pair_bits(states, even)
     keep = _canonical_sectors(g, ones)
-    states, d, g = states[keep], d[keep], g[keep]
-    order = np.argsort(g, kind="stable")      # one run of states a sector
-    states, d, g = states[order], d[order], g[order]
-    bounds = [*np.flatnonzero(np.diff(g, prepend=-1)).tolist(), g.size]
+    states, d, g, k, sz, zz = (a[keep] for a in (states, d, g, k, sz, zz))
+    sector = k << n | g                       # (k, sigma)
+    order = np.argsort(sector, kind="stable")     # one run of states a sector
+    states, d, g, k, sz, zz, sector = (
+        a[order] for a in (states, d, g, k, sz, zz, sector))
+    bounds = [*np.flatnonzero(np.diff(sector, prepend=-1)).tolist(), g.size]
     rep = states ^ 3 * g
     # s^x_i s^x_j + s^y_i s^y_j = (s+_i s-_j + s-_i s+_j)/2 flips a pair of
     # differing bits with amplitude 1/2 as (i, j) and again as (j, i)
@@ -950,7 +968,11 @@ def _block_rows(n: int, k: int, ones: np.ndarray) -> np.ndarray:
     dst = rank[t ^ 3 * (gt ^ sigma)]          # basis vector (r(t), sigma)
     if (dst < 0).any():
         raise XxzentError(f"flip-flop sum leaves the canonical pair-swap "
-                          f"sectors of the S_z block with {k} down spins")
+                          f"sectors of the S_z block with "
+                          f"{k[src[(dst < 0).argmax()]]} down spins")
+    # only src, dst and val enter the sector matrices: the other flip arrays
+    # of all the blocks would otherwise stay alive through every eigh
+    del rbits, ij, t, sigma, dt, gt, live, rank
     # per eigenvector: f, S_z, zz, <S^2>, p+, T0/2, T0/2, p-, coherence, mult
     rows = np.empty((10, g.size))
     pair0 = ((rep & 3) == np.array([[0], [2], [3]])).astype(float)

@@ -350,7 +350,7 @@ def test_bruteforce_cap_is_invalid_arguments(argv, capsys):
     assert run_cli(*argv, "--n", "19", "--tier", "bruteforce") == 2
     assert capsys.readouterr().err == (
         "invalid arguments: brute force capped at n = 18: the first point "
-        "at n = 18 builds its sector table in about 13 s and 460 MB, and "
+        "at n = 18 builds its sector table in about 11 s and 460 MB, and "
         "each n past it costs several times more\n")
 
 

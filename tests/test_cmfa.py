@@ -9,6 +9,7 @@ from xxzent.errors import DomainError, NotApplicableError, PhaseError
 from xxzent.exact import (concurrence, exact_moments, pair_state,
                           thermal_observables)
 from xxzent.model import ModelParams
+from xxzent.sweep import evaluate_point
 
 from oracles.closed_forms import (cmfa_asymptotics, tc_discontinuity,
                                   zero_T_concurrence_approx)
@@ -222,6 +223,23 @@ def test_mfa_at_zero_field_is_the_zero_field_limit(gamma):
     assert at0.sz2 == pytest.approx(near.sz2, rel=1e-8)
 
 
+def test_mfa_at_zero_field_reports_the_plus_side_branch():
+    # below the b = 0 ordering temperature (1 - gamma) v / 2 the two ordered
+    # branches are mirror images; mfa reports the one b -> +0 selects,
+    # S_z near -n/2, for b = +0 and b = -0 alike, where the exact S_z is 0
+    # by symmetry. A field of either sign picks its own branch
+    def sz(b):
+        return evaluate_point("mfa", ModelParams(n=20, v=1.0, gamma=-0.5,
+                                                 b=b, T=0.1)).row()["Sz"]
+
+    plus, minus = sz(0.0), sz(-0.0)
+    assert plus == minus == pytest.approx(-9.99999388, abs=5e-9)
+    assert sz(1e-12) == plus and sz(-1e-12) == -plus
+    exact_sz = thermal_observables(ModelParams(n=20, v=1.0, gamma=-0.5,
+                                               b=0.0, T=0.1))[0].sz
+    assert abs(exact_sz) < 1e-12
+
+
 @pytest.mark.parametrize("gamma, b, T", [
     (0.5, 0.3, 0.1), (0.5, -0.3, 0.1), (0.25, 0.0, 0.2),   # deformed
     (0.5, 0.8, 0.1), (0.9, 0.95, 0.05), (-0.5, 0.0, 0.1), (0.0, 1e-9, 0.1),
@@ -332,7 +350,6 @@ def test_one_gap_solve_per_point(monkeypatch, gamma, b, T):
     # or cmfa_logZ (normal phase), which then give what they give when they
     # solve the gap themselves
     from xxzent import cmfa
-    from xxzent.sweep import evaluate_point
     p = ModelParams(n=20, v=1.0, gamma=gamma, b=b, T=T)
     sol = gap_solve(p)
     deformed = sol.phase == "deformed"

@@ -507,7 +507,7 @@ def test_brute_force_caps_n():
     # the cap bounds the cost of the sector table, refused just past it
     with pytest.raises(DomainError, match=r"capped at n = 18: the first "
                        r"point at n = 18 builds its sector table in about "
-                       r"13 s and 460 MB"):
+                       r"11 s and 460 MB"):
         brute_force_observables(ModelParams(n=19, v=1.0, T=0.5))
 
 
@@ -663,7 +663,7 @@ def test_spin_flip_maps_block_k_onto_block_n_minus_k():
         table = exact._flip_flop_rows(n)
         for k in range(n // 2 + 1, n + 1):
             derived = table[:, table[1] == n / 2.0 - k]
-            direct = exact._block_rows(n, k, ones)
+            direct = exact._block_rows(n, range(k, k + 1), ones)
             assert derived.shape == direct.shape, (n, k)
             np.testing.assert_allclose(derived[0], direct[0], atol=1e-12)
             assert np.array_equal(derived[1:3], direct[1:3]), (n, k)
@@ -677,6 +677,28 @@ def test_spin_flip_maps_block_k_onto_block_n_minus_k():
                 np.testing.assert_allclose(
                     derived[3:, np.rint(4.0 * derived[0]) == keys[g]].sum(1),
                     direct[3:, where == g].sum(1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_table_is_its_single_block_builds_bit_for_bit(monkeypatch, n):
+    # the table builds the blocks below n // 2 in one pass and the largest
+    # block in a second; grouping the blocks moves no bit against one build
+    # per block k <= n // 2, each block n - k taken from block k by the
+    # global spin flip
+    passes = []
+    block_rows = exact._block_rows
+    monkeypatch.setattr(exact, "_block_rows", lambda n_, ks, ones:
+                        passes.append(ks) or block_rows(n_, ks, ones))
+    table = exact._flip_flop_rows(n)
+    assert passes == [range(n // 2), range(n // 2, n // 2 + 1)]
+    ones = np.array([bin(s).count("1") for s in range(2 ** n)])
+    blocks = [block_rows(n, range(k, k + 1), ones)
+              for k in range(n // 2 + 1)]
+    for k in range(n // 2 + 1, n + 1):
+        flipped = blocks[n - k][[0, 1, 2, 3, 7, 6, 5, 4, 8, 9]]
+        flipped[1] = -flipped[1]
+        blocks.append(flipped)
+    assert np.array_equal(table, np.concatenate(blocks, axis=1))
 
 
 @pytest.mark.parametrize("n, gamma, b, T", [(12, 1.0, 0.5, 0.1),
@@ -730,7 +752,7 @@ def test_every_sector_of_a_class_matches_its_canonical_sector(n):
     ones = np.array([bin(s).count("1") for s in range(2 ** n)])
     for k in range(n + 1):
         ref, sigma = sector_rows(n, k)
-        built = exact._block_rows(n, k, ones)
+        built = exact._block_rows(n, range(k, k + 1), ones)
         assert np.array_equal(built[1:3], ref[1:3, :built.shape[1]])
         odd = sigma & 1
         start = 0
