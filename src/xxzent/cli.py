@@ -3,9 +3,11 @@
 Subcommands: moments, concurrence, sweep, limit-temp, limit-field, figure,
 compare. Energies are in units of v unless --v is given (k = 1 throughout).
 
-Exit codes: 0 ok, 2 invalid arguments, 3 numerical failure
-(breakdown/quadrature or another package error), 4 tier not applicable at
-every point.
+Exit codes: 0 ok, 2 invalid arguments (an --out-dir that cannot be created
+or written into included), 3 numerical failure (breakdown/quadrature or
+another package error), 4 tier not applicable at every point. Every command
+gets its failures back as point statuses, so only invalid arguments raise
+out of a command.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
-from .errors import (BreakdownError, DomainError, QuadratureError,
-                     XxzentError)
+from .errors import DomainError
 from .model import ModelParams
 from .sweep import (CSV_COLUMNS, GridAxis, SweepSpec, check_tier,
                     evaluate_point, limit_field, limit_temperature,
@@ -174,11 +176,20 @@ def _params_from(args, t_default=0.0):
                        T=getattr(args, "T", t_default))
 
 
+@contextmanager
+def _writing(path):
+    """An OSError inside the block, while creating or writing into the
+    output directory, as the DomainError of invalid arguments."""
+    try:
+        yield
+    except OSError as err:
+        raise DomainError(f"cannot write {path}: {err}") from None
+
+
 def _emit(args, text, name):
     if getattr(args, "out_dir", None):
-        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(path)
     else:
@@ -263,7 +274,8 @@ def _cmd_limit(args, which):
 
 def _cmd_figure(args):
     from .figures import reproduce_figure
-    files = reproduce_figure(args.id, args.out_dir)
+    with _writing(args.out_dir):
+        files = reproduce_figure(args.id, args.out_dir)
     for f in files:
         print(f)
     return EXIT_OK
@@ -310,16 +322,13 @@ def main(argv=None) -> int:
         for key, value in config.items():
             if getattr(args, key) is None:      # no flag gave it
                 setattr(args, key, value)
+        if getattr(args, "out_dir", None):      # before any point
+            with _writing(args.out_dir):
+                os.makedirs(args.out_dir, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (BreakdownError, QuadratureError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DomainError as err:
         print(f"invalid arguments: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except XxzentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from math import cosh, exp, inf, log, nan, pi, sinh, sqrt, tanh
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError, PhaseError
+from .errors import DomainError, NotApplicableError
 from .exact import CollectiveMoments
 from .model import ModelParams
 from .quadrature import bracket_root
@@ -139,9 +139,10 @@ def _deformed(params: ModelParams, tc: float) -> bool:
 
 
 def gap_solve(params: ModelParams) -> MeanFieldSolution:
-    """Phase selection and the b-independent gap of the deformed phase."""
-    if params.T <= 0:
-        raise DomainError("gap_solve requires T > 0")
+    """Phase selection and the b-independent gap of the deformed phase. At
+    T = 0 ModelParams.beta refuses the point, as in every closed form here
+    but mean_field_z."""
+    beta = params.beta
     v, T, g = params.v, params.T, params.gamma
     tc = critical_temperature(params)
     t_tilde = g * v / (2.0 * params.n) if g > 0 else 0.0
@@ -149,7 +150,6 @@ def gap_solve(params: ModelParams) -> MeanFieldSolution:
         return MeanFieldSolution(phase="normal", lam=abs(params.b) / g if g > 0 else 0.0,
                                  chi=0.0, tc=tc, t_tilde=t_tilde, applicable=False)
     lam = _gap_root(v, T)
-    beta = 1.0 / T
     chi = 0.5 * beta * v * _sech2(0.5 * beta * lam)
     b_star = None
     applicable = True
@@ -191,19 +191,18 @@ def cmfa_logZ(params: ModelParams, sol=None) -> float:
     ``sol`` is gap_solve(params) when the caller has it; the gamma = 1
     point at b' has the same phase, gap and chi.
     """
-    if params.T <= 0:
-        raise DomainError("cmfa_logZ requires T > 0")
+    beta = params.beta
     if params.gamma <= 0:
         raise DomainError("CMFA closed forms require gamma > 0")
-    n, v, b, T = params.n, params.v, abs(params.b) / params.gamma, params.T
-    beta = 1.0 / T
+    n, v, b = params.n, params.v, abs(params.b) / params.gamma
     E0 = 0.5 * v  # gamma = 1
     if sol is None:
         sol = gap_solve(params.replace(gamma=1.0, b=b))
     if sol.phase == "deformed":
         lam, chi = sol.lam, sol.chi
         if chi >= 1.0:
-            raise PhaseError(f"chi = {chi} >= 1 inside the deformed branch")
+            raise NotApplicableError(
+                f"chi = {chi} >= 1 inside the deformed branch")
         out = -(0.25 * n * beta / v) * (lam * lam - b * b) \
             + _logZ_free(n, beta, lam, E0)
         out += _log_sinh(0.5 * beta * lam) \
@@ -216,7 +215,8 @@ def cmfa_logZ(params: ModelParams, sol=None) -> float:
     tr = tanh(0.5 * beta * b) / (0.5 * beta * b) if b > 0 else 1.0
     ratio = 1.0 - 0.5 * beta * v * tr          # w/b, continued through b = 0
     if ratio <= 0.0:
-        raise PhaseError("normal-phase RPA mode not positive (at T_c?)")
+        raise NotApplicableError(
+            "normal-phase RPA mode not positive (at T_c?)")
     w = b * ratio
     out += _log_g(0.5 * beta * b) - _log_g(0.5 * beta * w) - log(ratio)
     return out - 0.5 * log(params.gamma)
@@ -244,16 +244,15 @@ def cmfa_moments(params: ModelParams, sol=None) -> CollectiveMoments:
     rule factor, an inconsistency inherited from the closed forms themselves;
     the moments side is the one vetted against the exact tier).
 
-    Raises PhaseError in the normal phase (no deformed saddle; the CMFA
-    concurrence there is handled as identically zero by the tier layer) and
-    NotApplicableError for T <= Ttilde, |b| > b*, where the concurrence
-    formula turns complex. ``sol`` is gap_solve(params) when the caller has
-    it.
+    Raises NotApplicableError in the normal phase (no deformed saddle; the
+    CMFA concurrence there is handled as identically zero by the tier
+    layer) and for T <= Ttilde, |b| > b*, where the concurrence formula
+    turns complex. ``sol`` is gap_solve(params) when the caller has it.
     """
     if sol is None:
         sol = gap_solve(params)
     if sol.phase != "deformed":
-        raise PhaseError(
+        raise NotApplicableError(
             f"CMFA moments need the deformed phase (|b| < gamma v = "
             f"{params.gamma * params.v:.6g} and T < T_c = {sol.tc:.6g})")
     if not sol.applicable:
@@ -316,6 +315,7 @@ def mean_field_z(params: ModelParams) -> tuple[float, ...]:
     that side, the second is NaN or repeats the first. The phase is
     gap_solve's, decided without solving the gap.
     """
+    # its own refusal: the deformed branch reads no beta
     if params.T <= 0:
         raise DomainError("mean_field_z requires T > 0")
     if _deformed(params, critical_temperature(params)):
@@ -333,8 +333,6 @@ def mfa_product_moments(params: ModelParams) -> CollectiveMoments:
     resulting rho_2 = rho_1 x rho_1 is separable, so the MFA concurrence is
     identically zero.
     """
-    if params.T <= 0:
-        raise DomainError("mfa moments require T > 0")
     n, v, g = params.n, params.v, params.gamma
     beta = params.beta
     sol = gap_solve(params)

@@ -30,8 +30,9 @@ the worst omega^2 lies. One function, _g, evaluates G and, for the moments,
 G' and G''.
 
 A batch of points has two stages. First each point is refused or kept,
-before any integral: T <= 0, then in cspa mode the validity scan, one scan
-of the whole batch (a BreakdownError). A refusal is that point's outcome.
+before any integral: T <= 0, then in cspa mode a (v, gamma) whose scan
+would overflow (a DomainError), then the validity scan, one scan of the
+whole batch (a BreakdownError). A refusal is that point's outcome.
 Then the kept points share one quadrature pass, and an exception inside that
 pass raises for the whole batch; the sweep layer re-evaluates such a batch
 point by point.
@@ -102,7 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, inf, log, pi, sqrt
+from math import factorial, inf, isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -387,6 +388,19 @@ def _scan_validity(params):
     return -np.take_along_axis(w2, i, -1), (r, np.full_like(r, z))
 
 
+def _scan_overflow(v: float, gamma: float):
+    """The DomainError that refuses the validity scan at (v, gamma), or
+    None. The scan's largest r is r_top = (65/64) 1.1 v max(1, 1 - gamma),
+    and where max(1, |gamma|) r_top^2 is not finite its products r^2 and
+    gamma r^2 overflow and it reads NaN: at v = 1 from gamma ~ -5.25e102."""
+    r_top = 65.0 / 64.0 * 1.1 * v * max(1.0, 1.0 - gamma)
+    if isfinite(max(1.0, abs(gamma)) * r_top * r_top):
+        return None
+    return DomainError(
+        f"CSPA validity scan overflows at gamma = {gamma:.6g}, v = {v:.6g}: "
+        f"max(1, |gamma|) r_top^2 is not finite (r_top = {r_top:.6g})")
+
+
 def _breakdown(params: ModelParams, worst, r, z):
     """The BreakdownError of a point whose validity scan found ``worst`` at
     (r, z), or None when the point is valid."""
@@ -406,7 +420,11 @@ def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     beta|omega|/2 < pi. Returns 0 when the CSPA is valid at every T > 0.
 
     The validity scan reads v and gamma, and b at gamma = 1 only, so T* is
-    computed once per field and shared by every n and T."""
+    computed once per field and shared by every n and T. A (v, gamma)
+    whose scan would overflow is refused (_scan_overflow)."""
+    refused = _scan_overflow(params.v, params.gamma)
+    if refused is not None:
+        raise refused
     return _t_star(params.v, params.gamma,
                    _line_offset(params.gamma, params.b), tol)
 
@@ -588,15 +606,17 @@ def _logZ_batch(points, mode: str, epsrel: float) -> list:
     """cspa_logZ at each of ``points``, which share n, v and gamma: one
     outcome per point, its CspaEvaluation or the exception that refuses it.
 
-    Every refusal (T <= 0, then in cspa mode the validity scan) is decided
-    before any integral, by one scan of all the points. The valid points
-    then share one pass, one radial row per point at gamma = 1 and one z
-    integral per point at gamma < 1, and whatever that pass raises, it
-    raises for the whole batch.
+    Every refusal (T <= 0, then in cspa mode _scan_overflow and the
+    validity scan) is decided before any integral, by one scan of all the
+    points. The valid points then share one pass, one radial row per point
+    at gamma = 1 and one z integral per point at gamma < 1, and whatever
+    that pass raises, it raises for the whole batch.
     """
     if mode not in ("cspa", "spa"):
         raise DomainError(f"unknown mode {mode!r}")
-    out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0 else None
+    overflow = (_scan_overflow(points[0].v, points[0].gamma)
+                if mode == "cspa" and points else None)
+    out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0 else overflow
            for p in points]
     live = [k for k, o in enumerate(out) if o is None]
     if mode == "cspa" and live:

@@ -1,4 +1,10 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package.
+
+Each of the three failure statuses of a sweep point has one class:
+BreakdownError is ``breakdown``, NotApplicableError ``not-applicable``, and
+any other XxzentError (DomainError, QuadratureError,
+InconsistentMomentsError) ``error``.
+"""
 
 
 class XxzentError(Exception):
@@ -23,14 +29,11 @@ class QuadratureError(XxzentError):
     """Adaptive integration failed to reach the requested error budget."""
 
 
-class PhaseError(XxzentError):
-    """Operation requested in the wrong mean-field phase (e.g. deformed-phase
-    moments in the normal phase, or a non-positive fluctuation Hessian)."""
-
-
 class NotApplicableError(XxzentError):
-    """Approximation formally defined but outside its applicability window
-    (e.g. CMFA concurrence for b > b* at T <= Ttilde, where it turns complex)."""
+    """Approximation formally defined but outside its applicability window:
+    the CMFA in the normal phase, where it has no deformed saddle, at
+    chi >= 1 or with a non-positive normal-phase RPA mode, and its
+    concurrence for b > b* at T <= Ttilde, where it turns complex."""
 
 
 class InconsistentMomentsError(XxzentError):

@@ -799,20 +799,20 @@ def brute_force_observables(params: ModelParams):
     canonical pair-swap sector per class, kept for the last n) are those of
     H at every (v, gamma, b, T), and one log-sum-exp over their energies
     b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights them, each
-    eigenstate counted as many times as its class has sectors. A point past
-    the n cap or at T <= 0 is refused before any eigh.
+    eigenstate counted as many times as its class has sectors. A point at
+    T = 0 (ModelParams.beta's refusal) or past the n cap is refused before
+    any eigh.
 
     rho_2 is indexed by 2 q_0 + q_1 with q = 0 for spin up. Its only
     coherence couples |01> and |10>: every other pair of basis states
     differs in magnetization.
     """
+    beta = params.beta
     check_brute_force_n(params.n)
-    if params.T <= 0:
-        raise DomainError("brute force oracle requires T > 0")
     rows = _flip_flop_rows(params.n)
     f, sz, zz, s2 = rows[:4]
     w = params.b * sz - params.V * (f + (1.0 - params.gamma) * zz)
-    p, logZ = _boltzmann(w, params.beta, rows[9])
+    p, logZ = _boltzmann(w, beta, rows[9])
     moments = CollectiveMoments(sz=float(p @ sz), sz2=float(p @ (sz * sz)),
                                 s2=float(p @ s2), logZ=logZ)
     *pops, coh = rows[4:9] @ p

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import cmfa, cspa, exact
 from .errors import (BreakdownError, DomainError, NotApplicableError,
-                     PhaseError, XxzentError)
+                     XxzentError)
 from .model import ModelParams
 from .quadrature import bracket_roots
 
@@ -230,9 +230,11 @@ def _cmfa(params):
 
     In the normal phase (|b| >= gamma v or T >= T_c) the CMFA cannot sustain
     pair entanglement (its far-field bracket is strictly negative), so C is
-    exactly zero with the normal-phase ln Z; in the complex window
-    (T <= Ttilde, |b| > b*) cmfa_moments refuses the point as not
-    applicable.
+    exactly zero with the normal-phase ln Z. Every refusal outside the
+    CMFA's window is a NotApplicableError, so the point reads
+    not-applicable: gamma <= 0, the complex window (T <= Ttilde,
+    |b| > b*), chi >= 1 and a non-positive normal-phase RPA mode. T = 0
+    is ModelParams.beta's DomainError, an error.
     """
     if params.gamma <= 0:
         raise NotApplicableError("CMFA closed forms require gamma > 0")
@@ -296,9 +298,9 @@ def check_tier(tier: str, n: int) -> None:
         exact.check_brute_force_n(n)
 
 
-# exception -> point status; any other exception is an error
+# exception -> point status, one class each; any other exception is an error
 _STATUSES = ((BreakdownError, "breakdown"),
-             ((NotApplicableError, PhaseError), "not-applicable"),
+             (NotApplicableError, "not-applicable"),
              (XxzentError, "error"))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from xxzent.cmfa import cmfa_logZ, critical_temperature, gap_solve
 from xxzent.cspa import omega_squared
-from xxzent.errors import DomainError, PhaseError
+from xxzent.errors import DomainError, NotApplicableError
 from xxzent.exact import (ENTANGLED_EPS, ConcurrenceResult,
                           eof_from_concurrence)
 from xxzent.model import ModelParams, level_energy, multiplicity, two_s_range
@@ -132,7 +132,8 @@ def cmfa_asymptotics(params: ModelParams) -> CmfaAsymptotics:
     """
     sol = gap_solve(params)
     if sol.phase != "deformed":
-        raise PhaseError("asymptotic CMFA forms hold in the deformed phase only")
+        raise NotApplicableError(
+            "asymptotic CMFA forms hold in the deformed phase only")
     n, v, g, T = params.n, params.v, params.gamma, params.T
     beta = 1.0 / T
     gv = g * v

@@ -45,7 +45,7 @@ from math import log, pi, sinh, sqrt
 
 import numpy as np
 
-from xxzent.errors import BreakdownError, DomainError, PhaseError
+from xxzent.errors import BreakdownError, DomainError, NotApplicableError
 
 __all__ = [
     "LocalSite",
@@ -538,7 +538,7 @@ def c0_factor(config: StaticConfiguration, couplings,
     scale = max(float(np.abs(evals).max()), 1.0)
     kept = evals[np.abs(evals) > goldstone_tol * scale]
     if np.any(kept < 0):
-        raise PhaseError(
+        raise NotApplicableError(
             f"saddle point: fluctuation Hessian has negative eigenvalue "
             f"{kept.min():.3e}; C_0 is defined at free-energy minima only")
     if kept.size and kept.min() < 1e-4:

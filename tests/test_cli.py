@@ -257,6 +257,44 @@ def test_figure_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("concurrence", "--n", "10", "--T", "0.1"),
+    ("sweep", "--n", "10", "--T", "0.1", "--grid", "b:0:1:5"),
+    ("figure", "--id", "1"),
+])
+def test_out_dir_below_a_regular_file_is_invalid_arguments(argv, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    # the out-dir is made before any point is evaluated, and one that
+    # cannot be made exits 2, where it was a traceback after every point
+    from xxzent import sweep
+    calls = []
+    monkeypatch.setattr(sweep, "evaluate_run",
+                        lambda *args: calls.append(args))
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "sub"
+    assert run_cli(*argv, "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid arguments: cannot write {out_dir}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("concurrence", "--n", "10", "--T", "0.1"), "point.csv"),
+    (("figure", "--id", "1"), "fig1.gp"),
+])
+def test_unwritable_output_file_is_invalid_arguments(argv, name, tmp_path,
+                                                     capsys):
+    # a directory where the output file goes: the write fails, exit 2
+    (tmp_path / name).mkdir()
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid arguments: cannot write {tmp_path}")
+    assert err.endswith(f"Is a directory: '{tmp_path / name}'\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("limit-temp", "--b", "0.3", "--t-min", "0"),
     ("limit-temp", "--b", "0.3", "--t-min", "0.5", "--t-max", "0.1"),
     ("limit-field", "--T", "0.1", "--b-min", "2", "--b-max", "0"),

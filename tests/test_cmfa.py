@@ -5,7 +5,7 @@ import pytest
 
 from xxzent.cmfa import (cmfa_logZ, cmfa_moments, critical_temperature,
                          gap_solve, mean_field_z, mfa_product_moments)
-from xxzent.errors import DomainError, NotApplicableError, PhaseError
+from xxzent.errors import DomainError, NotApplicableError
 from xxzent.exact import (concurrence, exact_moments, pair_state,
                           thermal_observables)
 from xxzent.model import ModelParams
@@ -173,10 +173,15 @@ def test_b_star_boundary_and_maximum():
                                  b=sol.b_star * 1.001, T=T))
 
 
-def test_normal_phase_raises_phase_error():
-    with pytest.raises(PhaseError):
+def test_normal_phase_raises_not_applicable():
+    # no deformed saddle: past the field gamma v, and above T_c
+    with pytest.raises(NotApplicableError, match=r"^CMFA moments need the "
+                       r"deformed phase \(\|b\| < gamma v = 1 and "
+                       r"T < T_c = 0\)$"):
         cmfa_moments(ModelParams(n=20, v=1.0, gamma=1.0, b=1.2, T=0.1))
-    with pytest.raises(PhaseError):
+    with pytest.raises(NotApplicableError, match=r"^CMFA moments need the "
+                       r"deformed phase \(\|b\| < gamma v = 1 and "
+                       r"T < T_c = 0\.484622\)$"):
         cmfa_moments(ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.6))
 
 

@@ -364,6 +364,43 @@ def test_breakdown_temperature_above_v_over_2(gamma):
             assert float(shown[1]) <= float(shown[2])
 
 
+@pytest.mark.parametrize("gamma", [-1e103, -1e150, -1e200])
+def test_validity_scan_refuses_a_gamma_that_overflows_it(gamma):
+    # the scan reaches r ~ 1.1 v (1 - gamma), where gamma r^2 overflows from
+    # gamma ~ -5e102 on: such a point is refused before the scan, with the
+    # bound named, where it used to read T* ~ 1.48e-06 at an r of NaN
+    import re
+    import warnings
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=20, v=1.0, gamma=gamma, b=0.3, T=1.0)
+    bound = (r"^CSPA validity scan overflows at gamma = "
+             + re.escape(f"{gamma:.6g}") + r", v = 1: "
+             r"max\(1, \|gamma\|\) r_top\^2 is not finite \(r_top = "
+             r"1\.11719e\+\d+\)$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=bound):
+            breakdown_temperature(p)
+        with pytest.raises(DomainError, match=bound):
+            cspa_logZ(p)
+        pt = evaluate_point("cspa", p)
+    assert pt.status == "error"
+    assert re.match(bound, pt.message)
+
+
+def test_validity_scan_keeps_t_star_below_the_overflow():
+    # gamma = -1e102 scans up to r ~ 1.1e102: finite, and T* keeps its bits
+    import warnings
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=20, v=1.0, gamma=-1e102, b=0.3, T=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert breakdown_temperature(p).hex() == "0x1.220baacb6fc82p+335"
+        pt = evaluate_point("cspa", p)
+    assert pt.status == "breakdown"
+    assert "T* ~ 7.93003e+100" in pt.message
+
+
 def test_cspa_breakdown_raises_below_t_star():
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.0, T=0.05)
     with pytest.raises(BreakdownError) as err:

@@ -80,7 +80,7 @@ def test_package_imports_no_oracle():
 def test_rpa_oracle_imports_only_the_error_types():
     imports = _imports((ORACLES / "rpa.py").read_text())
     assert ("xxzent.errors", ("BreakdownError", "DomainError",
-                              "PhaseError")) in imports
+                              "NotApplicableError")) in imports
     assert _rpa_violations((ORACLES / "rpa.py").read_text()) == []
 
 

@@ -3,7 +3,7 @@ from math import log, pi, sinh, sqrt, tanh
 import numpy as np
 import pytest
 
-from xxzent.errors import BreakdownError, DomainError, PhaseError
+from xxzent.errors import BreakdownError, DomainError, NotApplicableError
 from xxzent.model import ModelParams
 
 from oracles.rpa import (LocalSite, c0_factor, c_rpa, free_energy,
@@ -297,7 +297,9 @@ def test_c0_saddle_raises():
     p = ModelParams(n=8, v=1.0, gamma=1.0, b=0.1, T=0.2)
     sites, coup = xxz_sites(p)
     cfg = linearize(sites, [0.0, 0.0], 0.2)
-    with pytest.raises(PhaseError):
+    with pytest.raises(NotApplicableError, match=r"^saddle point: fluctuation "
+                       r"Hessian has negative eigenvalue -1\.449e\+00; "
+                       r"C_0 is defined at free-energy minima only$"):
         c0_factor(cfg, coup)
 
 

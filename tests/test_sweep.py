@@ -722,6 +722,36 @@ def test_bruteforce_point_bytes_do_not_depend_on_its_run(gamma):
     assert all(row["status"] == "ok" for row in alone)
 
 
+def _t0_outcome(tier, gamma):
+    """(status, message) of every tier at T = 0: the exact tier answers,
+    and the others refuse, cmfa at gamma <= 0 before it reads T."""
+    if tier == "exact":
+        return "ok", ""
+    if tier in ("cspa", "spa"):
+        return "error", "cspa_logZ requires T > 0"
+    if tier == "cmfa" and gamma <= 0:
+        return "not-applicable", "CMFA closed forms require gamma > 0"
+    return "error", "beta undefined at T = 0"
+
+
+def test_t0_refusal_matrix():
+    # 216 points: the T = 0 contract of every tier, status and message
+    seen = {}
+    for tier in TIERS:
+        for n in (2, 3, 20):
+            for gamma in (-1.0, 0.0, 0.5, 1.0):
+                for b in (0.0, 0.3, 1.0):
+                    pt = evaluate_point(tier, ModelParams(
+                        n=n, v=1.0, gamma=gamma, b=b, T=0.0))
+                    seen[tier, n, gamma, b] = (pt.status, pt.message)
+    assert len(seen) == 216
+    assert seen == {key: _t0_outcome(key[0], key[2]) for key in seen}
+    # at T > 0 the CMFA's normal-phase RPA mode vanishes at b = gamma v
+    pt = evaluate_point("cmfa", ModelParams(n=20, gamma=1.0, b=1.0, T=1e-6))
+    assert (pt.status, pt.message) == (
+        "not-applicable", "normal-phase RPA mode not positive (at T_c?)")
+
+
 def test_bruteforce_t0_point_refused_alone(monkeypatch):
     # the T = 0 point is refused before the pass, so its neighbours keep
     # their bytes and nothing is diagonalized again
@@ -732,7 +762,7 @@ def test_bruteforce_t0_point_refused_alone(monkeypatch):
     calls = _count_eigh(monkeypatch)
     run = evaluate_run("bruteforce", points)
     assert [pt.status for pt in run] == ["ok", "error", "ok"]
-    assert run[1].message == "brute force oracle requires T > 0"
+    assert run[1].message == "beta undefined at T = 0"
     assert [run[0].row(), run[2].row()] == alone
     assert sorted(c for c in calls if c != (4, 4)) == SECTORS_6
 
