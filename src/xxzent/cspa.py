@@ -30,7 +30,7 @@ the worst omega^2 lies. One function, _g, evaluates G and, for the moments,
 G' and G''.
 
 A batch of points has two stages. First each point is refused or kept,
-before any integral: T <= 0, then in cspa mode a (v, gamma) whose scan
+before any integral: T <= 0, then in cspa mode a (v, gamma, b) whose scan
 would overflow (a DomainError), then the validity scan, one scan of the
 whole batch (a BreakdownError). A refusal is that point's outcome.
 Then the kept points share one quadrature pass, and an exception inside that
@@ -377,7 +377,8 @@ def _scan_validity(params):
     r = np.maximum(r[k] + (h / 32) * np.arange(-32, 33), h / 64)
     w2 = omega_squared(params, r, z)
     j = np.argmin(w2, axis=-1, keepdims=True).clip(1, 63)
-    f0, f1, f2 = (np.take_along_axis(w2, j + i, -1) for i in (-1, 0, 1))
+    f0, f1, f2 = np.moveaxis(np.take_along_axis(w2, j + np.arange(-1, 2), -1),
+                             -1, 0)[..., None]
     curv = f0 - 2.0 * f1 + f2
     shift = 0.5 * (f0 - f2) / np.where(curv > 0, curv, inf)  # 0 if not convex
     rv = np.take_along_axis(r, j, -1) + (h / 32) * shift.clip(-1.0, 1.0)
@@ -388,17 +389,24 @@ def _scan_validity(params):
     return -np.take_along_axis(w2, i, -1), (r, np.full_like(r, z))
 
 
-def _scan_overflow(v: float, gamma: float):
-    """The DomainError that refuses the validity scan at (v, gamma), or
+def _scan_overflow(v: float, gamma: float, b: float):
+    """The DomainError that refuses the validity scan at (v, gamma, b), or
     None. The scan's largest r is r_top = (65/64) 1.1 v max(1, 1 - gamma),
-    and where max(1, |gamma|) r_top^2 is not finite its products r^2 and
-    gamma r^2 overflow and it reads NaN: at v = 1 from gamma ~ -5.25e102."""
+    and its line lies at b - z = _line_offset(gamma, b). Where
+    max(1, |gamma|) r_top^2 + (b - z)^2 is not finite its products r^2,
+    gamma r^2 and lam^2 overflow and it reads NaN: at v = 1 from
+    gamma ~ -5.25e102, and at gamma = 1 from |b| ~ 1.34e154."""
     r_top = 65.0 / 64.0 * 1.1 * v * max(1.0, 1.0 - gamma)
-    if isfinite(max(1.0, abs(gamma)) * r_top * r_top):
+    r2 = max(1.0, abs(gamma)) * r_top * r_top
+    offset = _line_offset(gamma, b)
+    if not isfinite(r2):
+        bound = f"max(1, |gamma|) r_top^2 is not finite (r_top = {r_top:.6g})"
+    elif not isfinite(r2 + offset * offset):
+        bound = f"r_top^2 + b^2 is not finite (b = {b:.6g})"
+    else:
         return None
-    return DomainError(
-        f"CSPA validity scan overflows at gamma = {gamma:.6g}, v = {v:.6g}: "
-        f"max(1, |gamma|) r_top^2 is not finite (r_top = {r_top:.6g})")
+    return DomainError(f"CSPA validity scan overflows at gamma = {gamma:.6g}, "
+                       f"v = {v:.6g}: {bound}")
 
 
 def _breakdown(params: ModelParams, worst, r, z):
@@ -420,9 +428,9 @@ def breakdown_temperature(params: ModelParams, tol: float = 1e-6) -> float:
     beta|omega|/2 < pi. Returns 0 when the CSPA is valid at every T > 0.
 
     The validity scan reads v and gamma, and b at gamma = 1 only, so T* is
-    computed once per field and shared by every n and T. A (v, gamma)
+    computed once per field and shared by every n and T. A (v, gamma, b)
     whose scan would overflow is refused (_scan_overflow)."""
-    refused = _scan_overflow(params.v, params.gamma)
+    refused = _scan_overflow(params.v, params.gamma, params.b)
     if refused is not None:
         raise refused
     return _t_star(params.v, params.gamma,
@@ -477,8 +485,9 @@ def _radial_peaks(params, zs, mode: str):
     L = _log_integrand(params, r, zs, mode) + np.log(r)
     k = np.nanargmax(L, axis=-1)[..., None]
     # (below, at, above) the maximum; the window repeats its end points
-    r, f = ([np.take_along_axis(a, np.clip(k + i, 0, 32), -1) for i in
-             (-1, 0, 1)] for a in (r, L))
+    k = np.clip(k + np.arange(-1, 2), 0, 32)
+    r, f = (np.moveaxis(np.take_along_axis(a, k, -1), -1, 0)[..., None]
+            for a in (r, L))
     sigma = _peak_width(params, r, f, r_hi / 512.0)
     return r[1][..., 0], f[1][..., 0], sigma[..., 0]
 
@@ -498,20 +507,29 @@ def _peak_width(params, r, f, h):
                       np.sqrt(2.0 * params.v / (params.n * params.beta)))
 
 
-def _radial_cut(params, zs, peaks, mode: str):
+def _radial_cut(params, zs, peaks, mode: str, slope: bool = False):
     """Truncation radius per z: r_peak + sigma_r sqrt(2 (_TAIL_LOG_UNITS +
     ln n)), where a Gaussian of the width sigma_r measured at the peak has
     fallen by _TAIL_LOG_UNITS + ln n. While ln[r e^L] there is within
     _TAIL_LOG_UNITS of the peak, which checks that width, its distance from
     r_peak grows by factors of 1.5: in units of sigma_r, so that the tail
     panel past 8 sigma_r stays a few widths wide however far r_peak is from
-    0. A row still that close after 8 moves is a QuadratureError."""
+    0. A row still that close after 8 moves is a QuadratureError. With
+    ``slope``, (cut, d_b L at each r_peak): :func:`_peak_slope`'s, from the
+    same integrand call as the first cut."""
     # one column per z, which a _Rows' b and beta line up with
     r_peak, l_peak, sigma, zs = (np.asarray(a)[..., None]
                                  for a in (*peaks, zs))
     r_max = r_peak + sigma * sqrt(2.0 * (_TAIL_LOG_UNITS + log(params.n)))
+    center = None
+    if slope:
+        L, terms = _log_integrand(params, np.concatenate([r_peak, r_max], -1),
+                                  zs, mode, derivs=True)
+        L, center = L[..., 1:], terms[0, ..., 0]
     for moves in range(9):
-        tail = _log_integrand(params, r_max, zs, mode) + np.log(r_max)
+        if moves or center is None:
+            L = _log_integrand(params, r_max, zs, mode)
+        tail = L + np.log(r_max)
         wide = np.isfinite(tail) & (tail >= l_peak - _TAIL_LOG_UNITS)
         if not np.any(wide):
             break
@@ -525,7 +543,7 @@ def _radial_cut(params, zs, peaks, mode: str):
                 f"{_TAIL_LOG_UNITS:g} log-units of its peak at the cut r = "
                 f"{r_max[at]:.6g} after 8 moves")
         r_max = np.where(wide, r_peak + 1.5 * (r_max - r_peak), r_max)
-    return r_max[..., 0]
+    return r_max[..., 0] if center is None else (r_max[..., 0], center)
 
 
 def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
@@ -557,20 +575,22 @@ _Z_BATCH = 45
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
-                               center):
+                               center, r_max=None):
     """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
     integrals over (0, r_max) of the rows of _weighted_factors, for a whole
     batch of rows: the z values of one ModelParams, or the points of a
     _Rows (zs = 0). ``center`` is one value or one per row.
 
     One quad_gk call: each row starts on the panels _BATCH_EDGES around its
-    r_peak (from ``peaks``, as in _radial_peaks), cut at _radial_cut, and a
-    row whose error estimate of I_0 misses the budget is refined on those
-    panels in the same call. A QuadratureError raises for the whole batch.
+    r_peak (from ``peaks``, as in _radial_peaks), cut at ``r_max`` where
+    given and else at _radial_cut, and a row whose error estimate of I_0
+    misses the budget is refined on those panels in the same call. A
+    QuadratureError raises for the whole batch.
     """
     nz = zs.size
     r_peak, l_peak, sigma = peaks
-    r_max = _radial_cut(params, zs, peaks, mode)
+    if r_max is None:
+        r_max = _radial_cut(params, zs, peaks, mode)
     # clipping collapses the panels beyond [0, r_max], which quad_gk skips
     edges = np.clip(r_peak[:, None] + sigma[:, None] * _BATCH_EDGES[None, :],
                     0.0, r_max[:, None])
@@ -614,9 +634,8 @@ def _logZ_batch(points, mode: str, epsrel: float) -> list:
     """
     if mode not in ("cspa", "spa"):
         raise DomainError(f"unknown mode {mode!r}")
-    overflow = (_scan_overflow(points[0].v, points[0].gamma)
-                if mode == "cspa" and points else None)
-    out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0 else overflow
+    out = [DomainError("cspa_logZ requires T > 0") if p.T <= 0
+           else _scan_overflow(p.v, p.gamma, p.b) if mode == "cspa" else None
            for p in points]
     live = [k for k, o in enumerate(out) if o is None]
     if mode == "cspa" and live:
@@ -638,9 +657,9 @@ def _logZ_rows(points, mode: str, epsrel: float) -> list:
     rows = _Rows.of(points)
     zs = np.zeros(len(points))
     peaks = _radial_peaks(rows, zs, mode)
-    center = _peak_slope(rows, zs, peaks, mode)
+    r_max, center = _radial_cut(rows, zs, peaks, mode, slope=True)
     lv, rel, means = _radial_log_integral_batch(rows, zs, peaks, mode, epsrel,
-                                                center)
+                                                center, r_max)
     return [_evaluation(p, mode, log(p.n * p.beta / (2.0 * p.v))
                         + float(lv[i]), float(rel[i]), center[i], means[:, i],
                         1.0)
@@ -743,7 +762,8 @@ def _evaluation(params: ModelParams, mode: str, logZ: float, error: float,
 def _peak_slope(params, zs, peaks, mode: str):
     """d_b L at the radial peak of each z in ``zs`` (each row of a _Rows):
     the centre of the accumulated deviations d = d_b L - centre, so that
-    Var(d_b L) = <d^2> - <d>^2 does not cancel."""
+    Var(d_b L) = <d^2> - <d>^2 does not cancel. At gamma = 1 _radial_cut
+    takes it with its first cut."""
     r_peak, zs = np.asarray(peaks[0])[..., None], np.asarray(zs)[..., None]
     return _log_integrand(params, r_peak, zs, mode, derivs=True)[1][0, ..., 0]
 

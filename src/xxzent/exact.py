@@ -18,16 +18,17 @@ bracket of sectors around its live ones, which an estimate of the sector
 maxima on a grid finds and a bound on them certifies (:func:`_live_sectors`),
 and on the window of columns within the cut (:func:`_column_window`). ln Y(S)
 is mapped there alone, two lgamma calls a sector, and nothing is kept
-between points. A run shares its array passes up to _PASS_SECTORS entries
-(every point of a run at n = 20, 16 points at n = 1000, one point from
-n = 8192), so at small n a point costs a share of the numpy calls instead
-of all of them. At n = 10^6 (T = 0.1 v, b = 0.3 v) a point takes about
-1 ms and its bracket 163 sectors of 500,001; at n = 10^8 about 7 ms, and
-40 MB of peak RSS for a CLI process, at n = 10^9 about 25 ms and 59 MB (one
-Xeon core). ln Y itself, by lgamma, rounds to about 3e-9 absolute at
-n = 10^6 and 6e-6 at 10^9 (see :mod:`xxzent.model`): huge-n points are
-references for time and memory, not for 1e-10. The T = 0 path
-(:func:`_ground_levels`) stays O(n).
+between points. A run shares its array passes, each of as many points as
+keep points x the columns of their estimated union within _PASS_SECTORS
+entries (:func:`_passes`: every point of a run at n = 20, 16 points of a
+b-row at n = 1000, 6 or 7 of one at n = 8810), so a point costs a share of
+the numpy calls instead of all of them. At n = 10^6 (T = 0.1 v,
+b = 0.3 v) a point takes about 1 ms and its bracket 163 sectors of
+500,001; at n = 10^8 about 7 ms, and 40 MB of peak RSS for a CLI process,
+at n = 10^9 about 25 ms and 59 MB (one Xeon core). ln Y itself, by lgamma,
+rounds to about 3e-9 absolute at n = 10^6 and 6e-6 at 10^9 (see
+:mod:`xxzent.model`): huge-n points are references for time and memory,
+not for 1e-10. The T = 0 path (:func:`_ground_levels`) stays O(n).
 
 The symmetric two-qubit reduced state is
 
@@ -172,11 +173,10 @@ class ConcurrenceResult:
 # ----------------------------------------------------------------------------
 
 CUT_NATS = 60.0   # weight below peak - CUT_NATS - 2 ln(n+1) is skipped
-# the points of a run share array passes of at most this many points x
-# (n/2 + 1) entries, and at least one point: a pass's arrays span its points'
-# bracket, which points at distant T can spread over all n/2 + 1 sectors
-# (every point of a run at n = 20, 16 points at n = 1000, one point from
-# n = 8192)
+# the entries a pass allocates: the points of a run share array passes of
+# at most this many points x columns of their estimated union (brackets and
+# windows, see _passes), and at least one point. Points at distant T can
+# spread that union over all n/2 + 1 sectors
 _PASS_SECTORS = 8192
 # a domain of fewer sectors is its own bracket: the estimate, the bounds
 # that certify it and the columns below it would take more numpy calls than
@@ -265,32 +265,40 @@ def _sector_estimate(n: int, beta, V: float, a: float, b_abs, S):
     return lnY + beta * (V * S * (S + 1.0) + m * (b_abs - a * m))
 
 
-def _estimated_bracket(n: int, beta, V: float, a: float, b_abs):
+def _grid_ends(n: int, beta, V: float, a: float, b_abs, lo: int, hi: int):
+    """One round of the estimate (:func:`_sector_estimate`) at _GRID
+    sectors k over lo..hi, for the points (``beta``, ``b_abs``: one column
+    each): (k, left, right, step), left and right per point the number of
+    grid sectors past the cut before and after its largest estimate (the
+    runs of them that start and end the grid)."""
+    step = -(-(hi - lo) // (_GRID - 1))
+    k = np.arange(lo, hi + step, step)
+    k[-1] = hi
+    est = _sector_estimate(n, beta, V, a, b_abs, k + (n % 2) / 2.0)
+    past = est < _cut(est.max(axis=1)[:, None] - 1.0, n)
+    return k, past.argmin(axis=1), past[:, ::-1].argmin(axis=1), step
+
+
+def _estimated_bracket(n: int, beta, V: float, a: float, b_abs,
+                       first_round=None):
     """Sector indices (lo, hi) around the sectors where the estimate of
     sigma (:func:`_sector_estimate`) of some point lies within a nat past
     the cut of its largest value.
 
-    Each round takes the estimate at _GRID sectors over lo..hi and moves
-    lo and hi in to the grid sectors past that cut before and after the
-    largest estimate of each point (the runs of them that start and end
-    the grid); the rounds stop at a grid step of at most _STEP sectors or
-    1/64 of lo..hi: one round up to n ~ 16000, two up to n ~ 10^7. The
-    points are finite (:func:`_overflow`); a point whose estimate is NaN
-    (|b| = 0 times an overflowing 1 / (2 V gamma) at tiny gamma > 0) moves
-    no end.
+    Each round (:func:`_grid_ends`) moves lo and hi in to the grid sectors
+    past that cut before and after the largest estimate of each point, the
+    first over the whole domain unless ``first_round`` holds its outcome;
+    the rounds stop at a grid step of at most _STEP sectors or 1/64 of
+    lo..hi: one round up to n ~ 16000, two up to n ~ 10^7. The points are
+    finite (:func:`_overflow`); a point whose estimate is NaN (|b| = 0
+    times an overflowing 1 / (2 V gamma) at tiny gamma > 0) moves no end.
     """
-    h, delta = n // 2, (n % 2) / 2.0
-    beta, b_abs = beta[:, None], b_abs[:, None]
-    lo, hi = 0, h
+    lo, hi = 0, n // 2
     while True:
-        step = -(-(hi - lo) // (_GRID - 1))
-        k = np.arange(lo, hi + step, step)
-        k[-1] = hi
-        est = _sector_estimate(n, beta, V, a, b_abs, k + delta)
-        top = est.max(axis=1)
-        past = est < _cut(top[:, None] - 1.0, n)
-        left = min(past.argmin(axis=1).tolist())
-        right = min(past[:, ::-1].argmin(axis=1).tolist())
+        k, left, right, step = first_round or _grid_ends(
+            n, beta[:, None], V, a, b_abs[:, None], lo, hi)
+        left, right = min(left.tolist()), min(right.tolist())
+        first_round = None
         lo = int(k[left - 1]) if left else lo
         hi = int(k[-right]) if right else hi
         if step <= max(_STEP, (hi - lo) // 64):
@@ -302,7 +310,23 @@ def _column_window(n: int, beta, b, a: float, top: int):
     (``beta``, ``b``: one each) and sign, every column |M| <= S_top whose
     f(M) = -beta (b M + a M^2) lies within the cut of the largest f over
     those columns in exact arithmetic, with two columns to spare at each
-    end that is not 0 or top; lo > hi where no f is finite.
+    end that is not 0 or top; lo > hi where no f is finite. The window is
+    from the least to the largest of the points' :func:`_window_ends`.
+    """
+    lo, hi = _window_ends(n, beta, b, a, top)
+    lo = max(float(np.fmin.reduce(lo)), -1.0)
+    hi = min(float(np.fmax.reduce(hi)), top + 1.0)
+    return (int(max(floor(lo) - 2.0, 0.0)) if lo <= top else top + 1,
+            int(min(ceil(hi) + 2.0, float(top))) if hi >= 0.0 else -1)
+
+
+def _window_ends(n: int, beta, b, a: float, top):
+    """Per point (``beta``, ``b``, and ``top`` or one top for all: one
+    each) the ends (lo, hi), in sector indices, of the M with
+    |M| <= S_top whose f(M) = -beta (b M + a M^2) may lie within the cut
+    of the largest f over those M: not clipped to 0..top, and NaN where
+    1 / (2 V gamma) overflows at tiny |gamma| (:func:`_column_window`
+    clips and rounds them).
 
     The largest f over the lattice is within beta max(a, 0) / 4 of the
     largest over [-S_top, S_top], at the clipped vertex -b / (2a) for a > 0
@@ -314,12 +338,12 @@ def _column_window(n: int, beta, b, a: float, top: int):
     (every M where theta is below the vertex); for a = 0 the M past
     theta / (beta |b|) on the side of 0 away from b.
     """
-    S = top + (n % 2) / 2.0
+    delta = (n % 2) / 2.0
+    S = top + delta
     b_abs = np.abs(b)
-    # the cut and the rounding of f, in units of f
+    # the cut and the rounding of each point's f, in units of f
     width = CUT_NATS + 2.0 * log(n + 1.0) + 8.0 * _ROUNDING * (
-        max(beta.tolist()) * (max(b_abs.tolist()) * S + abs(a) * S * S)
-        + log(n + 1.0) + 1.0)
+        beta * (b_abs * S + abs(a) * S * S) + log(n + 1.0) + 1.0)
     if a > 0.0:
         vertex = b_abs * (0.5 / a)                  # |M| of the vertex
         d = np.maximum(vertex - S, 0.0)
@@ -336,13 +360,10 @@ def _column_window(n: int, beta, b, a: float, top: int):
         # f = -beta b M: the largest is beta |b| S, at M = -S sgn(b)
         lo = S - width / (beta * b_abs)
         hi = np.where(lo <= S, S, -inf)
-    lo = max(float(np.fmin.reduce(lo)) - (n % 2) / 2.0, -1.0)
-    hi = min(float(np.fmax.reduce(hi)) - (n % 2) / 2.0, top + 1.0)
-    return (int(max(floor(lo) - 2.0, 0.0)) if lo <= top else top + 1,
-            int(min(ceil(hi) + 2.0, float(top))) if hi >= 0.0 else -1)
+    return lo - delta, hi - delta
 
 
-def _live_sectors(points) -> _Sectors:
+def _live_sectors(points, first_round=None) -> _Sectors:
     """The live sectors of the T > 0 sums at ``points``, which share n, v
     and gamma, over one bracket of sectors L..H (see :class:`_Sectors`).
 
@@ -364,7 +385,8 @@ def _live_sectors(points) -> _Sectors:
     errstate below lets pass.
 
     The bracket is every sector of a domain of fewer than _WHOLE_DOMAIN,
-    else the estimate of :func:`_estimated_bracket`; ln Y is mapped over it
+    else the estimate of :func:`_estimated_bracket`, which starts from
+    ``first_round`` where given (:func:`_passes`); ln Y is mapped over it
     alone (:func:`log_multiplicity_span`). It holds where every sector
     outside it is below the cut (:func:`_bracket_holds`); an end that does
     not hold moves out by the bracket's width, and the bracket is taken
@@ -378,7 +400,8 @@ def _live_sectors(points) -> _Sectors:
     b = np.array([p.b for p in points])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         L, H = ((0, h) if h < _WHOLE_DOMAIN
-                else _estimated_bracket(n, beta, V, a, np.abs(b)))
+                else _estimated_bracket(n, beta, V, a, np.abs(b),
+                                       first_round))
         while True:
             j = np.arange(L, H + 1)
             lo, hi = _column_window(n, beta, b, a, L - 1) if L else (0, -1)
@@ -489,27 +512,30 @@ def _columns(n: int, sectors: _Sectors):
     last = j.size - 1 - live[:, ::-1].argmax(axis=1)
     s = j + delta                                # S of two_s_range(n)
     ssp1 = s * (s + 1.0)
-    lo0 = int(first.min())
-    log_2s2 = np.log(2.0 * s[lo0:] + 2.0)        # over every point's hull
+    # c_S over the union of the points' hulls of live sectors, -inf outside
+    # each point's own: logaddexp(-inf, x) == x, so the two suffix sums of a
+    # row are those over the point's own hull, bit for bit
+    lo, hi = min(first.tolist()), max(last.tolist()) + 1
+    hull = c[:, lo - below:hi - below]
+    if rows.size > 1:                            # one point's hull is lo..hi
+        at = np.arange(lo, hi)
+        hull = np.where((at >= first[:, None]) & (at <= last[:, None]), hull,
+                        -inf)
+    shift = hull.max(axis=1)
+    h = np.logaddexp.accumulate((hull - shift[:, None])[:, ::-1],
+                                axis=1)[:, ::-1]
+    lnK = np.logaddexp.accumulate((np.log(2.0 * s[lo:hi - 1] + 2.0)
+                                   + h[:, 1:])[:, ::-1], axis=1)[:, ::-1]
     lnH = np.full((rows.size, j.size), -inf)     # ln H(s), -inf past the hull
+    lnH[:, lo:hi] = h
+    lnH[:, :lo] = h[:, :1]                       # H(first) below the hull
     ratio = np.zeros((rows.size, j.size))        # K(s) / H(s)
-    shift = []
-    for k, lo, hi in zip(rows, first.tolist(), (last + 1).tolist()):
-        # the two suffix sums over the point's own hull of live sectors
-        hull = c[k, lo - below:hi - below]
-        top = float(hull.max())
-        shift.append(top)
-        h = np.logaddexp.accumulate(hull[::-1] - top)[::-1]
-        lnK = np.logaddexp.accumulate(
-            (log_2s2[lo - lo0:hi - 1 - lo0] + h[1:])[::-1])
-        lnH[k, lo:hi] = h
-        ratio[k, lo:hi - 1] = np.exp(lnK[::-1] - h[:-1])
-    # a column s < first sees the whole hull: H(s) = H(first), and K(s)
-    # exceeds K(first) by (S(S+1) - s(s+1)) H(first), S = s[first]
-    below_first = np.arange(j.size) < first[:, None]
-    np.copyto(lnH, lnH[rows, first][:, None], where=below_first)
+    with np.errstate(invalid="ignore"):          # -inf - -inf past the hull
+        np.exp(lnK - h[:, :-1], out=ratio[:, lo:hi - 1])
+    # a column s < first sees the whole hull: K(s) exceeds K(first) by
+    # (S(S+1) - s(s+1)) H(first), S = s[first]
     np.subtract((ratio[rows, first] + ssp1[first])[:, None], ssp1, out=ratio,
-                where=below_first)
+                where=np.arange(j.size) < first[:, None])
     g = lnH[:, None, :] + f
     G = g.max(axis=(1, 2))
     keep = g >= _cut(G, n)[:, None, None]
@@ -525,8 +551,8 @@ def _columns(n: int, sectors: _Sectors):
     w = np.exp(g.ravel()[keep] - G[point])
     s = np.abs(M)
     return (M, r + s * (s + 1.0), r + (s - n / 2.0), w,
-            np.searchsorted(point, np.arange(rows.size + 1)).tolist(), shift,
-            G.tolist())
+            np.searchsorted(point, np.arange(rows.size + 1)).tolist(),
+            shift.tolist(), G.tolist())
 
 
 def _overflow(p: ModelParams):
@@ -589,19 +615,23 @@ def thermal_observables_batch(points) -> list:
     stays smooth in b to rounding, and the column weights carry no
     rounding of the large c_S (~10^5 at n ~ 10^3, T ~ 1e-3 v).
 
-    The points share array passes, each of as many as keep
-    points x (n/2 + 1) within _PASS_SECTORS entries: the estimate, the
-    bracket and its certificate, c_S, f, the sector maxima, the live
-    hulls, g and the cut of the columns are computed for all of them at
-    once, and so are the rows of their kept columns. Per point remain the
-    two suffix sums, each over the point's own hull (a hull spanning the
-    pass would sum sectors no point keeps: at n = 8810, b = 0.5 and T from
-    0.01 to 0.6 each hull holds 1 to 1080 sectors, their union 3217), the
-    product of its kept columns with their weights (one per point, so its
-    summation order, and every bit, is that of the point alone) and the
-    T -> 0 branch below. Every refusal is decided before any pass, so a
-    pass returns one value per point; any exception inside a pass raises
-    for the whole batch.
+    The points share array passes (:func:`_passes`): consecutive points
+    share one while their count times the columns of their estimated
+    union stays within _PASS_SECTORS entries, and it takes the first round
+    of its bracket estimate from that plan. The estimate, the bracket and
+    its certificate, c_S, f, the sector maxima, the live hulls, the two
+    suffix sums, g and the cut of the columns are computed for all of them
+    at once, and so are the rows of their kept columns. The suffix sums run
+    over the union of the points' hulls, each row -inf outside its own
+    hull, and logaddexp(-inf, x) == x: each is the sum over the point's own
+    hull, bit for bit (at n = 8810, b = 0.5 and T from 0.01 to 0.6 the
+    hulls of a pass of four hold 1 to 241 sectors and their union 242; the
+    fifth point, at T = 0.6, has 1078 and a pass of its own). Per point
+    remain the product of its kept columns with their weights (one per
+    point, so its summation order, and every bit, is that of the point
+    alone) and the T -> 0 branch below. Every refusal is decided before
+    any pass, so a pass returns one value per point; any exception inside
+    a pass raises for the whole batch.
 
     Certificate: each level of a sector outside the hull weighs less than
     e^_cut(peak, n) = e^peak e^-CUT_NATS / (n+1)^2, and each skipped column
@@ -630,20 +660,71 @@ def thermal_observables_batch(points) -> list:
     out = [ground_state_observables(p) if p.T == 0 else _overflow(p)
            for p in points]
     hot = [k for k, o in enumerate(out) if o is None]
-    step = max(1, _PASS_SECTORS // (points[0].n // 2 + 1)) if hot else 1
-    for i in range(0, len(hot), step):
-        part = hot[i:i + step]
-        for k, outcome in zip(part, _thermal_pass([points[k] for k in part])):
+    for part, first_round in _passes([points[k] for k in hot]):
+        for k, outcome in zip(hot, _thermal_pass(part, first_round)):
             out[k] = outcome
+        del hot[:len(part)]
     return out
 
 
-def _thermal_pass(points) -> list:
+def _passes(points) -> list:
+    """The T > 0 points of a run as consecutive runs of them, one per array
+    pass, each with the first round of its bracket estimate (the
+    ``first_round`` of :func:`_estimated_bracket`, None where there is
+    none): each takes points while their count times the columns of their
+    estimated union stays within _PASS_SECTORS, and at least one.
+
+    Per point the estimate is its bracket from one first round over the
+    whole domain for all the points (:func:`_grid_ends`; the whole domain
+    where it has fewer than _WHOLE_DOMAIN sectors), and below it its
+    :func:`_window_ends`. A pass's union spans, as :func:`_live_sectors`
+    forms it, its points' brackets and, below them, their windows. A run
+    of one point takes no estimate here.
+    """
+    if len(points) < 2:
+        return [(points, None)] if points else []
+    p0 = points[0]
+    n, h, a = p0.n, p0.n // 2, p0.V * p0.gamma
+    lo, hi = np.zeros(len(points), int), np.full(len(points), h)
+    wlo, whi, grid = lo, lo - 1, None
+    if h >= _WHOLE_DOMAIN:
+        beta = np.array([p.beta for p in points])
+        b = np.array([p.b for p in points])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k, left, right, step = grid = _grid_ends(
+                n, beta[:, None], p0.V, a, np.abs(b)[:, None], 0, h)
+            lo = k[np.maximum(left - 1, 0)]
+            hi = k[np.minimum(k.size - right, k.size - 1)]
+            # within 0..top; (top + 1, -1) where a point has no window
+            top = lo - 1
+            wlo, whi = _window_ends(n, beta, b, a, top)
+            wlo = np.where(wlo <= top, np.maximum(wlo, 0.0), top + 1)
+            whi = np.where(whi >= 0.0, np.minimum(whi, top), -1.0)
+    cuts = [0]
+    for i, ends in enumerate(zip(lo.tolist(), hi.tolist(), wlo.tolist(),
+                                 whi.tolist())):
+        if i:
+            L, H = min(union[0], ends[0]), max(union[1], ends[1])
+            W0, W1 = min(union[2], ends[2]), max(union[3], ends[3])
+            columns = H + 1 - L + max(min(W1, L - 1) + 1 - W0, 0)
+            if (i + 1 - cuts[-1]) * columns <= _PASS_SECTORS:
+                union = L, H, W0, W1
+                continue
+            cuts.append(i)
+        union = ends
+    cuts.append(len(points))
+    return [(points[i:j], grid and (k, left[i:j], right[i:j], step))
+            for i, j in zip(cuts, cuts[1:])]
+
+
+def _thermal_pass(points, first_round=None) -> list:
     """The (CollectiveMoments, PairState) of T > 0 points that share n, v
     and gamma and that :func:`_overflow` refuses none of, from one array
-    pass (see :func:`thermal_observables_batch`)."""
+    pass (see :func:`thermal_observables_batch`), its bracket estimate
+    from ``first_round`` where given (:func:`_live_sectors`)."""
     n = points[0].n
-    M, ssp1, excess, w, ends, shift, G = _columns(n, _live_sectors(points))
+    M, ssp1, excess, w, ends, shift, G = _columns(
+        n, _live_sectors(points, first_round))
     rows = _rows(n, M, ssp1, excess)
     out = []
     for k, p in enumerate(points):

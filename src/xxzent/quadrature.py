@@ -121,8 +121,11 @@ def quad_gk(f, edges, *, epsrel=1e-10, max_panels=2000):
     k, err = _rule(f, row, lo, hi)
     neval = 15 * lo.size
     while True:
-        # per row, in panel order: a row's sums do not see the other rows
-        val = np.stack([np.bincount(row, c, minlength=rows) for c in k])
+        # per (component, row) bin, in panel order: a row's sums do not see
+        # the other rows
+        m = len(k)
+        val = np.bincount((row + rows * np.arange(m)[:, None]).ravel(),
+                          k.ravel(), minlength=m * rows).reshape(m, rows)
         toterr = np.bincount(row, err, minlength=rows)
         if not (np.isfinite(val).all() and np.isfinite(toterr).all()):
             raise QuadratureError("non-finite integral or error estimate")

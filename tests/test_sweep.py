@@ -508,23 +508,33 @@ def test_exact_T_past_the_float_range_is_refused(T):
     assert evaluate_point("exact", p.replace(T=1e-300)).status == "ok"
 
 
+def _pass_log(monkeypatch):
+    """The points of each exact array pass (exact._thermal_pass) from here
+    on, one list per pass."""
+    passes = []
+    real = exact._thermal_pass
+    monkeypatch.setattr(exact, "_thermal_pass",
+                        lambda points, first_round=None: passes.append(points)
+                        or real(points, first_round))
+    return passes
+
+
 @pytest.mark.parametrize("n, T", [(8810, 1e-305), (1000, 1e-306)])
 def test_exact_overflow_in_a_run_fails_alone(monkeypatch, n, T):
     # a point past the float range between two normal points of one run is
     # refused alone, before any pass, with no RuntimeWarning (an error under
-    # this suite), and its neighbours keep their bytes; at n = 1000 the two
-    # share one array pass, at n = 8810 each is a pass of its own
+    # this suite), and its neighbours keep their bytes; at either n the two
+    # share one array pass: their estimated union, a bracket at the top
+    # sector and a window of columns around the vertex of f, is well within
+    # _PASS_SECTORS entries
     p = ModelParams(n=n, v=1.0, gamma=1.0, b=0.3, T=T)
     run = [p.replace(T=0.1), p, p.replace(T=1e-300)]
-    passes = []
-    real = exact._thermal_pass
-    monkeypatch.setattr(exact, "_thermal_pass",
-                        lambda points: passes.append(points) or real(points))
+    passes = _pass_log(monkeypatch)
     pts = evaluate_run("exact", run)
     assert [pt.status for pt in pts] == ["ok", "error", "ok"]
     assert pts[1].message == (f"beta |E| overflows at T = {T:.6g}; "
                               "T = 0 is the ground-state path")
-    assert len(passes) == (1 if n == 1000 else 2)
+    assert len(passes) == 1
     assert all(p not in points for points in passes)
     assert [pts[k].row() for k in (0, 2)] == \
         [evaluate_point("exact", run[k]).row() for k in (0, 2)]
@@ -564,17 +574,14 @@ def test_exact_point_is_ok_or_refused_before_any_pass(monkeypatch, n, pairs,
     # every point is ok or refused by the closed-form rule, with no warning
     # of any kind; a refused point reaches no pass, and every pass forms
     # finite sector peaks within the rule's bound, n ln 2 + that sum / 4
-    passes, peaks = [], []
-    real_pass, real_sectors = exact._thermal_pass, exact._live_sectors
+    passes, peaks = _pass_log(monkeypatch), []
+    real_sectors = exact._live_sectors
 
-    def live_sectors(points):
-        sectors = real_sectors(points)
+    def live_sectors(points, first_round=None):
+        sectors = real_sectors(points, first_round)
         peaks.extend(zip(points, sectors.peak.tolist()))
         return sectors
 
-    monkeypatch.setattr(exact, "_thermal_pass",
-                        lambda points: passes.append(points)
-                        or real_pass(points))
     monkeypatch.setattr(exact, "_live_sectors", live_sectors)
     refused = 0
     for gamma, b in pairs:
@@ -1331,18 +1338,36 @@ def test_pass_size_changes_no_point(monkeypatch, epsrel):
     assert len(texts) == 1
 
 
+# the runs of the exact-large-n benchmark at its nominal grid: b-rows at
+# n = 8810 and 1000 (T = 0.1), a T-row at n = 8810 (b = 0.5, T up to 0.6)
+# and a T = 0 row
+_LARGE_N_RUNS = [
+    *(SweepSpec("exact", ModelParams(n=n, v=1.0, T=0.1),
+                (GridAxis("b", 0.0, 1.05, count),)).points()
+      for n, count in ((8810, 4), (1000, 16))),
+    SweepSpec("exact", ModelParams(n=8810, v=1.0, b=0.5, T=0.1),
+              (GridAxis("T", 0.01, 0.6, 5, "log"),)).points(),
+    SweepSpec("exact", ModelParams(n=8810, v=1.0, T=0.0),
+              (GridAxis("b", 0.0, 1.05, 2),)).points()]
+# figure 3's exact row at n = 8810, one run
+_FIG3_8810 = [ModelParams(n=8810, v=1.0, b=float(b), T=0.1)
+              for b in np.linspace(0.0, 1.05, 36)]
+
+
 def test_exact_pass_size_changes_no_point(monkeypatch):
     # a point's bytes do not depend on the run or the array pass it is in:
-    # runs of 1, 8 or 40 points, passes of 1 point up to 32 at n = 1000,
-    # on figure 2's rows, figure 3's n = 8810 b-row, a 40-probe log-T grid
-    # at n = 1000, and a run that mixes T = 0, a point on the T -> 0 branch
-    # (T = 1e-13 at a crossing field), odd n and gamma <= 0
+    # runs of 1, 8 or 40 points, passes of one point (_PASS_SECTORS = 1)
+    # and passes planned within 2048, 8192 (the default) or 16384 entries,
+    # on figure 2's rows, the exact-large-n benchmark's rows, figure 3's
+    # n = 8810 b-row, a 40-probe log-T grid at n = 1000, and a run that
+    # mixes T = 0, a point on the T -> 0 branch (T = 1e-13 at a crossing
+    # field), odd n and gamma <= 0
     from xxzent import sweep
     from xxzent.sweep import evaluate_points
     points = [p for fixed, axis in FIG2_ROWS
               for p in SweepSpec("exact", fixed, (axis,)).points()]
-    points += [ModelParams(n=8810, v=1.0, b=float(b), T=0.1)
-               for b in np.linspace(0.0, 1.05, 36)]
+    points += [p for run in _LARGE_N_RUNS for p in run]
+    points += _FIG3_8810
     points += [ModelParams(n=1000, v=1.0, b=0.3, T=float(T))
                for T in np.geomspace(1e-3, 1.0, 40)]
     points += [ModelParams(n=20, v=1.0, gamma=1.0, b=b, T=T)
@@ -1351,18 +1376,49 @@ def test_exact_pass_size_changes_no_point(monkeypatch):
     points += [ModelParams(n=21, v=1.0, gamma=gamma, b=b, T=T)
                for gamma in (0.0, -0.5)
                for b, T in ((0.0, 0.05), (0.3, 0.0), (1.2, 0.4), (-0.7, 1.0))]
+    passes = _pass_log(monkeypatch)
     texts = set()
-    for run, cells in ((1, 1), (8, 2048), (40, 16384)):
+    for run, cells in ((1, 1), (40, 1), (8, 2048), (40, 8192), (40, 16384)):
         monkeypatch.setattr(sweep, "RUN_POINTS", run)
         monkeypatch.setattr(exact, "_PASS_SECTORS", cells)
+        passes.clear()
         pts = evaluate_points("exact", points)
         texts.add(points_to_csv(pts))
+        assert (max(map(len, passes)) == 1) == (cells == 1)
     assert len(texts) == 1
     statuses = [pt.status for pt in pts]
     assert statuses.count("ok") == len(points)
     # the T -> 0 branch ran: the crossing's equal mixture, Var(S_z) = 1/4
     m = pts[points.index(ModelParams(n=20, v=1.0, b=0.35, T=1e-13))].moments
     assert m.sz2 - m.sz ** 2 == pytest.approx(0.25, abs=1e-9)
+
+
+def test_exact_passes_are_sized_by_their_estimated_union(monkeypatch):
+    # a run's points share an array pass while their count times the
+    # columns of their estimated union stays within _PASS_SECTORS: the
+    # exact-large-n runs take 5 passes and figure 3's n = 8810 row 6 (a
+    # pass a point would take 10 and 36). Each pass of more than one point
+    # allocates at most _PASS_SECTORS entries, and ln Y takes no more
+    # lgamma calls than a pass a point would, 3186
+    passes, entries = _pass_log(monkeypatch), []
+    real = exact._live_sectors
+
+    def live_sectors(points, first_round=None):
+        sectors = real(points, first_round)
+        entries.append((len(points), len(points) * sectors.j.size))
+        return sectors
+
+    monkeypatch.setattr(exact, "_live_sectors", live_sectors)
+    calls = _lgamma_calls(monkeypatch)
+    for run in _LARGE_N_RUNS:
+        assert all(pt.status == "ok" for pt in evaluate_run("exact", run))
+    assert [len(points) for points in passes] == [2, 2, 16, 4, 1]
+    assert len(calls) <= 3186
+    passes.clear()
+    assert all(pt.status == "ok" for pt in evaluate_run("exact", _FIG3_8810))
+    assert [len(points) for points in passes] == [7, 6, 6, 6, 6, 5]
+    assert len(entries) == 11
+    assert all(size <= exact._PASS_SECTORS for k, size in entries if k > 1)
 
 
 def test_mixed_list_gives_the_rows_of_separate_calls():
