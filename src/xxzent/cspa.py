@@ -50,18 +50,21 @@ integral is shifted by its l_peak and cut at r_peak + sigma_r sqrt(2 (40 +
 ln n)), that distance grown by factors of 1.5 while ln[r e^L] there is
 within 40 log-units of the peak (a QuadratureError after 8 moves), with
 panels placed across r_peak so the quadrature cannot miss a sharp large-n
-saddle. A batch of radial integrals is one quad_gk call, one row each: every
-row starts on the same layout in units of its own sigma_r, and a row that
-misses the error budget is refined on those panels in the same call. At
-gamma = 1 a batch of points at one (n, v, gamma), a batch of one included,
-is one array pass with one row per point (z = 0); a row's bits do not depend
-on the other rows of its pass. For gamma < 1 each point has its own outer z
-integral, a quad_gk call of one row whose z nodes are the radial rows, on
-|z| up to |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width. Each of its
-rounds is one peak scan of all its z nodes and radial batches of at most 45
-of them. The mean-field saddle z0 (the first of cmfa.mean_field_z: b - z0 =
-b/gamma in the deformed phase, the stable normal-phase root otherwise) seeds
-the outer z panels, and its l_peak shifts the outer integral. In the normal
+saddle. The radial stage has one call form at every gamma: the peak scan of
+the rows, one cut of them all, whose first integrand call also takes d_b L
+at each r_peak, then the radial batches, each one quad_gk call with one row
+per z: every row starts on the same layout in units of its own sigma_r, and
+a row that misses the error budget is refined on those panels in the same
+call. At gamma = 1 a batch of points at one (n, v, gamma), a batch of one
+included, is one array pass with one row per point (z = 0); a row's bits do
+not depend on the other rows of its pass. For gamma < 1 each point has its
+own outer z integral, a quad_gk call of one row whose z nodes are the radial
+rows, on |z| up to |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width.
+Each of its rounds is one peak scan of all its z nodes, one cut of the live
+ones and radial batches of at most 45 of them. The mean-field saddle z0 (the
+first of cmfa.mean_field_z: b - z0 = b/gamma in the deformed phase, the
+stable normal-phase root otherwise) seeds the outer z panels, and its l_peak
+shifts the outer integral. In the normal
 phase mean_field_z also gives the ordered root from the other aligned end;
 where it lies more than sigma_z away and within 200 log-units it is a second
 saddle (at small |b| and T < (1 - gamma) v/2): it is seeded too, and the
@@ -96,7 +99,8 @@ the b derivatives are taken at fixed (r, z), where b enters only through
 lam = hypot(b - z, r): they are d/dlam derivatives times d lam/d b =
 (b - z)/lam. Var(d_b L) is accumulated around d_b L at the radial peak of
 the z peak (z = 0 at gamma = 1), so it never cancels, however narrow the z
-Gaussian.
+Gaussian: the slope that the radial cut takes at the row of each point at
+gamma = 1, and at the top seeded saddle's row at gamma < 1.
 """
 
 from __future__ import annotations
@@ -147,13 +151,10 @@ class _Rows:
         return _Rows(self.n, self.v, self.gamma, self.b[rows], self.beta[rows])
 
 
-def _at(x, rows):
-    """``x`` on the given rows (an index or an index array): a _Rows or an
-    array of one value per row is indexed, while a ModelParams or a scalar
-    is the same on every row."""
-    if isinstance(x, _Rows) or (isinstance(x, np.ndarray) and x.ndim):
-        return x[rows]
-    return x
+def _at(params, rows):
+    """``params`` on the given rows (an index or an index array): a _Rows is
+    indexed, while a ModelParams is the same on every row."""
+    return params[rows] if isinstance(params, _Rows) else params
 
 
 def omega_squared(params: ModelParams, r, z=0.0):
@@ -412,7 +413,8 @@ def _scan_overflow(v: float, gamma: float, b: float):
 def _breakdown(params: ModelParams, worst, r, z):
     """The BreakdownError of a point whose validity scan found ``worst`` at
     (r, z), or None when the point is valid."""
-    if worst < (2.0 * pi * params.T) ** 2:
+    # a product, which reads inf where a square would raise OverflowError
+    if worst < (2.0 * pi * params.T) * (2.0 * pi * params.T):
         return None
     where = (float(r), float(z))
     t_star = breakdown_temperature(params)
@@ -480,6 +482,10 @@ def _radial_peaks(params, zs, mode: str):
     grid = np.linspace(r_hi[..., 0] / 512.0, r_hi[..., 0], 512, axis=-1)
     r = grid[..., 15::16]
     L = _log_integrand(params, r, zs, mode) + np.log(r)
+    lost = np.isnan(L).all(axis=-1, keepdims=True)
+    if np.any(lost):
+        raise _row_error(params, zs, lost, "ln[r e^L] is NaN at every point "
+                         "of the peak scan")
     k = 16 * np.nanargmax(L, axis=-1)[..., None] + 15
     r = np.take_along_axis(grid, np.clip(k + np.arange(-16, 17), 0, 511), -1)
     L = _log_integrand(params, r, zs, mode) + np.log(r)
@@ -507,43 +513,59 @@ def _peak_width(params, r, f, h):
                       np.sqrt(2.0 * params.v / (params.n * params.beta)))
 
 
-def _radial_cut(params, zs, peaks, mode: str, slope: bool = False):
-    """Truncation radius per z: r_peak + sigma_r sqrt(2 (_TAIL_LOG_UNITS +
-    ln n)), where a Gaussian of the width sigma_r measured at the peak has
+def _radial_cut(params, zs, peaks, mode: str):
+    """(r_max, slope) per z of ``zs`` (each row of a _Rows), from its peaks.
+
+    r_max is the truncation radius: r_peak + sigma_r sqrt(2 (_TAIL_LOG_UNITS
+    + ln n)), where a Gaussian of the width sigma_r measured at the peak has
     fallen by _TAIL_LOG_UNITS + ln n. While ln[r e^L] there is within
     _TAIL_LOG_UNITS of the peak, which checks that width, its distance from
     r_peak grows by factors of 1.5: in units of sigma_r, so that the tail
     panel past 8 sigma_r stays a few widths wide however far r_peak is from
-    0. A row still that close after 8 moves is a QuadratureError. With
-    ``slope``, (cut, d_b L at each r_peak): :func:`_peak_slope`'s, from the
-    same integrand call as the first cut."""
+    0. A row still that close after 8 moves is a QuadratureError.
+
+    slope is d_b L at r_peak, the centre that the accumulated deviations
+    d = d_b L - centre are taken around, so that Var(d_b L) = <d^2> - <d>^2
+    does not cancel. It comes from the first cut's integrand call, one
+    derivs=True call at [r_peak, first cut], whose L has the bits of a
+    value-only call; each move is a value-only call. Every radial stage
+    makes this one call for all its rows: the gamma = 1 run, whose rows
+    each read their own slope, and at gamma < 1 the z-width stage, whose
+    top seed's middle row gives the point's centre, and each outer round
+    of live rows, whose slopes go unread."""
     # one column per z, which a _Rows' b and beta line up with
     r_peak, l_peak, sigma, zs = (np.asarray(a)[..., None]
                                  for a in (*peaks, zs))
     r_max = r_peak + sigma * sqrt(2.0 * (_TAIL_LOG_UNITS + log(params.n)))
-    center = None
-    if slope:
-        L, terms = _log_integrand(params, np.concatenate([r_peak, r_max], -1),
-                                  zs, mode, derivs=True)
-        L, center = L[..., 1:], terms[0, ..., 0]
+    L, terms = _log_integrand(params, np.concatenate([r_peak, r_max], -1),
+                              zs, mode, derivs=True)
+    L, slope = L[..., 1:], terms[0, ..., 0]
     for moves in range(9):
-        if moves or center is None:
+        if moves:
             L = _log_integrand(params, r_max, zs, mode)
         tail = L + np.log(r_max)
         wide = np.isfinite(tail) & (tail >= l_peak - _TAIL_LOG_UNITS)
         if not np.any(wide):
             break
         if moves == 8:
-            at = tuple(np.argwhere(wide)[0].tolist())
-            b, beta = (np.broadcast_to(x, wide.shape)[at]
-                       for x in (params.b, params.beta))
-            raise QuadratureError(
-                f"radial CSPA row {at[:-1]} (b = {b:.6g}, T = {1.0 / beta:.6g}"
-                f", z = {zs[at]:.6g}): ln[r e^L] still within "
-                f"{_TAIL_LOG_UNITS:g} log-units of its peak at the cut r = "
-                f"{r_max[at]:.6g} after 8 moves")
+            raise _row_error(params, zs, wide,
+                             f"ln[r e^L] still within {_TAIL_LOG_UNITS:g} "
+                             f"log-units of its peak at the cut r = "
+                             f"{r_max[wide][0]:.6g} after 8 moves")
         r_max = np.where(wide, r_peak + 1.5 * (r_max - r_peak), r_max)
-    return r_max[..., 0] if center is None else (r_max[..., 0], center)
+    return r_max[..., 0], slope
+
+
+def _row_error(params, zs, mask, what: str) -> QuadratureError:
+    """The QuadratureError that names the first radial row set in ``mask``,
+    which has the shape of the column ``zs`` (one trailing axis of 1), with
+    its b, T and z, and says ``what`` went wrong there."""
+    at = tuple(np.argwhere(mask)[0].tolist())
+    b, beta = (np.broadcast_to(x, mask.shape)[at]
+               for x in (params.b, params.beta))
+    return QuadratureError(
+        f"radial CSPA row {at[:-1]} (b = {b:.6g}, T = {1.0 / beta:.6g}, "
+        f"z = {zs[at]:.6g}): {what}")
 
 
 def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
@@ -575,22 +597,20 @@ _Z_BATCH = 45
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
-                               center, r_max=None):
+                               r_max, center):
     """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
     integrals over (0, r_max) of the rows of _weighted_factors, for a whole
     batch of rows: the z values of one ModelParams, or the points of a
-    _Rows (zs = 0). ``center`` is one value or one per row.
+    _Rows (zs = 0). ``r_max`` and ``center`` hold one value per row, the cut
+    and a slope of _radial_cut.
 
     One quad_gk call: each row starts on the panels _BATCH_EDGES around its
-    r_peak (from ``peaks``, as in _radial_peaks), cut at ``r_max`` where
-    given and else at _radial_cut, and a row whose error estimate of I_0
-    misses the budget is refined on those panels in the same call. A
-    QuadratureError raises for the whole batch.
+    r_peak (from ``peaks``, as in _radial_peaks), cut at its ``r_max``, and
+    a row whose error estimate of I_0 misses the budget is refined on those
+    panels in the same call. A QuadratureError raises for the whole batch.
     """
     nz = zs.size
     r_peak, l_peak, sigma = peaks
-    if r_max is None:
-        r_max = _radial_cut(params, zs, peaks, mode)
     # clipping collapses the panels beyond [0, r_max], which quad_gk skips
     edges = np.clip(r_peak[:, None] + sigma[:, None] * _BATCH_EDGES[None, :],
                     0.0, r_max[:, None])
@@ -598,8 +618,7 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
 
     def f(row, x):
         return _weighted_factors(_at(params, row), x, zs[row, None], mode,
-                                 l_peak[row, None],
-                                 np.reshape(_at(center, row), (-1, 1)))
+                                 l_peak[row, None], center[row, None])
 
     res = quad_gk(f, edges, epsrel=epsrel, max_panels=4000)
     val = res.value
@@ -657,9 +676,9 @@ def _logZ_rows(points, mode: str, epsrel: float) -> list:
     rows = _Rows.of(points)
     zs = np.zeros(len(points))
     peaks = _radial_peaks(rows, zs, mode)
-    r_max, center = _radial_cut(rows, zs, peaks, mode, slope=True)
+    r_max, center = _radial_cut(rows, zs, peaks, mode)
     lv, rel, means = _radial_log_integral_batch(rows, zs, peaks, mode, epsrel,
-                                                center, r_max)
+                                                r_max, center)
     return [_evaluation(p, mode, log(p.n * p.beta / (2.0 * p.v))
                         + float(lv[i]), float(rel[i]), center[i], means[:, i],
                         1.0)
@@ -689,19 +708,26 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     # each saddle with its neighbours at +-sigma_z, all in one peak scan
     z_nbr = z_peak[:, None] + sigma_z * np.array([-1.0, 0.0, 1.0])
     nbr = _radial_peaks(params, z_nbr, mode)
-    seeded = nbr[1][:, 1] > nbr[1][0, 1] - 200.0
+    l0 = nbr[1][0, 1]
+    if not isfinite(l0):
+        raise QuadratureError(f"z integral: ln[r e^L] at the mean-field "
+                              f"saddle z = {first:.6g} is {l0}")
+    # a difference, which stays exact where l0 itself is too large to move
+    # by 200
+    seeded = nbr[1][:, 1] - l0 > -200.0
     z_nbr, nbr = z_nbr[seeded], tuple(a[seeded] for a in nbr)
-    z_peak, peak = z_nbr[:, 1], tuple(a[:, 1] for a in nbr)
-    top = int(np.argmax(peak[1]))
-    shift = float(peak[1][top])
-    center = _peak_slope(params, z_peak, peak, mode)[top]
+    z_peak = z_nbr[:, 1]
+    top = int(np.argmax(nbr[1][:, 1]))
+    shift = float(nbr[1][top, 1])
+    r_nbr, slope = _radial_cut(params, z_nbr, nbr, mode)
+    center = slope[top, 1]
     # the z profile is wider than sigma_z, the inner integral broadens it:
     # its width at each saddle is 1/sqrt(kappa), kappa the curvature of
     # -ln I_0 across the saddle's neighbours (sigma_z where kappa is not
     # positive and finite), from one radial batch
     l_nbr = _radial_log_integral_batch(
         params, z_nbr.ravel(), tuple(map(np.ravel, nbr)), mode, epsrel,
-        center)[0].reshape(z_nbr.shape)
+        r_nbr.ravel(), np.full(z_nbr.size, center))[0].reshape(z_nbr.shape)
     kappa = -(l_nbr[:, 2] - 2.0 * l_nbr[:, 1] + l_nbr[:, 0]) / sigma_z ** 2
     width = np.array([1.0 / sqrt(k) if 0.0 < k < inf else sigma_z
                       for k in kappa])
@@ -709,25 +735,29 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
 
     def g(row, zs):
         """The stacked inner integrals at the z nodes of a round's panels:
-        one peak scan of them all, then radial batches of _Z_BATCH rows."""
+        one peak scan of them all, one cut of the live ones, then radial
+        batches of _Z_BATCH rows."""
         shape, zs = zs.shape, zs.ravel()
         out = np.zeros((5, zs.size))
         peaks = _radial_peaks(params, zs, mode)
         # z deep in the Gaussian tail contributes nothing, and the log
         # integrand there sits below float resolution anyway
         live = np.flatnonzero(peaks[1] - shift > -200.0)
+        zs, peaks = zs[live], tuple(a[live] for a in peaks)
+        r_max, _ = _radial_cut(params, zs, peaks, mode)
+        centers = np.full(live.size, center)
         for k in range(0, live.size, _Z_BATCH):
-            i = live[k:k + _Z_BATCH]
+            i = slice(k, k + _Z_BATCH)
             lv, rel, means = _radial_log_integral_batch(
                 params, zs[i], tuple(a[i] for a in peaks), mode, epsrel,
-                center)
+                r_max[i], centers[i])
             errs.extend(rel)
             if np.any(lv - shift > 700.0):
                 raise QuadratureError(
                     "z integral: an inner integral e^700 above the one at "
                     "the mean-field saddle")
             w = np.exp(lv - shift)
-            out[:, i] = w * np.vstack([np.ones_like(lv), means])
+            out[:, live[i]] = w * np.vstack([np.ones_like(lv), means])
         return out.reshape(5, *shape)
 
     # the seeds are the edges of the one row: those outside [z_lo, z_hi]
@@ -757,15 +787,6 @@ def _evaluation(params: ModelParams, mode: str, logZ: float, error: float,
         logZ=logZ, mode=mode, quadrature_error=error,
         dlnZ_db=float(center) + float(d), d2lnZ_db2=float(db2 + (d2 - d * d)),
         dlnZ_dv=float(dv) - c / params.v)
-
-
-def _peak_slope(params, zs, peaks, mode: str):
-    """d_b L at the radial peak of each z in ``zs`` (each row of a _Rows):
-    the centre of the accumulated deviations d = d_b L - centre, so that
-    Var(d_b L) = <d^2> - <d>^2 does not cancel. At gamma = 1 _radial_cut
-    takes it with its first cut."""
-    r_peak, zs = np.asarray(peaks[0])[..., None], np.asarray(zs)[..., None]
-    return _log_integrand(params, r_peak, zs, mode, derivs=True)[1][0, ..., 0]
 
 
 def cspa_moments(params: ModelParams, mode: str = "cspa",

@@ -882,7 +882,7 @@ def brute_force_observables(params: ModelParams):
     b S_z - V [f + (1 - gamma) sum_{i != j} s^z_i s^z_j] weights them, each
     eigenstate counted as many times as its class has sectors. A point at
     T = 0 (ModelParams.beta's refusal) or past the n cap is refused before
-    any eigh.
+    any eigh, and one whose beta |E| overflows before the Boltzmann sum.
 
     rho_2 is indexed by 2 q_0 + q_1 with q = 0 for spin up. Its only
     coherence couples |01> and |10>: every other pair of basis states
@@ -904,7 +904,15 @@ def brute_force_observables(params: ModelParams):
 
 def _boltzmann(w: np.ndarray, beta: float, mult: np.ndarray):
     """Weights and ln Z of levels w, each counted mult times:
-    ln Z = m + ln sum mult e^(lw - m) with m the largest lw = -beta w."""
+    ln Z = m + ln sum mult e^(lw - m) with m the largest lw = -beta w.
+
+    A DomainError where beta max|w| overflows, read off these levels alone
+    (the exact tier's bound is not consulted): a log-weight would be
+    infinite and every weight NaN."""
+    e_max = float(np.abs(w).max())
+    if not isfinite(beta * e_max):
+        raise DomainError(f"brute force: beta |E| overflows at T = "
+                          f"{1.0 / beta:.6g} (max |E| = {e_max:.6g})")
     lw = -beta * w
     m = lw.max()
     e = mult * np.exp(lw - m)

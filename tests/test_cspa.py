@@ -411,6 +411,84 @@ def test_validity_scan_refuses_a_field_that_overflows_it(b):
                                                        ("error", message)]
 
 
+# one point per source of a raw exception at the edges of the domain, with
+# the package error each reads now: the validity threshold (2 pi T)^2, which
+# raised OverflowError at T = 1e300; the seed filter, whose l_peak - 200 did
+# not move l_peak ~ -1.9e35 and left no seed (argmax of an empty sequence);
+# a peak scan whose every point is NaN (nanargmax's All-NaN slice); and an
+# SPA saddle at l_peak = -inf, which left no seed either
+_EDGE_POINTS = (
+    ("cspa", ModelParams(n=6, v=1.0, gamma=1.0, b=0.0, T=1e300),
+     r"non-finite result"),
+    ("cspa", ModelParams(n=20, v=1.0, gamma=0.5, b=1e20, T=1.0),
+     r"radial CSPA row \(0, 0\) \(b = 1e\+20, T = 1, z = -0\.723607\): "
+     r"ln\[r e\^L\] still within 40 log-units .* after 8 moves"),
+    ("cspa", ModelParams(n=6, v=1.0, gamma=1.0, b=1e4, T=1e-300),
+     r"radial CSPA row \(0,\) \(b = 10000, T = 1e-300, z = 0\): ln\[r e\^L\] "
+     r"is NaN at every point of the peak scan"),
+    ("spa", ModelParams(n=6, v=1.0, gamma=0.5, b=1e300, T=1.0),
+     r"z integral: ln\[r e\^L\] at the mean-field saddle z = -0\.5 is -inf"))
+
+
+@pytest.mark.parametrize("tier, p, message", _EDGE_POINTS,
+                         ids=["threshold", "seed-filter", "nan-scan",
+                              "infinite-seed"])
+def test_edge_points_read_a_package_error(tier, p, message):
+    # each reads error with a package message, where a raw exception's
+    # reads "<type>: <text>"; numpy warns on the way at three of them (an
+    # overflow in power, multiply or log), which this test records and does
+    # not pin
+    import re
+    import warnings
+    from xxzent.sweep import evaluate_point
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        pt = evaluate_point(tier, p)
+    assert pt.status == "error" and re.fullmatch(message, pt.message), \
+        pt.message
+
+
+@pytest.mark.parametrize("mode", ["cspa", "spa"])
+def test_radial_cut_slope_is_a_lone_derivative_call(monkeypatch, mode):
+    # the cut takes the centre d_b L at r_peak from its first integrand
+    # call, one derivs=True call at [r_peak, first cut]: its slope has the
+    # bits of a lone derivs=True call at r_peak, and its L at the first cut
+    # the bits of a value-only call there, on gamma = 1 rows (points of
+    # figure 2's b = 0.5 T-row, above T*, as one _Rows) and gamma = 0.5 z
+    # rows of the benchmark's two n = 100 points
+    import xxzent.cspa as cspa
+    real, first = cspa._log_integrand, []
+
+    def recorded(params, r, z, mode, derivs=False):
+        out = real(params, r, z, mode, derivs)
+        if derivs:
+            first.append((r, out))
+        return out
+
+    rows = [ModelParams(n=20, v=1.0, b=0.5, T=float(T))
+            for T in np.geomspace(0.3, 0.8, 12)]
+    cases = [(cspa._Rows.of(rows), np.zeros(len(rows)))]
+    for b in (0.05, 0.5):
+        cases.append((ModelParams(n=100, v=1.0, gamma=0.5, b=b, T=0.25),
+                      np.linspace(-1.0, 1.0, 9) + b))
+
+    def hexes(a):
+        return [float(x).hex() for x in np.ravel(a)]
+
+    for params, zs in cases:
+        peaks = cspa._radial_peaks(params, zs, mode)
+        first.clear()
+        monkeypatch.setattr(cspa, "_log_integrand", recorded)
+        _, slope = cspa._radial_cut(params, zs, peaks, mode)
+        monkeypatch.setattr(cspa, "_log_integrand", real)
+        ((r, (L, _)),) = first
+        r_peak, zcol = peaks[0][:, None], zs[:, None]
+        lone = real(params, r_peak, zcol, mode, derivs=True)[1][0, :, 0]
+        assert hexes(slope) == hexes(lone)
+        assert hexes(L[:, 1]) == hexes(real(params, r[:, 1:], zcol, mode))
+        assert np.all(np.isfinite(slope))
+
+
 def test_validity_scan_keeps_t_star_below_the_overflow():
     # gamma = -1e102 scans up to r ~ 1.1e102: finite, and T* keeps its bits
     import warnings
@@ -655,7 +733,7 @@ def _radial_reference(cspa, p, z, peak, mode):
     quadrature, which shares nothing with quad_gk."""
     from scipy.integrate import quad as scipy_quad
     r_peak, l_peak, _ = peak
-    cut = float(cspa._radial_cut(p, z, peak, mode))
+    cut = float(cspa._radial_cut(p, z, peak, mode)[0])
     rows = {}
 
     def row(k):
@@ -709,9 +787,10 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
               ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)):
         zs = np.append(np.linspace(-0.4, 1.0, 8), p.b)
         peaks = cspa._radial_peaks(p, zs, mode)
+        r_max, _ = cspa._radial_cut(p, zs, peaks, mode)
         calls.clear()
-        batch, rel, means = cspa._radial_log_integral_batch(p, zs, peaks,
-                                                            mode, epsrel, 0.0)
+        batch, rel, means = cspa._radial_log_integral_batch(
+            p, zs, peaks, mode, epsrel, r_max, np.zeros(zs.size))
         # one call and no refinement round: the initial panels alone meet
         # the budget
         assert [rounds for _, rounds, *_ in calls] == [1]
@@ -1482,7 +1561,8 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
         calls.clear()
         refined = cspa_logZ(p, mode, epsrel=1e-11)
         zs = np.zeros(1)
-        r_max = cspa._radial_cut(p, zs, cspa._radial_peaks(p, zs, mode), mode)
+        r_max, _ = cspa._radial_cut(p, zs, cspa._radial_peaks(p, zs, mode),
+                                    mode)
         ((edges, rounds, *_),) = calls
         assert rounds > 1
         assert (edges[0, 0], edges[0, -1]) == (0.0, r_max[0])
@@ -1493,9 +1573,10 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
     p = ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)
     zs = np.array([0.2])
     peaks = cspa._radial_peaks(p, zs, mode)
+    r_max, _ = cspa._radial_cut(p, zs, peaks, mode)
     calls.clear()
     lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8,
-                                                   0.0)
+                                                   r_max, np.zeros(1))
     assert [rounds for _, rounds, *_ in calls] == [1]
     ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
                                         [a[0] for a in peaks], mode)

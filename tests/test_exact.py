@@ -511,6 +511,23 @@ def test_brute_force_caps_n():
         brute_force_observables(ModelParams(n=19, v=1.0, T=0.5))
 
 
+def test_brute_force_refuses_an_overflowing_boltzmann_sum():
+    # beta max|E| past the float range made every log-weight infinite and
+    # every weight NaN, and the sweep read "LinAlgError: SVD did not
+    # converge" from wootters_margin; the oracle refuses it from its own
+    # levels, without a RuntimeWarning (errors under pytest), while a
+    # neighbour whose beta |E| stays finite is still ok
+    from xxzent.sweep import evaluate_point
+    p = ModelParams(n=6, v=1.0, gamma=1.0, b=1e20, T=1e-300)
+    message = "brute force: beta |E| overflows at T = 1e-300 (max |E| = 3e+20)"
+    with pytest.raises(DomainError) as err:
+        brute_force_observables(p)
+    assert str(err.value) == message
+    pt = evaluate_point("bruteforce", p)
+    assert (pt.status, pt.message) == ("error", message)
+    assert evaluate_point("bruteforce", p.replace(b=1e4)).status == "ok"
+
+
 @pytest.mark.parametrize("n", [15, 16])
 def test_brute_force_matches_exact_past_n_14(n):
     # criterion 1's grid and tolerances at n = 15 and 16: the sector table

@@ -1421,6 +1421,34 @@ def test_exact_passes_are_sized_by_their_estimated_union(monkeypatch):
     assert all(size <= exact._PASS_SECTORS for k, size in entries if k > 1)
 
 
+def test_no_shared_pass_raises(monkeypatch):
+    # a run whose evaluator raises is evaluated again one point at a time,
+    # and nothing records it: a pass that always raised would read as ok
+    # rows, each at the cost of a pass of its own. Every evaluator is
+    # wrapped, and none raises on figure 2's rows (exact, cspa and spa), the
+    # exact-large-n runs, figure 3's n = 8810 row or the benchmark's two
+    # n = 100 points at gamma = 0.5 (cspa and spa)
+    from xxzent import sweep
+    from xxzent.sweep import evaluate_points
+    raised = []
+    for tier, evaluator in list(sweep._EVALUATORS.items()):
+        def wrapped(points, epsrel, tier=tier, evaluator=evaluator):
+            try:
+                return evaluator(points, epsrel)
+            except Exception as err:
+                raised.append((tier, len(points), repr(err)))
+                raise
+        monkeypatch.setitem(sweep._EVALUATORS, tier, wrapped)
+    runs = [(tier, SweepSpec(tier, fixed, (axis,)).points(), POINT_EPSREL)
+            for tier in ("exact", "cspa", "spa") for fixed, axis in FIG2_ROWS]
+    runs += [("exact", run, 1e-10) for run in (*_LARGE_N_RUNS, _FIG3_8810)]
+    runs += [(tier, [ModelParams(n=100, v=1.0, gamma=0.5, b=b, T=0.25)
+                     for b in (0.05, 0.5)], 1e-10) for tier in ("cspa", "spa")]
+    for tier, points, epsrel in runs:
+        evaluate_points(tier, points, epsrel)
+    assert raised == []
+
+
 def test_mixed_list_gives_the_rows_of_separate_calls():
     # runs never mix n or gamma: one list gives the rows of one call per part
     from xxzent.sweep import evaluate_points
