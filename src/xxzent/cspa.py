@@ -33,9 +33,12 @@ A batch of points has two stages. First each point is refused or kept,
 before any integral: T <= 0, then in cspa mode a (v, gamma, b) whose scan
 would overflow (a DomainError), then the validity scan, one scan of the
 whole batch (a BreakdownError). A refusal is that point's outcome.
-Then the kept points share one quadrature pass, and an exception inside that
-pass raises for the whole batch; the sweep layer re-evaluates such a batch
-point by point.
+Then the kept points share one quadrature pass. A radial row that fails
+there (its peak scan NaN at every point, its cut still in the peak's tail
+after 8 moves, a row that quad_gk fails, an integral collapsed to zero)
+fails its own point with a QuadratureError, and the other rows keep their
+bits; at gamma < 1 a package error of a point's z integral is that point's
+outcome.
 
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over a 512-point r grid,
@@ -48,7 +51,7 @@ bare Gaussian width sqrt(2 v / (n beta)), which it is where kappa is not
 positive and finite or the maximum lies at an end of the grid. Each radial
 integral is shifted by its l_peak and cut at r_peak + sigma_r sqrt(2 (40 +
 ln n)), that distance grown by factors of 1.5 while ln[r e^L] there is
-within 40 log-units of the peak (a QuadratureError after 8 moves), with
+within 40 log-units of the peak (a failed row after 8 moves), with
 panels placed across r_peak so the quadrature cannot miss a sharp large-n
 saddle. The radial stage has one call form at every gamma: the peak scan of
 the rows, one cut of them all, whose first integrand call also takes d_b L
@@ -107,12 +110,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, inf, isfinite, log, pi, sqrt
+from math import factorial, inf, isfinite, log, nan, pi, sqrt
 
 import numpy as np
 
 from .cmfa import mean_field_z
-from .errors import BreakdownError, DomainError, QuadratureError
+from .errors import (BreakdownError, DomainError, QuadratureError,
+                     XxzentError)
 from .exact import CollectiveMoments, _one
 from .model import ModelParams
 from .quadrature import bracket_root, quad_gk
@@ -461,7 +465,7 @@ def _t_star(v: float, gamma: float, offset: float, tol: float) -> float:
                         t_lo, inf, t_hi, -inf, tol * v)
 
 
-def _radial_peaks(params, zs, mode: str):
+def _radial_peaks(params, zs, mode: str, fail):
     """(r_peak, l_peak, sigma_r): the maximum of ln[r e^{L(r, z)}] over r and
     the radial width there, per z of ``zs`` (any shape; one per row of a
     _Rows), on a 512-point grid on (0, 1.5 v + |b - z|] per z. Two array
@@ -472,7 +476,9 @@ def _radial_peaks(params, zs, mode: str):
     T*) can be stepped over.
 
     sigma_r is _peak_width's, from the maximum and its two neighbours on
-    the fine window: no integrand call of its own."""
+    the fine window: no integrand call of its own. A row whose coarse scan
+    is NaN at every point fails: fail(row, message) gets its flat index
+    (see _row_message), and its r_peak and l_peak read NaN."""
     zs = np.asarray(zs, dtype=float)[..., None]
     r_hi = 1.5 * params.v + np.abs(params.b - zs)
     # the whole grid, though the scan reads 65 of its points: computing
@@ -483,19 +489,21 @@ def _radial_peaks(params, zs, mode: str):
     r = grid[..., 15::16]
     L = _log_integrand(params, r, zs, mode) + np.log(r)
     lost = np.isnan(L).all(axis=-1, keepdims=True)
-    if np.any(lost):
-        raise _row_error(params, zs, lost, "ln[r e^L] is NaN at every point "
-                         "of the peak scan")
-    k = 16 * np.nanargmax(L, axis=-1)[..., None] + 15
+    for i in np.flatnonzero(lost).tolist():
+        fail(i, _row_message(params, zs, i, "ln[r e^L] is NaN at every point "
+                             "of the peak scan"))
+    # a lost row scans on as a flat one
+    k = 16 * np.nanargmax(np.where(lost, 0.0, L), axis=-1)[..., None] + 15
     r = np.take_along_axis(grid, np.clip(k + np.arange(-16, 17), 0, 511), -1)
-    L = _log_integrand(params, r, zs, mode) + np.log(r)
+    L = np.where(lost, 0.0, _log_integrand(params, r, zs, mode) + np.log(r))
     k = np.nanargmax(L, axis=-1)[..., None]
     # (below, at, above) the maximum; the window repeats its end points
     k = np.clip(k + np.arange(-1, 2), 0, 32)
     r, f = (np.moveaxis(np.take_along_axis(a, k, -1), -1, 0)[..., None]
             for a in (r, L))
     sigma = _peak_width(params, r, f, r_hi / 512.0)
-    return r[1][..., 0], f[1][..., 0], sigma[..., 0]
+    r, f = (np.where(lost, nan, a[1])[..., 0] for a in (r, f))
+    return r, f, sigma[..., 0]
 
 
 def _peak_width(params, r, f, h):
@@ -513,7 +521,7 @@ def _peak_width(params, r, f, h):
                       np.sqrt(2.0 * params.v / (params.n * params.beta)))
 
 
-def _radial_cut(params, zs, peaks, mode: str):
+def _radial_cut(params, zs, peaks, mode: str, fail):
     """(r_max, slope) per z of ``zs`` (each row of a _Rows), from its peaks.
 
     r_max is the truncation radius: r_peak + sigma_r sqrt(2 (_TAIL_LOG_UNITS
@@ -522,7 +530,9 @@ def _radial_cut(params, zs, peaks, mode: str):
     _TAIL_LOG_UNITS of the peak, which checks that width, its distance from
     r_peak grows by factors of 1.5: in units of sigma_r, so that the tail
     panel past 8 sigma_r stays a few widths wide however far r_peak is from
-    0. A row still that close after 8 moves is a QuadratureError.
+    0. A row still that close after 8 moves fails: fail(row, message) gets
+    its flat index, and its r_max reads NaN. A row whose r_peak is NaN has
+    a NaN r_max too.
 
     slope is d_b L at r_peak, the centre that the accumulated deviations
     d = d_b L - centre are taken around, so that Var(d_b L) = <d^2> - <d>^2
@@ -548,24 +558,30 @@ def _radial_cut(params, zs, peaks, mode: str):
         if not np.any(wide):
             break
         if moves == 8:
-            raise _row_error(params, zs, wide,
-                             f"ln[r e^L] still within {_TAIL_LOG_UNITS:g} "
-                             f"log-units of its peak at the cut r = "
-                             f"{r_max[wide][0]:.6g} after 8 moves")
-        r_max = np.where(wide, r_peak + 1.5 * (r_max - r_peak), r_max)
+            for i in np.flatnonzero(wide).tolist():
+                fail(i, _row_message(
+                    params, zs, i, f"ln[r e^L] still within "
+                    f"{_TAIL_LOG_UNITS:g} log-units of its peak at the cut "
+                    f"r = {r_max.flat[i]:.6g} after 8 moves"))
+        r_max = np.where(wide, nan if moves == 8
+                         else r_peak + 1.5 * (r_max - r_peak), r_max)
     return r_max[..., 0], slope
 
 
-def _row_error(params, zs, mask, what: str) -> QuadratureError:
-    """The QuadratureError that names the first radial row set in ``mask``,
-    which has the shape of the column ``zs`` (one trailing axis of 1), with
-    its b, T and z, and says ``what`` went wrong there."""
-    at = tuple(np.argwhere(mask)[0].tolist())
-    b, beta = (np.broadcast_to(x, mask.shape)[at]
+def _row_message(params, zs, i: int, what: str) -> str:
+    """The message of the radial row at flat index ``i`` of the column
+    ``zs`` (one trailing axis of 1): its b, T and z, and ``what`` went wrong
+    there."""
+    b, beta = (np.broadcast_to(x, zs.shape).flat[i]
                for x in (params.b, params.beta))
-    return QuadratureError(
-        f"radial CSPA row {at[:-1]} (b = {b:.6g}, T = {1.0 / beta:.6g}, "
-        f"z = {zs[at]:.6g}): {what}")
+    return (f"radial CSPA row (b = {b:.6g}, T = {1.0 / beta:.6g}, "
+            f"z = {zs.flat[i]:.6g}): {what}")
+
+
+def _raise(row, what: str):
+    """The fail of a point's own z integral: its first failed radial row
+    fails the point."""
+    raise QuadratureError(what)
 
 
 def _weighted_factors(params: ModelParams, r, z, mode: str, l_peak, center):
@@ -597,7 +613,7 @@ _Z_BATCH = 45
 
 
 def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
-                               r_max, center):
+                               r_max, center, fail):
     """(ln I_0, rel. error, I_k / I_0 with one column per row), I_k the
     integrals over (0, r_max) of the rows of _weighted_factors, for a whole
     batch of rows: the z values of one ModelParams, or the points of a
@@ -607,7 +623,9 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
     One quad_gk call: each row starts on the panels _BATCH_EDGES around its
     r_peak (from ``peaks``, as in _radial_peaks), cut at its ``r_max``, and
     a row whose error estimate of I_0 misses the budget is refined on those
-    panels in the same call. A QuadratureError raises for the whole batch.
+    panels in the same call. A row that quad_gk fails, or whose I_0 is not
+    positive, fails: fail(row, message) gets it. A row whose r_max is NaN
+    has no panel, so its I_0 is 0.
     """
     nz = zs.size
     r_peak, l_peak, sigma = peaks
@@ -621,13 +639,16 @@ def _radial_log_integral_batch(params, zs, peaks, mode: str, epsrel: float,
                                  l_peak[row, None], center[row, None])
 
     res = quad_gk(f, edges, epsrel=epsrel, max_panels=4000)
+    for i, what in res.failed.items():
+        fail(i, what)
     val = res.value
-    if np.any(val[0] <= 0):
-        raise QuadratureError("radial CSPA integral collapsed to zero")
+    for i in np.flatnonzero(val[0] <= 0).tolist():
+        fail(i, "radial CSPA integral collapsed to zero")
+    total = np.where(val[0] > 0, val[0], nan)
     # math.log, not np.log: numpy's SIMD log differs from it in the last bit
     # on some inputs, and ln I_0 feeds every output of cspa_logZ
-    return (l_peak + np.fromiter(map(log, val[0]), float, nz),
-            res.error / val[0], val[1:] / val[0])
+    return (l_peak + np.fromiter(map(log, total), float, nz),
+            res.error / total, val[1:] / total)
 
 
 def cspa_logZ(params: ModelParams, mode: str = "cspa",
@@ -648,8 +669,9 @@ def _logZ_batch(points, mode: str, epsrel: float) -> list:
     Every refusal (T <= 0, then in cspa mode _scan_overflow and the
     validity scan) is decided before any integral, by one scan of all the
     points. The valid points then share one pass, one radial row per point
-    at gamma = 1 and one z integral per point at gamma < 1, and whatever
-    that pass raises, it raises for the whole batch.
+    at gamma = 1 and one z integral per point at gamma < 1. A failed radial
+    row, or a package error of a point's z integral, is that point's
+    outcome.
     """
     if mode not in ("cspa", "spa"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -662,26 +684,33 @@ def _logZ_batch(points, mode: str, epsrel: float) -> list:
         for k, *scan in zip(live, *map(np.ravel, (worst, *where))):
             out[k] = _breakdown(points[k], *scan)
         live = [k for k in live if out[k] is None]
-    if live:
-        valid = [points[k] for k in live]
-        evs = ([_logZ_z(p, mode, epsrel) for p in valid]
-               if valid[0].gamma < 1.0 else _logZ_rows(valid, mode, epsrel))
+    if live and points[0].gamma < 1.0:
+        for k in live:
+            try:
+                out[k] = _logZ_z(points[k], mode, epsrel)
+            except XxzentError as err:     # fails its own point
+                out[k] = err
+    elif live:
+        evs = _logZ_rows([points[k] for k in live], mode, epsrel)
         for k, ev in zip(live, evs):
             out[k] = ev
     return out
 
 
 def _logZ_rows(points, mode: str, epsrel: float) -> list:
-    """The gamma = 1 integrals of valid points, one radial row per point."""
+    """The gamma = 1 integrals of valid points, one radial row per point:
+    each its CspaEvaluation, or the QuadratureError of its failed row."""
     rows = _Rows.of(points)
     zs = np.zeros(len(points))
-    peaks = _radial_peaks(rows, zs, mode)
-    r_max, center = _radial_cut(rows, zs, peaks, mode)
-    lv, rel, means = _radial_log_integral_batch(rows, zs, peaks, mode, epsrel,
-                                                r_max, center)
-    return [_evaluation(p, mode, log(p.n * p.beta / (2.0 * p.v))
-                        + float(lv[i]), float(rel[i]), center[i], means[:, i],
-                        1.0)
+    failed = {}
+    peaks = _radial_peaks(rows, zs, mode, failed.setdefault)
+    r_max, center = _radial_cut(rows, zs, peaks, mode, failed.setdefault)
+    lv, rel, means = _radial_log_integral_batch(
+        rows, zs, peaks, mode, epsrel, r_max, center, failed.setdefault)
+    return [QuadratureError(failed[i]) if i in failed
+            else _evaluation(p, mode, log(p.n * p.beta / (2.0 * p.v))
+                             + float(lv[i]), float(rel[i]), center[i],
+                             means[:, i], 1.0)
             for i, p in enumerate(points)]
 
 
@@ -707,7 +736,7 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     z_peak = np.array([first] + [z for z in others if abs(z - first) > sigma_z])
     # each saddle with its neighbours at +-sigma_z, all in one peak scan
     z_nbr = z_peak[:, None] + sigma_z * np.array([-1.0, 0.0, 1.0])
-    nbr = _radial_peaks(params, z_nbr, mode)
+    nbr = _radial_peaks(params, z_nbr, mode, _raise)
     l0 = nbr[1][0, 1]
     if not isfinite(l0):
         raise QuadratureError(f"z integral: ln[r e^L] at the mean-field "
@@ -719,7 +748,7 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     z_peak = z_nbr[:, 1]
     top = int(np.argmax(nbr[1][:, 1]))
     shift = float(nbr[1][top, 1])
-    r_nbr, slope = _radial_cut(params, z_nbr, nbr, mode)
+    r_nbr, slope = _radial_cut(params, z_nbr, nbr, mode, _raise)
     center = slope[top, 1]
     # the z profile is wider than sigma_z, the inner integral broadens it:
     # its width at each saddle is 1/sqrt(kappa), kappa the curvature of
@@ -727,7 +756,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     # positive and finite), from one radial batch
     l_nbr = _radial_log_integral_batch(
         params, z_nbr.ravel(), tuple(map(np.ravel, nbr)), mode, epsrel,
-        r_nbr.ravel(), np.full(z_nbr.size, center))[0].reshape(z_nbr.shape)
+        r_nbr.ravel(), np.full(z_nbr.size, center),
+        _raise)[0].reshape(z_nbr.shape)
     kappa = -(l_nbr[:, 2] - 2.0 * l_nbr[:, 1] + l_nbr[:, 0]) / sigma_z ** 2
     width = np.array([1.0 / sqrt(k) if 0.0 < k < inf else sigma_z
                       for k in kappa])
@@ -739,18 +769,18 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
         batches of _Z_BATCH rows."""
         shape, zs = zs.shape, zs.ravel()
         out = np.zeros((5, zs.size))
-        peaks = _radial_peaks(params, zs, mode)
+        peaks = _radial_peaks(params, zs, mode, _raise)
         # z deep in the Gaussian tail contributes nothing, and the log
         # integrand there sits below float resolution anyway
         live = np.flatnonzero(peaks[1] - shift > -200.0)
         zs, peaks = zs[live], tuple(a[live] for a in peaks)
-        r_max, _ = _radial_cut(params, zs, peaks, mode)
+        r_max, _ = _radial_cut(params, zs, peaks, mode, _raise)
         centers = np.full(live.size, center)
         for k in range(0, live.size, _Z_BATCH):
             i = slice(k, k + _Z_BATCH)
             lv, rel, means = _radial_log_integral_batch(
                 params, zs[i], tuple(a[i] for a in peaks), mode, epsrel,
-                r_max[i], centers[i])
+                r_max[i], centers[i], _raise)
             errs.extend(rel)
             if np.any(lv - shift > 700.0):
                 raise QuadratureError(
@@ -766,6 +796,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
         [-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0]), axis=None)
     edges = np.clip(np.concatenate([[z_lo], seeds, [z_hi]]), z_lo, z_hi)
     res = quad_gk(g, edges[None], epsrel=epsrel, max_panels=800)
+    if res.failed:
+        raise QuadratureError(res.failed[0])
     value = res.value[:, 0]
     total = value[0]
     if total <= 0:
@@ -802,8 +834,9 @@ def cspa_moments_batch(points, mode: str = "cspa",
                        epsrel: float = 1e-11) -> list:
     """cspa_moments at each of ``points``, which share n, v and gamma, from
     one pass (see _logZ_batch): one outcome per point, its CollectiveMoments
-    or its refusal (T <= 0, or a BreakdownError below T*). An exception
-    inside the shared pass raises for the whole batch."""
+    or its refusal (T <= 0, or a BreakdownError below T*) or failure (a
+    QuadratureError of its radial row or z integral). Any other exception
+    raises for the whole batch."""
     return [ev if isinstance(ev, Exception) else _moments(p, ev)
             for p, ev in zip(points, _logZ_batch(points, mode, epsrel))]
 

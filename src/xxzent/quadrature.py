@@ -31,8 +31,6 @@ from math import ceil, isfinite, log2
 
 import numpy as np
 
-from .errors import QuadratureError
-
 __all__ = ["quad_gk", "QuadResult", "bracket_root", "bracket_roots"]
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights below.
@@ -71,14 +69,16 @@ _WGFULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])    # Gauss nodes sit at o
 
 
 class QuadResult:
-    """Integral value, error estimate and evaluation count."""
+    """Integral value, error estimate and evaluation count, and the rows
+    that failed (row -> message)."""
 
-    __slots__ = ("value", "error", "neval")
+    __slots__ = ("value", "error", "neval", "failed")
 
-    def __init__(self, value, error, neval):
+    def __init__(self, value, error, neval, failed):
         self.value = value
         self.error = error
         self.neval = neval
+        self.failed = failed
 
 
 def _rule(f, row, lo, hi):
@@ -107,12 +107,14 @@ def quad_gk(f, edges, *, epsrel=1e-10, max_panels=2000):
     one more call: in every row whose error of component 0 is above epsrel
     |I_0|, I_0 that row's integral of component 0, it halves the splittable
     panel with the largest error. A row's splits and sums depend on that row
-    alone. A QuadratureError is raised when a sum of any component, or an
-    error estimate, is not finite, when a row above its budget already has
-    ``max_panels`` panels, or when its panels at float resolution alone hold
-    more error than its budget.
+    alone. A row fails, and is refined no further, when a sum of any of its
+    components, or its error estimate, is not finite, when it is above its
+    budget with ``max_panels`` panels already, or when its panels at float
+    resolution alone hold more error than its budget; the other rows go on
+    with the same bits.
 
-    value has shape (m, rows) and error shape (rows,).
+    value has shape (m, rows), float even where no panel is live, and error
+    shape (rows,); failed maps each failed row to what went wrong there.
     """
     edges = np.asarray(edges, dtype=float)
     rows = len(edges)
@@ -120,29 +122,33 @@ def quad_gk(f, edges, *, epsrel=1e-10, max_panels=2000):
     lo, hi = edges[row, pan], edges[row, pan + 1]
     k, err = _rule(f, row, lo, hi)
     neval = 15 * lo.size
+    failed = {}
     while True:
         # per (component, row) bin, in panel order: a row's sums do not see
-        # the other rows
+        # the other rows; float, though no panel of the call is live
         m = len(k)
         val = np.bincount((row + rows * np.arange(m)[:, None]).ravel(),
                           k.ravel(), minlength=m * rows).reshape(m, rows)
-        toterr = np.bincount(row, err, minlength=rows)
-        if not (np.isfinite(val).all() and np.isfinite(toterr).all()):
-            raise QuadratureError("non-finite integral or error estimate")
+        val = val.astype(float)
+        toterr = np.bincount(row, err, minlength=rows).astype(float)
         budget = epsrel * np.abs(val[0])
-        need = toterr > budget
-        if not need.any():
-            break
         mid = 0.5 * (lo + hi)
         split = (lo < mid) & (mid < hi)
-        if np.any(need & (np.bincount(row, minlength=rows) >= max_panels)):
-            raise QuadratureError(
-                f"no convergence after {max_panels} panels: error "
-                f"{toterr[need].max():.2e} vs target {budget[need].min():.2e}")
+        # a failed row keeps its panels, so it fails the same way each round
+        bad = ~(np.isfinite(val).all(axis=0) & np.isfinite(toterr))
+        need = ~bad & (toterr > budget)
+        full = need & (np.bincount(row, minlength=rows) >= max_panels)
         locked = np.bincount(row, np.where(split, 0.0, err), minlength=rows)
-        if np.any(need & (locked > budget)):
-            raise QuadratureError(
-                "panel at float resolution still above the error budget")
+        lock = need & ~full & (locked > budget)
+        for i in np.flatnonzero(bad | full | lock).tolist():
+            failed.setdefault(i, (
+                "non-finite integral or error estimate" if bad[i] else
+                f"no convergence after {max_panels} panels: error "
+                f"{toterr[i]:.2e} vs target {budget[i]:.2e}" if full[i] else
+                "panel at float resolution still above the error budget"))
+        need &= ~(full | lock)
+        if not need.any():
+            break
         # the worst splittable panel of each row that needs one: its left
         # half takes the panel's place, its right half goes last
         c = np.flatnonzero(split & need[row])
@@ -160,7 +166,7 @@ def quad_gk(f, edges, *, epsrel=1e-10, max_panels=2000):
         k[:, worst] = k2[:, :n]
         err = np.append(err, e2[n:])
         err[worst] = e2[:n]
-    return QuadResult(val, toterr, neval)
+    return QuadResult(val, toterr, neval, failed)
 
 
 def _itp(lo, g_lo, hi, g_hi, tol):

@@ -2,13 +2,14 @@
 
 Each tier is one entry of a ``tier -> evaluator`` table; an evaluator takes
 a run of points and returns one outcome per point, its result or what
-refused it. evaluate_run is the one place that runs an evaluator, times it
-and turns each outcome into a point and its status, so no exception of any
-type aborts a sweep, and no ok point carries a non-finite value. When the
-evaluator itself raises (the cspa, spa and exact tiers raise whatever fails
-inside the pass a run shares), the run is evaluated again one point at a
-time: this retry is the one place that pins a failure of a shared pass to
-its point.
+refused or failed it: a failed quadrature row of a shared pass is the
+outcome of its point alone. evaluate_run is the one place that runs an
+evaluator, once per run, times it and turns each outcome into a point and
+its status, so no exception of any type aborts a sweep, and no ok point
+carries a non-finite value. An exception that escapes an evaluator (the
+cspa, spa and exact tiers share a pass across the run) is a defect of that
+pass, not of a point: every point of the run reads error, with a message
+that names the exception.
 evaluate_points is the evaluation loop over a list of parameter points, used
 by run_sweep, the limit scans and the reference figures: it cuts the list
 into runs of at most RUN_POINTS (40) consecutive points at one (n, v,
@@ -314,16 +315,16 @@ def _failure(err: Exception):
 
 def _outcomes(tier: str, points, epsrel: float) -> list:
     """One outcome per point: (moments, ConcurrenceResult, logZ) or the
-    exception raised. A run whose evaluator raises is evaluated again one
-    point at a time."""
+    exception that fails it, from one evaluator call. An exception that
+    escapes the evaluator is a defect of the pass the run shares, not of a
+    point: every point of the run gets a RuntimeError that names it."""
+    if tier not in _EVALUATORS:
+        return [DomainError(f"unknown tier {tier!r}")] * len(points)
     try:
-        if tier not in _EVALUATORS:
-            raise DomainError(f"unknown tier {tier!r}")
         outcomes = _EVALUATORS[tier](points, epsrel)
-    except Exception as err:     # a sweep outlives any one point
-        if len(points) == 1:
-            return [err]
-        return [out for p in points for out in _outcomes(tier, [p], epsrel)]
+    except Exception as err:     # a sweep outlives any one run
+        return [RuntimeError(f"the run's shared pass raised "
+                             f"{type(err).__name__}: {err}")] * len(points)
     return _each(_result, points, outcomes)
 
 

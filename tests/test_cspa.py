@@ -1,5 +1,6 @@
 import itertools
-from math import atan, ceil, exp, inf, log, log2, pi, sin, sqrt, tanh
+import re
+from math import atan, ceil, erf, exp, inf, log, log2, pi, sin, sqrt, tanh
 
 import numpy as np
 import pytest
@@ -72,12 +73,15 @@ def test_quad_gk_rows_are_integrated_independently():
 
 def test_quad_gk_panel_budget_exit():
     # 1/sqrt(x) is singular at 0: each halving of the panel there gains a
-    # factor sqrt(2) only, so 40 panels cannot reach 1e-12
+    # factor sqrt(2) only, so 40 panels cannot reach 1e-12: the row fails
+    # with the error and target it stopped at
     f = lambda row, x: (1.0 / np.sqrt(x))[None]
-    with pytest.raises(QuadratureError, match="no convergence after 40"):
-        quad_gk(f, [[0.0, 1.0]], epsrel=1e-12, max_panels=40)
-    assert quad_gk(f, [[0.0, 1.0]], epsrel=1e-6,
-                   max_panels=40).value[0, 0] == pytest.approx(2.0, rel=1e-6)
+    res = quad_gk(f, [[0.0, 1.0]], epsrel=1e-12, max_panels=40)
+    assert list(res.failed) == [0]
+    assert re.fullmatch(r"no convergence after 40 panels: error \S+ vs "
+                        r"target \S+", res.failed[0])
+    ok = quad_gk(f, [[0.0, 1.0]], epsrel=1e-6, max_panels=40)
+    assert ok.failed == {} and ok.value[0, 0] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_quad_gk_float_resolution_exit():
@@ -87,32 +91,63 @@ def test_quad_gk_float_resolution_exit():
     lo = 1.0
     hi = float(np.nextafter(lo, 2.0))
     step = lambda row, x: np.where(x >= lo, 1.0, 0.0)[None]
-    with pytest.raises(QuadratureError, match="float resolution"):
-        quad_gk(step, [[lo, hi]], epsrel=1e-10)
+    message = "panel at float resolution still above the error budget"
+    assert quad_gk(step, [[lo, hi]], epsrel=1e-10).failed == {0: message}
     # next to a wide panel that converges, the same row fails as a whole
-    with pytest.raises(QuadratureError, match="float resolution"):
-        quad_gk(step, [[0.0, lo, hi]], epsrel=1e-10)
+    assert quad_gk(step, [[0.0, lo, hi]], epsrel=1e-10).failed == \
+        {0: message}
 
 
 def test_quad_gk_non_finite_sum_raises():
     # a NaN row has a NaN error, which is never above its budget: it used
-    # to be returned as converged
+    # to be returned as converged. It fails, and the other row converges
     def nan_row(row, x):
         return np.where(row[:, None] == 1, np.nan, np.cos(x))[None]
 
     edges = [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
-    with pytest.raises(QuadratureError, match="non-finite"):
-        quad_gk(nan_row, edges)
-    # a non-finite stacked component raises too, though component 0, which
-    # steers the refinement, is finite
+    message = "non-finite integral or error estimate"
+    res = quad_gk(nan_row, edges)
+    assert res.failed == {1: message}
+    assert res.value[0, 0] == pytest.approx(np.sin(1.0), rel=1e-12)
+    # a non-finite stacked component fails its row too, though component 0,
+    # which steers the refinement, is finite
     def stacked(row, x):
         return np.stack([np.cos(x), np.where(x > 0.9, np.inf, x)])
 
-    with pytest.raises(QuadratureError, match="non-finite"):
-        quad_gk(stacked, edges)
+    assert quad_gk(stacked, edges).failed == {0: message, 1: message}
     # the same components, finite, integrate
     res = quad_gk(lambda row, x: np.stack([np.cos(x), x]), edges)
+    assert res.failed == {}
     np.testing.assert_allclose(res.value, [[np.sin(1.0)] * 2, [0.5] * 2])
+
+
+def test_quad_gk_failed_row_leaves_the_other_bit_identical():
+    # a row that fails (here at its panel budget, after refining) is refined
+    # no further, and the row beside it keeps the bits of its lone call
+    def f(row, x):
+        # row 0 is 1/sqrt(x) on (0, 1], row 1 a Gaussian
+        first = row[:, None] == 0
+        return np.where(first, 1.0 / np.sqrt(np.where(first, x, 1.0)),
+                        np.exp(-x * x))[None]
+
+    edges = [[0.0, 1.0], [-3.0, 3.0]]
+    both = quad_gk(f, edges, epsrel=1e-12, max_panels=40)
+    alone = quad_gk(lambda row, x: f(np.ones_like(row), x), edges[1:],
+                    epsrel=1e-12, max_panels=40)
+    assert list(both.failed) == [0] and alone.failed == {}
+    assert both.value[0, 1].hex() == alone.value[0, 0].hex()
+    assert both.error[1].hex() == alone.error[0].hex()
+    assert both.value[0, 1] == pytest.approx(sqrt(pi) * erf(3.0), rel=1e-12)
+
+
+def test_quad_gk_without_a_live_panel_is_float():
+    # rows of zero-width panels only: no panel to sum, float zeros all
+    # the same (np.bincount of no weights is an int array)
+    res = quad_gk(lambda row, x: np.stack([x, x]), [[0.0, 0.0], [1.0, 1.0]])
+    assert res.value.dtype == res.error.dtype == np.float64
+    assert res.value.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert res.error.tolist() == [0.0, 0.0]
+    assert (res.neval, res.failed) == (0, {})
 
 
 def _bisect(moves_lo, lo, hi, tol):
@@ -421,10 +456,10 @@ _EDGE_POINTS = (
     ("cspa", ModelParams(n=6, v=1.0, gamma=1.0, b=0.0, T=1e300),
      r"non-finite result"),
     ("cspa", ModelParams(n=20, v=1.0, gamma=0.5, b=1e20, T=1.0),
-     r"radial CSPA row \(0, 0\) \(b = 1e\+20, T = 1, z = -0\.723607\): "
+     r"radial CSPA row \(b = 1e\+20, T = 1, z = -0\.723607\): "
      r"ln\[r e\^L\] still within 40 log-units .* after 8 moves"),
     ("cspa", ModelParams(n=6, v=1.0, gamma=1.0, b=1e4, T=1e-300),
-     r"radial CSPA row \(0,\) \(b = 10000, T = 1e-300, z = 0\): ln\[r e\^L\] "
+     r"radial CSPA row \(b = 10000, T = 1e-300, z = 0\): ln\[r e\^L\] "
      r"is NaN at every point of the peak scan"),
     ("spa", ModelParams(n=6, v=1.0, gamma=0.5, b=1e300, T=1.0),
      r"z integral: ln\[r e\^L\] at the mean-field saddle z = -0\.5 is -inf"))
@@ -476,10 +511,10 @@ def test_radial_cut_slope_is_a_lone_derivative_call(monkeypatch, mode):
         return [float(x).hex() for x in np.ravel(a)]
 
     for params, zs in cases:
-        peaks = cspa._radial_peaks(params, zs, mode)
+        peaks = cspa._radial_peaks(params, zs, mode, cspa._raise)
         first.clear()
         monkeypatch.setattr(cspa, "_log_integrand", recorded)
-        _, slope = cspa._radial_cut(params, zs, peaks, mode)
+        _, slope = cspa._radial_cut(params, zs, peaks, mode, cspa._raise)
         monkeypatch.setattr(cspa, "_log_integrand", real)
         ((r, (L, _)),) = first
         r_peak, zcol = peaks[0][:, None], zs[:, None]
@@ -733,7 +768,7 @@ def _radial_reference(cspa, p, z, peak, mode):
     quadrature, which shares nothing with quad_gk."""
     from scipy.integrate import quad as scipy_quad
     r_peak, l_peak, _ = peak
-    cut = float(cspa._radial_cut(p, z, peak, mode)[0])
+    cut = float(cspa._radial_cut(p, z, peak, mode, cspa._raise)[0])
     rows = {}
 
     def row(k):
@@ -786,11 +821,12 @@ def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
               ModelParams(n=100, v=1.0, gamma=-0.5, b=0.5, T=0.25),
               ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)):
         zs = np.append(np.linspace(-0.4, 1.0, 8), p.b)
-        peaks = cspa._radial_peaks(p, zs, mode)
-        r_max, _ = cspa._radial_cut(p, zs, peaks, mode)
+        peaks = cspa._radial_peaks(p, zs, mode, cspa._raise)
+        r_max, _ = cspa._radial_cut(p, zs, peaks, mode, cspa._raise)
         calls.clear()
         batch, rel, means = cspa._radial_log_integral_batch(
-            p, zs, peaks, mode, epsrel, r_max, np.zeros(zs.size))
+            p, zs, peaks, mode, epsrel, r_max, np.zeros(zs.size),
+            cspa._raise)
         # one call and no refinement round: the initial panels alone meet
         # the budget
         assert [rounds for _, rounds, *_ in calls] == [1]
@@ -838,17 +874,18 @@ def test_radial_peaks_match_a_per_z_scan():
             points += [q.replace(T=T) for T in np.geomspace(t_lo, 0.5, 10)]
         batches.append((cspa._Rows.of(points), points, np.zeros(150)))
         for params, rows, zs in batches:
-            r_peak, l_peak, sigma = cspa._radial_peaks(params, zs, mode)
+            r_peak, l_peak, sigma = cspa._radial_peaks(params, zs, mode,
+                                                       cspa._raise)
             for k in (1, 8):
                 head = cspa._radial_peaks(cspa._at(params, slice(k)), zs[:k],
-                                          mode)
+                                          mode, cspa._raise)
                 for a, whole in zip(head, (r_peak, l_peak, sigma)):
                     assert np.array_equal(a, whole[:k])
             for p, z, r0, l0 in zip(rows, zs, r_peak, l_peak):
                 assert (r0, l0) == _plain_peak(p, z, mode), (p, z)
     p = ModelParams(n=50, v=1.0, gamma=0.5, b=0.3, T=0.3)
     zs = np.array([[-1.0, 0.0], [0.31, 2.5]])
-    r_peak, l_peak, sigma = cspa._radial_peaks(p, zs, "cspa")
+    r_peak, l_peak, sigma = cspa._radial_peaks(p, zs, "cspa", cspa._raise)
     assert r_peak.shape == l_peak.shape == sigma.shape == zs.shape
     for idx in np.ndindex(zs.shape):
         assert (r_peak[idx], l_peak[idx]) == _plain_peak(p, zs[idx], "cspa")
@@ -868,7 +905,8 @@ def test_radial_width_is_the_curvature_at_the_peak(n, gamma, b):
     from xxzent.cmfa import mean_field_z
     p = ModelParams(n=n, v=1.0, gamma=gamma, b=b, T=0.25)
     z = mean_field_z(p)[0] if gamma < 1.0 else 0.0
-    (r0,), _, (sigma,) = cspa._radial_peaks(p, np.array([z]), "cspa")
+    (r0,), _, (sigma,) = cspa._radial_peaks(p, np.array([z]), "cspa",
+                                           cspa._raise)
     bare = sqrt(2.0 / (n * 4.0))
     h = bare / 100.0
     r = r0 + h * np.array([-1.0, 0.0, 1.0])
@@ -908,19 +946,22 @@ def test_radial_width_falls_back_to_the_bare_width(monkeypatch):
                                              -(r - 0.7) ** 2), None)):
         monkeypatch.setattr(cspa, "_log_integrand",
                             lambda params, r, z, mode: prof(r) - np.log(r))
-        (r0,), _, (sigma,) = cspa._radial_peaks(p, np.array([0.0]), "cspa")
+        (r0,), _, (sigma,) = cspa._radial_peaks(p, np.array([0.0]), "cspa",
+                                               cspa._raise)
         assert sigma == bare
         assert r0 == pytest.approx(r_peak or 0.7, abs=r_hi / 512.0)
 
 
 def test_radial_cut_raises_on_a_heavy_tail(monkeypatch):
     # a row whose ln[r e^L] is still within _TAIL_LOG_UNITS of its peak at
-    # the cut after 8 moves is a QuadratureError that names the row, not a
-    # silently truncated integral; in a sweep it fails that point alone
+    # the cut after 8 moves fails its point with a QuadratureError that
+    # names the row, not a silently truncated integral; the other rows of
+    # the pass keep the bits of their lone evaluation
     import xxzent.cspa as cspa
-    from xxzent.sweep import evaluate_points
+    from xxzent.sweep import evaluate_point, evaluate_points, points_to_csv
     points = [ModelParams(n=20, v=1.0, b=b, T=0.25) for b in (0.3, 0.9, 1.2)]
-    (_, (l_peak,), _) = cspa._radial_peaks(points[1], np.zeros(1), "cspa")
+    (_, (l_peak,), _) = cspa._radial_peaks(points[1], np.zeros(1), "cspa",
+                                         cspa._raise)
     real = cspa._log_integrand
 
     def heavy(params, r, z, mode, derivs=False):
@@ -934,13 +975,17 @@ def test_radial_cut_raises_on_a_heavy_tail(monkeypatch):
         return (L, out[1]) if derivs else L
 
     monkeypatch.setattr(cspa, "_log_integrand", heavy)
-    with pytest.raises(QuadratureError, match=r"radial CSPA row \(1,\) "
-                       r"\(b = 0\.9, T = 0\.25, z = 0\): .* still within "
-                       r"40 log-units .* after 8 moves"):
-        cspa._logZ_batch(points, "cspa", 1e-10)
+    out = cspa._logZ_batch(points, "cspa", 1e-10)
+    assert [type(o).__name__ for o in out] == \
+        ["CspaEvaluation", "QuadratureError", "CspaEvaluation"]
+    assert re.fullmatch(r"radial CSPA row \(b = 0\.9, T = 0\.25, z = 0\): "
+                        r".* still within 40 log-units .* after 8 moves",
+                        str(out[1]))
     pts = evaluate_points("cspa", points)
     assert [pt.status for pt in pts] == ["ok", "error", "ok"]
-    assert "still within 40 log-units" in pts[1].message
+    assert pts[1].message == str(out[1])
+    assert points_to_csv(pts) == points_to_csv(
+        [evaluate_point("cspa", p) for p in points])
 
 
 def test_coarse_scan_misses_a_spike_near_t_star_to_the_same_status():
@@ -952,7 +997,7 @@ def test_coarse_scan_misses_a_spike_near_t_star_to_the_same_status():
     from xxzent.sweep import evaluate_point
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.3, T=0.1)
     p = p.replace(T=breakdown_temperature(p) * (1.0 + 1e-6))
-    _, l_peak, _ = cspa._radial_peaks(p, np.zeros(1), "cspa")
+    _, l_peak, _ = cspa._radial_peaks(p, np.zeros(1), "cspa", cspa._raise)
     assert l_peak[0] < _plain_peak(p, 0.0, "cspa")[1] - 1.0
     pt = evaluate_point("cspa", p)
     assert (pt.status, pt.message) == (
@@ -1561,8 +1606,8 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
         calls.clear()
         refined = cspa_logZ(p, mode, epsrel=1e-11)
         zs = np.zeros(1)
-        r_max, _ = cspa._radial_cut(p, zs, cspa._radial_peaks(p, zs, mode),
-                                    mode)
+        peaks = cspa._radial_peaks(p, zs, mode, cspa._raise)
+        r_max, _ = cspa._radial_cut(p, zs, peaks, mode, cspa._raise)
         ((edges, rounds, *_),) = calls
         assert rounds > 1
         assert (edges[0, 0], edges[0, -1]) == (0.0, r_max[0])
@@ -1572,11 +1617,12 @@ def test_fallback_returns_the_fixed_layout_moments(monkeypatch, mode):
     # one gamma < 1 inner row: the batch against an adaptive reference
     p = ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3)
     zs = np.array([0.2])
-    peaks = cspa._radial_peaks(p, zs, mode)
-    r_max, _ = cspa._radial_cut(p, zs, peaks, mode)
+    peaks = cspa._radial_peaks(p, zs, mode, cspa._raise)
+    r_max, _ = cspa._radial_cut(p, zs, peaks, mode, cspa._raise)
     calls.clear()
     lv, _, means = cspa._radial_log_integral_batch(p, zs, peaks, mode, 1e-8,
-                                                   r_max, np.zeros(1))
+                                                   r_max, np.zeros(1),
+                                                   cspa._raise)
     assert [rounds for _, rounds, *_ in calls] == [1]
     ln_i0, ad_means = _radial_reference(cspa, p, 0.2,
                                         [a[0] for a in peaks], mode)

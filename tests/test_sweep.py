@@ -612,17 +612,23 @@ def test_exact_point_is_ok_or_refused_before_any_pass(monkeypatch, n, pairs,
 def test_any_exception_becomes_error_status(monkeypatch):
     from xxzent import exact, model
 
+    calls = []
+
     def boom(points):
+        calls.append(len(points))
         raise ZeroDivisionError("injected")
 
     # the exact tier sums the T > 0 points of a run in
-    # thermal_observables_batch; the run that raised is evaluated again
-    # one point at a time, and each of those raises too
+    # thermal_observables_batch: an exception there is a defect of the
+    # run's shared pass, which runs once, and every point of the run reads
+    # error with a message that names it
     monkeypatch.setattr(exact, "thermal_observables_batch", boom)
     pts = run_sweep(SweepSpec(tier="exact", fixed=ModelParams(n=8, T=0.2),
                               axes=(GridAxis("b", 0.0, 1.0, 3),)))
+    assert calls == [3]
     assert [pt.status for pt in pts] == ["error"] * 3
-    assert all(pt.message == "ZeroDivisionError: injected" for pt in pts)
+    assert all(pt.message == "RuntimeError: the run's shared pass raised "
+               "ZeroDivisionError: injected" for pt in pts)
     assert all(pt.moments is None and pt.result is None for pt in pts)
 
 
@@ -1250,11 +1256,11 @@ def test_failure_in_a_shared_refinement_run_stays_with_its_point(
         monkeypatch, failure):
     # cspa at n = 20, b = 1.15: the band's onset and end share each
     # refinement run. A failure injected at the onset's point of the first
-    # shared run (a raise in the shared pass, or a breakdown outcome) fails
-    # that point alone: the end stays the clean one, and the onset is the
-    # one the per-edge loop finds with the same failure
+    # shared run (the QuadratureError of a failed row, or a breakdown
+    # outcome) fails that point alone: the end stays the clean one, and the
+    # onset is the one the per-edge loop finds with the same failure
     from xxzent import sweep
-    from xxzent.errors import BreakdownError
+    from xxzent.errors import BreakdownError, QuadratureError
     p = ModelParams(n=20, v=1.0, gamma=1.0, b=1.15, T=0.1)
     axis = GridAxis("T", 1e-3, 1.0, 28, "log")
     runs = []
@@ -1271,11 +1277,9 @@ def test_failure_in_a_shared_refinement_run_stays_with_its_point(
     real = sweep._EVALUATORS["cspa"]
 
     def injected(points, epsrel):
-        hit = [q.T == target for q in points]
-        if failure == "error" and any(hit):
-            raise ZeroDivisionError("injected")
-        return [BreakdownError("injected") if h else out
-                for h, out in zip(hit, real(points, epsrel))]
+        fail = QuadratureError if failure == "error" else BreakdownError
+        return [fail("injected") if q.T == target else out
+                for q, out in zip(points, real(points, epsrel))]
     monkeypatch.setitem(sweep._EVALUATORS, "cspa", injected)
     runs.clear()
     hurt = limit_temperature("cspa", p, probes=28, epsrel=1e-8)
@@ -1422,12 +1426,11 @@ def test_exact_passes_are_sized_by_their_estimated_union(monkeypatch):
 
 
 def test_no_shared_pass_raises(monkeypatch):
-    # a run whose evaluator raises is evaluated again one point at a time,
-    # and nothing records it: a pass that always raised would read as ok
-    # rows, each at the cost of a pass of its own. Every evaluator is
-    # wrapped, and none raises on figure 2's rows (exact, cspa and spa), the
-    # exact-large-n runs, figure 3's n = 8810 row or the benchmark's two
-    # n = 100 points at gamma = 0.5 (cspa and spa)
+    # an exception that escapes an evaluator is a defect that fails every
+    # point of its run. Every evaluator is wrapped, and none raises on
+    # figure 2's rows (exact, cspa and spa), the exact-large-n runs, figure
+    # 3's n = 8810 row or the benchmark's two n = 100 points at gamma = 0.5
+    # (cspa and spa)
     from xxzent import sweep
     from xxzent.sweep import evaluate_points
     raised = []
@@ -1467,11 +1470,15 @@ def test_mixed_list_gives_the_rows_of_separate_calls():
                                         ("shared", ZeroDivisionError),
                                         ("z-peak", None)])
 def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
-    # at epsrel = 1e-11 the b = 0.9 row is refined in rounds: a failure in
-    # a round that holds it (a QuadratureError, or any other exception), or
-    # in the array pass that the run shares, fails b = 0.9 alone; so does a
-    # failure in b = 0.9's own z integral at gamma = 0.5
-    from xxzent import cspa
+    # at epsrel = 1e-11 the b = 0.9 row is refined in rounds. A row failure
+    # (exc None) fails b = 0.9 alone, and the other points keep their
+    # bytes: a NaN in a round that holds the b = 0.9 row, which quad_gk
+    # fails, or a QuadratureError in b = 0.9's own z integral at gamma =
+    # 0.5. An exception that escapes the pass the run shares (a ValueError
+    # in a round, a ZeroDivisionError in the peak scan) is a defect, not a
+    # row failure: every point of the run reads error with a message that
+    # names it. Either way the evaluator runs once
+    from xxzent import cspa, sweep
     from xxzent.errors import QuadratureError
     from xxzent.sweep import evaluate_points
     gamma, T = (0.5, 0.3) if where == "z-peak" else (1.0, 0.1)
@@ -1479,7 +1486,6 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
               for b in (0.5, 0.7, 0.8, 0.9, 0.9333)]
     clean = evaluate_points("cspa", points, 1e-11)
     assert all(pt.status == "ok" for pt in clean)
-    exc = exc or QuadratureError
     if where == "fallback":
         real, real_quad = cspa._weighted_factors, cspa.quad_gk
         # the integrand calls so far of the running quad_gk call: every
@@ -1495,10 +1501,14 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
             return real_quad(g, edges, **kwargs)
 
         def patched(params, r, *args):
-            if calls[0] > 1 and np.any(params.b == 0.9):
+            out = real(params, r, *args)
+            hit = params.b == 0.9
+            if calls[0] > 1 and np.any(hit):
                 raised.append(calls[0])
-                raise exc("injected")
-            return real(params, r, *args)
+                if exc is not None:
+                    raise exc("injected")
+                out = np.where(hit, np.nan, out)
+            return out
         monkeypatch.setattr(cspa, "quad_gk", quad)
         monkeypatch.setattr(cspa, "_weighted_factors", patched)
     elif where == "z-peak":
@@ -1506,31 +1516,152 @@ def test_injected_failure_stays_with_its_point(monkeypatch, where, exc):
 
         def patched(params):
             if params.b == 0.9:
-                raise exc("injected")
+                raise QuadratureError("injected")
             return real(params)
         monkeypatch.setattr(cspa, "mean_field_z", patched)
     else:
         real = cspa._radial_peaks
 
-        def patched(params, zs, mode):
+        def patched(params, zs, mode, fail):
             if np.any(params.b == 0.9):
                 raise exc("injected")
-            return real(params, zs, mode)
+            return real(params, zs, mode, fail)
         monkeypatch.setattr(cspa, "_radial_peaks", patched)
+    runs = []
+    evaluator = sweep._EVALUATORS["cspa"]
+    monkeypatch.setitem(sweep._EVALUATORS, "cspa", lambda points, epsrel: (
+        runs.append(len(points)) or evaluator(points, epsrel)))
     hurt = evaluate_points("cspa", points, 1e-11)
-    assert [pt.status for pt in hurt] == ["ok", "ok", "ok", "error", "ok"]
-    assert hurt[3].message.endswith("injected")
-    assert points_to_csv(hurt[:3] + hurt[4:]) == points_to_csv(
-        clean[:3] + clean[4:])
+    assert runs == [5]
+    if exc is not None:
+        assert [(pt.status, pt.message) for pt in hurt] == [
+            ("error", "RuntimeError: the run's shared pass raised "
+             f"{exc.__name__}: injected")] * 5
+    else:
+        assert [pt.status for pt in hurt] == ["ok", "ok", "ok", "error", "ok"]
+        assert hurt[3].message == ("non-finite integral or error estimate"
+                                   if where == "fallback" else "injected")
+        assert points_to_csv(hurt[:3] + hurt[4:]) == points_to_csv(
+            clean[:3] + clean[4:])
     if where == "fallback":
-        # the shared pass and the point's own retry each failed in a round
-        assert len(raised) == 2 and min(raised) > 1
+        # one round held the row: a failed row is refined no further
+        assert len(raised) == 1 and raised[0] > 1
+
+
+def _counted_evaluators(monkeypatch):
+    """tier -> the lengths of the runs its evaluator is called with."""
+    from xxzent import sweep
+    runs = {tier: [] for tier in TIERS}
+    for tier, evaluator in list(sweep._EVALUATORS.items()):
+        def counted(points, epsrel, tier=tier, evaluator=evaluator):
+            runs[tier].append(len(points))
+            return evaluator(points, epsrel)
+        monkeypatch.setitem(sweep._EVALUATORS, tier, counted)
+    return runs
+
+
+def test_a_failing_row_beside_an_ok_point_is_one_pass(monkeypatch):
+    # a gamma = 1 row that misses its budget at quad_gk's panel cap, beside
+    # an ok point: one evaluator call and one _logZ_batch call. The ok
+    # point's values are those of its lone evaluation, bit for bit, and the
+    # failing point's message is its lone one
+    from xxzent import cspa
+    from xxzent.sweep import evaluate_point, evaluate_run
+    runs = _counted_evaluators(monkeypatch)
+    batches = []
+    real = cspa._logZ_batch
+    monkeypatch.setattr(cspa, "_logZ_batch", lambda points, *args: (
+        batches.append(len(points)) or real(points, *args)))
+    p = ModelParams(n=20, v=1.0, gamma=1.0, b=0.0, T=0.07930029923206883)
+    pts = evaluate_run("cspa", [p, p.replace(T=0.2)], 1e-12)
+    assert runs["cspa"] == [2] and batches == [2]
+    assert [pt.status for pt in pts] == ["error", "ok"]
+    assert pts[0].message.startswith("no convergence after 4000 panels")
+    lone = [evaluate_point("cspa", q, 1e-12) for q in (p, p.replace(T=0.2))]
+    assert pts[0].message == lone[0].message
+    assert [float(x).hex() for x in pts[1].values()[6:13]] == \
+        [float(x).hex() for x in lone[1].values()[6:13]]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_a_failed_row_leaves_its_run_bit_identical(monkeypatch, gamma):
+    # the integrand of one ok point reads NaN, which quad_gk fails: in
+    # figure 2's b = 0.5 T-row at gamma = 1 (30 points: 19 ok, 7 breakdown,
+    # 4 error) that is its row of the run's shared pass, at gamma = 0.5 its
+    # own z integral. That point alone reads error, the run takes one
+    # evaluator call, and every point has the bytes of its lone evaluation
+    from xxzent import cspa
+    from xxzent.sweep import evaluate_point, evaluate_points
+    if gamma == 1.0:
+        fixed, axis = FIG2_ROWS[0]
+        points, epsrel = SweepSpec("cspa", fixed, (axis,)).points(), \
+            POINT_EPSREL
+    else:
+        points, epsrel = [ModelParams(n=20, v=1.0, gamma=0.5, b=0.3,
+                                      T=float(T))
+                          for T in np.geomspace(0.02, 0.5, 8)], 1e-8
+    clean = evaluate_points("cspa", points, epsrel)
+    k = [pt.status for pt in clean].index("ok") + 2
+    assert clean[k].status == "ok"
+    real = cspa._weighted_factors
+
+    def nan_at(params, *args):
+        return np.where(params.beta == points[k].beta, np.nan,
+                        real(params, *args))
+    monkeypatch.setattr(cspa, "_weighted_factors", nan_at)
+    runs = _counted_evaluators(monkeypatch)
+    hurt = evaluate_points("cspa", points, epsrel)
+    assert runs["cspa"] == [len(points)]
+    assert (hurt[k].status, hurt[k].message) == (
+        "error", "non-finite integral or error estimate")
+    assert points_to_csv(hurt[:k] + hurt[k + 1:]) == points_to_csv(
+        clean[:k] + clean[k + 1:])
+    assert points_to_csv(hurt) == points_to_csv(
+        [evaluate_point("cspa", p, epsrel) for p in points])
+
+
+def test_a_defect_fails_a_shared_run_and_one_point_elsewhere(monkeypatch):
+    # a TypeError in every shared pass (the exact tier's array pass, the
+    # cspa and spa radial rows at gamma = 1 and z integrals at gamma < 1)
+    # fails every point of the run, after one evaluator call; the
+    # bruteforce, cmfa and mfa tiers evaluate one point at a time, so the
+    # same TypeError at one point fails that point alone
+    from xxzent import cmfa, cspa
+    from xxzent.sweep import evaluate_run
+
+    def defect(*args):
+        raise TypeError("injected")
+    for module, name in ((exact, "_thermal_pass"), (cspa, "_logZ_rows"),
+                         (cspa, "_logZ_z")):
+        monkeypatch.setattr(module, name, defect)
+    runs = _counted_evaluators(monkeypatch)
+    shared = "RuntimeError: the run's shared pass raised TypeError: injected"
+    for tier, gamma in (("exact", 1.0), ("cspa", 1.0), ("spa", 1.0),
+                        ("cspa", 0.5), ("spa", 0.5)):
+        points = [ModelParams(n=6, v=1.0, gamma=gamma, b=b, T=0.5)
+                  for b in (0.1, 0.5, 0.9)]
+        pts = evaluate_run(tier, points)
+        assert runs[tier][-1] == 3
+        assert [(pt.status, pt.message) for pt in pts] == \
+            [("error", shared)] * 3
+    for module, name in ((exact, "brute_force_observables"),
+                         (cmfa, "gap_solve"),
+                         (cmfa, "mfa_product_moments")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda p, real=real: (
+            defect() if p.b == 0.5 else real(p)))
+    for tier in ("bruteforce", "cmfa", "mfa"):
+        points = [ModelParams(n=6, v=1.0, gamma=1.0, b=b, T=0.1)
+                  for b in (0.1, 0.5, 0.9)]
+        pts = evaluate_run(tier, points)
+        assert runs[tier] == [3]
+        assert [(pt.status, pt.message) for pt in pts] == [
+            ("ok", ""), ("error", "TypeError: injected"), ("ok", "")]
 
 
 def test_refusals_never_cause_a_retry(monkeypatch):
     # a refusal (T <= 0 or a breakdown) is the outcome of its point, decided
-    # before the pass; only a failure inside the pass re-runs a run point
-    # by point, so these rows enter the evaluator once per run
+    # before the pass, and a run enters the evaluator once
     from xxzent import cspa, sweep
     from xxzent.figures import POINT_EPSREL
     calls = {"evaluator": 0, "_logZ_rows": 0, "_logZ_z": 0}
