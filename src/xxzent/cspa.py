@@ -38,7 +38,8 @@ there (its peak scan NaN at every point, its cut still in the peak's tail
 after 8 moves, a row that quad_gk fails, an integral collapsed to zero)
 fails its own point with a QuadratureError, and the other rows keep their
 bits; at gamma < 1 a package error of a point's z integral is that point's
-outcome.
+outcome (one in the rows of its z rule only sends it to the adaptive z
+integral).
 
 Everything is evaluated in log space around one radial peak scan, the
 maximum (r_peak, l_peak) of ln[r e^L(r, z)] over a 512-point r grid,
@@ -54,31 +55,44 @@ ln n)), that distance grown by factors of 1.5 while ln[r e^L] there is
 within 40 log-units of the peak (a failed row after 8 moves), with
 panels placed across r_peak so the quadrature cannot miss a sharp large-n
 saddle. The radial stage has one call form at every gamma: the peak scan of
-the rows, one cut of them all, whose first integrand call also takes d_b L
-at each r_peak, then the radial batches, each one quad_gk call with one row
-per z: every row starts on the same layout in units of its own sigma_r, and
-a row that misses the error budget is refined on those panels in the same
-call. At gamma = 1 a batch of points at one (n, v, gamma), a batch of one
-included, is one array pass with one row per point (z = 0); a row's bits do
-not depend on the other rows of its pass. For gamma < 1 each point has its
-own outer z integral, a quad_gk call of one row whose z nodes are the radial
-rows, on |z| up to |b| + 1.5 v max(1, 1 - gamma) plus the Gaussian width.
-Each of its rounds is one peak scan of all its z nodes, one cut of the live
-ones and radial batches of at most 45 of them. The mean-field saddle z0 (the
+the rows, one cut of them all, then the radial batches, each one quad_gk
+call with one row per z: every row starts on the same layout in units of
+its own sigma_r, and a row that misses the error budget is refined on those
+panels in the same call. The cut's first integrand call also takes d_b L at
+each r_peak where that slope is read, at every row at gamma = 1 and at the
+z-width stage's rows at gamma < 1; elsewhere it is value-only. At gamma = 1
+a batch of points at one (n, v, gamma), a batch of one included, is one
+array pass with one row per point (z = 0); a row's bits do not depend on
+the other rows of its pass.
+
+For gamma < 1 each point integrates z on its own, with |z| up to |b| + 1.5
+v max(1, 1 - gamma) plus the Gaussian width. The mean-field saddle z0 (the
 first of cmfa.mean_field_z: b - z0 = b/gamma in the deformed phase, the
-stable normal-phase root otherwise) seeds the outer z panels, and its l_peak
-shifts the outer integral. In the normal
-phase mean_field_z also gives the ordered root from the other aligned end;
-where it lies more than sigma_z away and within 200 log-units it is a second
-saddle (at small |b| and T < (1 - gamma) v/2): it is seeded too, and the
-higher one sets the shift. The panels around a saddle are laid out in units
-of the z width measured there, 1/sqrt(kappa) with kappa the curvature of
--ln(inner integral) from one radial batch at the saddle and at +-sigma_z,
-sigma_z = sqrt(2 v (1 - gamma)/(n beta)) the bare Gaussian width (sigma_z
-itself where kappa is not positive and finite): the inner integral makes the
-z profile wider than sigma_z. z nodes more than 200 log-units below the
-shift are skipped, and an inner integral more than 700 log-units above it is
-a QuadratureError, not a clipped sum.
+stable normal-phase root otherwise) is seeded, and its l_peak shifts the z
+integral. In the normal phase mean_field_z also gives the ordered root from
+the other aligned end; where it lies more than sigma_z away and within 200
+log-units it is a second saddle (at small |b| and T < (1 - gamma) v/2): it
+is seeded too, and the higher one sets the shift. One radial batch at each
+saddle and at +-sigma_z, sigma_z = sqrt(2 v (1 - gamma)/(n beta)) the bare
+Gaussian width, measures the z profile there: kappa, the curvature of
+-ln(inner integral) across those three rows (the inner integral makes the
+profile wider than sigma_z), and the vertex z_c of the parabola through
+them. A point with one seeded saddle and a finite maximum (0 < kappa < inf)
+then takes a Gauss-Hermite rule in z: the nodes z_c + sqrt(2) w x_k of
+orders 16 and 24, w = 1/sqrt(kappa), are the 40 rows of one radial stage,
+each weighted by w_k e^{x_k^2}. Order 24 is accepted where the two agree
+within epsrel max(1, |x|) in ln Z and in each of the three means below; its
+error estimate is the larger of their ln Z difference and the worst radial
+row's. Otherwise (the orders disagree, two seeded saddles, kappa not a
+finite maximum, a node outside the z range, or a failed row in the rule's
+stage) the point takes the adaptive z integral, a quad_gk call of one row
+whose z nodes are the radial rows. Its panels around each saddle are laid
+out in units of the width measured there, 1/sqrt(kappa) (sigma_z itself
+where kappa is not positive and finite), and each of its rounds is one peak
+scan of all its z nodes, one cut of the live ones and radial batches of at
+most 45 of them. In either form z nodes more than 200 log-units below the
+shift are skipped, and an inner integral more than 700 log-units above it
+is a QuadratureError, not a clipped sum.
 
 Setting C_RPA = 1 gives the plain SPA (mode="spa"): never breaks down,
 never entangled.
@@ -521,7 +535,7 @@ def _peak_width(params, r, f, h):
                       np.sqrt(2.0 * params.v / (params.n * params.beta)))
 
 
-def _radial_cut(params, zs, peaks, mode: str, fail):
+def _radial_cut(params, zs, peaks, mode: str, fail, slope: bool = True):
     """(r_max, slope) per z of ``zs`` (each row of a _Rows), from its peaks.
 
     r_max is the truncation radius: r_peak + sigma_r sqrt(2 (_TAIL_LOG_UNITS
@@ -536,23 +550,25 @@ def _radial_cut(params, zs, peaks, mode: str, fail):
 
     slope is d_b L at r_peak, the centre that the accumulated deviations
     d = d_b L - centre are taken around, so that Var(d_b L) = <d^2> - <d>^2
-    does not cancel. It comes from the first cut's integrand call, one
-    derivs=True call at [r_peak, first cut], whose L has the bits of a
-    value-only call; each move is a value-only call. Every radial stage
-    makes this one call for all its rows: the gamma = 1 run, whose rows
-    each read their own slope, and at gamma < 1 the z-width stage, whose
-    top seed's middle row gives the point's centre, and each outer round
-    of live rows, whose slopes go unread."""
+    does not cancel. With ``slope`` it comes from the first cut's integrand
+    call, one derivs=True call at [r_peak, first cut], whose L has the bits
+    of a value-only call: the gamma = 1 run, whose rows each read their own
+    slope, and at gamma < 1 the z-width stage, whose top seed's middle row
+    gives the point's centre. Without it (the z rule's rows and each outer
+    round of live rows) every call is value-only and slope is None."""
     # one column per z, which a _Rows' b and beta line up with
     r_peak, l_peak, sigma, zs = (np.asarray(a)[..., None]
                                  for a in (*peaks, zs))
     r_max = r_peak + sigma * sqrt(2.0 * (_TAIL_LOG_UNITS + log(params.n)))
-    L, terms = _log_integrand(params, np.concatenate([r_peak, r_max], -1),
-                              zs, mode, derivs=True)
-    L, slope = L[..., 1:], terms[0, ..., 0]
+    center = None
     for moves in range(9):
-        if moves:
+        if moves or not slope:
             L = _log_integrand(params, r_max, zs, mode)
+        else:
+            L, terms = _log_integrand(params,
+                                      np.concatenate([r_peak, r_max], -1),
+                                      zs, mode, derivs=True)
+            L, center = L[..., 1:], terms[0, ..., 0]
         tail = L + np.log(r_max)
         wide = np.isfinite(tail) & (tail >= l_peak - _TAIL_LOG_UNITS)
         if not np.any(wide):
@@ -565,7 +581,7 @@ def _radial_cut(params, zs, peaks, mode: str, fail):
                     f"r = {r_max.flat[i]:.6g} after 8 moves"))
         r_max = np.where(wide, nan if moves == 8
                          else r_peak + 1.5 * (r_max - r_peak), r_max)
-    return r_max[..., 0], slope
+    return r_max[..., 0], center
 
 
 def _row_message(params, zs, i: int, what: str) -> str:
@@ -603,12 +619,13 @@ _BATCH_EDGES = np.array([-16.0, -8.0, -5.0, -3.0, -1.5, 0.0, 1.5, 3.0, 5.0,
                          8.0])
 
 
-# radial rows per batch of the outer z integral: a round's live z nodes go
-# through the radial integral this many at a time, the nodes of three z
-# panels, which bounds the temporaries of a batch whatever the number of
-# panels. The two n = 100 benchmark points take 0.019 s in batches of 45,
-# 0.020 s in batches of 30 or 60 and 0.025 s in batches of 15 (best of 20,
-# one Xeon core); at 60 a pass faults in about 700 fresh pages
+# radial rows per batch of a z integral: the live z nodes of the z rule's
+# stage (40, one batch) or of an adaptive round go through the radial
+# integral this many at a time, the nodes of three z panels, which bounds
+# the temporaries of a batch whatever the number of panels. On the adaptive
+# z integral the two n = 100 benchmark points took 0.019 s in batches of
+# 45, 0.020 s in batches of 30 or 60 and 0.025 s in batches of 15 (best of
+# 20, one Xeon core); at 60 a pass faults in about 700 fresh pages
 _Z_BATCH = 45
 
 
@@ -715,11 +732,13 @@ def _logZ_rows(points, mode: str, epsrel: float) -> list:
 
 
 def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
-    """ln Z at gamma < 1: the outer adaptive integral over z of the inner
-    radial integral, stacked with its means, at a valid point. Its panels
-    sit at z0 + width {0, +-1, +-2, +-4, +-8} around each seeded saddle
-    z0, width the z width measured there (see the module docstring), and
-    each round of it is one peak scan of its z nodes."""
+    """ln Z at gamma < 1: the integral over z of the inner radial integral,
+    stacked with its means, at a valid point. A point with one seeded
+    saddle and a finite maximum of ln I_0 there takes the z rule of
+    _logZ_rule where its two orders agree; otherwise the outer adaptive
+    integral, whose panels sit at z0 + width {0, +-1, +-2, +-4, +-8} around
+    each seeded saddle z0, width the z width measured there (see the module
+    docstring), and each round of it is one peak scan of its z nodes."""
     n, v, beta = params.n, params.v, params.beta
     sigma_z = sqrt(2.0 * v * (1.0 - params.gamma) / (n * beta))
     width_z = sigma_z * sqrt(2.0 * (_TAIL_LOG_UNITS + log(n)))
@@ -731,7 +750,8 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     # shift. The stable one comes first; a normal-phase point can have a
     # second, ordered saddle on the other side (the pair +-z0 at b = 0 and
     # T < (1 - gamma) v/2), kept where it lies apart and within 200
-    # log-units, as the z-node filter below. The higher sets shift and centre
+    # log-units, as the z-node filter of _z_rows. The higher sets shift and
+    # centre
     first, *others = mean_field_z(params)
     z_peak = np.array([first] + [z for z in others if abs(z - first) > sigma_z])
     # each saddle with its neighbours at +-sigma_z, all in one peak scan
@@ -761,34 +781,24 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     kappa = -(l_nbr[:, 2] - 2.0 * l_nbr[:, 1] + l_nbr[:, 0]) / sigma_z ** 2
     width = np.array([1.0 / sqrt(k) if 0.0 < k < inf else sigma_z
                       for k in kappa])
+    pref = 0.25 * sqrt(n ** 3 * beta ** 3
+                       / (pi * v ** 3 * (1.0 - params.gamma)))
+    if z_peak.size == 1 and 0.0 < kappa[0] < inf:
+        # the z rule, centred on the vertex of the parabola through the
+        # three ln I_0 (in floats, which overflow to inf without a
+        # warning), with the width measured there
+        l_lo, l_mid, l_hi = map(float, l_nbr[0])
+        z_c = float(z_peak[0]) + 0.5 * sigma_z * (l_hi - l_lo) / -(
+            l_hi - 2.0 * l_mid + l_lo)
+        ev = _logZ_rule(params, mode, epsrel, z_c, float(width[0]),
+                        (z_lo, z_hi), shift, center, pref)
+        if ev is not None:
+            return ev
     errs = []
 
     def g(row, zs):
-        """The stacked inner integrals at the z nodes of a round's panels:
-        one peak scan of them all, one cut of the live ones, then radial
-        batches of _Z_BATCH rows."""
-        shape, zs = zs.shape, zs.ravel()
-        out = np.zeros((5, zs.size))
-        peaks = _radial_peaks(params, zs, mode, _raise)
-        # z deep in the Gaussian tail contributes nothing, and the log
-        # integrand there sits below float resolution anyway
-        live = np.flatnonzero(peaks[1] - shift > -200.0)
-        zs, peaks = zs[live], tuple(a[live] for a in peaks)
-        r_max, _ = _radial_cut(params, zs, peaks, mode, _raise)
-        centers = np.full(live.size, center)
-        for k in range(0, live.size, _Z_BATCH):
-            i = slice(k, k + _Z_BATCH)
-            lv, rel, means = _radial_log_integral_batch(
-                params, zs[i], tuple(a[i] for a in peaks), mode, epsrel,
-                r_max[i], centers[i], _raise)
-            errs.extend(rel)
-            if np.any(lv - shift > 700.0):
-                raise QuadratureError(
-                    "z integral: an inner integral e^700 above the one at "
-                    "the mean-field saddle")
-            w = np.exp(lv - shift)
-            out[:, live[i]] = w * np.vstack([np.ones_like(lv), means])
-        return out.reshape(5, *shape)
+        return _z_rows(params, zs.ravel(), mode, epsrel, shift, center,
+                       errs).reshape(5, *zs.shape)
 
     # the seeds are the edges of the one row: those outside [z_lo, z_hi]
     # clip to zero-width panels, which quad_gk skips
@@ -802,12 +812,104 @@ def _logZ_z(params: ModelParams, mode: str, epsrel: float) -> CspaEvaluation:
     total = value[0]
     if total <= 0:
         raise QuadratureError("z integral collapsed to zero")
-    pref = 0.25 * sqrt(n ** 3 * beta ** 3
-                       / (pi * v ** 3 * (1.0 - params.gamma)))
     logZ = log(pref) + shift + log(total)
     error = float(res.error[0] / total + (max(errs) if errs else 0.0))
     return _evaluation(params, mode, logZ, error, center,
                        value[1:] / total, 1.5)
+
+
+def _z_rows(params: ModelParams, zs, mode: str, epsrel: float, shift: float,
+            center: float, errs: list):
+    """The stacked inner integrals e^{ln I_0 - shift} [1, I_k / I_0] at the
+    flat z nodes ``zs``, one column per node: one peak scan of them all,
+    one value-only cut of the live ones, then radial batches of at most
+    _Z_BATCH rows around ``center``. A node whose radial peak lies more
+    than 200 log-units below ``shift`` is not live and reads 0. Each live
+    row's relative error is appended to ``errs``; a failed row, or an inner
+    integral e^700 above the shift, raises a QuadratureError."""
+    out = np.zeros((5, zs.size))
+    peaks = _radial_peaks(params, zs, mode, _raise)
+    # z deep in the Gaussian tail contributes nothing, and the log
+    # integrand there sits below float resolution anyway
+    live = np.flatnonzero(peaks[1] - shift > -200.0)
+    zs, peaks = zs[live], tuple(a[live] for a in peaks)
+    r_max, _ = _radial_cut(params, zs, peaks, mode, _raise, slope=False)
+    centers = np.full(live.size, center)
+    for k in range(0, live.size, _Z_BATCH):
+        i = slice(k, k + _Z_BATCH)
+        lv, rel, means = _radial_log_integral_batch(
+            params, zs[i], tuple(a[i] for a in peaks), mode, epsrel,
+            r_max[i], centers[i], _raise)
+        errs.extend(rel)
+        if np.any(lv - shift > 700.0):
+            raise QuadratureError(
+                "z integral: an inner integral e^700 above the one at "
+                "the mean-field saddle")
+        w = np.exp(lv - shift)
+        out[:, live[i]] = w * np.vstack([np.ones_like(lv), means])
+    return out
+
+
+# Gauss-Hermite orders of the z rule. On figure 5's 310 2D points 16 and 24
+# agree at 274, against 245 for 12 and 20 and 283 for 20 and 28, whose 48
+# rows are two radial batches of _Z_BATCH
+_Z_ORDERS = (16, 24)
+# the outputs of a point that the two orders must agree on
+_Z_CHECKED = ("logZ", "dlnZ_db", "d2lnZ_db2", "dlnZ_dv")
+
+
+@lru_cache(maxsize=None)
+def _hermite(order: int):
+    """Gauss-Hermite nodes x_k and weights w_k e^{x_k^2} of ``order``, so
+    that Int f(z) dz ~ sqrt(2) w sum_k w_k e^{x_k^2} f(z_c + sqrt(2) w x_k),
+    exactly for a Gaussian of width w at z_c times a polynomial of degree
+    below 2 order. Read-only; numpy.polynomial is imported when the first
+    rule is built, not with the package."""
+    from numpy.polynomial.hermite import hermgauss
+    x, w = hermgauss(order)
+    w *= np.exp(x * x)
+    for a in (x, w):
+        a.flags.writeable = False
+    return x, w
+
+
+def _logZ_rule(params: ModelParams, mode: str, epsrel: float, z_c: float,
+               w: float, z_range, shift: float, center: float, pref: float):
+    """ln Z of a point with one seeded saddle from the Gauss-Hermite rules
+    of orders _Z_ORDERS in z about z_c with width w, or None where it takes
+    the adaptive path.
+
+    The nodes z_c + sqrt(2) w x_k of both orders are the rows of one _z_rows
+    stage. The higher order is accepted where the two agree within epsrel
+    max(1, |x|) in each of _Z_CHECKED; its quadrature_error is the larger
+    of the orders' ln Z difference and the worst radial-row error. None
+    where a node lies outside ``z_range``, a row of the stage fails, the
+    integral or its prefactor ``pref`` is not a positive float, or the
+    orders disagree: the adaptive path then gives the point's value, or
+    its error, as it would without the rule."""
+    (x_lo, w_lo), (x_hi, w_hi) = (_hermite(k) for k in _Z_ORDERS)
+    zs = z_c + sqrt(2.0) * w * np.concatenate([x_lo, x_hi])
+    if not (z_range[0] <= zs.min() and zs.max() <= z_range[1]):
+        return None
+    errs = []
+    try:
+        rows = _z_rows(params, zs, mode, epsrel, shift, center, errs)
+    except XxzentError:
+        return None
+    sums = [(rows[:, :x_lo.size] * w_lo).sum(axis=1),
+            (rows[:, x_lo.size:] * w_hi).sum(axis=1)]
+    totals = [sqrt(2.0) * w * float(s[0]) for s in sums]
+    if not all(0.0 < t < inf for t in (pref, *totals)):
+        return None
+    logZ = [log(pref) + shift + log(total) for total in totals]
+    error = float(max(abs(logZ[1] - logZ[0]), max(errs)))
+    low, high = (_evaluation(params, mode, lz, error, center, s[1:] / s[0],
+                             1.5) for lz, s in zip(logZ, sums))
+    for name in _Z_CHECKED:
+        x = getattr(high, name)
+        if not abs(x - getattr(low, name)) <= epsrel * max(1.0, abs(x)):
+            return None
+    return high
 
 
 def _evaluation(params: ModelParams, mode: str, logZ: float, error: float,

@@ -450,8 +450,11 @@ def test_validity_scan_refuses_a_field_that_overflows_it(b):
 # the package error each reads now: the validity threshold (2 pi T)^2, which
 # raised OverflowError at T = 1e300; the seed filter, whose l_peak - 200 did
 # not move l_peak ~ -1.9e35 and left no seed (argmax of an empty sequence);
-# a peak scan whose every point is NaN (nanargmax's All-NaN slice); and an
-# SPA saddle at l_peak = -inf, which left no seed either
+# a peak scan whose every point is NaN (nanargmax's All-NaN slice); an SPA
+# saddle at l_peak = -inf, which left no seed either; and a 2D point whose
+# prefactor n^3 beta^3 underflows to 0, whose z integral fails before the
+# logarithm of that prefactor is taken, on the z rule's path as on the
+# adaptive one
 _EDGE_POINTS = (
     ("cspa", ModelParams(n=6, v=1.0, gamma=1.0, b=0.0, T=1e300),
      r"non-finite result"),
@@ -462,12 +465,14 @@ _EDGE_POINTS = (
      r"radial CSPA row \(b = 10000, T = 1e-300, z = 0\): ln\[r e\^L\] "
      r"is NaN at every point of the peak scan"),
     ("spa", ModelParams(n=6, v=1.0, gamma=0.5, b=1e300, T=1.0),
-     r"z integral: ln\[r e\^L\] at the mean-field saddle z = -0\.5 is -inf"))
+     r"z integral: ln\[r e\^L\] at the mean-field saddle z = -0\.5 is -inf"),
+    ("cspa", ModelParams(n=6, v=1.0, gamma=0.5, b=0.0, T=1e300),
+     r"non-finite integral or error estimate"))
 
 
 @pytest.mark.parametrize("tier, p, message", _EDGE_POINTS,
                          ids=["threshold", "seed-filter", "nan-scan",
-                              "infinite-seed"])
+                              "infinite-seed", "zero-prefactor"])
 def test_edge_points_read_a_package_error(tier, p, message):
     # each reads error with a package message, where a raw exception's
     # reads "<type>: <text>"; numpy warns on the way at three of them (an
@@ -514,9 +519,15 @@ def test_radial_cut_slope_is_a_lone_derivative_call(monkeypatch, mode):
         peaks = cspa._radial_peaks(params, zs, mode, cspa._raise)
         first.clear()
         monkeypatch.setattr(cspa, "_log_integrand", recorded)
-        _, slope = cspa._radial_cut(params, zs, peaks, mode, cspa._raise)
-        monkeypatch.setattr(cspa, "_log_integrand", real)
+        r_max, slope = cspa._radial_cut(params, zs, peaks, mode, cspa._raise)
         ((r, (L, _)),) = first
+        # without the slope (the z rule's rows and the outer rounds) every
+        # call is value-only, and the cut keeps its bits
+        plain, none = cspa._radial_cut(params, zs, peaks, mode, cspa._raise,
+                                       slope=False)
+        monkeypatch.setattr(cspa, "_log_integrand", real)
+        assert none is None and len(first) == 1
+        assert hexes(plain) == hexes(r_max)
         r_peak, zcol = peaks[0][:, None], zs[:, None]
         lone = real(params, r_peak, zcol, mode, derivs=True)[1][0, :, 0]
         assert hexes(slope) == hexes(lone)
@@ -806,6 +817,19 @@ def _count_quad_gk(monkeypatch, cspa):
     return calls
 
 
+def _disagree(monkeypatch, cspa):
+    """Make the two orders of the z rule disagree (the lower order's
+    weights 1e-6 high, so ln Z moves by 1e-6), so that a point runs the
+    rule's radial stage and then takes the adaptive z integral."""
+    real = cspa._hermite
+    low = cspa._Z_ORDERS[0]
+
+    def skewed(order):
+        x, w = real(order)
+        return x, w * (1.0 + 1e-6) if order == low else w
+    monkeypatch.setattr(cspa, "_hermite", skewed)
+
+
 @pytest.mark.parametrize("mode", ["cspa", "spa"])
 def test_batched_inner_integral_matches_adaptive(monkeypatch, mode):
     # the fixed-panel batch and an adaptive radial integral agree to the
@@ -1009,20 +1033,33 @@ def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
     # the outer shift comes from the peak scan, not from an extra radial
     # integral at the z peak. The first quad_gk call is the width batch, one
     # radial row at the saddle and one at each of its neighbours; the
-    # second is the outer z integral, one row; every other is a radial
-    # batch of at most _Z_BATCH of its z nodes. Each radial batch is one
-    # call of its integrand with no refinement round: every inner row meets
-    # the budget on its initial panels. The outer integral takes three
-    # rounds, of 10, 2 and 2 panels of 15 nodes: 147, 30 and 30 live z
-    # nodes, cut into batches of 45 (three panels), six in all
+    # second is the z rule's batch, one row per node of its two orders,
+    # which are made to disagree here; the third is the outer z integral,
+    # one row; every other is a radial batch of at most _Z_BATCH of its z
+    # nodes. Each radial batch is one call of its integrand with no
+    # refinement round: every inner row meets the budget on its initial
+    # panels. The outer integral takes three rounds, of 10, 2 and 2 panels
+    # of 15 nodes: 147, 30 and 30 live z nodes, cut into batches of 45
+    # (three panels), six in all
     import xxzent.cspa as cspa
+    _disagree(monkeypatch, cspa)
     calls = _count_quad_gk(monkeypatch, cspa)
+    real_cut, slopes = cspa._radial_cut, []
+
+    def cut(*args, slope=True):
+        slopes.append(slope)
+        return real_cut(*args, slope=slope)
+    monkeypatch.setattr(cspa, "_radial_cut", cut)
     ev = cspa_logZ(ModelParams(n=20, v=1.0, gamma=0.5, b=0.3, T=0.3))
     assert np.isfinite(ev.logZ)
-    ((w_edges, w_rounds, _, w_kw), (z_edges, z_rounds, z_panels, z_kw),
-     *radial) = calls
+    # one cut per radial stage, and only the width stage's reads a slope
+    assert slopes == [True, False, False, False, False]
+    ((w_edges, w_rounds, _, w_kw), (r_edges, r_rounds, _, r_kw),
+     (z_edges, z_rounds, z_panels, z_kw), *radial) = calls
     assert w_edges.ndim == 2 and len(w_edges) == 3 and w_rounds == 1
     assert w_kw["max_panels"] == 4000
+    assert len(r_edges) == sum(cspa._Z_ORDERS) == 40 and r_rounds == 1
+    assert r_kw["max_panels"] == 4000
     assert z_kw["max_panels"] == 800 and z_edges.shape[0] == 1
     assert z_edges[0, 0] < 0.0 < z_edges[0, -1]
     assert (z_rounds, z_panels) == (3, 14)
@@ -1036,13 +1073,37 @@ def test_2d_logZ_integrates_radially_only_in_batches(monkeypatch):
     assert sum(len(edges) for edges, *_ in radial) <= 15 * z_panels
 
 
+# the 18-point set of the z-rule and node-count tests: (gamma, b, T) at
+# n = 100, epsrel = 1e-8; the two gamma = 0.25, b = 0.2 points take the
+# adaptive z integral (their z rule's orders disagree), the others the rule
+_SET_18 = [(g, b, T) for g in (0.25, 0.5, 0.75) for b in (0.0, 0.2, 0.5)
+           for T in (0.1, 0.25)]
+_SET_18_ADAPTIVE = [(0.25, 0.2, 0.1), (0.25, 0.2, 0.25)]
+
+
+def _rule_outcomes(monkeypatch, cspa):
+    """Record each _logZ_rule call as (params, epsrel, its evaluation or
+    None)."""
+    real, seen = cspa._logZ_rule, []
+
+    def recorded(params, mode, epsrel, *args):
+        ev = real(params, mode, epsrel, *args)
+        seen.append((params, epsrel, ev))
+        return ev
+    monkeypatch.setattr(cspa, "_logZ_rule", recorded)
+    return seen
+
+
 def test_2d_log_integrand_nodes_per_point(monkeypatch):
     # the z peak is the mean-field saddle, with one two-level radial peak
-    # scan per outer round, and each radial row is laid out in units of
-    # the width measured at its peak: under 33,000 log-integrand nodes per
-    # point on this set (about 28,850; 44,200 with the radial rows in units
-    # of the bare Gaussian width, 137,500 with a full 512-point scan per z
-    # and the outer panels in units of the bare width)
+    # scan per radial stage, and each radial row is laid out in units of
+    # the width measured at its peak; 16 of the 18 points integrate z on
+    # the rule's 40 rows, and each cut call is value-only but the width
+    # stage's: under 13,000 log-integrand nodes per point on this set
+    # (11,871 measured, plus 9.5%; 29,040 with the adaptive z integral at
+    # every point, 44,200 with the radial rows in units of the bare
+    # Gaussian width, 137,500 with a full 512-point scan per z and the
+    # outer panels in units of the bare width)
     import xxzent.cspa as cspa
     real = cspa._log_integrand
     nodes = [0]
@@ -1053,12 +1114,106 @@ def test_2d_log_integrand_nodes_per_point(monkeypatch):
         return real(params, r, z, *args, **kwargs)
 
     monkeypatch.setattr(cspa, "_log_integrand", counted)
+    seen = _rule_outcomes(monkeypatch, cspa)
     points = [ModelParams(n=100, v=1.0, gamma=g, b=b, T=T)
-              for g in (0.25, 0.5, 0.75) for b in (0.0, 0.2, 0.5)
-              for T in (0.1, 0.25)]
+              for g, b, T in _SET_18]
     for p in points:
         assert np.isfinite(cspa_moments(p, epsrel=1e-8).s2)
-    assert nodes[0] / len(points) < 33_000
+    assert nodes[0] / len(points) < 13_000
+    ruled = [(p.gamma, p.b, p.T) for p, _, ev in seen if ev is not None]
+    assert sorted(set(_SET_18) - set(ruled)) == _SET_18_ADAPTIVE
+    assert len(ruled) == 16
+
+
+def test_z_rule_within_a_tenth_of_epsrel_of_adaptive(monkeypatch):
+    # each point of the 18-point set that takes the z rule has ln Z and the
+    # three means within 0.1 epsrel max(1, |x|) of the adaptive z integral
+    # run at epsrel / 100 (on figure 5's 274 rule points the worst is
+    # 0.035 epsrel, in d2lnZ_db2; CI checks them all)
+    import xxzent.cspa as cspa
+    seen = _rule_outcomes(monkeypatch, cspa)
+    # the worst radial-row error of each point's rule stage (the last
+    # _z_rows call of _logZ_z when the rule is accepted), which its
+    # quadrature_error is never below
+    real_rows, worst = cspa._z_rows, []
+
+    def rows_error(params, zs, mode, epsrel, shift, center, errs):
+        out = real_rows(params, zs, mode, epsrel, shift, center, errs)
+        worst.append(max(errs))
+        return out
+    monkeypatch.setattr(cspa, "_z_rows", rows_error)
+    for g, b, T in _SET_18:
+        p = ModelParams(n=100, v=1.0, gamma=g, b=b, T=T)
+        cspa_logZ(p, epsrel=1e-8)
+        if seen and seen[-1][0] is p and seen[-1][2] is not None:
+            assert seen[-1][2].quadrature_error >= worst[-1]
+    monkeypatch.setattr(cspa, "_z_rows", real_rows)
+    ruled = [(p, epsrel, ev) for p, epsrel, ev in seen if ev is not None]
+    assert len(ruled) == 16
+    monkeypatch.setattr(cspa, "_logZ_rule", lambda *args: None)
+    for p, epsrel, ev in ruled:
+        ref = cspa_logZ(p, epsrel=epsrel / 100)
+        for name in cspa._Z_CHECKED:
+            x = getattr(ref, name)
+            assert abs(getattr(ev, name) - x) <= 0.1 * epsrel * max(
+                1.0, abs(x)), (p, name)
+        assert ev.quadrature_error < epsrel
+
+
+def _hexes(ev):
+    return [float(getattr(ev, name)).hex() for name in (
+        "logZ", "quadrature_error", "dlnZ_db", "d2lnZ_db2", "dlnZ_dv")]
+
+
+# (gamma, b, T) at n = 100 and epsrel = 1e-10, with the adaptive z
+# integral's (ln Z, quadrature_error, dlnZ_db, d2lnZ_db2, dlnZ_dv) as
+# float.hex, computed before the z rule existed: a point whose z rule's
+# orders disagree, and a point with two seeded saddles
+_ADAPTIVE_POINTS = (
+    ((0.25, 0.15, 0.1), ["0x1.110e2ba2c5e99p+8", "0x1.4fa6d2bc8c8c8p-34",
+                         "0x1.2c051529f193dp+8", "0x1.f4069d072c8f4p+10",
+                         "0x1.c2294e7809154p+7"]),
+    ((0.25, 0.25, 0.1), ["0x1.3872ba3b93707p+8", "0x1.8726e20def4efp-33",
+                         "0x1.d3528d0604e3ap+8", "0x1.81568231406dcp+9",
+                         "0x1.829ca139841b6p+7"]))
+
+
+@pytest.mark.parametrize("point, before", _ADAPTIVE_POINTS)
+def test_z_rule_fallback_keeps_the_adaptive_bits(monkeypatch, point, before):
+    # a point whose orders disagree tries the rule and takes the adaptive
+    # path; a point with two seeded saddles does not try it. Either way
+    # its values keep the bits of the adaptive z integral
+    import xxzent.cspa as cspa
+    seen = _rule_outcomes(monkeypatch, cspa)
+    g, b, T = point
+    ev = cspa_logZ(ModelParams(n=100, v=1.0, gamma=g, b=b, T=T))
+    assert _hexes(ev) == before
+    assert [ev for *_, ev in seen] == ([None] if b == 0.15 else [])
+
+
+def test_failed_z_rule_row_takes_the_adaptive_path(monkeypatch):
+    # a row of the z rule's radial stage that fails (forced on its batch,
+    # the point's second) sends the point to the adaptive z integral: the
+    # benchmark's b = 0.5 point is ok, with the bits it had before the rule
+    import xxzent.cspa as cspa
+    from xxzent.sweep import evaluate_point
+    real, rows = cspa._radial_log_integral_batch, []
+
+    def failing(params, zs, *args):
+        rows.append(zs.size)
+        if len(rows) == 2:
+            args[-1](0, "forced")
+        return real(params, zs, *args)
+
+    monkeypatch.setattr(cspa, "_radial_log_integral_batch", failing)
+    p = ModelParams(n=100, v=1.0, gamma=0.5, b=0.5, T=0.25)
+    assert _hexes(cspa_logZ(p)) == [
+        "0x1.32082696e295ap+7", "0x1.3cf3fa4fe35f7p-33",
+        "0x1.699af314be312p+7", "0x1.1a3193270028dp+7",
+        "0x1.9f8b2bf7267a9p+5"]
+    assert rows[:2] == [3, 40] and len(rows) > 2
+    rows.clear()
+    assert evaluate_point("cspa", p, epsrel=1e-10).status == "ok"
 
 
 # the benchmark's 2D points at epsrel = 1e-10: (b, (Sz, Sz2, S2, ln Z)) as
@@ -1075,10 +1230,12 @@ def test_z_panels_in_units_of_the_measured_width(monkeypatch, b, before):
     # the outer z panels are laid out in units of the z width measured from
     # the inner integrals at the saddle and its neighbours: at most 2
     # refinement rounds of the outer integral at these points (7 and 5 with
-    # the bare Gaussian width), and the same moments to 1e-12. At epsrel =
+    # the bare Gaussian width), and the same moments to 1e-12. These points
+    # take the z rule, whose orders are made to disagree here. At epsrel =
     # 1e-11 the b = 0.5 point still takes 6 rounds, as it did before; that
     # case is not pinned here
     import xxzent.cspa as cspa
+    _disagree(monkeypatch, cspa)
     calls = _count_quad_gk(monkeypatch, cspa)
     m = cspa_moments(ModelParams(n=100, v=1.0, gamma=0.5, b=b, T=0.25),
                      epsrel=1e-10)
@@ -1097,7 +1254,8 @@ def test_z_panels_in_units_of_the_measured_width(monkeypatch, b, before):
 def test_z_width_falls_back_to_the_gaussian_width(monkeypatch, l_nbr):
     # where the curvature of ln I_0 across the saddle's neighbours is not
     # positive and finite (forced here on the width batch, the first radial
-    # batch of the point), the panels are laid out in units of the bare
+    # batch of the point), the point does not try the z rule, and the
+    # panels of its adaptive z integral are laid out in units of the bare
     # Gaussian width sigma_z: the point is still ok, with the same moments
     import xxzent.cspa as cspa
     from xxzent.sweep import evaluate_point
@@ -1123,6 +1281,60 @@ def test_z_width_falls_back_to_the_gaussian_width(monkeypatch, l_nbr):
     m = pt.moments
     np.testing.assert_allclose([m.sz, m.sz2, m.s2, m.logZ], before,
                                rtol=1e-12, atol=0)
+
+
+# the benchmark's 2D points on the z rule at epsrel = 1e-10: (ln Z,
+# quadrature_error, dlnZ_db, d2lnZ_db2, dlnZ_dv) of order 24 as float.hex
+_Z_RULE_HEXES = {
+    0.05: ["0x1.a1ef0caed9df2p+6", "0x1.973692dc17842p-37",
+           "0x1.3fff761c166bep+4", "0x1.8fff5b495ba04p+8",
+           "0x1.68f790aa80620p+6"],
+    0.5: ["0x1.32082696e294bp+7", "0x1.13a5aa9946791p-34",
+          "0x1.699af314be8cap+7", "0x1.1a319326df22bp+7",
+          "0x1.9f8b2bf7262b6p+5"]}
+
+
+@pytest.mark.parametrize("b, before", _Z_LAYOUT_POINTS)
+def test_benchmark_points_take_the_z_rule(monkeypatch, b, before):
+    # both benchmark points take the z rule: the moments of the adaptive
+    # path to 1e-12, with the bits of order 24
+    import xxzent.cspa as cspa
+    seen = _rule_outcomes(monkeypatch, cspa)
+    p = ModelParams(n=100, v=1.0, gamma=0.5, b=b, T=0.25)
+    m = cspa_moments(p, epsrel=1e-10)
+    np.testing.assert_allclose([m.sz, m.sz2, m.s2, m.logZ], before,
+                               rtol=1e-12, atol=0)
+    ((_, _, ev),) = seen
+    assert _hexes(ev) == _Z_RULE_HEXES[b]
+
+
+def test_z_rule_nodes_outside_the_z_range_take_the_adaptive_path(
+        monkeypatch):
+    # a z width wider than the z range (forced: ln I_0 at the saddle 1e-6
+    # above its neighbours, w = 707 sigma_z) puts the rule's nodes outside
+    # [z_lo, z_hi]: the point runs no rule row and takes the adaptive path,
+    # with the bits it has where the rule is never tried
+    import xxzent.cspa as cspa
+    real_batch, real_rows, rows = (cspa._radial_log_integral_batch,
+                                   cspa._z_rows, [])
+
+    def forced(*args):
+        lv, rel, means = real_batch(*args)
+        if len(lv) == 3:
+            lv = np.array([0.0, 1e-6, 0.0])
+        return lv, rel, means
+
+    def counted(params, zs, *args):
+        rows.append(zs.size)
+        return real_rows(params, zs, *args)
+
+    monkeypatch.setattr(cspa, "_radial_log_integral_batch", forced)
+    monkeypatch.setattr(cspa, "_z_rows", counted)
+    p = ModelParams(n=100, v=1.0, gamma=0.5, b=0.05, T=0.25)
+    out = _hexes(cspa_logZ(p))
+    assert rows and sum(cspa._Z_ORDERS) not in rows
+    monkeypatch.setattr(cspa, "_logZ_rule", lambda *args: None)
+    assert _hexes(cspa_logZ(p)) == out
 
 
 def test_seed_far_from_the_z_peak_is_an_error(monkeypatch):

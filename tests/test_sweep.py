@@ -1326,7 +1326,9 @@ def test_pass_size_changes_no_point(monkeypatch, epsrel):
     # a point's bytes do not depend on the size of the pass it is in: runs
     # of 1, 8 or 40 points at gamma = 1 (figure 2's rows; at epsrel = 1e-11
     # rows are refined), radial batches of 1, 15 or 45 z nodes at gamma < 1
-    # (the benchmark's two n = 100 points)
+    # (the benchmark's two n = 100 points, whose z rule's 40 rows go
+    # through those batches too; at 1e-11 the b = 0.5 point's orders
+    # disagree, and its adaptive z integral follows)
     from xxzent import cspa, sweep
     from xxzent.sweep import evaluate_points
     points = [p for fixed, axis in FIG2_ROWS
